@@ -258,10 +258,10 @@ impl DsContext {
         at.mark(SEG_INDEX);
         let install_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
-        // Step ⑧: data to SSD. Under epoch durability the pages are only
-        // *submitted* — the device deadline folds into the commit epoch
-        // below, so one epoch fence covers log record + flag + SSD ack —
-        // otherwise the write is synchronous and durable on return.
+        // Step ⑧: data to SSD. Under epoch durability the pages are
+        // *submitted* and the op waits out its own device deadline below,
+        // after releasing the writer mark; otherwise the write is
+        // synchronous and durable on return.
         let epoch = inner.cfg.parallel_persistence && inner.cfg.durability_epoch;
         let t = bd.is_some().then(now_ns);
         let ssd_deadline = if epoch {
@@ -270,20 +270,25 @@ impl DsContext {
             self.write_blocks(&plan.blocks, value);
             0
         };
-        at.mark(SEG_SSD_WRITE);
-        let nvme_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
-        // The object's mutation is complete (data durable at step ⑧, or
-        // durable by this op's epoch fence): release the writer mark
+        // The object's mutation is complete (data in the device's
+        // power-loss-protected write cache): release the writer mark
         // *before* committing the record. A competing writer passes the
         // conflict scan only once the record commits, so the registration
         // windows of two writers can never overlap — in the other order
         // they briefly could.
         inner.writers.unregister(key);
 
+        // This op's own device wait, outside every log lock: whatever
+        // enters the commit combiner is already device-durable, so a
+        // drain never holds another committer behind an SSD.
+        inner.ssd.wait_durable(ssd_deadline);
+        at.mark(SEG_SSD_WRITE);
+        let nvme_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
+
         // Step ⑨: commit.
         let t = bd.is_some().then(now_ns);
-        inner.log.commit_with_deadline(handle, ssd_deadline);
+        inner.log.commit(handle);
         let commit_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
@@ -845,14 +850,11 @@ impl DsContext {
     // ------------------------------------------------------------------
     // data plane
 
-    /// Writes `data` across allocation `blocks`, coalescing contiguous
-    /// block runs into single device commands. Pages beyond the data
-    /// (pure preallocation) are left untouched.
-    fn write_blocks(&self, blocks: &[u64], data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        let ssd = &self.inner.ssd;
+    /// Calls `cmd(first_page, chunk)` once per contiguous run of
+    /// allocation `blocks` covering `data` — one device command per run,
+    /// the chunk zero-padded to whole pages. Pages beyond the data (pure
+    /// preallocation) are left untouched.
+    fn for_each_block_run(&self, blocks: &[u64], data: &[u8], mut cmd: impl FnMut(u64, &[u8])) {
         let d = self.inner.domain();
         let bs = d.block_bytes() as usize;
         let page = PAGE_BYTES as usize;
@@ -870,40 +872,27 @@ impl DsContext {
             let pages = (data_end - start_byte).div_ceil(page);
             let mut chunk = vec![0u8; pages * page];
             chunk[..data_end - start_byte].copy_from_slice(&data[start_byte..data_end]);
-            ssd.write_pages(d.block_first_page(blocks[i]), &chunk);
+            cmd(d.block_first_page(blocks[i]), &chunk);
             i = j;
         }
     }
 
+    /// Writes `data` across allocation `blocks`, one synchronous device
+    /// command per contiguous run; durable on return.
+    fn write_blocks(&self, blocks: &[u64], data: &[u8]) {
+        let ssd = &self.inner.ssd;
+        self.for_each_block_run(blocks, data, |page, chunk| ssd.write_pages(page, chunk));
+    }
+
     /// [`DsContext::write_blocks`] without the device wait: submits every
     /// command and returns the latest completion deadline (0 when `data`
-    /// is empty), to be folded into the op's commit epoch.
+    /// is empty) for the caller to wait out before it commits.
     fn submit_blocks(&self, blocks: &[u64], data: &[u8]) -> u64 {
-        if data.is_empty() {
-            return 0;
-        }
         let ssd = &self.inner.ssd;
-        let d = self.inner.domain();
-        let bs = d.block_bytes() as usize;
-        let page = PAGE_BYTES as usize;
-        let data_blocks = data.len().div_ceil(bs);
-        let blocks = &blocks[..data_blocks.min(blocks.len())];
         let mut deadline = 0u64;
-        let mut i = 0;
-        while i < blocks.len() {
-            // Contiguous block ids own contiguous page ranges.
-            let mut j = i + 1;
-            while j < blocks.len() && blocks[j] == blocks[j - 1] + 1 {
-                j += 1;
-            }
-            let start_byte = i * bs;
-            let data_end = data.len().min(j * bs);
-            let pages = (data_end - start_byte).div_ceil(page);
-            let mut chunk = vec![0u8; pages * page];
-            chunk[..data_end - start_byte].copy_from_slice(&data[start_byte..data_end]);
-            deadline = deadline.max(ssd.submit_write_pages(d.block_first_page(blocks[i]), &chunk));
-            i = j;
-        }
+        self.for_each_block_run(blocks, data, |page, chunk| {
+            deadline = deadline.max(ssd.submit_write_pages(page, chunk));
+        });
         deadline
     }
 

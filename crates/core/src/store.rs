@@ -690,6 +690,11 @@ impl DStore {
             l.commits_combined.load(Ordering::Relaxed),
         );
         snap.push_counter(
+            "dstore_log_commit_follower_sleeps_total",
+            vec![],
+            l.commit_follower_sleeps.load(Ordering::Relaxed),
+        );
+        snap.push_counter(
             "dstore_checkpoints_completed_total",
             vec![],
             self.checkpoints_completed(),

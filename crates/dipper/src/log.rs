@@ -103,6 +103,9 @@ pub struct LogStats {
     /// mismatched — a commit flag that reached the media (spurious
     /// eviction) before its record body's epoch fence.
     pub torn_commits: AtomicU64,
+    /// Commits whose wait for the combiner escalated to the sleep stage
+    /// of [`Backoff`] — a drain is sub-microsecond, so this stays ≈ 0.
+    pub commit_follower_sleeps: AtomicU64,
 }
 
 /// A commit queued for the combiner/epoch drain.
@@ -113,9 +116,6 @@ struct QueuedCommit {
     /// durability (0 in plain combining, where the publish already
     /// flushed the body).
     total_len: usize,
-    /// SSD durability deadline folded into this commit's epoch
-    /// (ns on [`dstore_telemetry::now_ns`]; 0 = no SSD write pending).
-    ssd_deadline: u64,
 }
 
 /// The flush combiner's shared state (§4.4's "group persistence" of
@@ -172,9 +172,9 @@ pub struct OpLog {
     combine_commits: bool,
     /// Epoch-batched durability: publishes only *store* the record body
     /// (no flush, no fence) and the elected drainer persists every body,
-    /// flag, and gap header of the batch behind **one** merged fence —
-    /// after waiting out the batch's slowest SSD submission. Written only
-    /// by [`OpLog::set_durability_epoch`] before the log is shared.
+    /// flag, and gap header of the batch behind **one** merged fence.
+    /// Written only by [`OpLog::set_durability_epoch`] before the log is
+    /// shared.
     durability_epoch: bool,
     combiner: CommitCombiner,
 }
@@ -268,12 +268,11 @@ impl OpLog {
     /// When on, [`Reservation::publish`] only *stores* the record body —
     /// no flush, no fence — and every commit goes through the epoch
     /// drain, which persists all bodies, flags, and gap headers of the
-    /// batch behind **one** merged [`PmemPool::persist_many`] after
-    /// waiting out the batch's slowest SSD submission. Also installs the
-    /// pool's proven-durable line tracker over the log region, so
-    /// re-flushes the model proves redundant (re-committed flag lines,
-    /// racing header-gap flushes, adjacent records sharing a line) are
-    /// elided.
+    /// batch behind **one** merged [`PmemPool::persist_many`]. Also
+    /// installs the pool's proven-durable line tracker over the log
+    /// region, so re-flushes the model proves redundant (re-committed
+    /// flag lines, racing header-gap flushes, adjacent records sharing a
+    /// line) are elided.
     pub fn set_durability_epoch(&mut self, on: bool) {
         self.durability_epoch = on;
         if on {
@@ -467,28 +466,19 @@ impl OpLog {
 
     /// Marks the record committed and persists the flag (behind the
     /// header-gap flush — see `OpLog::header_gap`). Called once per
-    /// record, after the operation's data is durable (§4.5).
+    /// record, after the operation's data is durable (§4.5) — a caller
+    /// with a device write in flight waits it out *before* calling, so
+    /// nothing queued here ever waits on a device.
     ///
     /// With commit combining on, concurrent committers share one
-    /// flush+fence: each writes its flag and enqueues its offset, and
-    /// whichever thread wins the drain lock persists the whole batch via
-    /// [`PmemPool::persist_many`]. Every participant still returns only
-    /// once its own flag is durable, so the commit's durability contract
-    /// is unchanged — only the fence count drops.
+    /// flush+fence: each enqueues its offset, and whichever thread wins
+    /// the drain lock persists the whole batch via
+    /// [`PmemPool::persist_many`] (under epoch durability the drainer
+    /// also stores the flags and flushes the record bodies). Every
+    /// participant still returns only once its own flag is durable, so
+    /// the commit's durability contract is unchanged — only the fence
+    /// count drops.
     pub fn commit(&self, h: RecordHandle) {
-        self.commit_with_deadline(h, 0);
-    }
-
-    /// [`OpLog::commit`] with the operation's SSD durability deadline
-    /// (ns on [`dstore_telemetry::now_ns`]; 0 = no SSD write pending).
-    ///
-    /// Only meaningful under epoch durability, where the elected drainer
-    /// waits out the *batch maximum* deadline before storing any commit
-    /// flag — so one epoch fence covers log record + flag + SSD ack for
-    /// every record in the batch, and no flag can reach the media before
-    /// its operation's data is durable. Outside epoch mode callers wait
-    /// on the SSD synchronously before committing and pass 0.
-    pub fn commit_with_deadline(&self, h: RecordHandle, ssd_deadline: u64) {
         let _g = self.swap_lock.read();
         let off = match self.resolve(h) {
             Ok(off) => off,
@@ -502,27 +492,17 @@ impl OpLog {
             self.hdr_durable.fetch_max(hdr_target, Ordering::AcqRel);
             return;
         }
-        let entry = if self.durability_epoch {
-            // The flag store is deferred to the drain, after the epoch's
-            // SSD wait; the drain also flushes the whole body, which the
-            // publish left unflushed.
-            let (_, total_len) = record::read_word(&self.pool, off);
-            QueuedCommit {
-                off,
-                total_len,
-                ssd_deadline,
-            }
+        let total_len = if self.durability_epoch {
+            // The flag store is deferred to the drain, which also flushes
+            // the whole body the publish left unflushed.
+            record::read_word(&self.pool, off).1
         } else {
             record::write_commit(&self.pool, off, COMMIT_COMMITTED);
-            QueuedCommit {
-                off,
-                total_len: 0,
-                ssd_deadline: 0,
-            }
+            0
         };
         let ticket = {
             let mut q = self.combiner.queue.lock();
-            q.push(entry);
+            q.push(QueuedCommit { off, total_len });
             self.combiner.tickets.fetch_add(1, Ordering::Relaxed) + 1
         };
         // Offsets stay valid while every participant holds the swap lock
@@ -538,25 +518,22 @@ impl OpLog {
                 backoff.snooze();
             }
         }
+        if backoff.is_sleeping() {
+            self.stats
+                .commit_follower_sleeps
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Drains one combiner batch / durability epoch behind a single
-    /// merged fence. Under epoch durability this first waits out the
-    /// batch's slowest SSD submission, then stores every commit flag and
-    /// persists all record bodies plus the header gap; in plain combining
-    /// the flags were stored (and the bodies flushed) by the committers,
-    /// so only the flag lines and the gap need persisting.
+    /// merged fence. Under epoch durability this stores every commit flag
+    /// and persists all record bodies plus the header gap; in plain
+    /// combining the flags were stored (and the bodies flushed) by the
+    /// committers, so only the flag lines and the gap need persisting.
+    /// No device wait happens here: every queued record's data was
+    /// durable before its commit was enqueued.
     fn drain_batch(&self, batch: &[QueuedCommit]) {
         if self.durability_epoch {
-            let deadline = batch.iter().map(|e| e.ssd_deadline).max().unwrap_or(0);
-            if deadline > 0 {
-                let now = dstore_telemetry::now_ns();
-                if deadline > now {
-                    // The submissions are in flight; yield the core so
-                    // other committers overlap their work with this wait.
-                    dstore_pmem::latency::yield_wait_ns(deadline - now);
-                }
-            }
             for e in batch {
                 record::write_commit(&self.pool, e.off, COMMIT_COMMITTED);
             }
@@ -1215,20 +1192,20 @@ mod tests {
 
     #[test]
     fn epoch_commits_are_durable() {
+        const THREADS: usize = 4;
+        const COMMITS: usize = 50;
         let (p, _l, mut log) = setup(1 << 20);
         log.set_commit_combining(true);
         log.set_durability_epoch(true);
         let log = Arc::new(log);
-        let threads: Vec<_> = (0..4)
+        let threads: Vec<_> = (0..THREADS)
             .map(|t| {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
-                    for i in 0..50 {
+                    for i in 0..COMMITS {
                         let name = format!("t{t}-o{i}");
                         let r = log.try_append(1, name.as_bytes(), &[t as u8]).unwrap();
-                        // Exercise the SSD-deadline fold: the drain must
-                        // wait out the batch max before fencing.
-                        log.commit_with_deadline(r.handle, dstore_telemetry::now_ns() + 2_000);
+                        log.commit(r.handle);
                     }
                 })
             })
@@ -1236,14 +1213,22 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        // Every `commit` has returned: each record must survive a crash
+        // as COMMITTED with its body hash intact (the walk demotes and
+        // counts a torn body).
         p.simulate_crash();
-        let committed = log.committed_records(0);
-        assert_eq!(committed.len(), 200, "epoch fences must cover every record");
-        for r in &committed {
+        let recs = log.walk(0);
+        assert_eq!(recs.len(), THREADS * COMMITS);
+        for r in &recs {
+            assert_eq!(r.commit, COMMIT_COMMITTED, "lsn {} not durable", r.lsn);
             assert!(!r.params.is_empty());
         }
         let combined = log.stats().commits_combined.load(Ordering::Relaxed);
-        assert_eq!(combined, 200, "every commit went through the epoch drain");
+        assert_eq!(
+            combined,
+            (THREADS * COMMITS) as u64,
+            "every commit went through the epoch drain"
+        );
         assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 0);
     }
 

@@ -118,9 +118,9 @@ impl SsdDevice {
     /// lands in the power-loss-protected write cache immediately and the
     /// returned value is the command's completion deadline in
     /// [`dstore_telemetry::now_ns`] nanoseconds. The write is durable once
-    /// that deadline passes — wait on it with [`SsdDevice::wait_durable`],
-    /// or fold it into a group-commit epoch so one wait covers a whole
-    /// batch. Models the same per-command device time as
+    /// that deadline passes — wait on it with [`SsdDevice::wait_durable`]
+    /// once the submitter has nothing left to overlap with it. Models
+    /// the same per-command device time as
     /// [`SsdDevice::write_pages`] (the paper's wide-open 28-queue-slot
     /// P4800X calibration), just without blocking the submitter.
     pub fn submit_write_pages(&self, page: PageNo, data: &[u8]) -> u64 {

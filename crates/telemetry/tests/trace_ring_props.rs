@@ -89,14 +89,18 @@ proptest! {
             let ring = Arc::clone(&ring);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
+                // Snapshot first, check `done` after: the reader may be
+                // scheduled only once the writers have finished.
                 let mut snapshots = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     for t in ring.snapshot() {
                         assert_consistent(&t);
                     }
                     snapshots += 1;
+                    if done.load(Ordering::Acquire) {
+                        return snapshots;
+                    }
                 }
-                snapshots
             })
         };
 
