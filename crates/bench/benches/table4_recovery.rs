@@ -21,8 +21,8 @@ fn main() {
     let objects = count(100_000);
     println!("# Table 4: recovery time (ms) after loading {objects} 4KB objects");
     println!(
-        "{:<14} {:<10} {:>10} {:>10} {:>10}",
-        "system", "shutdown", "metadata", "replay", "total"
+        "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}",
+        "system", "shutdown", "scan", "metadata", "replay", "total"
     );
 
     // --- DStore, clean shutdown.
@@ -36,9 +36,10 @@ fn main() {
         let wall = t.elapsed();
         let r = recovered.recovery_report();
         println!(
-            "{:<14} {:<10} {:>10} {:>10} {:>10}",
+            "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}",
             "DStore",
             "clean",
+            ms(r.scan_ns),
             ms(r.metadata_ns),
             ms(r.replay_ns),
             ms(wall.as_nanos() as u64)
@@ -95,9 +96,10 @@ fn main() {
             }
             let rate = r.replayed_records as f64 * 1e9 / r.replay_ns.max(1) as f64;
             println!(
-                "{:<14} {:<10} {:>10} {:>10} {:>10}   ({} replayed, {:.0} rec/s)",
+                "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}   ({} replayed, {:.0} rec/s)",
                 format!("DStore rt={threads}"),
                 if first { "crash" } else { "re-crash" },
+                ms(r.scan_ns),
                 ms(r.metadata_ns),
                 ms(r.replay_ns),
                 ms(wall.as_nanos() as u64),
@@ -122,9 +124,10 @@ fn main() {
         pmse.quiesce();
         let wall = t.elapsed();
         println!(
-            "{:<14} {:<10} {:>10} {:>10} {:>10}",
+            "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}",
             "MongoDB-PMSE",
             "crash",
+            ms(0),
             ms(wall.as_nanos() as u64),
             ms(0),
             ms(wall.as_nanos() as u64)

@@ -20,8 +20,11 @@ use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
-use crate::structures::{blocks_for_geometry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES};
+use crate::structures::{
+    blocks_for_geometry, Domain, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
+};
 use crate::telemetry::StoreTelemetry;
+use dstore_arena::{DramMemory, RelPtr};
 use dstore_dipper::log::{AppendResult, LogFull};
 use dstore_dipper::OP_NOOP;
 use dstore_telemetry::trace::{
@@ -146,6 +149,9 @@ fn note_stall_phase(inner: &StoreInner, at: &mut ActiveTrace) {
     }
 }
 
+/// An op's one index lookup: `name`'s metadata entry, if it exists.
+type Entry = Option<RelPtr<MetaEntry>>;
+
 /// A per-thread handle for submitting operations (the paper's
 /// `ds_ctx_t`). Cheap to create; one per thread is the intended pattern.
 pub struct DsContext {
@@ -239,8 +245,8 @@ impl DsContext {
 
         let (handle, lsn, plan) = self.mutate_plan(
             key,
-            |d, log_mode| prepare_put_record(d, log_mode, key, size),
-            |d, steal| d.plan_put_in(key, size, steal),
+            |d, entry, log_mode| prepare_put_record(d, entry, log_mode, key, size),
+            |d, entry, steal| d.plan_put_entry(entry, key, size, steal),
             &mut bd,
             &mut at,
         )?;
@@ -362,10 +368,10 @@ impl DsContext {
         let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
         let (handle, _lsn, _plan) = self.mutate_plan(
             key,
-            |d, log_mode| match log_mode {
+            |d, entry, log_mode| match log_mode {
                 LoggingMode::Logical => (ops::OP_DELETE, vec![]),
                 LoggingMode::Physical => {
-                    let pushes = d.lookup(key).map(|e| d.read_entry(e).2).unwrap_or_default();
+                    let pushes = entry.map(|e| d.read_entry(e).2).unwrap_or_default();
                     (
                         ops::OP_PHYS_DELETE,
                         PhysImage {
@@ -379,8 +385,8 @@ impl DsContext {
                 }
             },
             // Deletes only push (to the name's own shard) — no steal.
-            |d, _steal| {
-                d.plan_delete(key).map(|p| PutPlan {
+            |d, entry, _steal| {
+                d.plan_delete_entry(entry, key).map(|p| PutPlan {
                     kind: PutKind::Replace,
                     blocks: vec![],
                     freed: p.freed,
@@ -513,13 +519,15 @@ impl DsContext {
                     let inner = &self.inner;
                     let (handle, lsn, plan) = self.mutate_plan(
                         name,
-                        |d, log_mode| match log_mode {
+                        |d, entry, log_mode| match log_mode {
                             LoggingMode::Logical => {
                                 (ops::OP_CREATE, PutParams { size }.encode().to_vec())
                             }
-                            LoggingMode::Physical => prepare_put_record(d, log_mode, name, size),
+                            LoggingMode::Physical => {
+                                prepare_put_record(d, entry, log_mode, name, size)
+                            }
                         },
-                        |d, steal| d.plan_put_in(name, size, steal),
+                        |d, entry, steal| d.plan_put_entry(entry, name, size, steal),
                         &mut None,
                         &mut ActiveTrace::disabled(),
                     )?;
@@ -621,14 +629,16 @@ impl DsContext {
     /// the pool plan in `alloc`; blocking log-full checkpoints in
     /// `log_stall`. The uninstrumented path performs zero clock reads
     /// here.
+    ///
+    /// The index is descended once per attempt, under the store's
+    /// [`StoreInner::index_sync`] mode, and the entry found is handed to
+    /// both closures, so the logged record and the executed plan cannot
+    /// disagree about whether (and with which blocks) `name` exists.
     fn mutate_plan<P>(
         &self,
         name: &[u8],
-        encode: impl Fn(
-            &crate::structures::Domain<'_, dstore_arena::DramMemory>,
-            LoggingMode,
-        ) -> (u16, Vec<u8>),
-        plan: impl Fn(&crate::structures::Domain<'_, dstore_arena::DramMemory>, bool) -> DsResult<P>,
+        encode: impl Fn(&Domain<'_, DramMemory>, Entry, LoggingMode) -> (u16, Vec<u8>),
+        plan: impl Fn(&Domain<'_, DramMemory>, Entry, bool) -> DsResult<P>,
         bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
     ) -> DsResult<(dstore_dipper::RecordHandle, u64, P)> {
@@ -660,6 +670,25 @@ impl DsContext {
             };
             at.mark_at(SEG_CC_WAIT, t_log);
             let outcome: Outcome<'_, P> = 'outcome: {
+                let d = inner.domain();
+                let olc = inner.cfg.index_olc;
+                // Under OLC the whole-tree lock is gone, so the entry
+                // reads inside the encode/plan closures are protected by
+                // reader registration (§4.4) instead: a writer drains
+                // registered readers before it installs, and if one is
+                // already mid-install on this name we back off like a WW
+                // conflict (its record is uncommitted, so the reservation
+                // scan would bounce us anyway). The guard drops at step ⑤.
+                // Without OLC the B-tree read lock does the same job, held
+                // from the lookup through the plan. The lookup runs before
+                // the pool locks, so an OLC descent that waits out a
+                // latched node never stalls other planners of the shard.
+                let _read_guard = olc.then(|| inner.readers.begin_read(name));
+                if olc && inner.writers.contains(name) {
+                    break 'outcome Outcome::WriterBusy;
+                }
+                let bt = (!olc).then(|| inner.btree_lock.read());
+                let entry = inner.index_sync().lookup(&d, name);
                 // Step ①: lock the pools — the name's shard (parallel),
                 // every shard in index order (steal retry), or the single
                 // pool lock (serialized baseline).
@@ -677,27 +706,10 @@ impl DsContext {
                     true
                 } else {
                     _legacy = None;
-                    let s = inner.domain().shard_of_name(name);
-                    _shard = Some(inner.pool_shard_locks[s].lock());
+                    _shard = Some(inner.pool_shard_locks[d.shard_of_name(name)].lock());
                     false
                 };
-                let d = inner.domain();
-                let olc = inner.cfg.index_olc;
-                // Under OLC the whole-tree lock is gone, so the entry
-                // reads inside the encode/plan closures are protected by
-                // reader registration (§4.4) instead: a writer drains
-                // registered readers before it installs, and if one is
-                // already mid-install on this name we back off like a WW
-                // conflict (its record is uncommitted, so the reservation
-                // scan would bounce us anyway). The guard drops at step ⑤.
-                let _read_guard = olc.then(|| inner.readers.begin_read(name));
-                if olc && inner.writers.contains(name) {
-                    break 'outcome Outcome::WriterBusy;
-                }
-                let (op, params) = {
-                    let _bt = (!olc).then(|| inner.btree_lock.read());
-                    encode(&d, inner.cfg.logging)
-                };
+                let (op, params) = encode(&d, entry, inner.cfg.logging);
                 // Step ②a: reserve the record slot (short serialized
                 // step: LSN + header + conflict scan).
                 match inner.log.reserve(op, name, params.len()) {
@@ -718,10 +730,8 @@ impl DsContext {
                         } else {
                             // Steps ③/④: pool allocations, in per-shard
                             // log order.
-                            let p = {
-                                let _bt = (!olc).then(|| inner.btree_lock.read());
-                                plan(&d, allow_steal)
-                            };
+                            let p = plan(&d, entry, allow_steal);
+                            drop(bt);
                             match p {
                                 Ok(p) => {
                                     // A plan that pulled blocks from a
@@ -941,12 +951,13 @@ pub struct ObjectStat {
 /// actual pops happen after the conflict check and return the same ids,
 /// all under the pool lock).
 fn prepare_put_record(
-    d: &crate::structures::Domain<'_, dstore_arena::DramMemory>,
+    d: &Domain<'_, DramMemory>,
+    entry: Entry,
     mode: LoggingMode,
     key: &[u8],
     size: u64,
 ) -> (u16, Vec<u8>) {
-    let old = d.lookup(key).map(|e| d.read_entry(e).2);
+    let old = entry.map(|e| d.read_entry(e).2);
     let need = blocks_for_geometry(size, d.block_bytes());
     let touch = old
         .as_ref()
@@ -1069,13 +1080,13 @@ impl ObjectHandle<'_> {
         let len = data.len() as u64;
         let (handle, lsn, plan) = self.ctx.mutate_plan(
             &self.name,
-            |_d, _mode| {
+            |_d, _entry, _mode| {
                 (
                     ops::OP_EXTEND,
                     ExtendParams { offset, len }.encode().to_vec(),
                 )
             },
-            |d, steal| d.plan_extend_in(&self.name, offset, len, steal),
+            |d, entry, steal| d.plan_extend_entry(entry, &self.name, offset, len, steal),
             &mut None,
             &mut at,
         )?;

@@ -60,6 +60,9 @@ pub struct ReplayStats {
     /// `records / serialized_ns` is the admission-rate bound the
     /// `fig13_checkpoint_apply` bench reports.
     pub serialized_ns: AtomicU64,
+    /// Records whose replay diverged from the frontend (see
+    /// [`Domain::replay_in`]). Anything but 0 is a bug.
+    pub divergences: AtomicU64,
 }
 
 /// Plain-value copy of [`ReplayStats`] at one instant.
@@ -75,6 +78,8 @@ pub struct ReplaySnapshot {
     pub records: u64,
     /// See [`ReplayStats::serialized_ns`].
     pub serialized_ns: u64,
+    /// See [`ReplayStats::divergences`].
+    pub divergences: u64,
 }
 
 impl ReplayStats {
@@ -86,6 +91,7 @@ impl ReplayStats {
             serial_fallbacks: self.serial_fallbacks.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             serialized_ns: self.serialized_ns.load(Ordering::Relaxed),
+            divergences: self.divergences.load(Ordering::Relaxed),
         }
     }
 }
@@ -133,9 +139,10 @@ pub fn replay_window<M: Memory>(
         }
         let t0 = now_ns();
         let domain = Domain::attach(arena, dir);
-        for r in records {
-            domain.replay(r);
-        }
+        let diverged = records.iter().filter(|r| domain.replay(r)).count();
+        stats
+            .divergences
+            .fetch_add(diverged as u64, Ordering::Relaxed);
         let end = now_ns();
         stats
             .serialized_ns
@@ -188,9 +195,13 @@ pub fn replay_window<M: Memory>(
                 };
                 for (shard, group) in groups.iter().skip(w).step_by(workers) {
                     let t0 = now_ns();
-                    for &i in group {
-                        domain.replay_in(&records[i], false, &sync);
-                    }
+                    let diverged = group
+                        .iter()
+                        .filter(|&&i| domain.replay_in(&records[i], false, &sync))
+                        .count();
+                    stats
+                        .divergences
+                        .fetch_add(diverged as u64, Ordering::Relaxed);
                     if let Some(ring) = ring {
                         ring.record(
                             "replay_group",

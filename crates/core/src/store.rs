@@ -35,6 +35,9 @@ pub struct RecoveryReport {
     pub redo_records: usize,
     /// Committed active-log records replayed onto the DRAM structures.
     pub replayed_records: usize,
+    /// Time reading the persistent log: the scan, plus durably aborting
+    /// the records it found in flight at the crash.
+    pub scan_ns: u64,
     /// Time reconstructing metadata (checkpoint redo + PMEM→DRAM copy).
     pub metadata_ns: u64,
     /// Time replaying active-log records.
@@ -44,7 +47,7 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Total recovery time.
     pub fn total_ns(&self) -> u64 {
-        self.metadata_ns + self.replay_ns
+        self.scan_ns + self.metadata_ns + self.replay_ns
     }
 }
 
@@ -710,6 +713,7 @@ impl DStore {
         );
         snap.push_counter("dstore_replay_records_total", vec![], r.records);
         snap.push_counter("dstore_replay_serialized_ns_total", vec![], r.serialized_ns);
+        snap.push_counter("dstore_replay_divergence_total", vec![], r.divergences);
         // Optimistic lock coupling on the object index (frontend ops +
         // checkpoint applier; zero when `index_olc` is off).
         let i = &self.inner.index_stats;
@@ -985,7 +989,19 @@ impl DStore {
                     .record(name, start, dstore_telemetry::now_ns(), a, b);
             }
         };
+        let mut report = RecoveryReport::default();
+        // Step 0: read the log once, and abort what was in flight at the
+        // crash — the log is ready to resume before anything is replayed.
+        let t_scan = dstore_telemetry::now_ns();
         let plan = recover_scan(&pool, &layout, &root);
+        let mut log = plan.finish(Arc::clone(&pool), layout);
+        report.scan_ns = dstore_telemetry::now_ns().saturating_sub(t_scan);
+        rec_span(
+            "scan",
+            t_scan,
+            plan.replay_records.len() as u64,
+            plan.pending.len() as u64,
+        );
         // Exhume the dead incarnation's black box *before* assemble
         // reformats the region. `plan.next_lsn` dominates every LSN the
         // dead process published, so it serves as the log-tail fence the
@@ -997,7 +1013,6 @@ impl DStore {
         } else {
             None
         };
-        let mut report = RecoveryReport::default();
         let replay_stats = Arc::new(ReplayStats::default());
         let rec_ring = telemetry.as_ref().map(|t| Arc::clone(&t.recovery_ring));
         // Recovery-time OLC counters. They are dropped after recovery —
@@ -1067,7 +1082,6 @@ impl DStore {
         rec_span("replay", t_replay, 0, plan.replay_records.len() as u64);
 
         // Step 4: resume — volatile log state, fresh CC state.
-        let mut log = plan.finish(Arc::clone(&pool), layout);
         log.set_stall_timeout(cfg.stall_timeout);
         log.set_commit_combining(cfg.parallel_persistence);
         log.set_durability_epoch(cfg.parallel_persistence && cfg.durability_epoch);

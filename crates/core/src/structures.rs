@@ -188,8 +188,11 @@ pub struct DeletePlan {
 /// How a [`Domain`] call synchronizes B-tree access against other
 /// domains bound to the same arena.
 ///
-/// The frontend and serial replay run inside their own critical sections
-/// and pass [`IndexSync::Exclusive`] (no locking here). OE-parallel
+/// Serial replay owns its domain and passes [`IndexSync::Exclusive`] (no
+/// locking here). Frontend ops look names up and install under the
+/// store's `index_sync()`, so their descents match the index mode other
+/// threads mutate under: [`IndexSync::Olc`] by default, `Exclusive` only
+/// under the store's global B-tree lock (`index_olc = false`). OE-parallel
 /// replay workers each own disjoint pool shards — their pool and
 /// metadata-entry accesses never collide — but they share one B-tree.
 /// With the default OLC index ([`IndexSync::Olc`]) they coordinate
@@ -202,8 +205,8 @@ pub struct DeletePlan {
 /// the sum across workers is that mode's irreducibly serialized portion,
 /// the admission-rate denominator the fig13 bench reports.
 pub enum IndexSync<'l> {
-    /// Caller already has exclusive access (frontend critical section,
-    /// single-threaded replay).
+    /// Caller already has exclusive access to the tree (single-threaded
+    /// replay, or the frontend holding the global B-tree lock).
     Exclusive,
     /// Concurrent distinct-shard replay, global-lock mode: B-tree reads
     /// share `lock`, structural mutations take it exclusively.
@@ -226,14 +229,15 @@ impl IndexSync<'_> {
     /// mode.
     #[inline]
     pub fn lookup<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
-        match self {
-            IndexSync::Exclusive => d.lookup(name),
+        let off = match self {
+            IndexSync::Exclusive => d.btree().get(name),
             IndexSync::Shared { lock, .. } => {
                 let _g = lock.read();
-                d.lookup(name)
+                d.btree().get(name)
             }
-            IndexSync::Olc { stats } => d.btree().get_olc(name, stats).map(RelPtr::from_offset),
-        }
+            IndexSync::Olc { stats } => d.btree().get_olc(name, stats),
+        };
+        off.map(RelPtr::from_offset)
     }
 
     /// Inserts `name → off` into `d`'s B-tree under this sync mode. In
@@ -586,11 +590,6 @@ impl<'a, M: Memory> Domain<'a, M> {
     // ------------------------------------------------------------------
     // metadata entries
 
-    /// Looks up an object's metadata entry.
-    pub fn lookup(&self, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
-        self.btree().get(name).map(RelPtr::from_offset)
-    }
-
     /// Copies out an entry's `(size, version, block list)`.
     pub fn read_entry(&self, e: RelPtr<MetaEntry>) -> (u64, u32, Vec<u64>) {
         // SAFETY: entry live; caller excludes concurrent writers (CC).
@@ -661,33 +660,21 @@ impl<'a, M: Memory> Domain<'a, M> {
     // ------------------------------------------------------------------
     // plan phase (pool interactions; log order)
 
-    /// Plans an [`ops::OP_PUT`]-family operation: classifies it and
-    /// performs the pool pops/pushes. Must run in per-shard log-append
-    /// order; steal permitted (replay, single-shard callers).
-    pub fn plan_put(&self, name: &[u8], size: u64) -> DsResult<PutPlan> {
-        self.plan_put_in(name, size, true)
-    }
-
-    /// [`Domain::plan_put`] with explicit steal permission — the
-    /// frontend's fast path passes `false` while holding only the name's
-    /// shard lock, escalating to all locks + `true` on
-    /// [`DsError::ShardStarved`].
-    pub fn plan_put_in(&self, name: &[u8], size: u64, allow_steal: bool) -> DsResult<PutPlan> {
-        self.plan_put_sync(name, size, allow_steal, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::plan_put_in`] under an explicit B-tree sync mode (the
-    /// parallel-replay entry point; pool access needs no extra sync —
-    /// the caller owns the name's shard).
-    pub fn plan_put_sync(
+    /// Plans an [`ops::OP_PUT`]-family operation on `name`, whose current
+    /// metadata entry the caller looked up (under its index sync mode):
+    /// classifies it and performs the pool pops/pushes. Must run in
+    /// per-shard log-append order. The frontend's fast path passes
+    /// `allow_steal = false` while holding only the name's shard lock,
+    /// escalating to all locks + `true` on [`DsError::ShardStarved`].
+    pub fn plan_put_entry(
         &self,
+        entry: Option<RelPtr<MetaEntry>>,
         name: &[u8],
         size: u64,
         allow_steal: bool,
-        sync: &IndexSync<'_>,
     ) -> DsResult<PutPlan> {
         let need = blocks_for_geometry(size, self.block_bytes());
-        match sync.lookup(self, name) {
+        match entry {
             Some(e) => {
                 // SAFETY: CC guarantees no concurrent writer on `name`.
                 let (_, _, old_blocks) = self.read_entry(e);
@@ -717,33 +704,17 @@ impl<'a, M: Memory> Domain<'a, M> {
         }
     }
 
-    /// Plans an [`ops::OP_EXTEND`]: pops the additional blocks. Steal
-    /// permitted (replay, single-shard callers).
-    pub fn plan_extend(&self, name: &[u8], offset: u64, len: u64) -> DsResult<ExtendPlan> {
-        self.plan_extend_in(name, offset, len, true)
-    }
-
-    /// [`Domain::plan_extend`] with explicit steal permission.
-    pub fn plan_extend_in(
+    /// Plans an [`ops::OP_EXTEND`]: pops the additional blocks (entry and
+    /// steal permission as for [`Domain::plan_put_entry`]).
+    pub fn plan_extend_entry(
         &self,
+        entry: Option<RelPtr<MetaEntry>>,
         name: &[u8],
         offset: u64,
         len: u64,
         allow_steal: bool,
     ) -> DsResult<ExtendPlan> {
-        self.plan_extend_sync(name, offset, len, allow_steal, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::plan_extend_in`] under an explicit B-tree sync mode.
-    pub fn plan_extend_sync(
-        &self,
-        name: &[u8],
-        offset: u64,
-        len: u64,
-        allow_steal: bool,
-        sync: &IndexSync<'_>,
-    ) -> DsResult<ExtendPlan> {
-        let e = sync.lookup(self, name).ok_or(DsError::NotFound)?;
+        let e = entry.ok_or(DsError::NotFound)?;
         let (size, _, mut blocks) = self.read_entry(e);
         let new_size = size.max(offset + len);
         let need = blocks_for_geometry(new_size, self.block_bytes());
@@ -755,13 +726,12 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// Plans an [`ops::OP_DELETE`]: pushes the object's blocks back to
     /// the name's shard (pushes always land in the freeing name's shard,
     /// so an op touches no shard but its own unless it steals).
-    pub fn plan_delete(&self, name: &[u8]) -> DsResult<DeletePlan> {
-        self.plan_delete_sync(name, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::plan_delete`] under an explicit B-tree sync mode.
-    pub fn plan_delete_sync(&self, name: &[u8], sync: &IndexSync<'_>) -> DsResult<DeletePlan> {
-        let e = sync.lookup(self, name).ok_or(DsError::NotFound)?;
+    pub fn plan_delete_entry(
+        &self,
+        entry: Option<RelPtr<MetaEntry>>,
+        name: &[u8],
+    ) -> DsResult<DeletePlan> {
+        let e = entry.ok_or(DsError::NotFound)?;
         let (_, _, blocks) = self.read_entry(e);
         let home = self.shard_of_name(name);
         for &b in &blocks {
@@ -795,15 +765,9 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     /// Installs a planned put: creates or updates the metadata entry and
-    /// the B-tree mapping. Caller holds the B-tree lock (frontend) or is
-    /// the replay thread.
-    pub fn install_put(&self, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
-        self.install_put_sync(name, size, plan, lsn, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::install_put`] under an explicit B-tree sync mode: only
-    /// the lookup and the (rare) insert touch shared tree structure; the
-    /// entry itself is object-exclusive and updated outside any lock.
+    /// the B-tree mapping. Only the lookup and the (rare) insert touch
+    /// shared tree structure, under `sync`; the entry itself is
+    /// object-exclusive and updated outside any lock.
     pub fn install_put_sync(
         &self,
         name: &[u8],
@@ -840,13 +804,8 @@ impl<'a, M: Memory> Domain<'a, M> {
         );
     }
 
-    /// Installs a planned extension.
-    pub fn install_extend(&self, name: &[u8], plan: &ExtendPlan, lsn: u64) {
-        self.install_extend_sync(name, plan, lsn, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::install_extend`] under an explicit B-tree sync mode
-    /// (extends never restructure the tree — read lock only).
+    /// Installs a planned extension (extends never restructure the tree —
+    /// `sync` is only read through).
     pub fn install_extend_sync(
         &self,
         name: &[u8],
@@ -869,11 +828,6 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     /// Installs a delete: removes the entry and the B-tree mapping.
-    pub fn install_delete(&self, name: &[u8]) {
-        self.install_delete_sync(name, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::install_delete`] under an explicit B-tree sync mode.
     pub fn install_delete_sync(&self, name: &[u8], sync: &IndexSync<'_>) {
         let e = sync
             .lookup(self, name)
@@ -897,8 +851,9 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// state machine of §3.2 ("each logical operation translates to a set
     /// of functions to be performed on each data structure … used by the
     /// recovery logic to update the shadow copies"). Single-threaded
-    /// replay: steals permitted, no B-tree locking.
-    pub fn replay(&self, rec: &OwnedRecord) {
+    /// replay: steals permitted, no B-tree locking. Returns whether the
+    /// record diverged (see [`Domain::replay_in`]).
+    pub fn replay(&self, rec: &OwnedRecord) -> bool {
         self.replay_in(rec, true, &IndexSync::Exclusive)
     }
 
@@ -909,25 +864,32 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// the resulting `ShardStarved` panic surfaces it) plus a
     /// [`IndexSync::Shared`] guarding the common B-tree. The record's
     /// [`record::OP_STEAL_FLAG`] bit is masked off before dispatch.
-    pub fn replay_in(&self, rec: &OwnedRecord, allow_steal: bool, sync: &IndexSync<'_>) {
+    ///
+    /// Returns whether the record *diverged*: a physical record whose pool
+    /// pops returned other blocks than its logged post-image names, so
+    /// replay no longer mirrors the frontend. Checked in every build; the
+    /// caller counts it, and debug builds panic.
+    pub fn replay_in(&self, rec: &OwnedRecord, allow_steal: bool, sync: &IndexSync<'_>) -> bool {
+        let mut diverged = false;
         match record::op_code(rec.op) {
             OP_NOOP => {}
             ops::OP_PUT | ops::OP_TOUCH | ops::OP_CREATE => {
                 let p = PutParams::decode(&rec.params).expect("valid put params");
                 let plan = self
-                    .plan_put_sync(&rec.name, p.size, allow_steal, sync)
+                    .plan_put_entry(sync.lookup(self, &rec.name), &rec.name, p.size, allow_steal)
                     .expect("replay allocation mirrors frontend");
                 self.install_put_sync(&rec.name, p.size, &plan, rec.lsn, sync);
             }
             ops::OP_EXTEND => {
                 let p = ExtendParams::decode(&rec.params).expect("valid extend params");
+                let e = sync.lookup(self, &rec.name);
                 let plan = self
-                    .plan_extend_sync(&rec.name, p.offset, p.len, allow_steal, sync)
+                    .plan_extend_entry(e, &rec.name, p.offset, p.len, allow_steal)
                     .expect("replay extension mirrors frontend");
                 self.install_extend_sync(&rec.name, &plan, rec.lsn, sync);
             }
             ops::OP_DELETE => {
-                self.plan_delete_sync(&rec.name, sync)
+                self.plan_delete_entry(sync.lookup(self, &rec.name), &rec.name)
                     .expect("replay delete mirrors frontend");
                 self.install_delete_sync(&rec.name, sync);
             }
@@ -936,12 +898,12 @@ impl<'a, M: Memory> Domain<'a, M> {
                 let popped = self
                     .pop_n_in(&rec.name, img.pops as u64, allow_steal)
                     .expect("phys replay pool pop");
-                if img.pops > 0 {
-                    debug_assert_eq!(
-                        popped, img.blocks,
-                        "physical replay diverged from the encoded post-image"
-                    );
-                }
+                diverged = img.pops > 0 && popped != img.blocks;
+                debug_assert!(
+                    !diverged,
+                    "physical replay diverged from the encoded post-image: popped {popped:?}, logged {:?}",
+                    img.blocks
+                );
                 let home = self.shard_of_name(&rec.name);
                 for &b in &img.pushes {
                     self.shard_push(home, b);
@@ -971,6 +933,7 @@ impl<'a, M: Memory> Domain<'a, M> {
             }
             other => panic!("unknown op code {other} in log"),
         }
+        diverged
     }
 }
 
@@ -985,6 +948,37 @@ mod tests {
 
     fn arena() -> Arena<DramMemory> {
         Arena::create(DramMemory::new(16 << 20))
+    }
+
+    /// Single-threaded shorthands: steal permitted, no B-tree sync.
+    impl<M: Memory> Domain<'_, M> {
+        fn lookup(&self, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
+            IndexSync::Exclusive.lookup(self, name)
+        }
+
+        fn plan_put(&self, name: &[u8], size: u64) -> DsResult<PutPlan> {
+            self.plan_put_entry(self.lookup(name), name, size, true)
+        }
+
+        fn plan_extend(&self, name: &[u8], offset: u64, len: u64) -> DsResult<ExtendPlan> {
+            self.plan_extend_entry(self.lookup(name), name, offset, len, true)
+        }
+
+        fn plan_delete(&self, name: &[u8]) -> DsResult<DeletePlan> {
+            self.plan_delete_entry(self.lookup(name), name)
+        }
+
+        fn install_put(&self, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
+            self.install_put_sync(name, size, plan, lsn, &IndexSync::Exclusive)
+        }
+
+        fn install_extend(&self, name: &[u8], plan: &ExtendPlan, lsn: u64) {
+            self.install_extend_sync(name, plan, lsn, &IndexSync::Exclusive)
+        }
+
+        fn install_delete(&self, name: &[u8]) {
+            self.install_delete_sync(name, &IndexSync::Exclusive)
+        }
     }
 
     #[test]
@@ -1309,12 +1303,14 @@ mod tests {
             .filter(|&s| s != own)
             .map(|s| d.pool_free_in(s))
             .sum();
-        let p = d.plan_put_in(name, 3 * 4096, false).unwrap();
+        let p = d
+            .plan_put_entry(d.lookup(name), name, 3 * 4096, false)
+            .unwrap();
         assert_eq!(p.blocks.len(), 3);
         assert_eq!(d.pool_free_in(own), 256 - 3);
         d.install_put(name, 3 * 4096, &p, 1);
         // Replace frees the old blocks into the same shard.
-        let p2 = d.plan_put_in(name, 4096, false).unwrap();
+        let p2 = d.plan_put_entry(d.lookup(name), name, 4096, false).unwrap();
         d.install_put(name, 4096, &p2, 2);
         assert_eq!(d.pool_free_in(own), 256 - 1);
         let now_other: u64 = (0..4)

@@ -241,6 +241,7 @@ fn replay_counters_exported() {
         "dstore_replay_serial_fallbacks_total",
         "dstore_replay_records_total",
         "dstore_replay_serialized_ns_total",
+        "dstore_replay_divergence_total",
     ] {
         assert!(text.contains(metric), "missing {metric} in:\n{text}");
     }

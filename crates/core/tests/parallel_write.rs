@@ -103,7 +103,10 @@ fn stress(cfg: DStoreConfig) {
 
     let store = Arc::into_inner(store).unwrap();
     store.wait_checkpoint_idle();
+    // Release builds count what debug builds panic on.
+    assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
     let recovered = DStore::recover(store.crash()).unwrap();
+    assert_eq!(recovered.replay_stats().divergences, 0, "recovery replay");
     verify(&recovered.context());
 }
 
@@ -251,6 +254,7 @@ fn run_concurrent_case(
     // interleaving of the per-thread sequences.
     let store = Arc::into_inner(store).unwrap();
     let recovered = DStore::recover(store.crash()).unwrap();
+    prop_assert_eq!(recovered.replay_stats().divergences, 0);
     let ctx = recovered.context();
 
     // Private keys: exactly the owning thread's final state.

@@ -107,9 +107,9 @@ fn recovery_records_phase_spans() {
     assert_eq!(store.context().get(b"tail").unwrap(), b"after checkpoint");
     let snap = store.telemetry_snapshot().unwrap();
     let spans = snap.all_spans("dstore_recovery_spans");
-    // Every recovery copies the shadow image and replays the active
-    // log (possibly zero records — the span is still recorded).
-    for phase in ["copy", "replay"] {
+    // Every recovery scans the log, copies the shadow image and replays
+    // the active log (possibly zero records — the span is still recorded).
+    for phase in ["scan", "copy", "replay"] {
         assert!(
             spans.iter().any(|s| s.name == phase),
             "recovery phase {phase} missing: {spans:?}"

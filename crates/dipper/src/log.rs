@@ -689,32 +689,23 @@ impl OpLog {
     /// it still rejects every stale record, because stale LSNs (from
     /// before the buffer's recycle, or from a crashed swap's relocations)
     /// are always below both the fence and any fresh record's LSN.
+    /// Each record is read once: header, then body, whose hash is checked
+    /// on the bytes just read.
     pub fn walk(&self, i: usize) -> Vec<OwnedRecord> {
-        let min_lsn = self.pool.read_u64(self.layout.log[i]);
+        // The lowest LSN the next record may carry: the fence, then one
+        // above its predecessor.
+        let mut lsn_floor = self.pool.read_u64(self.layout.log[i]);
         let mut out = Vec::new();
         let mut off = self.layout.log_records(i);
         let end = self.buf_end(i);
-        let mut last: Option<u64> = None;
         while off + record::HEADER_LEN <= end {
-            if !record::header_valid(&self.pool, off, end - off) {
+            let hdr = record::Header::read(&self.pool, off);
+            if !hdr.valid(end - off) || hdr.lsn < lsn_floor {
                 break;
             }
-            let (lsn, len) = record::read_word(&self.pool, off);
-            match last {
-                None => {
-                    if lsn < min_lsn {
-                        break;
-                    }
-                }
-                Some(prev) => {
-                    if lsn <= prev {
-                        break;
-                    }
-                }
-            }
-            last = Some(lsn);
-            let mut rec = record::read_record(&self.pool, off);
-            if rec.commit == COMMIT_COMMITTED && !record::body_hash_valid(&self.pool, off) {
+            lsn_floor = hdr.lsn + 1;
+            let mut rec = hdr.read_record(&self.pool, off);
+            if rec.commit == COMMIT_COMMITTED && !hdr.body_matches(&rec) {
                 // Torn epoch: the crash landed between the commit-flag
                 // store and the epoch fence, persisting the flag line
                 // (eviction) over a partially persisted body. Demoting is
@@ -725,7 +716,7 @@ impl OpLog {
                 self.stats.torn_commits.fetch_add(1, Ordering::Relaxed);
             }
             out.push(rec);
-            off += len; // checksum-validated header: len is trustworthy
+            off += hdr.len; // checksum-validated header: len is trustworthy
         }
         out
     }
@@ -743,14 +734,16 @@ impl OpLog {
         self.reserve.lock().active
     }
 
-    /// Marks every still-pending record in buffer `i` aborted (recovery:
-    /// in-flight operations at crash time were never acknowledged and
-    /// must not be replayed or treated as conflicts).
-    pub fn abort_pending(&self, i: usize) {
-        for r in self.walk(i) {
-            if r.commit == COMMIT_PENDING {
-                record::set_commit(&self.pool, r.off, record::COMMIT_ABORTED);
-            }
+    /// Durably marks the records at pool offsets `offs` aborted, behind
+    /// one fence (recovery: operations in flight at the crash were never
+    /// acknowledged and must not be replayed or treated as conflicts).
+    pub fn abort_crashed(&self, offs: &[usize]) {
+        for &off in offs {
+            record::write_commit(&self.pool, off, record::COMMIT_ABORTED);
+        }
+        if !offs.is_empty() {
+            let flags: Vec<_> = offs.iter().map(|&o| record::commit_flag_range(o)).collect();
+            self.pool.persist_many(&flags);
         }
     }
 }
@@ -1067,8 +1060,8 @@ mod tests {
     #[test]
     fn abort_pending_silences_conflicts_and_replay() {
         let (_p, _l, log) = setup(1 << 16);
-        let _a = log.try_append(1, b"zombie", &[]).unwrap();
-        log.abort_pending(0);
+        let a = log.try_append(1, b"zombie", &[]).unwrap();
+        log.abort_crashed(&[a.handle.off]);
         assert_eq!(log.committed_records(0).len(), 0);
         let b = log.try_append(1, b"zombie", &[]).unwrap();
         assert!(b.conflicts.is_empty(), "aborted records are not conflicts");

@@ -93,7 +93,13 @@ pub const MAX_RECORD_LEN: usize = u16::MAX as usize & !7;
 /// FNV-1a — stable name hash for fast conflict scans.
 #[inline]
 pub fn name_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`, so a body stored as two
+/// pieces hashes like their concatenation.
+#[inline]
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -199,17 +205,10 @@ fn read_body(pool: &PmemPool, off: usize) -> Vec<u8> {
 /// Computes and stores the record's body hash. Must run after
 /// [`write_params`] (it hashes the body bytes as they sit in the pool,
 /// including the alignment padding, so a post-crash
-/// [`body_hash_valid`] recomputes over exactly the same bytes).
+/// [`Header::body_matches`] recomputes over exactly the same bytes).
 pub fn write_body_hash(pool: &PmemPool, off: usize) {
     let h = name_hash(&read_body(pool, off));
     pool.write_u64(off + OFF_BODY_HASH, h);
-}
-
-/// Whether the record's body bytes match the body hash stored at publish.
-/// False means the record's commit flag reached the media without its body
-/// (a torn epoch); the walk demotes such records to aborted.
-pub fn body_hash_valid(pool: &PmemPool, off: usize) -> bool {
-    pool.read_u64(off + OFF_BODY_HASH) == name_hash(&read_body(pool, off))
 }
 
 /// Flushes all cache lines of the record in **reverse** order, then
@@ -252,19 +251,91 @@ pub fn read_commit(pool: &PmemPool, off: usize) -> u16 {
     u16::from_le_bytes(b)
 }
 
-/// Whether a structurally valid record header starts at `off`: nonzero
-/// LSN, sane 8-aligned length, and a matching header checksum. The log
-/// walk's gate against stale bytes masquerading as records.
-pub fn header_valid(pool: &PmemPool, off: usize, max_len: usize) -> bool {
-    let word = pool.read_u64(off + OFF_WORD);
-    let (lsn, len) = unpack_word(word);
-    if lsn == 0 || len < HEADER_LEN || len % 8 != 0 || len > max_len {
-        return false;
+/// A record's fixed header, decoded from one read of its first
+/// [`HEADER_LEN`] bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Header {
+    /// Log sequence number (0: no record).
+    pub lsn: u64,
+    /// Total encoded record length.
+    pub len: usize,
+    /// Application operation code.
+    pub op: u16,
+    /// Commit flag.
+    pub commit: u16,
+    word: u64,
+    name_len: usize,
+    check: u16,
+    hash: u64,
+    body_hash: u64,
+}
+
+impl Header {
+    /// Reads the header at `off`.
+    pub fn read(pool: &PmemPool, off: usize) -> Self {
+        let mut b = [0u8; HEADER_LEN];
+        pool.read_bytes(off, &mut b);
+        let u16_at = |o: usize| u16::from_le_bytes([b[o], b[o + 1]]);
+        let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().expect("8 bytes"));
+        let word = u64_at(OFF_WORD);
+        let (lsn, len) = unpack_word(word);
+        Self {
+            lsn,
+            len,
+            op: u16_at(OFF_OP),
+            commit: u16_at(OFF_COMMIT),
+            word,
+            name_len: u16_at(OFF_NAME_LEN) as usize,
+            check: u16_at(OFF_CHECK),
+            hash: u64_at(OFF_HASH),
+            body_hash: u64_at(OFF_BODY_HASH),
+        }
     }
-    let mut cb = [0u8; 2];
-    pool.read_bytes(off + OFF_CHECK, &mut cb);
-    let hash = pool.read_u64(off + OFF_HASH);
-    u16::from_le_bytes(cb) == header_check(word, hash)
+
+    /// Whether this is a structurally valid record header: nonzero LSN,
+    /// sane 8-aligned length of at most `max_len`, and a matching header
+    /// checksum. The log walk's gate against stale bytes masquerading as
+    /// records.
+    pub fn valid(&self, max_len: usize) -> bool {
+        self.lsn != 0
+            && self.len >= HEADER_LEN
+            && self.len.is_multiple_of(8)
+            && self.len <= max_len
+            && self.check == header_check(self.word, self.hash)
+    }
+
+    /// Reads the body of the record at `off` this header was read from —
+    /// one read into the name, one into the params — and returns the
+    /// record.
+    pub fn read_record(&self, pool: &PmemPool, off: usize) -> OwnedRecord {
+        // Defensive clamp: the header is persisted at reserve time so this
+        // should never fire, but a corrupted length must not panic the walk.
+        let body_len = self.len.saturating_sub(HEADER_LEN);
+        let name_len = self.name_len.min(body_len);
+        let mut name = vec![0u8; name_len];
+        pool.read_bytes(off + HEADER_LEN, &mut name);
+        // Params run to the padded end, so they include up to 7 pad bytes.
+        // Applications encode self-sized params (fixed-width fields), so
+        // trailing pad is harmless.
+        let mut params = vec![0u8; body_len - name_len];
+        pool.read_bytes(off + HEADER_LEN + name_len, &mut params);
+        OwnedRecord {
+            lsn: self.lsn,
+            op: self.op,
+            commit: self.commit,
+            name,
+            params,
+            off,
+        }
+    }
+
+    /// Whether `rec`'s body (its name then padded params, as
+    /// [`Header::read_record`] returned them) matches the body hash stored
+    /// at publish. False means the commit flag reached the media without
+    /// the body (a torn epoch); the walk demotes such records to aborted.
+    pub fn body_matches(&self, rec: &OwnedRecord) -> bool {
+        self.body_hash == fnv1a_extend(name_hash(&rec.name), &rec.params)
+    }
 }
 
 /// Reads the validity word `(lsn, total_len)`; `(0, _)` means no record.
@@ -319,36 +390,9 @@ pub struct OwnedRecord {
 /// Reads the full record at `off`. Caller must know a valid record starts
 /// there (validity word checked by the log walk).
 pub fn read_record(pool: &PmemPool, off: usize) -> OwnedRecord {
-    let (lsn, total_len) = read_word(pool, off);
-    debug_assert!(lsn != 0);
-    let mut hdr = [0u8; HEADER_LEN];
-    pool.read_bytes(off, &mut hdr);
-    let op = u16::from_le_bytes([hdr[OFF_OP], hdr[OFF_OP + 1]]);
-    let commit = u16::from_le_bytes([hdr[OFF_COMMIT], hdr[OFF_COMMIT + 1]]);
-    // Defensive clamp: the header is persisted at reserve time so this
-    // should never fire, but a corrupted length must not panic the walk.
-    let name_len = (u16::from_le_bytes([hdr[OFF_NAME_LEN], hdr[OFF_NAME_LEN + 1]]) as usize)
-        .min(total_len.saturating_sub(HEADER_LEN));
-    let mut name = vec![0u8; name_len];
-    if name_len > 0 {
-        pool.read_bytes(off + HEADER_LEN, &mut name);
-    }
-    // Params run to the unpadded end; we stored only the padded total, so
-    // params include up to 7 pad bytes. Applications encode self-sized
-    // params (fixed-width fields), so trailing zero pad is harmless.
-    let params_len = total_len - HEADER_LEN - name_len;
-    let mut params = vec![0u8; params_len];
-    if params_len > 0 {
-        pool.read_bytes(off + HEADER_LEN + name_len, &mut params);
-    }
-    OwnedRecord {
-        lsn,
-        op,
-        commit,
-        name,
-        params,
-        off,
-    }
+    let hdr = Header::read(pool, off);
+    debug_assert!(hdr.lsn != 0);
+    hdr.read_record(pool, off)
 }
 
 #[cfg(test)]
@@ -391,10 +435,14 @@ mod tests {
         write_header(&p, 0, 11, len, 2, name);
         write_params(&p, 0, name.len(), &params);
         write_body_hash(&p, 0);
-        assert!(body_hash_valid(&p, 0));
+        let body_ok = |p: &PmemPool| {
+            let h = Header::read(p, 0);
+            h.valid(len) && h.body_matches(&h.read_record(p, 0))
+        };
+        assert!(body_ok(&p));
         // Tear one params byte — the hash must catch it.
         p.write_bytes(HEADER_LEN + name.len() + 3, &[0xFF]);
-        assert!(!body_hash_valid(&p, 0));
+        assert!(!body_ok(&p));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Recovery has four steps, the first and last owned by this module and
 //! the middle two by the application:
 //!
-//! 1. [`recover_scan`] reads the root and walks both logs, producing a
+//! 1. [`recover_scan`] reads the root and walks the active log once (the
+//!    archived log too, only if a checkpoint must be redone), producing a
 //!    [`RecoveryPlan`]: whether the in-flight checkpoint must be redone
 //!    (and with which records), which committed records of the active log
-//!    to replay, and the volatile log state to resume with.
+//!    to replay, which were pending, and the volatile log state.
 //! 2. If `redo_records` is `Some`, the caller redoes the checkpoint via
 //!    [`crate::checkpoint::apply_checkpoint`] — "we redo the checkpoint
 //!    procedure ongoing at the time of the crash".
@@ -15,9 +16,8 @@
 //!    PMEM allocator state in the DRAM allocator and copying pages from
 //!    PMEM to DRAM".
 //! 4. The caller replays `replay_records` on the DRAM structures as if
-//!    they were new requests, then finishes with
-//!    [`RecoveryPlan::finish`], which aborts stale pending records and
-//!    rebuilds the volatile log.
+//!    they were new requests. [`RecoveryPlan::finish`] (any time after
+//!    the scan) aborts the pending records and rebuilds the volatile log.
 //!
 //! Every step is idempotent: redoing the checkpoint produces the same
 //! image (determinism), replay touches only volatile state until the next
@@ -25,7 +25,7 @@
 
 use crate::layout::PmemLayout;
 use crate::log::OpLog;
-use crate::record::{OwnedRecord, COMMIT_COMMITTED, HEADER_LEN};
+use crate::record::{OwnedRecord, COMMIT_COMMITTED, COMMIT_PENDING, HEADER_LEN};
 use crate::root::{Root, RootState};
 use dstore_pmem::PmemPool;
 use std::sync::Arc;
@@ -41,6 +41,9 @@ pub struct RecoveryPlan {
     /// Committed records of the active log, to replay on the recovered
     /// DRAM structures in order.
     pub replay_records: Vec<OwnedRecord>,
+    /// Pool offsets of the active log's records still pending at the
+    /// crash, which [`RecoveryPlan::finish`] aborts.
+    pub pending: Vec<usize>,
     /// Next LSN (dominates every LSN that could exist anywhere in PMEM).
     pub next_lsn: u64,
     /// Append tail of the active log (end of its valid records).
@@ -55,48 +58,49 @@ pub fn recover_scan(pool: &Arc<PmemPool>, layout: &PmemLayout, root: &Root) -> R
     // A throwaway OpLog view for walking; volatile fields unused here.
     let scan = OpLog::attach(Arc::clone(pool), *layout, state.active_log, 0, 0);
 
-    let archived = state.archived_log();
-    let active = state.active_log;
-
-    // The two log buffers are disjoint PMEM regions, so their walks are
-    // independent reads — run them concurrently.
+    // The archived buffer is read only to redo its checkpoint, in a walk
+    // concurrent with the active one (disjoint PMEM regions).
     let (archived_walk, active_walk) = std::thread::scope(|s| {
-        let h = s.spawn(|| scan.walk(archived));
-        let active_walk = scan.walk(active);
-        (h.join().expect("archived-log walk panicked"), active_walk)
+        let redo = state.checkpoint_in_progress;
+        let h = redo.then(|| s.spawn(|| scan.walk(state.archived_log())));
+        let active_walk = scan.walk(state.active_log);
+        let archived_walk = h.map(|h| h.join().expect("archived-log walk panicked"));
+        (archived_walk, active_walk)
     });
 
     let active_tail = active_walk
         .last()
         .map(|r| r.off + crate::record::encoded_len(r.name.len(), r.params.len()))
-        .unwrap_or_else(|| layout.log_records(active));
+        .unwrap_or_else(|| layout.log_records(state.active_log));
 
     // next_lsn must dominate every LSN persisted anywhere: seen record
     // LSNs, both buffers' min_lsn fences, plus headroom for relocated
     // records a crashed swap may have written into a buffer whose root
     // transition never landed (their headers carry valid LSNs above the
-    // fence but are unreachable by any walk).
+    // fence but are unreachable by any walk). An archived buffer left
+    // unwalked needs nothing more: every LSN in it is below the active
+    // buffer's fence, persisted at the swap that archived it.
     let max_seen = archived_walk
         .iter()
-        .chain(active_walk.iter())
+        .flatten()
+        .chain(&active_walk)
         .map(|r| r.lsn)
         .max()
         .unwrap_or(0);
 
-    // Consume the walks by value: the committed subsets are the records
-    // themselves, not clones (these vectors hold every object name and
-    // param blob of a full log buffer).
-    let redo_records = state.checkpoint_in_progress.then(|| {
-        archived_walk
-            .into_iter()
-            .filter(|r| r.commit == COMMIT_COMMITTED)
-            .collect()
-    });
-
-    let replay_records: Vec<OwnedRecord> = active_walk
-        .into_iter()
-        .filter(|r| r.commit == COMMIT_COMMITTED)
+    let pending = active_walk
+        .iter()
+        .filter(|r| r.commit == COMMIT_PENDING)
+        .map(|r| r.off)
         .collect();
+    // Filter the walks in place: the committed subsets are the records
+    // themselves, not copies of every name and param blob in a buffer.
+    let committed = |mut w: Vec<OwnedRecord>| {
+        w.retain(|r| r.commit == COMMIT_COMMITTED);
+        w
+    };
+    let redo_records = archived_walk.map(committed);
+    let replay_records = committed(active_walk);
     let min0 = pool.read_u64(layout.log[0]);
     let min1 = pool.read_u64(layout.log[1]);
     let headroom = (layout.log_size / HEADER_LEN) as u64;
@@ -106,15 +110,16 @@ pub fn recover_scan(pool: &Arc<PmemPool>, layout: &PmemLayout, root: &Root) -> R
         state,
         redo_records,
         replay_records,
+        pending,
         next_lsn,
         active_tail,
     }
 }
 
 impl RecoveryPlan {
-    /// Completes recovery: rebuilds the volatile log (aborting every
-    /// stale pending record so it is neither replayed nor treated as a
-    /// conflict) and returns the ready-to-use [`OpLog`].
+    /// Completes recovery: rebuilds the volatile log (durably aborting
+    /// the scan's pending records so they are neither replayed nor
+    /// treated as conflicts) and returns the ready-to-use [`OpLog`].
     pub fn finish(&self, pool: Arc<PmemPool>, layout: PmemLayout) -> OpLog {
         let log = OpLog::attach(
             pool,
@@ -123,7 +128,7 @@ impl RecoveryPlan {
             self.active_tail,
             self.next_lsn,
         );
-        log.abort_pending(self.state.active_log);
+        log.abort_crashed(&self.pending);
         log
     }
 }

@@ -45,6 +45,7 @@ const KNOWN_NAMES: &[&str] = &[
     "apply",
     "flush",
     "swap",
+    "scan",
     "redo",
     "copy",
     "replay",
