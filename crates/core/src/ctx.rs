@@ -243,7 +243,7 @@ impl DsContext {
         let size = value.len() as u64;
         let (t0, mut at) = op_begin_enqueued(inner, "put", bd.is_some(), enqueue_ns);
 
-        let (handle, lsn, plan) = self.mutate_plan(
+        let (handle, lsn, entry, plan) = self.mutate_plan(
             key,
             |d, entry, log_mode| prepare_put_record(d, entry, log_mode, key, size),
             |d, entry, steal| d.plan_put_entry(entry, key, size, steal),
@@ -252,15 +252,11 @@ impl DsContext {
         )?;
 
         // Steps ⑥⑦: metadata entry + B-tree, outside the synchronous
-        // region (OE). Under OLC (the default) no whole-tree lock is
-        // taken — the insert latches only the leaf path it restructures.
+        // region (OE), on the entry the plan read. Under OLC (the
+        // default) no whole-tree lock is taken — a create's insert
+        // latches only the leaf path it restructures.
         let t = bd.is_some().then(now_ns);
-        {
-            let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
-            inner
-                .domain()
-                .install_put_sync(key, size, &plan, lsn, &inner.index_sync());
-        }
+        self.install_put(entry, key, size, &plan, lsn);
         at.mark(SEG_INDEX);
         let install_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
@@ -366,7 +362,7 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
-        let (handle, _lsn, _plan) = self.mutate_plan(
+        let (handle, _lsn, entry, _plan) = self.mutate_plan(
             key,
             |d, entry, log_mode| match log_mode {
                 LoggingMode::Logical => (ops::OP_DELETE, vec![]),
@@ -395,10 +391,14 @@ impl DsContext {
             &mut None,
             &mut at,
         )?;
-        {
+        let removed = {
             let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
-            inner.domain().install_delete_sync(key, &inner.index_sync());
-        }
+            inner.domain().install_delete_sync(key, &inner.index_sync())
+        };
+        assert!(
+            removed == entry,
+            "delete removed {removed:?}, but its plan read {entry:?}"
+        );
         at.mark(SEG_INDEX);
         // Unregister before commit (see put_timed).
         inner.writers.unregister(key);
@@ -517,7 +517,7 @@ impl DsContext {
                     // Preallocate: a put without data ("log records for
                     // oopen … only written if they modify any metadata").
                     let inner = &self.inner;
-                    let (handle, lsn, plan) = self.mutate_plan(
+                    let (handle, lsn, entry, plan) = self.mutate_plan(
                         name,
                         |d, entry, log_mode| match log_mode {
                             LoggingMode::Logical => {
@@ -531,16 +531,7 @@ impl DsContext {
                         &mut None,
                         &mut ActiveTrace::disabled(),
                     )?;
-                    {
-                        let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
-                        inner.domain().install_put_sync(
-                            name,
-                            size,
-                            &plan,
-                            lsn,
-                            &inner.index_sync(),
-                        );
-                    }
+                    self.install_put(entry, name, size, &plan, lsn);
                     inner.writers.unregister(name);
                     inner.log.commit(handle);
                     inner.maybe_checkpoint();
@@ -634,6 +625,16 @@ impl DsContext {
     /// [`StoreInner::index_sync`] mode, and the entry found is handed to
     /// both closures, so the logged record and the executed plan cannot
     /// disagree about whether (and with which blocks) `name` exists.
+    /// The final attempt's entry is returned for the caller's install,
+    /// which therefore does not descend again. It is still `name`'s entry
+    /// then: no other op's install on `name` could overlap the lookup
+    /// (under OLC the op is a registered reader and no writer was
+    /// registered; otherwise the B-tree read lock is held from the lookup
+    /// through the plan), the reservation admitted no other in-flight
+    /// record on `name`, and the op registers as `name`'s writer before
+    /// leaving the synchronous region and unregisters only after its
+    /// install. So nothing creates, replaces or deletes the entry in
+    /// between.
     fn mutate_plan<P>(
         &self,
         name: &[u8],
@@ -641,7 +642,7 @@ impl DsContext {
         plan: impl Fn(&Domain<'_, DramMemory>, Entry, bool) -> DsResult<P>,
         bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
-    ) -> DsResult<(dstore_dipper::RecordHandle, u64, P)> {
+    ) -> DsResult<(dstore_dipper::RecordHandle, u64, Entry, P)> {
         enum Outcome<'l, P> {
             Full,
             Conflicts(Vec<dstore_dipper::RecordHandle>),
@@ -669,7 +670,7 @@ impl DsContext {
                 0
             };
             at.mark_at(SEG_CC_WAIT, t_log);
-            let outcome: Outcome<'_, P> = 'outcome: {
+            let outcome: Outcome<'_, (Entry, P)> = 'outcome: {
                 let d = inner.domain();
                 let olc = inner.cfg.index_olc;
                 // Under OLC the whole-tree lock is gone, so the entry
@@ -730,7 +731,7 @@ impl DsContext {
                         } else {
                             // Steps ③/④: pool allocations, in per-shard
                             // log order.
-                            let p = plan(&d, entry, allow_steal);
+                            let p = plan(&d, entry, allow_steal).map(|p| (entry, p));
                             drop(bt);
                             match p {
                                 Ok(p) => {
@@ -776,7 +777,7 @@ impl DsContext {
                 }
                 // Step ⑤: unlock (scope end).
             };
-            let (r, p) = match outcome {
+            let (r, (entry, p)) = match outcome {
                 Outcome::Full => {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
@@ -853,8 +854,22 @@ impl DsContext {
             if let Some(bb) = &inner.blackbox {
                 bb.note_lsn(r.lsn);
             }
-            return Ok((r.handle, r.lsn, p));
+            return Ok((r.handle, r.lsn, entry, p));
         }
+    }
+
+    /// Steps ⑥⑦ of a put or create: installs `plan` on `entry`, the entry
+    /// [`DsContext::mutate_plan`] returned. A create whose insert finds
+    /// `name` already mapped means that entry went stale between plan and
+    /// install, so it is checked in every build.
+    fn install_put(&self, entry: Entry, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
+        let inner = &self.inner;
+        let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
+        let agreed =
+            inner
+                .domain()
+                .install_put_entry(entry, name, size, plan, lsn, &inner.index_sync());
+        assert!(agreed, "create displaced an existing index mapping");
     }
 
     // ------------------------------------------------------------------
@@ -1078,7 +1093,7 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "owrite", false);
         let len = data.len() as u64;
-        let (handle, lsn, plan) = self.ctx.mutate_plan(
+        let (handle, lsn, entry, plan) = self.ctx.mutate_plan(
             &self.name,
             |_d, _entry, _mode| {
                 (
@@ -1090,12 +1105,9 @@ impl ObjectHandle<'_> {
             &mut None,
             &mut at,
         )?;
-        {
-            let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
-            inner
-                .domain()
-                .install_extend_sync(&self.name, &plan, lsn, &inner.index_sync());
-        }
+        // An extend never touches the tree: no index lock, no descent.
+        let e = entry.expect("a successful extend plan read an entry");
+        inner.domain().install_extend_entry(e, &plan, lsn);
         at.mark(SEG_INDEX);
         // Data: sub-page head/tail via partial writes, whole pages via
         // page writes.

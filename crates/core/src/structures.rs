@@ -240,45 +240,42 @@ impl IndexSync<'_> {
         off.map(RelPtr::from_offset)
     }
 
-    /// Inserts `name → off` into `d`'s B-tree under this sync mode. In
-    /// `Shared` mode the write-lock hold time (not the wait time — that
-    /// would double-count contention) is charged to `write_ns`.
+    /// Inserts `name → off` into `d`'s B-tree under this sync mode and
+    /// returns the mapping it displaced. In `Shared` mode the write-lock
+    /// hold time (not the wait time — that would double-count contention)
+    /// is charged to `write_ns`.
     #[inline]
-    fn insert<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8], off: u64) {
+    fn insert<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8], off: u64) -> Option<u64> {
         match self {
-            IndexSync::Exclusive => {
-                d.btree().insert(name, off);
-            }
+            IndexSync::Exclusive => d.btree().insert(name, off),
             IndexSync::Shared { lock, write_ns } => {
                 let _g = lock.write();
                 let t = std::time::Instant::now();
-                d.btree().insert(name, off);
+                let prev = d.btree().insert(name, off);
                 write_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                prev
             }
-            IndexSync::Olc { stats } => {
-                d.btree().insert_olc(name, off, stats);
-            }
+            IndexSync::Olc { stats } => d.btree().insert_olc(name, off, stats),
         }
     }
 
-    /// Removes `name` from `d`'s B-tree under this sync mode (hold-time
-    /// charging as for [`IndexSync::insert`]).
+    /// Removes `name` from `d`'s B-tree under this sync mode and returns
+    /// the entry it mapped to (hold-time charging as for
+    /// [`IndexSync::insert`]).
     #[inline]
-    fn remove<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8]) {
-        match self {
-            IndexSync::Exclusive => {
-                d.btree().remove(name);
-            }
+    fn remove<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
+        let off = match self {
+            IndexSync::Exclusive => d.btree().remove(name),
             IndexSync::Shared { lock, write_ns } => {
                 let _g = lock.write();
                 let t = std::time::Instant::now();
-                d.btree().remove(name);
+                let prev = d.btree().remove(name);
                 write_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                prev
             }
-            IndexSync::Olc { stats } => {
-                d.btree().remove_olc(name, stats);
-            }
-        }
+            IndexSync::Olc { stats } => d.btree().remove_olc(name, stats),
+        };
+        off.map(RelPtr::from_offset)
     }
 }
 
@@ -764,28 +761,35 @@ impl<'a, M: Memory> Domain<'a, M> {
         }
     }
 
-    /// Installs a planned put: creates or updates the metadata entry and
-    /// the B-tree mapping. Only the lookup and the (rare) insert touch
-    /// shared tree structure, under `sync`; the entry itself is
-    /// object-exclusive and updated outside any lock.
-    pub fn install_put_sync(
+    // The installs take the entry their plan was made against instead of
+    // looking `name` up again: nothing can create, replace or delete
+    // `name`'s entry between one op's plan and its install (the frontend
+    // holds the name's writer registration across both; a replay worker
+    // owns every record of the name's shard), so a second descent could
+    // only find the same answer.
+
+    /// Installs a planned put on `entry`, the metadata entry the plan read
+    /// (`None`: a create, which allocates the entry and maps it under
+    /// `sync` — the only step that touches shared tree structure). The
+    /// entry itself is object-exclusive and updated outside any lock.
+    /// Returns whether the index agreed with the plan: `false` when a
+    /// create's insert displaced an existing mapping.
+    pub fn install_put_entry(
         &self,
+        entry: Option<RelPtr<MetaEntry>>,
         name: &[u8],
         size: u64,
         plan: &PutPlan,
         lsn: u64,
         sync: &IndexSync<'_>,
-    ) {
-        let (old_size, entry) = match sync.lookup(self, name) {
-            Some(e) => {
-                // SAFETY: CC excludes concurrent writers on this object.
-                let s = unsafe { (*self.arena.resolve(e)).size };
-                (s, e)
-            }
+    ) -> bool {
+        let (old_size, entry, agreed) = match entry {
+            // SAFETY: CC excludes concurrent writers on this object.
+            Some(e) => (unsafe { (*self.arena.resolve(e)).size }, e, true),
             None => {
                 let e: RelPtr<MetaEntry> = self.arena.alloc();
-                sync.insert(self, name, e.offset());
-                (0, e)
+                let displaced = sync.insert(self, name, e.offset());
+                (0, e, displaced.is_none())
             }
         };
         // SAFETY: exclusive entry access via CC.
@@ -802,18 +806,12 @@ impl<'a, M: Memory> Domain<'a, M> {
             (plan.kind == PutKind::Create) as i64,
             size as i64 - old_size as i64,
         );
+        agreed
     }
 
-    /// Installs a planned extension (extends never restructure the tree —
-    /// `sync` is only read through).
-    pub fn install_extend_sync(
-        &self,
-        name: &[u8],
-        plan: &ExtendPlan,
-        lsn: u64,
-        sync: &IndexSync<'_>,
-    ) {
-        let e = sync.lookup(self, name).expect("extend of existing object");
+    /// Installs a planned extension on the entry the plan read. Extends
+    /// never touch the tree.
+    pub fn install_extend_entry(&self, e: RelPtr<MetaEntry>, plan: &ExtendPlan, lsn: u64) {
         // SAFETY: exclusive entry access via CC.
         let old = unsafe {
             let old = (*self.arena.resolve(e)).size;
@@ -827,11 +825,16 @@ impl<'a, M: Memory> Domain<'a, M> {
         self.counters_add(0, plan.new_size as i64 - old as i64);
     }
 
-    /// Installs a delete: removes the entry and the B-tree mapping.
-    pub fn install_delete_sync(&self, name: &[u8], sync: &IndexSync<'_>) {
-        let e = sync
-            .lookup(self, name)
-            .expect("delete of existing object (planned)");
+    /// Installs a delete: removes `name`'s B-tree mapping, then frees the
+    /// entry it mapped to. Returns that entry — the caller checks it is
+    /// the one its plan read — or `None` (nothing freed) if `name` was
+    /// not mapped.
+    pub fn install_delete_sync(
+        &self,
+        name: &[u8],
+        sync: &IndexSync<'_>,
+    ) -> Option<RelPtr<MetaEntry>> {
+        let e = sync.remove(self, name)?;
         // SAFETY: exclusive entry access via CC.
         let old = unsafe {
             let old = (*self.arena.resolve(e)).size;
@@ -840,8 +843,8 @@ impl<'a, M: Memory> Domain<'a, M> {
             self.arena.free(e);
             old
         };
-        sync.remove(self, name);
         self.counters_add(-1, -(old as i64));
+        Some(e)
     }
 
     // ------------------------------------------------------------------
@@ -865,74 +868,89 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// [`IndexSync::Shared`] guarding the common B-tree. The record's
     /// [`record::OP_STEAL_FLAG`] bit is masked off before dispatch.
     ///
-    /// Returns whether the record *diverged*: a physical record whose pool
-    /// pops returned other blocks than its logged post-image names, so
-    /// replay no longer mirrors the frontend. Checked in every build; the
-    /// caller counts it, and debug builds panic.
+    /// Looks the record's name up once and hands that entry to both the
+    /// plan and the install, so a record costs one descent (two for a
+    /// create or a logical delete, whose insert/remove descend again).
+    ///
+    /// Returns whether the record *diverged* from the frontend: a physical
+    /// record whose pool pops returned other blocks than its logged
+    /// post-image names, a create whose insert displaced a mapping, or a
+    /// delete whose remove found another entry than its plan (or none).
+    /// Checked in every build; the caller counts it, and debug builds
+    /// panic.
     pub fn replay_in(&self, rec: &OwnedRecord, allow_steal: bool, sync: &IndexSync<'_>) -> bool {
-        let mut diverged = false;
-        match record::op_code(rec.op) {
-            OP_NOOP => {}
+        let name = &rec.name[..];
+        let diverged = match record::op_code(rec.op) {
+            OP_NOOP => false,
             ops::OP_PUT | ops::OP_TOUCH | ops::OP_CREATE => {
                 let p = PutParams::decode(&rec.params).expect("valid put params");
+                let entry = sync.lookup(self, name);
                 let plan = self
-                    .plan_put_entry(sync.lookup(self, &rec.name), &rec.name, p.size, allow_steal)
+                    .plan_put_entry(entry, name, p.size, allow_steal)
                     .expect("replay allocation mirrors frontend");
-                self.install_put_sync(&rec.name, p.size, &plan, rec.lsn, sync);
+                !self.install_put_entry(entry, name, p.size, &plan, rec.lsn, sync)
             }
             ops::OP_EXTEND => {
                 let p = ExtendParams::decode(&rec.params).expect("valid extend params");
-                let e = sync.lookup(self, &rec.name);
+                let entry = sync.lookup(self, name);
                 let plan = self
-                    .plan_extend_entry(e, &rec.name, p.offset, p.len, allow_steal)
+                    .plan_extend_entry(entry, name, p.offset, p.len, allow_steal)
                     .expect("replay extension mirrors frontend");
-                self.install_extend_sync(&rec.name, &plan, rec.lsn, sync);
+                let e = entry.expect("a successful extend plan read an entry");
+                self.install_extend_entry(e, &plan, rec.lsn);
+                false
             }
             ops::OP_DELETE => {
-                self.plan_delete_entry(sync.lookup(self, &rec.name), &rec.name)
+                let entry = sync.lookup(self, name);
+                self.plan_delete_entry(entry, name)
                     .expect("replay delete mirrors frontend");
-                self.install_delete_sync(&rec.name, sync);
+                self.install_delete_sync(name, sync) != entry
             }
             ops::OP_PHYS_INSTALL => {
                 let img = PhysImage::decode(&rec.params).expect("valid phys image");
                 let popped = self
-                    .pop_n_in(&rec.name, img.pops as u64, allow_steal)
+                    .pop_n_in(name, img.pops as u64, allow_steal)
                     .expect("phys replay pool pop");
-                diverged = img.pops > 0 && popped != img.blocks;
+                let pops_diverged = img.pops > 0 && popped != img.blocks;
                 debug_assert!(
-                    !diverged,
+                    !pops_diverged,
                     "physical replay diverged from the encoded post-image: popped {popped:?}, logged {:?}",
                     img.blocks
                 );
-                let home = self.shard_of_name(&rec.name);
+                let home = self.shard_of_name(name);
                 for &b in &img.pushes {
                     self.shard_push(home, b);
                 }
-                let plan = PutPlan {
-                    kind: if sync.lookup(self, &rec.name).is_some() {
-                        if img.pops == 0 && img.pushes.is_empty() {
-                            PutKind::Touch
-                        } else {
-                            PutKind::Replace
-                        }
-                    } else {
-                        PutKind::Create
-                    },
-                    blocks: img.blocks.clone(),
-                    freed: img.pushes.clone(),
+                let entry = sync.lookup(self, name);
+                let kind = match entry {
+                    None => PutKind::Create,
+                    Some(_) if img.pops == 0 && img.pushes.is_empty() => PutKind::Touch,
+                    Some(_) => PutKind::Replace,
                 };
-                self.install_put_sync(&rec.name, img.size, &plan, rec.lsn, sync);
+                let plan = PutPlan {
+                    kind,
+                    blocks: img.blocks,
+                    freed: img.pushes,
+                };
+                let agreed = self.install_put_entry(entry, name, img.size, &plan, rec.lsn, sync);
+                pops_diverged || !agreed
             }
             ops::OP_PHYS_DELETE => {
                 let img = PhysImage::decode(&rec.params).expect("valid phys image");
-                let home = self.shard_of_name(&rec.name);
+                let home = self.shard_of_name(name);
                 for &b in &img.pushes {
                     self.shard_push(home, b);
                 }
-                self.install_delete_sync(&rec.name, sync);
+                self.install_delete_sync(name, sync).is_none()
             }
             other => panic!("unknown op code {other} in log"),
-        }
+        };
+        debug_assert!(
+            !diverged,
+            "replay of LSN {} on {:?} diverged from the frontend",
+            rec.lsn,
+            String::from_utf8_lossy(name)
+        );
         diverged
     }
 }
@@ -969,15 +987,17 @@ mod tests {
         }
 
         fn install_put(&self, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
-            self.install_put_sync(name, size, plan, lsn, &IndexSync::Exclusive)
+            let e = self.lookup(name);
+            assert!(self.install_put_entry(e, name, size, plan, lsn, &IndexSync::Exclusive));
         }
 
         fn install_extend(&self, name: &[u8], plan: &ExtendPlan, lsn: u64) {
-            self.install_extend_sync(name, plan, lsn, &IndexSync::Exclusive)
+            self.install_extend_entry(self.lookup(name).unwrap(), plan, lsn)
         }
 
         fn install_delete(&self, name: &[u8]) {
-            self.install_delete_sync(name, &IndexSync::Exclusive)
+            let e = self.lookup(name);
+            assert_eq!(self.install_delete_sync(name, &IndexSync::Exclusive), e);
         }
     }
 
@@ -1065,6 +1085,28 @@ mod tests {
         assert_eq!(d.pool_free(), before);
         assert!(d.lookup(b"gone").is_none());
         assert_eq!(d.counters(), (0, 0));
+    }
+
+    /// The installs report what the index held instead of trusting the
+    /// plan's entry: a create over a mapped name and a delete of an
+    /// unmapped one both disagree.
+    #[test]
+    fn installs_report_index_disagreement() {
+        let a = arena();
+        let d = domain(&a);
+        let p = d.plan_put(b"x", 4096).unwrap();
+        d.install_put(b"x", 4096, &p, 1);
+        let stale_create = PutPlan {
+            kind: PutKind::Create,
+            blocks: vec![],
+            freed: vec![],
+        };
+        assert!(!d.install_put_entry(None, b"x", 0, &stale_create, 2, &IndexSync::Exclusive));
+        assert_eq!(
+            d.install_delete_sync(b"missing", &IndexSync::Exclusive),
+            None
+        );
+        assert!(d.install_delete_sync(b"x", &IndexSync::Exclusive).is_some());
     }
 
     #[test]

@@ -112,7 +112,9 @@ fn run_case(
         }
     }
     drop(ctx);
+    prop_assert_eq!(s.replay_stats().divergences, 0, "checkpoint replay");
     let s2 = DStore::recover(s.crash()).unwrap();
+    prop_assert_eq!(s2.replay_stats().divergences, 0, "recovery replay");
     let ctx = s2.context();
     let names = ctx.list();
     prop_assert_eq!(names.len(), model.len());

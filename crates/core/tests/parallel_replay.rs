@@ -84,7 +84,9 @@ fn run_crash_case(
         store.wait_checkpoint_idle();
     }
 
+    prop_assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
     let parallel = DStore::recover(store.crash()).unwrap();
+    prop_assert_eq!(parallel.replay_stats().divergences, 0, "parallel recovery");
     {
         let ctx = parallel.context();
         for (k, v) in &model {
@@ -99,6 +101,7 @@ fn run_crash_case(
         cfg.with_replay_threads(1),
     ))
     .unwrap();
+    prop_assert_eq!(serial.replay_stats().divergences, 0, "serial recovery");
     let ctx = serial.context();
     for (k, v) in &model {
         prop_assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
@@ -203,8 +206,10 @@ fn steal_fallback_engages_and_stays_correct() {
         model.insert(k, v);
     }
     drop(ctx);
+    assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
     let recovered = DStore::recover(store.crash()).unwrap();
     let rs = recovered.replay_stats();
+    assert_eq!(rs.divergences, 0, "recovery replay: {rs:?}");
     if test_threads() > 1 {
         assert!(
             rs.serial_fallbacks >= 1,

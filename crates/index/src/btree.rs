@@ -384,9 +384,15 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         Err(n.count as usize)
     }
 
-    /// Optimistic key compare: every byte is read volatile and
-    /// bounds-checked, because the slice header may be torn or the key
-    /// bytes already recycled. A bad slice is a `Conflict`, not a panic.
+    /// Optimistic key compare: every load is volatile and bounds-checked,
+    /// because the slice header may be torn or the key bytes already
+    /// recycled. A bad slice is a `Conflict`, not a panic.
+    ///
+    /// An 8-aligned stored slice (every arena allocation is) is compared a
+    /// word at a time while both sides have 8 bytes left: each word is
+    /// read big-endian, so integer order is lexicographic byte order. The
+    /// tail, and a misaligned (torn) slice, fall back to bytes. No byte
+    /// past `stored.len` is read.
     fn cmp_olc(&self, stored: ByteSlice, probe: &[u8]) -> Result<Ordering, Conflict> {
         let len = stored.len as usize;
         if len == 0 {
@@ -397,14 +403,29 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         if off == 0 || len > mem.len() || off > mem.len() - len {
             return Err(Conflict);
         }
-        let base = mem.base();
+        // SAFETY: `off + len` is in bounds (checked above); region stays
+        // mapped.
+        let key = unsafe { mem.base().add(off) };
         let common = len.min(probe.len());
-        for (i, &pb) in probe.iter().enumerate().take(common) {
-            // SAFETY: bounds checked above; region stays mapped.
-            let b = unsafe { std::ptr::read_volatile(base.add(off + i)) };
-            match b.cmp(&pb) {
-                Ordering::Equal => {}
-                o => return Ok(o),
+        let mut i = 0;
+        if (key as usize).is_multiple_of(8) {
+            while i + 8 <= common {
+                // SAFETY: 8-aligned, and `i + 8 <= len` keeps the load
+                // inside the slice.
+                let w = unsafe { std::ptr::read_volatile(key.add(i) as *const u64) };
+                let s = u64::from_be(w);
+                let p = u64::from_be_bytes(probe[i..i + 8].try_into().unwrap());
+                if s != p {
+                    return Ok(s.cmp(&p));
+                }
+                i += 8;
+            }
+        }
+        for (j, &pb) in probe.iter().enumerate().take(common).skip(i) {
+            // SAFETY: `j < len`, in bounds as above.
+            let b = unsafe { std::ptr::read_volatile(key.add(j)) };
+            if b != pb {
+                return Ok(b.cmp(&pb));
             }
         }
         Ok(len.cmp(&probe.len()))
@@ -2009,6 +2030,44 @@ mod tests {
             }
             want.sort();
             prop_assert_eq!(t.entries(), want);
+        }
+    }
+
+    /// Key tails drawn around the byte values where a signed or
+    /// wrong-endian word compare would disagree with byte order.
+    fn key_tail() -> impl Strategy<Value = Vec<u8>> {
+        const EDGES: [u8; 6] = [0, 1, 0x7f, 0x80, 0xfe, 0xff];
+        proptest::collection::vec((0..EDGES.len()).prop_map(|i| EDGES[i]), 0..9)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Differential: the word-at-a-time optimistic compare agrees with
+        /// `<[u8]>::cmp` for lengths 0–40, shared prefixes up to 32 bytes,
+        /// and stored slices both 8-aligned (`shift == 0`, the word path)
+        /// and not (the byte loop).
+        #[test]
+        fn olc_key_compare_matches_slice_order(
+            prefix in proptest::collection::vec(any::<u8>(), 0..33),
+            stored_tail in key_tail(),
+            probe_tail in key_tail(),
+            shift in 0usize..8,
+        ) {
+            let stored = [&prefix[..], &stored_tail[..]].concat();
+            let probe = [&prefix[..], &probe_tail[..]].concat();
+            let a = Arena::create(DramMemory::new(1 << 16));
+            let t = BTreeHandle::create(&a);
+            let off = a.alloc_block(stored.len() + 8) as usize + shift;
+            // SAFETY: the block holds `shift + stored.len()` bytes.
+            let at = unsafe { a.memory().base().add(off) };
+            unsafe { std::ptr::copy_nonoverlapping(stored.as_ptr(), at, stored.len()) };
+            prop_assert_eq!((at as usize).is_multiple_of(8), shift == 0);
+            let s = ByteSlice {
+                ptr: RelPtr::from_offset(off as u64),
+                len: stored.len() as u32,
+            };
+            prop_assert_eq!(t.cmp_olc(s, &probe).unwrap(), stored.cmp(&probe));
         }
     }
 }

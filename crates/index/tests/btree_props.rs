@@ -3,7 +3,7 @@
 //! structural invariants hold throughout.
 
 use dstore_arena::{Arena, DramMemory};
-use dstore_index::BTreeHandle;
+use dstore_index::{BTreeHandle, OlcStats};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -16,8 +16,18 @@ enum Op {
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     // Small key space to force collisions, replacements, and deletes of
-    // present keys.
-    prop::collection::vec(0u8..8, 0..6)
+    // present keys. The long arm shares up to 24 bytes of prefix, so
+    // compares reach the optimistic descent's 8-byte word path and its
+    // byte tail.
+    prop_oneof![
+        prop::collection::vec(0u8..8, 0..6),
+        (0usize..25, prop::collection::vec(0u8..4, 0..12)).prop_map(|(n, tail)| {
+            let mut k = b"object/name/prefix/00000".to_vec();
+            k.truncate(n);
+            k.extend(tail);
+            k
+        }),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -54,6 +64,31 @@ proptest! {
         let got = tree.entries();
         let want: Vec<_> = model.into_iter().collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// The same equivalence through the optimistic (`*_olc`) operations.
+    #[test]
+    fn olc_equivalent_to_btreemap(ops in prop::collection::vec(op_strategy(), 1..400)) {
+        let arena = Arena::create(DramMemory::new(1 << 22));
+        let tree = BTreeHandle::create(&arena);
+        let stats = OlcStats::default();
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                Op::Insert(k, v) => {
+                    prop_assert_eq!(tree.insert_olc(&k, v, &stats), model.insert(k, v));
+                }
+                Op::Remove(k) => {
+                    prop_assert_eq!(tree.remove_olc(&k, &stats), model.remove(&k));
+                }
+                Op::Get(k) => {
+                    prop_assert_eq!(tree.get_olc(&k, &stats), model.get(&k).copied());
+                }
+            }
+        }
+        tree.check_invariants();
+        let want: Vec<_> = model.into_iter().collect();
+        prop_assert_eq!(tree.entries_olc(&stats), want);
     }
 
     /// Range scans agree with the BTreeMap model for arbitrary bounds.
