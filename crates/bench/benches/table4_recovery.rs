@@ -12,6 +12,7 @@
 
 use dstore_baselines::KvSystem;
 use dstore_bench::*;
+use dstore_dipper::usable_workers;
 use dstore_workload::Workload;
 use std::time::Instant;
 
@@ -81,6 +82,8 @@ fn main() {
         // the replay window is identical — recovery is idempotent) and
         // recover again with 4 threads. The replay column is the
         // apples-to-apples A/B; the redo only exists in the first leg.
+        // Rows name the workers recovery used: `replay_threads` capped
+        // at the CPUs this thread may run on.
         let base = store.config().clone();
         let mut img = store.crash(); // …and the checkpoint never completes.
         let mut first = true;
@@ -97,7 +100,7 @@ fn main() {
             let rate = r.replayed_records as f64 * 1e9 / r.replay_ns.max(1) as f64;
             println!(
                 "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}   ({} replayed, {:.0} rec/s)",
-                format!("DStore rt={threads}"),
+                format!("DStore w={}", usable_workers(threads)),
                 if first { "crash" } else { "re-crash" },
                 ms(r.scan_ns),
                 ms(r.metadata_ns),

@@ -116,14 +116,18 @@ pub struct DStoreConfig {
     /// shards sharing few cores); lower it in tests that want stalls
     /// surfaced quickly.
     pub stall_timeout: Duration,
-    /// Worker threads for OE-parallel checkpoint apply and recovery
-    /// replay: the shadow bulk copy/flush is chunked across this many
-    /// threads, and committed records are replayed grouped by their
-    /// name's pool shard, one group set per worker (per-object LSN order
-    /// preserved; windows containing shard-steal allocations fall back
-    /// to serial log order). `1` reproduces the fully serial apply path.
-    /// Defaults to the host's available parallelism, overridable with
-    /// the `DSTORE_REPLAY_THREADS` environment variable.
+    /// Cap on the worker threads for OE-parallel checkpoint apply and
+    /// recovery replay: the shadow bulk copy/flush is chunked across up
+    /// to this many threads, and committed records are replayed grouped
+    /// by their name's pool shard, one group set per worker (per-object
+    /// LSN order preserved; windows containing shard-steal allocations
+    /// fall back to serial log order). Each window and each copy/flush
+    /// uses `min(replay_threads, CPUs the calling thread may run on)`,
+    /// counted when it runs, so a checkpointer or recovery confined to
+    /// one CPU takes the serial path. `1` reproduces the fully serial
+    /// apply path everywhere. Defaults to the host's available
+    /// parallelism, overridable with the `DSTORE_REPLAY_THREADS`
+    /// environment variable.
     pub replay_threads: usize,
     /// Optimistic lock coupling on the object-index B-tree: gets, stats
     /// and exists descend latch-free (seqlock validation, restart on

@@ -33,6 +33,7 @@
 use crate::structures::{Directory, Domain, IndexSync};
 use dstore_arena::{Arena, Memory, RelPtr};
 use dstore_dipper::record::{self, OwnedRecord};
+use dstore_dipper::usable_workers;
 use dstore_index::OlcStats;
 use dstore_telemetry::{now_ns, SpanRing};
 use parking_lot::RwLock;
@@ -48,8 +49,13 @@ pub struct ReplayStats {
     pub windows: AtomicU64,
     /// Shard groups replayed (serial windows count as one group).
     pub groups: AtomicU64,
+    /// Non-empty windows that took the parallel path. A non-empty window
+    /// counted neither here nor in `serial_fallbacks` ran serial because
+    /// only one worker was usable (`replay_threads = 1`, or the replaying
+    /// thread may run on a single CPU).
+    pub parallel_windows: AtomicU64,
     /// Windows that degraded to the serialized fallback because a record
-    /// carried the steal flag while `replay_threads > 1`.
+    /// carried the steal flag while more than one worker was usable.
     pub serial_fallbacks: AtomicU64,
     /// Records replayed.
     pub records: AtomicU64,
@@ -72,6 +78,8 @@ pub struct ReplaySnapshot {
     pub windows: u64,
     /// See [`ReplayStats::groups`].
     pub groups: u64,
+    /// See [`ReplayStats::parallel_windows`].
+    pub parallel_windows: u64,
     /// See [`ReplayStats::serial_fallbacks`].
     pub serial_fallbacks: u64,
     /// See [`ReplayStats::records`].
@@ -88,6 +96,7 @@ impl ReplayStats {
         ReplaySnapshot {
             windows: self.windows.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
+            parallel_windows: self.parallel_windows.load(Ordering::Relaxed),
             serial_fallbacks: self.serial_fallbacks.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             serialized_ns: self.serialized_ns.load(Ordering::Relaxed),
@@ -97,11 +106,13 @@ impl ReplayStats {
 }
 
 /// Replays one window of committed records onto the structures in
-/// `arena`, using up to `threads` workers.
+/// `arena`, using [`usable_workers`]`(threads)` workers — `threads`
+/// capped by the CPUs the calling thread may run on, counted now.
 ///
-/// `threads <= 1` or a steal-flagged record in the window selects the
+/// One usable worker or a steal-flagged record in the window selects the
 /// serialized path: the whole window in log order on the calling thread,
-/// with stealing allowed (exactly what the frontend did). The parallel
+/// with stealing allowed (exactly what the frontend did) and the
+/// exclusive index descent (the window owns its arena). The parallel
 /// path groups records by pool shard and replays groups concurrently
 /// with stealing *forbidden* — a `ShardStarved` there would mean a
 /// stealing record escaped its flag, which is a bug worth the panic (the
@@ -132,6 +143,7 @@ pub fn replay_window<M: Memory>(
         return;
     }
 
+    let threads = usable_workers(threads);
     let stole = records.iter().any(|r| record::op_stole(r.op));
     if threads <= 1 || stole {
         if stole && threads > 1 {
@@ -172,6 +184,7 @@ pub fn replay_window<M: Memory>(
         .filter(|(_, g)| !g.is_empty())
         .collect();
     let workers = threads.min(groups.len()).max(1);
+    stats.parallel_windows.fetch_add(1, Ordering::Relaxed);
     stats
         .groups
         .fetch_add(groups.len() as u64, Ordering::Relaxed);

@@ -707,6 +707,11 @@ impl DStore {
         snap.push_counter("dstore_replay_windows_total", vec![], r.windows);
         snap.push_counter("dstore_replay_groups_total", vec![], r.groups);
         snap.push_counter(
+            "dstore_replay_parallel_windows_total",
+            vec![],
+            r.parallel_windows,
+        );
+        snap.push_counter(
             "dstore_replay_serial_fallbacks_total",
             vec![],
             r.serial_fallbacks,

@@ -1,7 +1,8 @@
 //! OE-parallel replay tests: serial-vs-parallel state equivalence on
 //! both checkpoint engines (random scripts, random crash points,
 //! including a mid-checkpoint crash for DIPPER), the forced-steal
-//! serialized fallback, and the engine's telemetry counters.
+//! serialized fallback, the single-CPU clamp, and the engine's
+//! telemetry counters.
 //!
 //! The equivalence argument is two-layered: ops are issued from a single
 //! thread, so the in-memory model *is* the serial order; and every crash
@@ -11,6 +12,7 @@
 //! parallel-vs-serial A/B.
 
 use dstore::{CheckpointMode, CrashImage, DStore, DStoreConfig, LoggingMode};
+use dstore_dipper::usable_workers;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -24,6 +26,37 @@ fn test_threads() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(4)
+}
+
+/// Whether the engine has more than one worker to give the parallel
+/// legs on this thread (`test_threads()` capped by the usable CPUs, the
+/// same clamp the engine applies). Prints why when it has not.
+fn parallel_usable() -> bool {
+    let usable = usable_workers(test_threads()) > 1;
+    if !usable {
+        eprintln!(
+            "parallel-path checks skipped: replay_threads = {} and {} usable CPU(s) leave one worker",
+            test_threads(),
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        );
+    }
+    usable
+}
+
+/// Checks which path a recovery's windows took: with more than one
+/// usable worker every non-empty window ran parallel or fell back on a
+/// steal flag; with one, every non-empty window ran serial as one group.
+fn assert_recovery_path(store: &DStore, parallel: bool) -> Result<(), TestCaseError> {
+    let r = store.recovery_report();
+    let nonempty = (r.redo_records > 0) as u64 + (r.replayed_records > 0) as u64;
+    let s = store.replay_stats();
+    if parallel {
+        prop_assert_eq!(s.parallel_windows + s.serial_fallbacks, nonempty, "{:?}", s);
+    } else {
+        prop_assert_eq!(s.parallel_windows, 0, "{:?}", s);
+        prop_assert_eq!(s.groups, nonempty, "one group per serial window: {:?}", s);
+    }
+    Ok(())
 }
 
 /// A tagged value: every 4-byte chunk repeats `(writer, round)`, so any
@@ -87,6 +120,7 @@ fn run_crash_case(
     prop_assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
     let parallel = DStore::recover(store.crash()).unwrap();
     prop_assert_eq!(parallel.replay_stats().divergences, 0, "parallel recovery");
+    assert_recovery_path(&parallel, parallel_usable())?;
     {
         let ctx = parallel.context();
         for (k, v) in &model {
@@ -102,6 +136,7 @@ fn run_crash_case(
     ))
     .unwrap();
     prop_assert_eq!(serial.replay_stats().divergences, 0, "serial recovery");
+    assert_recovery_path(&serial, false)?;
     let ctx = serial.context();
     for (k, v) in &model {
         prop_assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
@@ -133,8 +168,8 @@ proptest! {
 }
 
 /// A steal-free multi-object workload must actually take the parallel
-/// path: more groups than windows (several shards per window) and zero
-/// serialized fallbacks.
+/// path when more than one CPU is usable: more groups than windows
+/// (several shards per window) and zero serialized fallbacks.
 #[test]
 fn parallel_path_engages_without_steals() {
     let cfg = DStoreConfig::small()
@@ -151,11 +186,12 @@ fn parallel_path_engages_without_steals() {
     let s = store.replay_stats();
     assert!(s.windows >= 1, "{s:?}");
     assert_eq!(s.serial_fallbacks, 0, "{s:?}");
-    if test_threads() > 1 {
+    if parallel_usable() {
         assert!(
             s.groups > s.windows,
             "64 distinct names must spread over several shard groups: {s:?}"
         );
+        assert_eq!(s.parallel_windows, s.windows, "{s:?}");
     }
     assert_eq!(s.records, 64);
 }
@@ -190,7 +226,7 @@ fn steal_fallback_engages_and_stays_correct() {
     let s = store.replay_stats();
     assert!(s.windows >= 1, "{s:?}");
     // Fallbacks are only *counted* when there is parallelism to give up.
-    if test_threads() > 1 {
+    if parallel_usable() {
         assert!(
             s.serial_fallbacks >= 1,
             "a steal-flagged window must degrade to serial replay: {s:?}"
@@ -210,7 +246,7 @@ fn steal_fallback_engages_and_stays_correct() {
     let recovered = DStore::recover(store.crash()).unwrap();
     let rs = recovered.replay_stats();
     assert_eq!(rs.divergences, 0, "recovery replay: {rs:?}");
-    if test_threads() > 1 {
+    if parallel_usable() {
         assert!(
             rs.serial_fallbacks >= 1,
             "recovery of a stolen window must fall back: {rs:?}"
@@ -243,6 +279,7 @@ fn replay_counters_exported() {
     for metric in [
         "dstore_replay_windows_total",
         "dstore_replay_groups_total",
+        "dstore_replay_parallel_windows_total",
         "dstore_replay_serial_fallbacks_total",
         "dstore_replay_records_total",
         "dstore_replay_serialized_ns_total",
@@ -250,4 +287,84 @@ fn replay_counters_exported() {
     ] {
         assert!(text.contains(metric), "missing {metric} in:\n{text}");
     }
+}
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// Restricts the calling thread (and the threads it starts afterwards)
+/// to the first CPU it may currently run on.
+fn pin_to_one_cpu() {
+    let mut mask = [0u64; 16];
+    let size = std::mem::size_of_val(&mask);
+    // SAFETY: the mask buffer is valid for `size` bytes; pid 0 is the
+    // calling thread.
+    assert_eq!(unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) }, 0);
+    let cpu = (0..16 * 64)
+        .find(|c| mask[c / 64] >> (c % 64) & 1 == 1)
+        .expect("some allowed CPU");
+    let mut one = [0u64; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: as above; the mask is only read.
+    assert_eq!(unsafe { sched_setaffinity(0, size, one.as_ptr()) }, 0);
+}
+
+/// `replay_threads` is a cap, not a count: a recovery confined to one
+/// CPU takes the serial path even with `replay_threads = 4` — one group
+/// per window, no parallel windows — and still reproduces the model.
+#[test]
+fn single_cpu_recovery_takes_serial_path() {
+    pin_to_one_cpu();
+    assert_eq!(usable_workers(4), 1);
+    let cfg = DStoreConfig::small()
+        .with_auto_checkpoint(false)
+        .with_replay_threads(4);
+    let store = DStore::create(cfg).unwrap();
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let ctx = store.context();
+    let mut put = |i: u32, round: u32| {
+        let k = format!("obj{i}").into_bytes();
+        let v = tagged(i as usize, round, 300);
+        ctx.put(&k, &v).unwrap();
+        model.insert(k, v);
+    };
+    // Three non-empty windows over many shards: a completed checkpoint,
+    // an interrupted one recovery must redo, and the active-log tail.
+    for i in 0..64 {
+        put(i, 0);
+    }
+    store.checkpoint_now();
+    for i in 0..48 {
+        put(i, 1);
+    }
+    store.begin_checkpoint_swap_only();
+    for i in 16..64 {
+        put(i, 2);
+    }
+    drop(ctx);
+    let s = store.replay_stats();
+    assert_eq!(
+        (s.windows, s.groups, s.parallel_windows),
+        (1, 1, 0),
+        "{s:?}"
+    );
+
+    let recovered = DStore::recover(store.crash()).unwrap();
+    let r = recovered.recovery_report();
+    assert_eq!((r.redo_records, r.replayed_records), (48, 48), "{r:?}");
+    let rs = recovered.replay_stats();
+    assert_eq!(rs.windows, 2, "{rs:?}");
+    assert_eq!(
+        rs.groups, rs.windows,
+        "serial windows are one group each: {rs:?}"
+    );
+    assert_eq!((rs.parallel_windows, rs.serial_fallbacks), (0, 0), "{rs:?}");
+    assert_eq!(rs.divergences, 0, "{rs:?}");
+    let ctx = recovered.context();
+    for (k, v) in &model {
+        assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
+    }
+    assert_eq!(recovered.object_count() as usize, model.len());
 }

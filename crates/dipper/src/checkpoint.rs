@@ -34,6 +34,19 @@ use std::sync::Arc;
 /// this, thread spawn overhead dominates and the work stays serial.
 const CHUNK_MIN: usize = 1 << 20;
 
+/// Workers a replay window or chunked copy/flush should use right now:
+/// `min(threads, CPUs the calling thread may run on)`, at least 1.
+///
+/// Read at call time through [`std::thread::available_parallelism`],
+/// which honours the thread's `sched_getaffinity` mask and the cgroup
+/// CPU quota — so a checkpointer or recovery confined to one CPU takes
+/// the serial path instead of time-slicing workers on a single core.
+/// `threads` (the store's `replay_threads`) is therefore a cap.
+pub fn usable_workers(threads: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads.min(cpus).max(1)
+}
+
 /// Phase-name table for the checkpoint [`PhaseCell`]; index 0 is idle.
 pub static CHECKPOINT_PHASES: &[&str] = &["idle", "trigger", "apply", "flush", "swap"];
 
@@ -133,8 +146,9 @@ struct CheckpointInner {
     /// Test-only injection: extra nanoseconds spun inside the flush
     /// phase of every checkpoint (0 = none).
     flush_stall_ns: AtomicU64,
-    /// Worker threads for the apply phase's chunked shadow copy and
-    /// chunked flush (1 = serial, the pre-parallel behavior).
+    /// Worker cap for the apply phase's chunked shadow copy and chunked
+    /// flush (1 = serial, the pre-parallel behavior; see
+    /// [`usable_workers`]).
     apply_threads: AtomicUsize,
 }
 
@@ -210,8 +224,9 @@ impl Checkpointer {
         *self.inner.telemetry.lock() = Some(t);
     }
 
-    /// Sets the worker-thread count for the apply phase's chunked shadow
-    /// copy and chunked flush (clamped to ≥ 1; 1 = serial). Intended to
+    /// Sets the worker cap for the apply phase's chunked shadow copy and
+    /// chunked flush (clamped to ≥ 1; 1 = serial; each call further
+    /// clamps to the CPUs it may run on, see [`usable_workers`]). Intended to
     /// be called once at store assembly, from the same knob that sizes
     /// the applier's replay workers.
     pub fn set_apply_threads(&self, threads: usize) {
@@ -338,12 +353,13 @@ impl CheckpointInner {
     }
 }
 
-/// Splits `[0, len)` into up-to-`threads` page-aligned chunks and runs
-/// `work(offset, chunk_len)` on scoped threads, one chunk per thread.
-/// Falls back to one inline call when the range is too small to be worth
-/// splitting (see [`CHUNK_MIN`]) or `threads <= 1`.
+/// Splits `[0, len)` into up-to-[`usable_workers`]`(threads)` page-aligned
+/// chunks and runs `work(offset, chunk_len)` on scoped threads, one chunk
+/// per thread. Falls back to one inline call when the range is too small
+/// to be worth splitting (see [`CHUNK_MIN`]) or only one worker is usable.
 fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
-    let chunk = len.div_ceil(threads.max(1)).max(CHUNK_MIN);
+    let threads = usable_workers(threads);
+    let chunk = len.div_ceil(threads).max(CHUNK_MIN);
     // Page-align chunk boundaries so no two threads share a cache line.
     let chunk = chunk.div_ceil(4096) * 4096;
     if threads <= 1 || chunk >= len {
@@ -367,7 +383,7 @@ fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
 /// Copies shadow `current` → `spare`, replays `records` onto the spare
 /// via `applier`, persists every allocated byte, and atomically commits
 /// the root transition. The bulk copy and the flush are chunked across
-/// up to `threads` scoped workers (1 = serial).
+/// up to [`usable_workers`]`(threads)` scoped workers (1 = serial).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_checkpoint(
     pool: &Arc<PmemPool>,

@@ -31,8 +31,8 @@ pub mod recovery;
 pub mod root;
 
 pub use checkpoint::{
-    Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry, Checkpointer,
-    CHECKPOINT_PHASES,
+    usable_workers, Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry,
+    Checkpointer, CHECKPOINT_PHASES,
 };
 pub use layout::PmemLayout;
 pub use log::{AppendResult, LogFull, OpLog, RecordHandle, Reservation};

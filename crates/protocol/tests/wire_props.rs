@@ -89,7 +89,9 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             );
             // Index OLC conflict counters ride the same snapshot.
             snap.push_counter("dstore_index_restarts_total", labels.clone(), flushes >> 1);
-            snap.push_counter("dstore_index_latch_waits_total", labels, fences >> 1);
+            snap.push_counter("dstore_index_latch_waits_total", labels.clone(), fences >> 1);
+            // So does the replay engine's parallel-window counter.
+            snap.push_counter("dstore_replay_parallel_windows_total", labels, flushes >> 2);
             Response::Telemetry(snap)
         }),
         1 => (any::<u64>(), any::<u64>()).prop_map(|(lsn, n)| {

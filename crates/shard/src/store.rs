@@ -181,11 +181,13 @@ impl ShardedStore {
     ///
     /// This composes two levels of parallelism: rayon fans the shards
     /// out here, and *within* each shard recovery replays its log
-    /// OE-parallel across `replay_threads` workers (DESIGN.md §6d).
-    /// For a many-shard fleet on a small host, consider pinning each
-    /// shard's [`DStoreConfig::replay_threads`] down (or
-    /// `DSTORE_REPLAY_THREADS=1`) so the multiplied worker count does
-    /// not oversubscribe the machine.
+    /// OE-parallel across up to `replay_threads` workers (DESIGN.md §6d).
+    /// Each replay caps its workers at the CPUs its own thread may run
+    /// on, but that cap is per shard: N shards recovering (or
+    /// checkpointing) at once still multiply their workers. For a
+    /// many-shard fleet on a small host, consider pinning each shard's
+    /// [`DStoreConfig::replay_threads`] down (or `DSTORE_REPLAY_THREADS=1`)
+    /// so the multiplied worker count does not oversubscribe the machine.
     pub fn recover(images: Vec<CrashImage>, scheduler: SchedulerConfig) -> DsResult<Self> {
         if images.is_empty() {
             return Err(DsError::ShardMismatch("no shard images".into()));

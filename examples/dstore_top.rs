@@ -251,20 +251,23 @@ fn print_index(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot, interval: Dur
     );
 }
 
-/// Replay-engine panel: the five `dstore_replay_*` counters from the
-/// last recovery — how many dependency windows and parallel groups the
+/// Replay-engine panel: the `dstore_replay_*` counters from the last
+/// recovery — how many dependency windows and parallel groups the
 /// replay planner built, how many records it pushed through them, how
-/// often it fell back to serial order, and the time spent serialized.
+/// many windows ran parallel, how often a steal forced serial order,
+/// and the time spent serialized. Windows counted neither parallel nor
+/// as a fallback ran serial because only one CPU was usable.
 fn print_replay(snap: &TelemetrySnapshot) {
     let records = snap.counter_total("dstore_replay_records_total");
     if records == 0 {
         return; // fresh store: nothing was replayed
     }
     println!(
-        "\n  replay    records {:>8}   windows {:>6}   groups {:>6}   serial-fallbacks {:>4}   serialized {}",
+        "\n  replay    records {:>8}   windows {:>6}   groups {:>6}   parallel {:>6}   serial-fallbacks {:>4}   serialized {}",
         records,
         snap.counter_total("dstore_replay_windows_total"),
         snap.counter_total("dstore_replay_groups_total"),
+        snap.counter_total("dstore_replay_parallel_windows_total"),
         snap.counter_total("dstore_replay_serial_fallbacks_total"),
         fmt_ns(snap.counter_total("dstore_replay_serialized_ns_total")),
     );
