@@ -1,61 +1,26 @@
-//! **Figure 12** (extension) — Parallel-persistence write scaling.
+//! **Figure 12** (extension) — index-mode read scaling.
 //!
-//! A/B of the write path's synchronous region at 1/2/4/8 client
-//! threads: `parallel_persistence = false` reproduces the serialized
-//! baseline (log append + record flush + pool plan all under one pool
-//! lock), `true` is the shipped path (short log reservation under the
-//! name's shard lock, record flush outside every ordering lock, commit
-//! fences combined across concurrent committers).
-//!
-//! Two lenses per workload (put-only and YCSB A):
-//!
-//! 1. *Wall-clock throughput.* Simulated device costs are spin-waits,
-//!    so wall scaling needs host cores ≥ client threads — on smaller
-//!    hosts the rows stay flat and the next lens carries the signal.
-//! 2. *Synchronous-region occupancy*: the flight recorder's
-//!    `log_append` segment mean — lock wait + reservation, plus the
-//!    in-lock record flush on the serialized baseline (the parallel
-//!    path charges its out-of-lock flush to `log_flush` instead, shown
-//!    alongside). `log_append` is the write path's serialized portion,
-//!    so 1e9/mean bounds the log-order admission rate in ops/s — the
-//!    scaling limit an N-core deployment hits regardless of this
-//!    host's core count.
-//! 3. A third lens covers the *read* path (get-only and YCSB B): the
-//!    A/B there is the index mode — per-node optimistic lock coupling
-//!    (`index_olc = true`, the default) against the pre-OLC whole-tree
-//!    `RwLock` — with the `btree`/`lookup` segment means and the OLC
-//!    restart rate alongside wall throughput.
+//! The write-path A/B this bench was named for (serialized pool lock vs
+//! parallel persistence) is gone with the serialized path; what remains
+//! is the *read* path (get-only and YCSB B) at 1/2/4/8 client threads.
+//! The A/B there is the index mode — per-node optimistic lock coupling
+//! (`index_olc = true`, the default) against the pre-OLC whole-tree
+//! `RwLock` — with the `btree`/`lookup` segment means and the OLC
+//! restart rate alongside wall throughput. Simulated device costs are
+//! spin-waits, so wall scaling needs host cores ≥ client threads; on
+//! smaller hosts the segment columns carry the signal.
 
 use dstore::{DStore, DStoreConfig, LoggingMode};
 use dstore_bench::*;
-use dstore_telemetry::trace::{SEG_INDEX, SEG_LOG_APPEND, SEG_LOG_FLUSH, SEG_LOOKUP};
+use dstore_telemetry::trace::{SEG_INDEX, SEG_LOOKUP};
 use dstore_workload::{RunReport, WorkloadKind};
-
-/// Bench store with the parallel-persistence knob and a dense trace
-/// sample (1-in-64) so short runs still yield stable segment means.
-fn build(parallel: bool, keys: usize) -> DStoreKv {
-    let mut cfg = DStoreConfig::bench()
-        .with_logging(LoggingMode::Logical)
-        .with_parallel_persistence(parallel)
-        .with_auto_checkpoint(true);
-    cfg.log_size = 4 << 20;
-    cfg.shadow_size = (64 << 20).max(keys * 1536);
-    cfg.ssd_pages = (keys as u64) * 4 + 8192;
-    cfg.trace.sample_every = 64;
-    DStoreKv::new(
-        DStore::create(cfg).expect("create bench store"),
-        if parallel { "parallel" } else { "serialized" },
-    )
-}
 
 /// Bench store with the index-mode knob (read-leg A/B): `olc = true` is
 /// the shipped per-node optimistic lock coupling, `false` the pre-OLC
-/// whole-tree `RwLock`. The write path itself stays on the shipped
-/// parallel-persistence configuration in both cells.
+/// whole-tree `RwLock`.
 fn build_index(olc: bool, keys: usize) -> DStoreKv {
     let mut cfg = DStoreConfig::bench()
         .with_logging(LoggingMode::Logical)
-        .with_parallel_persistence(true)
         .with_index_olc(olc)
         .with_auto_checkpoint(true);
     cfg.log_size = 4 << 20;
@@ -66,18 +31,6 @@ fn build_index(olc: bool, keys: usize) -> DStoreKv {
         DStore::create(cfg).expect("create bench store"),
         if olc { "olc" } else { "rwlock" },
     )
-}
-
-/// Mean `(log_append, log_flush)` segment time per sampled op across
-/// the whole flight recorder (cut at p0 ⇒ body + tail together cover
-/// every retained trace).
-fn log_seg_means_ns(store: &DStore) -> (u64, u64) {
-    let Some(a) = store.tail_attribution(0.0) else {
-        return (0, 0);
-    };
-    let ops = (a.tail.sampled_ops + a.body.sampled_ops).max(1);
-    let seg = |s: usize| (a.tail.seg_ns[s] + a.body.seg_ns[s]) / ops;
-    (seg(SEG_LOG_APPEND), seg(SEG_LOG_FLUSH))
 }
 
 /// Mean `(btree, lookup)` segment time per sampled op — the read path's
@@ -107,78 +60,16 @@ fn main() {
     let duration = secs(3.0);
     let cap = threads();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "# Figure 12: parallel persistence write scaling, value=4KB, keys={keys}, cores={cores}"
-    );
+    println!("# Figure 12: index-mode read scaling, value=4KB, keys={keys}, cores={cores}");
     if cores < 8 {
         println!("# (host has {cores} core(s); spin-modelled device waits do not overlap,");
-        println!("#  so wall throughput is core-bound — the log_append column carries the signal)");
+        println!("#  so wall throughput is core-bound — the btree column carries the signal)");
     }
 
-    for (wname, kind) in [
-        ("put-only (100% update)", WorkloadKind::Custom(0)),
-        ("YCSB A (50R/50W)", WorkloadKind::A),
-    ] {
-        println!("\n== {wname}: serialized vs parallel write path vs client threads");
-        println!(
-            "{:>8} {:>13} {:>13} {:>8} {:>11} {:>11} {:>11} {:>8}",
-            "threads",
-            "ser ops/s",
-            "par ops/s",
-            "speedup",
-            "ser logapp",
-            "par logapp",
-            "par logflsh",
-            "ratio"
-        );
-        let mut four_thread: Option<(f64, f64, u64, u64)> = None;
-        for t in [1usize, 2, 4, 8] {
-            if t > cap {
-                println!("   (threads > DSTORE_BENCH_THREADS cap {cap}; row skipped)");
-                continue;
-            }
-            let mut cells: Vec<(RunReport, u64, u64)> = Vec::new();
-            for parallel in [false, true] {
-                let kv = build(parallel, keys);
-                preload(&kv, keys);
-                let r = run_ycsb(&kv, kind, keys, duration, t);
-                let (append, flush) = log_seg_means_ns(kv.store());
-                cells.push((r, append, flush));
-            }
-            let (ser, par) = (&cells[0], &cells[1]);
-            let speedup = par.0.throughput() / ser.0.throughput().max(1e-9);
-            let ratio = ser.1 as f64 / (par.1 as f64).max(1.0);
-            println!(
-                "{:>8} {:>13.0} {:>13.0} {:>7.2}x {:>11} {:>11} {:>11} {:>7.2}x",
-                t,
-                ser.0.throughput(),
-                par.0.throughput(),
-                speedup,
-                us(ser.1),
-                us(par.1),
-                us(par.2),
-                ratio,
-            );
-            if t == 4 {
-                four_thread = Some((ser.0.throughput(), par.0.throughput(), ser.1, par.1));
-            }
-        }
-        if let Some((ser_tp, par_tp, ser_ns, par_ns)) = four_thread {
-            println!(
-                "  at 4 threads: wall speedup {:.2}x; log-order admission \
-                 (1e9/log_append) {:.0} -> {:.0} ops/s per thread ({:.2}x)",
-                par_tp / ser_tp.max(1e-9),
-                1e9 / (ser_ns as f64).max(1.0),
-                1e9 / (par_ns as f64).max(1.0),
-                ser_ns as f64 / (par_ns as f64).max(1.0),
-            );
-        }
-    }
-
-    // Read leg: index-mode A/B (global RwLock vs optimistic lock
-    // coupling). The btree column is the index descent charged from the
-    // OLC read protocol itself (restarts included), so it — not wall
-    // throughput — carries the signal on core-starved hosts.
+    // Index-mode A/B (global RwLock vs optimistic lock coupling). The
+    // btree column is the index descent charged from the OLC read
+    // protocol itself (restarts included), so it — not wall throughput —
+    // carries the signal on core-starved hosts.
     for (wname, kind) in [
         ("get-only (100% read)", WorkloadKind::Custom(100)),
         ("YCSB B (95R/5W)", WorkloadKind::B),

@@ -31,7 +31,7 @@
 use dstore::DStoreConfig;
 use dstore_bench::{count, scale, secs};
 use dstore_protocol::{DStoreClient, Request, Response};
-use dstore_server::{Backend, Server, ServerConfig};
+use dstore_server::{Server, ServerConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use dstore_telemetry::{now_ns, LatencyHistogram, TailAttribution, SEGMENT_NAMES};
 use std::sync::Arc;
@@ -62,7 +62,6 @@ fn run_cell(conns: usize, driver_threads: usize, duration: Duration, keys: usize
     let server = Server::start(
         Arc::clone(&store),
         ServerConfig {
-            backend: Backend::Epoll,
             max_connections: conns + 8,
             ..ServerConfig::default()
         },

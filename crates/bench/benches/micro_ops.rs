@@ -148,84 +148,63 @@ fn bench_store_ops(c: &mut Criterion) {
 
 fn bench_fence_accounting(c: &mut Criterion) {
     // The ordering-tax budget (minimally-ordered durability): count PMEM
-    // flush and fence calls per put via the telemetry counters, with
-    // epoch-batched durability on and off. The epoch-on budget is the
-    // acceptance bar (< 2 flushes and < 2 fences per put, amortized
-    // across the combiner batch); the epoch-off leg records the
-    // per-record floor and asserts it does not regress, keeping the
-    // serialized baseline honest. Violations panic, failing the bench —
+    // flush and fence calls per put via the telemetry counters. The
+    // acceptance bar is < 2 flushes and < 2 fences per put, amortized
+    // across the combiner batch. Violations panic, failing the bench —
     // CI runs this group as the fence-budget job.
-    for epoch in [true, false] {
-        let cfg = DStoreConfig {
-            log_size: 64 << 20,
-            ssd_pages: 32 * 1024,
-            ..Default::default()
-        }
-        .with_durability_epoch(epoch);
-        let store = DStore::create(cfg).unwrap();
-        let ctx = store.context();
-        let value = vec![0u8; 4096];
-        for i in 0..1024 {
-            ctx.put(format!("k{i}").as_bytes(), &value).unwrap();
-        }
-        let counter = |name: &str| {
-            store
-                .telemetry_snapshot()
-                .expect("telemetry on")
-                .counter_total(name)
-        };
-
-        // Accounting pass: a fixed op count outside the timed loop so the
-        // ratios are exact, not warm-up-polluted.
-        const OPS: u64 = 2000;
-        let (f0, s0) = (
-            counter("dstore_pmem_flushes_total"),
-            counter("dstore_pmem_fences_total"),
-        );
-        for i in 0..OPS {
-            ctx.put(format!("k{}", i % 1024).as_bytes(), &value)
-                .unwrap();
-        }
-        let flushes_per_op = (counter("dstore_pmem_flushes_total") - f0) as f64 / OPS as f64;
-        let fences_per_op = (counter("dstore_pmem_fences_total") - s0) as f64 / OPS as f64;
-        println!(
-            "fence_accounting: durability_epoch={epoch} flushes/op={flushes_per_op:.3} \
-             fences/op={fences_per_op:.3} dedup_lines={} elided_lines={}",
-            counter("dstore_pmem_dedup_lines_total"),
-            counter("dstore_pmem_elided_lines_total"),
-        );
-        if epoch {
-            assert!(
-                flushes_per_op < 2.0 && fences_per_op < 2.0,
-                "epoch-on fence budget violated: {flushes_per_op:.3} flushes/op, \
-                 {fences_per_op:.3} fences/op (budget: < 2 of each)"
-            );
-        } else {
-            // The recorded per-record floor is 2 flushes / 2 fences per
-            // put (publish flush+fence, commit flush+fence) plus header
-            // and swap noise; regression bar with headroom.
-            assert!(
-                flushes_per_op < 4.0 && fences_per_op < 3.0,
-                "epoch-off baseline regressed: {flushes_per_op:.3} flushes/op, \
-                 {fences_per_op:.3} fences/op (floor: ~2/2)"
-            );
-        }
-
-        let mut g = c.benchmark_group(if epoch {
-            "fence_accounting_epoch_on"
-        } else {
-            "fence_accounting_epoch_off"
-        });
-        g.throughput(Throughput::Elements(1));
-        let mut i = 0u64;
-        g.bench_function("put_4k_update", |b| {
-            b.iter(|| {
-                i = (i + 1) % 1024;
-                ctx.put(format!("k{i}").as_bytes(), &value).unwrap()
-            })
-        });
-        g.finish();
+    let cfg = DStoreConfig {
+        log_size: 64 << 20,
+        ssd_pages: 32 * 1024,
+        ..Default::default()
+    };
+    let store = DStore::create(cfg).unwrap();
+    let ctx = store.context();
+    let value = vec![0u8; 4096];
+    for i in 0..1024 {
+        ctx.put(format!("k{i}").as_bytes(), &value).unwrap();
     }
+    let counter = |name: &str| {
+        store
+            .telemetry_snapshot()
+            .expect("telemetry on")
+            .counter_total(name)
+    };
+
+    // Accounting pass: a fixed op count outside the timed loop so the
+    // ratios are exact, not warm-up-polluted.
+    const OPS: u64 = 2000;
+    let (f0, s0) = (
+        counter("dstore_pmem_flushes_total"),
+        counter("dstore_pmem_fences_total"),
+    );
+    for i in 0..OPS {
+        ctx.put(format!("k{}", i % 1024).as_bytes(), &value)
+            .unwrap();
+    }
+    let flushes_per_op = (counter("dstore_pmem_flushes_total") - f0) as f64 / OPS as f64;
+    let fences_per_op = (counter("dstore_pmem_fences_total") - s0) as f64 / OPS as f64;
+    println!(
+        "fence_accounting: flushes/op={flushes_per_op:.3} fences/op={fences_per_op:.3} \
+         dedup_lines={} elided_lines={}",
+        counter("dstore_pmem_dedup_lines_total"),
+        counter("dstore_pmem_elided_lines_total"),
+    );
+    assert!(
+        flushes_per_op < 2.0 && fences_per_op < 2.0,
+        "fence budget violated: {flushes_per_op:.3} flushes/op, \
+         {fences_per_op:.3} fences/op (budget: < 2 of each)"
+    );
+
+    let mut g = c.benchmark_group("fence_accounting");
+    g.throughput(Throughput::Elements(1));
+    let mut i = 0u64;
+    g.bench_function("put_4k_update", |b| {
+        b.iter(|| {
+            i = (i + 1) % 1024;
+            ctx.put(format!("k{i}").as_bytes(), &value).unwrap()
+        })
+    });
+    g.finish();
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

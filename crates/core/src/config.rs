@@ -64,26 +64,6 @@ pub struct DStoreConfig {
     /// concurrently, serializing only per shard. `1` restores a single
     /// global FIFO. Clamped at format time to the block count.
     pub pool_shards: usize,
-    /// Parallel persistence on the write path: the short reservation /
-    /// out-of-lock record flush split, per-shard allocation locking,
-    /// and commit-flag flush combining. When off, every mutating op
-    /// holds one global pool lock across append + flush + allocation
-    /// and commits fence individually — the pre-parallel-persistence
-    /// serialized write path, kept as a benchmark baseline
-    /// (`fig12_write_scaling`).
-    pub parallel_persistence: bool,
-    /// Epoch-batched durability on the write path (requires
-    /// `parallel_persistence`): publishes only *store* the record body,
-    /// the elected commit drainer persists every body, commit flag, and
-    /// gap header of the batch behind **one** merged fence, small-value
-    /// SSD waits fold into the same epoch, and the PMEM pool's
-    /// proven-durable line tracker elides flushes for lines the model
-    /// proves already persistent. When off, every record pays the
-    /// per-record reverse-order flush discipline. Defaults to on,
-    /// overridable with the `DSTORE_DURABILITY_EPOCH` environment
-    /// variable (`0`/`false` disables — CI pins its per-record leg
-    /// through this).
-    pub durability_epoch: bool,
     /// Use the strict cache-line persistence simulator (crash tests).
     /// Benchmarks leave this off and rely on the latency models.
     pub strict_pmem: bool,
@@ -201,8 +181,6 @@ impl Default for DStoreConfig {
             auto_checkpoint: true,
             swap_threshold: 0.75,
             pool_shards: 8,
-            parallel_persistence: true,
-            durability_epoch: default_durability_epoch(),
             strict_pmem: false,
             pmem_latency: LatencyModel::none(),
             ssd_latency: SsdLatency::none(),
@@ -227,16 +205,6 @@ fn default_replay_threads() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Default for [`DStoreConfig::durability_epoch`]: on, unless the
-/// `DSTORE_DURABILITY_EPOCH` environment variable disables it
-/// (`0`/`false`/`off`).
-fn default_durability_epoch() -> bool {
-    !matches!(
-        std::env::var("DSTORE_DURABILITY_EPOCH").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
 }
 
 /// Default for [`DStoreConfig::index_olc`]: on, unless the
@@ -311,17 +279,6 @@ impl DStoreConfig {
     /// Sets the number of block-pool free-list shards.
     pub fn with_pool_shards(mut self, shards: usize) -> Self {
         self.pool_shards = shards;
-        self
-    }
-    /// Enables/disables the parallel-persistence write path.
-    pub fn with_parallel_persistence(mut self, on: bool) -> Self {
-        self.parallel_persistence = on;
-        self
-    }
-    /// Enables/disables epoch-batched durability (effective only with
-    /// `parallel_persistence`).
-    pub fn with_durability_epoch(mut self, on: bool) -> Self {
-        self.durability_epoch = on;
         self
     }
     /// Sets the checkpoint-apply / recovery-replay worker count
@@ -458,11 +415,8 @@ mod tests {
         assert_eq!(c.checkpoint, CheckpointMode::Dipper);
         assert_eq!(c.logging, LoggingMode::Logical);
         assert!(c.swap_threshold > 0.0 && c.swap_threshold < 1.0);
-        assert!(c.parallel_persistence);
-        // DSTORE_DURABILITY_EPOCH may be pinned off in CI legs; both
-        // values are valid defaults.
-        let _ = c.durability_epoch;
-        // DSTORE_INDEX_OLC may be pinned off in CI legs likewise.
+        // DSTORE_INDEX_OLC may be pinned off in CI legs; both values are
+        // valid defaults.
         let _ = c.index_olc;
         assert_eq!(c.pool_shards, 8);
         assert!(c.replay_threads >= 1);
@@ -545,8 +499,6 @@ mod tests {
             .with_oe(false)
             .with_auto_checkpoint(false)
             .with_pool_shards(4)
-            .with_parallel_persistence(false)
-            .with_durability_epoch(false)
             .with_index_olc(false)
             .with_replay_threads(2)
             .with_trace(TraceConfig {
@@ -559,8 +511,6 @@ mod tests {
         assert!(!c.oe);
         assert!(!c.auto_checkpoint);
         assert_eq!(c.pool_shards, 4);
-        assert!(!c.parallel_persistence);
-        assert!(!c.durability_epoch);
         assert!(!c.index_olc);
         assert_eq!(c.replay_threads, 2);
         assert!(c.strict_pmem);

@@ -25,7 +25,7 @@ use crate::structures::{
 };
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
-use dstore_dipper::log::{AppendResult, LogFull};
+use dstore_dipper::log::LogFull;
 use dstore_dipper::OP_NOOP;
 use dstore_telemetry::trace::{
     ActiveTrace, SEG_ALLOC, SEG_CC_WAIT, SEG_COMMIT, SEG_INDEX, SEG_LOG_APPEND, SEG_LOG_FLUSH,
@@ -260,18 +260,11 @@ impl DsContext {
         at.mark(SEG_INDEX);
         let install_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
-        // Step ⑧: data to SSD. Under epoch durability the pages are
-        // *submitted* and the op waits out its own device deadline below,
-        // after releasing the writer mark; otherwise the write is
-        // synchronous and durable on return.
-        let epoch = inner.cfg.parallel_persistence && inner.cfg.durability_epoch;
+        // Step ⑧: data to SSD. The pages are *submitted*; the op waits
+        // out its own device deadline below, after releasing the writer
+        // mark.
         let t = bd.is_some().then(now_ns);
-        let ssd_deadline = if epoch {
-            self.submit_blocks(&plan.blocks, value)
-        } else {
-            self.write_blocks(&plan.blocks, value);
-            0
-        };
+        let ssd_deadline = self.submit_blocks(&plan.blocks, value);
 
         // The object's mutation is complete (data in the device's
         // power-loss-protected write cache): release the writer mark
@@ -600,26 +593,22 @@ impl DsContext {
     /// exclusively (no in-flight writers, no readers) and must
     /// eventually `commit` + `unregister`.
     ///
-    /// With `parallel_persistence` (the default) only the *decisions*
-    /// are serialized: the op holds the lock of the block-pool shard
-    /// that owns `name` across encode + log reservation + allocation, so
-    /// per-shard pool order equals per-shard LSN order, and the record
-    /// body is written and flushed *after* every lock drops — appenders
-    /// persist concurrently. A shard that cannot satisfy the allocation
-    /// alone makes the op retry holding every shard lock
+    /// Only the *decisions* are serialized: the op holds the lock of the
+    /// block-pool shard that owns `name` across encode, log reservation
+    /// and allocation, so per-shard pool order equals per-shard LSN
+    /// order, and the record body is written *after* every lock drops —
+    /// appenders publish concurrently. A shard that cannot satisfy the
+    /// allocation alone makes the op retry holding every shard lock
     /// ([`DsError::ShardStarved`] → steal, totally ordered against all
-    /// concurrent planners). With `parallel_persistence = false` the
-    /// whole region — including the record flush — runs under the single
-    /// `pool_lock`, reproducing the serialized baseline.
+    /// concurrent planners).
     ///
     /// Trace attribution (`at` is a no-op unless the op is armed):
     /// lock/drain acquisition, conflict spins, reader drains, and CoW
     /// assists land in `cc_wait`; the serialized portion (lock wait +
-    /// reservation, plus the in-lock flush on the serialized baseline)
-    /// in `log_append`; the out-of-lock record flush in `log_flush`;
-    /// the pool plan in `alloc`; blocking log-full checkpoints in
-    /// `log_stall`. The uninstrumented path performs zero clock reads
-    /// here.
+    /// reservation) in `log_append`; the out-of-lock record publish in
+    /// `log_flush`; the pool plan in `alloc`; blocking log-full
+    /// checkpoints in `log_stall`. The uninstrumented path performs zero
+    /// clock reads here.
     ///
     /// The index is descended once per attempt, under the store's
     /// [`StoreInner::index_sync`] mode, and the entry found is handed to
@@ -651,11 +640,9 @@ impl DsContext {
             WriterBusy,
             Starved,
             Failed(DsError),
-            Done(AppendResult, P),
             Planned(dstore_dipper::Reservation<'l>, Vec<u8>, P),
         }
         let inner = &self.inner;
-        let parallel = inner.cfg.parallel_persistence;
         // Sticky within one op: once a shard starves, every retry takes
         // all shard locks so the (deterministic) steal cannot starve.
         let mut need_all = false;
@@ -690,25 +677,14 @@ impl DsContext {
                 }
                 let bt = (!olc).then(|| inner.btree_lock.read());
                 let entry = inner.index_sync().lookup(&d, name);
-                // Step ①: lock the pools — the name's shard (parallel),
-                // every shard in index order (steal retry), or the single
-                // pool lock (serialized baseline).
-                let _legacy;
-                let _shard;
-                let mut _all = Vec::new();
-                let allow_steal = if !parallel {
-                    _legacy = Some(inner.pool_lock.lock());
-                    _shard = None;
-                    true
-                } else if need_all {
-                    _legacy = None;
-                    _shard = None;
-                    _all.extend(inner.pool_shard_locks.iter().map(|m| m.lock()));
-                    true
+                // Step ①: lock the pools — the name's shard, or every
+                // shard in index order (steal retry).
+                let _shard =
+                    (!need_all).then(|| inner.pool_shard_locks[d.shard_of_name(name)].lock());
+                let _all: Vec<_> = if need_all {
+                    inner.pool_shard_locks.iter().map(|m| m.lock()).collect()
                 } else {
-                    _legacy = None;
-                    _shard = Some(inner.pool_shard_locks[d.shard_of_name(name)].lock());
-                    false
+                    Vec::new()
                 };
                 let (op, params) = encode(&d, entry, inner.cfg.logging);
                 // Step ②a: reserve the record slot (short serialized
@@ -731,7 +707,7 @@ impl DsContext {
                         } else {
                             // Steps ③/④: pool allocations, in per-shard
                             // log order.
-                            let p = plan(&d, entry, allow_steal).map(|p| (entry, p));
+                            let p = plan(&d, entry, need_all).map(|p| (entry, p));
                             drop(bt);
                             match p {
                                 Ok(p) => {
@@ -748,16 +724,7 @@ impl DsContext {
                                     // leaving the synchronous region.
                                     inner.writers.register(name);
                                     at.mark(SEG_ALLOC);
-                                    if parallel {
-                                        Outcome::Planned(res, params, p)
-                                    } else {
-                                        // Step ②b under the lock: the
-                                        // serialized baseline flushes
-                                        // before unlocking.
-                                        let r = res.publish(&params);
-                                        at.mark(SEG_LOG_APPEND);
-                                        Outcome::Done(r, p)
-                                    }
+                                    Outcome::Planned(res, params, p)
                                 }
                                 Err(DsError::ShardStarved) => {
                                     // Aborted, never published: no replay
@@ -817,12 +784,11 @@ impl DsContext {
                     continue;
                 }
                 Outcome::Failed(e) => return Err(e),
-                Outcome::Done(r, p) => (r, p),
                 Outcome::Planned(res, params, p) => {
-                    // Step ②b: write + flush the record body outside
-                    // every ordering lock — the parallel persistence
-                    // step. Charged to its own `log_flush` segment so
-                    // `log_append` isolates the serialized portion.
+                    // Step ②b: store the record body outside every
+                    // ordering lock; the commit drain persists it. Charged
+                    // to its own `log_flush` segment so `log_append`
+                    // isolates the serialized portion.
                     let r = res.publish(&params);
                     at.mark(SEG_LOG_FLUSH);
                     (r, p)
@@ -848,9 +814,9 @@ impl DsContext {
                 cow.wait_or_assist();
             }
             at.mark(SEG_CC_WAIT);
-            // The record is published (durable): let the black box note
-            // the admitted LSN — one relaxed fetch_max, plus a heartbeat
-            // every `heartbeat_every`-th mutation.
+            // The record is published: let the black box note the
+            // admitted LSN — one relaxed fetch_max, plus a heartbeat every
+            // `heartbeat_every`-th mutation.
             if let Some(bb) = &inner.blackbox {
                 bb.note_lsn(r.lsn);
             }
@@ -875,16 +841,19 @@ impl DsContext {
     // ------------------------------------------------------------------
     // data plane
 
-    /// Calls `cmd(first_page, chunk)` once per contiguous run of
-    /// allocation `blocks` covering `data` — one device command per run,
-    /// the chunk zero-padded to whole pages. Pages beyond the data (pure
-    /// preallocation) are left untouched.
-    fn for_each_block_run(&self, blocks: &[u64], data: &[u8], mut cmd: impl FnMut(u64, &[u8])) {
+    /// Submits `data` across allocation `blocks` without the device wait:
+    /// one device command per contiguous run, the chunk zero-padded to
+    /// whole pages. Pages beyond the data (pure preallocation) are left
+    /// untouched. Returns the latest completion deadline (0 when `data`
+    /// is empty) for the caller to wait out before it commits.
+    fn submit_blocks(&self, blocks: &[u64], data: &[u8]) -> u64 {
+        let ssd = &self.inner.ssd;
         let d = self.inner.domain();
         let bs = d.block_bytes() as usize;
         let page = PAGE_BYTES as usize;
         let data_blocks = data.len().div_ceil(bs);
         let blocks = &blocks[..data_blocks.min(blocks.len())];
+        let mut deadline = 0u64;
         let mut i = 0;
         while i < blocks.len() {
             // Contiguous block ids own contiguous page ranges.
@@ -897,27 +866,10 @@ impl DsContext {
             let pages = (data_end - start_byte).div_ceil(page);
             let mut chunk = vec![0u8; pages * page];
             chunk[..data_end - start_byte].copy_from_slice(&data[start_byte..data_end]);
-            cmd(d.block_first_page(blocks[i]), &chunk);
+            let first_page = d.block_first_page(blocks[i]);
+            deadline = deadline.max(ssd.submit_write_pages(first_page, &chunk));
             i = j;
         }
-    }
-
-    /// Writes `data` across allocation `blocks`, one synchronous device
-    /// command per contiguous run; durable on return.
-    fn write_blocks(&self, blocks: &[u64], data: &[u8]) {
-        let ssd = &self.inner.ssd;
-        self.for_each_block_run(blocks, data, |page, chunk| ssd.write_pages(page, chunk));
-    }
-
-    /// [`DsContext::write_blocks`] without the device wait: submits every
-    /// command and returns the latest completion deadline (0 when `data`
-    /// is empty) for the caller to wait out before it commits.
-    fn submit_blocks(&self, blocks: &[u64], data: &[u8]) -> u64 {
-        let ssd = &self.inner.ssd;
-        let mut deadline = 0u64;
-        self.for_each_block_run(blocks, data, |page, chunk| {
-            deadline = deadline.max(ssd.submit_write_pages(page, chunk));
-        });
         deadline
     }
 

@@ -129,11 +129,6 @@ pub(crate) struct StoreInner {
     pub log: Arc<OpLog>,
     pub dram: Arc<Arena<DramMemory>>,
     pub dir: RelPtr<Directory>,
-    /// Serialized-baseline lock (`parallel_persistence = false` only):
-    /// log append + flush + block-pool interaction all happen under it,
-    /// reproducing the pre-parallel-persistence write path for A/B
-    /// benchmarks (`fig12_write_scaling`).
-    pub pool_lock: Mutex<()>,
     /// Parallel-persistence locks, one per block-pool shard. An op
     /// holds its name's shard lock across log reservation + allocation
     /// (Figure 4 steps ①–⑤ minus the flush), so per-shard pool order
@@ -337,8 +332,6 @@ impl DStore {
         ));
         let mut log = OpLog::create(Arc::clone(&pool), layout);
         log.set_stall_timeout(cfg.stall_timeout);
-        log.set_commit_combining(cfg.parallel_persistence);
-        log.set_durability_epoch(cfg.parallel_persistence && cfg.durability_epoch);
         let log = Arc::new(log);
 
         // System space: format the DRAM domain, then seed shadow region 0
@@ -484,7 +477,6 @@ impl DStore {
             log,
             dram,
             dir,
-            pool_lock: Mutex::new(()),
             pool_shard_locks,
             btree_lock: RwLock::new(()),
             index_stats,
@@ -1088,8 +1080,6 @@ impl DStore {
 
         // Step 4: resume — volatile log state, fresh CC state.
         log.set_stall_timeout(cfg.stall_timeout);
-        log.set_commit_combining(cfg.parallel_persistence);
-        log.set_durability_epoch(cfg.parallel_persistence && cfg.durability_epoch);
         let log = Arc::new(log);
         let replayed = report.replayed_records as u64;
         let store = Self {

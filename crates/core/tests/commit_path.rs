@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 
 const VALUE: [u8; 4096] = [0x5A; 4096];
 
-/// Default store (epochs on unless the CI leg pins them off) in front of
-/// the P4800X-calibrated device model.
+/// Default store in front of the P4800X-calibrated device model.
 fn store_with_device_latency() -> Arc<DStore> {
     let cfg = DStoreConfig {
         ssd_latency: SsdLatency::p4800x(),

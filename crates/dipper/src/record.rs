@@ -11,19 +11,16 @@
 //!   8-byte words atomically (§2), so one store both validates the record
 //!   and makes the log walkable past it — there are never unparseable
 //!   holes.
-//! * "We *write* and *flush* the LSN only after all other cache lines in
-//!   the log record have been persisted" (§3.4): [`flush_record`] flushes
-//!   the record's cache lines in **reverse** order so the line containing
-//!   the LSN word persists last among the explicit flushes.
 //! * The `commit` flag is set only after the operation's data is durable
 //!   (§4.5); recovery replays exclusively committed records.
 //! * The `body hash` ([`write_body_hash`]) covers the name + padded params
-//!   and is written at publish. Under epoch-batched durability the commit
-//!   flag and the record body persist behind the *same* fence, so a
-//!   spurious eviction can land the flag line on media before the body
-//!   lines — the walk demotes committed records whose body hash mismatches
-//!   (safe: the operation is never acknowledged before its epoch fence
-//!   returns).
+//!   and is written at publish. The commit drain persists the commit flag
+//!   and the record body behind the *same* fence, so a spurious eviction
+//!   can land the flag line on media before the body lines — the walk
+//!   demotes committed records whose body hash mismatches (safe: the
+//!   operation is never acknowledged before its epoch fence returns).
+//!   This replaces §3.4's "LSN last" flush order, which
+//!   [`flush_record`] still follows for records a swap relocates.
 //!
 //! The fixed header is 32 bytes; with the two u64 parameters of a typical
 //! write this matches the paper's "32 B plus the object name" record-size
@@ -40,8 +37,8 @@ pub const OP_NOOP: u16 = 0;
 /// the name's home shard, which reproduces allocations only while every
 /// pop comes from the home shard — a window containing a stolen
 /// allocation must be replayed serially (in log order) instead. The flag
-/// is set by the frontend after planning, before the record body is
-/// flushed, so it is durable exactly when the record is.
+/// is set by the frontend after planning, before the record is
+/// published, so the commit drain persists it with the record.
 ///
 /// The bit lives outside the checksummed region (the header checksum
 /// covers the validity word and name hash only), so flagging a reserved
@@ -166,8 +163,8 @@ pub fn write_header(pool: &PmemPool, off: usize, lsn: u64, total_len: usize, op:
 }
 
 /// ORs [`OP_STEAL_FLAG`] into a reserved record's op field (store only —
-/// the publish-time [`flush_record`] makes it durable along with the rest
-/// of the header line). Must run before the record body is flushed.
+/// the commit drain makes it durable along with the rest of the header
+/// line). Must run before the record is published.
 pub fn mark_steal(pool: &PmemPool, off: usize) {
     let mut ob = [0u8; 2];
     pool.read_bytes(off + OFF_OP, &mut ob);
@@ -179,7 +176,8 @@ pub fn mark_steal(pool: &PmemPool, off: usize) {
 /// record so the recovery walk can chain past it: the fixed header only.
 /// The name/params need no durability here — the header's checksum covers
 /// only the word and name *hash*, and recovery reads name/params bytes
-/// solely from committed records, which were fully flushed at publish.
+/// solely from committed records, whose whole body the commit drain
+/// persisted.
 #[inline]
 pub fn header_flush_range(off: usize) -> (usize, usize) {
     (off, HEADER_LEN)
@@ -230,9 +228,9 @@ pub fn set_commit(pool: &PmemPool, off: usize, value: u16) {
     pool.persist(off + OFF_COMMIT, 2);
 }
 
-/// Writes the commit flag **without** persisting it — the flush
-/// combiner batches the flush+fence for many records behind one call to
-/// [`PmemPool::persist_many`] over their [`commit_flag_range`]s.
+/// Writes the commit flag **without** persisting it — the caller batches
+/// the flush+fence for many records behind one call to
+/// [`PmemPool::persist_many`].
 pub fn write_commit(pool: &PmemPool, off: usize, value: u16) {
     pool.write_bytes(off + OFF_COMMIT, &value.to_le_bytes());
 }

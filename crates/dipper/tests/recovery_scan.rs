@@ -40,7 +40,8 @@ fn commit_all(log: &OpLog, names: &[&str]) {
 }
 
 /// Appends one record per name and leaves it pending; returns the
-/// records' pool offsets.
+/// records' pool offsets. A publish only stores, so the records reach
+/// media only through a later commit's header-gap flush.
 fn leave_pending(log: &OpLog, names: &[&str]) -> Vec<usize> {
     let lsns: Vec<u64> = names
         .iter()
@@ -73,6 +74,7 @@ fn crashed_swap_keeps_next_lsn_above_both_buffers() {
     let (pool, layout, root, log) = setup();
     commit_all(&log, &["a", "b", "c"]);
     let pending = leave_pending(&log, &["p", "q", "r"]);
+    commit_all(&log, &["s"]);
     // The swap persists buffer 1's fence and relocates the three pending
     // records into it; the crash lands before the root transition.
     log.swap(|| pool.simulate_crash());
@@ -98,7 +100,7 @@ fn crashed_swap_keeps_next_lsn_above_both_buffers() {
     );
     // Only the active log replays: its committed records, nothing from
     // the recycled buffer.
-    assert_eq!(names(&plan), [b"a", b"b", b"c"]);
+    assert_eq!(names(&plan), [b"a", b"b", b"c", b"s"]);
     let active = layout.log_records(0)..layout.log_records(0) + layout.log_size;
     assert!(plan.replay_records.iter().all(|r| active.contains(&r.off)));
     assert_eq!(plan.pending, pending);
@@ -146,6 +148,7 @@ fn finish_aborts_pending_records_on_media() {
     let (pool, layout, root, log) = setup();
     commit_all(&log, &["x", "y"]);
     let pending = leave_pending(&log, &["z1", "z2"]);
+    commit_all(&log, &["w"]);
     pool.simulate_crash();
 
     let plan1 = recover_scan(&pool, &layout, &root);

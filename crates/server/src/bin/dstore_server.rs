@@ -1,8 +1,8 @@
 //! `dstore_server` — serve a [`ShardedStore`] over TCP.
 //!
 //! ```text
-//! dstore_server [--addr HOST:PORT] [--shards N] [--backend epoll|threaded]
-//!               [--queue-depth N] [--config small|bench] [--blackbox]
+//! dstore_server [--addr HOST:PORT] [--shards N] [--queue-depth N]
+//!               [--config small|bench] [--blackbox]
 //!               [--data-dir PATH] [--reopen] [--smoke]
 //! ```
 //!
@@ -20,15 +20,15 @@
 //! --post-mortem`.
 
 use dstore::{BlackBoxConfig, DStoreConfig};
-use dstore_server::{Backend, Server, ServerConfig};
+use dstore_server::{Server, ServerConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use std::io::Read;
 use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dstore_server [--addr HOST:PORT] [--shards N] [--backend epoll|threaded]\n\
-         \x20                    [--queue-depth N] [--config small|bench] [--blackbox]\n\
+        "usage: dstore_server [--addr HOST:PORT] [--shards N] [--queue-depth N]\n\
+         \x20                    [--config small|bench] [--blackbox]\n\
          \x20                    [--data-dir PATH] [--reopen] [--smoke]"
     );
     std::process::exit(2);
@@ -37,7 +37,6 @@ fn usage() -> ! {
 struct Args {
     addr: String,
     shards: u32,
-    backend: Backend,
     queue_depth: usize,
     config: String,
     blackbox: bool,
@@ -50,7 +49,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:7878".into(),
         shards: 4,
-        backend: Backend::default(),
         queue_depth: 256,
         config: "small".into(),
         blackbox: false,
@@ -65,13 +63,6 @@ fn parse_args() -> Args {
             "--addr" => args.addr = val(&mut it),
             "--shards" => args.shards = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--queue-depth" => args.queue_depth = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--backend" => {
-                args.backend = match val(&mut it).as_str() {
-                    "epoll" => Backend::Epoll,
-                    "threaded" => Backend::Threaded,
-                    _ => usage(),
-                }
-            }
             "--config" => args.config = val(&mut it),
             "--blackbox" => args.blackbox = true,
             "--data-dir" => args.data_dir = Some(val(&mut it).into()),
@@ -130,7 +121,6 @@ fn main() {
         Arc::new(store),
         ServerConfig {
             addr: args.addr.clone(),
-            backend: args.backend,
             queue_depth: args.queue_depth,
             ..ServerConfig::default()
         },

@@ -1,4 +1,4 @@
-//! The default I/O backend: a single-threaded epoll readiness loop over
+//! The I/O backend: a single-threaded epoll readiness loop over
 //! nonblocking sockets (via the in-repo `libc` shim — no tokio, no mio;
 //! the workspace builds offline).
 //!
@@ -11,7 +11,7 @@
 //! executors) this keeps the network layer's CPU cost to one thread,
 //! and readiness — not thread count — bounds connection fan-in.
 
-use crate::exec::{Admission, ResponseSink};
+use crate::exec::Admission;
 use crate::{ServerShared, STATE_DRAINING, STATE_FLUSHING, STATE_RUNNING};
 use dstore_protocol::wire::encode_error_response;
 use dstore_protocol::FrameDecoder;
@@ -65,9 +65,9 @@ impl Drop for EpollWake {
     }
 }
 
-/// Per-connection outbound side, handed to executors as the
-/// [`ResponseSink`].
-struct EpollSink {
+/// Per-connection outbound side, handed to executors with every job
+/// admitted from that connection.
+pub(crate) struct EpollSink {
     token: u64,
     out: Mutex<Vec<u8>>,
     /// True while `token` sits in the wake dirty list — collapses many
@@ -79,8 +79,10 @@ struct EpollSink {
     wake: Arc<EpollWake>,
 }
 
-impl ResponseSink for EpollSink {
-    fn send(&self, frame: &[u8]) {
+impl EpollSink {
+    /// Queues one encoded frame for delivery and wakes the loop; never
+    /// blocks on the network.
+    pub(crate) fn send(&self, frame: &[u8]) {
         self.out.lock().unwrap().extend_from_slice(frame);
         self.pending.fetch_sub(1, Ordering::AcqRel);
         if !self.queued.swap(true, Ordering::AcqRel) {
@@ -300,9 +302,8 @@ fn read_ready(conn: &mut Conn, admission: &Admission, shared: &Arc<ServerShared>
                 loop {
                     match conn.decoder.next_request() {
                         Ok(Some((req_id, req))) => {
-                            let sink: Arc<dyn ResponseSink> = conn.sink.clone();
                             conn.sink.pending.fetch_add(1, Ordering::AcqRel);
-                            admission.admit(req_id, req, &sink);
+                            admission.admit(req_id, req, &conn.sink);
                         }
                         Ok(None) => break,
                         Err(e) => {

@@ -1,4 +1,4 @@
-//! Admission and execution: the seam between the I/O backends and the
+//! Admission and execution: the seam between the epoll I/O loop and the
 //! store.
 //!
 //! Decoded requests are routed by the store's own [`Router`] (same
@@ -17,6 +17,7 @@
 //! separate control executor so a burst of snapshot polls cannot add
 //! tail latency to the data path.
 
+use crate::epoll::EpollSink;
 use crate::queue::BoundedQueue;
 use crate::telemetry::ServerMetrics;
 use dstore::{DsContext, DsError};
@@ -27,15 +28,6 @@ use dstore_telemetry::now_ns;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Where a finished response goes: each I/O backend hands the executor
-/// an implementation that enqueues bytes for *that* connection and
-/// wakes whatever flushes it.
-pub(crate) trait ResponseSink: Send + Sync {
-    /// Queues one encoded frame for delivery (never blocks on the
-    /// network in the epoll backend; may block in the threaded one).
-    fn send(&self, frame: &[u8]);
-}
-
 /// One admitted request, parked in a shard (or control) queue.
 pub(crate) struct Job {
     pub req_id: u64,
@@ -43,7 +35,9 @@ pub(crate) struct Job {
     /// Admission timestamp — flows into `DsContext::*_enqueued` so the
     /// store's flight recorder charges the wait to `net_queue`.
     pub enqueue_ns: u64,
-    pub sink: Arc<dyn ResponseSink>,
+    /// Where the response goes: the originating connection's outbound
+    /// buffer.
+    pub sink: Arc<EpollSink>,
 }
 
 /// Routing + backpressure state shared by every connection.
@@ -57,7 +51,7 @@ pub(crate) struct Admission {
 impl Admission {
     /// Routes one decoded frame. Never blocks: a full queue turns into
     /// an immediate [`DsError::Busy`] error frame on the wire.
-    pub fn admit(&self, req_id: u64, req: Request, sink: &Arc<dyn ResponseSink>) {
+    pub fn admit(&self, req_id: u64, req: Request, sink: &Arc<EpollSink>) {
         // Reserved names never reach a shard: the shard-map superblock
         // is store-internal, exactly as in `ShardedCtx`.
         if let Some(key) = req.key() {

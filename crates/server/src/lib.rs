@@ -2,22 +2,19 @@
 //!
 //! A pipelined, multi-client TCP service layer speaking the
 //! `dstore-protocol` wire format, built **std-only** from the in-repo
-//! shims (no tokio / mio — this workspace builds offline): the default
-//! backend is an epoll readiness loop on the vendored `libc` shim
-//! ([`Backend::Epoll`]), with a bounded thread-per-connection pool as
-//! the fallback ([`Backend::Threaded`], default under the
-//! `threaded-backend` cargo feature).
+//! shims (no tokio / mio — this workspace builds offline): one epoll
+//! readiness loop on the vendored `libc` shim moves every byte.
 //!
 //! ## Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ I/O backend ──▶ Router ──▶ per-shard BoundedQueue
+//! clients ──TCP──▶ epoll loop ──▶ Router ──▶ per-shard BoundedQueue
 //!                  (decode frames)            │ full? ─▶ Busy frame
 //!                                             ▼
 //!                                   one executor thread per shard
 //!                                   (owns that shard's DsContext)
 //!                                             │
-//!                  I/O backend ◀── ResponseSink (completion order)
+//!                  epoll loop ◀── connection sink (completion order)
 //! ```
 //!
 //! * **Pipelining** — clients tag requests with IDs and keep any number
@@ -60,7 +57,6 @@ mod epoll;
 mod exec;
 pub mod queue;
 pub mod telemetry;
-mod threaded;
 
 pub use queue::BoundedQueue;
 pub use telemetry::ServerMetrics;
@@ -95,35 +91,12 @@ impl ServerShared {
     }
 }
 
-/// Which I/O engine moves bytes. Both are always compiled; the
-/// `threaded-backend` cargo feature only flips the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Single-threaded epoll readiness loop (nonblocking sockets,
-    /// buffered outbound, eventfd wakeups). The default.
-    Epoll,
-    /// Bounded thread-per-connection pool with synchronous writes.
-    Threaded,
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        if cfg!(feature = "threaded-backend") {
-            Backend::Threaded
-        } else {
-            Backend::Epoll
-        }
-    }
-}
-
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// I/O backend.
-    pub backend: Backend,
     /// Capacity of each per-shard executor queue; the knob that turns
     /// overload into `Busy` responses instead of latency.
     pub queue_depth: usize,
@@ -139,7 +112,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            backend: Backend::default(),
             queue_depth: 256,
             control_queue_depth: 64,
             max_connections: 1024,
@@ -154,14 +126,14 @@ pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
     admission: Arc<Admission>,
-    wake: Option<Arc<epoll::EpollWake>>,
+    wake: Arc<epoll::EpollWake>,
     io_thread: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
     store: Arc<ShardedStore>,
 }
 
 impl Server {
-    /// Binds, spawns the per-shard executors and the I/O backend, and
+    /// Binds, spawns the per-shard executors and the epoll loop, and
     /// begins accepting connections.
     pub fn start(store: Arc<ShardedStore>, cfg: ServerConfig) -> DsResult<Server> {
         let listener = std::net::TcpListener::bind(&cfg.addr)
@@ -197,29 +169,15 @@ impl Server {
             &metrics,
         ));
 
-        let (wake, io_thread) = match cfg.backend {
-            Backend::Epoll => {
-                let wake = epoll::EpollWake::new().map_err(|e| DsError::Io(e.to_string()))?;
-                let t = {
-                    let wake = Arc::clone(&wake);
-                    let admission = Arc::clone(&admission);
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("ds-epoll".into())
-                        .spawn(move || epoll::io_loop(listener, wake, admission, shared))
-                        .expect("spawn epoll loop")
-                };
-                (Some(wake), t)
-            }
-            Backend::Threaded => {
-                let admission = Arc::clone(&admission);
-                let shared = Arc::clone(&shared);
-                let t = std::thread::Builder::new()
-                    .name("ds-accept".into())
-                    .spawn(move || threaded::acceptor_loop(listener, admission, shared))
-                    .expect("spawn acceptor");
-                (None, t)
-            }
+        let wake = epoll::EpollWake::new().map_err(|e| DsError::Io(e.to_string()))?;
+        let io_thread = {
+            let wake = Arc::clone(&wake);
+            let admission = Arc::clone(&admission);
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("ds-epoll".into())
+                .spawn(move || epoll::io_loop(listener, wake, admission, shared))
+                .expect("spawn epoll loop")
         };
 
         Ok(Server {
@@ -262,9 +220,7 @@ impl Server {
         };
         // 1. Stop admitting: no new connections, no more reads.
         self.shared.set_state(STATE_DRAINING);
-        if let Some(w) = &self.wake {
-            w.wake();
-        }
+        self.wake.wake();
         // 2. Drain: close the queues; executors answer what is already
         //    admitted, then exit.
         self.admission.close_all();
@@ -274,9 +230,7 @@ impl Server {
         // 3. Flush: every owed byte is now buffered; let the I/O loop
         //    push it out, bounded by flush_timeout.
         self.shared.set_state(STATE_FLUSHING);
-        if let Some(w) = &self.wake {
-            w.wake();
-        }
+        self.wake.wake();
         let _ = io_thread.join();
     }
 }

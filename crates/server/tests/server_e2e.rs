@@ -1,29 +1,27 @@
 //! End-to-end tests against a live in-process server: real TCP
-//! sockets, both I/O backends, pipelining, backpressure, graceful
-//! shutdown, and malformed-input handling.
+//! sockets, pipelining, backpressure, graceful shutdown, and
+//! malformed-input handling.
 
 use dstore::{DStoreConfig, DsError};
 use dstore_pmem::LatencyModel;
 use dstore_protocol::{DStoreClient, FrameDecoder, Request, Response};
-use dstore_server::{Backend, Server, ServerConfig};
+use dstore_server::{Server, ServerConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn start(shards: u32, backend: Backend, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
+fn start(shards: u32, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let store =
         Arc::new(ShardedStore::create(ShardedConfig::new(shards, DStoreConfig::small())).unwrap());
-    let mut cfg = ServerConfig {
-        backend,
-        ..ServerConfig::default()
-    };
+    let mut cfg = ServerConfig::default();
     tweak(&mut cfg);
     Server::start(store, cfg).unwrap()
 }
 
-fn basic_ops(backend: Backend) {
-    let server = start(2, backend, |_| {});
+#[test]
+fn basic_ops_over_tcp_epoll() {
+    let server = start(2, |_| {});
     let mut c = DStoreClient::connect(server.local_addr()).unwrap();
 
     c.put(b"k1", b"v1").unwrap();
@@ -51,18 +49,8 @@ fn basic_ops(backend: Backend) {
 }
 
 #[test]
-fn basic_ops_over_tcp_epoll() {
-    basic_ops(Backend::Epoll);
-}
-
-#[test]
-fn basic_ops_over_tcp_threaded() {
-    basic_ops(Backend::Threaded);
-}
-
-#[test]
 fn pipelined_batch_waits_in_any_order() {
-    let server = start(4, Backend::Epoll, |_| {});
+    let server = start(4, |_| {});
     let mut c = DStoreClient::connect(server.local_addr()).unwrap();
 
     let put_ids: Vec<u64> = (0..100)
@@ -110,7 +98,6 @@ fn full_queue_turns_into_busy_not_buffering() {
     let server = Server::start(
         store,
         ServerConfig {
-            backend: Backend::Epoll,
             queue_depth: 1,
             ..ServerConfig::default()
         },
@@ -150,7 +137,7 @@ fn full_queue_turns_into_busy_not_buffering() {
 
 #[test]
 fn observability_rpcs_over_the_wire() {
-    let server = start(2, Backend::Epoll, |_| {});
+    let server = start(2, |_| {});
     let mut c = DStoreClient::connect(server.local_addr()).unwrap();
     for i in 0..50 {
         c.put(format!("t/{i}").as_bytes(), b"x").unwrap();
@@ -187,7 +174,6 @@ fn graceful_shutdown_drains_admitted_requests() {
     let server = Server::start(
         store,
         ServerConfig {
-            backend: Backend::Epoll,
             queue_depth: 64,
             ..ServerConfig::default()
         },
@@ -228,7 +214,7 @@ fn graceful_shutdown_drains_admitted_requests() {
 
 #[test]
 fn malformed_frame_answers_protocol_error_then_closes() {
-    let server = start(1, Backend::Epoll, |_| {});
+    let server = start(1, |_| {});
     let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
@@ -265,7 +251,7 @@ fn malformed_frame_answers_protocol_error_then_closes() {
 
 #[test]
 fn connection_cap_drops_excess_connections() {
-    let server = start(1, Backend::Epoll, |cfg| cfg.max_connections = 1);
+    let server = start(1, |cfg| cfg.max_connections = 1);
     let mut first = DStoreClient::connect(server.local_addr()).unwrap();
     first.put(b"one", b"1").unwrap(); // fully established + served
 

@@ -49,8 +49,6 @@ pub const NUM_SEGMENTS: usize = SEGMENT_NAMES.len();
 
 /// PMEM op-log ordering: lock acquisition + slot reservation (LSN +
 /// header stamp + conflict scan) — the serialized part of Fig. 4 ②.
-/// The serialized-baseline write path (`parallel_persistence = false`)
-/// also charges its in-lock record flush here.
 pub const SEG_LOG_APPEND: usize = 0;
 /// DRAM/arena block allocation, including allocator lock stalls (③④).
 pub const SEG_ALLOC: usize = 1;
@@ -69,10 +67,8 @@ pub const SEG_SSD_READ: usize = 6;
 pub const SEG_CC_WAIT: usize = 7;
 /// Stalls waiting for a log-full checkpoint to free log space.
 pub const SEG_LOG_STALL: usize = 8;
-/// Out-of-lock record body write + flush — the parallel part of
-/// Fig. 4 ② under `parallel_persistence` (runs concurrently with other
-/// appenders; zero on the serialized baseline, which flushes inside
-/// `log_append`).
+/// Out-of-lock record body write — the parallel part of Fig. 4 ② (runs
+/// concurrently with other appenders; the commit drain persists it).
 pub const SEG_LOG_FLUSH: usize = 9;
 /// Time a request spent queued in a network front door (`dstore-server`
 /// shard queues) before the store began executing it. Charged by the
