@@ -44,8 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (`dstore_replay_*_total`).
 #[derive(Debug, Default)]
 pub struct ReplayStats {
-    /// Replay windows processed (one per checkpoint apply / redo /
-    /// recovery replay with at least the call made, empty or not).
+    /// Replay windows processed: every window of at most
+    /// [`dstore_dipper::APPLY_WINDOW`] records a checkpoint apply or redo
+    /// hands the applier (none when it has no committed records), plus
+    /// one for recovery's active-log replay, empty or not. A checkpoint
+    /// of N records counts ⌈N / `APPLY_WINDOW`⌉.
     pub windows: AtomicU64,
     /// Shard groups replayed (serial windows count as one group).
     pub groups: AtomicU64,

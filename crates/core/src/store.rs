@@ -11,7 +11,7 @@ use crate::stats::{Footprint, StoreStats};
 use crate::structures::{Directory, Domain};
 use crate::telemetry::{HealthSnapshot, StoreTelemetry};
 use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
-use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats};
+use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats, RecordWindows};
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
 use dstore_index::{OlcStats, ReadCounts};
@@ -252,8 +252,9 @@ pub struct DStore {
 /// Builds the DIPPER applier: replays committed records onto the given
 /// shadow region using the same [`Domain`] code the frontend runs,
 /// OE-parallel across pool shards when `threads > 1` (see
-/// [`crate::replay`]). Per-group spans land in `ring` (the checkpoint
-/// ring for live applies, the recovery ring for a redo).
+/// [`crate::replay`]), one [`RecordWindows`] window at a time over one
+/// attach of the shadow arena. Per-group spans land in `ring` (the
+/// checkpoint ring for live applies, the recovery ring for a redo).
 fn make_applier(
     pool: &Arc<PmemPool>,
     layout: PmemLayout,
@@ -264,22 +265,24 @@ fn make_applier(
     olc: Option<Arc<OlcStats>>,
 ) -> Applier {
     let pool = Arc::clone(pool);
-    Arc::new(move |shadow_idx: usize, records| {
+    Arc::new(move |shadow_idx: usize, windows: &RecordWindows<'_>| {
         let arena = Arena::attach(PmemRange::new(
             Arc::clone(&pool),
             layout.shadow[shadow_idx],
             layout.shadow_size,
         ))
         .expect("shadow region holds a valid arena");
-        replay::replay_window(
-            &arena,
-            dir,
-            records,
-            threads,
-            &stats,
-            ring.as_deref(),
-            olc.as_deref(),
-        );
+        windows.for_each(|records| {
+            replay::replay_window(
+                &arena,
+                dir,
+                records,
+                threads,
+                &stats,
+                ring.as_deref(),
+                olc.as_deref(),
+            )
+        });
     })
 }
 
@@ -1036,7 +1039,7 @@ impl DStore {
                 &layout,
                 &root,
                 &applier,
-                redo,
+                RecordWindows::read(redo),
                 &stats,
                 ckpt_tel.as_ref(),
                 cfg.replay_threads,

@@ -368,3 +368,76 @@ fn single_cpu_recovery_takes_serial_path() {
     }
     assert_eq!(recovered.object_count() as usize, model.len());
 }
+
+/// Records per wave in [`run_multi_window_case`]: enough that one
+/// checkpoint spans several apply windows.
+const MULTI_WINDOW_RECORDS: u32 = 3 * dstore_dipper::APPLY_WINDOW as u32 + 100;
+
+/// Two waves of single-threaded mutations over a few hundred names, each
+/// longer than three apply windows: the first checkpointed live, the
+/// second left for recovery to redo. Both applies cross window
+/// boundaries with the same names on both sides of each, so a window
+/// replayed out of order or skipped shows up in the read-back.
+fn run_multi_window_case(threads: usize) {
+    let mut cfg = DStoreConfig::small()
+        .with_auto_checkpoint(false)
+        .with_replay_threads(threads);
+    cfg.log_size = 2 << 20;
+    let store = DStore::create(cfg).unwrap();
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let ctx = store.context();
+    for wave in 0..2u32 {
+        for i in 0..MULTI_WINDOW_RECORDS {
+            let k = format!("obj{}", i % 300).into_bytes();
+            if i % 7 == 6 && model.contains_key(&k) {
+                ctx.delete(&k).unwrap();
+                model.remove(&k);
+            } else {
+                let v = tagged(i as usize, wave, 64 + (i as usize % 5) * 16);
+                ctx.put(&k, &v).unwrap();
+                model.insert(k, v);
+            }
+        }
+        if wave == 0 {
+            store.checkpoint_now();
+        } else {
+            store.begin_checkpoint_swap_only();
+        }
+    }
+    drop(ctx);
+    let s = store.replay_stats();
+    assert_eq!(s.records, MULTI_WINDOW_RECORDS as u64, "{s:?}");
+    assert!(
+        s.windows >= 4,
+        "one checkpoint must span several windows: {s:?}"
+    );
+    assert_eq!(s.divergences, 0, "{s:?}");
+    assert_eq!(store.stats().snapshot().log_full_stalls, 0);
+
+    let recovered = DStore::recover(store.crash()).unwrap();
+    let r = recovered.recovery_report();
+    assert_eq!(r.redo_records, MULTI_WINDOW_RECORDS as usize, "{r:?}");
+    let rs = recovered.replay_stats();
+    assert!(
+        rs.windows >= 5,
+        "redo windows + the active-log replay: {rs:?}"
+    );
+    assert_eq!(rs.divergences, 0, "{rs:?}");
+    let ctx = recovered.context();
+    for (k, v) in &model {
+        assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
+    }
+    assert_eq!(recovered.object_count() as usize, model.len());
+}
+
+#[test]
+fn multi_window_apply_pinned_to_one_cpu() {
+    pin_to_one_cpu();
+    assert_eq!(usable_workers(4), 1);
+    run_multi_window_case(4);
+}
+
+#[test]
+fn multi_window_apply_with_two_workers() {
+    run_multi_window_case(2);
+}

@@ -15,6 +15,12 @@
 //!    frontend runs), flush every allocated byte, and atomically persist
 //!    the root transition `{current shadow flipped, in-progress cleared}`.
 //!
+//! The applier receives the records as [`RecordWindows`]: windows of at
+//! most [`APPLY_WINDOW`] records in LSN order. A live checkpoint walks
+//! the archived buffer one window at a time, so its heap holds one
+//! window of records however long the log is; recovery's redo hands its
+//! already-read records through the same type.
+//!
 //! A crash anywhere before the final root store leaves the old shadow
 //! image current and the archived log intact — recovery simply redoes the
 //! checkpoint ([`apply_checkpoint`] is idempotent by construction).
@@ -27,6 +33,7 @@ use dstore_arena::{Arena, PmemRange};
 use dstore_pmem::PmemPool;
 use dstore_telemetry::{now_ns, Counter, PhaseCell, SpanRing};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -100,12 +107,66 @@ impl std::fmt::Debug for CheckpointTelemetry {
     }
 }
 
+/// Records per window handed to the [`Applier`]. A fixed internal
+/// bound, not a knob: it caps the records a live checkpoint holds in
+/// DRAM, and is large enough that each window's parallel replay still
+/// spreads over every pool shard.
+pub const APPLY_WINDOW: usize = 1024;
+
 /// Replays committed records onto the shadow structures in the given
 /// shadow region (0/1). Supplied by the application (DStore); must be
 /// deterministic up to observational equivalence given the records'
 /// conflict order, and may parallelize internally across non-conflicting
-/// records.
-pub type Applier = Arc<dyn Fn(usize, &[OwnedRecord]) + Send + Sync>;
+/// records. Called once per checkpoint: it attaches to the shadow region
+/// once and then takes every window with [`RecordWindows::for_each`].
+pub type Applier = Arc<dyn Fn(usize, &RecordWindows<'_>) + Send + Sync>;
+
+/// The committed records of one checkpoint, as the [`Applier`] sees
+/// them: windows of at most [`APPLY_WINDOW`] records, in LSN order.
+pub struct RecordWindows<'a> {
+    source: Source<'a>,
+    /// Records handed out so far ([`CheckpointStats::records_applied`]).
+    handed: Cell<u64>,
+}
+
+enum Source<'a> {
+    /// An archived log buffer, walked window by window.
+    Archived(&'a OpLog, usize),
+    /// Records already read from the log.
+    Read(&'a [OwnedRecord]),
+}
+
+impl<'a> RecordWindows<'a> {
+    /// The committed records of `log`'s buffer `buf`, read one window at
+    /// a time (a live checkpoint).
+    pub fn archived(log: &'a OpLog, buf: usize) -> Self {
+        Self::new(Source::Archived(log, buf))
+    }
+
+    /// Committed records already read from the log (recovery's redo).
+    pub fn read(records: &'a [OwnedRecord]) -> Self {
+        Self::new(Source::Read(records))
+    }
+
+    fn new(source: Source<'a>) -> Self {
+        RecordWindows {
+            source,
+            handed: Cell::new(0),
+        }
+    }
+
+    /// Hands every window to `apply`, in LSN order.
+    pub fn for_each(&self, mut apply: impl FnMut(&[OwnedRecord])) {
+        let hand = |w: &[OwnedRecord]| {
+            self.handed.set(self.handed.get() + w.len() as u64);
+            apply(w);
+        };
+        match self.source {
+            Source::Archived(log, buf) => log.committed_windows(buf, APPLY_WINDOW, hand),
+            Source::Read(records) => records.chunks(APPLY_WINDOW).for_each(hand),
+        }
+    }
+}
 
 /// Checkpoint counters (Figure 7 diagnostics, Table 4 accounting).
 #[derive(Debug, Default)]
@@ -337,14 +398,13 @@ impl Drop for Checkpointer {
 
 impl CheckpointInner {
     fn run_apply(&self, archived: usize) {
-        let records = self.log.committed_records(archived);
         let tel = self.telemetry.lock().clone();
         apply_checkpoint_with_stall(
             &self.pool,
             &self.layout,
             &self.root,
             &self.applier,
-            &records,
+            RecordWindows::archived(&self.log, archived),
             &self.stats,
             tel.as_ref(),
             self.flush_stall_ns.load(Ordering::Relaxed),
@@ -381,16 +441,17 @@ fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
 /// "we redo the checkpoint procedure ongoing at the time of crash").
 ///
 /// Copies shadow `current` → `spare`, replays `records` onto the spare
-/// via `applier`, persists every allocated byte, and atomically commits
-/// the root transition. The bulk copy and the flush are chunked across
-/// up to [`usable_workers`]`(threads)` scoped workers (1 = serial).
+/// via `applier` one window at a time, persists every allocated byte, and
+/// atomically commits the root transition. The bulk copy and the flush
+/// are chunked across up to [`usable_workers`]`(threads)` scoped workers
+/// (1 = serial).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_checkpoint(
     pool: &Arc<PmemPool>,
     layout: &PmemLayout,
     root: &Root,
     applier: &Applier,
-    records: &[OwnedRecord],
+    records: RecordWindows<'_>,
     stats: &CheckpointStats,
     telemetry: Option<&CheckpointTelemetry>,
     threads: usize,
@@ -408,7 +469,7 @@ fn apply_checkpoint_with_stall(
     layout: &PmemLayout,
     root: &Root,
     applier: &Applier,
-    records: &[OwnedRecord],
+    records: RecordWindows<'_>,
     stats: &CheckpointStats,
     telemetry: Option<&CheckpointTelemetry>,
     flush_stall_ns: u64,
@@ -467,11 +528,10 @@ fn apply_checkpoint_with_stall(
         .fetch_add(copy_len as u64, Ordering::Relaxed);
 
     // 2. Replay committed records with the same code the frontend ran.
-    applier(spare, records);
-    stats
-        .records_applied
-        .fetch_add(records.len() as u64, Ordering::Relaxed);
-    span("apply", t_apply, copy_len as u64, records.len() as u64);
+    applier(spare, &records);
+    let applied = records.handed.get();
+    stats.records_applied.fetch_add(applied, Ordering::Relaxed);
+    span("apply", t_apply, copy_len as u64, applied);
 
     // 3. Durability: iterate over all allocated memory and flush it.
     enter(PHASE_FLUSH);
@@ -509,6 +569,100 @@ fn apply_checkpoint_with_stall(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{self, COMMIT_COMMITTED};
+    use crate::DipperConfig;
+
+    /// A live checkpoint over an archived buffer three windows long —
+    /// committed and aborted records, plus one torn commit — must hand
+    /// the applier exactly the committed records, in LSN order, and never
+    /// more than one window at a time.
+    #[test]
+    fn live_apply_hands_the_applier_one_window_at_a_time() {
+        let cfg = DipperConfig {
+            log_size: 1 << 20,
+            shadow_size: 64 * 1024,
+            ..Default::default()
+        };
+        let layout = PmemLayout::new(&cfg);
+        let pool = Arc::new(PmemPool::strict(layout.total));
+        let root = Arc::new(Root::format(
+            Arc::clone(&pool),
+            layout.log_size as u64,
+            layout.shadow_size as u64,
+        ));
+        Arena::create(PmemRange::new(
+            Arc::clone(&pool),
+            layout.shadow[0],
+            layout.shadow_size,
+        ))
+        .persist_allocated();
+        let log = Arc::new(OpLog::create(Arc::clone(&pool), layout));
+
+        let mut committed = Vec::new();
+        for i in 0..3 * APPLY_WINDOW {
+            if i == APPLY_WINDOW + 7 {
+                // Torn epoch: the flag line reaches the media by eviction,
+                // the body's middle lines never do. Later commits flush
+                // its header, so the walk reaches it after the crash.
+                let torn = log.try_append(1, b"torn", &[0xAB; 300]).unwrap().lsn;
+                let off = log.walk(0).iter().find(|r| r.lsn == torn).unwrap().off;
+                record::write_commit(&pool, off, COMMIT_COMMITTED);
+                pool.evict_lines(off, record::HEADER_LEN);
+            }
+            let r = log
+                .try_append(1, format!("k{i}").as_bytes(), &i.to_le_bytes())
+                .unwrap();
+            if i % 5 == 3 {
+                log.abort(r.handle);
+            } else {
+                log.commit(r.handle);
+                committed.push(r.lsn);
+            }
+        }
+        // Crash between swap and apply: the next trigger finishes this
+        // checkpoint on the live path, walking the archived buffer.
+        log.swap(|| {
+            root.begin_checkpoint();
+        });
+        pool.simulate_crash();
+
+        let seen = Arc::new(std::sync::Mutex::new((Vec::new(), Vec::new())));
+        let applier: Applier = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |_, windows: &RecordWindows<'_>| {
+                windows.for_each(|w| {
+                    let mut seen = seen.lock().unwrap();
+                    seen.0.push(w.len());
+                    seen.1.extend(w.iter().map(|r| r.lsn));
+                });
+            })
+        };
+        let ckpt = Checkpointer::new(
+            Arc::clone(&pool),
+            layout,
+            Arc::clone(&root),
+            Arc::clone(&log),
+            applier,
+        );
+        assert!(ckpt.try_begin());
+        ckpt.wait_idle();
+
+        let (window_lens, lsns) = &*seen.lock().unwrap();
+        assert_eq!(
+            lsns, &committed,
+            "exactly the committed records, in LSN order"
+        );
+        assert_eq!(window_lens.len(), committed.len().div_ceil(APPLY_WINDOW));
+        assert!(window_lens.len() >= 3, "{window_lens:?}");
+        assert!(window_lens.iter().all(|&n| (1..=APPLY_WINDOW).contains(&n)));
+        let stats = ckpt.stats();
+        assert_eq!(
+            stats.records_applied.load(Ordering::Relaxed),
+            committed.len() as u64
+        );
+        assert_eq!(stats.completed.load(Ordering::Relaxed), 2);
+        assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 1);
+    }
 
     /// `run_chunked` must cover `[0, len)` exactly once, serial or not.
     #[test]

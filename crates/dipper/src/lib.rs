@@ -32,7 +32,7 @@ pub mod root;
 
 pub use checkpoint::{
     usable_workers, Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry,
-    Checkpointer, CHECKPOINT_PHASES,
+    Checkpointer, RecordWindows, APPLY_WINDOW, CHECKPOINT_PHASES,
 };
 pub use layout::PmemLayout;
 pub use log::{AppendResult, LogFull, OpLog, RecordHandle, Reservation};

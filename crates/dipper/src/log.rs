@@ -608,9 +608,10 @@ impl OpLog {
         old
     }
 
-    /// Walks buffer `i`, returning every valid record (pending and
-    /// committed) in physical order — which, by construction, is a valid
-    /// conflict order.
+    /// Walks buffer `i`, handing every valid record (pending and
+    /// committed) to `visit` in physical order — which, by construction,
+    /// is a valid conflict order. The one record loop behind [`Self::walk`],
+    /// [`Self::committed_records`] and [`Self::committed_windows`].
     ///
     /// Validity: the first record's LSN must clear the buffer's `min_lsn`
     /// fence, and LSNs must be strictly increasing from there. Strictly
@@ -621,11 +622,10 @@ impl OpLog {
     /// are always below both the fence and any fresh record's LSN.
     /// Each record is read once: header, then body, whose hash is checked
     /// on the bytes just read.
-    pub fn walk(&self, i: usize) -> Vec<OwnedRecord> {
+    pub fn visit(&self, i: usize, mut visit: impl FnMut(OwnedRecord)) {
         // The lowest LSN the next record may carry: the fence, then one
         // above its predecessor.
         let mut lsn_floor = self.pool.read_u64(self.layout.log[i]);
-        let mut out = Vec::new();
         let mut off = self.layout.log_records(i);
         let end = self.buf_end(i);
         while off + record::HEADER_LEN <= end {
@@ -645,18 +645,53 @@ impl OpLog {
                 rec.commit = record::COMMIT_ABORTED;
                 self.stats.torn_commits.fetch_add(1, Ordering::Relaxed);
             }
-            out.push(rec);
+            visit(rec);
             off += hdr.len; // checksum-validated header: len is trustworthy
         }
+    }
+
+    /// Every valid record of buffer `i`, in physical order (see
+    /// [`Self::visit`]).
+    pub fn walk(&self, i: usize) -> Vec<OwnedRecord> {
+        let mut out = Vec::new();
+        self.visit(i, |r| out.push(r));
         out
     }
 
     /// Committed records of buffer `i` (what checkpoints replay).
     pub fn committed_records(&self, i: usize) -> Vec<OwnedRecord> {
-        self.walk(i)
-            .into_iter()
-            .filter(|r| r.commit == COMMIT_COMMITTED)
-            .collect()
+        let mut out = Vec::new();
+        self.visit(i, |r| {
+            if r.commit == COMMIT_COMMITTED {
+                out.push(r);
+            }
+        });
+        out
+    }
+
+    /// Hands buffer `i`'s committed records to `apply` in LSN order, in
+    /// windows of at most `window` records. One window buffer is reused
+    /// throughout, so at most `window` records are materialised at once
+    /// however long the buffer is.
+    pub fn committed_windows(
+        &self,
+        i: usize,
+        window: usize,
+        mut apply: impl FnMut(&[OwnedRecord]),
+    ) {
+        let mut buf = Vec::new();
+        self.visit(i, |r| {
+            if r.commit == COMMIT_COMMITTED {
+                buf.push(r);
+                if buf.len() == window {
+                    apply(&buf);
+                    buf.clear();
+                }
+            }
+        });
+        if !buf.is_empty() {
+            apply(&buf);
+        }
     }
 
     /// The active buffer index (diagnostics).

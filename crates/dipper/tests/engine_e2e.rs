@@ -4,7 +4,7 @@
 //! crashes — exercising the full §3 machinery without DStore on top.
 
 use dstore_arena::{Arena, DramMemory, Memory, PmemRange, RelPtr};
-use dstore_dipper::checkpoint::{apply_checkpoint, Applier};
+use dstore_dipper::checkpoint::{apply_checkpoint, Applier, RecordWindows};
 use dstore_dipper::record::OwnedRecord;
 use dstore_dipper::{
     recover_scan, CheckpointStats, Checkpointer, DipperConfig, OpLog, PmemLayout, Root,
@@ -48,16 +48,18 @@ struct Mini {
 
 fn applier_for(pool: &Arc<PmemPool>, layout: PmemLayout, dir: RelPtr<CounterDir>) -> Applier {
     let pool = Arc::clone(pool);
-    Arc::new(move |shadow_idx: usize, records: &[OwnedRecord]| {
+    Arc::new(move |shadow_idx: usize, windows: &RecordWindows<'_>| {
         let arena = Arena::attach(PmemRange::new(
             Arc::clone(&pool),
             layout.shadow[shadow_idx],
             layout.shadow_size,
         ))
         .expect("shadow arena");
-        for r in records {
-            apply_record(&arena, dir, r);
-        }
+        windows.for_each(|records| {
+            for r in records {
+                apply_record(&arena, dir, r);
+            }
+        });
     })
 }
 
@@ -190,7 +192,7 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
         &mini.layout,
         &mini.root,
         &applier,
-        &redo,
+        RecordWindows::read(&redo),
         &stats,
         None,
         2,

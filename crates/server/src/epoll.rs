@@ -4,12 +4,19 @@
 //!
 //! One thread owns the listener, an `eventfd` wakeup, and every
 //! connection's read/write half. Executors never touch a socket: they
-//! append encoded frames to the connection's outbound buffer and nudge
-//! the eventfd; the loop flushes opportunistically and falls back to
-//! `EPOLLOUT` registration only when a socket's send buffer fills. On a
-//! host with few cores (the paper's PMEM testbed pins most of them to
-//! executors) this keeps the network layer's CPU cost to one thread,
-//! and readiness — not thread count — bounds connection fan-in.
+//! append encoded frames to the connection's outbound buffer
+//! ([`EpollSink::buffer`]) and, once per batch, hand the connections
+//! they answered to the loop with one eventfd write ([`wake_for`]). The
+//! loop then drains all of a connection's buffered responses with one
+//! `write`, and falls back to `EPOLLOUT` registration only when a
+//! socket's send buffer fills. On a host with few cores (the paper's
+//! PMEM testbed pins most of them to executors) this keeps the network
+//! layer's CPU cost to one thread, and readiness — not thread count —
+//! bounds connection fan-in.
+//!
+//! Frames the loop produces itself (admission's `Busy` and
+//! reserved-name answers, protocol errors) are buffered without a wake:
+//! the loop flushes the connection right after reading from it.
 
 use crate::exec::Admission;
 use crate::{ServerShared, STATE_DRAINING, STATE_FLUSHING, STATE_RUNNING};
@@ -80,15 +87,38 @@ pub(crate) struct EpollSink {
 }
 
 impl EpollSink {
-    /// Queues one encoded frame for delivery and wakes the loop; never
-    /// blocks on the network.
-    pub(crate) fn send(&self, frame: &[u8]) {
-        self.out.lock().unwrap().extend_from_slice(frame);
+    /// Appends one response frame, written by `encode`, to the outbound
+    /// buffer. Never blocks on the network and does not wake the loop:
+    /// pass the sink to [`wake_for`] once the batch it belongs to is
+    /// done.
+    pub(crate) fn buffer(&self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.out.lock().expect("sink mutex poisoned"));
         self.pending.fetch_sub(1, Ordering::AcqRel);
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.wake.dirty.lock().unwrap().push(self.token);
-            self.wake.wake();
-        }
+    }
+}
+
+/// Hands the loop every connection in `sinks` for flushing, with at most
+/// one eventfd write however many there are. All sinks belong to one
+/// loop. A sink already waiting for a flush costs nothing, and so does a
+/// dirty list someone else already made non-empty: whoever did writes
+/// the eventfd after pushing, and the loop takes the whole list.
+pub(crate) fn wake_for(sinks: &[Arc<EpollSink>]) {
+    let Some(first) = sinks.first() else {
+        return;
+    };
+    let wake = &first.wake;
+    let mut dirty = wake.dirty.lock().expect("wake mutex poisoned");
+    let was_empty = dirty.is_empty();
+    dirty.extend(
+        sinks
+            .iter()
+            .filter(|s| !s.queued.swap(true, Ordering::AcqRel))
+            .map(|s| s.token),
+    );
+    let first_in = was_empty && !dirty.is_empty();
+    drop(dirty);
+    if first_in {
+        wake.wake();
     }
 }
 

@@ -14,7 +14,8 @@
 //!                                   one executor thread per shard
 //!                                   (owns that shard's DsContext)
 //!                                             │
-//!                  epoll loop ◀── connection sink (completion order)
+//!                  epoll loop ◀── connection sink (completion order,
+//!                                 one wake per executor batch)
 //! ```
 //!
 //! * **Pipelining** — clients tag requests with IDs and keep any number
@@ -162,12 +163,7 @@ impl Server {
             metrics: Arc::clone(&metrics),
         });
 
-        let mut executors = exec::spawn_shard_executors(&store, &shard_queues, &metrics);
-        executors.push(exec::spawn_control_executor(
-            &store,
-            &control_queue,
-            &metrics,
-        ));
+        let executors = exec::spawn_executors(&store, &shard_queues, &control_queue, &metrics);
 
         let wake = epoll::EpollWake::new().map_err(|e| DsError::Io(e.to_string()))?;
         let io_thread = {

@@ -9,7 +9,8 @@
 //! * `dstore_server_op_latency_ns{op}` — full server residency per op
 //!   (admission → response encoded), one histogram per request kind;
 //! * `dstore_server_queue_depth{shard}` — per-shard executor queue
-//!   depth gauges, updated on every push/pop;
+//!   depth gauges: the depth after each push, and the length of each
+//!   batch an executor pops;
 //! * counters for connections, requests, responses, `Busy` rejections,
 //!   and protocol errors.
 //!

@@ -8,8 +8,18 @@ use dstore_protocol::{DStoreClient, FrameDecoder, Request, Response};
 use dstore_server::{Server, ServerConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+/// Every client in this suite connects through here. The read timeout
+/// turns a lost wakeup (a response buffered but never flushed) into a
+/// failed test instead of a hung suite.
+fn connect(addr: SocketAddr) -> DStoreClient {
+    let mut c = DStoreClient::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    c
+}
 
 fn start(shards: u32, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let store =
@@ -22,7 +32,7 @@ fn start(shards: u32, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
 #[test]
 fn basic_ops_over_tcp_epoll() {
     let server = start(2, |_| {});
-    let mut c = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut c = connect(server.local_addr());
 
     c.put(b"k1", b"v1").unwrap();
     assert_eq!(c.get(b"k1").unwrap(), b"v1");
@@ -51,7 +61,7 @@ fn basic_ops_over_tcp_epoll() {
 #[test]
 fn pipelined_batch_waits_in_any_order() {
     let server = start(4, |_| {});
-    let mut c = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut c = connect(server.local_addr());
 
     let put_ids: Vec<u64> = (0..100)
         .map(|i| {
@@ -103,7 +113,7 @@ fn full_queue_turns_into_busy_not_buffering() {
         },
     )
     .unwrap();
-    let mut c = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut c = connect(server.local_addr());
 
     let ids: Vec<u64> = (0..32)
         .map(|i| {
@@ -138,7 +148,7 @@ fn full_queue_turns_into_busy_not_buffering() {
 #[test]
 fn observability_rpcs_over_the_wire() {
     let server = start(2, |_| {});
-    let mut c = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut c = connect(server.local_addr());
     for i in 0..50 {
         c.put(format!("t/{i}").as_bytes(), b"x").unwrap();
         c.get(format!("t/{i}").as_bytes()).unwrap();
@@ -181,7 +191,7 @@ fn graceful_shutdown_drains_admitted_requests() {
     .unwrap();
     let metrics = server.metrics();
     let addr = server.local_addr();
-    let mut c = DStoreClient::connect(addr).unwrap();
+    let mut c = connect(addr);
 
     let ids: Vec<u64> = (0..16)
         .map(|i| {
@@ -244,7 +254,7 @@ fn malformed_frame_answers_protocol_error_then_closes() {
     assert!(server.metrics().protocol_errors.get() >= 1);
 
     // The poisoned connection is gone but the server is healthy.
-    let mut c = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut c = connect(server.local_addr());
     c.put(b"still", b"alive").unwrap();
     server.shutdown();
 }
@@ -252,10 +262,10 @@ fn malformed_frame_answers_protocol_error_then_closes() {
 #[test]
 fn connection_cap_drops_excess_connections() {
     let server = start(1, |cfg| cfg.max_connections = 1);
-    let mut first = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut first = connect(server.local_addr());
     first.put(b"one", b"1").unwrap(); // fully established + served
 
-    let mut second = DStoreClient::connect(server.local_addr()).unwrap();
+    let mut second = connect(server.local_addr());
     second
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
@@ -268,5 +278,103 @@ fn connection_cap_drops_excess_connections() {
 
     // The first connection is unaffected.
     assert_eq!(first.get(b"one").unwrap(), b"1");
+    server.shutdown();
+}
+
+/// Waits (bounded) for the server's counters to settle: the I/O thread
+/// counts an admission after the push, so an executor may answer first.
+fn settled_counts(server: &Server) -> (u64, u64) {
+    let m = server.metrics();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while m.responses_sent.get() != m.requests_admitted.get() && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    (m.requests_admitted.get(), m.responses_sent.get())
+}
+
+#[test]
+fn pipelined_connections_are_answered_in_batches() {
+    const CONNS: usize = 4;
+    const PER_CONN: usize = 64;
+    // One shard and slow PMEM: the single executor is still on one put
+    // when the other connections' bursts land, so its pops take batches
+    // answering several connections at once.
+    let mut base = DStoreConfig::small();
+    base.pmem_latency = LatencyModel {
+        flush_line_ns: 20_000,
+        ..LatencyModel::none()
+    };
+    let store = Arc::new(ShardedStore::create(ShardedConfig::new(1, base)).unwrap());
+    let server = Server::start(
+        store,
+        ServerConfig {
+            queue_depth: 2 * CONNS * PER_CONN,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let barrier = Arc::new(Barrier::new(CONNS));
+    let clients: Vec<_> = (0..CONNS)
+        .map(|conn| {
+            let addr = server.local_addr();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut c = connect(addr);
+                // Even slots put `k{i/2}`, odd slots read it back: FIFO
+                // order on the one shard makes each get see its put.
+                let ids: Vec<u64> = (0..PER_CONN)
+                    .map(|i| {
+                        let key = format!("c{conn}/k{}", i / 2).into_bytes();
+                        if i % 2 == 0 {
+                            let value = format!("v{conn}-{i}").into_bytes();
+                            c.submit(&Request::Put { key, value })
+                        } else {
+                            c.submit(&Request::Get { key })
+                        }
+                    })
+                    .collect();
+                barrier.wait();
+                c.flush().unwrap();
+                for (i, id) in ids.into_iter().enumerate() {
+                    match c.wait(id).unwrap() {
+                        Response::Ok => assert_eq!(i % 2, 0, "conn {conn} slot {i}"),
+                        Response::Value(v) => {
+                            assert_eq!(v, format!("v{conn}-{}", i - 1).into_bytes())
+                        }
+                        other => panic!("conn {conn} slot {i}: {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let (admitted, sent) = settled_counts(&server);
+    assert_eq!(admitted, (CONNS * PER_CONN) as u64);
+    assert_eq!(sent, admitted, "every admitted request answered once");
+    assert_eq!(server.metrics().busy_rejections.get(), 0);
+    server.shutdown();
+}
+
+/// A request arriving at an idle server finds its executor parked; the
+/// answer must still go out. Each request here is sent only after the
+/// previous answer arrived, so the executor has finished its batch and
+/// parks (or is about to) every time — a response left buffered without
+/// a wake would time the client out.
+#[test]
+fn lone_request_on_an_idle_server_is_answered() {
+    let server = start(1, |_| {});
+    let mut c = connect(server.local_addr());
+    for i in 0..20u32 {
+        let key = format!("lone/{}", i / 2);
+        if i % 2 == 0 {
+            c.put(key.as_bytes(), &i.to_le_bytes()).unwrap();
+        } else {
+            assert_eq!(c.get(key.as_bytes()).unwrap(), (i - 1).to_le_bytes());
+        }
+    }
+    let (admitted, sent) = settled_counts(&server);
+    assert_eq!((admitted, sent), (20, 20));
     server.shutdown();
 }
