@@ -21,7 +21,6 @@ use dstore_baselines::{
 };
 use dstore_pmem::stats::PmemSnapshot;
 use dstore_pmem::{LatencyModel, PmemPool, PoolBuilder};
-use dstore_shard::{SchedulerConfig, SchedulerMode, ShardedConfig, ShardedCtx, ShardedStore};
 use dstore_ssd::{SsdDevice, SsdLatency, SsdSnapshot};
 use dstore_workload::{
     run_closed_loop, LatencyHistogram, RunOptions, RunReport, Workload, WorkloadKind, YcsbOp,
@@ -195,80 +194,6 @@ impl KvSystem for DStoreKv {
     }
     fn delete(&self, key: &[u8]) {
         let _ = self.store.context().delete(key);
-    }
-    fn quiesce(&self) {
-        self.store.wait_checkpoint_idle();
-    }
-    fn footprint(&self) -> (u64, u64, u64) {
-        let f = self.store.footprint();
-        (f.dram_bytes, f.pmem_bytes, f.ssd_bytes)
-    }
-}
-
-/// Builds a benchmark-mode [`ShardedStore`]: `shards` logical+OE
-/// instances with the given per-shard checkpoint engine, each sized for
-/// its slice of `keys`, checkpointed by the given scheduler mode.
-pub fn build_sharded(
-    shards: u32,
-    keys: usize,
-    ckpt: CheckpointMode,
-    mode: SchedulerMode,
-) -> ShardedStore {
-    let per_shard = keys / shards as usize + 1;
-    let mut base = DStoreConfig::bench()
-        .with_checkpoint(ckpt)
-        .with_logging(LoggingMode::Logical)
-        .with_oe(true)
-        .with_auto_checkpoint(true);
-    // Logical log records are ~48 B (metadata only; values go straight
-    // to the data plane), so a small log keeps the checkpoint period in
-    // the hundreds of milliseconds — several checkpoints per bench run,
-    // which is what the scheduler comparison needs.
-    base.log_size = 256 << 10;
-    base.shadow_size = (16 << 20).max(per_shard * 1536);
-    base.ssd_pages = (per_shard as u64) * 8 + 8192;
-    ShardedStore::create(
-        ShardedConfig::new(shards, base).with_scheduler(SchedulerConfig::new(mode)),
-    )
-    .expect("create sharded bench store")
-}
-
-/// Wraps a [`ShardedStore`] as a [`KvSystem`] (Figure 11).
-pub struct ShardedKv {
-    store: ShardedStore,
-    ctx: ShardedCtx,
-    label: &'static str,
-}
-
-impl ShardedKv {
-    /// Wraps `store` with a display label.
-    pub fn new(store: ShardedStore, label: &'static str) -> Self {
-        let ctx = store.context();
-        Self { store, ctx, label }
-    }
-
-    /// The wrapped store.
-    pub fn store(&self) -> &ShardedStore {
-        &self.store
-    }
-}
-
-impl KvSystem for ShardedKv {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.ctx.put(key, value).expect("bench put failed");
-    }
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        match self.ctx.get(key) {
-            Ok(v) => Some(v),
-            Err(DsError::NotFound) => None,
-            Err(e) => panic!("bench get failed: {e}"),
-        }
-    }
-    fn delete(&self, key: &[u8]) {
-        let _ = self.ctx.delete(key);
     }
     fn quiesce(&self) {
         self.store.wait_checkpoint_idle();
@@ -455,22 +380,6 @@ mod tests {
         counted.get(b"a");
         counted.get(b"b");
         assert_eq!(counted.ops.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn sharded_adapter_roundtrip() {
-        let kv = ShardedKv::new(
-            build_sharded(2, 64, CheckpointMode::Dipper, SchedulerMode::Staggered),
-            "DStore x2",
-        );
-        kv.put(b"k", b"v");
-        assert_eq!(kv.get(b"k").unwrap(), b"v");
-        assert_eq!(kv.get(b"missing"), None);
-        kv.delete(b"k");
-        assert_eq!(kv.get(b"k"), None);
-        let (dram, pmem, _ssd) = kv.footprint();
-        assert!(dram > 0 && pmem > 0);
-        assert_eq!(kv.store().shard_count(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   `heartbeat_every`-th mutation (power-of-two mask test).
 //! * `BlackBoxRecorder::record_trace` — runs only for *retained*
 //!   traces (the 1-in-`sample_every` + SLO outliers the DRAM ring
-//!   keeps), ~150 bytes encoded on the stack and one fence.
+//!   keeps), ~150 bytes encoded into a small `Vec` and one fence.
 //! * Lifecycle events ride the checkpoint worker and stall paths, which
 //!   are off the op fast path by construction.
 //!
@@ -24,11 +24,13 @@ use crate::structures::{Directory, Domain};
 use dstore_arena::{Arena, DramMemory, RelPtr};
 use dstore_dipper::{OpLog, CHECKPOINT_PHASES};
 use dstore_pmem::blackbox::{BlackBoxRegion, ExhumedBlackBox};
-use dstore_telemetry::blackbox::{
-    decode_event, decode_heartbeat, decode_trace, encode_event, encode_heartbeat, encode_trace,
-    BlackBoxEvent, BlackBoxHeartbeat,
+use dstore_telemetry::codec::{
+    read_event, read_heartbeat, read_trace, write_event, write_heartbeat, write_trace, CodecResult,
+    Reader, Writer,
 };
-use dstore_telemetry::{now_ns, OpTrace, PhaseCell, TailAttribution};
+use dstore_telemetry::{
+    now_ns, BlackBoxEvent, BlackBoxHeartbeat, OpTrace, PhaseCell, TailAttribution,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -115,19 +117,16 @@ impl BlackBoxRecorder {
 
     /// Persists a heartbeat built from the live gauges.
     pub(crate) fn publish_heartbeat(&self) {
-        let hb = self.current_heartbeat();
-        let mut buf = [0u8; 240];
-        if let Some(n) = encode_heartbeat(&mut buf, &hb) {
-            self.region.publish_heartbeat(&buf[..n]);
-        }
+        let mut w = Writer::default();
+        write_heartbeat(&mut w, &self.current_heartbeat());
+        self.region.publish_heartbeat(&w.0);
     }
 
     /// Mirrors a retained op trace into the persistent ring.
     pub(crate) fn record_trace(&self, t: &OpTrace) {
-        let mut buf = [0u8; 240];
-        if let Some(n) = encode_trace(&mut buf, t) {
-            self.region.push_trace(&buf[..n]);
-        }
+        let mut w = Writer::default();
+        write_trace(&mut w, t);
+        self.region.push_trace(&w.0);
     }
 
     /// Records a lifecycle event (checkpoint phase, stall, recovery
@@ -139,10 +138,9 @@ impl BlackBoxRecorder {
             a,
             b,
         };
-        let mut buf = [0u8; 112];
-        if let Some(n) = encode_event(&mut buf, &ev) {
-            self.region.push_event(&buf[..n]);
-        }
+        let mut w = Writer::default();
+        write_event(&mut w, &ev);
+        self.region.push_event(&w.0);
     }
 
     /// Orderly-shutdown epilogue: a final event, a final heartbeat, and
@@ -194,20 +192,26 @@ impl CrashReport {
     /// CRC layer already vouched for the bytes, so drops here only
     /// happen across incompatible build versions).
     pub(crate) fn synthesize(ex: &ExhumedBlackBox, log_tail_lsn: u64, replayed: u64) -> Self {
+        fn decode<T>(
+            slot: &(u64, Vec<u8>),
+            read: fn(&mut Reader<'_>) -> CodecResult<T>,
+        ) -> Option<T> {
+            read(&mut Reader::new(&slot.1)).ok()
+        }
         let heartbeat = ex
             .heartbeats
             .iter()
             .rev()
-            .find_map(|(_, p)| decode_heartbeat(p));
+            .find_map(|s| decode(s, read_heartbeat));
         let events = ex
             .events
             .iter()
-            .filter_map(|(_, p)| decode_event(p))
+            .filter_map(|s| decode(s, read_event))
             .collect();
         let traces = ex
             .traces
             .iter()
-            .filter_map(|(_, p)| decode_trace(p))
+            .filter_map(|s| decode(s, read_trace))
             .collect();
         CrashReport {
             clean: ex.clean,
@@ -459,6 +463,37 @@ mod tests {
         // Balanced quotes/braces as a cheap structural check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('"').count() % 2, 0);
+    }
+
+    /// The largest record each ring can be handed (names truncated at
+    /// `MAX_NAME_LEN`) fits its slot, so the region never cuts a payload
+    /// short into an undecodable one.
+    #[test]
+    fn worst_case_payloads_fit_their_slots() {
+        use dstore_pmem::blackbox::{
+            EVENT_SLOT_BYTES, HB_SLOT_BYTES, SLOT_HDR_BYTES, TRACE_SLOT_BYTES,
+        };
+        let long: &'static str = Box::leak("n".repeat(300).into_boxed_str());
+        let r = sample_report();
+        let mut hb = r.heartbeat.unwrap();
+        hb.checkpoint_phase = long;
+        let ev = BlackBoxEvent {
+            name: long,
+            ..r.events[0]
+        };
+        let t = OpTrace {
+            op: long,
+            phase: long,
+            ..r.traces[0]
+        };
+        let len = |f: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::default();
+            f(&mut w);
+            w.0.len()
+        };
+        assert!(len(&|w| write_heartbeat(w, &hb)) <= HB_SLOT_BYTES - SLOT_HDR_BYTES);
+        assert!(len(&|w| write_event(w, &ev)) <= EVENT_SLOT_BYTES - SLOT_HDR_BYTES);
+        assert!(len(&|w| write_trace(w, &t)) <= TRACE_SLOT_BYTES - SLOT_HDR_BYTES);
     }
 
     #[test]

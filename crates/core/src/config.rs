@@ -106,8 +106,7 @@ pub struct DStoreConfig {
     /// counted when it runs, so a checkpointer or recovery confined to
     /// one CPU takes the serial path. `1` reproduces the fully serial
     /// apply path everywhere. Defaults to the host's available
-    /// parallelism, overridable with the `DSTORE_REPLAY_THREADS`
-    /// environment variable.
+    /// parallelism.
     pub replay_threads: usize,
     /// Optimistic lock coupling on the object-index B-tree: gets, stats
     /// and exists descend latch-free (seqlock validation, restart on
@@ -189,22 +188,11 @@ impl Default for DStoreConfig {
             telemetry: true,
             trace: TraceConfig::default(),
             stall_timeout: Duration::from_secs(30),
-            replay_threads: default_replay_threads(),
+            replay_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             index_olc: default_index_olc(),
             blackbox: BlackBoxConfig::default(),
         }
     }
-}
-
-/// Default for [`DStoreConfig::replay_threads`]: the
-/// `DSTORE_REPLAY_THREADS` environment variable when set (CI pins its
-/// serial leg through this), else the host's available parallelism.
-fn default_replay_threads() -> usize {
-    std::env::var("DSTORE_REPLAY_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Default for [`DStoreConfig::index_olc`]: on, unless the

@@ -76,6 +76,14 @@ impl fmt::Display for DsError {
 
 impl std::error::Error for DsError {}
 
+/// A malformed payload met by the shared telemetry codec is a protocol
+/// error: the codec decodes what a peer (or a dead incarnation) sent.
+impl From<dstore_telemetry::codec::CodecError> for DsError {
+    fn from(e: dstore_telemetry::codec::CodecError) -> Self {
+        DsError::Protocol(e.0)
+    }
+}
+
 impl From<std::io::Error> for DsError {
     fn from(e: std::io::Error) -> Self {
         DsError::Io(e.to_string())

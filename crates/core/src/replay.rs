@@ -66,8 +66,8 @@ pub struct ReplayStats {
     /// serial windows; grouping plus — in global-lock index mode — the
     /// B-tree write-lock *hold* time for parallel ones (under OLC there
     /// is no shared index lock, so only grouping is serialized).
-    /// `records / serialized_ns` is the admission-rate bound the
-    /// `fig13_checkpoint_apply` bench reports.
+    /// `records / serialized_ns` is the admission-rate bound of one
+    /// replay pipeline.
     pub serialized_ns: AtomicU64,
     /// Records whose replay diverged from the frontend (see
     /// [`Domain::replay_in`]). Anything but 0 is a bug.

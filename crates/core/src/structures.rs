@@ -203,7 +203,7 @@ pub struct DeletePlan {
 /// a shared `RwLock`: lookups take it `read`, structural mutations take
 /// it `write`, and write-lock *hold* time is charged to `write_ns` —
 /// the sum across workers is that mode's irreducibly serialized portion,
-/// the admission-rate denominator the fig13 bench reports.
+/// the admission-rate denominator of `ReplayStats::serialized_ns`.
 pub enum IndexSync<'l> {
     /// Caller already has exclusive access to the tree (single-threaded
     /// replay, or the frontend holding the global B-tree lock).

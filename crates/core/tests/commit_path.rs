@@ -2,7 +2,9 @@
 //! own SSD deadline before it enters the commit combiner, so (a) no put
 //! is acknowledged before its device write has landed, (b) combiner
 //! followers never wait long enough to sleep, and (c) the device wait is
-//! attributed to the NVMe row of the Table 3 breakdown.
+//! attributed to the NVMe row of the Table 3 breakdown. It also holds
+//! the ordering budget: fewer than two PMEM flushes and two fences per
+//! put.
 
 use dstore::{DStore, DStoreConfig};
 use dstore_ssd::SsdLatency;
@@ -123,4 +125,45 @@ fn device_wait_is_attributed_to_nvme() {
             "NVMe share {nvme_ns}/{total_ns} ns below the paper's dominant-device shape"
         );
     }
+}
+
+/// The ordering tax of minimally-ordered durability, counted rather than
+/// timed: a put's record body, header gap and commit flag reach PMEM
+/// behind one merged flush and one fence, so fewer than two of each per
+/// put, amortized, whatever the host's speed.
+#[test]
+fn put_stays_within_the_fence_budget() {
+    let cfg = DStoreConfig {
+        log_size: 64 << 20,
+        ssd_pages: 32 * 1024,
+        ..Default::default()
+    };
+    let store = DStore::create(cfg).unwrap();
+    let ctx = store.context();
+    for i in 0..1024 {
+        ctx.put(format!("k{i}").as_bytes(), &VALUE).unwrap();
+    }
+    let counter = |name: &str| {
+        store
+            .telemetry_snapshot()
+            .expect("telemetry on")
+            .counter_total(name)
+    };
+    const PUTS: u64 = 2000;
+    let (f0, s0) = (
+        counter("dstore_pmem_flushes_total"),
+        counter("dstore_pmem_fences_total"),
+    );
+    for i in 0..PUTS {
+        ctx.put(format!("k{}", i % 1024).as_bytes(), &VALUE)
+            .unwrap();
+    }
+    let flushes = (counter("dstore_pmem_flushes_total") - f0) as f64 / PUTS as f64;
+    let fences = (counter("dstore_pmem_fences_total") - s0) as f64 / PUTS as f64;
+    println!("fence budget: {flushes:.3} flushes/put, {fences:.3} fences/put");
+    assert!(
+        flushes < 2.0 && fences < 2.0,
+        "fence budget violated: {flushes:.3} flushes/put, {fences:.3} fences/put \
+         (budget: < 2 of each)"
+    );
 }

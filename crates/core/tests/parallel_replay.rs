@@ -16,16 +16,10 @@ use dstore_dipper::usable_workers;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Worker count for the parallel legs: 4, unless CI pins the whole
-/// suite onto the serial engine with `DSTORE_REPLAY_THREADS=1` (the
-/// config default also reads this, but the tests set threads
-/// explicitly for determinism, so they honor it themselves).
+/// Worker count for the parallel legs. The engine caps it at the usable
+/// CPUs, so a run under `taskset -c 0` drives the serial path.
 fn test_threads() -> usize {
-    std::env::var("DSTORE_REPLAY_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
+    4
 }
 
 /// Whether the engine has more than one worker to give the parallel
@@ -377,8 +371,11 @@ const MULTI_WINDOW_RECORDS: u32 = 3 * dstore_dipper::APPLY_WINDOW as u32 + 100;
 /// longer than three apply windows: the first checkpointed live, the
 /// second left for recovery to redo. Both applies cross window
 /// boundaries with the same names on both sides of each, so a window
-/// replayed out of order or skipped shows up in the read-back.
+/// replayed out of order or skipped shows up in the read-back. With more
+/// than one usable worker, every window of both applies is admitted to
+/// the parallel path (or falls back on a steal flag).
 fn run_multi_window_case(threads: usize) {
+    let parallel = usable_workers(threads) > 1;
     let mut cfg = DStoreConfig::small()
         .with_auto_checkpoint(false)
         .with_replay_threads(threads);
@@ -412,6 +409,9 @@ fn run_multi_window_case(threads: usize) {
         "one checkpoint must span several windows: {s:?}"
     );
     assert_eq!(s.divergences, 0, "{s:?}");
+    if parallel {
+        assert_eq!(s.parallel_windows + s.serial_fallbacks, s.windows, "{s:?}");
+    }
     assert_eq!(store.stats().snapshot().log_full_stalls, 0);
 
     let recovered = DStore::recover(store.crash()).unwrap();
@@ -423,6 +423,15 @@ fn run_multi_window_case(threads: usize) {
         "redo windows + the active-log replay: {rs:?}"
     );
     assert_eq!(rs.divergences, 0, "{rs:?}");
+    if parallel {
+        // The active-log replay counts a window even when it is empty.
+        let empty = (r.replayed_records == 0) as u64;
+        assert_eq!(
+            rs.parallel_windows + rs.serial_fallbacks,
+            rs.windows - empty,
+            "{rs:?}"
+        );
+    }
     let ctx = recovered.context();
     for (k, v) in &model {
         assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));

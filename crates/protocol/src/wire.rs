@@ -9,6 +9,7 @@
 
 use crate::snapshot;
 use dstore::{DsError, DsResult, ObjectStat, StatsSnapshot};
+use dstore_telemetry::codec::{read_telemetry, write_telemetry, Reader, Writer};
 
 /// First payload byte of every frame; a cheap stream-desync detector.
 pub const MAGIC: u8 = 0xD5;
@@ -25,125 +26,8 @@ pub const MAX_VALUE_LEN: usize = MAX_FRAME - 1024;
 /// Fixed payload overhead: magic + request id + kind.
 const HEADER: usize = 1 + 8 + 1;
 
-// ---------------------------------------------------------------------
-// primitive codec
-
-/// Byte-buffer writer; the inverse of [`Reader`].
-#[derive(Default)]
-pub(crate) struct Writer(pub Vec<u8>);
-
-impl Writer {
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    /// Bytes with a u16 length prefix (keys, labels, short strings).
-    pub fn bytes16(&mut self, v: &[u8]) {
-        debug_assert!(v.len() <= u16::MAX as usize);
-        self.u16(v.len() as u16);
-        self.0.extend_from_slice(v);
-    }
-    /// Bytes with a u32 length prefix (values).
-    pub fn bytes32(&mut self, v: &[u8]) {
-        debug_assert!(v.len() <= u32::MAX as usize);
-        self.u32(v.len() as u32);
-        self.0.extend_from_slice(v);
-    }
-    pub fn str16(&mut self, v: &str) {
-        self.bytes16(v.as_bytes());
-    }
-}
-
 fn perr(what: impl Into<String>) -> DsError {
     DsError::Protocol(what.into())
-}
-
-/// Bounds-checked reader over one frame payload. Every accessor fails
-/// with [`DsError::Protocol`] instead of slicing out of range.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> DsResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| perr(format!("frame truncated: need {n} more bytes")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> DsResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn u16(&mut self) -> DsResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    pub fn u32(&mut self) -> DsResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub fn u64(&mut self) -> DsResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub fn f64(&mut self) -> DsResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    pub fn bytes16(&mut self) -> DsResult<&'a [u8]> {
-        let n = self.u16()? as usize;
-        self.take(n)
-    }
-    pub fn bytes32(&mut self) -> DsResult<&'a [u8]> {
-        let n = self.u32()? as usize;
-        if n > MAX_VALUE_LEN {
-            return Err(perr(format!("value length {n} exceeds {MAX_VALUE_LEN}")));
-        }
-        self.take(n)
-    }
-    pub fn str16(&mut self) -> DsResult<&'a str> {
-        std::str::from_utf8(self.bytes16()?).map_err(|_| perr("string field is not UTF-8"))
-    }
-    /// A collection length that could not possibly fit in the remaining
-    /// payload is rejected up front, so corrupt counts can't drive huge
-    /// allocations.
-    pub fn count(&mut self, elem_min_bytes: usize) -> DsResult<usize> {
-        let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(elem_min_bytes.max(1)) > remaining {
-            return Err(perr(format!(
-                "count {n} exceeds remaining payload {remaining}"
-            )));
-        }
-        Ok(n)
-    }
-    /// Asserts the payload was consumed exactly.
-    pub fn finish(self) -> DsResult<()> {
-        if self.pos != self.buf.len() {
-            return Err(perr(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +162,7 @@ impl Request {
         Ok(match kind {
             REQ_PUT | REQ_UPDATE => {
                 let key = r.bytes16()?.to_vec();
-                let value = r.bytes32()?.to_vec();
+                let value = r.bytes32(MAX_VALUE_LEN)?.to_vec();
                 if kind == REQ_PUT {
                     Request::Put { key, value }
                 } else {
@@ -364,7 +248,7 @@ impl Response {
             Response::Stat(s) => snapshot::write_object_stat(w, s),
             Response::Stats(s) => snapshot::write_stats(w, s),
             Response::Health(h) => snapshot::write_health(w, h),
-            Response::Telemetry(t) => snapshot::write_telemetry(w, t),
+            Response::Telemetry(t) => write_telemetry(w, t),
             Response::CrashReports(reports) => snapshot::write_crash_reports(w, reports),
         }
     }
@@ -372,7 +256,7 @@ impl Response {
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> DsResult<Response> {
         Ok(match kind {
             RESP_OK => Response::Ok,
-            RESP_VALUE => Response::Value(r.bytes32()?.to_vec()),
+            RESP_VALUE => Response::Value(r.bytes32(MAX_VALUE_LEN)?.to_vec()),
             RESP_BOOL => Response::Bool(match r.u8()? {
                 0 => false,
                 1 => true,
@@ -381,7 +265,7 @@ impl Response {
             RESP_STAT => Response::Stat(snapshot::read_object_stat(r)?),
             RESP_STATS => Response::Stats(snapshot::read_stats(r)?),
             RESP_HEALTH => Response::Health(snapshot::read_health(r)?),
-            RESP_TELEMETRY => Response::Telemetry(snapshot::read_telemetry(r)?),
+            RESP_TELEMETRY => Response::Telemetry(read_telemetry(r)?),
             RESP_CRASH_REPORTS => Response::CrashReports(snapshot::read_crash_reports(r)?),
             other => return Err(perr(format!("unknown response tag {other}"))),
         })
@@ -556,7 +440,7 @@ impl FrameDecoder {
         };
         let mut r = Reader::new(&self.buf[body_start..body_end]);
         let req = Request::decode_body(kind, &mut r)
-            .and_then(|req| r.finish().map(|()| req))
+            .and_then(|req| r.finish().map(|()| req).map_err(DsError::from))
             .map_err(|e| self.poison(e))?;
         Ok(Some((id, req)))
     }

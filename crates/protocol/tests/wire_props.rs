@@ -11,6 +11,7 @@ use dstore_protocol::wire::{
     encode_error_response, encode_request, encode_response, FrameDecoder, Request, Response,
     MAX_FRAME,
 };
+use dstore_telemetry::{HistogramSnapshot, OpTrace, Span, NUM_SEGMENTS};
 use proptest::prelude::*;
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -36,6 +37,37 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         1 => Just(Request::TelemetrySnapshot),
         1 => Just(Request::CrashReport),
     ]
+}
+
+/// Names no store emits (so none is in the intern table's seed),
+/// up to the 48-byte record-name limit.
+const FOREIGN_NAMES: [&str; 4] = [
+    "custom_op",
+    "phase_from_a_newer_build",
+    "z",
+    "a_forty_eight_byte_name_that_fills_the_whole_cap",
+];
+
+fn foreign(n: u64) -> &'static str {
+    FOREIGN_NAMES[n as usize % FOREIGN_NAMES.len()]
+}
+
+fn trace(n: u64, seq: u64) -> OpTrace {
+    let mut seg_ns = [0u64; NUM_SEGMENTS];
+    for (i, slot) in seg_ns.iter_mut().enumerate() {
+        *slot = n.rotate_left(i as u32 * 5) >> 20;
+    }
+    OpTrace {
+        op: foreign(n),
+        start_ns: n >> 1,
+        end_ns: n,
+        seg_ns,
+        phase: foreign(n >> 3),
+        log_used_milli: (n % 1001) as u32,
+        sampled: n & 1 == 1,
+        slo: n & 2 == 2,
+        seq,
+    }
 }
 
 fn response_strategy() -> impl Strategy<Value = Response> {
@@ -91,7 +123,43 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             snap.push_counter("dstore_index_restarts_total", labels.clone(), flushes >> 1);
             snap.push_counter("dstore_index_latch_waits_total", labels.clone(), fences >> 1);
             // So does the replay engine's parallel-window counter.
-            snap.push_counter("dstore_replay_parallel_windows_total", labels, flushes >> 2);
+            snap.push_counter(
+                "dstore_replay_parallel_windows_total",
+                labels.clone(),
+                flushes >> 2,
+            );
+            // Every other series kind, under names the intern table was
+            // not seeded with.
+            snap.push_gauge("custom_gauge", labels.clone(), (fences % 10_000) as f64 / 7.0);
+            snap.push_histogram(
+                "custom_latency_ns",
+                labels.clone(),
+                HistogramSnapshot {
+                    count: flushes & 0xffff,
+                    sum: fences,
+                    max: flushes ^ fences,
+                    buckets: vec![(1 << (fences % 40), flushes & 0xff), (u64::MAX, fences & 0xff)],
+                },
+            );
+            snap.push_spans(
+                "custom_spans",
+                labels.clone(),
+                (0..flushes % 4)
+                    .map(|i| Span {
+                        name: foreign(fences.wrapping_add(i)),
+                        start_ns: i,
+                        end_ns: i + (fences >> 40),
+                        a: flushes,
+                        b: fences,
+                        seq: i,
+                    })
+                    .collect(),
+            );
+            snap.push_traces(
+                "custom_traces",
+                labels,
+                (0..fences % 4).map(|i| trace(flushes.wrapping_add(i), i)).collect(),
+            );
             Response::Telemetry(snap)
         }),
         1 => (any::<u64>(), any::<u64>()).prop_map(|(lsn, n)| {
@@ -101,20 +169,28 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     clean: n & 1 == 0,
                     heartbeat: (n & 2 == 0).then(|| dstore_telemetry::BlackBoxHeartbeat {
                         last_lsn: lsn,
-                        checkpoint_phase: "idle",
+                        checkpoint_phase: foreign(n >> 2),
                         log_used_milli: (n % 1000) as u32,
                         arena_high_water: n,
                         ssd_blocks_used: n >> 3,
                         wall_unix_ns: lsn ^ n,
                         mono_ns: lsn.wrapping_add(n),
                     }),
-                    events: vec![dstore_telemetry::BlackBoxEvent {
-                        name: "trigger",
-                        mono_ns: n,
-                        a: lsn,
-                        b: n >> 1,
-                    }],
-                    traces: vec![],
+                    events: vec![
+                        dstore_telemetry::BlackBoxEvent {
+                            name: "trigger",
+                            mono_ns: n,
+                            a: lsn,
+                            b: n >> 1,
+                        },
+                        dstore_telemetry::BlackBoxEvent {
+                            name: foreign(n),
+                            mono_ns: lsn,
+                            a: n,
+                            b: lsn >> 1,
+                        },
+                    ],
+                    traces: (0..n % 3).map(|i| trace(lsn ^ n, i)).collect(),
                     log_tail_lsn: lsn.wrapping_add(1),
                     replayed_records: n & 0xffff,
                 }),

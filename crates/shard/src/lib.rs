@@ -13,8 +13,7 @@
 //! * **Staggered checkpoints** ([`scheduler`]): a scheduler thread
 //!   offsets per-shard checkpoint triggers so PMEM/SSD bandwidth spikes
 //!   don't correlate across shards — the multi-shard analogue of the
-//!   paper's tailless-ness, measurable as p9999 aligned vs staggered in
-//!   `benches/fig11_shard_scaling.rs`.
+//!   paper's tailless-ness.
 //! * **Parallel recovery**: [`ShardedStore::recover`] recovers all
 //!   shards concurrently (rayon) and merges their
 //!   [`dstore::RecoveryReport`]s into a [`RecoverySummary`].

@@ -7,8 +7,6 @@
 //! exactly the correlated bandwidth spike DIPPER exists to avoid inside
 //! one store. The scheduler recreates tailless-ness at the fleet level:
 //!
-//! * [`SchedulerMode::Aligned`] — the naive baseline: when any shard
-//!   crosses the threshold, trigger them all on the same tick.
 //! * [`SchedulerMode::Staggered`] — trigger at most one shard per
 //!   `stagger_gap`, fullest first, so checkpoint I/O of different
 //!   shards is serialized instead of superimposed. A shard close to a
@@ -26,8 +24,6 @@ use std::time::{Duration, Instant};
 pub enum SchedulerMode {
     /// No scheduler thread; each shard keeps its own `auto_checkpoint`.
     PerShardAuto,
-    /// Trigger every shard at once when any crosses the threshold.
-    Aligned,
     /// Trigger at most one shard per `stagger_gap`, fullest first.
     Staggered,
 }
@@ -153,15 +149,6 @@ fn run(
     let mut last_trigger = Instant::now() - cfg.stagger_gap;
     while !stop.load(Ordering::Acquire) {
         match cfg.mode {
-            SchedulerMode::Aligned => {
-                if stores.iter().any(|s| s.log_used_fraction() >= threshold) {
-                    for s in stores {
-                        if s.checkpoint_async() {
-                            counters.triggers.inc();
-                        }
-                    }
-                }
-            }
             SchedulerMode::Staggered => {
                 // Fullest shard first: it is closest to the log-full
                 // cliff, and triggering one shard at a time is what

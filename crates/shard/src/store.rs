@@ -186,8 +186,8 @@ impl ShardedStore {
     /// on, but that cap is per shard: N shards recovering (or
     /// checkpointing) at once still multiply their workers. For a
     /// many-shard fleet on a small host, consider pinning each shard's
-    /// [`DStoreConfig::replay_threads`] down (or `DSTORE_REPLAY_THREADS=1`)
-    /// so the multiplied worker count does not oversubscribe the machine.
+    /// [`DStoreConfig::replay_threads`] down so the multiplied worker
+    /// count does not oversubscribe the machine.
     pub fn recover(images: Vec<CrashImage>, scheduler: SchedulerConfig) -> DsResult<Self> {
         if images.is_empty() {
             return Err(DsError::ShardMismatch("no shard images".into()));

@@ -27,12 +27,15 @@
 //!   mergeable across shards (with per-shard labels) and renderable as
 //!   Prometheus text exposition ([`export::to_prometheus`]) or a JSON
 //!   document ([`export::to_json`]) — the single serialization path for
-//!   every tool (`dstore_top`, `inspect`, scrapers).
+//!   every tool (`dstore_top`, `inspect`, scrapers);
+//! * [`codec`] — the one binary codec for traces, black-box records and
+//!   snapshots, shared by the wire protocol and the black box.
 
 #![warn(missing_docs)]
 
 pub mod blackbox;
 pub mod clock;
+pub mod codec;
 pub mod export;
 pub mod histogram;
 pub mod registry;

@@ -3,8 +3,9 @@
 //! * [`zipfian`] — the YCSB scrambled-zipfian key chooser (θ = 0.99).
 //! * [`ycsb`] — workload definitions: A (50 % read / 50 % update) and
 //!   B (95 % read / 5 % update), 4 KB values, plus arbitrary mixes.
-//! * [`histogram`] — HDR-style log-bucketed latency histogram with the
-//!   percentile queries the paper reports (p50 → p9999).
+//! * [`LatencyHistogram`] — HDR-style log-bucketed latency histogram with
+//!   the percentile queries the paper reports (p50 → p9999), re-exported
+//!   from `dstore-telemetry`.
 //! * [`timeline`] — per-interval throughput/bandwidth sampling behind the
 //!   Figure 7 timelines.
 //! * [`runner`] — a closed-loop multi-threaded driver ("full
@@ -12,13 +13,12 @@
 
 #![warn(missing_docs)]
 
-pub mod histogram;
 pub mod runner;
 pub mod timeline;
 pub mod ycsb;
 pub mod zipfian;
 
-pub use histogram::LatencyHistogram;
+pub use dstore_telemetry::LatencyHistogram;
 pub use runner::{run_closed_loop, ClientOp, RunOptions, RunReport};
 pub use timeline::{Timeline, TimelineSample};
 pub use ycsb::{Workload, WorkloadKind, YcsbOp};

@@ -4,8 +4,8 @@
 //! (28 on their testbed); each thread issues operations back-to-back and
 //! records per-op latency into read/update histograms.
 
-use crate::histogram::LatencyHistogram;
 use crate::ycsb::{Workload, YcsbOp};
+use crate::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -194,7 +194,7 @@ fn print_outliers(snap: &TelemetrySnapshot) {
 /// the fleet, plus what the minimally-ordered durability machinery
 /// saved (cache lines merged inside `persist_many` batches and flushes
 /// elided by the proven-durable tracker). The per-op ratios are the
-/// live view of the `micro_ops` fence budget.
+/// live view of the fence budget `commit_path.rs` asserts.
 fn print_ordering(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot) {
     let delta = |name: &str| {
         snap.counter_total(name)
