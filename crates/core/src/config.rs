@@ -108,16 +108,6 @@ pub struct DStoreConfig {
     /// apply path everywhere. Defaults to the host's available
     /// parallelism.
     pub replay_threads: usize,
-    /// Optimistic lock coupling on the object-index B-tree: gets, stats
-    /// and exists descend latch-free (seqlock validation, restart on
-    /// conflict), puts and deletes latch only the nodes they touch, and
-    /// OE-parallel replay workers share the tree without a global lock.
-    /// When off, every index access serializes on the store-wide
-    /// `btree_lock` RwLock — the pre-OLC baseline. Defaults to on,
-    /// overridable with the `DSTORE_INDEX_OLC` environment variable
-    /// (`0`/`false`/`off` disables — CI pins its global-lock leg through
-    /// this).
-    pub index_olc: bool,
     /// Crash-persistent flight recorder (requires `telemetry`): a small
     /// PMEM region that mirrors retained op traces, a heartbeat record,
     /// and lifecycle events, exhumed after a crash into
@@ -189,20 +179,9 @@ impl Default for DStoreConfig {
             trace: TraceConfig::default(),
             stall_timeout: Duration::from_secs(30),
             replay_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            index_olc: default_index_olc(),
             blackbox: BlackBoxConfig::default(),
         }
     }
-}
-
-/// Default for [`DStoreConfig::index_olc`]: on, unless the
-/// `DSTORE_INDEX_OLC` environment variable disables it
-/// (`0`/`false`/`off`).
-fn default_index_olc() -> bool {
-    !matches!(
-        std::env::var("DSTORE_INDEX_OLC").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
 }
 
 impl DStoreConfig {
@@ -273,12 +252,6 @@ impl DStoreConfig {
     /// (`1` = serial).
     pub fn with_replay_threads(mut self, threads: usize) -> Self {
         self.replay_threads = threads;
-        self
-    }
-    /// Enables/disables optimistic lock coupling on the object index
-    /// (off = global `btree_lock` baseline).
-    pub fn with_index_olc(mut self, on: bool) -> Self {
-        self.index_olc = on;
         self
     }
     /// Sets the crash-persistent flight-recorder configuration.
@@ -403,9 +376,6 @@ mod tests {
         assert_eq!(c.checkpoint, CheckpointMode::Dipper);
         assert_eq!(c.logging, LoggingMode::Logical);
         assert!(c.swap_threshold > 0.0 && c.swap_threshold < 1.0);
-        // DSTORE_INDEX_OLC may be pinned off in CI legs; both values are
-        // valid defaults.
-        let _ = c.index_olc;
         assert_eq!(c.pool_shards, 8);
         assert!(c.replay_threads >= 1);
     }
@@ -487,7 +457,6 @@ mod tests {
             .with_oe(false)
             .with_auto_checkpoint(false)
             .with_pool_shards(4)
-            .with_index_olc(false)
             .with_replay_threads(2)
             .with_trace(TraceConfig {
                 sample_every: 16,
@@ -499,7 +468,6 @@ mod tests {
         assert!(!c.oe);
         assert!(!c.auto_checkpoint);
         assert_eq!(c.pool_shards, 4);
-        assert!(!c.index_olc);
         assert_eq!(c.replay_threads, 2);
         assert!(c.strict_pmem);
         assert!(c.trace.enabled);

@@ -21,7 +21,7 @@ use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
 use crate::structures::{
-    blocks_for_geometry, Domain, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
+    blocks_for_geometry, Domain, IndexSync, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
 };
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
@@ -252,9 +252,7 @@ impl DsContext {
         )?;
 
         // Steps ⑥⑦: metadata entry + B-tree, outside the synchronous
-        // region (OE), on the entry the plan read. Under OLC (the
-        // default) no whole-tree lock is taken — a create's insert
-        // latches only the leaf path it restructures.
+        // region (OE), on the entry the plan read.
         let t = bd.is_some().then(now_ns);
         self.install_put(entry, key, size, &plan, lsn);
         at.mark(SEG_INDEX);
@@ -323,15 +321,9 @@ impl DsContext {
                 continue;
             }
             let (size, blocks) = {
-                let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.read());
+                let _bt = inner.btree_lock.read();
                 let d = inner.domain();
-                // The `btree` segment is charged from the descent itself
-                // (OLC restart loops included), not from a lock-acquire
-                // span that no longer exists under OLC.
-                let e = inner
-                    .index_sync()
-                    .lookup(&d, key)
-                    .ok_or(DsError::NotFound)?;
+                let e = d.lookup(key).ok_or(DsError::NotFound)?;
                 at.mark(SEG_INDEX);
                 let (size, _, blocks) = d.read_entry(e);
                 (size, blocks)
@@ -385,8 +377,10 @@ impl DsContext {
             &mut at,
         )?;
         let removed = {
-            let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
-            inner.domain().install_delete_sync(key, &inner.index_sync())
+            let _bt = inner.btree_lock.write();
+            inner
+                .domain()
+                .install_delete_sync(key, &IndexSync::Exclusive)
         };
         assert!(
             removed == entry,
@@ -405,10 +399,8 @@ impl DsContext {
     /// Whether `key` exists.
     pub fn exists(&self, key: &[u8]) -> bool {
         let inner = &self.inner;
-        let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.read());
-        // No entry dereference here — an optimistic descent alone is
-        // safe against concurrent deletes.
-        inner.index_sync().lookup(&inner.domain(), key).is_some()
+        let _bt = inner.btree_lock.read();
+        inner.domain().lookup(key).is_some()
     }
 
     /// Size of the object under `key`.
@@ -421,9 +413,8 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         loop {
-            // Same CC dance as `get`: under OLC the reader registration —
-            // not the index lock — is what keeps a concurrent delete from
-            // freeing the entry mid-read.
+            // Same CC dance as `get`: the reader registration keeps a
+            // concurrent delete from freeing the entry mid-read.
             let _guard = inner.readers.begin_read(key);
             if inner.writers.contains(key) {
                 drop(_guard);
@@ -431,12 +422,9 @@ impl DsContext {
                 inner.writers.wait_clear(key);
                 continue;
             }
-            let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.read());
+            let _bt = inner.btree_lock.read();
             let d = inner.domain();
-            let e = inner
-                .index_sync()
-                .lookup(&d, key)
-                .ok_or(DsError::NotFound)?;
+            let e = d.lookup(key).ok_or(DsError::NotFound)?;
             // SAFETY: entry live (reader registered, no in-flight writer on
             // this object — CC excludes the freeing delete).
             let (size, version, blocks) = d.read_entry(e);
@@ -453,17 +441,6 @@ impl DsContext {
     /// All object names, ascending.
     pub fn list(&self) -> Vec<Vec<u8>> {
         let inner = &self.inner;
-        if inner.cfg.index_olc {
-            // Optimistic snapshot scan: retries whole-scan on conflict,
-            // so the result is a point-in-time listing.
-            return inner
-                .domain()
-                .btree()
-                .entries_olc(&inner.index_stats)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-        }
         let _bt = inner.btree_lock.read();
         let mut out = vec![];
         inner.domain().btree().for_each(|k, _| out.push(k.to_vec()));
@@ -475,15 +452,6 @@ impl DsContext {
     /// nodes).
     pub fn list_prefix(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
         let inner = &self.inner;
-        if inner.cfg.index_olc {
-            return inner
-                .domain()
-                .btree()
-                .collect_prefix_olc(prefix, &inner.index_stats)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-        }
         let _bt = inner.btree_lock.read();
         let mut out = vec![];
         inner
@@ -610,20 +578,18 @@ impl DsContext {
     /// checkpoints in `log_stall`. The uninstrumented path performs zero
     /// clock reads here.
     ///
-    /// The index is descended once per attempt, under the store's
-    /// [`StoreInner::index_sync`] mode, and the entry found is handed to
-    /// both closures, so the logged record and the executed plan cannot
-    /// disagree about whether (and with which blocks) `name` exists.
-    /// The final attempt's entry is returned for the caller's install,
-    /// which therefore does not descend again. It is still `name`'s entry
-    /// then: no other op's install on `name` could overlap the lookup
-    /// (under OLC the op is a registered reader and no writer was
-    /// registered; otherwise the B-tree read lock is held from the lookup
-    /// through the plan), the reservation admitted no other in-flight
-    /// record on `name`, and the op registers as `name`'s writer before
-    /// leaving the synchronous region and unregisters only after its
-    /// install. So nothing creates, replaces or deletes the entry in
-    /// between.
+    /// The index is descended once per attempt, under the B-tree read
+    /// lock, and the entry found is handed to both closures, so the
+    /// logged record and the executed plan cannot disagree about whether
+    /// (and with which blocks) `name` exists. The final attempt's entry
+    /// is returned for the caller's install, which therefore does not
+    /// descend again. It is still `name`'s entry then: no other op's
+    /// install on `name` could overlap the lookup (the op is a registered
+    /// reader and no writer was registered), the reservation admitted no
+    /// other in-flight record on `name`, and the op registers as `name`'s
+    /// writer before leaving the synchronous region and unregisters only
+    /// after its install. So nothing creates, replaces or deletes the
+    /// entry in between.
     fn mutate_plan<P>(
         &self,
         name: &[u8],
@@ -635,8 +601,8 @@ impl DsContext {
         enum Outcome<'l, P> {
             Full,
             Conflicts(Vec<dstore_dipper::RecordHandle>),
-            /// OLC only: an in-flight writer is mid-install on this name,
-            /// so the encode/plan closures' entry reads are not safe yet.
+            /// An in-flight writer is mid-install on this name, so the
+            /// encode/plan closures' entry reads are not safe yet.
             WriterBusy,
             Starved,
             Failed(DsError),
@@ -659,24 +625,20 @@ impl DsContext {
             at.mark_at(SEG_CC_WAIT, t_log);
             let outcome: Outcome<'_, (Entry, P)> = 'outcome: {
                 let d = inner.domain();
-                let olc = inner.cfg.index_olc;
-                // Under OLC the whole-tree lock is gone, so the entry
-                // reads inside the encode/plan closures are protected by
-                // reader registration (§4.4) instead: a writer drains
-                // registered readers before it installs, and if one is
-                // already mid-install on this name we back off like a WW
-                // conflict (its record is uncommitted, so the reservation
-                // scan would bounce us anyway). The guard drops at step ⑤.
-                // Without OLC the B-tree read lock does the same job, held
-                // from the lookup through the plan. The lookup runs before
-                // the pool locks, so an OLC descent that waits out a
-                // latched node never stalls other planners of the shard.
-                let _read_guard = olc.then(|| inner.readers.begin_read(name));
-                if olc && inner.writers.contains(name) {
+                // The encode/plan closures read `name`'s entry outside the
+                // B-tree lock, so the op registers as its reader (§4.4)
+                // until step ⑤: a writer drains registered readers before
+                // it installs, and if one is already mid-install on this
+                // name we back off like a WW conflict (its record is
+                // uncommitted, so the reservation would bounce us anyway).
+                let _read_guard = inner.readers.begin_read(name);
+                if inner.writers.contains(name) {
                     break 'outcome Outcome::WriterBusy;
                 }
-                let bt = (!olc).then(|| inner.btree_lock.read());
-                let entry = inner.index_sync().lookup(&d, name);
+                let entry = {
+                    let _bt = inner.btree_lock.read();
+                    d.lookup(name)
+                };
                 // Step ①: lock the pools — the name's shard, or every
                 // shard in index order (steal retry).
                 let _shard =
@@ -707,9 +669,7 @@ impl DsContext {
                         } else {
                             // Steps ③/④: pool allocations, in per-shard
                             // log order.
-                            let p = plan(&d, entry, need_all).map(|p| (entry, p));
-                            drop(bt);
-                            match p {
+                            match plan(&d, entry, need_all).map(|p| (entry, p)) {
                                 Ok(p) => {
                                     // A plan that pulled blocks from a
                                     // foreign shard breaks per-shard
@@ -830,11 +790,14 @@ impl DsContext {
     /// install, so it is checked in every build.
     fn install_put(&self, entry: Entry, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
         let inner = &self.inner;
-        let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.write());
+        // Only a create changes the tree. An overwrite changes just the
+        // entry, which CC already gives this op alone: it is `name`'s
+        // registered writer and has drained `name`'s readers.
+        let _bt = entry.is_none().then(|| inner.btree_lock.write());
         let agreed =
             inner
                 .domain()
-                .install_put_entry(entry, name, size, plan, lsn, &inner.index_sync());
+                .install_put_entry(entry, name, size, plan, lsn, &IndexSync::Exclusive);
         assert!(agreed, "create displaced an existing index mapping");
     }
 
@@ -996,12 +959,9 @@ impl ObjectHandle<'_> {
                 continue;
             }
             let (size, blocks) = {
-                let _bt = (!inner.cfg.index_olc).then(|| inner.btree_lock.read());
+                let _bt = inner.btree_lock.read();
                 let d = inner.domain();
-                let e = inner
-                    .index_sync()
-                    .lookup(&d, &self.name)
-                    .ok_or(DsError::NotFound)?;
+                let e = d.lookup(&self.name).ok_or(DsError::NotFound)?;
                 at.mark(SEG_INDEX);
                 let (size, _, blocks) = d.read_entry(e);
                 (size, blocks)

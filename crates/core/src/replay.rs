@@ -21,10 +21,7 @@
 //!
 //! Worker-local state: each worker attaches its own [`Domain`] (the
 //! domain carries a `Cell`-based steal latch, so it is deliberately
-//! `!Sync`). B-tree coordination depends on the store's index mode: with
-//! OLC (the default) workers pass [`IndexSync::Olc`] and rely on the
-//! tree's own per-node version latches — no shared lock at all; in
-//! global-lock mode they share one B-tree `RwLock` through
+//! `!Sync`). The workers share one B-tree `RwLock` through
 //! [`IndexSync::Shared`] — lookups take it `read`, structural
 //! insert/remove take it `write`. Everything else partitions cleanly:
 //! same name → same shard → same worker (per-object metadata, overflow
@@ -34,7 +31,6 @@ use crate::structures::{Directory, Domain, IndexSync};
 use dstore_arena::{Arena, Memory, RelPtr};
 use dstore_dipper::record::{self, OwnedRecord};
 use dstore_dipper::usable_workers;
-use dstore_index::OlcStats;
 use dstore_telemetry::{now_ns, SpanRing};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,9 +59,8 @@ pub struct ReplayStats {
     /// Records replayed.
     pub records: AtomicU64,
     /// Serialized (non-overlappable) nanoseconds: the whole loop for
-    /// serial windows; grouping plus — in global-lock index mode — the
-    /// B-tree write-lock *hold* time for parallel ones (under OLC there
-    /// is no shared index lock, so only grouping is serialized).
+    /// serial windows; grouping plus the B-tree write-lock *hold* time
+    /// for parallel ones.
     /// `records / serialized_ns` is the admission-rate bound of one
     /// replay pipeline.
     pub serialized_ns: AtomicU64,
@@ -125,10 +120,6 @@ impl ReplayStats {
 /// Per-group spans (`replay_group`, payload `a` = shard, `b` = records;
 /// `replay_serial` for the fallback) land in `ring` when given — the
 /// checkpoint ring for applies, the recovery ring for recovery.
-///
-/// `olc` selects the parallel workers' index coordination: `Some(stats)`
-/// uses the B-tree's optimistic lock coupling (restarts/latch waits
-/// counted in `stats`), `None` the shared-`RwLock` baseline.
 pub fn replay_window<M: Memory>(
     arena: &Arena<M>,
     dir: RelPtr<Directory>,
@@ -136,7 +127,6 @@ pub fn replay_window<M: Memory>(
     threads: usize,
     stats: &ReplayStats,
     ring: Option<&SpanRing>,
-    olc: Option<&OlcStats>,
 ) {
     stats.windows.fetch_add(1, Ordering::Relaxed);
     stats
@@ -202,12 +192,9 @@ pub fn replay_window<M: Memory>(
             let write_ns = &write_ns;
             s.spawn(move || {
                 let domain = Domain::attach(arena, dir);
-                let sync = match olc {
-                    Some(stats) => IndexSync::Olc { stats },
-                    None => IndexSync::Shared {
-                        lock: btree_lock,
-                        write_ns,
-                    },
+                let sync = IndexSync::Shared {
+                    lock: btree_lock,
+                    write_ns,
                 };
                 for (shard, group) in groups.iter().skip(w).step_by(workers) {
                     let t0 = now_ns();

@@ -14,7 +14,7 @@ use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats, RecordWindows};
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
-use dstore_index::{OlcStats, ReadCounts};
+use dstore_index::ReadCounts;
 use dstore_pmem::blackbox::{exhume, region_size, BlackBoxRegion};
 use dstore_pmem::{PersistenceMode, PmemPool, PoolBuilder};
 use dstore_ssd::SsdDevice;
@@ -137,15 +137,10 @@ pub(crate) struct StoreInner {
     /// order before stealing, which totally orders it against every
     /// concurrent planner.
     pub pool_shard_locks: Box<[Mutex<()>]>,
-    /// Protects the object-index B-tree (step ⑦ and lookups) when
-    /// `cfg.index_olc` is off. Under OLC (the default) the tree's
-    /// per-node version words provide synchronization and this lock is
-    /// never taken on the op path.
+    /// Protects the object-index B-tree: lookups and scans hold it
+    /// `read`, a create's insert and a delete's remove (step ⑦) hold it
+    /// `write`. Metadata entries are guarded by `readers`/`writers`.
     pub btree_lock: RwLock<()>,
-    /// OLC restart / latch-wait counters for the object index, shared
-    /// by the frontend op paths, the checkpoint applier, and telemetry
-    /// (`dstore_index_restarts_total` / `dstore_index_latch_waits_total`).
-    pub index_stats: Arc<OlcStats>,
     /// Full-operation serialization for `oe = false` (Figure 9 "-OE").
     pub global_lock: Mutex<()>,
     /// Read-write CC: per-object read counts (§4.4).
@@ -175,20 +170,6 @@ impl StoreInner {
     /// The frontend (DRAM) domain.
     pub fn domain(&self) -> Domain<'_, DramMemory> {
         Domain::attach(&self.dram, self.dir)
-    }
-
-    /// The index synchronization mode frontend ops run under: lock-free
-    /// OLC when `cfg.index_olc` (the default). In legacy mode callers
-    /// hold `btree_lock` themselves, so the sync object degenerates to
-    /// `Exclusive`.
-    pub fn index_sync(&self) -> crate::structures::IndexSync<'_> {
-        if self.cfg.index_olc {
-            crate::structures::IndexSync::Olc {
-                stats: &self.index_stats,
-            }
-        } else {
-            crate::structures::IndexSync::Exclusive
-        }
     }
 
     /// Triggers a checkpoint if the active log crossed the threshold and
@@ -262,7 +243,6 @@ fn make_applier(
     threads: usize,
     stats: Arc<ReplayStats>,
     ring: Option<Arc<SpanRing>>,
-    olc: Option<Arc<OlcStats>>,
 ) -> Applier {
     let pool = Arc::clone(pool);
     Arc::new(move |shadow_idx: usize, windows: &RecordWindows<'_>| {
@@ -273,15 +253,7 @@ fn make_applier(
         ))
         .expect("shadow region holds a valid arena");
         windows.for_each(|records| {
-            replay::replay_window(
-                &arena,
-                dir,
-                records,
-                threads,
-                &stats,
-                ring.as_deref(),
-                olc.as_deref(),
-            )
+            replay::replay_window(&arena, dir, records, threads, &stats, ring.as_deref())
         });
     })
 }
@@ -395,7 +367,6 @@ impl DStore {
     ) -> Arc<StoreInner> {
         let drain = Arc::new(RwLock::new(()));
         let stall_timeout = cfg.stall_timeout;
-        let index_stats = Arc::new(OlcStats::default());
         // The domain clamps the shard count at format time (tiny pools get
         // fewer shards than configured), so read the on-media value back.
         let nshards = Domain::attach(&dram, dir).pool_shards().max(1);
@@ -441,7 +412,6 @@ impl DStore {
                     cfg.replay_threads,
                     Arc::clone(&replay),
                     telemetry.as_ref().map(|t| Arc::clone(&t.ckpt.ring)),
-                    cfg.index_olc.then(|| Arc::clone(&index_stats)),
                 );
                 let c = Checkpointer::new(
                     Arc::clone(&pool),
@@ -482,7 +452,6 @@ impl DStore {
             dir,
             pool_shard_locks,
             btree_lock: RwLock::new(()),
-            index_stats,
             global_lock: Mutex::new(()),
             readers: ReadCounts::with_stall_timeout(stall_timeout),
             writers: InflightWriters::with_stall_timeout(stall_timeout),
@@ -714,19 +683,6 @@ impl DStore {
         snap.push_counter("dstore_replay_records_total", vec![], r.records);
         snap.push_counter("dstore_replay_serialized_ns_total", vec![], r.serialized_ns);
         snap.push_counter("dstore_replay_divergence_total", vec![], r.divergences);
-        // Optimistic lock coupling on the object index (frontend ops +
-        // checkpoint applier; zero when `index_olc` is off).
-        let i = &self.inner.index_stats;
-        snap.push_counter(
-            "dstore_index_restarts_total",
-            vec![],
-            i.restarts.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "dstore_index_latch_waits_total",
-            vec![],
-            i.latch_waits.load(Ordering::Relaxed),
-        );
         // Device traffic.
         let p = self.inner.pool.stats().snapshot();
         snap.push_counter("dstore_pmem_flush_bytes_total", vec![], p.flush_bytes);
@@ -1015,9 +971,6 @@ impl DStore {
         };
         let replay_stats = Arc::new(ReplayStats::default());
         let rec_ring = telemetry.as_ref().map(|t| Arc::clone(&t.recovery_ring));
-        // Recovery-time OLC counters. They are dropped after recovery —
-        // the live store's `index_stats` counts op-path traffic only.
-        let rec_olc = cfg.index_olc.then(|| Arc::new(OlcStats::default()));
 
         let t_meta = dstore_telemetry::now_ns();
         // Step 1: redo the interrupted checkpoint on the old shadow image.
@@ -1030,7 +983,6 @@ impl DStore {
                 cfg.replay_threads,
                 Arc::clone(&replay_stats),
                 rec_ring.clone(),
-                rec_olc.clone(),
             );
             let stats = dstore_dipper::CheckpointStats::default();
             let ckpt_tel = telemetry.as_ref().map(|t| t.ckpt.clone());
@@ -1075,7 +1027,6 @@ impl DStore {
             cfg.replay_threads,
             &replay_stats,
             rec_ring.as_deref(),
-            rec_olc.as_deref(),
         );
         report.replayed_records = plan.replay_records.len();
         report.replay_ns = dstore_telemetry::now_ns().saturating_sub(t_replay);

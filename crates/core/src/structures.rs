@@ -31,7 +31,7 @@ use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use dstore_arena::{Arena, ArenaPod, Memory, RelPtr};
 use dstore_dipper::record::{self, OwnedRecord};
 use dstore_dipper::OP_NOOP;
-use dstore_index::{fnv1a, BTreeHandle, BTreeHeader, OlcStats};
+use dstore_index::{fnv1a, BTreeHandle, BTreeHeader};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,39 +188,27 @@ pub struct DeletePlan {
 /// How a [`Domain`] call synchronizes B-tree access against other
 /// domains bound to the same arena.
 ///
-/// Serial replay owns its domain and passes [`IndexSync::Exclusive`] (no
-/// locking here). Frontend ops look names up and install under the
-/// store's `index_sync()`, so their descents match the index mode other
-/// threads mutate under: [`IndexSync::Olc`] by default, `Exclusive` only
-/// under the store's global B-tree lock (`index_olc = false`). OE-parallel
-/// replay workers each own disjoint pool shards — their pool and
-/// metadata-entry accesses never collide — but they share one B-tree.
-/// With the default OLC index ([`IndexSync::Olc`]) they coordinate
-/// through the tree's own per-node version latches: lookups descend
-/// latch-free and inserts/removes latch only the nodes they touch, so
-/// nothing is charged as serialized time. The pre-OLC
-/// [`IndexSync::Shared`] mode (config `index_olc = false`) instead rides
-/// a shared `RwLock`: lookups take it `read`, structural mutations take
-/// it `write`, and write-lock *hold* time is charged to `write_ns` —
-/// the sum across workers is that mode's irreducibly serialized portion,
-/// the admission-rate denominator of `ReplayStats::serialized_ns`.
+/// Serial replay owns its domain, and frontend ops hold the store's
+/// `btree_lock` around every lookup, insert and remove, so both pass
+/// [`IndexSync::Exclusive`] (no locking here). OE-parallel replay workers
+/// each own disjoint pool shards — their pool and metadata-entry accesses
+/// never collide — but they share one B-tree through
+/// [`IndexSync::Shared`]: lookups take a shared `RwLock` `read`,
+/// structural mutations take it `write`, and write-lock *hold* time is
+/// charged to `write_ns` — the sum across workers is the irreducibly
+/// serialized portion, the admission-rate denominator of
+/// `ReplayStats::serialized_ns`.
 pub enum IndexSync<'l> {
     /// Caller already has exclusive access to the tree (single-threaded
-    /// replay, or the frontend holding the global B-tree lock).
+    /// replay, or the frontend holding the store's B-tree lock).
     Exclusive,
-    /// Concurrent distinct-shard replay, global-lock mode: B-tree reads
-    /// share `lock`, structural mutations take it exclusively.
+    /// Concurrent distinct-shard replay: B-tree reads share `lock`,
+    /// structural mutations take it exclusively.
     Shared {
         /// The B-tree lock shared by every worker of one replay window.
         lock: &'l RwLock<()>,
         /// Accumulated write-lock hold time (ns) across workers.
         write_ns: &'l AtomicU64,
-    },
-    /// Concurrent access through the tree's optimistic lock coupling —
-    /// no shared lock at all; conflicts surface as counted restarts.
-    Olc {
-        /// Restart/latch-wait counters (store-wide).
-        stats: &'l OlcStats,
     },
 }
 
@@ -235,7 +223,6 @@ impl IndexSync<'_> {
                 let _g = lock.read();
                 d.btree().get(name)
             }
-            IndexSync::Olc { stats } => d.btree().get_olc(name, stats),
         };
         off.map(RelPtr::from_offset)
     }
@@ -255,7 +242,6 @@ impl IndexSync<'_> {
                 write_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 prev
             }
-            IndexSync::Olc { stats } => d.btree().insert_olc(name, off, stats),
         }
     }
 
@@ -273,7 +259,6 @@ impl IndexSync<'_> {
                 write_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 prev
             }
-            IndexSync::Olc { stats } => d.btree().remove_olc(name, stats),
         };
         off.map(RelPtr::from_offset)
     }
@@ -409,6 +394,12 @@ impl<'a, M: Memory> Domain<'a, M> {
         // SAFETY: directory is live for the domain's lifetime.
         let hdr = unsafe { (*self.arena.resolve(self.dir)).btree };
         BTreeHandle::attach(self.arena, hdr)
+    }
+
+    /// `name`'s metadata entry, for a caller with exclusive access to
+    /// the B-tree ([`IndexSync::Exclusive`]).
+    pub fn lookup(&self, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
+        IndexSync::Exclusive.lookup(self, name)
     }
 
     /// Directory counters `(live_objects, data_bytes)`.
@@ -970,10 +961,6 @@ mod tests {
 
     /// Single-threaded shorthands: steal permitted, no B-tree sync.
     impl<M: Memory> Domain<'_, M> {
-        fn lookup(&self, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
-            IndexSync::Exclusive.lookup(self, name)
-        }
-
         fn plan_put(&self, name: &[u8], size: u64) -> DsResult<PutPlan> {
             self.plan_put_entry(self.lookup(name), name, size, true)
         }

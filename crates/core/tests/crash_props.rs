@@ -46,14 +46,12 @@ fn run_case(
     ops: &[Op],
     ckpt: CheckpointMode,
     logging: LoggingMode,
-    olc: bool,
+    oe: bool,
 ) -> Result<(), TestCaseError> {
-    // Pinned explicitly (not via `DSTORE_INDEX_OLC`) so each leg tests a
-    // known index mode regardless of the environment.
     let cfg = DStoreConfig::small()
         .with_checkpoint(ckpt)
         .with_logging(logging)
-        .with_index_olc(olc)
+        .with_oe(oe)
         .with_auto_checkpoint(false);
     let s = DStore::create(cfg).unwrap();
     let ctx = s.context();
@@ -145,8 +143,9 @@ proptest! {
         run_case(&ops, CheckpointMode::Cow, LoggingMode::Logical, true)?;
     }
 
-    // Global-lock legs (`index_olc = false`): the pre-OLC index mode must
-    // keep the same §3.6 equivalence on both checkpoint engines.
+    // Global-lock legs: the "-OE" ablation point (Figure 9), where every
+    // mutation runs under the store's global lock, on both checkpoint
+    // engines.
     #[test]
     fn dipper_logical_crash_equivalence_global_lock(ops in prop::collection::vec(op_strategy(), 1..60)) {
         run_case(&ops, CheckpointMode::Dipper, LoggingMode::Logical, false)?;

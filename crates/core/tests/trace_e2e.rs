@@ -116,10 +116,12 @@ fn slo_retention_keeps_unsampled_outliers() {
 /// milliseconds, drive concurrent writers through a tiny log so ops
 /// pile up behind the stalled checkpoints, and check the flight
 /// recorder pinned the blame — ≥90 % of retained outlier traces must
-/// carry a non-idle checkpoint phase stamp.
+/// carry a non-idle checkpoint phase stamp. The SLO is a third of the
+/// stall and above the 5–6 ms a preempted lock holder costs a debug
+/// build on a 2-CPU host with this binary's other tests beside it.
 fn stalled_flush_attributes_outliers(mode: CheckpointMode) {
     const STALL_NS: u64 = 30_000_000; // 30 ms inside each flush
-    const SLO_NS: u64 = 5_000_000; // outlier = op slower than 5 ms
+    const SLO_NS: u64 = 10_000_000; // outlier = op slower than 10 ms
     let cfg = traced(
         DStoreConfig {
             log_size: 16 << 10, // checkpoints every ~100 puts

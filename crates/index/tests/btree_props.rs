@@ -17,8 +17,7 @@ enum Op {
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     // Small key space to force collisions, replacements, and deletes of
     // present keys. The long arm shares up to 24 bytes of prefix, so
-    // compares reach the optimistic descent's 8-byte word path and its
-    // byte tail.
+    // compares run deep into the keys.
     prop_oneof![
         prop::collection::vec(0u8..8, 0..6),
         (0usize..25, prop::collection::vec(0u8..4, 0..12)).prop_map(|(n, tail)| {
@@ -66,12 +65,13 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The same equivalence through the optimistic (`*_olc`) operations.
+    /// The same equivalence through the `*_olc` names the benchmark's
+    /// index probes call.
     #[test]
     fn olc_equivalent_to_btreemap(ops in prop::collection::vec(op_strategy(), 1..400)) {
         let arena = Arena::create(DramMemory::new(1 << 22));
         let tree = BTreeHandle::create(&arena);
-        let stats = OlcStats::default();
+        let stats = OlcStats;
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
         for op in ops {
             match op {
@@ -88,7 +88,7 @@ proptest! {
         }
         tree.check_invariants();
         let want: Vec<_> = model.into_iter().collect();
-        prop_assert_eq!(tree.entries_olc(&stats), want);
+        prop_assert_eq!(tree.entries(), want);
     }
 
     /// Range scans agree with the BTreeMap model for arbitrary bounds.

@@ -242,13 +242,20 @@ fn span_ring_concurrent_drops_but_never_tears() {
     const PER_WRITER: u64 = 5_000;
     let ring = Arc::new(SpanRing::new(32));
     let done = Arc::new(AtomicBool::new(false));
+    // Writers start only once the reader is running, and the reader
+    // snapshots at least once after they finish: on a busy host the
+    // reader may otherwise never be scheduled while they write.
+    let reader_started = Arc::new(std::sync::Barrier::new(WRITERS as usize + 1));
 
     let reader = {
         let ring = Arc::clone(&ring);
         let done = Arc::clone(&done);
+        let reader_started = Arc::clone(&reader_started);
         std::thread::spawn(move || {
+            reader_started.wait();
             let mut snapshots = 0u64;
-            while !done.load(Ordering::Acquire) {
+            loop {
+                let last = done.load(Ordering::Acquire);
                 for s in ring.snapshot() {
                     // Writers only ever publish (start, start+1,
                     // start^MASK, start) — any cross-writer tear breaks
@@ -259,6 +266,9 @@ fn span_ring_concurrent_drops_but_never_tears() {
                     assert_eq!(s.name, "stress");
                 }
                 snapshots += 1;
+                if last {
+                    break;
+                }
             }
             snapshots
         })
@@ -267,7 +277,9 @@ fn span_ring_concurrent_drops_but_never_tears() {
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let ring = Arc::clone(&ring);
+            let reader_started = Arc::clone(&reader_started);
             std::thread::spawn(move || {
+                reader_started.wait();
                 for i in 0..PER_WRITER {
                     let k = w * PER_WRITER + i;
                     ring.record("stress", k, k + 1, k ^ 0xDEAD_BEEF, k);

@@ -83,7 +83,6 @@ fn frame(
     store: &ShardedStore,
     prev_stats: &StatsSnapshot,
     prev_snap: &TelemetrySnapshot,
-    interval: Duration,
 ) -> (StatsSnapshot, TelemetrySnapshot) {
     let stats = store.stats();
     let snap = store.telemetry_snapshot();
@@ -130,7 +129,6 @@ fn frame(
         );
     }
     print_ordering(&snap, prev_snap);
-    print_index(&snap, prev_snap, interval);
     print_replay(&snap);
     print_outliers(&snap);
     let panics = snap.counter_total("dstore_checkpoint_panics_total");
@@ -227,30 +225,6 @@ const SERVER_OPS: [&str; 10] = [
     "crash_report",
 ];
 
-/// Index panel: the object index's optimistic-lock-coupling conflict
-/// counters as interval rates — descents that restarted on a version
-/// conflict and writer latch acquisitions that found the word held.
-/// Both stay near zero on a healthy store; a climbing restart rate
-/// means readers keep colliding with structural splits/merges. Hidden
-/// when the interval saw no OLC activity (e.g. `index_olc = off`).
-fn print_index(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot, interval: Duration) {
-    let delta = |name: &str| {
-        snap.counter_total(name)
-            .saturating_sub(prev.counter_total(name))
-    };
-    let restarts = delta("dstore_index_restarts_total");
-    let waits = delta("dstore_index_latch_waits_total");
-    if restarts == 0 && waits == 0 {
-        return;
-    }
-    let secs = interval.as_secs_f64().max(1e-9);
-    println!(
-        "\n  index     restarts/s {:>8.1}   latch waits/s {:>8.1}",
-        restarts as f64 / secs,
-        waits as f64 / secs,
-    );
-}
-
 /// Replay-engine panel: the `dstore_replay_*` counters from the last
 /// recovery — how many dependency windows and parallel groups the
 /// replay planner built, how many records it pushed through them, how
@@ -282,7 +256,6 @@ fn remote_frame(
     addr: &str,
     prev_stats: &StatsSnapshot,
     prev_snap: &TelemetrySnapshot,
-    interval: Duration,
 ) -> (StatsSnapshot, TelemetrySnapshot) {
     let stats = c.stats().expect("stats rpc");
     let health = c.health().expect("health rpc");
@@ -384,7 +357,6 @@ fn remote_frame(
     }
 
     print_ordering(&snap, prev_snap);
-    print_index(&snap, prev_snap, interval);
     print_replay(&snap);
     print_outliers(&snap);
     if health.checkpoint_panics > 0 {
@@ -471,7 +443,7 @@ fn main() {
             println!("{}", to_prometheus(&store.telemetry_snapshot()));
             break;
         }
-        (prev_stats, prev_snap) = frame(&store, &prev_stats, &prev_snap, interval);
+        (prev_stats, prev_snap) = frame(&store, &prev_stats, &prev_snap);
         if once && n + 1 == frames {
             break;
         }
@@ -546,7 +518,7 @@ fn remote_main(addr: &str, once: bool, prometheus: bool) {
         if !once {
             print!("\x1b[2J\x1b[H");
         }
-        (prev_stats, prev_snap) = remote_frame(&mut c, addr, &prev_stats, &prev_snap, interval);
+        (prev_stats, prev_snap) = remote_frame(&mut c, addr, &prev_stats, &prev_snap);
         if once && n + 1 == frames {
             break;
         }
