@@ -29,7 +29,7 @@
 
 use crate::structures::{Directory, Domain, IndexSync};
 use dstore_arena::{Arena, Memory, RelPtr};
-use dstore_dipper::record::{self, OwnedRecord};
+use dstore_dipper::record::{self, RecordView};
 use dstore_dipper::usable_workers;
 use dstore_telemetry::{now_ns, SpanRing};
 use parking_lot::RwLock;
@@ -123,7 +123,7 @@ impl ReplayStats {
 pub fn replay_window<M: Memory>(
     arena: &Arena<M>,
     dir: RelPtr<Directory>,
-    records: &[OwnedRecord],
+    records: &[RecordView<'_>],
     threads: usize,
     stats: &ReplayStats,
     ring: Option<&SpanRing>,
@@ -168,7 +168,7 @@ pub fn replay_window<M: Memory>(
     {
         let d = Domain::attach(arena, dir);
         for (i, r) in records.iter().enumerate() {
-            by_shard[d.shard_of_name(&r.name)].push(i);
+            by_shard[d.shard_of_name(r.name)].push(i);
         }
     }
     let groups: Vec<(usize, Vec<usize>)> = by_shard
@@ -229,14 +229,14 @@ mod tests {
     use super::*;
     use dstore_dipper::record::{name_hash, COMMIT_COMMITTED, OP_STEAL_FLAG};
 
-    fn rec(name: &str, lsn: u64, op: u16) -> OwnedRecord {
-        OwnedRecord {
+    fn rec(name: &str, lsn: u64, op: u16) -> RecordView<'_> {
+        RecordView {
             lsn,
             op,
             commit: COMMIT_COMMITTED,
-            name: name.as_bytes().to_vec(),
-            params: vec![],
             off: 0,
+            name: name.as_bytes(),
+            params: &[],
         }
     }
 
@@ -266,22 +266,21 @@ mod tests {
     /// `group_by_object` unit test, now against the real shard key).
     #[test]
     fn grouping_preserves_per_object_order() {
-        let records: Vec<OwnedRecord> = (0..100)
-            .map(|i| rec(&format!("obj{}", i % 7), i + 1, 1))
-            .collect();
+        let names: Vec<String> = (0..100).map(|i| format!("obj{}", i % 7)).collect();
+        let records: Vec<RecordView> = (0..100).map(|i| rec(&names[i], i as u64 + 1, 1)).collect();
         let shards = 4usize;
-        let mut groups: Vec<Vec<&OwnedRecord>> = vec![Vec::new(); shards];
+        let mut groups: Vec<Vec<&RecordView>> = vec![Vec::new(); shards];
         for r in &records {
-            groups[(name_hash(&r.name) as usize) % shards].push(r);
+            groups[(name_hash(r.name) as usize) % shards].push(r);
         }
         assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), 100);
         for g in &groups {
             let mut last: std::collections::HashMap<&[u8], u64> = Default::default();
             for r in g {
-                if let Some(&prev) = last.get(r.name.as_slice()) {
+                if let Some(&prev) = last.get(r.name) {
                     assert!(r.lsn > prev, "order violated within group");
                 }
-                last.insert(&r.name, r.lsn);
+                last.insert(r.name, r.lsn);
             }
         }
         for i in 0..7 {

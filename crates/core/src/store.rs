@@ -13,7 +13,7 @@ use crate::telemetry::{HealthSnapshot, StoreTelemetry};
 use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats, RecordWindows};
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
-use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
+use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
 use dstore_index::ReadCounts;
 use dstore_pmem::blackbox::{exhume, region_size, BlackBoxRegion};
 use dstore_pmem::{PersistenceMode, PmemPool, PoolBuilder};
@@ -991,7 +991,8 @@ impl DStore {
                 &layout,
                 &root,
                 &applier,
-                RecordWindows::read(redo),
+                // SAFETY: nothing writes the log until `recover` returns.
+                unsafe { RecordWindows::at(&pool, redo) },
                 &stats,
                 ckpt_tel.as_ref(),
                 cfg.replay_threads,
@@ -1018,12 +1019,18 @@ impl DStore {
 
         // Step 3: replay committed active-log records as new requests,
         // through the same OE-parallel engine the checkpoint applier
-        // uses (`replay_threads = 1` restores the serial path).
+        // uses (`replay_threads = 1` restores the serial path), as one
+        // window of views at the offsets the scan validated.
         let t_replay = dstore_telemetry::now_ns();
         replay::replay_window(
             &dram,
             dir,
-            &plan.replay_records,
+            &plan
+                .replay_records
+                .iter()
+                // SAFETY: nothing writes the log until `recover` returns.
+                .map(|&off| unsafe { record::Header::read(&pool, off).view(&pool, off) })
+                .collect::<Vec<_>>(),
             cfg.replay_threads,
             &replay_stats,
             rec_ring.as_deref(),

@@ -29,7 +29,7 @@
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use dstore_arena::{Arena, ArenaPod, Memory, RelPtr};
-use dstore_dipper::record::{self, OwnedRecord};
+use dstore_dipper::record::{self, RecordView};
 use dstore_dipper::OP_NOOP;
 use dstore_index::{fnv1a, BTreeHandle, BTreeHeader};
 use parking_lot::RwLock;
@@ -137,13 +137,6 @@ unsafe impl ArenaPod for PoolHeader {}
 #[inline]
 pub fn blocks_for_geometry(size: u64, block_bytes: u64) -> u64 {
     size.div_ceil(block_bytes)
-}
-
-/// Number of blocks an object of `size` bytes occupies in the default
-/// one-page-per-block geometry.
-#[inline]
-pub fn blocks_for(size: u64) -> u64 {
-    blocks_for_geometry(size, BLOCK_SIZE)
 }
 
 /// The result of a put/create plan: the object's final block list.
@@ -847,7 +840,7 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// recovery logic to update the shadow copies"). Single-threaded
     /// replay: steals permitted, no B-tree locking. Returns whether the
     /// record diverged (see [`Domain::replay_in`]).
-    pub fn replay(&self, rec: &OwnedRecord) -> bool {
+    pub fn replay(&self, rec: &RecordView<'_>) -> bool {
         self.replay_in(rec, true, &IndexSync::Exclusive)
     }
 
@@ -869,12 +862,12 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// delete whose remove found another entry than its plan (or none).
     /// Checked in every build; the caller counts it, and debug builds
     /// panic.
-    pub fn replay_in(&self, rec: &OwnedRecord, allow_steal: bool, sync: &IndexSync<'_>) -> bool {
-        let name = &rec.name[..];
+    pub fn replay_in(&self, rec: &RecordView<'_>, allow_steal: bool, sync: &IndexSync<'_>) -> bool {
+        let name = rec.name;
         let diverged = match record::op_code(rec.op) {
             OP_NOOP => false,
             ops::OP_PUT | ops::OP_TOUCH | ops::OP_CREATE => {
-                let p = PutParams::decode(&rec.params).expect("valid put params");
+                let p = PutParams::decode(rec.params).expect("valid put params");
                 let entry = sync.lookup(self, name);
                 let plan = self
                     .plan_put_entry(entry, name, p.size, allow_steal)
@@ -882,7 +875,7 @@ impl<'a, M: Memory> Domain<'a, M> {
                 !self.install_put_entry(entry, name, p.size, &plan, rec.lsn, sync)
             }
             ops::OP_EXTEND => {
-                let p = ExtendParams::decode(&rec.params).expect("valid extend params");
+                let p = ExtendParams::decode(rec.params).expect("valid extend params");
                 let entry = sync.lookup(self, name);
                 let plan = self
                     .plan_extend_entry(entry, name, p.offset, p.len, allow_steal)
@@ -898,7 +891,7 @@ impl<'a, M: Memory> Domain<'a, M> {
                 self.install_delete_sync(name, sync) != entry
             }
             ops::OP_PHYS_INSTALL => {
-                let img = PhysImage::decode(&rec.params).expect("valid phys image");
+                let img = PhysImage::decode(rec.params).expect("valid phys image");
                 let popped = self
                     .pop_n_in(name, img.pops as u64, allow_steal)
                     .expect("phys replay pool pop");
@@ -927,7 +920,7 @@ impl<'a, M: Memory> Domain<'a, M> {
                 pops_diverged || !agreed
             }
             ops::OP_PHYS_DELETE => {
-                let img = PhysImage::decode(&rec.params).expect("valid phys image");
+                let img = PhysImage::decode(rec.params).expect("valid phys image");
                 let home = self.shard_of_name(name);
                 for &b in &img.pushes {
                     self.shard_push(home, b);
@@ -1164,10 +1157,29 @@ mod tests {
     /// The determinism property underpinning DIPPER: replaying the logged
     /// operations on a fresh domain reproduces block assignments and
     /// observable state exactly.
+    /// A committed record whose bytes the test owns, for feeding replay.
+    struct OwnedRecord {
+        lsn: u64,
+        op: u16,
+        name: Vec<u8>,
+        params: Vec<u8>,
+    }
+
+    impl OwnedRecord {
+        fn view(&self) -> RecordView<'_> {
+            RecordView {
+                lsn: self.lsn,
+                op: self.op,
+                commit: dstore_dipper::COMMIT_COMMITTED,
+                off: 0,
+                name: &self.name,
+                params: &self.params,
+            }
+        }
+    }
+
     #[test]
     fn replay_reproduces_frontend_state() {
-        use dstore_dipper::record::OwnedRecord;
-
         let a1 = arena();
         let front = domain(&a1);
         let mut records: Vec<OwnedRecord> = vec![];
@@ -1177,10 +1189,8 @@ mod tests {
             OwnedRecord {
                 lsn,
                 op,
-                commit: dstore_dipper::COMMIT_COMMITTED,
                 name: name.to_vec(),
                 params,
-                off: 0,
             }
         };
 
@@ -1220,7 +1230,7 @@ mod tests {
         let a2 = arena();
         let shadow = domain(&a2);
         for rec in &records {
-            shadow.replay(rec);
+            shadow.replay(&rec.view());
         }
 
         // Observable equivalence: same objects, same sizes, same block
@@ -1278,16 +1288,14 @@ mod tests {
             records.push(OwnedRecord {
                 lsn,
                 op: ops::OP_PHYS_INSTALL,
-                commit: dstore_dipper::COMMIT_COMMITTED,
                 name: name.into_bytes(),
                 params: img.encode(),
-                off: 0,
             });
         }
         let a2 = arena();
         let shadow = domain(&a2);
         for r in &records {
-            shadow.replay(r);
+            shadow.replay(&r.view());
         }
         assert_eq!(front.counters(), shadow.counters());
         assert_eq!(front.pool_free(), shadow.pool_free());
@@ -1374,7 +1382,6 @@ mod tests {
 
     #[test]
     fn sharded_replay_reproduces_frontend_state() {
-        use dstore_dipper::record::OwnedRecord;
         // Mixed history over a 4-shard pool, including cross-shard
         // steals, replayed on a fresh 4-shard domain.
         let a1 = arena();
@@ -1389,10 +1396,8 @@ mod tests {
             let rec = OwnedRecord {
                 lsn,
                 op: ops::OP_PUT,
-                commit: dstore_dipper::COMMIT_COMMITTED,
                 name: name.clone().into_bytes(),
                 params: PutParams { size }.encode().to_vec(),
-                off: 0,
             };
             // Steal-permitted, like the frontend's escalated path.
             match front.plan_put(&rec.name, size) {
@@ -1405,10 +1410,8 @@ mod tests {
                     let del = OwnedRecord {
                         lsn: lsn + 1,
                         op: ops::OP_DELETE,
-                        commit: dstore_dipper::COMMIT_COMMITTED,
                         name: name.into_bytes(),
                         params: vec![],
-                        off: 0,
                     };
                     if front.plan_delete(&del.name).is_ok() {
                         lsn += 1;
@@ -1422,7 +1425,7 @@ mod tests {
         let a2 = arena();
         let shadow = Domain::format_with_shards(&a2, 257, 1, 4);
         for rec in &records {
-            shadow.replay(rec);
+            shadow.replay(&rec.view());
         }
         assert_eq!(front.counters(), shadow.counters());
         assert_eq!(front.pool_free(), shadow.pool_free());

@@ -16,10 +16,11 @@
 //!    the root transition `{current shadow flipped, in-progress cleared}`.
 //!
 //! The applier receives the records as [`RecordWindows`]: windows of at
-//! most [`APPLY_WINDOW`] records in LSN order. A live checkpoint walks
-//! the archived buffer one window at a time, so its heap holds one
-//! window of records however long the log is; recovery's redo hands its
-//! already-read records through the same type.
+//! most [`APPLY_WINDOW`] record views in LSN order, each borrowing its
+//! name and params where they lie in the log. A live checkpoint walks the
+//! archived buffer one window at a time, so its heap holds one window of
+//! views however long the log is; recovery's redo re-reads the records
+//! at the offsets its scan validated, one window at a time.
 //!
 //! A crash anywhere before the final root store leaves the old shadow
 //! image current and the archived log intact — recovery simply redoes the
@@ -27,7 +28,7 @@
 
 use crate::layout::PmemLayout;
 use crate::log::OpLog;
-use crate::record::OwnedRecord;
+use crate::record::{self, RecordView, COMMIT_COMMITTED};
 use crate::root::Root;
 use dstore_arena::{Arena, PmemRange};
 use dstore_pmem::PmemPool;
@@ -122,7 +123,7 @@ pub const APPLY_WINDOW: usize = 1024;
 pub type Applier = Arc<dyn Fn(usize, &RecordWindows<'_>) + Send + Sync>;
 
 /// The committed records of one checkpoint, as the [`Applier`] sees
-/// them: windows of at most [`APPLY_WINDOW`] records, in LSN order.
+/// them: windows of at most [`APPLY_WINDOW`] views, in LSN order.
 pub struct RecordWindows<'a> {
     source: Source<'a>,
     /// Records handed out so far ([`CheckpointStats::records_applied`]).
@@ -130,40 +131,65 @@ pub struct RecordWindows<'a> {
 }
 
 enum Source<'a> {
-    /// An archived log buffer, walked window by window.
+    /// An archived log buffer, walked window by window. Nothing writes it
+    /// while the windows live, as [`OpLog::visit`] requires: no swap
+    /// recycles it before its checkpoint completes.
     Archived(&'a OpLog, usize),
-    /// Records already read from the log.
-    Read(&'a [OwnedRecord]),
+    /// Records a recovery scan validated, by pool offset.
+    At(&'a PmemPool, &'a [usize]),
 }
 
 impl<'a> RecordWindows<'a> {
-    /// The committed records of `log`'s buffer `buf`, read one window at
-    /// a time (a live checkpoint).
-    pub fn archived(log: &'a OpLog, buf: usize) -> Self {
-        Self::new(Source::Archived(log, buf))
-    }
-
-    /// Committed records already read from the log (recovery's redo).
-    pub fn read(records: &'a [OwnedRecord]) -> Self {
-        Self::new(Source::Read(records))
+    /// The committed records at pool offsets `offs`, which a recovery
+    /// scan validated, re-read one window at a time (recovery's redo).
+    ///
+    /// # Safety
+    ///
+    /// Nothing writes those records while the windows live: the log is
+    /// being recovered.
+    pub unsafe fn at(pool: &'a PmemPool, offs: &'a [usize]) -> Self {
+        Self::new(Source::At(pool, offs))
     }
 
     fn new(source: Source<'a>) -> Self {
-        RecordWindows {
-            source,
-            handed: Cell::new(0),
-        }
+        let handed = Cell::new(0);
+        RecordWindows { source, handed }
     }
 
-    /// Hands every window to `apply`, in LSN order.
-    pub fn for_each(&self, mut apply: impl FnMut(&[OwnedRecord])) {
-        let hand = |w: &[OwnedRecord]| {
+    /// Hands every window to `apply`, in LSN order. One window buffer is
+    /// reused throughout, so at most [`APPLY_WINDOW`] views exist at once
+    /// however long the source is.
+    pub fn for_each(&self, mut apply: impl FnMut(&[RecordView<'_>])) {
+        let mut w = Vec::with_capacity(APPLY_WINDOW);
+        let mut hand = |w: &mut Vec<RecordView<'a>>| {
             self.handed.set(self.handed.get() + w.len() as u64);
-            apply(w);
+            apply(&w[..]);
+            w.clear();
         };
+        let mut push = |r| {
+            w.push(r);
+            if w.len() == APPLY_WINDOW {
+                hand(&mut w);
+            }
+        };
+        // SAFETY (both arms): nothing writes the records while the views
+        // live, per `Source`'s contracts.
         match self.source {
-            Source::Archived(log, buf) => log.committed_windows(buf, APPLY_WINDOW, hand),
-            Source::Read(records) => records.chunks(APPLY_WINDOW).for_each(hand),
+            Source::Archived(log, buf) => unsafe {
+                log.visit(buf, |r| {
+                    if r.commit == COMMIT_COMMITTED {
+                        push(r)
+                    }
+                })
+            },
+            Source::At(pool, offs) => {
+                for &off in offs {
+                    push(unsafe { record::Header::read(pool, off).view(pool, off) });
+                }
+            }
+        }
+        if !w.is_empty() {
+            hand(&mut w);
         }
     }
 }
@@ -404,7 +430,9 @@ impl CheckpointInner {
             &self.layout,
             &self.root,
             &self.applier,
-            RecordWindows::archived(&self.log, archived),
+            // `busy` holds from the swap that archived `archived` until
+            // this apply returns, so no swap recycles it meanwhile.
+            RecordWindows::new(Source::Archived(&self.log, archived)),
             &self.stats,
             tel.as_ref(),
             self.flush_stall_ns.load(Ordering::Relaxed),

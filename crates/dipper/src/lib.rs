@@ -36,7 +36,7 @@ pub use checkpoint::{
 };
 pub use layout::PmemLayout;
 pub use log::{AppendResult, LogFull, OpLog, RecordHandle, Reservation};
-pub use record::{OwnedRecord, COMMIT_ABORTED, COMMIT_COMMITTED, COMMIT_PENDING, OP_NOOP};
+pub use record::{RecordView, COMMIT_ABORTED, COMMIT_COMMITTED, COMMIT_PENDING, OP_NOOP};
 pub use recovery::{recover_scan, RecoveryPlan};
 pub use root::{Root, RootState};
 

@@ -37,7 +37,7 @@
 //! crashed reservations to reach it.
 
 use crate::layout::PmemLayout;
-use crate::record::{self, OwnedRecord, COMMIT_COMMITTED, COMMIT_PENDING};
+use crate::record::{self, RecordView, COMMIT_COMMITTED, COMMIT_PENDING};
 use dstore_pmem::{Backoff, PmemPool};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
@@ -413,7 +413,10 @@ impl OpLog {
         let mut ranges = Vec::new();
         while from < target {
             let (_, len) = record::read_word(&self.pool, from);
-            debug_assert!(len >= record::HEADER_LEN, "gap walk hit a hole");
+            assert!(
+                len >= record::HEADER_LEN,
+                "header gap walk hit a hole at pool offset {from} (len {len})"
+            );
             ranges.push(record::header_flush_range(from));
             from += len;
         }
@@ -534,7 +537,7 @@ impl OpLog {
                 let rec = self
                     .resolve(h)
                     .ok()
-                    .map(|off| record::read_record(&self.pool, off));
+                    .map(|off| record::Header::read(&self.pool, off));
                 panic!(
                     "wait_committed stalled >{:?} on {h:?} rec={rec:?} — CC invariant broken",
                     self.stall_timeout
@@ -572,13 +575,19 @@ impl OpLog {
         let end = st.tail;
         while off < end {
             let (lsn, len) = record::read_word(&self.pool, off);
-            debug_assert!(lsn != 0 && len >= record::HEADER_LEN);
+            assert!(
+                lsn != 0 && len >= record::HEADER_LEN,
+                "swap relocation hit a hole at pool offset {off} (lsn {lsn}, len {len})"
+            );
             if record::read_commit(&self.pool, off) == COMMIT_PENDING {
-                let rec = record::read_record(&self.pool, off);
+                // SAFETY: the swap lock is held `write`, so no reservation
+                // writes the old buffer, and the copy lands in the other
+                // buffer.
+                let rec = unsafe { record::Header::read(&self.pool, off).view(&self.pool, off) };
                 let lsn = st.next_lsn;
                 st.next_lsn += 1;
-                record::write_header(&self.pool, new_tail, lsn, len, rec.op, &rec.name);
-                record::write_params(&self.pool, new_tail, rec.name.len(), &rec.params);
+                record::write_header(&self.pool, new_tail, lsn, len, rec.op, rec.name);
+                record::write_params(&self.pool, new_tail, rec.name.len(), rec.params);
                 record::write_body_hash(&self.pool, new_tail);
                 record::flush_record(&self.pool, new_tail, len);
                 moves.push(((old_epoch, off), new_tail));
@@ -610,8 +619,9 @@ impl OpLog {
 
     /// Walks buffer `i`, handing every valid record (pending and
     /// committed) to `visit` in physical order — which, by construction,
-    /// is a valid conflict order. The one record loop behind [`Self::walk`],
-    /// [`Self::committed_records`] and [`Self::committed_windows`].
+    /// is a valid conflict order. Each record is viewed where it lies, not
+    /// copied. The one record loop behind a live checkpoint's
+    /// [`crate::RecordWindows`] and the recovery scan.
     ///
     /// Validity: the first record's LSN must clear the buffer's `min_lsn`
     /// fence, and LSNs must be strictly increasing from there. Strictly
@@ -620,9 +630,16 @@ impl OpLog {
     /// it still rejects every stale record, because stale LSNs (from
     /// before the buffer's recycle, or from a crashed swap's relocations)
     /// are always below both the fence and any fresh record's LSN.
-    /// Each record is read once: header, then body, whose hash is checked
-    /// on the bytes just read.
-    pub fn visit(&self, i: usize, mut visit: impl FnMut(OwnedRecord)) {
+    /// Each record's body hash is checked on the bytes the view borrows;
+    /// a committed record whose body fails it is demoted to aborted.
+    ///
+    /// # Safety
+    ///
+    /// Nothing may write buffer `i` while the walk or any view it handed
+    /// out lives: the buffer is archived and its checkpoint is running,
+    /// or the log is being recovered. (The walk's own demotions write only
+    /// commit flags, which lie outside every view.)
+    pub unsafe fn visit<'a>(&'a self, i: usize, mut visit: impl FnMut(RecordView<'a>)) {
         // The lowest LSN the next record may carry: the fence, then one
         // above its predecessor.
         let mut lsn_floor = self.pool.read_u64(self.layout.log[i]);
@@ -634,7 +651,7 @@ impl OpLog {
                 break;
             }
             lsn_floor = hdr.lsn + 1;
-            let mut rec = hdr.read_record(&self.pool, off);
+            let mut rec = hdr.view(&self.pool, off);
             if rec.commit == COMMIT_COMMITTED && !hdr.body_matches(&rec) {
                 // Torn epoch: the crash landed between the commit-flag
                 // store and the epoch fence, persisting the flag line
@@ -647,50 +664,6 @@ impl OpLog {
             }
             visit(rec);
             off += hdr.len; // checksum-validated header: len is trustworthy
-        }
-    }
-
-    /// Every valid record of buffer `i`, in physical order (see
-    /// [`Self::visit`]).
-    pub fn walk(&self, i: usize) -> Vec<OwnedRecord> {
-        let mut out = Vec::new();
-        self.visit(i, |r| out.push(r));
-        out
-    }
-
-    /// Committed records of buffer `i` (what checkpoints replay).
-    pub fn committed_records(&self, i: usize) -> Vec<OwnedRecord> {
-        let mut out = Vec::new();
-        self.visit(i, |r| {
-            if r.commit == COMMIT_COMMITTED {
-                out.push(r);
-            }
-        });
-        out
-    }
-
-    /// Hands buffer `i`'s committed records to `apply` in LSN order, in
-    /// windows of at most `window` records. One window buffer is reused
-    /// throughout, so at most `window` records are materialised at once
-    /// however long the buffer is.
-    pub fn committed_windows(
-        &self,
-        i: usize,
-        window: usize,
-        mut apply: impl FnMut(&[OwnedRecord]),
-    ) {
-        let mut buf = Vec::new();
-        self.visit(i, |r| {
-            if r.commit == COMMIT_COMMITTED {
-                buf.push(r);
-                if buf.len() == window {
-                    apply(&buf);
-                    buf.clear();
-                }
-            }
-        });
-        if !buf.is_empty() {
-            apply(&buf);
         }
     }
 
@@ -802,6 +775,50 @@ impl Reservation<'_> {
     /// and the operation will retry with a fresh record.
     pub fn abort(self) {
         record::set_commit(&self.log.pool, self.off, record::COMMIT_ABORTED);
+    }
+}
+
+#[cfg(test)]
+/// A record copied out of the log, for tests that write the log while
+/// they still inspect what they walked.
+#[derive(Debug)]
+pub(crate) struct OwnedRecord {
+    pub lsn: u64,
+    pub op: u16,
+    pub commit: u16,
+    pub name: Vec<u8>,
+    pub params: Vec<u8>,
+    pub off: usize,
+}
+
+#[cfg(test)]
+impl OpLog {
+    /// Every valid record of buffer `i`, copied out, in physical order
+    /// (see [`Self::visit`]).
+    pub(crate) fn walk(&self, i: usize) -> Vec<OwnedRecord> {
+        let mut out = Vec::new();
+        // SAFETY: the views are copied before the walk returns, and tests
+        // write no log while they walk it.
+        unsafe {
+            self.visit(i, |r| {
+                out.push(OwnedRecord {
+                    lsn: r.lsn,
+                    op: r.op,
+                    commit: r.commit,
+                    name: r.name.to_vec(),
+                    params: r.params.to_vec(),
+                    off: r.off,
+                })
+            })
+        };
+        out
+    }
+
+    /// Committed records of buffer `i`, copied out.
+    pub(crate) fn committed_records(&self, i: usize) -> Vec<OwnedRecord> {
+        let mut out = self.walk(i);
+        out.retain(|r| r.commit == COMMIT_COMMITTED);
+        out
     }
 }
 

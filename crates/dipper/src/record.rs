@@ -302,37 +302,42 @@ impl Header {
             && self.check == header_check(self.word, self.hash)
     }
 
-    /// Reads the body of the record at `off` this header was read from —
-    /// one read into the name, one into the params — and returns the
-    /// record.
-    pub fn read_record(&self, pool: &PmemPool, off: usize) -> OwnedRecord {
-        // Defensive clamp: the header is persisted at reserve time so this
-        // should never fire, but a corrupted length must not panic the walk.
-        let body_len = self.len.saturating_sub(HEADER_LEN);
-        let name_len = self.name_len.min(body_len);
-        let mut name = vec![0u8; name_len];
-        pool.read_bytes(off + HEADER_LEN, &mut name);
+    /// The record at `off` this header was read from, its name and params
+    /// borrowed where they lie in the pool. Panics if this header is no
+    /// record's (a zero LSN, or a length below the header's).
+    ///
+    /// # Safety
+    ///
+    /// As for [`PmemPool::bytes`]: nothing writes the record's body while
+    /// the view lives.
+    pub unsafe fn view<'a>(&self, pool: &'a PmemPool, off: usize) -> RecordView<'a> {
+        assert!(
+            self.lsn != 0 && self.len >= HEADER_LEN,
+            "no record at pool offset {off}"
+        );
+        let body_len = self.len - HEADER_LEN;
         // Params run to the padded end, so they include up to 7 pad bytes.
         // Applications encode self-sized params (fixed-width fields), so
         // trailing pad is harmless.
-        let mut params = vec![0u8; body_len - name_len];
-        pool.read_bytes(off + HEADER_LEN + name_len, &mut params);
-        OwnedRecord {
+        let (name, params) = pool
+            .bytes(off + HEADER_LEN, body_len)
+            .split_at(self.name_len.min(body_len));
+        RecordView {
             lsn: self.lsn,
             op: self.op,
             commit: self.commit,
+            off,
             name,
             params,
-            off,
         }
     }
 
     /// Whether `rec`'s body (its name then padded params, as
-    /// [`Header::read_record`] returned them) matches the body hash stored
-    /// at publish. False means the commit flag reached the media without
-    /// the body (a torn epoch); the walk demotes such records to aborted.
-    pub fn body_matches(&self, rec: &OwnedRecord) -> bool {
-        self.body_hash == fnv1a_extend(name_hash(&rec.name), &rec.params)
+    /// [`Header::view`] returned them) matches the body hash stored at
+    /// publish. False means the commit flag reached the media without the
+    /// body (a torn epoch); the walk demotes such records to aborted.
+    pub fn body_matches(&self, rec: &RecordView<'_>) -> bool {
+        self.body_hash == fnv1a_extend(name_hash(rec.name), rec.params)
     }
 }
 
@@ -368,35 +373,30 @@ pub fn name_matches(pool: &PmemPool, off: usize, hash: u64, name: &[u8]) -> bool
     buf == name
 }
 
-/// A record copied out of the log — what replay and recovery consume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedRecord {
+/// A log record read where it lies: the header fields by value, the name
+/// and params borrowed from the pool's volatile view. What replay,
+/// recovery and the checkpoint consume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
     /// Log sequence number.
     pub lsn: u64,
     /// Application operation code.
     pub op: u16,
     /// Commit flag at read time.
     pub commit: u16,
-    /// Object name.
-    pub name: Vec<u8>,
-    /// Operation parameters.
-    pub params: Vec<u8>,
-    /// Pool offset the record was read from.
+    /// Pool offset of the record.
     pub off: usize,
-}
-
-/// Reads the full record at `off`. Caller must know a valid record starts
-/// there (validity word checked by the log walk).
-pub fn read_record(pool: &PmemPool, off: usize) -> OwnedRecord {
-    let hdr = Header::read(pool, off);
-    debug_assert!(hdr.lsn != 0);
-    hdr.read_record(pool, off)
+    /// Object name.
+    pub name: &'a [u8],
+    /// Operation parameters, running to the record's padded end.
+    pub params: &'a [u8],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dstore_pmem::PmemPool;
+    use proptest::prelude::*;
 
     #[test]
     fn word_packing() {
@@ -435,7 +435,8 @@ mod tests {
         write_body_hash(&p, 0);
         let body_ok = |p: &PmemPool| {
             let h = Header::read(p, 0);
-            h.valid(len) && h.body_matches(&h.read_record(p, 0))
+            // SAFETY: nothing writes the pool while the view lives.
+            h.valid(len) && h.body_matches(&unsafe { h.view(p, 0) })
         };
         assert!(body_ok(&p));
         // Tear one params byte — the hash must catch it.
@@ -452,7 +453,8 @@ mod tests {
         write_header(&p, 256, 42, len, 3, name);
         write_params(&p, 256, name.len(), &params);
         flush_record(&p, 256, len);
-        let r = read_record(&p, 256);
+        // SAFETY: nothing writes the pool while the view lives.
+        let r = unsafe { Header::read(&p, 256).view(&p, 256) };
         assert_eq!(r.lsn, 42);
         assert_eq!(r.op, 3);
         assert_eq!(r.commit, COMMIT_PENDING);
@@ -508,7 +510,8 @@ mod tests {
         write_params(&p, 64, name.len(), &params);
         flush_record(&p, 64, len);
         p.simulate_crash();
-        let r = read_record(&p, 64);
+        // SAFETY: nothing writes the pool while the view lives.
+        let r = unsafe { Header::read(&p, 64).view(&p, 64) };
         assert_eq!(r.lsn, 5);
         assert_eq!(r.name, name);
         assert_eq!(&r.params[..64], &params[..]);
@@ -531,5 +534,71 @@ mod tests {
         assert_eq!(lsn, 3);
         assert_eq!(l, len);
         assert_eq!(read_commit(&p, 0), COMMIT_PENDING);
+    }
+
+    /// Writes a published, pending record at `off` over a pool filled
+    /// with `0xC3`, so the params' pad bytes are stale ones; returns the
+    /// record length.
+    fn write_over_stale(
+        p: &PmemPool,
+        off: usize,
+        lsn: u64,
+        op: u16,
+        name: &[u8],
+        params: &[u8],
+    ) -> usize {
+        p.write_bytes(0, &vec![0xC3; p.len()]);
+        let len = encoded_len(name.len(), params.len());
+        write_header(p, off, lsn, len, op, name);
+        write_params(p, off, name.len(), params);
+        write_body_hash(p, off);
+        len
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A view returns exactly the bytes written: the header fields,
+        /// the name, and the params followed by their pad.
+        #[test]
+        fn view_returns_the_written_bytes(
+            name in prop::collection::vec(any::<u8>(), 0..65),
+            params in prop::collection::vec(any::<u8>(), 0..257),
+            lsn in 1u64..1 << 40,
+            op in any::<u16>(),
+        ) {
+            let p = PmemPool::anon(1 << 12);
+            let len = write_over_stale(&p, 64, lsn, op, &name, &params);
+            let h = Header::read(&p, 64);
+            prop_assert!(h.valid(len));
+            // SAFETY: nothing writes the pool while the view lives.
+            let v = unsafe { h.view(&p, 64) };
+            prop_assert_eq!((v.lsn, v.op, v.commit, v.off), (lsn, op, COMMIT_PENDING, 64));
+            prop_assert_eq!(v.name, &name[..]);
+            let mut padded = params.clone();
+            padded.resize(len - HEADER_LEN - name.len(), 0xC3);
+            prop_assert_eq!(v.params, &padded[..]);
+            prop_assert!(h.body_matches(&v));
+        }
+
+        /// Changing any one body byte (name, params or pad) makes the
+        /// body hash disagree. (Names are non-empty so a body exists.)
+        #[test]
+        fn any_changed_body_byte_fails_the_hash(
+            name in prop::collection::vec(any::<u8>(), 1..65),
+            params in prop::collection::vec(any::<u8>(), 0..257),
+            at in any::<usize>(),
+            flip in 1u8..255,
+        ) {
+            let p = PmemPool::anon(1 << 12);
+            let len = write_over_stale(&p, 64, 7, 1, &name, &params);
+            let byte = 64 + HEADER_LEN + at % (len - HEADER_LEN);
+            let mut b = [0u8];
+            p.read_bytes(byte, &mut b);
+            p.write_bytes(byte, &[b[0] ^ flip]);
+            let h = Header::read(&p, 64);
+            // SAFETY: nothing writes the pool while the view lives.
+            prop_assert!(!h.body_matches(&unsafe { h.view(&p, 64) }));
+        }
     }
 }

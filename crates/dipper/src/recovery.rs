@@ -3,21 +3,24 @@
 //! Recovery has four steps, the first and last owned by this module and
 //! the middle two by the application:
 //!
-//! 1. [`recover_scan`] reads the root and walks the active log once (the
-//!    archived log too, only if a checkpoint must be redone), producing a
-//!    [`RecoveryPlan`]: whether the in-flight checkpoint must be redone
-//!    (and with which records), which committed records of the active log
-//!    to replay, which were pending, and the volatile log state.
+//! 1. [`recover_scan`] reads the root and validates the active log in
+//!    place (the archived log too, only if a checkpoint must be redone),
+//!    producing a [`RecoveryPlan`]: whether the in-flight checkpoint must
+//!    be redone (and at which records), which committed records of the
+//!    active log to replay, which were pending, and the volatile log
+//!    state. The plan holds pool offsets, not copies of the records.
 //! 2. If `redo_records` is `Some`, the caller redoes the checkpoint via
 //!    [`crate::checkpoint::apply_checkpoint`] — "we redo the checkpoint
-//!    procedure ongoing at the time of the crash".
+//!    procedure ongoing at the time of the crash" — over
+//!    [`crate::RecordWindows::at`] those offsets.
 //! 3. The caller copies the (now consistent) current shadow region into
 //!    its DRAM arena and re-attaches its structures — "replicating the
 //!    PMEM allocator state in the DRAM allocator and copying pages from
 //!    PMEM to DRAM".
-//! 4. The caller replays `replay_records` on the DRAM structures as if
-//!    they were new requests. [`RecoveryPlan::finish`] (any time after
-//!    the scan) aborts the pending records and rebuilds the volatile log.
+//! 4. The caller replays the records at `replay_records` on the DRAM
+//!    structures as if they were new requests. [`RecoveryPlan::finish`]
+//!    (any time after the scan) aborts the pending records and rebuilds
+//!    the volatile log.
 //!
 //! Every step is idempotent: redoing the checkpoint produces the same
 //! image (determinism), replay touches only volatile state until the next
@@ -25,7 +28,7 @@
 
 use crate::layout::PmemLayout;
 use crate::log::OpLog;
-use crate::record::{OwnedRecord, COMMIT_COMMITTED, COMMIT_PENDING, HEADER_LEN};
+use crate::record::{COMMIT_COMMITTED, COMMIT_PENDING, HEADER_LEN};
 use crate::root::{Root, RootState};
 use dstore_pmem::PmemPool;
 use std::sync::Arc;
@@ -35,12 +38,13 @@ use std::sync::Arc;
 pub struct RecoveryPlan {
     /// Root state at crash time.
     pub state: RootState,
-    /// Committed records of the archived log — present exactly when the
-    /// crash interrupted a checkpoint, which must be redone first.
-    pub redo_records: Option<Vec<OwnedRecord>>,
-    /// Committed records of the active log, to replay on the recovered
-    /// DRAM structures in order.
-    pub replay_records: Vec<OwnedRecord>,
+    /// Pool offsets of the archived log's committed records, in LSN
+    /// order — present exactly when the crash interrupted a checkpoint,
+    /// which must be redone first.
+    pub redo_records: Option<Vec<usize>>,
+    /// Pool offsets of the active log's committed records, to replay on
+    /// the recovered DRAM structures in this (LSN) order.
+    pub replay_records: Vec<usize>,
     /// Pool offsets of the active log's records still pending at the
     /// crash, which [`RecoveryPlan::finish`] aborts.
     pub pending: Vec<usize>,
@@ -53,67 +57,59 @@ pub struct RecoveryPlan {
 /// Scans persistent state and builds the recovery plan. The pool must
 /// already reflect post-crash contents (i.e. after
 /// [`PmemPool::simulate_crash`] or a real reopen).
+///
+/// Each buffer is validated in place (see [`OpLog::visit`]); the plan
+/// keeps 8 bytes per record, its offset.
 pub fn recover_scan(pool: &Arc<PmemPool>, layout: &PmemLayout, root: &Root) -> RecoveryPlan {
     let state = root.state();
     // A throwaway OpLog view for walking; volatile fields unused here.
     let scan = OpLog::attach(Arc::clone(pool), *layout, state.active_log, 0, 0);
-
-    // The archived buffer is read only to redo its checkpoint, in a walk
-    // concurrent with the active one (disjoint PMEM regions).
-    let (archived_walk, active_walk) = std::thread::scope(|s| {
-        let redo = state.checkpoint_in_progress;
-        let h = redo.then(|| s.spawn(|| scan.walk(state.archived_log())));
-        let active_walk = scan.walk(state.active_log);
-        let archived_walk = h.map(|h| h.join().expect("archived-log walk panicked"));
-        (archived_walk, active_walk)
-    });
-
-    let active_tail = active_walk
-        .last()
-        .map(|r| r.off + crate::record::encoded_len(r.name.len(), r.params.len()))
-        .unwrap_or_else(|| layout.log_records(state.active_log));
-
-    // next_lsn must dominate every LSN persisted anywhere: seen record
-    // LSNs, both buffers' min_lsn fences, plus headroom for relocated
-    // records a crashed swap may have written into a buffer whose root
-    // transition never landed (their headers carry valid LSNs above the
-    // fence but are unreachable by any walk). An archived buffer left
-    // unwalked needs nothing more: every LSN in it is below the active
-    // buffer's fence, persisted at the swap that archived it.
-    let max_seen = archived_walk
-        .iter()
-        .flatten()
-        .chain(&active_walk)
-        .map(|r| r.lsn)
-        .max()
-        .unwrap_or(0);
-
-    let pending = active_walk
-        .iter()
-        .filter(|r| r.commit == COMMIT_PENDING)
-        .map(|r| r.off)
-        .collect();
-    // Filter the walks in place: the committed subsets are the records
-    // themselves, not copies of every name and param blob in a buffer.
-    let committed = |mut w: Vec<OwnedRecord>| {
-        w.retain(|r| r.commit == COMMIT_COMMITTED);
-        w
+    let mut plan = RecoveryPlan {
+        state,
+        redo_records: None,
+        replay_records: Vec::new(),
+        pending: Vec::new(),
+        next_lsn: 0,
+        active_tail: layout.log_records(state.active_log),
     };
-    let redo_records = archived_walk.map(committed);
-    let replay_records = committed(active_walk);
+    // LSNs increase along a walk, so the last one seen is the max.
+    let mut max_seen = 0;
+    // SAFETY: nothing writes a log under recovery, and no view outlives
+    // its walk.
+    unsafe {
+        // The archived buffer is read only to redo its checkpoint.
+        if state.checkpoint_in_progress {
+            let mut redo = Vec::new();
+            scan.visit(state.archived_log(), |r| {
+                if r.commit == COMMIT_COMMITTED {
+                    redo.push(r.off);
+                }
+            });
+            plan.redo_records = Some(redo);
+        }
+        scan.visit(state.active_log, |r| {
+            match r.commit {
+                COMMIT_COMMITTED => plan.replay_records.push(r.off),
+                COMMIT_PENDING => plan.pending.push(r.off),
+                _ => {}
+            }
+            max_seen = r.lsn;
+            plan.active_tail = r.off + HEADER_LEN + r.name.len() + r.params.len();
+        });
+    }
+
+    // next_lsn must dominate every LSN persisted anywhere: the active
+    // log's LSNs, both buffers' min_lsn fences, plus headroom for
+    // relocated records a crashed swap may have written into a buffer
+    // whose root transition never landed (their headers carry valid LSNs
+    // above the fence but are unreachable by any walk). The archived
+    // buffer, walked or not, needs nothing more: every LSN in it is below
+    // the active buffer's fence, persisted at the swap that archived it.
     let min0 = pool.read_u64(layout.log[0]);
     let min1 = pool.read_u64(layout.log[1]);
     let headroom = (layout.log_size / HEADER_LEN) as u64;
-    let next_lsn = max_seen.max(min0).max(min1) + headroom + 1;
-
-    RecoveryPlan {
-        state,
-        redo_records,
-        replay_records,
-        pending,
-        next_lsn,
-        active_tail,
-    }
+    plan.next_lsn = max_seen.max(min0).max(min1) + headroom + 1;
+    plan
 }
 
 impl RecoveryPlan {
@@ -176,7 +172,10 @@ mod tests {
         let plan = recover_scan(&pool, &layout, &root);
         assert!(plan.redo_records.is_none());
         assert_eq!(plan.replay_records.len(), 1);
-        assert_eq!(plan.replay_records[0].name, b"alpha");
+        // SAFETY: nothing writes the pool while the view lives.
+        let off = plan.replay_records[0];
+        let alpha = unsafe { crate::record::Header::read(&pool, off).view(&pool, off) };
+        assert_eq!(alpha.name, b"alpha");
         // Tail covers both records (the pending one still occupies space).
         assert!(plan.active_tail > layout.log_records(0));
         let log2 = plan.finish(Arc::clone(&pool), layout);

@@ -5,7 +5,7 @@
 
 use dstore_arena::{Arena, DramMemory, Memory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{apply_checkpoint, Applier, RecordWindows};
-use dstore_dipper::record::OwnedRecord;
+use dstore_dipper::record::RecordView;
 use dstore_dipper::{
     recover_scan, CheckpointStats, Checkpointer, DipperConfig, OpLog, PmemLayout, Root,
 };
@@ -28,13 +28,29 @@ fn slot_of(name: &[u8]) -> usize {
     (dstore_dipper::record::name_hash(name) as usize) % 64
 }
 
-fn apply_record<M: Memory>(arena: &Arena<M>, dir: RelPtr<CounterDir>, r: &OwnedRecord) {
+fn apply_record<M: Memory>(arena: &Arena<M>, dir: RelPtr<CounterDir>, r: &RecordView<'_>) {
     assert_eq!(r.op, OP_ADD);
     let delta = u64::from_le_bytes(r.params[..8].try_into().unwrap());
     // SAFETY: dir is live; callers serialize per test.
     unsafe {
-        (*arena.resolve(dir)).slots[slot_of(&r.name)] += delta;
+        (*arena.resolve(dir)).slots[slot_of(r.name)] += delta;
     }
+}
+
+/// Applies the records at pool offsets `offs` to the DRAM image, as
+/// recovery's replay does.
+fn replay_at<M: Memory>(
+    pool: &PmemPool,
+    offs: &[usize],
+    arena: &Arena<M>,
+    dir: RelPtr<CounterDir>,
+) {
+    // SAFETY: nothing writes the log during recovery.
+    unsafe { RecordWindows::at(pool, offs) }.for_each(|records| {
+        for r in records {
+            apply_record(arena, dir, r);
+        }
+    });
 }
 
 struct Mini {
@@ -192,7 +208,8 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
         &mini.layout,
         &mini.root,
         &applier,
-        RecordWindows::read(&redo),
+        // SAFETY: nothing writes the log during recovery.
+        unsafe { RecordWindows::at(&mini.pool, &redo) },
         &stats,
         None,
         2,
@@ -211,9 +228,7 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
     .unwrap();
     let dram2 = Arena::create(DramMemory::new(mini.layout.shadow_size));
     shadow.copy_allocated_to(&dram2);
-    for r in &plan.replay_records {
-        apply_record(&dram2, mini.dir, r);
-    }
+    replay_at(&mini.pool, &plan.replay_records, &dram2, mini.dir);
     // SAFETY: read-only.
     unsafe {
         assert_eq!((*dram2.resolve(mini.dir)).slots[slot_of(b"x")], 3);
@@ -254,9 +269,7 @@ fn crash_outside_checkpoint_replays_active_log() {
     let dram2 = Arena::create(DramMemory::new(mini.layout.shadow_size));
     shadow.copy_allocated_to(&dram2);
     assert_eq!(plan.replay_records.len(), 1);
-    for r in &plan.replay_records {
-        apply_record(&dram2, mini.dir, r);
-    }
+    replay_at(&mini.pool, &plan.replay_records, &dram2, mini.dir);
     // SAFETY: read-only.
     unsafe {
         assert_eq!((*dram2.resolve(mini.dir)).slots[slot_of(b"pre")], 100);
@@ -385,14 +398,16 @@ fn apply_panic_is_counted_and_releases_the_store() {
 fn oe_parallel_replay_matches_serial() {
     // Replaying grouped-by-object in parallel yields the same final state
     // as serial replay — observational equivalence (§3.7).
-    let records: Vec<OwnedRecord> = (0..500u64)
-        .map(|i| OwnedRecord {
-            lsn: i + 1,
+    let names: Vec<Vec<u8>> = (0..13).map(|n| format!("obj{n}").into_bytes()).collect();
+    let params: Vec<[u8; 8]> = (0..500u64).map(|i| (i % 7 + 1).to_le_bytes()).collect();
+    let records: Vec<RecordView> = (0..500)
+        .map(|i| RecordView {
+            lsn: i as u64 + 1,
             op: OP_ADD,
             commit: dstore_dipper::COMMIT_COMMITTED,
-            name: format!("obj{}", i % 13).into_bytes(),
-            params: (i % 7 + 1).to_le_bytes().to_vec(),
             off: 0,
+            name: &names[i % 13],
+            params: &params[i],
         })
         .collect();
 
@@ -406,9 +421,9 @@ fn oe_parallel_replay_matches_serial() {
     let pdir: RelPtr<CounterDir> = parallel.alloc();
     // Group by name hash — the same stable-partition idea DStore's
     // OE-parallel applier uses (there: `fnv1a(name) % pool_shards`).
-    let mut groups: Vec<Vec<&OwnedRecord>> = (0..8).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<&RecordView>> = (0..8).map(|_| Vec::new()).collect();
     for r in &records {
-        groups[(dstore_dipper::record::name_hash(&r.name) as usize) % 8].push(r);
+        groups[(dstore_dipper::record::name_hash(r.name) as usize) % 8].push(r);
     }
     let par_ref = &parallel;
     std::thread::scope(|s| {

@@ -10,7 +10,7 @@
 //! (Write-write CC is exercised elsewhere; this test appends freely, so
 //! per-object recovery content is compared as a multiset.)
 
-use dstore_dipper::record::COMMIT_COMMITTED;
+use dstore_dipper::record::{Header, COMMIT_COMMITTED};
 use dstore_dipper::{recover_scan, DipperConfig, OpLog, PmemLayout, RecordHandle, Root};
 use dstore_pmem::PmemPool;
 use proptest::prelude::*;
@@ -112,9 +112,16 @@ proptest! {
         // Crash.
         pool.simulate_crash();
         let plan1 = recover_scan(&pool, &layout, &root);
+        let replay: Vec<_> = plan1
+            .replay_records
+            .iter()
+            // SAFETY: nothing writes the pool until the next crash, after
+            // the last use of these views.
+            .map(|&off| unsafe { Header::read(&pool, off).view(&pool, off) })
+            .collect();
 
         // (2): only committed records replay.
-        for r in &plan1.replay_records {
+        for r in &replay {
             prop_assert_eq!(r.commit, COMMIT_COMMITTED);
         }
 
@@ -139,10 +146,9 @@ proptest! {
             p[..len].to_vec()
         };
         let got = project(
-            plan1
-                .replay_records
+            replay
                 .iter()
-                .map(|r| (r.name.clone(), truncate(&r.params)))
+                .map(|r| (r.name.to_vec(), truncate(r.params)))
                 .collect(),
         );
         let want = project(committed_since_swap.clone());
@@ -153,7 +159,7 @@ proptest! {
         }
 
         // (3): strictly increasing LSNs.
-        for w in plan1.replay_records.windows(2) {
+        for w in replay.windows(2) {
             prop_assert!(w[0].lsn < w[1].lsn, "walk order broken");
         }
 

@@ -9,7 +9,7 @@
 //!   [`RecoveryPlan::finish`], so a crash right after recovery sees them
 //!   aborted.
 
-use dstore_dipper::record::{self, COMMIT_ABORTED, COMMIT_COMMITTED, COMMIT_PENDING};
+use dstore_dipper::record::{self, RecordView, COMMIT_ABORTED, COMMIT_COMMITTED, COMMIT_PENDING};
 use dstore_dipper::{recover_scan, DipperConfig, OpLog, PmemLayout, RecoveryPlan, Root};
 use dstore_pmem::PmemPool;
 use std::sync::Arc;
@@ -31,6 +31,15 @@ fn setup() -> (Arc<PmemPool>, PmemLayout, Root, OpLog) {
     (pool, layout, root, log)
 }
 
+/// Every valid record of buffer `i`, viewed in place. Each test writes
+/// nothing to a buffer while views of it are in use.
+fn walk(log: &OpLog, i: usize) -> Vec<RecordView<'_>> {
+    let mut out = Vec::new();
+    // SAFETY: see above.
+    unsafe { log.visit(i, |r| out.push(r)) };
+    out
+}
+
 /// Appends and commits one record per name.
 fn commit_all(log: &OpLog, names: &[&str]) {
     for n in names {
@@ -47,16 +56,18 @@ fn leave_pending(log: &OpLog, names: &[&str]) -> Vec<usize> {
         .iter()
         .map(|n| log.try_append(2, n.as_bytes(), &[3; 5]).unwrap().lsn)
         .collect();
-    let recs = log.walk(log.active());
+    let recs = walk(log, log.active());
     lsns.iter()
         .map(|lsn| recs.iter().find(|r| r.lsn == *lsn).unwrap().off)
         .collect()
 }
 
-fn names(plan: &RecoveryPlan) -> Vec<&[u8]> {
+/// The names of the records the plan replays.
+fn names<'a>(pool: &'a PmemPool, plan: &RecoveryPlan) -> Vec<&'a [u8]> {
     plan.replay_records
         .iter()
-        .map(|r| r.name.as_slice())
+        // SAFETY: the tests write nothing while they compare names.
+        .map(|&off| unsafe { record::Header::read(pool, off).view(pool, off) }.name)
         .collect()
 }
 
@@ -80,10 +91,9 @@ fn crashed_swap_keeps_next_lsn_above_both_buffers() {
     log.swap(|| pool.simulate_crash());
 
     let view = OpLog::attach(Arc::clone(&pool), layout, 0, 0, 0);
-    let relocated = view.walk(1);
+    let relocated = walk(&view, 1);
     assert_eq!(relocated.len(), 3, "relocations are durable and walkable");
-    let max_lsn = view
-        .walk(0)
+    let max_lsn = walk(&view, 0)
         .iter()
         .chain(&relocated)
         .map(|r| r.lsn)
@@ -100,9 +110,9 @@ fn crashed_swap_keeps_next_lsn_above_both_buffers() {
     );
     // Only the active log replays: its committed records, nothing from
     // the recycled buffer.
-    assert_eq!(names(&plan), [b"a", b"b", b"c", b"s"]);
+    assert_eq!(names(&pool, &plan), [b"a", b"b", b"c", b"s"]);
     let active = layout.log_records(0)..layout.log_records(0) + layout.log_size;
-    assert!(plan.replay_records.iter().all(|r| active.contains(&r.off)));
+    assert!(plan.replay_records.iter().all(|off| active.contains(off)));
     assert_eq!(plan.pending, pending);
 
     // The resumed log stamps fresh records above the relocated ones.
@@ -123,7 +133,7 @@ fn archived_buffer_is_not_read_without_a_redo() {
     pool.simulate_crash();
     let before = recover_scan(&pool, &layout, &root);
     assert_eq!(before.state.archived_log(), 0);
-    assert_eq!(names(&before), [b"new1", b"new2"]);
+    assert_eq!(names(&pool, &before), [b"new1", b"new2"]);
 
     // Overwrite the archived buffer's record area with a committed,
     // checksum-valid record whose LSN is above the active fence, and make
@@ -137,8 +147,12 @@ fn archived_buffer_is_not_read_without_a_redo() {
     record::flush_record(&pool, off, len);
     record::set_commit(&pool, off, COMMIT_COMMITTED);
     pool.simulate_crash();
-    let stale = OpLog::attach(Arc::clone(&pool), layout, 1, 0, 0).walk(0);
-    assert_eq!(stale.len(), 1, "the forged record is walkable");
+    let stale_view = OpLog::attach(Arc::clone(&pool), layout, 1, 0, 0);
+    assert_eq!(
+        walk(&stale_view, 0).len(),
+        1,
+        "the forged record is walkable"
+    );
 
     assert_same_plan(&recover_scan(&pool, &layout, &root), &before);
 }
@@ -158,7 +172,7 @@ fn finish_aborts_pending_records_on_media() {
     pool.simulate_crash();
 
     let view = OpLog::attach(Arc::clone(&pool), layout, 0, 0, 0);
-    let recs = view.walk(0);
+    let recs = walk(&view, 0);
     for off in &pending {
         let r = recs.iter().find(|r| r.off == *off).unwrap();
         assert_eq!(r.commit, COMMIT_ABORTED, "record at {off} not aborted");

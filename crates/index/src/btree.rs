@@ -1,11 +1,18 @@
 //! The object-index B-tree.
 //!
 //! A classic B-tree (minimum degree `t = 8`) storing byte-string keys and
-//! `u64` values, with every node and key allocated from an
-//! [`Arena`] and linked by [`RelPtr`]s. Because the structure contains no
-//! absolute pointers, it can be bulk-copied between regions (checkpoint
-//! shadow copies, recovery PMEM→DRAM reconstruction) and the *same* code
-//! mutates both the frontend tree and its PMEM shadow during replay.
+//! `u64` values, with every node allocated from an [`Arena`] and linked by
+//! [`RelPtr`]s. Because the structure contains no absolute pointers, it
+//! can be bulk-copied between regions (checkpoint shadow copies, recovery
+//! PMEM→DRAM reconstruction) and the *same* code mutates both the
+//! frontend tree and its PMEM shadow during replay.
+//!
+//! # Keys
+//!
+//! Each key sits in a 16-byte slot of its node. A key of at most
+//! 15 bytes is stored in the slot itself, so inserting it allocates
+//! nothing and a descent compares it without leaving the node. A longer
+//! key lives in its own arena allocation, which the slot points at.
 //!
 //! # Concurrency
 //!
@@ -26,6 +33,58 @@ const MAX_KEYS: usize = 2 * T - 1;
 /// Maximum children per node.
 const MAX_CHILDREN: usize = 2 * T;
 
+/// Longest key stored inside its slot.
+const INLINE_MAX: usize = 15;
+/// Set in a slot's last byte when the key is stored inline; the low bits
+/// hold the key's length.
+const INLINE_TAG: u8 = 0x80;
+
+/// A node's key slot. Bytes 0–14 hold an inline key and byte 15 is
+/// `INLINE_TAG | len`. An out-of-line key stores its arena slice's offset
+/// (bytes 0–7) and length (bytes 8–11), with byte 15 zero. All-zero is
+/// the out-of-line empty key, so a zeroed node holds only empty keys.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct Key([u8; 16]);
+
+impl Key {
+    /// The empty key, as a zeroed slot holds it.
+    const EMPTY: Key = Key([0; 16]);
+
+    /// The slot for `key`, allocating it in `arena` if it is too long to
+    /// store inline.
+    fn new<M: Memory>(arena: &Arena<M>, key: &[u8]) -> Self {
+        let mut k = [0u8; 16];
+        if key.len() <= INLINE_MAX {
+            k[..key.len()].copy_from_slice(key);
+            k[15] = INLINE_TAG | key.len() as u8;
+        } else {
+            let s = arena.alloc_bytes(key);
+            k[..8].copy_from_slice(&s.ptr.offset().to_le_bytes());
+            k[8..12].copy_from_slice(&s.len.to_le_bytes());
+        }
+        Key(k)
+    }
+
+    /// The arena slice of an out-of-line key; `None` for an inline one.
+    fn out_of_line(&self) -> Option<ByteSlice> {
+        (self.0[15] & INLINE_TAG == 0).then(|| ByteSlice {
+            ptr: RelPtr::from_offset(u64::from_le_bytes(self.0[..8].try_into().expect("8 bytes"))),
+            len: u32::from_le_bytes(self.0[8..12].try_into().expect("4 bytes")),
+        })
+    }
+
+    /// Frees an out-of-line key's allocation; an inline key owns none.
+    fn free<M: Memory>(self, arena: &Arena<M>) {
+        if let Some(s) = self.out_of_line() {
+            arena.free_bytes(s);
+        }
+    }
+}
+
+// SAFETY: sixteen bytes; all-zero is the empty key.
+unsafe impl ArenaPod for Key {}
+
 /// A B-tree node. `#[repr(C)]` and pod so it can live in an arena.
 #[repr(C)]
 pub struct Node {
@@ -34,7 +93,7 @@ pub struct Node {
     /// Number of keys currently stored.
     count: u16,
     _pad: u32,
-    keys: [ByteSlice; MAX_KEYS],
+    keys: [Key; MAX_KEYS],
     vals: [u64; MAX_KEYS],
     children: [RelPtr<Node>; MAX_CHILDREN],
 }
@@ -124,13 +183,16 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         &mut *self.arena.resolve(p)
     }
 
-    unsafe fn key_bytes(&self, s: ByteSlice) -> &[u8] {
-        self.arena.bytes(s)
-    }
-
-    /// Compares a stored key with a probe key.
-    unsafe fn cmp(&self, stored: ByteSlice, probe: &[u8]) -> Ordering {
-        self.key_bytes(stored).cmp(probe)
+    /// The bytes of the key in slot `k`: the slot's own for an inline
+    /// key, its arena allocation's otherwise.
+    #[inline]
+    unsafe fn key_bytes<'k>(&'k self, k: &'k Key) -> &'k [u8] {
+        let tag = k.0[15];
+        if tag & INLINE_TAG != 0 {
+            &k.0[..(tag & !INLINE_TAG) as usize]
+        } else {
+            self.arena.bytes(k.out_of_line().expect("out-of-line key"))
+        }
     }
 
     /// Position of `key` in `node`: `Ok(i)` exact match at `i`, `Err(i)`
@@ -138,7 +200,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
     unsafe fn position(&self, n: &Node, key: &[u8]) -> Result<usize, usize> {
         // Nodes hold at most 15 keys; linear scan beats binary search here.
         for i in 0..n.count as usize {
-            match self.cmp(n.keys[i], key) {
+            match self.key_bytes(&n.keys[i]).cmp(key) {
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => return Err(i),
                 Ordering::Less => {}
@@ -219,7 +281,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         for i in 0..T - 1 {
             right.keys[i] = left.keys[i + T];
             right.vals[i] = left.vals[i + T];
-            left.keys[i + T] = ByteSlice::empty();
+            left.keys[i + T] = Key::EMPTY;
         }
         if left.leaf == 0 {
             for i in 0..T {
@@ -230,7 +292,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         // Median key moves up into the parent.
         let median_key = left.keys[T - 1];
         let median_val = left.vals[T - 1];
-        left.keys[T - 1] = ByteSlice::empty();
+        left.keys[T - 1] = Key::EMPTY;
         left.count = (T - 1) as u16;
 
         let pc = p.count as usize;
@@ -263,7 +325,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                             n.keys[j + 1] = n.keys[j];
                             n.vals[j + 1] = n.vals[j];
                         }
-                        n.keys[i] = self.arena.alloc_bytes(key);
+                        n.keys[i] = Key::new(self.arena, key);
                         n.vals[i] = val;
                         n.count += 1;
                         return None;
@@ -298,8 +360,8 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                 self.arena.free(old_root);
             }
             match removed {
-                Some((slice, val)) => {
-                    self.arena.free_bytes(slice);
+                Some((k, val)) => {
+                    k.free(self.arena);
                     self.len_add(-1);
                     Some(val)
                 }
@@ -309,8 +371,8 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
     }
 
     /// Deletes `key` from the subtree at `p`, returning ownership of the
-    /// removed key slice and its value.
-    unsafe fn delete(&self, p: RelPtr<Node>, key: &[u8]) -> Option<(ByteSlice, u64)> {
+    /// removed key slot and its value.
+    unsafe fn delete(&self, p: RelPtr<Node>, key: &[u8]) -> Option<(Key, u64)> {
         let n = self.node(p);
         match self.position(n, key) {
             Ok(i) => {
@@ -331,18 +393,18 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
     }
 
     /// Removes entry `i` from leaf `p` (case 1).
-    unsafe fn remove_from_leaf(&self, p: RelPtr<Node>, i: usize) -> (ByteSlice, u64) {
+    unsafe fn remove_from_leaf(&self, p: RelPtr<Node>, i: usize) -> (Key, u64) {
         let n = self.node(p);
-        let slice = n.keys[i];
+        let slot = n.keys[i];
         let val = n.vals[i];
         let c = n.count as usize;
         for j in i..c - 1 {
             n.keys[j] = n.keys[j + 1];
             n.vals[j] = n.vals[j + 1];
         }
-        n.keys[c - 1] = ByteSlice::empty();
+        n.keys[c - 1] = Key::EMPTY;
         n.count -= 1;
-        (slice, val)
+        (slot, val)
     }
 
     /// `key` found at slot `i` of internal node `p` (case 2).
@@ -351,7 +413,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         p: RelPtr<Node>,
         i: usize,
         key: &[u8],
-    ) -> Option<(ByteSlice, u64)> {
+    ) -> Option<(Key, u64)> {
         let n = self.node(p);
         let left = n.children[i];
         let right = n.children[i + 1];
@@ -381,7 +443,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
 
     /// Removes and returns the maximum (`max = true`) or minimum entry of
     /// the subtree at `p`, rebalancing on the way down.
-    unsafe fn delete_extreme(&self, mut p: RelPtr<Node>, max: bool) -> (ByteSlice, u64) {
+    unsafe fn delete_extreme(&self, mut p: RelPtr<Node>, max: bool) -> (Key, u64) {
         loop {
             let n = self.node(p);
             if n.leaf == 1 {
@@ -447,7 +509,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         let lc = left.count as usize;
         n.keys[si] = left.keys[lc - 1];
         n.vals[si] = left.vals[lc - 1];
-        left.keys[lc - 1] = ByteSlice::empty();
+        left.keys[lc - 1] = Key::EMPTY;
         left.count -= 1;
     }
 
@@ -476,7 +538,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
             }
             right.children[rc] = RelPtr::null();
         }
-        right.keys[rc - 1] = ByteSlice::empty();
+        right.keys[rc - 1] = Key::EMPTY;
         right.count -= 1;
     }
 
@@ -513,7 +575,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         for j in si + 1..pc {
             n.children[j] = n.children[j + 1];
         }
-        n.keys[pc - 1] = ByteSlice::empty();
+        n.keys[pc - 1] = Key::EMPTY;
         n.children[pc] = RelPtr::null();
         n.count -= 1;
         self.arena.free(right_ptr);
@@ -559,7 +621,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
             if n.leaf == 0 {
                 self.walk(n.children[i], f);
             }
-            f(self.key_bytes(n.keys[i]), n.vals[i]);
+            f(self.key_bytes(&n.keys[i]), n.vals[i]);
         }
         if n.leaf == 0 {
             self.walk(n.children[n.count as usize], f);
@@ -595,11 +657,11 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         let c = n.count as usize;
         // First key index ≥ lo.
         let mut start = 0;
-        while start < c && self.key_bytes(n.keys[start]) < lo {
+        while start < c && self.key_bytes(&n.keys[start]) < lo {
             start += 1;
         }
         for i in start..c {
-            let k = self.key_bytes(n.keys[i]);
+            let k = self.key_bytes(&n.keys[i]);
             let in_range = hi.is_none_or(|h| k < h);
             if n.leaf == 0 {
                 // The child left of keys[i] may hold in-range keys even if
@@ -663,7 +725,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         *count += c as u64;
         let mut prev: Option<&[u8]> = None;
         for i in 0..c {
-            let k = self.key_bytes(n.keys[i]);
+            let k = self.key_bytes(&n.keys[i]);
             if let Some(pk) = prev {
                 assert!(pk < k, "keys out of order");
             }
@@ -685,12 +747,12 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                 let lo = if i == 0 {
                     lower
                 } else {
-                    Some(self.key_bytes(n.keys[i - 1]))
+                    Some(self.key_bytes(&n.keys[i - 1]))
                 };
                 let hi = if i == c {
                     upper
                 } else {
-                    Some(self.key_bytes(n.keys[i]))
+                    Some(self.key_bytes(&n.keys[i]))
                 };
                 assert!(!n.children[i].is_null(), "internal node with null child");
                 self.check_node(n.children[i], false, lo, hi, depth + 1, leaf_depth, count);
@@ -941,6 +1003,116 @@ mod tests {
         let mut n = 0;
         t.for_each_prefix(b"", |_, _| n += 1);
         assert_eq!(n, 152);
+    }
+
+    /// Nodes reachable from the root.
+    fn node_count(t: &BTreeHandle<'_, DramMemory>) -> u64 {
+        fn below(t: &BTreeHandle<'_, DramMemory>, p: RelPtr<Node>) -> u64 {
+            // SAFETY: read-only traversal of a quiesced tree.
+            let n = unsafe { t.node(p) };
+            let children: u64 = if n.leaf == 1 {
+                0
+            } else {
+                (0..=n.count as usize)
+                    .map(|i| below(t, n.children[i]))
+                    .sum()
+            };
+            1 + children
+        }
+        // SAFETY: the header is live for the handle's lifetime.
+        below(t, unsafe { (*t.arena.resolve(t.hdr)).root })
+    }
+
+    /// Inserts `keys` in a scattered order, checks that the arena holds
+    /// exactly the tree's nodes plus one block per key longer than 15
+    /// bytes, then removes every key and checks the arena is back to an
+    /// empty tree's blocks: no out-of-line key leaks, and no inline key
+    /// is handed to the allocator.
+    fn assert_key_blocks(keys: &[Vec<u8>]) {
+        let a = Arena::create(DramMemory::new(1 << 24));
+        let t = BTreeHandle::create(&a);
+        let empty = a.stats().live_blocks;
+        let n = keys.len();
+        for i in 0..n {
+            let k = &keys[i * 7919 % n];
+            assert_eq!(t.insert(k, i as u64), None);
+        }
+        t.check_invariants();
+        let long = keys.iter().filter(|k| k.len() > INLINE_MAX).count() as u64;
+        assert_eq!(
+            a.stats().live_blocks,
+            empty + node_count(&t) - 1 + long,
+            "blocks beyond the nodes and out-of-line keys"
+        );
+        for i in 0..n {
+            assert!(t.remove(&keys[i * 4099 % n]).is_some());
+        }
+        t.check_invariants();
+        assert_eq!(a.stats().live_blocks, empty);
+    }
+
+    #[test]
+    fn short_keys_allocate_nothing_but_nodes() {
+        // 10 000 distinct keys of 5–15 bytes.
+        let keys: Vec<Vec<u8>> = (0..10_000usize)
+            .map(|i| format!("{i:0>w$}", w = 5 + i % 11).into_bytes())
+            .collect();
+        assert!(keys.iter().all(|k| k.len() <= INLINE_MAX));
+        assert_key_blocks(&keys);
+    }
+
+    #[test]
+    fn long_keys_are_freed_and_inline_keys_are_not() {
+        // Lengths 5–24 straddle the inline limit.
+        let keys: Vec<Vec<u8>> = (0..10_000usize)
+            .map(|i| format!("{i:0>w$}", w = 5 + i % 20).into_bytes())
+            .collect();
+        assert!(keys.iter().any(|k| k.len() <= INLINE_MAX));
+        assert!(keys.iter().any(|k| k.len() > INLINE_MAX));
+        assert_key_blocks(&keys);
+    }
+
+    /// Keys of 0, 1, 14, 15, 16, 17 and 40 bytes: prefixes of one base
+    /// string, some with a middle or last byte bumped across the signed
+    /// boundary, so inline and out-of-line keys share prefixes and order.
+    fn slot_key() -> impl Strategy<Value = Vec<u8>> {
+        const LENS: [usize; 7] = [0, 1, 14, 15, 16, 17, 40];
+        const BUMPS: [u8; 4] = [0, 1, 0x7f, 0x80];
+        const BASE: &[u8; 40] = b"bucket/a-shared-prefix/for-every-key/xyz";
+        (0..LENS.len(), 0..BUMPS.len(), 0..BUMPS.len()).prop_map(|(l, mid, last)| {
+            let len = LENS[l];
+            let mut k = BASE[..len].to_vec();
+            if len > 0 {
+                k[len / 2] = k[len / 2].wrapping_add(BUMPS[mid]);
+                k[len - 1] = k[len - 1].wrapping_add(BUMPS[last]);
+            }
+            k
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Inserts and removes of keys around the inline limit agree with
+        /// a `BTreeMap`, and the tree's invariants hold.
+        #[test]
+        fn inline_and_out_of_line_keys_match_model(
+            ops in proptest::collection::vec((any::<bool>(), slot_key(), any::<u64>()), 1..600),
+        ) {
+            let a = arena();
+            let t = BTreeHandle::create(&a);
+            let mut model = std::collections::BTreeMap::new();
+            for (insert, k, v) in ops {
+                if insert {
+                    prop_assert_eq!(t.insert(&k, v), model.insert(k.clone(), v));
+                } else {
+                    prop_assert_eq!(t.remove(&k), model.remove(&k));
+                }
+                prop_assert_eq!(t.get(&k), model.get(&k).copied());
+            }
+            t.check_invariants();
+            prop_assert_eq!(t.entries(), model.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

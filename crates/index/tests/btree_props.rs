@@ -17,13 +17,19 @@ enum Op {
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     // Small key space to force collisions, replacements, and deletes of
     // present keys. The long arm shares up to 24 bytes of prefix, so
-    // compares run deep into the keys.
+    // compares run deep into the keys. The third arm straddles the
+    // 15-byte inline-key limit: 14–17 bytes, prefixes of one another.
     prop_oneof![
         prop::collection::vec(0u8..8, 0..6),
         (0usize..25, prop::collection::vec(0u8..4, 0..12)).prop_map(|(n, tail)| {
             let mut k = b"object/name/prefix/00000".to_vec();
             k.truncate(n);
             k.extend(tail);
+            k
+        }),
+        (14usize..18, 0u8..3).prop_map(|(n, last)| {
+            let mut k = b"object/name/prefix/00000"[..n].to_vec();
+            k[n - 1] += last;
             k
         }),
     ]

@@ -359,6 +359,21 @@ impl PmemPool {
         }
     }
 
+    /// Borrows `len` bytes of the volatile view at `off`: a
+    /// [`PmemPool::read_bytes`] without the copy. Bounds-checked the same
+    /// way and, like it, charges no modelled latency.
+    ///
+    /// # Safety
+    ///
+    /// Nothing may write `[off, off + len)` while the slice lives: no
+    /// store through this pool and no [`PmemPool::simulate_crash`]
+    /// (which rewrites the view's unflushed lines).
+    #[inline]
+    pub unsafe fn bytes(&self, off: usize, len: usize) -> &[u8] {
+        self.check_range(off, len);
+        std::slice::from_raw_parts(self.base().add(off), len)
+    }
+
     /// 8-byte store. Real PMEM guarantees atomicity only at this width
     /// (§2); the log's LSN relies on it.
     #[inline]
