@@ -272,9 +272,9 @@ impl DsContext {
         // they briefly could.
         inner.writers.unregister(key);
 
-        // This op's own device wait, outside every log lock: whatever
-        // enters the commit combiner is already device-durable, so a
-        // drain never holds another committer behind an SSD.
+        // This op's own device wait, outside every log lock: a record is
+        // device-durable before its commit, so a commit never holds the
+        // swap lock across an SSD wait.
         inner.ssd.wait_durable(ssd_deadline);
         at.mark(SEG_SSD_WRITE);
         let nvme_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
@@ -746,7 +746,7 @@ impl DsContext {
                 Outcome::Failed(e) => return Err(e),
                 Outcome::Planned(res, params, p) => {
                     // Step ②b: store the record body outside every
-                    // ordering lock; the commit drain persists it. Charged
+                    // ordering lock; the commit persists it. Charged
                     // to its own `log_flush` segment so `log_append`
                     // isolates the serialized portion.
                     let r = res.publish(&params);

@@ -644,7 +644,7 @@ impl DStore {
         snap.push_counter("dstore_ww_conflicts_total", vec![], s.ww_conflicts);
         snap.push_counter("dstore_rw_backoffs_total", vec![], s.rw_backoffs);
         snap.push_counter("dstore_log_full_stalls_total", vec![], s.log_full_stalls);
-        // Commit-flush combining (parallel persistence write path).
+        // Log commits: one fence each, so the two counters are equal.
         let l = self.inner.log.stats();
         snap.push_counter(
             "dstore_log_commit_batches_total",
@@ -655,11 +655,6 @@ impl DStore {
             "dstore_log_commits_combined_total",
             vec![],
             l.commits_combined.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "dstore_log_commit_follower_sleeps_total",
-            vec![],
-            l.commit_follower_sleeps.load(Ordering::Relaxed),
         );
         snap.push_counter(
             "dstore_checkpoints_completed_total",
@@ -687,11 +682,10 @@ impl DStore {
         let p = self.inner.pool.stats().snapshot();
         snap.push_counter("dstore_pmem_flush_bytes_total", vec![], p.flush_bytes);
         // Ordering accounting (minimally-ordered durability): flush/fence
-        // call counts plus the lines the batching machinery saved.
+        // call counts plus the lines `persist_many` merged away.
         snap.push_counter("dstore_pmem_flushes_total", vec![], p.flush_ops);
         snap.push_counter("dstore_pmem_fences_total", vec![], p.fences);
         snap.push_counter("dstore_pmem_dedup_lines_total", vec![], p.dedup_lines);
-        snap.push_counter("dstore_pmem_elided_lines_total", vec![], p.elided_lines);
         snap.push_counter(
             "dstore_log_torn_commits_total",
             vec![],

@@ -4,8 +4,8 @@
 //! # Roles
 //!
 //! * **Durability**: an operation is *committed* once its data is durable
-//!   and its record, commit flag set, has passed a commit drain's fence —
-//!   the commit flag is the unit of crash-recovery replay.
+//!   and its record, commit flag set, has passed its commit's fence — the
+//!   commit flag is the unit of crash-recovery replay.
 //! * **Write-write concurrency control** (§4.4): instead of per-object
 //!   locks, a new write scans the log "from the first uncommitted record
 //!   until the end" for in-flight records naming the same object and spins
@@ -28,13 +28,14 @@
 //! header at recycle time).
 //!
 //! Durability is deferred out of the reservation critical section and
-//! out of the publish entirely — neither flushes nor fences. Every commit
-//! goes through one epoch drain, which stores the batch's commit flags and
-//! persists their record bodies together with the **header gap** (all
-//! headers between the durable-header frontier and the reserved tail)
-//! behind **one** merged fence. The durable image therefore stays
-//! walkable up to every committed record, and recovery always chains past
-//! crashed reservations to reach it.
+//! out of the publish entirely — neither flushes nor fences. A commit is
+//! one ordering point: it stores the record's commit flag, then persists
+//! the record together with the **header gap** (all headers between the
+//! durable-header frontier and the reserved tail) in one
+//! [`PmemPool::persist_many`], behind **one** fence. No flush is skipped:
+//! racing committers may both flush an overlapping gap. The durable image
+//! therefore stays walkable up to every committed record, and recovery
+//! always chains past crashed reservations to reach it.
 
 use crate::layout::PmemLayout;
 use crate::record::{self, RecordView, COMMIT_COMMITTED, COMMIT_PENDING};
@@ -93,42 +94,16 @@ pub struct LogStats {
     pub relocated: AtomicU64,
     /// Conflict handles returned by appends.
     pub conflicts_detected: AtomicU64,
-    /// Commits persisted through the flush combiner.
+    /// Records committed. Exported as `dstore_log_commits_combined_total`
+    /// beside [`LogStats::commit_batches`], whose ratio to it is the mean
+    /// number of commits per fence.
     pub commits_combined: AtomicU64,
-    /// Combiner batches drained (one fence each);
-    /// `commits_combined / commit_batches` is the mean fan-in.
+    /// Commit fences issued: one per [`OpLog::commit`].
     pub commit_batches: AtomicU64,
     /// Committed records demoted by the walk because their body hash
     /// mismatched — a commit flag that reached the media (spurious
-    /// eviction) before its record body's epoch fence.
+    /// eviction) before its record body's commit fence.
     pub torn_commits: AtomicU64,
-    /// Commits whose wait for the combiner escalated to the sleep stage
-    /// of [`Backoff`] — a drain is sub-microsecond, so this stays ≈ 0.
-    pub commit_follower_sleeps: AtomicU64,
-}
-
-/// A commit queued for the epoch drain.
-struct QueuedCommit {
-    /// Record pool offset.
-    off: usize,
-    /// Record length — the drain's body flush range.
-    total_len: usize,
-}
-
-/// The commit combiner's shared state (§4.4's "group persistence" of
-/// commit flags): committers enqueue their record, and one elected
-/// thread drains the queue behind a single flush+fence.
-#[derive(Default)]
-struct CommitCombiner {
-    /// Commits not yet persisted. Pushing and taking a ticket happen
-    /// under this lock, so tickets are dense in queue order.
-    queue: Mutex<Vec<QueuedCommit>>,
-    /// Tickets handed out (== commits ever enqueued).
-    tickets: AtomicU64,
-    /// Tickets whose commits have been persisted.
-    served: AtomicU64,
-    /// Combiner election: whoever `try_lock`s this drains the queue.
-    drain: Mutex<()>,
 }
 
 /// The double-buffered PMEM operation log.
@@ -152,7 +127,7 @@ pub struct OpLog {
     /// buffer — advanced under the reserve lock by every reservation.
     hdr_written: AtomicUsize,
     /// End of the *durable* header prefix of the active buffer: every
-    /// record header below it is flushed. Advanced by the commit drain's
+    /// record header below it is flushed. Advanced by each commit's
     /// header-gap flush; reset by swap. Invariant: no commit flag becomes
     /// durable before the headers below the reserved tail do, so the
     /// recovery walk can always chain past crashed reservations to a
@@ -162,7 +137,6 @@ pub struct OpLog {
     /// Deadlock-detector budget for [`OpLog::wait_committed`]. Written
     /// only by [`OpLog::set_stall_timeout`] before the log is shared.
     stall_timeout: std::time::Duration,
-    combiner: CommitCombiner,
 }
 
 impl OpLog {
@@ -178,11 +152,6 @@ impl OpLog {
     /// Rebuilds the volatile log state after recovery: `active` buffer,
     /// its append tail, and the next LSN (which must dominate every LSN
     /// ever persisted).
-    ///
-    /// Also installs the pool's proven-durable line tracker over the log
-    /// region, so re-flushes the model proves redundant (re-committed
-    /// flag lines, racing header-gap flushes, adjacent records sharing a
-    /// line) are elided.
     pub fn attach(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
@@ -190,9 +159,6 @@ impl OpLog {
         tail: usize,
         next_lsn: u64,
     ) -> Self {
-        // Both log buffers + their headers; the root (offset 0) and the
-        // shadow/blackbox regions stay untracked.
-        pool.track_region(layout.log[0], layout.shadow[0] - layout.log[0]);
         let hints = [
             AtomicUsize::new(layout.log_records(0)),
             AtomicUsize::new(layout.log_records(1)),
@@ -213,7 +179,6 @@ impl OpLog {
             hints,
             stats: LogStats::default(),
             stall_timeout: std::time::Duration::from_secs(30),
-            combiner: CommitCombiner::default(),
             pool,
             layout,
         }
@@ -225,20 +190,21 @@ impl OpLog {
         self.stall_timeout = stall_timeout;
     }
 
-    /// Selects nothing: commits always combine. Kept only because the
-    /// repository benchmark's `dipper.append_commit_ns` probe
-    /// (`benchmark/src/probes.rs`) still calls it.
-    #[doc(hidden)]
-    pub fn set_commit_combining(&mut self, on: bool) {
-        assert!(on, "commit combining is the only commit path");
-    }
-
-    /// Selects nothing: durability is always epoch-batched. Kept only
+    /// Selects nothing: every commit is a direct commit. Kept only
     /// because the repository benchmark's `dipper.append_commit_ns` probe
     /// (`benchmark/src/probes.rs`) still calls it.
     #[doc(hidden)]
+    pub fn set_commit_combining(&mut self, on: bool) {
+        assert!(on, "the direct commit is the only commit path");
+    }
+
+    /// Selects nothing: a commit always persists its record behind the
+    /// header-gap flush. Kept only because the repository benchmark's
+    /// `dipper.append_commit_ns` probe (`benchmark/src/probes.rs`) still
+    /// calls it.
+    #[doc(hidden)]
     pub fn set_durability_epoch(&mut self, on: bool) {
-        assert!(on, "epoch-batched durability is the only durability path");
+        assert!(on, "the direct commit is the only durability path");
     }
 
     /// The pool this log lives in.
@@ -293,7 +259,7 @@ impl OpLog {
             st.tail += total_len;
             st.next_lsn += 1;
             // Stamp the header + name (store only — durability is
-            // deferred to the next commit drain's header-gap flush) so
+            // deferred to the next commit's header-gap flush) so
             // later conflict scans and the swap relocator see a fully
             // written record prefix.
             record::write_header(&self.pool, off, lsn, total_len, op, name);
@@ -399,7 +365,7 @@ impl OpLog {
     /// Header ranges between the durable-header frontier and the written
     /// frontier, walked by trustworthy (reserve-lock-ordered) length
     /// words, plus the new frontier to publish after they persist. Every
-    /// commit drain flushes this gap in its fence, so a durable commit
+    /// commit flushes this gap in its fence, so a durable commit
     /// flag implies the walk can chain past every earlier record —
     /// including reservations that were never published or committed.
     /// Callers hold the swap lock shared, so the active buffer cannot be
@@ -424,68 +390,25 @@ impl OpLog {
     }
 
     /// Marks the record committed and persists it, flag and body, behind
-    /// the header-gap flush (see `OpLog::header_gap`). Called once per
-    /// record, after the operation's data is durable (§4.5) — a caller
-    /// with a device write in flight waits it out *before* calling, so
-    /// nothing queued here ever waits on a device.
-    ///
-    /// Concurrent committers share one flush+fence: each enqueues its
-    /// record, and whichever thread wins the drain lock stores the batch's
-    /// flags and persists the whole batch via [`PmemPool::persist_many`].
-    /// Every participant returns only once its own record is durable.
+    /// the header-gap flush (see `OpLog::header_gap`), in one
+    /// [`PmemPool::persist_many`] — one fence. Called once per record,
+    /// after the operation's data is durable (§4.5) — a caller with a
+    /// device write in flight waits it out *before* calling, so no commit
+    /// ever waits on a device. Returns once the record is durable.
     pub fn commit(&self, h: RecordHandle) {
         let _g = self.swap_lock.read();
         let off = match self.resolve(h) {
             Ok(off) => off,
             Err(()) => unreachable!("only the owner commits, and it commits once"),
         };
-        // The flag store is deferred to the drain, which also flushes the
-        // whole body the publish left unflushed.
         let total_len = record::read_word(&self.pool, off).1;
-        let ticket = {
-            let mut q = self.combiner.queue.lock();
-            q.push(QueuedCommit { off, total_len });
-            self.combiner.tickets.fetch_add(1, Ordering::Relaxed) + 1
-        };
-        // Offsets stay valid while every participant holds the swap lock
-        // shared: no swap can relocate a queued record under the winner.
-        let mut backoff = Backoff::new();
-        while self.combiner.served.load(Ordering::Acquire) < ticket {
-            if let Some(_d) = self.combiner.drain.try_lock() {
-                let batch = std::mem::take(&mut *self.combiner.queue.lock());
-                if !batch.is_empty() {
-                    self.drain_batch(&batch);
-                }
-            } else {
-                backoff.snooze();
-            }
-        }
-        if backoff.is_sleeping() {
-            self.stats
-                .commit_follower_sleeps
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drains one durability epoch behind a single merged fence: stores
-    /// every commit flag and persists all record bodies plus the header
-    /// gap. No device wait happens here: every queued record's data was
-    /// durable before its commit was enqueued.
-    fn drain_batch(&self, batch: &[QueuedCommit]) {
-        for e in batch {
-            record::write_commit(&self.pool, e.off, COMMIT_COMMITTED);
-        }
+        record::write_commit(&self.pool, off, COMMIT_COMMITTED);
         let (mut ranges, hdr_target) = self.header_gap();
-        ranges.extend(batch.iter().map(|e| (e.off, e.total_len)));
+        ranges.push((off, total_len));
         self.pool.persist_many(&ranges);
         self.hdr_durable.fetch_max(hdr_target, Ordering::AcqRel);
         self.stats.commit_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .commits_combined
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.combiner
-            .served
-            .fetch_add(batch.len() as u64, Ordering::Release);
+        self.stats.commits_combined.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether two handles refer to the same (still-pending) record,
@@ -653,11 +576,11 @@ impl OpLog {
             lsn_floor = hdr.lsn + 1;
             let mut rec = hdr.view(&self.pool, off);
             if rec.commit == COMMIT_COMMITTED && !hdr.body_matches(&rec) {
-                // Torn epoch: the crash landed between the commit-flag
-                // store and the epoch fence, persisting the flag line
+                // Torn commit: the crash landed between the commit-flag
+                // store and the commit fence, persisting the flag line
                 // (eviction) over a partially persisted body. Demoting is
                 // safe because no operation is acknowledged before its
-                // epoch fence completes.
+                // commit fence completes.
                 record::set_commit(&self.pool, off, record::COMMIT_ABORTED);
                 rec.commit = record::COMMIT_ABORTED;
                 self.stats.torn_commits.fetch_add(1, Ordering::Relaxed);
@@ -689,8 +612,8 @@ impl OpLog {
 /// A reserved-but-unpublished log record: the output of the short
 /// serialized append step ([`OpLog::reserve`]). The header (validity
 /// word, op, name) is already written and visible to conflict scans; the
-/// parameter body is not, and nothing is durable yet — the next commit
-/// drain takes care of that.
+/// parameter body is not, and nothing is durable yet — the record's
+/// commit (or a later record's header-gap flush) takes care of that.
 ///
 /// Holds the swap lock shared for its whole lifetime, so the slot cannot
 /// be relocated mid-write. Because of that, **do not** call the
@@ -743,23 +666,26 @@ impl Reservation<'_> {
 
     /// Marks the reserved record's allocation as having stolen pool
     /// blocks from a foreign shard (see [`record::OP_STEAL_FLAG`]). Must
-    /// be called before [`Reservation::publish`] so the commit drain makes
-    /// the flag durable with the rest of the record.
+    /// be called before [`Reservation::publish`] so the commit makes the
+    /// flag durable with the rest of the record.
     pub fn set_steal_flag(&self) {
         record::mark_steal(&self.log.pool, self.off);
     }
 
     /// Writes the record body — the parallel persistence step (the
     /// paper's step ②). Runs concurrently with other publishers; only the
-    /// reservation itself was serialized. Stores only: the commit drain
-    /// persists the whole body behind its batch fence, and the body hash
-    /// written here lets recovery demote a committed flag whose body the
-    /// crash tore.
+    /// reservation itself was serialized. Stores only: the commit persists
+    /// the whole body behind its fence, and the body hash written here
+    /// lets recovery demote a committed flag whose body the crash tore.
+    ///
+    /// Panics if `params` does not encode to exactly the reserved length:
+    /// longer params would overwrite the next record's header.
     pub fn publish(self, params: &[u8]) -> AppendResult {
-        debug_assert_eq!(
+        assert_eq!(
             record::encoded_len(self.name_len, params.len()),
             self.total_len,
-            "publish params length differs from the reserved length"
+            "publish params length differs from the length reserved at pool offset {}",
+            self.off
         );
         record::write_params(&self.log.pool, self.off, self.name_len, params);
         record::write_body_hash(&self.log.pool, self.off);
@@ -1001,8 +927,10 @@ mod tests {
     #[test]
     fn commit_fence_covers_unpublished_reservations() {
         let (p, _l, log) = setup(1 << 16);
-        // A reservation that never publishes before the crash...
-        let res = log.reserve(7, b"unpublished", 3).unwrap();
+        // A reservation that never publishes before the crash, long
+        // enough that the next record shares no cache line with its
+        // header...
+        let res = log.reserve(7, b"unpublished", 100).unwrap();
         // ...must not strand a later committed record: the commit fence
         // flushes the header gap, so the walk chains past the hole.
         let b = log.try_append(1, b"durable", &[9]).unwrap();
@@ -1123,47 +1051,10 @@ mod tests {
     }
 
     #[test]
-    fn combined_commits_are_durable() {
-        // Every thread commits its own objects; each committed record must
-        // survive the crash under its own name, whichever thread drained
-        // the batch that persisted it.
-        let (p, _l, log) = setup(1 << 20);
-        let log = Arc::new(log);
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let log = Arc::clone(&log);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        let name = format!("t{t}-o{i}");
-                        let r = log.try_append(1, name.as_bytes(), &[t as u8]).unwrap();
-                        log.commit(r.handle);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        p.simulate_crash();
-        let recs = log.committed_records(0);
-        assert_eq!(recs.len(), 200);
-        let names: std::collections::BTreeSet<Vec<u8>> =
-            recs.iter().map(|r| r.name.clone()).collect();
-        let expected: std::collections::BTreeSet<Vec<u8>> = (0..4)
-            .flat_map(|t| (0..50).map(move |i| format!("t{t}-o{i}").into_bytes()))
-            .collect();
-        assert_eq!(names, expected);
-        let batches = log.stats().commit_batches.load(Ordering::Relaxed);
-        let combined = log.stats().commits_combined.load(Ordering::Relaxed);
-        assert_eq!(combined, 200, "every commit went through the combiner");
-        assert!((1..=200).contains(&batches));
-    }
-
-    #[test]
     fn epoch_commits_are_durable() {
         const THREADS: usize = 4;
         const COMMITS: usize = 50;
-        // Records span several cache lines, so a drain that persisted only
+        // Records span several cache lines, so a commit that persisted only
         // the flag/header line would leave torn bodies behind.
         const PARAMS: usize = 200;
         let (p, _l, log) = setup(1 << 20);
@@ -1185,8 +1076,8 @@ mod tests {
             t.join().unwrap();
         }
         // Every `commit` has returned: each record must survive a crash
-        // as COMMITTED with its body hash intact (the walk demotes and
-        // counts a torn body).
+        // as COMMITTED under its own name, with its body hash intact (the
+        // walk demotes and counts a torn body).
         p.simulate_crash();
         let recs = log.walk(0);
         assert_eq!(recs.len(), THREADS * COMMITS);
@@ -1196,15 +1087,18 @@ mod tests {
             assert!((1..=THREADS as u8).contains(&t));
             assert!(r.params[..PARAMS].iter().all(|&b| b == t));
         }
-        let batches = log.stats().commit_batches.load(Ordering::Relaxed);
-        let combined = log.stats().commits_combined.load(Ordering::Relaxed);
-        assert_eq!(
-            combined,
-            (THREADS * COMMITS) as u64,
-            "every commit went through the epoch drain"
-        );
-        assert!((1..=combined).contains(&batches));
-        assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 0);
+        let names: std::collections::BTreeSet<Vec<u8>> =
+            recs.iter().map(|r| r.name.clone()).collect();
+        let expected: std::collections::BTreeSet<Vec<u8>> = (0..THREADS)
+            .flat_map(|t| (0..COMMITS).map(move |i| format!("t{t}-o{i}").into_bytes()))
+            .collect();
+        assert_eq!(names, expected);
+        // One fence per commit.
+        let stats = log.stats();
+        let commits = (THREADS * COMMITS) as u64;
+        assert_eq!(stats.commits_combined.load(Ordering::Relaxed), commits);
+        assert_eq!(stats.commit_batches.load(Ordering::Relaxed), commits);
+        assert_eq!(stats.torn_commits.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1213,7 +1107,7 @@ mod tests {
         // Published but never committed: nothing of this record was
         // flushed by the publish itself.
         let _a = log.try_append(1, b"limbo", &[0xEE; 80]).unwrap();
-        // A later committed record's epoch drain flushes the header gap,
+        // A later committed record's commit flushes the header gap,
         // so the walk can chain past the hole after the crash.
         let b = log.try_append(1, b"solid", &[7; 10]).unwrap();
         log.commit(b.handle);
@@ -1232,7 +1126,7 @@ mod tests {
         let (p, _l, log) = setup(1 << 16);
         let r = log.try_append(1, b"torn", &[0xAB; 100]).unwrap();
         let off = r.handle.off;
-        // Crash between the drain's flag store and its epoch fence: the
+        // Crash between the commit's flag store and its fence: the
         // flag line gets spuriously evicted, the rest of the body does
         // not. No fence ever runs.
         record::write_commit(&p, off, COMMIT_COMMITTED);
@@ -1251,8 +1145,8 @@ mod tests {
 
     #[test]
     fn combining_swaps_and_conflicts_interoperate() {
-        // Contended writers wait on each other's records and commit through
-        // the combiner while a swap relocates whatever is pending mid-run.
+        // Contended writers wait on each other's records and commit while
+        // a swap relocates whatever is pending mid-run.
         let (_p, _l, log) = setup(1 << 20);
         let log = Arc::new(log);
         let threads: Vec<_> = (0..4)
@@ -1281,6 +1175,15 @@ mod tests {
         // copies stay pending, so each commit is counted exactly once.
         let total = log.committed_records(0).len() + log.committed_records(1).len();
         assert_eq!(total, 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved at pool offset")]
+    fn publish_longer_than_reserved_panics() {
+        let (_p, _l, log) = setup(1 << 16);
+        let res = log.reserve(1, b"obj", 8).unwrap();
+        // Enough extra bytes to spill into the next record's header.
+        let _ = res.publish(&[0u8; 64]);
     }
 
     #[test]

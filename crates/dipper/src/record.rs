@@ -14,7 +14,7 @@
 //! * The `commit` flag is set only after the operation's data is durable
 //!   (§4.5); recovery replays exclusively committed records.
 //! * The `body hash` ([`write_body_hash`]) covers the name + padded params
-//!   and is written at publish. The commit drain persists the commit flag
+//!   and is written at publish. The commit persists the commit flag
 //!   and the record body behind the *same* fence, so a spurious eviction
 //!   can land the flag line on media before the body lines — the walk
 //!   demotes committed records whose body hash mismatches (safe: the
@@ -38,7 +38,7 @@ pub const OP_NOOP: u16 = 0;
 /// pop comes from the home shard — a window containing a stolen
 /// allocation must be replayed serially (in log order) instead. The flag
 /// is set by the frontend after planning, before the record is
-/// published, so the commit drain persists it with the record.
+/// published, so the commit persists it with the record.
 ///
 /// The bit lives outside the checksummed region (the header checksum
 /// covers the validity word and name hash only), so flagging a reserved
@@ -163,7 +163,7 @@ pub fn write_header(pool: &PmemPool, off: usize, lsn: u64, total_len: usize, op:
 }
 
 /// ORs [`OP_STEAL_FLAG`] into a reserved record's op field (store only —
-/// the commit drain makes it durable along with the rest of the header
+/// the commit makes it durable along with the rest of the header
 /// line). Must run before the record is published.
 pub fn mark_steal(pool: &PmemPool, off: usize) {
     let mut ob = [0u8; 2];
@@ -176,7 +176,7 @@ pub fn mark_steal(pool: &PmemPool, off: usize) {
 /// record so the recovery walk can chain past it: the fixed header only.
 /// The name/params need no durability here — the header's checksum covers
 /// only the word and name *hash*, and recovery reads name/params bytes
-/// solely from committed records, whose whole body the commit drain
+/// solely from committed records, whose whole body the commit
 /// persisted.
 #[inline]
 pub fn header_flush_range(off: usize) -> (usize, usize) {

@@ -3,7 +3,7 @@
 //! The store has a handful of spots where one thread waits for another
 //! to finish a step that is normally a few microseconds away: a reader
 //! waiting for an in-flight writer, a writer waiting for a conflicting
-//! log record to commit, a commit waiting for the flush combiner.
+//! log record to commit.
 //! A raw `yield_now` loop burns a full core per waiter under
 //! contention; a blocking primitive is too heavy for waits this short.
 //! This helper escalates spin → yield → capped micro-sleeps, so the

@@ -43,7 +43,6 @@ use parking_lot::Mutex;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// How faithfully the pool simulates persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,118 +134,7 @@ impl PoolBuilder {
             stats: PmemStats::new(),
             pending: Mutex::new(Vec::new()),
             rng: AtomicU64::new(self.seed.max(1)),
-            tracker: OnceLock::new(),
         })
-    }
-}
-
-/// Per-cache-line durability bookkeeping for one designated pool region.
-///
-/// The tracker proves lines durable by event ordering: every store into the
-/// region bumps a global event counter and records it against the line
-/// (`dirty`); a flush records the counter value it observed (`flushed`); a
-/// fence records a fresh counter value (`last_fence`) once the pending lines
-/// have actually reached the persistent image. A line is *proven durable*
-/// iff it was flushed at least once, no store postdates that flush, and a
-/// fence postdates the flush — at which point re-flushing it is pure
-/// overhead on real hardware too (`clwb` of a clean line), so the pool
-/// elides it and counts the elision.
-///
-/// Flush-side reads of `events` and the fence-side `last_fence` update both
-/// happen under the pool's pending lock, which gives the two rules their
-/// soundness: a flush that observes `last_fence > flushed[i]` is guaranteed
-/// the fence drained *after* line `i` entered the pending set.
-///
-/// Spurious evictions never update the tracker: they only make lines *more*
-/// durable, so ignoring them is conservative. [`PmemPool::simulate_crash`]
-/// resets the tracker — sound because the crash rewrites the volatile view
-/// from the persistent image, and elision stays disabled until a fresh
-/// flush+fence re-proves each line.
-struct LineTracker {
-    /// Tracked region `[start, end)`, line-aligned.
-    start: usize,
-    end: usize,
-    /// Global store/fence event counter.
-    events: AtomicU64,
-    /// Event number taken by the latest completed fence.
-    last_fence: AtomicU64,
-    /// Per line: highest event number of a store touching it.
-    dirty: Box<[AtomicU64]>,
-    /// Per line: event snapshot of its latest flush.
-    flushed: Box<[AtomicU64]>,
-}
-
-impl LineTracker {
-    fn new(start: usize, end: usize) -> Self {
-        let lines = (end - start) / CACHE_LINE;
-        let zeroed = |n: usize| -> Box<[AtomicU64]> { (0..n).map(|_| AtomicU64::new(0)).collect() };
-        Self {
-            start,
-            end,
-            events: AtomicU64::new(0),
-            last_fence: AtomicU64::new(0),
-            dirty: zeroed(lines),
-            flushed: zeroed(lines),
-        }
-    }
-
-    /// Index of the line starting at pool offset `line`, if tracked.
-    #[inline]
-    fn index(&self, line: usize) -> Option<usize> {
-        (self.start..self.end)
-            .contains(&line)
-            .then(|| (line - self.start) / CACHE_LINE)
-    }
-
-    /// Records a store over `[off, off+len)`; called after the data has
-    /// landed in the volatile view so a concurrent flush can only *miss*
-    /// the bump (keeping the line conservatively dirty), never elide it.
-    #[inline]
-    fn note_store(&self, off: usize, len: usize) {
-        let lo = off.max(self.start);
-        let hi = (off + len).min(self.end);
-        if lo >= hi {
-            return;
-        }
-        let e = self.events.fetch_add(1, Ordering::Relaxed) + 1;
-        let first = (line_down(lo) - self.start) / CACHE_LINE;
-        let last = (line_up(hi) - self.start) / CACHE_LINE;
-        for d in &self.dirty[first..last] {
-            d.fetch_max(e, Ordering::Relaxed);
-        }
-    }
-
-    /// True when line `i`'s last flush captured every store to it and a
-    /// fence completed afterwards.
-    #[inline]
-    fn proven_durable(&self, i: usize) -> bool {
-        let f = self.flushed[i].load(Ordering::Relaxed);
-        f > 0
-            && self.dirty[i].load(Ordering::Relaxed) <= f
-            && self.last_fence.load(Ordering::Relaxed) > f
-    }
-
-    /// Marks line `i` flushed at event snapshot `snap`.
-    #[inline]
-    fn mark_flushed(&self, i: usize, snap: u64) {
-        self.flushed[i].fetch_max(snap, Ordering::Relaxed);
-    }
-
-    /// Called once the fence has drained the pending set (pending lock
-    /// held, so no flush can interleave between drain and this update).
-    #[inline]
-    fn on_fence(&self) {
-        let e = self.events.fetch_add(1, Ordering::Relaxed) + 1;
-        self.last_fence.fetch_max(e, Ordering::Relaxed);
-    }
-
-    /// Forgets all proof state (crash): nothing is proven until re-flushed.
-    fn reset(&self) {
-        self.last_fence.store(0, Ordering::Relaxed);
-        for (d, f) in self.dirty.iter().zip(self.flushed.iter()) {
-            d.store(0, Ordering::Relaxed);
-            f.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -270,9 +158,6 @@ pub struct PmemPool {
     pending: Mutex<Vec<PendingRange>>,
     /// xorshift64 state for spurious evictions.
     rng: AtomicU64,
-    /// Proven-durable line tracker for one designated region (the OE log),
-    /// installed by [`PmemPool::track_region`].
-    tracker: OnceLock<LineTracker>,
 }
 
 impl PmemPool {
@@ -344,9 +229,6 @@ impl PmemPool {
         unsafe {
             std::ptr::copy_nonoverlapping(data.as_ptr(), self.base().add(off), data.len());
         }
-        if let Some(t) = self.tracker.get() {
-            t.note_store(off, data.len());
-        }
     }
 
     /// Copies `buf.len()` bytes from the volatile view at `off` into `buf`.
@@ -379,7 +261,10 @@ impl PmemPool {
     #[inline]
     pub fn write_u64(&self, off: usize, v: u64) {
         self.check_range(off, 8);
-        debug_assert_eq!(off % 8, 0, "u64 store must be 8-byte aligned");
+        assert!(
+            off.is_multiple_of(8),
+            "pmem u64 store at misaligned offset {off}"
+        );
         // SAFETY: bounds and alignment checked.
         unsafe {
             (self.base().add(off) as *mut AtomicU64)
@@ -387,16 +272,16 @@ impl PmemPool {
                 .unwrap()
                 .store(v, Ordering::Release);
         }
-        if let Some(t) = self.tracker.get() {
-            t.note_store(off, 8);
-        }
     }
 
     /// 8-byte load paired with [`PmemPool::write_u64`].
     #[inline]
     pub fn read_u64(&self, off: usize) -> u64 {
         self.check_range(off, 8);
-        debug_assert_eq!(off % 8, 0, "u64 load must be 8-byte aligned");
+        assert!(
+            off.is_multiple_of(8),
+            "pmem u64 load at misaligned offset {off}"
+        );
         // SAFETY: bounds and alignment checked.
         unsafe {
             (self.base().add(off) as *const AtomicU64)
@@ -406,32 +291,10 @@ impl PmemPool {
         }
     }
 
-    /// Designates `[off, off+len)` (rounded out to cache lines) as the
-    /// region covered by the proven-durable line tracker. Flushes of lines
-    /// inside the region that the tracker proves already persistent are
-    /// elided and counted in [`PmemStats::elided_lines`]. Set-once: repeat
-    /// calls with the same region are ignored (recovery re-installs it);
-    /// a different region panics.
-    pub fn track_region(&self, off: usize, len: usize) {
-        assert!(len > 0, "cannot track an empty region");
-        self.check_range(off, len);
-        let start = line_down(off);
-        let end = line_up(off + len);
-        let t = self.tracker.get_or_init(|| LineTracker::new(start, end));
-        assert!(
-            t.start == start && t.end == end,
-            "track_region: a tracker is already installed over [{:#x}, {:#x})",
-            t.start,
-            t.end,
-        );
-    }
-
     /// `clwb`/`clflushopt` over the cache lines covering `[off, off+len)`.
     ///
     /// Strict mode: the lines become *pending* and persist at the next
-    /// [`PmemPool::fence`]. Fast mode: only charges latency. Lines the
-    /// proven-durable tracker ([`PmemPool::track_region`]) shows already
-    /// persistent are elided; a fully elided flush issues nothing.
+    /// [`PmemPool::fence`]. Fast mode: only charges latency.
     pub fn flush(&self, off: usize, len: usize) {
         if len == 0 {
             return;
@@ -439,10 +302,6 @@ impl PmemPool {
         self.check_range(off, len);
         let start = line_down(off);
         let end = line_up(off + len);
-        if self.tracker.get().is_some() {
-            self.flush_lines_tracked(&[(start, end)]);
-            return;
-        }
         let lines = (end - start) / CACHE_LINE;
         self.stats.record_flush((end - start) as u64);
         self.latency.charge_flush(lines);
@@ -451,110 +310,16 @@ impl PmemPool {
         }
     }
 
-    /// Flush path when a proven-durable tracker is installed: registers the
-    /// line-aligned `spans` pending, eliding lines the tracker proves
-    /// already persistent. Tracker bookkeeping and pending registration
-    /// happen under the pending lock so they order correctly against
-    /// [`PmemPool::fence`]'s drain + `last_fence` update.
-    fn flush_lines_tracked(&self, spans: &[(usize, usize)]) {
-        let t = self.tracker.get().expect("tracker installed");
-        let mut kept_lines = 0usize;
-        let mut kept_bytes = 0u64;
-        let mut elided = 0u64;
-        {
-            let mut pending = self.pending.lock();
-            let snap = t.events.load(Ordering::Relaxed);
-            let mut keep = |run: (usize, usize), pending: &mut Vec<PendingRange>| {
-                kept_lines += (run.1 - run.0) / CACHE_LINE;
-                kept_bytes += (run.1 - run.0) as u64;
-                if self.mode == PersistenceMode::Strict {
-                    pending.push(PendingRange {
-                        start: run.0,
-                        end: run.1,
-                    });
-                }
-            };
-            for &(start, end) in spans {
-                let mut run: Option<(usize, usize)> = None;
-                let mut line = start;
-                while line < end {
-                    let next = line + CACHE_LINE;
-                    match t.index(line) {
-                        Some(i) if t.proven_durable(i) => {
-                            elided += 1;
-                            #[cfg(all(test, debug_assertions))]
-                            self.assert_line_already_persistent(line);
-                            if let Some(r) = run.take() {
-                                keep(r, &mut pending);
-                            }
-                        }
-                        idx => {
-                            if let Some(i) = idx {
-                                t.mark_flushed(i, snap);
-                            }
-                            match &mut run {
-                                Some(r) => r.1 = next,
-                                None => run = Some((line, next)),
-                            }
-                        }
-                    }
-                    line = next;
-                }
-                if let Some(r) = run {
-                    keep(r, &mut pending);
-                }
-            }
-        }
-        if elided > 0 {
-            self.stats.record_elided_lines(elided);
-        }
-        if kept_lines > 0 {
-            self.stats.record_flush(kept_bytes);
-            self.latency.charge_flush(kept_lines);
-        }
-    }
-
-    /// Unit-test-only invariant: an elided line's volatile and persistent
-    /// contents must already agree — the tracker's whole claim. Scoped to
-    /// this crate's own (quiescent) tests because under concurrency a
-    /// racing store may legitimately change the volatile copy before its
-    /// dirty bump becomes visible to the flushing thread.
-    #[cfg(all(test, debug_assertions))]
-    fn assert_line_already_persistent(&self, line: usize) {
-        let Some(p) = &self.persistent else { return };
-        let mut v = [0u8; CACHE_LINE];
-        let mut d = [0u8; CACHE_LINE];
-        // SAFETY: `line` is a bounds-checked, line-aligned offset; both
-        // images are pool-sized.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.volatile.as_ptr().add(line),
-                v.as_mut_ptr(),
-                CACHE_LINE,
-            );
-            std::ptr::copy_nonoverlapping(p.as_ptr().add(line), d.as_mut_ptr(), CACHE_LINE);
-        }
-        assert_eq!(v, d, "elided line at {line:#x} is not actually durable");
-    }
-
     /// `sfence`: commits all pending flushed lines to the persistent image.
     pub fn fence(&self) {
         self.stats.record_fence();
         self.latency.charge_fence();
         if self.mode != PersistenceMode::Strict {
-            if let Some(t) = self.tracker.get() {
-                let _pending = self.pending.lock();
-                t.on_fence();
-            }
             return;
         }
         let mut pending = self.pending.lock();
-        let drained: Vec<PendingRange> = std::mem::take(&mut *pending);
-        for r in &drained {
+        for r in pending.drain(..) {
             self.persist_lines(r.start, r.end);
-        }
-        if let Some(t) = self.tracker.get() {
-            t.on_fence();
         }
     }
 
@@ -566,19 +331,16 @@ impl PmemPool {
         self.fence();
     }
 
-    /// Persists several ranges behind a **single** fence — the flush
-    /// combiner's batch primitive. Latency-wise this models a train of
-    /// independent `clwb`s (which pipeline, so the whole batch is
-    /// charged as one multi-line flush) followed by one `sfence`,
-    /// rather than `ranges.len()` full flush+fence round trips.
+    /// Persists several ranges behind a **single** fence — a log
+    /// commit's one ordering point (header gap plus record). Latency-wise
+    /// this models a train of independent `clwb`s (which pipeline, so the
+    /// whole batch is charged as one multi-line flush) followed by one
+    /// `sfence`, rather than `ranges.len()` full flush+fence round trips.
     ///
-    /// Overlapping or duplicate ranges (racing header-gap flushes, commit
-    /// flags sharing a line) are merged so each cache line is flushed at
-    /// most once per batch; merged-away duplicates are counted in
-    /// [`PmemStats::dedup_lines`]. With a proven-durable tracker installed
-    /// ([`PmemPool::track_region`]), lines the tracker proves already
-    /// persistent are additionally elided and counted in
-    /// [`PmemStats::elided_lines`].
+    /// Overlapping or duplicate ranges (a record header inside the header
+    /// gap, commit flags sharing a line) are merged so each cache line is
+    /// flushed at most once per batch; merged-away duplicates are counted
+    /// in [`PmemStats::dedup_lines`].
     pub fn persist_many(&self, ranges: &[(usize, usize)]) {
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
         let mut raw_lines = 0usize;
@@ -609,19 +371,15 @@ impl PmemPool {
             self.stats
                 .record_dedup_lines((raw_lines - merged_lines) as u64);
         }
-        if self.tracker.get().is_some() {
-            self.flush_lines_tracked(&merged);
-        } else {
-            let mut bytes = 0u64;
-            for &(start, end) in &merged {
-                bytes += (end - start) as u64;
-                if self.mode == PersistenceMode::Strict {
-                    self.pending.lock().push(PendingRange { start, end });
-                }
-            }
-            self.stats.record_flush(bytes);
-            self.latency.charge_flush(merged_lines);
+        if self.mode == PersistenceMode::Strict {
+            self.pending.lock().extend(
+                merged
+                    .iter()
+                    .map(|&(start, end)| PendingRange { start, end }),
+            );
         }
+        self.stats.record_flush((merged_lines * CACHE_LINE) as u64);
+        self.latency.charge_flush(merged_lines);
         self.fence();
     }
 
@@ -730,11 +488,6 @@ impl PmemPool {
         // SAFETY: both images are pool-sized.
         unsafe {
             std::ptr::copy_nonoverlapping(p.as_ptr(), self.volatile.as_ptr(), self.len());
-        }
-        // Nothing is proven durable across a crash boundary until the
-        // restarted process re-flushes it.
-        if let Some(t) = self.tracker.get() {
-            t.reset();
         }
     }
 
@@ -984,43 +737,13 @@ mod tests {
     }
 
     #[test]
-    fn track_region_is_idempotent() {
-        let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
-        p.track_region(0, 1024); // recovery re-installs; must not panic
-    }
-
-    #[test]
-    fn tracked_flush_elides_proven_durable_lines() {
-        let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
-        p.write_bytes(0, &[7u8; 64]);
-        p.persist(0, 64); // flush + fence: line proven durable
-        let before = p.stats().snapshot();
-        p.persist(0, 64); // same content: the flush is elided entirely
-        let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines - before.elided_lines, 1);
-        assert_eq!(
-            s.flush_ops, before.flush_ops,
-            "fully elided flush issues nothing"
-        );
-        assert_eq!(s.fences - before.fences, 1, "the fence still runs");
-        p.simulate_crash();
-        let mut b = [0u8; 64];
-        p.read_bytes(0, &mut b);
-        assert_eq!(b, [7u8; 64]);
-    }
-
-    #[test]
     fn flush_without_intervening_fence_is_not_elided() {
         let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
         p.write_bytes(0, &[1u8; 64]);
         p.flush(0, 64);
         let before = p.stats().snapshot();
-        p.flush(0, 64); // no fence yet: nothing is proven
+        p.flush(0, 64);
         let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines, before.elided_lines);
         assert_eq!(s.flush_ops - before.flush_ops, 1);
         p.fence();
         p.simulate_crash();
@@ -1032,19 +755,16 @@ mod tests {
     #[test]
     fn store_invalidates_proven_durability() {
         let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
         p.write_bytes(0, &[1u8; 64]);
         p.persist(0, 64);
         p.write_bytes(0, &[2u8; 64]); // same line dirtied again
-        let before = p.stats().snapshot();
-        p.persist(0, 64);
-        let s = p.stats().snapshot();
-        assert_eq!(
-            s.elided_lines, before.elided_lines,
-            "dirty line must re-flush"
-        );
         p.simulate_crash();
         let mut b = [0u8; 64];
+        p.read_bytes(0, &mut b);
+        assert_eq!(b, [1u8; 64], "the unflushed store is lost");
+        p.write_bytes(0, &[2u8; 64]);
+        p.persist(0, 64);
+        p.simulate_crash();
         p.read_bytes(0, &mut b);
         assert_eq!(b, [2u8; 64]);
     }
@@ -1052,70 +772,44 @@ mod tests {
     #[test]
     fn crash_resets_proven_durable_tracking() {
         let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
         p.write_bytes(0, &[3u8; 64]);
         p.persist(0, 64);
         p.simulate_crash();
         let before = p.stats().snapshot();
-        p.persist(0, 64); // post-crash: not proven until re-flushed
+        p.persist(0, 64); // post-crash: the line is flushed again
         let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines, before.elided_lines);
         assert_eq!(s.flush_ops - before.flush_ops, 1);
-    }
-
-    #[test]
-    fn partial_elision_flushes_only_dirty_lines() {
-        let p = PmemPool::strict(4096);
-        p.track_region(0, 1024);
-        p.write_bytes(0, &[1u8; 128]); // two lines
-        p.persist(0, 128);
-        p.write_bytes(64, &[2u8; 64]); // dirty the second line only
-        let before = p.stats().snapshot();
-        p.persist(0, 128);
-        let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines - before.elided_lines, 1);
-        assert_eq!(
-            s.flush_bytes - before.flush_bytes,
-            64,
-            "only the dirty line"
-        );
-        p.simulate_crash();
-        let mut b = [0u8; 64];
-        p.read_bytes(64, &mut b);
-        assert_eq!(b, [2u8; 64]);
+        assert_eq!(s.flush_bytes - before.flush_bytes, 64);
     }
 
     #[test]
     fn untracked_lines_always_flush() {
+        // No flush is skipped at run time: re-persisting a line that is
+        // already durable issues the flush again.
         let p = PmemPool::strict(4096);
-        p.track_region(0, 64); // only the first line tracked
         p.write_bytes(1024, &[9u8; 64]);
         p.persist(1024, 64);
         let before = p.stats().snapshot();
         p.persist(1024, 64);
+        p.persist_many(&[(1024, 64), (2048, 64)]);
         let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines, before.elided_lines);
-        assert_eq!(s.flush_ops - before.flush_ops, 1);
+        assert_eq!(s.flush_ops - before.flush_ops, 2);
+        assert_eq!(s.flush_bytes - before.flush_bytes, 64 + 128);
+        assert_eq!(s.fences - before.fences, 2);
     }
 
     #[test]
-    fn persist_many_elides_proven_lines_inside_batch() {
-        let p = PmemPool::strict(4096);
-        p.track_region(0, 2048);
-        p.write_bytes(0, &[5u8; 64]);
-        p.persist(0, 64); // line 0 proven
-        p.write_bytes(512, &[6u8; 64]);
-        let before = p.stats().snapshot();
-        p.persist_many(&[(0, 64), (512, 64)]);
-        let s = p.stats().snapshot();
-        assert_eq!(s.elided_lines - before.elided_lines, 1);
-        assert_eq!(s.flush_bytes - before.flush_bytes, 64);
-        p.simulate_crash();
-        let mut b = [0u8; 64];
-        p.read_bytes(512, &mut b);
-        assert_eq!(b, [6u8; 64]);
-        p.read_bytes(0, &mut b);
-        assert_eq!(b, [5u8; 64]);
+    #[should_panic(expected = "misaligned offset 68")]
+    fn misaligned_u64_store_panics() {
+        let p = PmemPool::anon(4096);
+        p.write_u64(68, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned offset 12")]
+    fn misaligned_u64_load_panics() {
+        let p = PmemPool::anon(4096);
+        p.read_u64(12);
     }
 
     #[test]

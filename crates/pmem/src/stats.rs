@@ -28,9 +28,6 @@ pub struct PmemStats {
     /// Duplicate cache lines merged away inside a `persist_many` batch
     /// (overlapping ranges flushed once instead of twice).
     pub dedup_lines: AtomicU64,
-    /// Cache-line flushes elided because the proven-durable tracker showed
-    /// the line already persistent (flushed + fenced with no newer store).
-    pub elided_lines: AtomicU64,
 }
 
 /// A point-in-time copy of [`PmemStats`].
@@ -54,8 +51,6 @@ pub struct PmemSnapshot {
     pub evicted_lines: u64,
     /// Duplicate cache lines merged away inside `persist_many` batches.
     pub dedup_lines: u64,
-    /// Cache-line flushes elided by the proven-durable tracker.
-    pub elided_lines: u64,
 }
 
 impl PmemStats {
@@ -95,11 +90,6 @@ impl PmemStats {
         self.dedup_lines.fetch_add(lines, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn record_elided_lines(&self, lines: u64) {
-        self.elided_lines.fetch_add(lines, Ordering::Relaxed);
-    }
-
     /// Total bytes that reached the persistent medium.
     pub fn total_write_bytes(&self) -> u64 {
         self.flush_bytes.load(Ordering::Relaxed) + self.bulk_write_bytes.load(Ordering::Relaxed)
@@ -116,7 +106,6 @@ impl PmemStats {
             bulk_read_bytes: self.bulk_read_bytes.load(Ordering::Relaxed),
             evicted_lines: self.evicted_lines.load(Ordering::Relaxed),
             dedup_lines: self.dedup_lines.load(Ordering::Relaxed),
-            elided_lines: self.elided_lines.load(Ordering::Relaxed),
         }
     }
 }
@@ -169,7 +158,6 @@ mod tests {
         s.record_bulk_read(100);
         s.record_evictions(3);
         s.record_dedup_lines(2);
-        s.record_elided_lines(5);
         let snap = s.snapshot();
         assert_eq!(snap.flush_bytes, 192);
         assert_eq!(snap.flush_ops, 2);
@@ -178,7 +166,6 @@ mod tests {
         assert_eq!(snap.bulk_read_bytes, 100);
         assert_eq!(snap.evicted_lines, 3);
         assert_eq!(snap.dedup_lines, 2);
-        assert_eq!(snap.elided_lines, 5);
         assert_eq!(s.total_write_bytes(), 192 + 4096);
     }
 

@@ -114,11 +114,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             snap.push_counter("dstore_pmem_flushes_total", labels.clone(), flushes);
             snap.push_counter("dstore_pmem_fences_total", labels.clone(), fences);
             snap.push_counter("dstore_pmem_dedup_lines_total", labels.clone(), flushes ^ fences);
-            snap.push_counter(
-                "dstore_pmem_elided_lines_total",
-                labels.clone(),
-                flushes.wrapping_add(fences),
-            );
             // The replay engine's parallel-window counter rides the same
             // snapshot.
             snap.push_counter(

@@ -189,10 +189,9 @@ fn print_outliers(snap: &TelemetrySnapshot) {
 }
 
 /// Ordering-tax panel: interval flushes-per-op / fences-per-op across
-/// the fleet, plus what the minimally-ordered durability machinery
-/// saved (cache lines merged inside `persist_many` batches and flushes
-/// elided by the proven-durable tracker). The per-op ratios are the
-/// live view of the fence budget `commit_path.rs` asserts.
+/// the fleet, plus the cache lines merged inside `persist_many` batches.
+/// The per-op ratios are the live view of the fence budget
+/// `commit_path.rs` asserts.
 fn print_ordering(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot) {
     let delta = |name: &str| {
         snap.counter_total(name)
@@ -203,11 +202,10 @@ fn print_ordering(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot) {
         return;
     }
     println!(
-        "\n  ordering  flushes/op {:>6.2}   fences/op {:>6.2}   dedup lines {:>8}   elided lines {:>8}",
+        "\n  ordering  flushes/op {:>6.2}   fences/op {:>6.2}   dedup lines {:>8}",
         delta("dstore_pmem_flushes_total") as f64 / ops as f64,
         delta("dstore_pmem_fences_total") as f64 / ops as f64,
         delta("dstore_pmem_dedup_lines_total"),
-        delta("dstore_pmem_elided_lines_total"),
     );
 }
 
