@@ -1051,6 +1051,48 @@ mod tests {
     }
 
     #[test]
+    fn combined_commits_are_durable() {
+        // Four threads commit their own objects on one log at once; each
+        // committed record must survive the crash under its own name,
+        // whichever thread's fence persisted the lines it shares.
+        let (p, _l, log) = setup(1 << 20);
+        let log = Arc::new(log);
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        let name = format!("t{t}-o{i}");
+                        let r = log.try_append(1, name.as_bytes(), &[t as u8]).unwrap();
+                        log.commit(r.handle);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        p.simulate_crash();
+        let recs = log.committed_records(0);
+        assert_eq!(recs.len(), 200);
+        let names: std::collections::BTreeSet<Vec<u8>> =
+            recs.iter().map(|r| r.name.clone()).collect();
+        let expected: std::collections::BTreeSet<Vec<u8>> = (0..4)
+            .flat_map(|t| (0..50).map(move |i| format!("t{t}-o{i}").into_bytes()))
+            .collect();
+        assert_eq!(names, expected);
+        for r in &recs {
+            let t = std::str::from_utf8(&r.name).unwrap()[1..2].parse::<u8>().unwrap();
+            assert_eq!(r.params[0], t, "{:?} carries another thread's params", r.name);
+        }
+        // No commit waits on another: each is its own batch of one.
+        let batches = log.stats().commit_batches.load(Ordering::Relaxed);
+        let combined = log.stats().commits_combined.load(Ordering::Relaxed);
+        assert_eq!(combined, 200);
+        assert_eq!(batches, 200);
+    }
+
+    #[test]
     fn epoch_commits_are_durable() {
         const THREADS: usize = 4;
         const COMMITS: usize = 50;
@@ -1076,8 +1118,8 @@ mod tests {
             t.join().unwrap();
         }
         // Every `commit` has returned: each record must survive a crash
-        // as COMMITTED under its own name, with its body hash intact (the
-        // walk demotes and counts a torn body).
+        // as COMMITTED with its body hash intact (the walk demotes and
+        // counts a torn body).
         p.simulate_crash();
         let recs = log.walk(0);
         assert_eq!(recs.len(), THREADS * COMMITS);
@@ -1087,12 +1129,6 @@ mod tests {
             assert!((1..=THREADS as u8).contains(&t));
             assert!(r.params[..PARAMS].iter().all(|&b| b == t));
         }
-        let names: std::collections::BTreeSet<Vec<u8>> =
-            recs.iter().map(|r| r.name.clone()).collect();
-        let expected: std::collections::BTreeSet<Vec<u8>> = (0..THREADS)
-            .flat_map(|t| (0..COMMITS).map(move |i| format!("t{t}-o{i}").into_bytes()))
-            .collect();
-        assert_eq!(names, expected);
         // One fence per commit.
         let stats = log.stats();
         let commits = (THREADS * COMMITS) as u64;
