@@ -15,6 +15,7 @@
 //! record. Steps ⑥–⑧ run outside the synchronous region — the
 //! observational-equivalence concurrency of §4.3/§4.4.
 
+use crate::cc::{ReadLatch, WriteLatch};
 use crate::config::LoggingMode;
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, PhysImage, PutParams};
@@ -149,6 +150,39 @@ fn note_stall_phase(inner: &StoreInner, at: &mut ActiveTrace) {
     }
 }
 
+/// A reader's step of §4.4's CC plus its lookup: registers as `name`'s
+/// reader, backing off (counted in `rw_backoffs`, traced as `cc_wait`)
+/// while a writer holds its mark, then reads `name`'s entry. The returned
+/// latch keeps a delete from freeing the entry's blocks until it drops.
+fn read_entry<'a>(
+    inner: &'a StoreInner,
+    name: &'a [u8],
+    at: &mut ActiveTrace,
+) -> DsResult<(ReadLatch<'a>, ObjectStat, Vec<u64>)> {
+    let latch = loop {
+        if let Some(latch) = inner.latches.try_read(name) {
+            break latch;
+        }
+        inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
+        inner.latches.wait_clear(name);
+        at.mark(SEG_CC_WAIT);
+    };
+    let _bt = inner.btree_lock.read();
+    let d = inner.domain();
+    let e = d.lookup(name).ok_or(DsError::NotFound)?;
+    at.mark(SEG_INDEX);
+    let (size, version, blocks) = d.read_entry(e);
+    // SAFETY: the entry is live: the latch excludes the freeing delete.
+    let mtime_lsn = unsafe { (*d.arena().resolve(e)).mtime_lsn };
+    let stat = ObjectStat {
+        size,
+        version,
+        blocks: blocks.len() as u64,
+        mtime_lsn,
+    };
+    Ok((latch, stat, blocks))
+}
+
 /// An op's one index lookup: `name`'s metadata entry, if it exists.
 type Entry = Option<RelPtr<MetaEntry>>;
 
@@ -243,7 +277,7 @@ impl DsContext {
         let size = value.len() as u64;
         let (t0, mut at) = op_begin_enqueued(inner, "put", bd.is_some(), enqueue_ns);
 
-        let (handle, lsn, entry, plan) = self.mutate_plan(
+        let (handle, latch, lsn, entry, plan) = self.mutate_plan(
             key,
             |d, entry, log_mode| prepare_put_record(d, entry, log_mode, key, size),
             |d, entry, steal| d.plan_put_entry(entry, key, size, steal),
@@ -270,7 +304,7 @@ impl DsContext {
         // conflict scan only once the record commits, so the registration
         // windows of two writers can never overlap — in the other order
         // they briefly could.
-        inner.writers.unregister(key);
+        drop(latch);
 
         // This op's own device wait, outside every log lock: a record is
         // device-durable before its commit, so a commit never holds the
@@ -309,31 +343,12 @@ impl DsContext {
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "get", false, enqueue_ns);
         let _drain = inner.drain.read();
-        loop {
-            // Read-write CC (§4.4): register as a reader, then back off if
-            // a writer is mutating this object.
-            let _guard = inner.readers.begin_read(key);
-            if inner.writers.contains(key) {
-                drop(_guard);
-                inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
-                inner.writers.wait_clear(key);
-                at.mark(SEG_CC_WAIT);
-                continue;
-            }
-            let (size, blocks) = {
-                let _bt = inner.btree_lock.read();
-                let d = inner.domain();
-                let e = d.lookup(key).ok_or(DsError::NotFound)?;
-                at.mark(SEG_INDEX);
-                let (size, _, blocks) = d.read_entry(e);
-                (size, blocks)
-            };
-            at.mark(SEG_LOOKUP);
-            let out = self.read_blocks_into(&blocks, size as usize);
-            inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-            op_end(inner, |tel| tel.op_get.as_ref(), t0, at, SEG_SSD_READ);
-            return Ok(out);
-        }
+        let (_latch, stat, blocks) = read_entry(inner, key, &mut at)?;
+        at.mark(SEG_LOOKUP);
+        let out = self.read_blocks_into(&blocks, stat.size as usize);
+        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
+        op_end(inner, |tel| tel.op_get.as_ref(), t0, at, SEG_SSD_READ);
+        Ok(out)
     }
 
     /// Removes the object under `key` (the paper's `odelete`).
@@ -347,7 +362,7 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
-        let (handle, _lsn, entry, _plan) = self.mutate_plan(
+        let (handle, latch, _lsn, entry, _plan) = self.mutate_plan(
             key,
             |d, entry, log_mode| match log_mode {
                 LoggingMode::Logical => (ops::OP_DELETE, vec![]),
@@ -387,8 +402,8 @@ impl DsContext {
             "delete removed {removed:?}, but its plan read {entry:?}"
         );
         at.mark(SEG_INDEX);
-        // Unregister before commit (see put_timed).
-        inner.writers.unregister(key);
+        // Drop the writer mark before commit (see put_timed).
+        drop(latch);
         inner.log.commit(handle);
         inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
@@ -411,31 +426,7 @@ impl DsContext {
     /// Metadata snapshot of the object under `key`.
     pub fn stat(&self, key: &[u8]) -> DsResult<ObjectStat> {
         Self::check_name(key)?;
-        let inner = &self.inner;
-        loop {
-            // Same CC dance as `get`: the reader registration keeps a
-            // concurrent delete from freeing the entry mid-read.
-            let _guard = inner.readers.begin_read(key);
-            if inner.writers.contains(key) {
-                drop(_guard);
-                inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
-                inner.writers.wait_clear(key);
-                continue;
-            }
-            let _bt = inner.btree_lock.read();
-            let d = inner.domain();
-            let e = d.lookup(key).ok_or(DsError::NotFound)?;
-            // SAFETY: entry live (reader registered, no in-flight writer on
-            // this object — CC excludes the freeing delete).
-            let (size, version, blocks) = d.read_entry(e);
-            let mtime_lsn = unsafe { (*d.arena().resolve(e)).mtime_lsn };
-            return Ok(ObjectStat {
-                size,
-                version,
-                blocks: blocks.len() as u64,
-                mtime_lsn,
-            });
-        }
+        read_entry(&self.inner, key, &mut ActiveTrace::disabled()).map(|(_, stat, _)| stat)
     }
 
     /// All object names, ascending.
@@ -478,7 +469,7 @@ impl DsContext {
                     // Preallocate: a put without data ("log records for
                     // oopen … only written if they modify any metadata").
                     let inner = &self.inner;
-                    let (handle, lsn, entry, plan) = self.mutate_plan(
+                    let (handle, latch, lsn, entry, plan) = self.mutate_plan(
                         name,
                         |d, entry, log_mode| match log_mode {
                             LoggingMode::Logical => {
@@ -493,7 +484,7 @@ impl DsContext {
                         &mut ActiveTrace::disabled(),
                     )?;
                     self.install_put(entry, name, size, &plan, lsn);
-                    inner.writers.unregister(name);
+                    drop(latch);
                     inner.log.commit(handle);
                     inner.maybe_checkpoint();
                 }
@@ -556,10 +547,10 @@ impl DsContext {
 
     /// Runs the synchronous region for a mutating op: reserves the log
     /// record (with write-write conflict detection and abort-retry),
-    /// executes the pool plan in log order, and registers as the
-    /// object's writer. On return the caller holds the object
-    /// exclusively (no in-flight writers, no readers) and must
-    /// eventually `commit` + `unregister`.
+    /// executes the pool plan in log order, and takes the object's writer
+    /// latch. On return the caller holds the object exclusively (no
+    /// in-flight writers, no readers) and must drop the returned
+    /// [`WriteLatch`], then `commit`.
     ///
     /// Only the *decisions* are serialized: the op holds the lock of the
     /// block-pool shard that owns `name` across encode, log reservation
@@ -584,20 +575,20 @@ impl DsContext {
     /// (and with which blocks) `name` exists. The final attempt's entry
     /// is returned for the caller's install, which therefore does not
     /// descend again. It is still `name`'s entry then: no other op's
-    /// install on `name` could overlap the lookup (the op is a registered
-    /// reader and no writer was registered), the reservation admitted no
-    /// other in-flight record on `name`, and the op registers as `name`'s
-    /// writer before leaving the synchronous region and unregisters only
-    /// after its install. So nothing creates, replaces or deletes the
-    /// entry in between.
-    fn mutate_plan<P>(
-        &self,
-        name: &[u8],
+    /// install on `name` could overlap the lookup (the op holds `name`'s
+    /// read latch and no writer held its mark), the reservation admitted
+    /// no other in-flight record on `name`, and the op turns its read
+    /// latch into `name`'s writer mark before leaving the synchronous
+    /// region and drops the mark only after its install. So nothing
+    /// creates, replaces or deletes the entry in between.
+    fn mutate_plan<'a, P>(
+        &'a self,
+        name: &'a [u8],
         encode: impl Fn(&Domain<'_, DramMemory>, Entry, LoggingMode) -> (u16, Vec<u8>),
         plan: impl Fn(&Domain<'_, DramMemory>, Entry, bool) -> DsResult<P>,
         bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
-    ) -> DsResult<(dstore_dipper::RecordHandle, u64, Entry, P)> {
+    ) -> DsResult<(dstore_dipper::RecordHandle, WriteLatch<'a>, u64, Entry, P)> {
         enum Outcome<'l, P> {
             Full,
             Conflicts(Vec<dstore_dipper::RecordHandle>),
@@ -606,7 +597,7 @@ impl DsContext {
             WriterBusy,
             Starved,
             Failed(DsError),
-            Planned(dstore_dipper::Reservation<'l>, Vec<u8>, P),
+            Planned(dstore_dipper::Reservation<'l>, Vec<u8>, P, WriteLatch<'l>),
         }
         let inner = &self.inner;
         // Sticky within one op: once a shard starves, every retry takes
@@ -626,15 +617,14 @@ impl DsContext {
             let outcome: Outcome<'_, (Entry, P)> = 'outcome: {
                 let d = inner.domain();
                 // The encode/plan closures read `name`'s entry outside the
-                // B-tree lock, so the op registers as its reader (§4.4)
-                // until step ⑤: a writer drains registered readers before
-                // it installs, and if one is already mid-install on this
+                // B-tree lock, so the op holds its read latch (§4.4) until
+                // step ⑤: a writer drains registered readers before it
+                // installs, and if one is already mid-install on this
                 // name we back off like a WW conflict (its record is
                 // uncommitted, so the reservation would bounce us anyway).
-                let _read_guard = inner.readers.begin_read(name);
-                if inner.writers.contains(name) {
+                let Some(read) = inner.latches.try_read(name) else {
                     break 'outcome Outcome::WriterBusy;
-                }
+                };
                 let entry = {
                     let _bt = inner.btree_lock.read();
                     d.lookup(name)
@@ -682,9 +672,9 @@ impl DsContext {
                                     }
                                     // Make the writer visible before
                                     // leaving the synchronous region.
-                                    inner.writers.register(name);
+                                    let write = read.into_writer();
                                     at.mark(SEG_ALLOC);
-                                    Outcome::Planned(res, params, p)
+                                    Outcome::Planned(res, params, p, write)
                                 }
                                 Err(DsError::ShardStarved) => {
                                     // Aborted, never published: no replay
@@ -704,7 +694,7 @@ impl DsContext {
                 }
                 // Step ⑤: unlock (scope end).
             };
-            let (r, (entry, p)) = match outcome {
+            let (r, (entry, p), latch) = match outcome {
                 Outcome::Full => {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
@@ -730,12 +720,12 @@ impl DsContext {
                     continue;
                 }
                 Outcome::WriterBusy => {
-                    // The writer unregisters before it commits, so this
+                    // The writer drops its mark before it commits, so this
                     // wait is bounded by that op's install, not its flush.
                     inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
                     drop(_global);
                     drop(_drain);
-                    inner.writers.wait_clear(name);
+                    inner.latches.wait_clear(name);
                     at.mark(SEG_CC_WAIT);
                     continue;
                 }
@@ -744,14 +734,14 @@ impl DsContext {
                     continue;
                 }
                 Outcome::Failed(e) => return Err(e),
-                Outcome::Planned(res, params, p) => {
+                Outcome::Planned(res, params, p, write) => {
                     // Step ②b: store the record body outside every
                     // ordering lock; the commit persists it. Charged
                     // to its own `log_flush` segment so `log_append`
                     // isolates the serialized portion.
                     let r = res.publish(&params);
                     at.mark(SEG_LOG_FLUSH);
-                    (r, p)
+                    (r, p, write)
                 }
             };
             if let Some(bd) = bd.as_deref_mut() {
@@ -763,8 +753,8 @@ impl DsContext {
                 bd.metadata_ns += ns - ns / 2;
             }
             // Read-write CC: drain current readers (new ones back off
-            // because we are registered).
-            inner.readers.wait_for_readers(name);
+            // because the mark is up).
+            latch.drain_readers();
             // CoW checkpoints: wait for / assist the page copy before
             // mutating any frontend page. The phase is published before
             // `active`, so sampling it here catches the checkpoint this
@@ -780,7 +770,7 @@ impl DsContext {
             if let Some(bb) = &inner.blackbox {
                 bb.note_lsn(r.lsn);
             }
-            return Ok((r.handle, r.lsn, entry, p));
+            return Ok((r.handle, latch, r.lsn, entry, p));
         }
     }
 
@@ -791,8 +781,8 @@ impl DsContext {
     fn install_put(&self, entry: Entry, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
         let inner = &self.inner;
         // Only a create changes the tree. An overwrite changes just the
-        // entry, which CC already gives this op alone: it is `name`'s
-        // registered writer and has drained `name`'s readers.
+        // entry, which CC already gives this op alone: it holds `name`'s
+        // writer mark and has drained `name`'s readers.
         let _bt = entry.is_none().then(|| inner.btree_lock.write());
         let agreed =
             inner
@@ -949,51 +939,35 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "oread", false);
         let _drain = inner.drain.read();
-        loop {
-            let _guard = inner.readers.begin_read(&self.name);
-            if inner.writers.contains(&self.name) {
-                drop(_guard);
-                inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
-                inner.writers.wait_clear(&self.name);
-                at.mark(SEG_CC_WAIT);
-                continue;
-            }
-            let (size, blocks) = {
-                let _bt = inner.btree_lock.read();
-                let d = inner.domain();
-                let e = d.lookup(&self.name).ok_or(DsError::NotFound)?;
-                at.mark(SEG_INDEX);
-                let (size, _, blocks) = d.read_entry(e);
-                (size, blocks)
-            };
-            at.mark(SEG_LOOKUP);
-            if offset >= size {
-                op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_LOOKUP);
-                return Ok(0);
-            }
-            let d = inner.domain();
-            let bs = d.block_bytes() as usize;
-            let page_sz = PAGE_BYTES as usize;
-            let n = (buf.len() as u64).min(size - offset) as usize;
-            let mut page = vec![0u8; page_sz];
-            let mut done = 0;
-            while done < n {
-                let pos = offset as usize + done;
-                let bi = pos / bs;
-                let page_in_block = (pos % bs) / page_sz;
-                let in_page = pos % page_sz;
-                let take = (n - done).min(page_sz - in_page);
-                inner.ssd.read_pages(
-                    d.block_first_page(blocks[bi]) + page_in_block as u64,
-                    &mut page,
-                );
-                buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
-                done += take;
-            }
-            inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-            op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_SSD_READ);
-            return Ok(n);
+        let (_latch, stat, blocks) = read_entry(inner, &self.name, &mut at)?;
+        let size = stat.size;
+        at.mark(SEG_LOOKUP);
+        if offset >= size {
+            op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_LOOKUP);
+            return Ok(0);
         }
+        let d = inner.domain();
+        let bs = d.block_bytes() as usize;
+        let page_sz = PAGE_BYTES as usize;
+        let n = (buf.len() as u64).min(size - offset) as usize;
+        let mut page = vec![0u8; page_sz];
+        let mut done = 0;
+        while done < n {
+            let pos = offset as usize + done;
+            let bi = pos / bs;
+            let page_in_block = (pos % bs) / page_sz;
+            let in_page = pos % page_sz;
+            let take = (n - done).min(page_sz - in_page);
+            inner.ssd.read_pages(
+                d.block_first_page(blocks[bi]) + page_in_block as u64,
+                &mut page,
+            );
+            buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
+            done += take;
+        }
+        inner.stats.reads.fetch_add(1, Ordering::Relaxed);
+        op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_SSD_READ);
+        Ok(n)
     }
 
     /// Partial write at `offset` (the paper's `owrite`), extending the
@@ -1005,7 +979,7 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "owrite", false);
         let len = data.len() as u64;
-        let (handle, lsn, entry, plan) = self.ctx.mutate_plan(
+        let (handle, latch, lsn, entry, plan) = self.ctx.mutate_plan(
             &self.name,
             |_d, _entry, _mode| {
                 (
@@ -1043,7 +1017,7 @@ impl ObjectHandle<'_> {
             done += take;
         }
         at.mark(SEG_SSD_WRITE);
-        inner.writers.unregister(&self.name);
+        drop(latch);
         inner.log.commit(handle);
         inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
@@ -1072,5 +1046,88 @@ impl Drop for DsLock<'_> {
         {
             held.swap_remove(i);
         }
+    }
+}
+
+/// Read-write exclusion through the store's latch table. Every wait is on
+/// a counter or a slot's state; the deadline only turns a hang into a
+/// failure, and no assertion depends on how long anything took.
+#[cfg(test)]
+mod tests {
+    use crate::cc::tests::wait_until;
+    use crate::{DStore, DStoreConfig, OpenMode};
+    use std::sync::atomic::Ordering;
+
+    const K: &[u8] = b"k";
+
+    /// `read` on `K` backs off exactly once while the test holds `K`'s
+    /// writer mark, and succeeds once the mark drops.
+    fn reader_backs_off_from_a_writer_mark(read: fn(&DStore) -> bool) {
+        let store = DStore::create(DStoreConfig::small()).unwrap();
+        store.context().put(K, b"value").unwrap();
+        let backoffs = || store.inner.stats.rw_backoffs.load(Ordering::Relaxed);
+        let before = backoffs();
+        let mark = store.inner.latches.try_read(K).unwrap().into_writer();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| read(&store));
+            wait_until("the reader's back-off", || backoffs() == before + 1);
+            assert!(!reader.is_finished(), "a reader passed the writer mark");
+            drop(mark);
+            assert!(reader.join().unwrap(), "the read failed");
+        });
+        assert_eq!(backoffs(), before + 1);
+        assert_eq!(store.inner.latches.slots(), 0);
+    }
+
+    #[test]
+    fn get_backs_off_from_a_writer_mark() {
+        reader_backs_off_from_a_writer_mark(|s| s.context().get(K).is_ok());
+    }
+
+    #[test]
+    fn stat_backs_off_from_a_writer_mark() {
+        reader_backs_off_from_a_writer_mark(|s| s.context().stat(K).is_ok());
+    }
+
+    #[test]
+    fn oread_backs_off_from_a_writer_mark() {
+        reader_backs_off_from_a_writer_mark(|s| {
+            let ctx = s.context();
+            let obj = ctx.open(K, OpenMode::Read).unwrap();
+            let mut buf = [0u8; 5];
+            obj.read(&mut buf, 0) == Ok(5)
+        });
+    }
+
+    #[test]
+    fn put_waits_for_a_registered_reader() {
+        let store = DStore::create(DStoreConfig::small()).unwrap();
+        store.context().put(K, b"old").unwrap();
+        let read = store.inner.latches.try_read(K).unwrap();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| store.context().put(K, b"new"));
+            // The put has its mark up and is draining our registration.
+            wait_until("the put's writer mark", || {
+                store.inner.latches.state(K) == Some((1, true))
+            });
+            assert!(!writer.is_finished(), "a put passed a registered reader");
+            drop(read);
+            writer.join().unwrap().unwrap();
+        });
+        assert_eq!(store.context().get(K).unwrap(), b"new");
+        assert_eq!(store.inner.latches.slots(), 0);
+    }
+
+    #[test]
+    fn latch_table_holds_no_slot_per_name_seen() {
+        let store = DStore::create(DStoreConfig::small()).unwrap();
+        let ctx = store.context();
+        for i in 0..10_000 {
+            let name = format!("name-{i}");
+            ctx.put(name.as_bytes(), b"v").unwrap();
+            assert_eq!(ctx.get(name.as_bytes()).unwrap(), b"v");
+            ctx.delete(name.as_bytes()).unwrap();
+        }
+        assert_eq!(store.inner.latches.slots(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The store: device setup, checkpoint wiring, crash and recovery.
 
 use crate::blackbox::{BlackBoxRecorder, CrashReport};
-use crate::cc::InflightWriters;
+use crate::cc::NameLatches;
 use crate::config::{CheckpointMode, DStoreConfig};
 use crate::cow::CowCheckpointer;
 use crate::ctx::DsContext;
@@ -14,7 +14,6 @@ use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats, RecordWindows};
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
-use dstore_index::ReadCounts;
 use dstore_pmem::blackbox::{exhume, region_size, BlackBoxRegion};
 use dstore_pmem::{PersistenceMode, PmemPool, PoolBuilder};
 use dstore_ssd::SsdDevice;
@@ -139,14 +138,12 @@ pub(crate) struct StoreInner {
     pub pool_shard_locks: Box<[Mutex<()>]>,
     /// Protects the object-index B-tree: lookups and scans hold it
     /// `read`, a create's insert and a delete's remove (step ⑦) hold it
-    /// `write`. Metadata entries are guarded by `readers`/`writers`.
+    /// `write`. Metadata entries are guarded by `latches`.
     pub btree_lock: RwLock<()>,
     /// Full-operation serialization for `oe = false` (Figure 9 "-OE").
     pub global_lock: Mutex<()>,
-    /// Read-write CC: per-object read counts (§4.4).
-    pub readers: ReadCounts,
-    /// Read-write CC: objects with an in-flight writer.
-    pub writers: InflightWriters,
+    /// Read-write CC: per-object read counts and writer marks (§4.4).
+    pub latches: NameLatches,
     /// Held `read` by every op; held `write` by the CoW trigger.
     pub drain: Arc<RwLock<()>>,
     pub ckpt: Mutex<Option<Checkpointer>>,
@@ -453,8 +450,7 @@ impl DStore {
             pool_shard_locks,
             btree_lock: RwLock::new(()),
             global_lock: Mutex::new(()),
-            readers: ReadCounts::with_stall_timeout(stall_timeout),
-            writers: InflightWriters::with_stall_timeout(stall_timeout),
+            latches: NameLatches::new(stall_timeout),
             drain,
             ckpt: Mutex::new(ckpt),
             cow,

@@ -599,7 +599,8 @@ impl<'a, M: Memory> Domain<'a, M> {
             }
             ov = node.next;
         }
-        debug_assert_eq!(out.len(), n, "block list inconsistent");
+        let lsn = m.mtime_lsn;
+        assert_eq!(out.len(), n, "block list inconsistent (entry of LSN {lsn})");
         out
     }
 

@@ -1082,8 +1082,14 @@ mod tests {
             .collect();
         assert_eq!(names, expected);
         for r in &recs {
-            let t = std::str::from_utf8(&r.name).unwrap()[1..2].parse::<u8>().unwrap();
-            assert_eq!(r.params[0], t, "{:?} carries another thread's params", r.name);
+            let t = std::str::from_utf8(&r.name).unwrap()[1..2]
+                .parse::<u8>()
+                .unwrap();
+            assert_eq!(
+                r.params[0], t,
+                "{:?} carries another thread's params",
+                r.name
+            );
         }
         // No commit waits on another: each is its own batch of one.
         let batches = log.stats().commit_batches.load(Ordering::Relaxed);

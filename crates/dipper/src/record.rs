@@ -119,9 +119,12 @@ fn header_check(word: u64, hash: u64) -> u16 {
 
 #[inline]
 fn pack_word(lsn: u64, total_len: usize) -> u64 {
-    debug_assert!(lsn != 0, "LSN 0 is the invalid marker");
-    debug_assert!(lsn < 1 << 48, "LSN overflow");
-    debug_assert!(total_len <= MAX_RECORD_LEN && total_len.is_multiple_of(8));
+    assert!(lsn != 0, "LSN 0 is the invalid marker");
+    assert!(lsn < 1 << 48, "LSN {lsn} overflows 48 bits");
+    assert!(
+        total_len <= MAX_RECORD_LEN && total_len.is_multiple_of(8),
+        "record LSN {lsn}: length {total_len} is over {MAX_RECORD_LEN} B or not 8-aligned"
+    );
     (lsn << 16) | total_len as u64
 }
 
@@ -146,14 +149,18 @@ pub fn unpack_word(w: u64) -> (u64, usize) {
 /// incarnation are rejected by the persisted `min_lsn` fence plus the
 /// header checksum, not by header durability.
 pub fn write_header(pool: &PmemPool, off: usize, lsn: u64, total_len: usize, op: u16, name: &[u8]) {
-    debug_assert!(name.len() <= u16::MAX as usize);
+    let n = name.len();
+    assert!(
+        n <= u16::MAX as usize,
+        "LSN {lsn} at offset {off}: {n} B name"
+    );
+    let word = pack_word(lsn, total_len);
     let mut hdr = [0u8; HEADER_LEN];
-    hdr[OFF_WORD..OFF_WORD + 8].copy_from_slice(&pack_word(lsn, total_len).to_le_bytes());
+    hdr[OFF_WORD..OFF_WORD + 8].copy_from_slice(&word.to_le_bytes());
     hdr[OFF_OP..OFF_OP + 2].copy_from_slice(&op.to_le_bytes());
     hdr[OFF_COMMIT..OFF_COMMIT + 2].copy_from_slice(&COMMIT_PENDING.to_le_bytes());
     hdr[OFF_NAME_LEN..OFF_NAME_LEN + 2].copy_from_slice(&(name.len() as u16).to_le_bytes());
     let hash = name_hash(name);
-    let word = pack_word(lsn, total_len);
     hdr[OFF_CHECK..OFF_CHECK + 2].copy_from_slice(&header_check(word, hash).to_le_bytes());
     hdr[OFF_HASH..OFF_HASH + 8].copy_from_slice(&hash.to_le_bytes());
     pool.write_bytes(off, &hdr);
@@ -405,6 +412,21 @@ mod tests {
         assert_eq!(lsn, 12345);
         assert_eq!(len, 64);
         assert_eq!(unpack_word(0).0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "LSN 0 is the invalid marker")]
+    fn write_header_rejects_lsn_zero() {
+        let p = PmemPool::anon(1 << 16);
+        write_header(&p, 0, 0, encoded_len(3, 0), 1, b"obj");
+    }
+
+    #[test]
+    #[should_panic(expected = "LSN 7 at offset 64: 65536 B name")]
+    fn write_header_rejects_an_oversized_name() {
+        let p = PmemPool::anon(1 << 16);
+        let name = vec![b'n'; u16::MAX as usize + 1];
+        write_header(&p, 64, 7, HEADER_LEN, 1, &name);
     }
 
     #[test]

@@ -134,7 +134,10 @@ impl Root {
     /// One atomic persisted store — *this* is the commit point.
     pub fn commit_checkpoint(&self) -> RootState {
         let s = self.state();
-        debug_assert!(s.checkpoint_in_progress, "no checkpoint to commit");
+        assert!(
+            s.checkpoint_in_progress,
+            "no checkpoint to commit: the state word at root offset {OFF_STATE} reads {s:?}"
+        );
         let next = RootState {
             active_log: s.active_log,
             current_shadow: s.spare_shadow(),

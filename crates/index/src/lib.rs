@@ -5,19 +5,12 @@
 //!   it lives in, so the **same code** maintains the DRAM frontend tree and
 //!   its PMEM shadow copy during checkpoint replay — the core enabler of
 //!   DIPPER's backend design (§3.5).
-//! * [`readcount`] — the volatile read-count table used for read-write
-//!   concurrency control ("a new in-memory hash table that maps object
-//!   names to their current read count", §4.4). It is deliberately *not*
-//!   shadowed: after a crash there are no in-flight reads, so its recovered
-//!   state is trivially all-zeroes.
 
 #![warn(missing_docs)]
 
 pub mod btree;
-pub mod readcount;
 
 pub use btree::{BTreeHandle, BTreeHeader, OlcStats};
-pub use readcount::{ReadCounts, ReadGuard};
 
 /// FNV-1a hash of a byte string — used for shard selection and object-name
 /// hashing throughout DStore (stable across runs, unlike `DefaultHasher`).
