@@ -231,7 +231,10 @@ impl<M: Memory> Arena<M> {
 
     /// Frees the block at `off` that was allocated with `size`.
     pub fn free_block(&self, off: u64, size: usize) {
-        debug_assert!(off as usize >= HEADER_SIZE, "freeing the header");
+        assert!(
+            off as usize >= HEADER_SIZE,
+            "freeing the header at offset {off}"
+        );
         let class = Self::class_of(size);
         let csize = Self::class_size(class);
         // SAFETY: header valid; block was a live allocation of this class.

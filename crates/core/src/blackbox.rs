@@ -41,7 +41,6 @@ pub(crate) struct BlackBoxRecorder {
     log: Arc<OpLog>,
     dram: Arc<Arena<DramMemory>>,
     dir: RelPtr<Directory>,
-    ssd_pages: u64,
     /// `heartbeat_every` rounded up to a power of two, minus one — so
     /// the every-Nth check on the mutation path is a mask, not a
     /// division.
@@ -51,14 +50,12 @@ pub(crate) struct BlackBoxRecorder {
 }
 
 impl BlackBoxRecorder {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         region: BlackBoxRegion,
         phase: Arc<PhaseCell>,
         log: Arc<OpLog>,
         dram: Arc<Arena<DramMemory>>,
         dir: RelPtr<Directory>,
-        ssd_pages: u64,
         heartbeat_every: u64,
     ) -> Self {
         Self {
@@ -67,7 +64,6 @@ impl BlackBoxRecorder {
             log,
             dram,
             dir,
-            ssd_pages,
             hb_mask: heartbeat_every.max(1).next_power_of_two() - 1,
             max_lsn: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
@@ -98,8 +94,6 @@ impl BlackBoxRecorder {
     /// the live gauges — also the live view `inspect` prints.
     pub(crate) fn current_heartbeat(&self) -> BlackBoxHeartbeat {
         let domain = Domain::attach(&self.dram, self.dir);
-        let ppb = domain.pages_per_block().max(1);
-        let capacity = (self.ssd_pages.saturating_sub(1)) / ppb;
         let wall_unix_ns = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
@@ -109,7 +103,7 @@ impl BlackBoxRecorder {
             checkpoint_phase: CHECKPOINT_PHASES[self.phase.index() % CHECKPOINT_PHASES.len()],
             log_used_milli: (self.log.used_fraction() * 1000.0) as u32,
             arena_high_water: self.dram.stats().high_water,
-            ssd_blocks_used: capacity.saturating_sub(domain.pool_free()),
+            ssd_blocks_used: domain.pool_used(),
             wall_unix_ns,
             mono_ns: now_ns(),
         }

@@ -59,10 +59,11 @@ pub struct DStoreConfig {
     pub auto_checkpoint: bool,
     /// Log-occupancy fraction that triggers a checkpoint.
     pub swap_threshold: f64,
-    /// Block-pool free-list shards (§4.4 parallel persistence). Object
-    /// names hash to a home shard; writers on different shards allocate
-    /// concurrently, serializing only per shard. `1` restores a single
-    /// global FIFO. Clamped at format time to the block count.
+    /// Block-pool shards (§4.4 parallel persistence): contiguous block-id
+    /// ranges, each with its own lock. Object names hash to a home shard
+    /// whose range their claims try first; writers on different shards
+    /// allocate concurrently. `1` makes one range. Clamped at format time
+    /// to the block count.
     pub pool_shards: usize,
     /// Use the strict cache-line persistence simulator (crash tests).
     /// Benchmarks leave this off and rely on the latency models.
@@ -100,8 +101,7 @@ pub struct DStoreConfig {
     /// recovery replay: the shadow bulk copy/flush is chunked across up
     /// to this many threads, and committed records are replayed grouped
     /// by their name's pool shard, one group set per worker (per-object
-    /// LSN order preserved; windows containing shard-steal allocations
-    /// fall back to serial log order). Each window and each copy/flush
+    /// LSN order preserved). Each window and each copy/flush
     /// uses `min(replay_threads, CPUs the calling thread may run on)`,
     /// counted when it runs, so a checkpointer or recovery confined to
     /// one CPU takes the serial path. `1` reproduces the fully serial
@@ -243,7 +243,7 @@ impl DStoreConfig {
         self.stall_timeout = timeout;
         self
     }
-    /// Sets the number of block-pool free-list shards.
+    /// Sets the number of block-pool shards.
     pub fn with_pool_shards(mut self, shards: usize) -> Self {
         self.pool_shards = shards;
         self
@@ -342,21 +342,16 @@ impl DStoreConfig {
                 return Err("blackbox.heartbeat_every must be at least 1".into());
             }
         }
-        // The shadow arena must hold the block-pool rings plus headroom
-        // for per-object metadata; a pool array that alone exceeds the
-        // region would panic at format time. Each shard ring has full
-        // capacity (freed blocks follow the freeing name's shard).
-        let capacity = self.ssd_pages / self.pages_per_block;
-        let shards = (self.pool_shards as u64).min(capacity.max(1));
-        let pool_bytes = capacity * 8 * shards;
-        if (self.shadow_size as u64) < pool_bytes * 2 + (1 << 20) {
+        // The shadow arena must hold the block pool's ownership map (one
+        // byte per block) plus headroom for per-object metadata; a map
+        // that alone exceeds the region would panic at format time.
+        let blocks = self.ssd_pages / self.pages_per_block;
+        if (self.shadow_size as u64) < blocks * 2 + (1 << 20) {
             return Err(format!(
-                "shadow_size = {} cannot hold {} block-pool shard rings of {} entries plus \
-                 metadata; increase it to at least {}",
+                "shadow_size = {} cannot hold the {blocks}-block pool map plus metadata; \
+                 increase it to at least {}",
                 self.shadow_size,
-                shards,
-                capacity,
-                pool_bytes * 2 + (1 << 20)
+                blocks * 2 + (1 << 20)
             ));
         }
         Ok(())
@@ -403,7 +398,7 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("swap_threshold"));
 
         let mut c = DStoreConfig::small();
-        c.ssd_pages = 64 * 1024 * 1024; // pool ring alone > shadow
+        c.ssd_pages = 64 * 1024 * 1024; // pool map alone > shadow
         assert!(c.validate().unwrap_err().contains("shadow_size"));
 
         let mut c = DStoreConfig::small();

@@ -13,7 +13,9 @@
 //! blocks, ④ allocate a metadata entry, ⑤ unlock, ⑥ write metadata,
 //! ⑦ update the B-tree, ⑧ write data to SSD, ⑨ commit and flush the log
 //! record. Steps ⑥–⑧ run outside the synchronous region — the
-//! observational-equivalence concurrency of §4.3/§4.4.
+//! observational-equivalence concurrency of §4.3/§4.4. Here step ③ comes
+//! first, so that the record can name the blocks it claimed, and the
+//! blocks an op frees return to the pool only after step ⑨.
 
 use crate::cc::{ReadLatch, WriteLatch};
 use crate::config::LoggingMode;
@@ -22,17 +24,18 @@ use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
 use crate::structures::{
-    blocks_for_geometry, Domain, IndexSync, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
+    Claims, Domain, IndexSync, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
 };
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
 use dstore_dipper::log::LogFull;
-use dstore_dipper::OP_NOOP;
+use dstore_dipper::{RecordHandle, OP_NOOP};
 use dstore_telemetry::trace::{
     ActiveTrace, SEG_ALLOC, SEG_CC_WAIT, SEG_COMMIT, SEG_INDEX, SEG_LOG_APPEND, SEG_LOG_FLUSH,
     SEG_LOG_STALL, SEG_LOOKUP, SEG_NET_QUEUE, SEG_SSD_READ, SEG_SSD_WRITE,
 };
 use dstore_telemetry::{now_ns, LatencyHistogram};
+use parking_lot::RwLockReadGuard;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -186,6 +189,20 @@ fn read_entry<'a>(
 /// An op's one index lookup: `name`'s metadata entry, if it exists.
 type Entry = Option<RelPtr<MetaEntry>>;
 
+/// A mutation past its synchronous region ([`DsContext::mutate_plan`]):
+/// its published record, its plan, and what it holds until it commits.
+struct Admitted<'a, P> {
+    handle: RecordHandle,
+    lsn: u64,
+    /// The entry the plan read: the install's target.
+    entry: Entry,
+    plan: P,
+    /// `name`'s writer mark: dropped after the install, before the commit.
+    latch: WriteLatch<'a>,
+    /// The drain lock, held `read` until the commit.
+    drain: RwLockReadGuard<'a, ()>,
+}
+
 /// A per-thread handle for submitting operations (the paper's
 /// `ds_ctx_t`). Cheap to create; one per thread is the intended pattern.
 pub struct DsContext {
@@ -277,10 +294,10 @@ impl DsContext {
         let size = value.len() as u64;
         let (t0, mut at) = op_begin_enqueued(inner, "put", bd.is_some(), enqueue_ns);
 
-        let (handle, latch, lsn, entry, plan) = self.mutate_plan(
+        let m = self.mutate_plan(
             key,
-            |d, entry, log_mode| prepare_put_record(d, entry, log_mode, key, size),
-            |d, entry, steal| d.plan_put_entry(entry, key, size, steal),
+            |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
+            |plan, mode| put_record(ops::OP_PUT, size, plan, mode),
             &mut bd,
             &mut at,
         )?;
@@ -288,7 +305,7 @@ impl DsContext {
         // Steps ⑥⑦: metadata entry + B-tree, outside the synchronous
         // region (OE), on the entry the plan read.
         let t = bd.is_some().then(now_ns);
-        self.install_put(entry, key, size, &plan, lsn);
+        self.install_put(m.entry, key, size, &m.plan, m.lsn);
         at.mark(SEG_INDEX);
         let install_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
@@ -296,7 +313,7 @@ impl DsContext {
         // out its own device deadline below, after releasing the writer
         // mark.
         let t = bd.is_some().then(now_ns);
-        let ssd_deadline = self.submit_blocks(&plan.blocks, value);
+        let ssd_deadline = self.submit_blocks(&m.plan.blocks, value);
 
         // The object's mutation is complete (data in the device's
         // power-loss-protected write cache): release the writer mark
@@ -304,7 +321,7 @@ impl DsContext {
         // conflict scan only once the record commits, so the registration
         // windows of two writers can never overlap — in the other order
         // they briefly could.
-        drop(latch);
+        drop(m.latch);
 
         // This op's own device wait, outside every log lock: a record is
         // device-durable before its commit, so a commit never holds the
@@ -315,7 +332,7 @@ impl DsContext {
 
         // Step ⑨: commit.
         let t = bd.is_some().then(now_ns);
-        inner.log.commit(handle);
+        self.commit(key, m.handle, &m.plan.freed, m.drain);
         let commit_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
 
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
@@ -362,31 +379,21 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
-        let (handle, latch, _lsn, entry, _plan) = self.mutate_plan(
+        let m = self.mutate_plan(
             key,
-            |d, entry, log_mode| match log_mode {
+            |d, entry| d.plan_delete_entry(entry),
+            |plan, mode| match mode {
                 LoggingMode::Logical => (ops::OP_DELETE, vec![]),
-                LoggingMode::Physical => {
-                    let pushes = entry.map(|e| d.read_entry(e).2).unwrap_or_default();
-                    (
-                        ops::OP_PHYS_DELETE,
-                        PhysImage {
-                            size: 0,
-                            blocks: vec![],
-                            pops: 0,
-                            pushes,
-                        }
-                        .encode(),
-                    )
-                }
-            },
-            // Deletes only push (to the name's own shard) — no steal.
-            |d, entry, _steal| {
-                d.plan_delete_entry(entry, key).map(|p| PutPlan {
-                    kind: PutKind::Replace,
-                    blocks: vec![],
-                    freed: p.freed,
-                })
+                LoggingMode::Physical => (
+                    ops::OP_PHYS_DELETE,
+                    PhysImage {
+                        size: 0,
+                        blocks: vec![],
+                        pops: 0,
+                        pushes: plan.freed.clone(),
+                    }
+                    .encode(),
+                ),
             },
             &mut None,
             &mut at,
@@ -398,13 +405,14 @@ impl DsContext {
                 .install_delete_sync(key, &IndexSync::Exclusive)
         };
         assert!(
-            removed == entry,
-            "delete removed {removed:?}, but its plan read {entry:?}"
+            removed == m.entry,
+            "delete removed {removed:?}, but its plan read {:?}",
+            m.entry
         );
         at.mark(SEG_INDEX);
         // Drop the writer mark before commit (see put_timed).
-        drop(latch);
-        inner.log.commit(handle);
+        drop(m.latch);
+        self.commit(key, m.handle, &m.plan.freed, m.drain);
         inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, |tel| tel.op_delete.as_ref(), t0, at, SEG_COMMIT);
@@ -469,23 +477,16 @@ impl DsContext {
                     // Preallocate: a put without data ("log records for
                     // oopen … only written if they modify any metadata").
                     let inner = &self.inner;
-                    let (handle, latch, lsn, entry, plan) = self.mutate_plan(
+                    let m = self.mutate_plan(
                         name,
-                        |d, entry, log_mode| match log_mode {
-                            LoggingMode::Logical => {
-                                (ops::OP_CREATE, PutParams { size }.encode().to_vec())
-                            }
-                            LoggingMode::Physical => {
-                                prepare_put_record(d, entry, log_mode, name, size)
-                            }
-                        },
-                        |d, entry, steal| d.plan_put_entry(entry, name, size, steal),
+                        |d, entry| d.plan_put_entry(entry, name, size, &inner.pool_shard_locks),
+                        |plan, mode| put_record(ops::OP_CREATE, size, plan, mode),
                         &mut None,
                         &mut ActiveTrace::disabled(),
                     )?;
-                    self.install_put(entry, name, size, &plan, lsn);
-                    drop(latch);
-                    inner.log.commit(handle);
+                    self.install_put(m.entry, name, size, &m.plan, m.lsn);
+                    drop(m.latch);
+                    self.commit(name, m.handle, &m.plan.freed, m.drain);
                     inner.maybe_checkpoint();
                 }
             }
@@ -545,35 +546,39 @@ impl DsContext {
     // ------------------------------------------------------------------
     // the shared mutation prologue: Figure 4 steps ① – ⑤ plus CC
 
-    /// Runs the synchronous region for a mutating op: reserves the log
-    /// record (with write-write conflict detection and abort-retry),
-    /// executes the pool plan in log order, and takes the object's writer
-    /// latch. On return the caller holds the object exclusively (no
-    /// in-flight writers, no readers) and must drop the returned
-    /// [`WriteLatch`], then `commit`.
+    /// Runs the synchronous region for a mutating op: claims its blocks,
+    /// encodes the record that names them, reserves the record (with
+    /// write-write conflict detection and abort-retry) and takes the
+    /// object's writer latch. On return the caller holds the object
+    /// exclusively (no in-flight writers, no readers) and must drop the
+    /// returned [`WriteLatch`], then [`DsContext::commit`].
     ///
-    /// Only the *decisions* are serialized: the op holds the lock of the
-    /// block-pool shard that owns `name` across encode, log reservation
-    /// and allocation, so per-shard pool order equals per-shard LSN
-    /// order, and the record body is written *after* every lock drops —
-    /// appenders publish concurrently. A shard that cannot satisfy the
-    /// allocation alone makes the op retry holding every shard lock
-    /// ([`DsError::ShardStarved`] → steal, totally ordered against all
-    /// concurrent planners).
+    /// Only the *decisions* are serialized. A claim holds each pool
+    /// shard's lock only for that shard's part ([`Domain::claim`]), and
+    /// no pool lock is held across the log reservation: the record names
+    /// its blocks, so replay needs no particular order of claims across
+    /// ops. The record body is written after the reservation — appenders
+    /// publish concurrently. An attempt whose record is never logged (a
+    /// full log, a conflict) releases its claims before it retries.
+    ///
+    /// The op holds the drain lock `read` from before its claims until it
+    /// commits, so a CoW trigger, which takes it `write`, swaps the log
+    /// only when no claim or free is in flight. Before claiming, the op
+    /// waits out (and assists) a running CoW image copy, so it never
+    /// changes a page the copy has yet to take.
     ///
     /// Trace attribution (`at` is a no-op unless the op is armed):
-    /// lock/drain acquisition, conflict spins, reader drains, and CoW
-    /// assists land in `cc_wait`; the serialized portion (lock wait +
-    /// reservation) in `log_append`; the out-of-lock record publish in
-    /// `log_flush`; the pool plan in `alloc`; blocking log-full
-    /// checkpoints in `log_stall`. The uninstrumented path performs zero
-    /// clock reads here.
+    /// lock/drain acquisition, CoW assists, conflict spins and reader
+    /// drains land in `cc_wait`; the claims and the encode in `alloc`; the
+    /// reservation in `log_append`; the out-of-lock record publish in
+    /// `log_flush`; blocking log-full checkpoints in `log_stall`. The
+    /// uninstrumented path performs zero clock reads here.
     ///
     /// The index is descended once per attempt, under the B-tree read
-    /// lock, and the entry found is handed to both closures, so the
-    /// logged record and the executed plan cannot disagree about whether
-    /// (and with which blocks) `name` exists. The final attempt's entry
-    /// is returned for the caller's install, which therefore does not
+    /// lock, and the entry found is handed to the plan, so the logged
+    /// record and the executed plan cannot disagree about whether (and
+    /// with which blocks) `name` exists. The final attempt's entry is
+    /// returned for the caller's install, which therefore does not
     /// descend again. It is still `name`'s entry then: no other op's
     /// install on `name` could overlap the lookup (the op holds `name`'s
     /// read latch and no writer held its mark), the reservation admitted
@@ -581,30 +586,32 @@ impl DsContext {
     /// latch into `name`'s writer mark before leaving the synchronous
     /// region and drops the mark only after its install. So nothing
     /// creates, replaces or deletes the entry in between.
-    fn mutate_plan<'a, P>(
+    fn mutate_plan<'a, P: Claims>(
         &'a self,
         name: &'a [u8],
-        encode: impl Fn(&Domain<'_, DramMemory>, Entry, LoggingMode) -> (u16, Vec<u8>),
-        plan: impl Fn(&Domain<'_, DramMemory>, Entry, bool) -> DsResult<P>,
+        plan: impl Fn(&Domain<'_, DramMemory>, Entry) -> DsResult<P>,
+        encode: impl Fn(&P, LoggingMode) -> (u16, Vec<u8>),
         bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
-    ) -> DsResult<(dstore_dipper::RecordHandle, WriteLatch<'a>, u64, Entry, P)> {
+    ) -> DsResult<Admitted<'a, P>> {
         enum Outcome<'l, P> {
             Full,
-            Conflicts(Vec<dstore_dipper::RecordHandle>),
+            Conflicts(Vec<RecordHandle>),
             /// An in-flight writer is mid-install on this name, so the
-            /// encode/plan closures' entry reads are not safe yet.
+            /// plan's entry read is not safe yet.
             WriterBusy,
-            Starved,
             Failed(DsError),
             Planned(dstore_dipper::Reservation<'l>, Vec<u8>, P, WriteLatch<'l>),
         }
         let inner = &self.inner;
-        // Sticky within one op: once a shard starves, every retry takes
-        // all shard locks so the (deterministic) steal cannot starve.
-        let mut need_all = false;
         loop {
-            let _drain = inner.drain.read();
+            let drain = inner.drain.read();
+            // The phase is published before `active`, so sampling it here
+            // catches the CoW checkpoint this op is about to wait on.
+            if let Some(cow) = &inner.cow {
+                note_stall_phase(inner, at);
+                cow.wait_or_assist();
+            }
             let _global = (!inner.cfg.oe).then(|| inner.global_lock.lock());
             // One stamp marks the sync-region start for both the write
             // breakdown and the trace (coalesced clock read).
@@ -616,12 +623,12 @@ impl DsContext {
             at.mark_at(SEG_CC_WAIT, t_log);
             let outcome: Outcome<'_, (Entry, P)> = 'outcome: {
                 let d = inner.domain();
-                // The encode/plan closures read `name`'s entry outside the
-                // B-tree lock, so the op holds its read latch (§4.4) until
-                // step ⑤: a writer drains registered readers before it
-                // installs, and if one is already mid-install on this
-                // name we back off like a WW conflict (its record is
-                // uncommitted, so the reservation would bounce us anyway).
+                // The plan reads `name`'s entry outside the B-tree lock,
+                // so the op holds its read latch (§4.4) until step ⑤: a
+                // writer drains registered readers before it installs,
+                // and if one is already mid-install on this name we back
+                // off like a WW conflict (its record is uncommitted, so
+                // the reservation would bounce us anyway).
                 let Some(read) = inner.latches.try_read(name) else {
                     break 'outcome Outcome::WriterBusy;
                 };
@@ -629,20 +636,21 @@ impl DsContext {
                     let _bt = inner.btree_lock.read();
                     d.lookup(name)
                 };
-                // Step ①: lock the pools — the name's shard, or every
-                // shard in index order (steal retry).
-                let _shard =
-                    (!need_all).then(|| inner.pool_shard_locks[d.shard_of_name(name)].lock());
-                let _all: Vec<_> = if need_all {
-                    inner.pool_shard_locks.iter().map(|m| m.lock()).collect()
-                } else {
-                    Vec::new()
+                // Steps ③/④: claim the blocks, then encode the record
+                // that names them.
+                let p = match plan(&d, entry) {
+                    Ok(p) => p,
+                    Err(e) => break 'outcome Outcome::Failed(e),
                 };
-                let (op, params) = encode(&d, entry, inner.cfg.logging);
+                let (op, params) = encode(&p, inner.cfg.logging);
+                at.mark(SEG_ALLOC);
                 // Step ②a: reserve the record slot (short serialized
                 // step: LSN + header + conflict scan).
                 match inner.log.reserve(op, name, params.len()) {
-                    Err(LogFull) => Outcome::Full,
+                    Err(LogFull) => {
+                        d.release(p.claims());
+                        Outcome::Full
+                    }
                     Ok(res) => {
                         at.mark(SEG_LOG_APPEND);
                         // The holder of an olock on this object passes
@@ -653,52 +661,26 @@ impl DsContext {
                             .filter(|c| !self.is_own_lock_res(name, **c, &res))
                             .copied()
                             .collect();
-                        if !conflicts.is_empty() {
-                            res.abort();
-                            Outcome::Conflicts(conflicts)
+                        if conflicts.is_empty() {
+                            // Make the writer visible before leaving the
+                            // synchronous region.
+                            Outcome::Planned(res, params, (entry, p), read.into_writer())
                         } else {
-                            // Steps ③/④: pool allocations, in per-shard
-                            // log order.
-                            match plan(&d, entry, need_all).map(|p| (entry, p)) {
-                                Ok(p) => {
-                                    // A plan that pulled blocks from a
-                                    // foreign shard breaks per-shard
-                                    // replay determinism: stamp the
-                                    // record (before its body flush) so
-                                    // replay of this window degrades to
-                                    // serial log order.
-                                    if d.take_stole() {
-                                        res.set_steal_flag();
-                                    }
-                                    // Make the writer visible before
-                                    // leaving the synchronous region.
-                                    let write = read.into_writer();
-                                    at.mark(SEG_ALLOC);
-                                    Outcome::Planned(res, params, p, write)
-                                }
-                                Err(DsError::ShardStarved) => {
-                                    // Aborted, never published: no replay
-                                    // effects, retry holding every lock.
-                                    res.abort();
-                                    Outcome::Starved
-                                }
-                                Err(e) => {
-                                    // Plan failed (e.g. out of space):
-                                    // the record must not replay.
-                                    res.abort();
-                                    Outcome::Failed(e)
-                                }
-                            }
+                            // Aborted, never published: its claims were
+                            // never logged.
+                            res.abort();
+                            d.release(p.claims());
+                            Outcome::Conflicts(conflicts)
                         }
                     }
                 }
                 // Step ⑤: unlock (scope end).
             };
-            let (r, (entry, p), latch) = match outcome {
+            let (r, (entry, plan), latch) = match outcome {
                 Outcome::Full => {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
-                    drop(_drain);
+                    drop(drain);
                     inner.handle_log_full();
                     // The forced checkpoint is in flight when the stall
                     // ends — name it even if it finishes before we do.
@@ -712,7 +694,7 @@ impl DsContext {
                     // on the conflicting commit flags (§4.4).
                     inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
                     drop(_global);
-                    drop(_drain);
+                    drop(drain);
                     for c in &conflicts {
                         inner.log.wait_committed(*c);
                     }
@@ -724,13 +706,9 @@ impl DsContext {
                     // wait is bounded by that op's install, not its flush.
                     inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
                     drop(_global);
-                    drop(_drain);
+                    drop(drain);
                     inner.latches.wait_clear(name);
                     at.mark(SEG_CC_WAIT);
-                    continue;
-                }
-                Outcome::Starved => {
-                    need_all = true;
                     continue;
                 }
                 Outcome::Failed(e) => return Err(e),
@@ -755,14 +733,6 @@ impl DsContext {
             // Read-write CC: drain current readers (new ones back off
             // because the mark is up).
             latch.drain_readers();
-            // CoW checkpoints: wait for / assist the page copy before
-            // mutating any frontend page. The phase is published before
-            // `active`, so sampling it here catches the checkpoint this
-            // op is about to wait on.
-            if let Some(cow) = &inner.cow {
-                note_stall_phase(inner, at);
-                cow.wait_or_assist();
-            }
             at.mark(SEG_CC_WAIT);
             // The record is published: let the black box note the
             // admitted LSN — one relaxed fetch_max, plus a heartbeat every
@@ -770,8 +740,38 @@ impl DsContext {
             if let Some(bb) = &inner.blackbox {
                 bb.note_lsn(r.lsn);
             }
-            return Ok((r.handle, latch, r.lsn, entry, p));
+            return Ok(Admitted {
+                handle: r.handle,
+                lsn: r.lsn,
+                entry,
+                plan,
+                latch,
+                drain,
+            });
         }
+    }
+
+    /// Step ⑨ and deferred reclamation: commits `handle`, then returns
+    /// the blocks the op `freed` to the pool — a block becomes reusable
+    /// only once the record that frees it is durable — then leaves the
+    /// drain, before any checkpoint trigger.
+    fn commit(
+        &self,
+        name: &[u8],
+        handle: RecordHandle,
+        freed: &[u64],
+        drain: RwLockReadGuard<'_, ()>,
+    ) {
+        let inner = &self.inner;
+        #[cfg(test)]
+        inner.before_commit.hit(name);
+        inner.log.commit(handle);
+        assert!(
+            inner.domain().release(freed),
+            "{:?} freed blocks it did not own",
+            String::from_utf8_lossy(name)
+        );
+        drop(drain);
     }
 
     /// Steps ⑥⑦ of a put or create: installs `plan` on `entry`, the entry
@@ -866,52 +866,24 @@ pub struct ObjectStat {
     pub mtime_lsn: u64,
 }
 
-/// Builds a put's record `(op, params)` for the configured logging mode.
-/// Read-only against the domain (physical mode *peeks* the pool: the
-/// actual pops happen after the conflict check and return the same ids,
-/// all under the pool lock).
-fn prepare_put_record(
-    d: &Domain<'_, DramMemory>,
-    entry: Entry,
-    mode: LoggingMode,
-    key: &[u8],
-    size: u64,
-) -> (u16, Vec<u8>) {
-    let old = entry.map(|e| d.read_entry(e).2);
-    let need = blocks_for_geometry(size, d.block_bytes());
-    let touch = old
-        .as_ref()
-        .map(|b| b.len() as u64 == need)
-        .unwrap_or(false);
+/// Builds a put's record `(op, params)` for `plan` in the configured
+/// logging mode: `op` ([`ops::OP_PUT`] or [`ops::OP_CREATE`]) names the
+/// blocks the plan claimed, and a touch logs [`ops::OP_TOUCH`].
+pub(crate) fn put_record(op: u16, size: u64, plan: &PutPlan, mode: LoggingMode) -> (u16, Vec<u8>) {
+    let touch = plan.kind == PutKind::Touch;
     match mode {
-        LoggingMode::Logical => (
-            if touch { ops::OP_TOUCH } else { ops::OP_PUT },
-            PutParams { size }.encode().to_vec(),
+        LoggingMode::Logical if touch => (ops::OP_TOUCH, PutParams::encode(size, &[])),
+        LoggingMode::Logical => (op, PutParams::encode(size, &plan.blocks)),
+        LoggingMode::Physical => (
+            ops::OP_PHYS_INSTALL,
+            PhysImage {
+                size,
+                blocks: plan.blocks.clone(),
+                pops: plan.claims().len() as u32,
+                pushes: plan.freed.clone(),
+            }
+            .encode(),
         ),
-        LoggingMode::Physical => {
-            let (pops, blocks, pushes) = if touch {
-                (0, old.unwrap(), vec![])
-            } else {
-                // If the pool cannot satisfy the peek, encode an empty
-                // image: the plan will fail with OutOfSpace and the
-                // record is aborted, never replayed. (Likewise when the
-                // plan starves without steal permission: the peeked ids
-                // die with the aborted record, and the all-locks retry
-                // re-peeks accurately.)
-                let peeked = d.pool_peek_for(key, need).unwrap_or_default();
-                (need as u32, peeked, old.unwrap_or_default())
-            };
-            (
-                ops::OP_PHYS_INSTALL,
-                PhysImage {
-                    size,
-                    blocks,
-                    pops,
-                    pushes,
-                }
-                .encode(),
-            )
-        }
     }
 }
 
@@ -979,21 +951,21 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "owrite", false);
         let len = data.len() as u64;
-        let (handle, latch, lsn, entry, plan) = self.ctx.mutate_plan(
+        let m = self.ctx.mutate_plan(
             &self.name,
-            |_d, _entry, _mode| {
+            |d, entry| d.plan_extend_entry(entry, &self.name, offset, len, &inner.pool_shard_locks),
+            |plan, _mode| {
                 (
                     ops::OP_EXTEND,
-                    ExtendParams { offset, len }.encode().to_vec(),
+                    ExtendParams::encode(offset, len, plan.claims()),
                 )
             },
-            |d, entry, steal| d.plan_extend_entry(entry, &self.name, offset, len, steal),
             &mut None,
             &mut at,
         )?;
         // An extend never touches the tree: no index lock, no descent.
-        let e = entry.expect("a successful extend plan read an entry");
-        inner.domain().install_extend_entry(e, &plan, lsn);
+        let e = m.entry.expect("a successful extend plan read an entry");
+        inner.domain().install_extend_entry(e, &m.plan, m.lsn);
         at.mark(SEG_INDEX);
         // Data: sub-page head/tail via partial writes, whole pages via
         // page writes.
@@ -1004,7 +976,7 @@ impl ObjectHandle<'_> {
         while done < data.len() {
             let pos = offset as usize + done;
             let bi = pos / bs;
-            let page_id = d.block_first_page(plan.blocks[bi]) + ((pos % bs) / page_sz) as u64;
+            let page_id = d.block_first_page(m.plan.blocks[bi]) + ((pos % bs) / page_sz) as u64;
             let in_page = pos % page_sz;
             let take = (data.len() - done).min(page_sz - in_page);
             if in_page == 0 && take == page_sz {
@@ -1017,8 +989,8 @@ impl ObjectHandle<'_> {
             done += take;
         }
         at.mark(SEG_SSD_WRITE);
-        drop(latch);
-        inner.log.commit(handle);
+        drop(m.latch);
+        self.ctx.commit(&self.name, m.handle, &[], m.drain);
         inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);

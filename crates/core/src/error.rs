@@ -30,12 +30,6 @@ pub enum DsError {
     /// Recovery of a sharded store found inconsistent shard metadata
     /// (wrong shard count, mixed router seeds, duplicate shard index).
     ShardMismatch(String),
-    /// Internal retry signal: the block-pool shard owning the object's
-    /// name cannot satisfy the allocation alone, and the caller did not
-    /// permit stealing from sibling shards. The write path retries the
-    /// operation holding every shard lock (which makes stealing
-    /// deterministic); this value never reaches the public API.
-    ShardStarved,
     /// Underlying device error (file-backed pools) or a network
     /// transport failure (`dstore-protocol` client/server I/O).
     Io(String),
@@ -64,9 +58,6 @@ impl fmt::Display for DsError {
             DsError::BadMode => write!(f, "object not opened for this access"),
             DsError::ReservedName => write!(f, "object name uses a reserved prefix"),
             DsError::ShardMismatch(e) => write!(f, "shard metadata mismatch: {e}"),
-            DsError::ShardStarved => {
-                write!(f, "block-pool shard starved (internal retry signal)")
-            }
             DsError::Io(e) => write!(f, "io error: {e}"),
             DsError::Protocol(e) => write!(f, "protocol error: {e}"),
             DsError::Busy => write!(f, "server busy: shard queue full, retry after backoff"),
@@ -137,7 +128,6 @@ mod tests {
                 DsError::ShardMismatch("x".into()),
                 "shard metadata mismatch",
             ),
-            (DsError::ShardStarved, "block-pool shard starved"),
             (DsError::Io("disk gone".into()), "io error"),
             (DsError::Protocol("bad magic".into()), "protocol error"),
             (DsError::Busy, "server busy"),

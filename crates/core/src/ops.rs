@@ -3,8 +3,9 @@
 //! DIPPER logs *logical* operations: "We capture each operation and its
 //! parameters within the log record … The input parameters (excluding
 //! data) for all operations are stored in the log record" (§3.4, §4.3).
-//! Each op's parameters are fixed-width little-endian fields, so decoding
-//! tolerates the record's 8-byte padding.
+//! Each op's parameters are little-endian u64s — fixed fields, then the
+//! ids of the blocks the op claimed — so decoding tolerates the record's
+//! padding (under 8 bytes).
 //!
 //! The physical encoding ([`PhysImage`]) is used only in
 //! [`crate::LoggingMode::Physical`]: it carries the metadata post-image,
@@ -14,16 +15,19 @@
 
 use crate::error::{DsError, DsResult};
 
-/// `oput` / full-object write that (re)allocates blocks. Params: [`PutParams`].
+/// `oput` / full-object write that (re)allocates blocks. Params:
+/// [`PutParams`] naming the new blocks.
 pub const OP_PUT: u16 = 1;
 /// Same-size update of an existing object (metadata version bump only).
-/// Params: [`PutParams`] (the new size, equal to the old).
+/// Params: [`PutParams`] (the new size, no blocks).
 pub const OP_TOUCH: u16 = 2;
 /// `odelete`. No params.
 pub const OP_DELETE: u16 = 3;
-/// `oopen` with create: preallocates an object. Params: [`PutParams`].
+/// `oopen` with create: preallocates an object. Params: [`PutParams`]
+/// naming its blocks.
 pub const OP_CREATE: u16 = 4;
-/// `owrite` that extends an object. Params: [`ExtendParams`].
+/// `owrite` that extends an object. Params: [`ExtendParams`] naming the
+/// extra blocks.
 pub const OP_EXTEND: u16 = 5;
 /// Physical-mode install (post-image). Params: [`PhysImage`].
 pub const OP_PHYS_INSTALL: u16 = 16;
@@ -32,56 +36,75 @@ pub const OP_PHYS_DELETE: u16 = 17;
 
 // OP 0 is dstore_dipper::OP_NOOP (olock).
 
+/// Encodes `fields` then `blocks`, all little-endian u64s.
+fn encode_u64s(fields: &[u64], blocks: &[u64]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(8 * (fields.len() + blocks.len()));
+    for v in fields.iter().chain(blocks) {
+        b.extend_from_slice(&v.to_le_bytes());
+    }
+    b
+}
+
+/// Decodes `N` fixed u64 fields and the block ids after them; a trailing
+/// partial word is record padding.
+fn decode_u64s<const N: usize>(params: &[u8], what: &str) -> DsResult<([u64; N], Vec<u64>)> {
+    if params.len() < 8 * N {
+        return Err(DsError::Io(format!("short {what}")));
+    }
+    let mut words = params
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+    let fields = std::array::from_fn(|_| words.next().unwrap());
+    Ok((fields, words.collect()))
+}
+
 /// Parameters of [`OP_PUT`] / [`OP_TOUCH`] / [`OP_CREATE`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PutParams {
     /// Object size in bytes.
     pub size: u64,
+    /// The blocks the op claimed: the object's new block list (none for
+    /// a touch).
+    pub blocks: Vec<u64>,
 }
 
 impl PutParams {
     /// Encodes to the record parameter bytes.
-    pub fn encode(&self) -> [u8; 8] {
-        self.size.to_le_bytes()
+    pub fn encode(size: u64, blocks: &[u64]) -> Vec<u8> {
+        encode_u64s(&[size], blocks)
     }
 
     /// Decodes from record parameter bytes.
     pub fn decode(params: &[u8]) -> DsResult<Self> {
-        if params.len() < 8 {
-            return Err(DsError::Io("short PutParams".into()));
-        }
-        Ok(Self {
-            size: u64::from_le_bytes(params[..8].try_into().unwrap()),
-        })
+        let ([size], blocks) = decode_u64s(params, "PutParams")?;
+        Ok(Self { size, blocks })
     }
 }
 
 /// Parameters of [`OP_EXTEND`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtendParams {
     /// Write offset.
     pub offset: u64,
     /// Write length.
     pub len: u64,
+    /// The blocks the op claimed, appended to the object's list.
+    pub blocks: Vec<u64>,
 }
 
 impl ExtendParams {
     /// Encodes to the record parameter bytes.
-    pub fn encode(&self) -> [u8; 16] {
-        let mut b = [0u8; 16];
-        b[..8].copy_from_slice(&self.offset.to_le_bytes());
-        b[8..].copy_from_slice(&self.len.to_le_bytes());
-        b
+    pub fn encode(offset: u64, len: u64, blocks: &[u64]) -> Vec<u8> {
+        encode_u64s(&[offset, len], blocks)
     }
 
     /// Decodes from record parameter bytes.
     pub fn decode(params: &[u8]) -> DsResult<Self> {
-        if params.len() < 16 {
-            return Err(DsError::Io("short ExtendParams".into()));
-        }
+        let ([offset, len], blocks) = decode_u64s(params, "ExtendParams")?;
         Ok(Self {
-            offset: u64::from_le_bytes(params[..8].try_into().unwrap()),
-            len: u64::from_le_bytes(params[8..16].try_into().unwrap()),
+            offset,
+            len,
+            blocks,
         })
     }
 }
@@ -90,16 +113,17 @@ impl ExtendParams {
 /// btree/metadata page images ARIES-style logging must carry.
 pub const PHYS_PAD: usize = 192;
 
-/// Physical-mode record: metadata post-image plus explicit pool deltas.
+/// Physical-mode record: metadata post-image plus the blocks it claimed
+/// and freed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysImage {
     /// Final object size (0 + empty blocks = deleted).
     pub size: u64,
     /// Final block list of the object.
     pub blocks: Vec<u64>,
-    /// How many blocks this op popped from the block pool.
+    /// How many ids at the end of `blocks` this op claimed.
     pub pops: u32,
-    /// Block ids this op pushed back to the pool, in push order.
+    /// Block ids this op freed.
     pub pushes: Vec<u64>,
 }
 
@@ -161,12 +185,18 @@ mod tests {
 
     #[test]
     fn put_params_roundtrip() {
-        let p = PutParams { size: 123456 };
-        assert_eq!(PutParams::decode(&p.encode()).unwrap(), p);
+        let p = PutParams {
+            size: 123456,
+            blocks: vec![7, 8, 40],
+        };
+        let enc = PutParams::encode(p.size, &p.blocks);
+        assert_eq!(PutParams::decode(&enc).unwrap(), p);
         // Padded decode still works (records pad to 8 bytes).
-        let mut padded = p.encode().to_vec();
+        let mut padded = enc.clone();
         padded.extend_from_slice(&[0; 7]);
         assert_eq!(PutParams::decode(&padded).unwrap(), p);
+        // A touch names no blocks: the encoding is the size alone.
+        assert_eq!(PutParams::encode(5, &[]), 5u64.to_le_bytes());
         assert!(PutParams::decode(&[1, 2]).is_err());
     }
 
@@ -175,8 +205,10 @@ mod tests {
         let p = ExtendParams {
             offset: 4096,
             len: 512,
+            blocks: vec![3],
         };
-        assert_eq!(ExtendParams::decode(&p.encode()).unwrap(), p);
+        let enc = ExtendParams::encode(p.offset, p.len, &p.blocks);
+        assert_eq!(ExtendParams::decode(&enc).unwrap(), p);
         assert!(ExtendParams::decode(&[0; 8]).is_err());
     }
 
@@ -195,7 +227,7 @@ mod tests {
 
     #[test]
     fn phys_records_are_much_larger_than_logical() {
-        let logical = PutParams { size: 4096 }.encode().len();
+        let logical = PutParams::encode(4096, &[1]).len();
         let physical = PhysImage {
             size: 4096,
             blocks: vec![1],

@@ -1,35 +1,29 @@
 //! OE-parallel record replay — the shared engine behind checkpoint
 //! apply and recovery (§3.7 applied to the backend).
 //!
-//! Records on distinct objects commute (observational equivalence), and
-//! the frontend already derives a stable partition of objects: the
-//! name-directed block-pool shard, `fnv1a(name) % pool_shards`. Because
-//! an op holds its shard lock across log reservation + allocation,
-//! per-shard pool order equals per-shard LSN order — so replaying each
-//! shard's records in log order, shards in parallel, reconstructs the
-//! exact per-shard block-pool state and the per-object LSN order the
-//! frontend produced.
+//! Records on distinct objects commute (observational equivalence). Each
+//! record names the block ids it claimed, and replay applies claims and
+//! releases as atomic adds on the pool's ownership map, so even the pool
+//! state is independent of the order in which records on different
+//! objects replay. Replay groups a window's records by the name's pool
+//! shard (`fnv1a(name) % pool_shards`) only to keep each object's records
+//! in LSN order on one worker; groups replay concurrently.
 //!
-//! That invariant has one exception: a starved op escalates to all shard
-//! locks and *steals* blocks from a foreign shard. Such an allocation
-//! interleaves two shards' pop streams, so shard-parallel replay would
-//! diverge. The frontend stamps every stealing record with
-//! [`record::OP_STEAL_FLAG`]; any window containing one degrades to the
-//! serialized fallback (whole window in log order on one thread), which
-//! is trivially equivalent — counted in
-//! [`ReplayStats::serial_fallbacks`].
+//! After each window, every block id the window claimed or released must
+//! be owned at most once; any other owner count is a divergence, counted
+//! in [`ReplayStats::divergences`] and named (id and LSN) on stderr in
+//! every build.
 //!
-//! Worker-local state: each worker attaches its own [`Domain`] (the
-//! domain carries a `Cell`-based steal latch, so it is deliberately
-//! `!Sync`). The workers share one B-tree `RwLock` through
-//! [`IndexSync::Shared`] — lookups take it `read`, structural
-//! insert/remove take it `write`. Everything else partitions cleanly:
-//! same name → same shard → same worker (per-object metadata, overflow
-//! chains), pool headers are per-shard, directory counters are atomic.
+//! Worker-local state: each worker attaches its own [`Domain`]. The
+//! workers share one B-tree `RwLock` through [`IndexSync::Shared`] —
+//! lookups take it `read`, structural insert/remove take it `write`.
+//! Everything else partitions cleanly: same name → same group → same
+//! worker (per-object metadata, overflow chains); pool claims and
+//! directory counters are atomic.
 
 use crate::structures::{Directory, Domain, IndexSync};
 use dstore_arena::{Arena, Memory, RelPtr};
-use dstore_dipper::record::{self, RecordView};
+use dstore_dipper::record::RecordView;
 use dstore_dipper::usable_workers;
 use dstore_telemetry::{now_ns, SpanRing};
 use parking_lot::RwLock;
@@ -49,23 +43,21 @@ pub struct ReplayStats {
     /// Shard groups replayed (serial windows count as one group).
     pub groups: AtomicU64,
     /// Non-empty windows that took the parallel path. A non-empty window
-    /// counted neither here nor in `serial_fallbacks` ran serial because
-    /// only one worker was usable (`replay_threads = 1`, or the replaying
-    /// thread may run on a single CPU).
+    /// not counted here ran serial because only one worker was usable
+    /// (`replay_threads = 1`, or the replaying thread may run on a single
+    /// CPU).
     pub parallel_windows: AtomicU64,
-    /// Windows that degraded to the serialized fallback because a record
-    /// carried the steal flag while more than one worker was usable.
-    pub serial_fallbacks: AtomicU64,
     /// Records replayed.
     pub records: AtomicU64,
     /// Serialized (non-overlappable) nanoseconds: the whole loop for
-    /// serial windows; grouping plus the B-tree write-lock *hold* time
-    /// for parallel ones.
+    /// serial windows; grouping, the B-tree write-lock *hold* time and
+    /// the ownership check for parallel ones.
     /// `records / serialized_ns` is the admission-rate bound of one
     /// replay pipeline.
     pub serialized_ns: AtomicU64,
     /// Records whose replay diverged from the frontend (see
-    /// [`Domain::replay_in`]). Anything but 0 is a bug.
+    /// [`Domain::replay`]) plus block ids a window left owned other than
+    /// 0 or 1 times. Anything but 0 is a bug.
     pub divergences: AtomicU64,
 }
 
@@ -78,8 +70,6 @@ pub struct ReplaySnapshot {
     pub groups: u64,
     /// See [`ReplayStats::parallel_windows`].
     pub parallel_windows: u64,
-    /// See [`ReplayStats::serial_fallbacks`].
-    pub serial_fallbacks: u64,
     /// See [`ReplayStats::records`].
     pub records: u64,
     /// See [`ReplayStats::serialized_ns`].
@@ -95,7 +85,6 @@ impl ReplayStats {
             windows: self.windows.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
             parallel_windows: self.parallel_windows.load(Ordering::Relaxed),
-            serial_fallbacks: self.serial_fallbacks.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             serialized_ns: self.serialized_ns.load(Ordering::Relaxed),
             divergences: self.divergences.load(Ordering::Relaxed),
@@ -107,19 +96,14 @@ impl ReplayStats {
 /// `arena`, using [`usable_workers`]`(threads)` workers — `threads`
 /// capped by the CPUs the calling thread may run on, counted now.
 ///
-/// One usable worker or a steal-flagged record in the window selects the
-/// serialized path: the whole window in log order on the calling thread,
-/// with stealing allowed (exactly what the frontend did) and the
-/// exclusive index descent (the window owns its arena). The parallel
-/// path groups records by pool shard and replays groups concurrently
-/// with stealing *forbidden* — a `ShardStarved` there would mean a
-/// stealing record escaped its flag, which is a bug worth the panic (the
-/// checkpoint worker catches it; the store stays consistent because the
-/// root never commits).
+/// One usable worker replays the whole window in log order on the
+/// calling thread, with the exclusive index descent (the window owns its
+/// arena). More group the records by pool shard and replay the groups
+/// concurrently. Either way the window ends with the ownership check.
 ///
 /// Per-group spans (`replay_group`, payload `a` = shard, `b` = records;
-/// `replay_serial` for the fallback) land in `ring` when given — the
-/// checkpoint ring for applies, the recovery ring for recovery.
+/// `replay_serial` for the one-worker path) land in `ring` when given —
+/// the checkpoint ring for applies, the recovery ring for recovery.
 pub fn replay_window<M: Memory>(
     arena: &Arena<M>,
     dir: RelPtr<Directory>,
@@ -137,89 +121,90 @@ pub fn replay_window<M: Memory>(
     }
 
     let threads = usable_workers(threads);
-    let stole = records.iter().any(|r| record::op_stole(r.op));
-    if threads <= 1 || stole {
-        if stole && threads > 1 {
-            stats.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        let t0 = now_ns();
-        let domain = Domain::attach(arena, dir);
-        let diverged = records.iter().filter(|r| domain.replay(r)).count();
+    let domain = Domain::attach(arena, dir);
+    let mut touched = Vec::new();
+    let t0 = now_ns();
+    let serialized_ns = if threads <= 1 {
+        let diverged = records
+            .iter()
+            .filter(|r| domain.replay(r, &IndexSync::Exclusive, &mut touched))
+            .count();
         stats
             .divergences
             .fetch_add(diverged as u64, Ordering::Relaxed);
-        let end = now_ns();
-        stats
-            .serialized_ns
-            .fetch_add(end.saturating_sub(t0), Ordering::Relaxed);
         stats.groups.fetch_add(1, Ordering::Relaxed);
+        let end = now_ns();
         if let Some(ring) = ring {
-            ring.record("replay_serial", t0, end, stole as u64, records.len() as u64);
+            ring.record("replay_serial", t0, end, 0, records.len() as u64);
         }
-        return;
-    }
-
-    // Group record indices by pool shard; order within a group is log
-    // order, which per the shard-lock invariant is that shard's pool
-    // order and (a fortiori) per-object LSN order.
-    let t_group = now_ns();
-    let shards = Domain::attach(arena, dir).pool_shards().max(1);
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    {
-        let d = Domain::attach(arena, dir);
+        end.saturating_sub(t0)
+    } else {
+        // Group record indices by pool shard; order within a group is
+        // log order, so each object's records stay in LSN order.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); domain.pool_shards()];
         for (i, r) in records.iter().enumerate() {
-            by_shard[d.shard_of_name(r.name)].push(i);
+            by_shard[domain.shard_of_name(r.name)].push(i);
         }
-    }
-    let groups: Vec<(usize, Vec<usize>)> = by_shard
-        .into_iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_empty())
-        .collect();
-    let workers = threads.min(groups.len()).max(1);
-    stats.parallel_windows.fetch_add(1, Ordering::Relaxed);
-    stats
-        .groups
-        .fetch_add(groups.len() as u64, Ordering::Relaxed);
-    let group_ns = now_ns().saturating_sub(t_group);
+        let groups: Vec<(usize, Vec<usize>)> = by_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty())
+            .collect();
+        let workers = threads.min(groups.len()).max(1);
+        stats.parallel_windows.fetch_add(1, Ordering::Relaxed);
+        stats
+            .groups
+            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+        let group_ns = now_ns().saturating_sub(t0);
 
-    let btree_lock = RwLock::new(());
-    let write_ns = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let groups = &groups;
-            let btree_lock = &btree_lock;
-            let write_ns = &write_ns;
-            s.spawn(move || {
-                let domain = Domain::attach(arena, dir);
-                let sync = IndexSync::Shared {
-                    lock: btree_lock,
-                    write_ns,
-                };
-                for (shard, group) in groups.iter().skip(w).step_by(workers) {
-                    let t0 = now_ns();
-                    let diverged = group
-                        .iter()
-                        .filter(|&&i| domain.replay_in(&records[i], false, &sync))
-                        .count();
-                    stats
-                        .divergences
-                        .fetch_add(diverged as u64, Ordering::Relaxed);
-                    if let Some(ring) = ring {
-                        ring.record(
-                            "replay_group",
-                            t0,
-                            now_ns(),
-                            *shard as u64,
-                            group.len() as u64,
-                        );
-                    }
-                }
-            });
-        }
-    });
+        let btree_lock = RwLock::new(());
+        let write_ns = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (groups, btree_lock, write_ns) = (&groups, &btree_lock, &write_ns);
+                    s.spawn(move || {
+                        let domain = Domain::attach(arena, dir);
+                        let sync = IndexSync::Shared {
+                            lock: btree_lock,
+                            write_ns,
+                        };
+                        let mut touched = Vec::new();
+                        for (shard, group) in groups.iter().skip(w).step_by(workers) {
+                            let t0 = now_ns();
+                            let diverged = group
+                                .iter()
+                                .filter(|&&i| domain.replay(&records[i], &sync, &mut touched))
+                                .count();
+                            stats
+                                .divergences
+                                .fetch_add(diverged as u64, Ordering::Relaxed);
+                            if let Some(ring) = ring {
+                                let (shard, n) = (*shard as u64, group.len() as u64);
+                                ring.record("replay_group", t0, now_ns(), shard, n);
+                            }
+                        }
+                        touched
+                    })
+                })
+                .collect();
+            for w in workers {
+                touched.extend(w.join().expect("replay worker panicked"));
+            }
+        });
+        group_ns + write_ns.load(Ordering::Relaxed)
+    };
+
+    let t_check = now_ns();
+    let errors = domain.ownership_errors(&touched);
+    for (id, owners, lsn) in &errors {
+        eprintln!("replay divergence: block {id} has {owners} owners after LSN {lsn}");
+    }
+    stats
+        .divergences
+        .fetch_add(errors.len() as u64, Ordering::Relaxed);
     stats.serialized_ns.fetch_add(
-        group_ns + write_ns.load(Ordering::Relaxed),
+        serialized_ns + now_ns().saturating_sub(t_check),
         Ordering::Relaxed,
     );
 }
@@ -227,7 +212,9 @@ pub fn replay_window<M: Memory>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstore_dipper::record::{name_hash, COMMIT_COMMITTED, OP_STEAL_FLAG};
+    use crate::ops::{self, PhysImage, PutParams};
+    use dstore_arena::DramMemory;
+    use dstore_dipper::record::{name_hash, COMMIT_COMMITTED};
 
     fn rec(name: &str, lsn: u64, op: u16) -> RecordView<'_> {
         RecordView {
@@ -250,15 +237,6 @@ mod tests {
                 name_hash(name.as_bytes()),
             );
         }
-    }
-
-    #[test]
-    fn steal_flag_detection_is_masked_from_op_code() {
-        let r = rec("x", 1, 3 | OP_STEAL_FLAG);
-        assert!(record::op_stole(r.op));
-        assert_eq!(record::op_code(r.op), 3);
-        let clean = rec("x", 2, 3);
-        assert!(!record::op_stole(clean.op));
     }
 
     /// Grouping preserves per-object order: all records of one name land
@@ -291,5 +269,40 @@ mod tests {
                 assert_eq!(here > 0, gi == g);
             }
         }
+    }
+
+    /// A block claimed twice, and a free block released, each count one
+    /// divergence at the end of their window — in every build, since the
+    /// check is no debug assertion.
+    #[test]
+    fn ownership_errors_count_as_divergences() {
+        let arena = Arena::create(DramMemory::new(4 << 20));
+        let dir = Domain::format(&arena, 64).dir_ptr();
+        let stats = ReplayStats::default();
+        let window = |recs: &[(&str, u16, Vec<u8>)]| {
+            let views: Vec<_> = recs
+                .iter()
+                .enumerate()
+                .map(|(i, (name, op, params))| RecordView {
+                    params,
+                    ..rec(name, i as u64 + 1, *op)
+                })
+                .collect();
+            replay_window(&arena, dir, &views, 2, &stats, None);
+            stats.divergences.load(Ordering::Relaxed)
+        };
+        let double_claim = window(&[
+            ("a", ops::OP_PUT, PutParams::encode(4096, &[5])),
+            ("b", ops::OP_PUT, PutParams::encode(4096, &[5])),
+        ]);
+        assert_eq!(double_claim, 1);
+        let free_release = PhysImage {
+            size: 4096,
+            blocks: vec![6],
+            pops: 1,
+            pushes: vec![7],
+        };
+        let released = window(&[("a", ops::OP_PHYS_INSTALL, free_release.encode())]);
+        assert_eq!(released, 2);
     }
 }

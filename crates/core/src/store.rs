@@ -128,13 +128,10 @@ pub(crate) struct StoreInner {
     pub log: Arc<OpLog>,
     pub dram: Arc<Arena<DramMemory>>,
     pub dir: RelPtr<Directory>,
-    /// Parallel-persistence locks, one per block-pool shard. An op
-    /// holds its name's shard lock across log reservation + allocation
-    /// (Figure 4 steps ①–⑤ minus the flush), so per-shard pool order
-    /// equals per-shard LSN order — the invariant deterministic replay
-    /// depends on. A starved op escalates to *all* shard locks in index
-    /// order before stealing, which totally orders it against every
-    /// concurrent planner.
+    /// Parallel-persistence locks, one per block-pool shard: a claim
+    /// holds shard `s`'s lock only while it claims from `s`'s range
+    /// ([`Domain::claim`]), so writers on different shards allocate
+    /// concurrently. No op holds one across its log reservation.
     pub pool_shard_locks: Box<[Mutex<()>]>,
     /// Protects the object-index B-tree: lookups and scans hold it
     /// `read`, a create's insert and a delete's remove (step ⑦) hold it
@@ -144,7 +141,9 @@ pub(crate) struct StoreInner {
     pub global_lock: Mutex<()>,
     /// Read-write CC: per-object read counts and writer marks (§4.4).
     pub latches: NameLatches,
-    /// Held `read` by every op; held `write` by the CoW trigger.
+    /// Held `read` by a get for its read and by a mutation from its
+    /// claims to its commit; held `write` by the CoW trigger, which
+    /// therefore swaps the log only when no mutation is in flight.
     pub drain: Arc<RwLock<()>>,
     pub ckpt: Mutex<Option<Checkpointer>>,
     pub cow: Option<CowCheckpointer>,
@@ -161,6 +160,70 @@ pub(crate) struct StoreInner {
     /// Post-mortem of the previous incarnation, exhumed during recovery
     /// (None on a fresh store or when the black box is disabled).
     pub crash_report: Option<CrashReport>,
+    /// Where a mutation waits between its publish and its commit when a
+    /// test has armed it.
+    #[cfg(test)]
+    pub before_commit: PausePoint,
+}
+
+/// A test-only pause point on the write path. The next mutation of an
+/// armed name parks there until the test lets it commit, or abandons it:
+/// the op then unwinds without committing, as if its thread died in the
+/// crash that follows.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct PausePoint {
+    state: Mutex<PauseState>,
+    cv: parking_lot::Condvar,
+}
+
+#[cfg(test)]
+#[derive(Default)]
+struct PauseState {
+    armed: Option<Vec<u8>>,
+    parked: bool,
+    verdict: Option<bool>,
+}
+
+#[cfg(test)]
+impl PausePoint {
+    /// Parks the next mutation of `name` here.
+    pub fn arm(&self, name: &[u8]) {
+        self.state.lock().armed = Some(name.to_vec());
+    }
+
+    /// Blocks until the armed mutation has parked.
+    pub fn wait_parked(&self) {
+        crate::cc::tests::wait_until("a parked mutation", || self.state.lock().parked);
+    }
+
+    /// Lets the parked mutation commit (`true`) or abandons it (`false`).
+    pub fn release(&self, commit: bool) {
+        let mut st = self.state.lock();
+        assert!(st.parked, "nothing is parked");
+        st.verdict = Some(commit);
+        self.cv.notify_all();
+    }
+
+    /// The hook itself: parks if `name` is armed.
+    pub fn hit(&self, name: &[u8]) {
+        let mut st = self.state.lock();
+        if st.armed.as_deref() != Some(name) {
+            return;
+        }
+        st.armed = None;
+        st.parked = true;
+        self.cv.notify_all();
+        let commit = loop {
+            if let Some(v) = st.verdict.take() {
+                break v;
+            }
+            self.cv.wait(&mut st);
+        };
+        st.parked = false;
+        drop(st);
+        assert!(commit, "abandoned before its commit");
+    }
 }
 
 impl StoreInner {
@@ -386,7 +449,6 @@ impl DStore {
                     Arc::clone(&log),
                     Arc::clone(&dram),
                     dir,
-                    cfg.ssd_pages,
                     cfg.blackbox.heartbeat_every,
                 )))
             }
@@ -460,6 +522,8 @@ impl DStore {
             telemetry,
             blackbox,
             crash_report,
+            #[cfg(test)]
+            before_commit: PausePoint::default(),
         })
     }
 
@@ -598,9 +662,9 @@ impl DStore {
         &self.inner.stats
     }
 
-    /// Parallel-replay counters: windows, shard groups, serialized
-    /// fallbacks (steal-flagged windows), records, and the serialized
-    /// nanoseconds the admission-rate bound is computed from. Covers the
+    /// Parallel-replay counters: windows, shard groups, parallel windows,
+    /// records, divergences, and the serialized nanoseconds the
+    /// admission-rate bound is computed from. Covers the
     /// checkpoint applier of this store plus — on a recovered store —
     /// recovery's redo and active-log replay.
     pub fn replay_stats(&self) -> ReplaySnapshot {
@@ -620,11 +684,8 @@ impl DStore {
         tel.log_used.set(self.inner.log.used_fraction());
         let arena = self.inner.dram.stats();
         tel.arena_high_water.set(arena.high_water as f64);
-        let domain = self.inner.domain();
-        let ppb = domain.pages_per_block();
-        let capacity = (self.inner.cfg.ssd_pages - 1) / ppb;
         tel.ssd_blocks_used
-            .set((capacity - domain.pool_free()) as f64);
+            .set(self.inner.domain().pool_used() as f64);
         tel.ckpt_phase_gauge.set(tel.ckpt.phase.index() as f64);
 
         let mut snap = tel.registry.snapshot();
@@ -665,11 +726,6 @@ impl DStore {
             "dstore_replay_parallel_windows_total",
             vec![],
             r.parallel_windows,
-        );
-        snap.push_counter(
-            "dstore_replay_serial_fallbacks_total",
-            vec![],
-            r.serial_fallbacks,
         );
         snap.push_counter("dstore_replay_records_total", vec![], r.records);
         snap.push_counter("dstore_replay_serialized_ns_total", vec![], r.serialized_ns);
@@ -862,10 +918,8 @@ impl DStore {
         let pmem_bytes =
             (ROOT_SIZE + 2 * (LOG_HEADER_SIZE + inner.layout.log_size)) as u64 + shadow_used;
         let domain = inner.domain();
-        let ppb = domain.pages_per_block();
-        let capacity = (inner.cfg.ssd_pages - 1) / ppb;
-        let used_blocks = capacity - domain.pool_free();
-        let ssd_bytes = (used_blocks * ppb + 1) * dstore_ssd::PAGE_SIZE as u64;
+        let used_blocks = domain.pool_used();
+        let ssd_bytes = (used_blocks * domain.pages_per_block() + 1) * dstore_ssd::PAGE_SIZE as u64;
         let (_, data_bytes) = domain.counters();
         Footprint {
             dram_bytes,
@@ -1102,5 +1156,190 @@ impl CowCheckpointer {
         // race to another thread, which is fine — space was freed).
         self.wait_idle();
         self.try_begin();
+    }
+}
+
+/// Allocation under a parked writer. Writer W1 parks at the
+/// `before_commit` pause point, after its record is published, while a
+/// second writer on the same pool shard, a checkpoint or a crash runs past
+/// it. Each scenario runs in both logging modes, and every read-back is
+/// checked against the values the committed ops wrote.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::tests::wait_until;
+    use crate::config::LoggingMode;
+
+    fn store(ckpt: CheckpointMode, logging: LoggingMode) -> DStore {
+        DStore::create(
+            DStoreConfig::small()
+                .with_checkpoint(ckpt)
+                .with_logging(logging)
+                .with_auto_checkpoint(false),
+        )
+        .unwrap()
+    }
+
+    /// The `n`-th name starting with `tag` whose pool shard is `s`.
+    fn name_in(store: &DStore, s: usize, tag: &str, n: usize) -> Vec<u8> {
+        let d = store.inner.domain();
+        (0..)
+            .map(|i| format!("{tag}{i}").into_bytes())
+            .filter(|k| d.shard_of_name(k) == s)
+            .nth(n)
+            .unwrap()
+    }
+
+    /// A value filling `blocks` single-page blocks, tagged `tag`.
+    fn value(tag: u8, blocks: usize) -> Vec<u8> {
+        vec![tag; blocks * 4096 - 100]
+    }
+
+    /// Runs `w1` (a mutation of `name`) on its own thread, parks it at
+    /// `before_commit`, runs `meanwhile`, then abandons `w1`: it unwinds
+    /// without committing, as if it died in the crash that follows.
+    fn abandon_parked(
+        store: &DStore,
+        name: &[u8],
+        w1: impl FnOnce() -> DsResult<()> + Send,
+        meanwhile: impl FnOnce(),
+    ) {
+        let pause = &store.inner.before_commit;
+        pause.arm(name);
+        std::thread::scope(|s| {
+            let w1 = s.spawn(w1);
+            pause.wait_parked();
+            meanwhile();
+            pause.release(false);
+            assert!(w1.join().is_err(), "W1 survived its abandonment");
+        });
+    }
+
+    /// The checkpoint relocates W1's pending record behind W2's committed
+    /// one; recovery then replays W1 from the new log.
+    fn relocation(ckpt: CheckpointMode, logging: LoggingMode) {
+        let store = store(ckpt, logging);
+        let (a, b) = (name_in(&store, 0, "a", 0), name_in(&store, 0, "b", 0));
+        let ctx = store.context();
+        ctx.put(&a, &value(1, 1)).unwrap();
+        let (va, vb) = (value(2, 2), value(3, 1));
+        let pause = &store.inner.before_commit;
+        pause.arm(&a);
+        std::thread::scope(|s| {
+            let w1 = s.spawn(|| store.context().put(&a, &va));
+            pause.wait_parked();
+            ctx.put(&b, &vb).unwrap();
+            let c = s.spawn(|| store.checkpoint_now());
+            // A DIPPER checkpoint runs past the parked op; a CoW trigger
+            // waits for it to commit.
+            wait_until("the checkpoint", || {
+                c.is_finished() || store.inner.cow.as_ref().is_some_and(|c| c.is_busy())
+            });
+            pause.release(true);
+            w1.join().unwrap().unwrap();
+            c.join().unwrap();
+        });
+        assert_eq!(store.checkpoints_completed(), 1);
+        assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
+        drop(ctx);
+        let r = DStore::recover(store.crash()).unwrap();
+        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        let ctx = r.context();
+        assert_eq!(ctx.get(&a).unwrap(), va);
+        assert_eq!(ctx.get(&b).unwrap(), vb);
+    }
+
+    #[test]
+    fn relocation_dipper_logical() {
+        relocation(CheckpointMode::Dipper, LoggingMode::Logical);
+    }
+
+    #[test]
+    fn relocation_dipper_physical() {
+        relocation(CheckpointMode::Dipper, LoggingMode::Physical);
+    }
+
+    #[test]
+    fn relocation_cow_logical() {
+        relocation(CheckpointMode::Cow, LoggingMode::Logical);
+    }
+
+    #[test]
+    fn relocation_cow_physical() {
+        relocation(CheckpointMode::Cow, LoggingMode::Physical);
+    }
+
+    /// α: the crash leaves W1's record pending ahead of W2's committed one
+    /// on the same shard, and recovery drops W1.
+    fn alpha(logging: LoggingMode) {
+        let store = store(CheckpointMode::Dipper, logging);
+        let (a, b) = (name_in(&store, 0, "a", 0), name_in(&store, 0, "b", 0));
+        let ctx = store.context();
+        let vb = value(3, 1);
+        abandon_parked(
+            &store,
+            &a,
+            || store.context().put(&a, &value(2, 1)),
+            || ctx.put(&b, &vb).unwrap(),
+        );
+        drop(ctx);
+        let r = DStore::recover(store.crash()).unwrap();
+        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        let ctx = r.context();
+        assert_eq!(ctx.get(&a), Err(DsError::NotFound));
+        assert_eq!(ctx.get(&b).unwrap(), vb);
+    }
+
+    #[test]
+    fn alpha_logical() {
+        alpha(LoggingMode::Logical);
+    }
+
+    #[test]
+    fn alpha_physical() {
+        alpha(LoggingMode::Physical);
+    }
+
+    /// β: W1 replaces `a` on a shard drained so that `a`'s old block is
+    /// the next one free; W2 creates `b` and commits while W1 is parked,
+    /// and W1 dies in the crash. `a` must still read its old value.
+    fn beta(logging: LoggingMode) {
+        let store = store(CheckpointMode::Dipper, logging);
+        let (a, b) = (name_in(&store, 0, "a", 0), name_in(&store, 0, "b", 0));
+        let ctx = store.context();
+        let old = value(1, 1);
+        ctx.put(&a, &old).unwrap();
+        // Leave the shard exactly the two blocks W1's replace takes.
+        let d = store.inner.domain();
+        let mut n = 0;
+        while d.pool_free_in(0) > 2 {
+            let blocks = (d.pool_free_in(0) - 2).min(64) as usize;
+            ctx.put(&name_in(&store, 0, "fill", n), &value(0, blocks))
+                .unwrap();
+            n += 1;
+        }
+        let vb = value(3, 1);
+        abandon_parked(
+            &store,
+            &a,
+            || store.context().put(&a, &value(2, 2)),
+            || ctx.put(&b, &vb).unwrap(),
+        );
+        drop(ctx);
+        let r = DStore::recover(store.crash()).unwrap();
+        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        let ctx = r.context();
+        assert_eq!(ctx.get(&a).unwrap(), old);
+        assert_eq!(ctx.get(&b).unwrap(), vb);
+    }
+
+    #[test]
+    fn beta_logical() {
+        beta(LoggingMode::Logical);
+    }
+
+    #[test]
+    fn beta_physical() {
+        beta(LoggingMode::Physical);
     }
 }

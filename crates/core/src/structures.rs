@@ -11,11 +11,12 @@
 //! or a PMEM shadow region during checkpoint replay / recovery) and
 //! implements every logged operation in two phases:
 //!
-//! * **plan** — the block-pool interactions (steps ③/④ of Figure 4).
-//!   These *must* execute in log order: the pool is a FIFO whose pops are
-//!   only reproducible if replay consumes it in the same sequence the
-//!   frontend did, which the frontend guarantees by planning inside the
-//!   same critical section that appends the record (steps ①–⑤).
+//! * **plan** — the block-pool interactions (steps ③/④ of Figure 4). The
+//!   frontend *claims* free blocks by id ([`Domain::claim`]) and its
+//!   record names every id it claimed. The blocks an op frees are only
+//!   listed; the frontend returns them ([`Domain::release`]) after the
+//!   op's record commits, so no block is reused while the op that frees
+//!   it can still die.
 //! * **install** — the metadata-zone and B-tree updates (steps ⑥/⑦).
 //!   These touch only the operation's own object, so by observational
 //!   equivalence they may run outside the synchronous region and in
@@ -23,18 +24,20 @@
 //!   may differ between domains while observable state stays identical
 //!   (§3.7).
 //!
-//! [`Domain::replay`] is the composition of both phases and is what
-//! checkpoint replay and recovery execute, record by record.
+//! [`Domain::replay`] is what checkpoint replay and recovery execute,
+//! record by record: it claims the ids the record names, releases the
+//! blocks the record freed, and installs. Claims and releases are atomic
+//! adds on the ownership map, so records on different objects replay in
+//! any order.
 
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, PhysImage, PutParams};
 use dstore_arena::{Arena, ArenaPod, Memory, RelPtr};
-use dstore_dipper::record::{self, RecordView};
+use dstore_dipper::record::RecordView;
 use dstore_dipper::OP_NOOP;
 use dstore_index::{fnv1a, BTreeHandle, BTreeHeader};
-use parking_lot::RwLock;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Upper bound on block-pool shards (a `Directory` sanity limit; the
 /// config validates the same range).
@@ -62,9 +65,14 @@ pub struct Directory {
     /// Object-index B-tree header.
     pub btree: RelPtr<BTreeHeader>,
     /// SSD block pool: the first of `pool_shards` contiguous
-    /// [`PoolHeader`]s (free allocation blocks, sharded by object-name
-    /// hash so non-conflicting writers allocate without contending).
+    /// [`PoolHeader`]s, one per id range of the ownership map (sharded so
+    /// that writers on different shards allocate without contending).
     pub block_pool: RelPtr<PoolHeader>,
+    /// The ownership map: one byte per block, counting the objects that
+    /// own it — 0 (free) or 1 in a consistent pool.
+    pub owners: RelPtr<u8>,
+    /// Allocation blocks in the pool (bytes of the ownership map).
+    pub blocks: u64,
     /// Live object count.
     pub live_objects: u64,
     /// Logical bytes stored across all objects.
@@ -114,21 +122,23 @@ pub struct Overflow {
 // SAFETY: repr(C) pods; zero-valid.
 unsafe impl ArenaPod for Overflow {}
 
-/// A FIFO ring of free u64 items in the arena — the paper's block pool
-/// ("circular buffers containing free blocks", §4.2). FIFO order is
-/// load-bearing: it makes allocation deterministic under log-order replay
-/// and maximizes the reuse distance of freed blocks.
+/// One shard of the SSD block pool: the id range `[lo, hi)` of the
+/// ownership map, with its free count and next-fit cursor. The paper's
+/// pool is circular buffers (§4.2), which replay right only if popped in
+/// frontend order; an owner byte per block lets a record name its ids
+/// and replay claim exactly those, in any order (DESIGN.md §6a, 2).
 #[repr(C)]
 #[derive(Debug)]
 pub struct PoolHeader {
-    /// Ring capacity.
-    pub capacity: u64,
-    /// Index of the next item to pop.
-    pub head: u64,
-    /// Items currently in the ring.
-    pub count: u64,
-    /// The ring storage (`capacity` u64s).
-    pub items: RelPtr<u64>,
+    /// First block id of the range.
+    pub lo: u64,
+    /// One past the range's last block id.
+    pub hi: u64,
+    /// Free blocks in the range (updated atomically).
+    pub free: u64,
+    /// Where the range's next claim starts looking (frontend only, under
+    /// the shard's lock).
+    pub cursor: u64,
 }
 // SAFETY: repr(C) pods; zero-valid.
 unsafe impl ArenaPod for PoolHeader {}
@@ -139,15 +149,34 @@ pub fn blocks_for_geometry(size: u64, block_bytes: u64) -> u64 {
     size.div_ceil(block_bytes)
 }
 
-/// The result of a put/create plan: the object's final block list.
+/// The result of a put/create (or delete) plan: the object's final block
+/// list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PutPlan {
     /// What kind of mutation this is.
     pub kind: PutKind,
-    /// The object's final, complete block list.
+    /// The object's final, complete block list: claimed by this plan
+    /// unless it is a touch.
     pub blocks: Vec<u64>,
-    /// Blocks returned to the pool (diagnostics / physical logging).
+    /// The object's old blocks, which the op frees: the frontend releases
+    /// them once the op's record commits.
     pub freed: Vec<u64>,
+}
+
+/// The blocks a plan claimed: the frontend releases them again if the
+/// plan's record is never logged.
+pub trait Claims {
+    /// The claimed block ids.
+    fn claims(&self) -> &[u64];
+}
+
+impl Claims for PutPlan {
+    fn claims(&self) -> &[u64] {
+        match self.kind {
+            PutKind::Touch => &[],
+            _ => &self.blocks,
+        }
+    }
 }
 
 /// Classification of a put.
@@ -169,13 +198,14 @@ pub struct ExtendPlan {
     pub blocks: Vec<u64>,
     /// New object size.
     pub new_size: u64,
+    /// How many ids at the end of `blocks` this plan claimed.
+    pub claimed: usize,
 }
 
-/// The result of a delete plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeletePlan {
-    /// Blocks that were returned to the pool.
-    pub freed: Vec<u64>,
+impl Claims for ExtendPlan {
+    fn claims(&self) -> &[u64] {
+        &self.blocks[self.blocks.len() - self.claimed..]
+    }
 }
 
 /// How a [`Domain`] call synchronizes B-tree access against other
@@ -184,8 +214,9 @@ pub struct DeletePlan {
 /// Serial replay owns its domain, and frontend ops hold the store's
 /// `btree_lock` around every lookup, insert and remove, so both pass
 /// [`IndexSync::Exclusive`] (no locking here). OE-parallel replay workers
-/// each own disjoint pool shards — their pool and metadata-entry accesses
-/// never collide — but they share one B-tree through
+/// each own disjoint name groups — their metadata-entry accesses never
+/// collide, and their pool claims are atomic adds — but they share one
+/// B-tree through
 /// [`IndexSync::Shared`]: lookups take a shared `RwLock` `read`,
 /// structural mutations take it `write`, and write-lock *hold* time is
 /// charged to `write_ns` — the sum across workers is the irreducibly
@@ -260,24 +291,19 @@ impl IndexSync<'_> {
 /// One control-plane domain: the structures of [`Directory`] bound to the
 /// arena they live in.
 ///
-/// Synchronization is the *caller's* job (the store wraps plan calls in
-/// the pool lock and install calls in the B-tree lock; replay is
-/// single-threaded per domain, or sharded across domains with
+/// Synchronization is the *caller's* job (the store passes its shard
+/// locks to [`Domain::claim`] and wraps install calls in the B-tree lock;
+/// replay is single-threaded per domain, or sharded across domains with
 /// [`IndexSync::Shared`] guarding the B-tree).
 pub struct Domain<'a, M: Memory> {
     arena: &'a Arena<M>,
     dir: RelPtr<Directory>,
-    /// Whether a pool pop since the last [`Domain::take_stole`] came from
-    /// a foreign shard. `Cell` (not atomic) on purpose: it also makes
-    /// `Domain` `!Sync`, so a domain can never be shared across replay
-    /// workers by accident — each worker attaches its own.
-    stole: Cell<bool>,
 }
 
 impl<'a, M: Memory> Domain<'a, M> {
     /// Formats a fresh domain in `arena`: directory, empty B-tree, and a
-    /// block pool pre-filled with every data block of an `ssd_pages`-page
-    /// device (page 0 is the superblock and is never pooled). Blocks are
+    /// block pool holding every data block of an `ssd_pages`-page device
+    /// free (page 0 is the superblock and is never pooled). Blocks are
     /// the default single page.
     pub fn format(arena: &'a Arena<M>, ssd_pages: u64) -> Self {
         Self::format_with_geometry(arena, ssd_pages, 1)
@@ -290,16 +316,14 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     /// [`Domain::format_with_geometry`] with the block pool split into
-    /// `shards` FIFO rings. Object names hash to a *home* shard
-    /// ([`Domain::shard_of_name`]); the frontend serializes pool
-    /// interactions per shard instead of globally, so allocations from
-    /// writers on different shards run concurrently. Each ring has full
-    /// capacity (freed blocks follow the freeing *name*, so any shard
-    /// may in principle come to hold every block). The initial fill
-    /// stripes contiguous ascending id ranges across shards, preserving
-    /// the sequential-allocation SSD write pattern within a shard.
+    /// `shards` contiguous ascending id ranges, each with its own free
+    /// count and cursor. Object names hash to a *home* shard
+    /// ([`Domain::shard_of_name`]) whose range their claims try first;
+    /// the frontend serializes claims per shard instead of globally, so
+    /// writers on different shards allocate concurrently, and claiming
+    /// next-fit within a range keeps the SSD write pattern sequential.
     ///
-    /// `shards` is clamped to `[1, min(MAX_POOL_SHARDS, capacity)]` and
+    /// `shards` is clamped to `[1, min(MAX_POOL_SHARDS, blocks)]` and
     /// recorded in the [`Directory`], making replay and recovery
     /// self-describing.
     pub fn format_with_shards(
@@ -312,39 +336,34 @@ impl<'a, M: Memory> Domain<'a, M> {
         assert!(ssd_pages > pages_per_block, "SSD too small");
         let dir: RelPtr<Directory> = arena.alloc();
         let btree = BTreeHandle::create(arena);
-        let capacity = (ssd_pages - 1) / pages_per_block;
-        let nshards = shards.clamp(1, MAX_POOL_SHARDS).min(capacity as usize) as u64;
-        let span = capacity.div_ceil(nshards);
+        let blocks = (ssd_pages - 1) / pages_per_block;
+        let nshards = shards.clamp(1, MAX_POOL_SHARDS).min(blocks as usize) as u64;
+        let span = blocks.div_ceil(nshards);
         let pool = RelPtr::<PoolHeader>::from_offset(
             arena.alloc_block(nshards as usize * std::mem::size_of::<PoolHeader>()),
         );
+        // Arena memory starts zeroed: every block free.
+        let owners = RelPtr::<u8>::from_offset(arena.alloc_block(blocks as usize));
         // SAFETY: fresh allocations, exclusive.
         unsafe {
             for s in 0..nshards {
-                let items = RelPtr::<u64>::from_offset(arena.alloc_block((capacity * 8) as usize));
-                let lo = s * span;
-                let hi = ((s + 1) * span).min(capacity);
-                let base = arena.resolve(items);
-                for (i, id) in (lo..hi).enumerate() {
-                    *base.add(i) = id;
-                }
-                let p = &mut *arena.resolve(pool).add(s as usize);
-                p.capacity = capacity;
-                p.head = 0;
-                p.count = hi.saturating_sub(lo);
-                p.items = items;
+                let (lo, hi) = ((s * span).min(blocks), ((s + 1) * span).min(blocks));
+                *arena.resolve(pool).add(s as usize) = PoolHeader {
+                    lo,
+                    hi,
+                    free: hi - lo,
+                    cursor: lo,
+                };
             }
             let d = &mut *arena.resolve(dir);
             d.btree = btree.header_ptr();
             d.block_pool = pool;
+            d.owners = owners;
+            d.blocks = blocks;
             d.pages_per_block = pages_per_block;
             d.pool_shards = nshards;
         }
-        Self {
-            arena,
-            dir,
-            stole: Cell::new(false),
-        }
+        Self { arena, dir }
     }
 
     /// SSD pages per allocation block.
@@ -365,11 +384,7 @@ impl<'a, M: Memory> Domain<'a, M> {
 
     /// Binds to an existing directory (shadow replay, recovery).
     pub fn attach(arena: &'a Arena<M>, dir: RelPtr<Directory>) -> Self {
-        Self {
-            arena,
-            dir,
-            stole: Cell::new(false),
-        }
+        Self { arena, dir }
     }
 
     /// The directory's arena offset (stored in the PMEM root).
@@ -413,159 +428,172 @@ impl<'a, M: Memory> Domain<'a, M> {
         unsafe { ((*self.arena.resolve(self.dir)).pool_shards).max(1) as usize }
     }
 
-    /// The shard that owns `name`'s pool interactions. Every pop *and*
-    /// push a record performs lands in its name's shard, so per-shard
-    /// plan order equals per-shard log order — the invariant replay
-    /// relies on ([`Domain::replay`] re-derives the same shard from the
-    /// record's name).
+    /// `name`'s home shard: the range its claims try first. Replay groups
+    /// records by it too, which keeps each object's records in LSN order
+    /// on one worker.
     pub fn shard_of_name(&self, name: &[u8]) -> usize {
         (fnv1a(name) % self.pool_shards() as u64) as usize
     }
 
-    /// Raw pointer to shard `s`'s header.
-    ///
-    /// # Safety
-    ///
-    /// `s < pool_shards()`; pool structures live; caller synchronizes.
-    unsafe fn shard_ptr(&self, s: usize) -> *mut PoolHeader {
-        debug_assert!(s < self.pool_shards());
-        self.arena
-            .resolve((*self.arena.resolve(self.dir)).block_pool)
-            .add(s)
-    }
-
-    /// Pops one free block from shard `s`.
-    fn shard_pop(&self, s: usize) -> Option<u64> {
-        // SAFETY: pool structures live; caller synchronizes the shard.
+    /// Shard `s`'s header.
+    fn shard(&self, s: usize) -> *mut PoolHeader {
+        let n = self.pool_shards();
+        assert!(s < n, "pool shard {s} of {n}");
+        // SAFETY: in bounds; pool structures live.
         unsafe {
-            let p = &mut *self.shard_ptr(s);
-            if p.count == 0 {
-                return None;
-            }
-            let base = self.arena.resolve(p.items);
-            let v = *base.add(p.head as usize);
-            p.head = (p.head + 1) % p.capacity;
-            p.count -= 1;
-            Some(v)
+            self.arena
+                .resolve((*self.arena.resolve(self.dir)).block_pool)
+                .add(s)
         }
     }
 
-    /// Pushes a freed block to shard `s`'s FIFO tail.
-    fn shard_push(&self, s: usize, id: u64) {
-        // SAFETY: as in shard_pop.
+    /// Shard `s`'s free count.
+    fn free_count(&self, s: usize) -> &AtomicU64 {
+        // SAFETY: the header is live; `AtomicU64` has `u64`'s layout.
+        unsafe { &*(&raw mut (*self.shard(s)).free as *const AtomicU64) }
+    }
+
+    /// The ownership map, indexed by block id.
+    fn owners(&self) -> &'a [AtomicU8] {
+        // SAFETY: the directory's map holds `blocks` bytes; `AtomicU8`
+        // has `u8`'s layout.
         unsafe {
-            let p = &mut *self.shard_ptr(s);
-            assert!(p.count < p.capacity, "pool overflow: double free?");
-            let base = self.arena.resolve(p.items);
-            *base.add(((p.head + p.count) % p.capacity) as usize) = id;
-            p.count += 1;
+            let d = &*self.arena.resolve(self.dir);
+            std::slice::from_raw_parts(
+                self.arena.resolve(d.owners) as *const AtomicU8,
+                d.blocks as usize,
+            )
         }
     }
 
-    /// Pops one free block, scanning shards in index order. Caller holds
-    /// every shard lock (frontend) or is the single replay thread.
-    pub fn pool_pop(&self) -> Option<u64> {
-        (0..self.pool_shards()).find_map(|s| self.shard_pop(s))
+    /// The shard whose range holds block `id`.
+    fn shard_of_block(&self, id: u64) -> usize {
+        let span = (self.owners().len() as u64).div_ceil(self.pool_shards() as u64);
+        (id / span) as usize
     }
 
-    /// Pushes a freed block to the first shard's FIFO tail. Kept for
-    /// single-shard callers (tests, tools); the write path and replay
-    /// use the name-directed pushes inside the plan functions.
-    pub fn pool_push(&self, id: u64) {
-        self.shard_push(0, id);
-    }
-
-    /// Pops `n` blocks for an operation on `name`: from the name's own
-    /// shard when it suffices, otherwise — with `allow_steal` — the
-    /// remainder is stolen from sibling shards in round-robin index
-    /// order starting after the own shard. Deterministic given the pool
-    /// state, which is what lets replay reproduce frontend allocations.
-    ///
-    /// Without `allow_steal`, an own-shard shortfall returns
-    /// [`DsError::ShardStarved`] (and pops nothing) so the caller can
-    /// retry holding every shard lock; a *global* shortfall is
-    /// [`DsError::OutOfSpace`]. Partial pops never leak.
-    pub fn pop_n_in(&self, name: &[u8], n: u64, allow_steal: bool) -> DsResult<Vec<u64>> {
+    /// Claims `n` free blocks for an operation on `name`: from its home
+    /// shard's range first, then from each following shard's in turn,
+    /// holding shard `s`'s lock (`locks[s]`) only for that range's claim.
+    /// A shortfall releases what it took and is [`DsError::OutOfSpace`].
+    pub fn claim(&self, name: &[u8], n: u64, locks: &[Mutex<()>]) -> DsResult<Vec<u64>> {
+        let mut out = Vec::new();
         if n == 0 {
-            return Ok(vec![]);
+            return Ok(out);
         }
-        let own = self.shard_of_name(name);
-        if self.pool_free_in(own) < n {
-            if !allow_steal {
-                return Err(DsError::ShardStarved);
-            }
-            if self.pool_free() < n {
-                return Err(DsError::OutOfSpace);
-            }
+        // More than the whole pool never fits: fail before reserving.
+        if n > self.owners().len() as u64 {
+            return Err(DsError::OutOfSpace);
         }
-        let ns = self.pool_shards();
-        let mut out = Vec::with_capacity(n as usize);
-        let mut s = own;
-        while (out.len() as u64) < n {
-            match self.shard_pop(s) {
-                Some(b) => {
-                    if s != own {
-                        self.stole.set(true);
-                    }
-                    out.push(b);
-                }
-                None => s = (s + 1) % ns,
+        out.reserve_exact(n as usize);
+        let shards = self.pool_shards();
+        let home = self.shard_of_name(name);
+        for s in (0..shards).map(|i| (home + i) % shards) {
+            let _g = locks[s].lock();
+            self.claim_in(s, n as usize - out.len(), &mut out);
+            if out.len() as u64 == n {
+                return Ok(out);
             }
         }
-        Ok(out)
+        self.release(&out);
+        Err(DsError::OutOfSpace)
     }
 
-    /// Whether any pop since the last call came from a foreign shard,
-    /// clearing the flag. The frontend checks this after planning and
-    /// stamps [`record::OP_STEAL_FLAG`] on the record, which is what
-    /// demotes the record's checkpoint window to serial replay.
-    pub fn take_stole(&self) -> bool {
-        self.stole.replace(false)
-    }
-
-    /// Reads the next `n` blocks [`Domain::pop_n_in`] would pop for
-    /// `name` (steal permitted), without popping. Used by physical-mode
-    /// logging to encode the post-image before the record is appended
-    /// (the actual pops happen only if the append wins its conflict
-    /// check, and return exactly these ids — all under the shard locks).
-    pub fn pool_peek_for(&self, name: &[u8], n: u64) -> Option<Vec<u64>> {
-        if self.pool_free() < n {
-            return None;
+    /// Claims up to `want` free blocks of shard `s` into `out`, next-fit
+    /// from its cursor, under the shard's lock. A release clears its byte
+    /// before it counts it, so one lap finds every block `free` counts.
+    fn claim_in(&self, s: usize, want: usize, out: &mut Vec<u64>) {
+        let free = self.free_count(s);
+        let take = (free.load(Ordering::Acquire) as usize).min(want);
+        if take == 0 {
+            return;
         }
-        let ns = self.pool_shards();
-        let own = self.shard_of_name(name);
-        let mut out = Vec::with_capacity(n as usize);
-        // One pass per shard mirrors `pop_n_in` exactly when the caller
-        // holds the relevant locks (counts are stable, so the pop never
-        // revisits a drained shard). Bounding the scan also keeps a peek
-        // that races unlocked siblings from spinning.
-        for i in 0..ns {
-            let s = (own + i) % ns;
-            // SAFETY: read-only under the caller's shard locks.
-            unsafe {
-                let p = &*self.shard_ptr(s);
-                let take = (n - out.len() as u64).min(p.count);
-                let base = self.arena.resolve(p.items);
-                for k in 0..take {
-                    out.push(*base.add(((p.head + k) % p.capacity) as usize));
-                }
-            }
-            if (out.len() as u64) == n {
+        let owners = self.owners();
+        let h = self.shard(s);
+        // SAFETY: the caller's lock makes the header's cursor ours.
+        let (lo, hi, mut id) = unsafe { ((*h).lo, (*h).hi, (*h).cursor) };
+        let mut got = 0;
+        for _ in lo..hi {
+            if got == take {
                 break;
             }
+            let o = &owners[id as usize];
+            if o.load(Ordering::Relaxed) == 0 {
+                o.store(1, Ordering::Relaxed);
+                out.push(id);
+                got += 1;
+            }
+            id = if id + 1 == hi { lo } else { id + 1 };
         }
-        ((out.len() as u64) == n).then_some(out)
+        assert_eq!(
+            got, take,
+            "pool shard {s} counted free blocks its map lacks"
+        );
+        // SAFETY: as above.
+        unsafe { (*h).cursor = id };
+        free.fetch_sub(take as u64, Ordering::Relaxed);
     }
 
-    /// Free blocks remaining in shard `s`.
+    /// Returns blocks to the pool, each to its own shard's range, and
+    /// reports whether every one was owned exactly once. Needs no lock: a
+    /// claim takes only bytes that read 0.
+    pub fn release(&self, ids: &[u64]) -> bool {
+        let owners = self.owners();
+        let mut owned_once = true;
+        for &id in ids {
+            owned_once &= owners[id as usize].fetch_sub(1, Ordering::Relaxed) == 1;
+            self.free_count(self.shard_of_block(id))
+                .fetch_add(1, Ordering::Release);
+        }
+        owned_once
+    }
+
+    /// Replays a record's pool effects: `+1` on the owner byte of each id
+    /// it claimed and `−1` for each it freed (adds commute), noting every
+    /// id with the record's LSN in `touched`.
+    fn replay_pool(&self, claims: &[u64], freed: &[u64], lsn: u64, touched: &mut Vec<(u64, u64)>) {
+        let owners = self.owners();
+        for &id in claims {
+            owners[id as usize].fetch_add(1, Ordering::Relaxed);
+            self.free_count(self.shard_of_block(id))
+                .fetch_sub(1, Ordering::Relaxed);
+        }
+        self.release(freed);
+        touched.extend(claims.iter().chain(freed).map(|&id| (id, lsn)));
+    }
+
+    /// The `touched` ids whose owner count is neither 0 nor 1 — a double
+    /// claim or a release of a free block — as `(id, owners, lsn)`, once
+    /// per id with the last LSN that touched it. Only meaningful at a
+    /// window's end: inside one, other objects' claims and releases of an
+    /// id may apply in either order.
+    pub fn ownership_errors(&self, touched: &[(u64, u64)]) -> Vec<(u64, i8, u64)> {
+        let owners = self.owners();
+        let mut errors: Vec<_> = touched
+            .iter()
+            .filter_map(|&(id, lsn)| {
+                let n = owners[id as usize].load(Ordering::Relaxed);
+                (n > 1).then_some((id, n as i8, lsn))
+            })
+            .collect();
+        errors.sort_unstable_by_key(|&(id, _, lsn)| (id, std::cmp::Reverse(lsn)));
+        errors.dedup_by_key(|e| e.0);
+        errors
+    }
+
+    /// Free blocks remaining in shard `s`'s range.
     pub fn pool_free_in(&self, s: usize) -> u64 {
-        // SAFETY: read-only.
-        unsafe { (*self.shard_ptr(s)).count }
+        self.free_count(s).load(Ordering::Relaxed)
     }
 
     /// Free blocks remaining across all shards.
     pub fn pool_free(&self) -> u64 {
         (0..self.pool_shards()).map(|s| self.pool_free_in(s)).sum()
+    }
+
+    /// Blocks owned by objects or by in-flight claims.
+    pub fn pool_used(&self) -> u64 {
+        self.owners().len() as u64 - self.pool_free()
     }
 
     // ------------------------------------------------------------------
@@ -640,86 +668,76 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     // ------------------------------------------------------------------
-    // plan phase (pool interactions; log order)
+    // plan phase (frontend pool claims)
 
     /// Plans an [`ops::OP_PUT`]-family operation on `name`, whose current
-    /// metadata entry the caller looked up (under its index sync mode):
-    /// classifies it and performs the pool pops/pushes. Must run in
-    /// per-shard log-append order. The frontend's fast path passes
-    /// `allow_steal = false` while holding only the name's shard lock,
-    /// escalating to all locks + `true` on [`DsError::ShardStarved`].
+    /// metadata entry the caller looked up (under its index sync mode). A
+    /// create or a replace claims the new block list ([`Domain::claim`],
+    /// with the store's shard `locks`); a replace lists the old blocks in
+    /// `freed` for the caller to release once the record commits. The same
+    /// block count is a touch, which claims nothing.
     pub fn plan_put_entry(
         &self,
         entry: Option<RelPtr<MetaEntry>>,
         name: &[u8],
         size: u64,
-        allow_steal: bool,
+        locks: &[Mutex<()>],
     ) -> DsResult<PutPlan> {
         let need = blocks_for_geometry(size, self.block_bytes());
-        match entry {
+        let (kind, freed) = match entry {
             Some(e) => {
                 // SAFETY: CC guarantees no concurrent writer on `name`.
-                let (_, _, old_blocks) = self.read_entry(e);
-                if old_blocks.len() as u64 == need {
+                let (_, _, old) = self.read_entry(e);
+                if old.len() as u64 == need {
                     return Ok(PutPlan {
                         kind: PutKind::Touch,
-                        blocks: old_blocks,
+                        blocks: old,
                         freed: vec![],
                     });
                 }
-                let blocks = self.pop_n_in(name, need, allow_steal)?;
-                let home = self.shard_of_name(name);
-                for &b in &old_blocks {
-                    self.shard_push(home, b);
-                }
-                Ok(PutPlan {
-                    kind: PutKind::Replace,
-                    blocks,
-                    freed: old_blocks,
-                })
+                (PutKind::Replace, old)
             }
-            None => Ok(PutPlan {
-                kind: PutKind::Create,
-                blocks: self.pop_n_in(name, need, allow_steal)?,
-                freed: vec![],
-            }),
-        }
+            None => (PutKind::Create, vec![]),
+        };
+        Ok(PutPlan {
+            kind,
+            blocks: self.claim(name, need, locks)?,
+            freed,
+        })
     }
 
-    /// Plans an [`ops::OP_EXTEND`]: pops the additional blocks (entry and
-    /// steal permission as for [`Domain::plan_put_entry`]).
+    /// Plans an [`ops::OP_EXTEND`]: claims the additional blocks (entry
+    /// and locks as for [`Domain::plan_put_entry`]).
     pub fn plan_extend_entry(
         &self,
         entry: Option<RelPtr<MetaEntry>>,
         name: &[u8],
         offset: u64,
         len: u64,
-        allow_steal: bool,
+        locks: &[Mutex<()>],
     ) -> DsResult<ExtendPlan> {
         let e = entry.ok_or(DsError::NotFound)?;
         let (size, _, mut blocks) = self.read_entry(e);
         let new_size = size.max(offset + len);
         let need = blocks_for_geometry(new_size, self.block_bytes());
         let extra = need.saturating_sub(blocks.len() as u64);
-        blocks.extend(self.pop_n_in(name, extra, allow_steal)?);
-        Ok(ExtendPlan { blocks, new_size })
+        blocks.extend(self.claim(name, extra, locks)?);
+        Ok(ExtendPlan {
+            blocks,
+            new_size,
+            claimed: extra as usize,
+        })
     }
 
-    /// Plans an [`ops::OP_DELETE`]: pushes the object's blocks back to
-    /// the name's shard (pushes always land in the freeing name's shard,
-    /// so an op touches no shard but its own unless it steals).
-    pub fn plan_delete_entry(
-        &self,
-        entry: Option<RelPtr<MetaEntry>>,
-        name: &[u8],
-    ) -> DsResult<DeletePlan> {
+    /// Plans an [`ops::OP_DELETE`]: lists the object's blocks in `freed`
+    /// (released once the record commits) and claims nothing.
+    pub fn plan_delete_entry(&self, entry: Option<RelPtr<MetaEntry>>) -> DsResult<PutPlan> {
         let e = entry.ok_or(DsError::NotFound)?;
-        let (_, _, blocks) = self.read_entry(e);
-        let home = self.shard_of_name(name);
-        for &b in &blocks {
-            self.shard_push(home, b);
-        }
-        Ok(DeletePlan { freed: blocks })
+        Ok(PutPlan {
+            kind: PutKind::Replace,
+            blocks: vec![],
+            freed: self.read_entry(e).2,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -838,74 +856,74 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// Applies one committed log record to this domain — the deterministic
     /// state machine of §3.2 ("each logical operation translates to a set
     /// of functions to be performed on each data structure … used by the
-    /// recovery logic to update the shadow copies"). Single-threaded
-    /// replay: steals permitted, no B-tree locking. Returns whether the
-    /// record diverged (see [`Domain::replay_in`]).
-    pub fn replay(&self, rec: &RecordView<'_>) -> bool {
-        self.replay_in(rec, true, &IndexSync::Exclusive)
-    }
-
-    /// [`Domain::replay`] with explicit steal permission and B-tree sync
-    /// mode — the OE-parallel replay entry point. Workers replaying
-    /// disjoint shard groups pass `allow_steal = false` (a stolen
-    /// allocation in a supposedly steal-free window is a flag bug, and
-    /// the resulting `ShardStarved` panic surfaces it) plus a
-    /// [`IndexSync::Shared`] guarding the common B-tree. The record's
-    /// [`record::OP_STEAL_FLAG`] bit is masked off before dispatch.
+    /// recovery logic to update the shadow copies"). It claims the block
+    /// ids the record names, releases the blocks the record freed (the
+    /// object's old blocks, or a physical record's logged ones) and
+    /// installs the result; `sync` says how the B-tree is shared. Every
+    /// id claimed or released goes to `touched` with the record's LSN, for
+    /// the window's [`Domain::ownership_errors`] check.
     ///
-    /// Looks the record's name up once and hands that entry to both the
-    /// plan and the install, so a record costs one descent (two for a
-    /// create or a logical delete, whose insert/remove descend again).
+    /// Looks the record's name up once and uses that entry throughout, so
+    /// a record costs one descent (two for a create or a delete, whose
+    /// insert/remove descend again).
     ///
-    /// Returns whether the record *diverged* from the frontend: a physical
-    /// record whose pool pops returned other blocks than its logged
-    /// post-image names, a create whose insert displaced a mapping, or a
-    /// delete whose remove found another entry than its plan (or none).
-    /// Checked in every build; the caller counts it, and debug builds
-    /// panic.
-    pub fn replay_in(&self, rec: &RecordView<'_>, allow_steal: bool, sync: &IndexSync<'_>) -> bool {
-        let name = rec.name;
-        let diverged = match record::op_code(rec.op) {
+    /// Returns whether the record *diverged* from the frontend: a touch
+    /// or a delete of a missing object, a create whose insert displaced a
+    /// mapping, or a delete whose remove found another entry than its
+    /// lookup. Checked in every build; the caller counts it, and debug
+    /// builds panic.
+    pub fn replay(
+        &self,
+        rec: &RecordView<'_>,
+        sync: &IndexSync<'_>,
+        touched: &mut Vec<(u64, u64)>,
+    ) -> bool {
+        let (name, lsn) = (rec.name, rec.lsn);
+        let old_blocks = |e: Option<RelPtr<MetaEntry>>| e.map(|e| self.read_entry(e).2);
+        let diverged = match rec.op {
             OP_NOOP => false,
             ops::OP_PUT | ops::OP_TOUCH | ops::OP_CREATE => {
                 let p = PutParams::decode(rec.params).expect("valid put params");
                 let entry = sync.lookup(self, name);
-                let plan = self
-                    .plan_put_entry(entry, name, p.size, allow_steal)
-                    .expect("replay allocation mirrors frontend");
-                !self.install_put_entry(entry, name, p.size, &plan, rec.lsn, sync)
+                let touch = rec.op == ops::OP_TOUCH;
+                let (kind, freed) = match old_blocks(entry) {
+                    Some(_) if touch => (PutKind::Touch, vec![]),
+                    Some(old) => (PutKind::Replace, old),
+                    None => (PutKind::Create, vec![]),
+                };
+                let plan = PutPlan {
+                    kind,
+                    blocks: p.blocks,
+                    freed,
+                };
+                self.replay_pool(plan.claims(), &plan.freed, lsn, touched);
+                (touch && entry.is_none())
+                    | !self.install_put_entry(entry, name, p.size, &plan, lsn, sync)
             }
             ops::OP_EXTEND => {
                 let p = ExtendParams::decode(rec.params).expect("valid extend params");
-                let entry = sync.lookup(self, name);
-                let plan = self
-                    .plan_extend_entry(entry, name, p.offset, p.len, allow_steal)
-                    .expect("replay extension mirrors frontend");
-                let e = entry.expect("a successful extend plan read an entry");
-                self.install_extend_entry(e, &plan, rec.lsn);
+                let e = sync.lookup(self, name).expect("an extended object exists");
+                let (size, _, mut blocks) = self.read_entry(e);
+                self.replay_pool(&p.blocks, &[], lsn, touched);
+                blocks.extend_from_slice(&p.blocks);
+                let plan = ExtendPlan {
+                    blocks,
+                    new_size: size.max(p.offset + p.len),
+                    claimed: p.blocks.len(),
+                };
+                self.install_extend_entry(e, &plan, lsn);
                 false
             }
             ops::OP_DELETE => {
                 let entry = sync.lookup(self, name);
-                self.plan_delete_entry(entry, name)
-                    .expect("replay delete mirrors frontend");
-                self.install_delete_sync(name, sync) != entry
+                let freed = old_blocks(entry).unwrap_or_default();
+                self.replay_pool(&[], &freed, lsn, touched);
+                entry.is_none() || self.install_delete_sync(name, sync) != entry
             }
             ops::OP_PHYS_INSTALL => {
                 let img = PhysImage::decode(rec.params).expect("valid phys image");
-                let popped = self
-                    .pop_n_in(name, img.pops as u64, allow_steal)
-                    .expect("phys replay pool pop");
-                let pops_diverged = img.pops > 0 && popped != img.blocks;
-                debug_assert!(
-                    !pops_diverged,
-                    "physical replay diverged from the encoded post-image: popped {popped:?}, logged {:?}",
-                    img.blocks
-                );
-                let home = self.shard_of_name(name);
-                for &b in &img.pushes {
-                    self.shard_push(home, b);
-                }
+                let claims = &img.blocks[img.blocks.len() - img.pops as usize..];
+                self.replay_pool(claims, &img.pushes, lsn, touched);
                 let entry = sync.lookup(self, name);
                 let kind = match entry {
                     None => PutKind::Create,
@@ -917,23 +935,18 @@ impl<'a, M: Memory> Domain<'a, M> {
                     blocks: img.blocks,
                     freed: img.pushes,
                 };
-                let agreed = self.install_put_entry(entry, name, img.size, &plan, rec.lsn, sync);
-                pops_diverged || !agreed
+                !self.install_put_entry(entry, name, img.size, &plan, lsn, sync)
             }
             ops::OP_PHYS_DELETE => {
                 let img = PhysImage::decode(rec.params).expect("valid phys image");
-                let home = self.shard_of_name(name);
-                for &b in &img.pushes {
-                    self.shard_push(home, b);
-                }
+                self.replay_pool(&[], &img.pushes, lsn, touched);
                 self.install_delete_sync(name, sync).is_none()
             }
             other => panic!("unknown op code {other} in log"),
         };
         debug_assert!(
             !diverged,
-            "replay of LSN {} on {:?} diverged from the frontend",
-            rec.lsn,
+            "replay of LSN {lsn} on {:?} diverged from the frontend",
             String::from_utf8_lossy(name)
         );
         diverged
@@ -943,6 +956,8 @@ impl<'a, M: Memory> Domain<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LoggingMode;
+    use crate::ctx::put_record;
     use dstore_arena::DramMemory;
 
     fn domain(arena: &Arena<DramMemory>) -> Domain<'_, DramMemory> {
@@ -953,46 +968,83 @@ mod tests {
         Arena::create(DramMemory::new(16 << 20))
     }
 
-    /// Single-threaded shorthands: steal permitted, no B-tree sync.
+    /// Single-threaded shorthands: fresh shard locks, no B-tree sync, and
+    /// the freed blocks released at install, as the store does once the
+    /// record commits.
     impl<M: Memory> Domain<'_, M> {
+        fn locks(&self) -> Vec<Mutex<()>> {
+            (0..self.pool_shards()).map(|_| Mutex::new(())).collect()
+        }
+
         fn plan_put(&self, name: &[u8], size: u64) -> DsResult<PutPlan> {
-            self.plan_put_entry(self.lookup(name), name, size, true)
+            self.plan_put_entry(self.lookup(name), name, size, &self.locks())
         }
 
         fn plan_extend(&self, name: &[u8], offset: u64, len: u64) -> DsResult<ExtendPlan> {
-            self.plan_extend_entry(self.lookup(name), name, offset, len, true)
+            self.plan_extend_entry(self.lookup(name), name, offset, len, &self.locks())
         }
 
-        fn plan_delete(&self, name: &[u8]) -> DsResult<DeletePlan> {
-            self.plan_delete_entry(self.lookup(name), name)
+        fn plan_delete(&self, name: &[u8]) -> DsResult<PutPlan> {
+            self.plan_delete_entry(self.lookup(name))
         }
 
         fn install_put(&self, name: &[u8], size: u64, plan: &PutPlan, lsn: u64) {
             let e = self.lookup(name);
             assert!(self.install_put_entry(e, name, size, plan, lsn, &IndexSync::Exclusive));
+            assert!(self.release(&plan.freed));
         }
 
         fn install_extend(&self, name: &[u8], plan: &ExtendPlan, lsn: u64) {
             self.install_extend_entry(self.lookup(name).unwrap(), plan, lsn)
         }
 
-        fn install_delete(&self, name: &[u8]) {
+        fn install_delete(&self, name: &[u8], plan: &PutPlan) {
             let e = self.lookup(name);
             assert_eq!(self.install_delete_sync(name, &IndexSync::Exclusive), e);
+            assert!(self.release(&plan.freed));
+        }
+
+        /// The ownership map as plain bytes.
+        fn owner_map(&self) -> Vec<u8> {
+            self.owners()
+                .iter()
+                .map(|o| o.load(Ordering::Relaxed))
+                .collect()
+        }
+
+        /// Replays `records` in order on the exclusive path, checking the
+        /// window's ownership at the end; returns the divergences.
+        fn replay_all(&self, records: &[OwnedRecord]) -> usize {
+            let mut touched = vec![];
+            let diverged = records
+                .iter()
+                .filter(|r| self.replay(&r.view(), &IndexSync::Exclusive, &mut touched))
+                .count();
+            diverged + self.ownership_errors(&touched).len()
         }
     }
 
+    /// The name `tag{i}` for the first `i` whose home shard is `s`.
+    fn name_in<M: Memory>(d: &Domain<'_, M>, s: usize, tag: &str) -> Vec<u8> {
+        (0..)
+            .map(|i| format!("{tag}{i}").into_bytes())
+            .find(|n| d.shard_of_name(n) == s)
+            .unwrap()
+    }
+
     #[test]
-    fn format_fills_pool_fifo() {
+    fn format_fills_pool() {
         let a = arena();
         let d = domain(&a);
         assert_eq!(d.pool_free(), 1023);
-        assert_eq!(d.pool_pop(), Some(0));
-        assert_eq!(d.pool_pop(), Some(1));
-        d.pool_push(0);
-        // FIFO: 0 goes to the back, next pop is 2.
-        assert_eq!(d.pool_pop(), Some(2));
+        assert_eq!(d.claim(b"x", 2, &d.locks()), Ok(vec![0, 1]));
+        assert!(d.release(&[0]));
+        // Next fit: the cursor moves on, so block 0 waits for the wrap.
+        assert_eq!(d.claim(b"x", 1, &d.locks()), Ok(vec![2]));
         assert_eq!(d.pool_free(), 1021);
+        assert_eq!(d.pool_used(), 2);
+        // Releasing a free block is reported.
+        assert!(!d.release(&[0]));
         // Block 0 owns page 1 (page 0 is the superblock).
         assert_eq!(d.block_first_page(0), 1);
         assert_eq!(d.block_bytes(), 4096);
@@ -1017,8 +1069,8 @@ mod tests {
         d.install_put(b"small", 4096, &q, 2);
         assert_eq!(d.pool_free(), 252);
         // Delete returns blocks.
-        d.plan_delete(b"big").unwrap();
-        d.install_delete(b"big");
+        let del = d.plan_delete(b"big").unwrap();
+        d.install_delete(b"big", &del);
         assert_eq!(d.pool_free(), 254);
     }
 
@@ -1036,15 +1088,18 @@ mod tests {
         let p2 = d.plan_put(b"obj", 4000).unwrap();
         assert_eq!(p2.kind, PutKind::Touch);
         assert_eq!(p2.blocks, p1.blocks);
+        assert!(p2.claims().is_empty());
         d.install_put(b"obj", 4000, &p2, 2);
         assert_eq!(d.counters(), (1, 4000));
 
-        // Bigger: replace.
+        // Bigger: replace. The old block stays owned until the release.
         let p3 = d.plan_put(b"obj", 10_000).unwrap();
         assert_eq!(p3.kind, PutKind::Replace);
         assert_eq!(p3.blocks.len(), 3);
         assert_eq!(p3.freed, p1.blocks);
+        assert_eq!(d.pool_used(), 4);
         d.install_put(b"obj", 10_000, &p3, 3);
+        assert_eq!(d.pool_used(), 3);
         let e = d.lookup(b"obj").unwrap();
         let (size, version, blocks) = d.read_entry(e);
         assert_eq!(size, 10_000);
@@ -1062,7 +1117,8 @@ mod tests {
         assert_eq!(d.pool_free(), before - 2);
         let del = d.plan_delete(b"gone").unwrap();
         assert_eq!(del.freed, p.blocks);
-        d.install_delete(b"gone");
+        assert!(del.claims().is_empty());
+        d.install_delete(b"gone", &del);
         assert_eq!(d.pool_free(), before);
         assert!(d.lookup(b"gone").is_none());
         assert_eq!(d.counters(), (0, 0));
@@ -1100,6 +1156,7 @@ mod tests {
         assert_eq!(ext.new_size, 9096);
         assert_eq!(ext.blocks.len(), 3);
         assert_eq!(&ext.blocks[..1], &p.blocks[..]);
+        assert_eq!(ext.claims(), &ext.blocks[1..]);
         d.install_extend(b"f", &ext, 2);
         let (size, _, blocks) = d.read_entry(d.lookup(b"f").unwrap());
         assert_eq!(size, 9096);
@@ -1108,6 +1165,7 @@ mod tests {
         let free = d.pool_free();
         let ext2 = d.plan_extend(b"f", 0, 100).unwrap();
         assert_eq!(ext2.new_size, 9096);
+        assert!(ext2.claims().is_empty());
         assert_eq!(d.pool_free(), free);
     }
 
@@ -1132,13 +1190,34 @@ mod tests {
         assert_eq!(blocks.len(), 1);
     }
 
+    /// A shortfall across every range is `OutOfSpace`, and the ranges it
+    /// drained on the way are handed back: no partial claim survives.
     #[test]
     fn out_of_space_is_reported() {
         let a = arena();
-        let d = Domain::format(&a, 4); // 3 data blocks
-        assert!(d.plan_put(b"big", 4 * BLOCK_SIZE).is_err());
-        // Partial pops must not have leaked.
-        assert_eq!(d.pool_free(), 3);
+        let d = Domain::format_with_shards(&a, 9, 1, 2); // 8 blocks: 4 + 4
+        assert_eq!(d.plan_put(b"big", 9 * BLOCK_SIZE), Err(DsError::OutOfSpace));
+        assert_eq!(d.pool_free(), 8);
+        assert_eq!((d.pool_free_in(0), d.pool_free_in(1)), (4, 4));
+        assert_eq!(d.owner_map(), vec![0; 8]);
+        assert_eq!(d.plan_put(b"huge", u64::MAX / 2), Err(DsError::OutOfSpace));
+        // The whole pool is still claimable.
+        assert_eq!(d.plan_put(b"big", 8 * BLOCK_SIZE).unwrap().blocks.len(), 8);
+    }
+
+    /// When the home range is empty, a claim continues in the next one.
+    #[test]
+    fn claim_crosses_into_the_next_range() {
+        let a = arena();
+        let d = Domain::format_with_shards(&a, 9, 1, 2); // 8 blocks: 4 + 4
+        let name = name_in(&d, 1, "n");
+        assert_eq!(d.claim(&name, 3, &d.locks()), Ok(vec![4, 5, 6]));
+        // One left at home, then the range of shard 0 (wrapping).
+        assert_eq!(d.claim(&name, 3, &d.locks()), Ok(vec![7, 0, 1]));
+        assert_eq!((d.pool_free_in(0), d.pool_free_in(1)), (2, 0));
+        // A release returns each block to its own range.
+        assert!(d.release(&[7, 0]));
+        assert_eq!((d.pool_free_in(0), d.pool_free_in(1)), (3, 1));
     }
 
     #[test]
@@ -1151,13 +1230,10 @@ mod tests {
         let (size, _, blocks) = d.read_entry(d.lookup(b"empty").unwrap());
         assert_eq!(size, 0);
         assert!(blocks.is_empty());
-        d.plan_delete(b"empty").unwrap();
-        d.install_delete(b"empty");
+        let del = d.plan_delete(b"empty").unwrap();
+        d.install_delete(b"empty", &del);
     }
 
-    /// The determinism property underpinning DIPPER: replaying the logged
-    /// operations on a fresh domain reproduces block assignments and
-    /// observable state exactly.
     /// A committed record whose bytes the test owns, for feeding replay.
     struct OwnedRecord {
         lsn: u64,
@@ -1179,65 +1255,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_reproduces_frontend_state() {
-        let a1 = arena();
-        let front = domain(&a1);
-        let mut records: Vec<OwnedRecord> = vec![];
-        let mut lsn = 0u64;
-        let mut log_op = |op: u16, name: &[u8], params: Vec<u8>| {
-            lsn += 1;
-            OwnedRecord {
-                lsn,
+    /// A frontend that logs what it runs: every op plans, installs and
+    /// releases on `d` as the store would, and appends its record.
+    struct Front<'d, 'a> {
+        d: &'d Domain<'a, DramMemory>,
+        mode: LoggingMode,
+        records: Vec<OwnedRecord>,
+    }
+
+    impl Front<'_, '_> {
+        fn log(&mut self, name: &[u8], (op, params): (u16, Vec<u8>)) {
+            self.records.push(OwnedRecord {
+                lsn: self.records.len() as u64 + 1,
                 op,
                 name: name.to_vec(),
                 params,
-            }
-        };
-
-        // A busy little history: creates, touches, replaces, deletes,
-        // extends, across several objects.
-        for i in 0..40u64 {
-            let name = format!("obj{}", i % 7);
-            let size = (i % 5 + 1) * 3000;
-            let rec = log_op(
-                ops::OP_PUT,
-                name.as_bytes(),
-                PutParams { size }.encode().to_vec(),
-            );
-            let plan = front.plan_put(&rec.name, size).unwrap();
-            front.install_put(&rec.name, size, &plan, rec.lsn);
-            records.push(rec);
-            if i % 7 == 3 {
-                let (off, len) = (i * 1000, 9000);
-                let rec = log_op(
-                    ops::OP_EXTEND,
-                    name.as_bytes(),
-                    ExtendParams { offset: off, len }.encode().to_vec(),
-                );
-                let plan = front.plan_extend(&rec.name, off, len).unwrap();
-                front.install_extend(&rec.name, &plan, rec.lsn);
-                records.push(rec);
-            }
-            if i % 11 == 10 {
-                let rec = log_op(ops::OP_DELETE, name.as_bytes(), vec![]);
-                front.plan_delete(&rec.name).unwrap();
-                front.install_delete(&rec.name);
-                records.push(rec);
-            }
+            });
         }
 
-        // Replay on a fresh domain.
-        let a2 = arena();
-        let shadow = domain(&a2);
-        for rec in &records {
-            shadow.replay(&rec.view());
+        fn put(&mut self, name: &[u8], size: u64) -> DsResult<()> {
+            let plan = self.d.plan_put(name, size)?;
+            self.log(name, put_record(ops::OP_PUT, size, &plan, self.mode));
+            self.d
+                .install_put(name, size, &plan, self.records.len() as u64);
+            Ok(())
         }
 
-        // Observable equivalence: same objects, same sizes, same block
-        // lists, same pool state.
+        fn extend(&mut self, name: &[u8], offset: u64, len: u64) {
+            let plan = self.d.plan_extend(name, offset, len).unwrap();
+            let params = ExtendParams::encode(offset, len, plan.claims());
+            self.log(name, (ops::OP_EXTEND, params));
+            self.d
+                .install_extend(name, &plan, self.records.len() as u64);
+        }
+
+        fn delete(&mut self, name: &[u8]) {
+            let plan = self.d.plan_delete(name).unwrap();
+            let rec = match self.mode {
+                LoggingMode::Logical => (ops::OP_DELETE, vec![]),
+                LoggingMode::Physical => (
+                    ops::OP_PHYS_DELETE,
+                    PhysImage {
+                        size: 0,
+                        blocks: vec![],
+                        pops: 0,
+                        pushes: plan.freed.clone(),
+                    }
+                    .encode(),
+                ),
+            };
+            self.log(name, rec);
+            self.d.install_delete(name, &plan);
+        }
+    }
+
+    /// Observable equivalence of two domains: same objects, sizes, block
+    /// lists, counters and ownership map, shard by shard.
+    fn assert_same_state(front: &Domain<'_, DramMemory>, shadow: &Domain<'_, DramMemory>) {
         assert_eq!(front.counters(), shadow.counters());
-        assert_eq!(front.pool_free(), shadow.pool_free());
+        assert_eq!(front.owner_map(), shadow.owner_map());
+        for s in 0..front.pool_shards() {
+            assert_eq!(front.pool_free_in(s), shadow.pool_free_in(s), "shard {s}");
+        }
         let mut names = vec![];
         front.btree().for_each(|k, _| names.push(k.to_vec()));
         let mut shadow_names = vec![];
@@ -1251,62 +1330,58 @@ mod tests {
             assert_eq!(fe.0, se.0, "size of {}", String::from_utf8_lossy(n));
             assert_eq!(fe.2, se.2, "blocks of {}", String::from_utf8_lossy(n));
         }
-        // Pool contents in order must match too (future allocations
-        // diverge otherwise).
-        let pops_f: Vec<_> = (0..front.pool_free())
-            .map(|_| front.pool_pop().unwrap())
-            .collect();
-        let pops_s: Vec<_> = (0..shadow.pool_free())
-            .map(|_| shadow.pool_pop().unwrap())
-            .collect();
-        assert_eq!(pops_f, pops_s);
+    }
+
+    /// The determinism property underpinning DIPPER: replaying the logged
+    /// operations on a fresh domain reproduces block assignments and
+    /// observable state exactly.
+    #[test]
+    fn replay_reproduces_frontend_state() {
+        let a1 = arena();
+        let front = domain(&a1);
+        let mut f = Front {
+            d: &front,
+            mode: LoggingMode::Logical,
+            records: vec![],
+        };
+        // A busy little history: creates, touches, replaces, deletes,
+        // extends, across several objects.
+        for i in 0..40u64 {
+            let name = format!("obj{}", i % 7);
+            f.put(name.as_bytes(), (i % 5 + 1) * 3000).unwrap();
+            if i % 7 == 3 {
+                f.extend(name.as_bytes(), i * 1000, 9000);
+            }
+            if i % 11 == 10 {
+                f.delete(name.as_bytes());
+            }
+        }
+        let a2 = arena();
+        let shadow = domain(&a2);
+        assert_eq!(shadow.replay_all(&f.records), 0);
+        assert_same_state(&front, &shadow);
     }
 
     #[test]
     fn physical_records_replay_equivalently() {
-        // Run a frontend history; encode it physically; replay on a fresh
-        // domain; states must match.
         let a1 = arena();
         let front = domain(&a1);
-        let mut records = vec![];
-        let mut lsn = 0u64;
+        let mut f = Front {
+            d: &front,
+            mode: LoggingMode::Physical,
+            records: vec![],
+        };
         for i in 0..20u64 {
-            lsn += 1;
             let name = format!("p{}", i % 4);
-            let size = (i % 3 + 1) * 4096;
-            let plan = front.plan_put(name.as_bytes(), size).unwrap();
-            front.install_put(name.as_bytes(), size, &plan, lsn);
-            let img = PhysImage {
-                size,
-                blocks: plan.blocks.clone(),
-                pops: if plan.kind == PutKind::Touch {
-                    0
-                } else {
-                    plan.blocks.len() as u32
-                },
-                pushes: plan.freed.clone(),
-            };
-            records.push(OwnedRecord {
-                lsn,
-                op: ops::OP_PHYS_INSTALL,
-                name: name.into_bytes(),
-                params: img.encode(),
-            });
+            f.put(name.as_bytes(), (i % 3 + 1) * 4096).unwrap();
+            if i % 9 == 8 {
+                f.delete(name.as_bytes());
+            }
         }
         let a2 = arena();
         let shadow = domain(&a2);
-        for r in &records {
-            shadow.replay(&r.view());
-        }
-        assert_eq!(front.counters(), shadow.counters());
-        assert_eq!(front.pool_free(), shadow.pool_free());
-        for i in 0..4 {
-            let name = format!("p{i}");
-            let fe = front.read_entry(front.lookup(name.as_bytes()).unwrap());
-            let se = shadow.read_entry(shadow.lookup(name.as_bytes()).unwrap());
-            assert_eq!(fe.0, se.0);
-            assert_eq!(fe.2, se.2);
-        }
+        assert_eq!(shadow.replay_all(&f.records), 0);
+        assert_same_state(&front, &shadow);
     }
 
     #[test]
@@ -1318,12 +1393,9 @@ mod tests {
         // Contiguous ascending stripes of 256 blocks per shard.
         for s in 0..4 {
             assert_eq!(d.pool_free_in(s), 256);
+            let name = name_in(&d, s, "s");
+            assert_eq!(d.claim(&name, 1, &d.locks()), Ok(vec![s as u64 * 256]));
         }
-        assert_eq!(d.shard_pop(0), Some(0));
-        assert_eq!(d.shard_pop(1), Some(256));
-        assert_eq!(d.shard_pop(3), Some(768));
-        // Global pop scans shards in index order.
-        assert_eq!(d.pool_pop(), Some(1));
         // Shard count excess is clamped to the block count.
         let a2 = arena();
         let tiny = Domain::format_with_shards(&a2, 4, 1, 8); // 3 blocks
@@ -1341,14 +1413,12 @@ mod tests {
             .filter(|&s| s != own)
             .map(|s| d.pool_free_in(s))
             .sum();
-        let p = d
-            .plan_put_entry(d.lookup(name), name, 3 * 4096, false)
-            .unwrap();
+        let p = d.plan_put(name, 3 * 4096).unwrap();
         assert_eq!(p.blocks.len(), 3);
         assert_eq!(d.pool_free_in(own), 256 - 3);
         d.install_put(name, 3 * 4096, &p, 1);
-        // Replace frees the old blocks into the same shard.
-        let p2 = d.plan_put_entry(d.lookup(name), name, 4096, false).unwrap();
+        // Replace frees the old blocks back into their own range.
+        let p2 = d.plan_put(name, 4096).unwrap();
         d.install_put(name, 4096, &p2, 2);
         assert_eq!(d.pool_free_in(own), 256 - 1);
         let now_other: u64 = (0..4)
@@ -1359,88 +1429,73 @@ mod tests {
     }
 
     #[test]
-    fn starved_shard_reports_and_steals_deterministically() {
-        let a = arena();
-        let d = Domain::format_with_shards(&a, 9, 1, 2); // 8 blocks: 4 + 4
-        let name = b"n";
-        let own = d.shard_of_name(name);
-        // Drain the own shard.
-        let drained = d.pop_n_in(name, 4, false).unwrap();
-        assert_eq!(drained.len(), 4);
-        assert_eq!(d.pool_free_in(own), 0);
-        // Starved without steal; nothing popped.
-        assert_eq!(d.pop_n_in(name, 2, false), Err(DsError::ShardStarved));
-        assert_eq!(d.pool_free(), 4);
-        // Peek predicts exactly what the stealing pop takes.
-        let peeked = d.pool_peek_for(name, 2).unwrap();
-        let stolen = d.pop_n_in(name, 2, true).unwrap();
-        assert_eq!(peeked, stolen);
-        assert_eq!(d.pool_free(), 2);
-        // Global exhaustion is OutOfSpace, and partial pops never leak.
-        assert_eq!(d.pop_n_in(name, 3, true), Err(DsError::OutOfSpace));
-        assert_eq!(d.pool_free(), 2);
-    }
-
-    #[test]
     fn sharded_replay_reproduces_frontend_state() {
-        // Mixed history over a 4-shard pool, including cross-shard
-        // steals, replayed on a fresh 4-shard domain.
+        // Mixed history over a 4-shard pool whose values overflow their
+        // home range, replayed on a fresh 4-shard domain.
         let a1 = arena();
         let front = Domain::format_with_shards(&a1, 257, 1, 4); // 256 blocks
-        let mut records: Vec<OwnedRecord> = vec![];
-        let mut lsn = 0u64;
+        let mut f = Front {
+            d: &front,
+            mode: LoggingMode::Logical,
+            records: vec![],
+        };
         for i in 0..60u64 {
-            lsn += 1;
             let name = format!("obj{}", i % 9);
-            // Large enough that some shards starve and steal.
             let size = (i % 4 + 1) * 20 * 4096;
-            let rec = OwnedRecord {
-                lsn,
-                op: ops::OP_PUT,
-                name: name.clone().into_bytes(),
-                params: PutParams { size }.encode().to_vec(),
-            };
-            // Steal-permitted, like the frontend's escalated path.
-            match front.plan_put(&rec.name, size) {
-                Ok(plan) => {
-                    front.install_put(&rec.name, size, &plan, rec.lsn);
-                    records.push(rec);
-                }
-                Err(DsError::OutOfSpace) => {
-                    lsn -= 1;
-                    let del = OwnedRecord {
-                        lsn: lsn + 1,
-                        op: ops::OP_DELETE,
-                        name: name.into_bytes(),
-                        params: vec![],
-                    };
-                    if front.plan_delete(&del.name).is_ok() {
-                        lsn += 1;
-                        front.install_delete(&del.name);
-                        records.push(del);
-                    }
-                }
-                Err(e) => panic!("unexpected plan error {e}"),
+            if f.put(name.as_bytes(), size) == Err(DsError::OutOfSpace)
+                && front.lookup(name.as_bytes()).is_some()
+            {
+                f.delete(name.as_bytes());
             }
         }
         let a2 = arena();
         let shadow = Domain::format_with_shards(&a2, 257, 1, 4);
-        for rec in &records {
-            shadow.replay(&rec.view());
-        }
-        assert_eq!(front.counters(), shadow.counters());
-        assert_eq!(front.pool_free(), shadow.pool_free());
-        for s in 0..4 {
-            assert_eq!(front.pool_free_in(s), shadow.pool_free_in(s));
-        }
-        // Per-shard pool contents in FIFO order must match exactly.
-        loop {
-            let (f, s) = (front.pool_pop(), shadow.pool_pop());
-            assert_eq!(f, s);
-            if f.is_none() {
-                break;
+        assert_eq!(shadow.replay_all(&f.records), 0);
+        assert_same_state(&front, &shadow);
+    }
+
+    /// Claims and releases are adds on the ownership map, so two groups
+    /// of one window — one freeing a block, the other reusing it — leave
+    /// the same map in either order, though the reuse may apply first.
+    #[test]
+    fn group_order_does_not_change_the_map() {
+        let a0 = arena();
+        let front = Domain::format_with_shards(&a0, 9, 1, 2); // 8 blocks: 4 + 4
+        let (x, y) = (name_in(&front, 0, "x"), name_in(&front, 1, "y"));
+        let mut f = Front {
+            d: &front,
+            mode: LoggingMode::Logical,
+            records: vec![],
+        };
+        f.put(&x, 4 * BLOCK_SIZE).unwrap(); // all of range 0
+        let base = f.records.len();
+        f.delete(&x);
+        // `y`'s range has 4; the fifth comes from the range `x` freed.
+        f.put(&y, 5 * BLOCK_SIZE).unwrap();
+        let (prefix, window) = f.records.split_at(base);
+        let (group_x, group_y) = window.split_at(1);
+        let replayed = |first: &[OwnedRecord], second: &[OwnedRecord]| {
+            let a = arena();
+            let d = Domain::format_with_shards(&a, 9, 1, 2);
+            assert_eq!(d.replay_all(prefix), 0);
+            let records: Vec<_> = first.iter().chain(second).collect();
+            let mut touched = vec![];
+            for r in records {
+                assert!(!d.replay(&r.view(), &IndexSync::Exclusive, &mut touched));
             }
-        }
+            assert!(d.ownership_errors(&touched).is_empty());
+            (d.owner_map(), d.pool_free_in(0), d.pool_free_in(1))
+        };
+        let in_order = replayed(group_x, group_y);
+        assert_eq!(in_order, replayed(group_y, group_x));
+        assert_eq!(
+            in_order,
+            (
+                front.owner_map(),
+                front.pool_free_in(0),
+                front.pool_free_in(1)
+            )
+        );
     }
 
     #[test]
@@ -1456,5 +1511,6 @@ mod tests {
         assert_eq!(size, 6000);
         assert_eq!(blocks, p.blocks);
         assert_eq!(d2.pool_free(), d1.pool_free());
+        assert_eq!(d2.owner_map(), d1.owner_map());
     }
 }

@@ -1,8 +1,8 @@
 //! OE-parallel replay tests: serial-vs-parallel state equivalence on
 //! both checkpoint engines (random scripts, random crash points,
-//! including a mid-checkpoint crash for DIPPER), the forced-steal
-//! serialized fallback, the single-CPU clamp, and the engine's
-//! telemetry counters.
+//! including a mid-checkpoint crash for DIPPER), allocations that cross
+//! pool shards, the single-CPU clamp, and the engine's telemetry
+//! counters.
 //!
 //! The equivalence argument is two-layered: ops are issued from a single
 //! thread, so the in-memory model *is* the serial order; and every crash
@@ -38,14 +38,14 @@ fn parallel_usable() -> bool {
 }
 
 /// Checks which path a recovery's windows took: with more than one
-/// usable worker every non-empty window ran parallel or fell back on a
-/// steal flag; with one, every non-empty window ran serial as one group.
+/// usable worker every non-empty window ran parallel; with one, every
+/// non-empty window ran serial as one group.
 fn assert_recovery_path(store: &DStore, parallel: bool) -> Result<(), TestCaseError> {
     let r = store.recovery_report();
     let nonempty = (r.redo_records > 0) as u64 + (r.replayed_records > 0) as u64;
     let s = store.replay_stats();
     if parallel {
-        prop_assert_eq!(s.parallel_windows + s.serial_fallbacks, nonempty, "{:?}", s);
+        prop_assert_eq!(s.parallel_windows, nonempty, "{:?}", s);
     } else {
         prop_assert_eq!(s.parallel_windows, 0, "{:?}", s);
         prop_assert_eq!(s.groups, nonempty, "one group per serial window: {:?}", s);
@@ -163,7 +163,7 @@ proptest! {
 
 /// A steal-free multi-object workload must actually take the parallel
 /// path when more than one CPU is usable: more groups than windows
-/// (several shards per window) and zero serialized fallbacks.
+/// (several shards per window).
 #[test]
 fn parallel_path_engages_without_steals() {
     let cfg = DStoreConfig::small()
@@ -179,7 +179,6 @@ fn parallel_path_engages_without_steals() {
     store.checkpoint_now();
     let s = store.replay_stats();
     assert!(s.windows >= 1, "{s:?}");
-    assert_eq!(s.serial_fallbacks, 0, "{s:?}");
     if parallel_usable() {
         assert!(
             s.groups > s.windows,
@@ -190,20 +189,18 @@ fn parallel_path_engages_without_steals() {
     assert_eq!(s.records, 64);
 }
 
-/// Forced steals: tiny 64-way sharded pool where every value overflows
-/// its shard, so allocations escalate and steal. The steal flag must
-/// drive both the checkpoint applier and recovery into the serialized
-/// fallback — and the state must still match the model.
+/// Forced steals: a tiny 64-way sharded pool where every value overflows
+/// its home shard's range, so every allocation claims blocks from other
+/// shards. Records name their blocks, so both the checkpoint applier and
+/// recovery replay them on the parallel path — and the state must still
+/// match the model.
 #[test]
-fn steal_fallback_engages_and_stays_correct() {
-    let mut cfg = DStoreConfig::small()
+fn forced_steals_replay_in_parallel() {
+    let cfg = DStoreConfig::small()
         .with_logging(LoggingMode::Physical)
         .with_pool_shards(64)
         .with_auto_checkpoint(false)
         .with_replay_threads(test_threads());
-    // 64 full-capacity shard rings need a roomier shadow (the config
-    // validator prices them in).
-    cfg.shadow_size = 8 << 20;
     let block = cfg.pages_per_block * 4096;
     let store = DStore::create(cfg.clone()).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -219,16 +216,12 @@ fn steal_fallback_engages_and_stays_correct() {
     store.checkpoint_now();
     let s = store.replay_stats();
     assert!(s.windows >= 1, "{s:?}");
-    // Fallbacks are only *counted* when there is parallelism to give up.
     if parallel_usable() {
-        assert!(
-            s.serial_fallbacks >= 1,
-            "a steal-flagged window must degrade to serial replay: {s:?}"
-        );
+        assert_eq!(s.parallel_windows, s.windows, "{s:?}");
     }
 
-    // Steals *after* the checkpoint land in the active log, so recovery's
-    // replay window is also flagged and must also fall back.
+    // Steals *after* the checkpoint land in the active log, for
+    // recovery's replay window.
     for i in 0..6u32 {
         let k = format!("late{i}").into_bytes();
         let v = tagged(i as usize, 1, ((i as usize % 4) + 2) * 40 * block as usize);
@@ -241,10 +234,7 @@ fn steal_fallback_engages_and_stays_correct() {
     let rs = recovered.replay_stats();
     assert_eq!(rs.divergences, 0, "recovery replay: {rs:?}");
     if parallel_usable() {
-        assert!(
-            rs.serial_fallbacks >= 1,
-            "recovery of a stolen window must fall back: {rs:?}"
-        );
+        assert_eq!(rs.parallel_windows, rs.windows, "{rs:?}");
     }
     let ctx = recovered.context();
     for (k, v) in &model {
@@ -274,7 +264,6 @@ fn replay_counters_exported() {
         "dstore_replay_windows_total",
         "dstore_replay_groups_total",
         "dstore_replay_parallel_windows_total",
-        "dstore_replay_serial_fallbacks_total",
         "dstore_replay_records_total",
         "dstore_replay_serialized_ns_total",
         "dstore_replay_divergence_total",
@@ -354,7 +343,7 @@ fn single_cpu_recovery_takes_serial_path() {
         rs.groups, rs.windows,
         "serial windows are one group each: {rs:?}"
     );
-    assert_eq!((rs.parallel_windows, rs.serial_fallbacks), (0, 0), "{rs:?}");
+    assert_eq!(rs.parallel_windows, 0, "{rs:?}");
     assert_eq!(rs.divergences, 0, "{rs:?}");
     let ctx = recovered.context();
     for (k, v) in &model {
@@ -372,8 +361,8 @@ const MULTI_WINDOW_RECORDS: u32 = 3 * dstore_dipper::APPLY_WINDOW as u32 + 100;
 /// second left for recovery to redo. Both applies cross window
 /// boundaries with the same names on both sides of each, so a window
 /// replayed out of order or skipped shows up in the read-back. With more
-/// than one usable worker, every window of both applies is admitted to
-/// the parallel path (or falls back on a steal flag).
+/// than one usable worker, every window of both applies takes the
+/// parallel path.
 fn run_multi_window_case(threads: usize) {
     let parallel = usable_workers(threads) > 1;
     let mut cfg = DStoreConfig::small()
@@ -410,7 +399,7 @@ fn run_multi_window_case(threads: usize) {
     );
     assert_eq!(s.divergences, 0, "{s:?}");
     if parallel {
-        assert_eq!(s.parallel_windows + s.serial_fallbacks, s.windows, "{s:?}");
+        assert_eq!(s.parallel_windows, s.windows, "{s:?}");
     }
     assert_eq!(store.stats().snapshot().log_full_stalls, 0);
 
@@ -426,11 +415,7 @@ fn run_multi_window_case(threads: usize) {
     if parallel {
         // The active-log replay counts a window even when it is empty.
         let empty = (r.replayed_records == 0) as u64;
-        assert_eq!(
-            rs.parallel_windows + rs.serial_fallbacks,
-            rs.windows - empty,
-            "{rs:?}"
-        );
+        assert_eq!(rs.parallel_windows, rs.windows - empty, "{rs:?}");
     }
     let ctx = recovered.context();
     for (k, v) in &model {

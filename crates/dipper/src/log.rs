@@ -664,14 +664,6 @@ impl Reservation<'_> {
         }
     }
 
-    /// Marks the reserved record's allocation as having stolen pool
-    /// blocks from a foreign shard (see [`record::OP_STEAL_FLAG`]). Must
-    /// be called before [`Reservation::publish`] so the commit makes the
-    /// flag durable with the rest of the record.
-    pub fn set_steal_flag(&self) {
-        record::mark_steal(&self.log.pool, self.off);
-    }
-
     /// Writes the record body — the parallel persistence step (the
     /// paper's step ②). Runs concurrently with other publishers; only the
     /// reservation itself was serialized. Stores only: the commit persists

@@ -32,32 +32,6 @@ use dstore_pmem::PmemPool;
 /// operation codes are defined by the application (DStore).
 pub const OP_NOOP: u16 = 0;
 
-/// High bit of the op field: the operation's pool allocation *stole*
-/// blocks from a foreign shard. Parallel replay partitions records by
-/// the name's home shard, which reproduces allocations only while every
-/// pop comes from the home shard — a window containing a stolen
-/// allocation must be replayed serially (in log order) instead. The flag
-/// is set by the frontend after planning, before the record is
-/// published, so the commit persists it with the record.
-///
-/// The bit lives outside the checksummed region (the header checksum
-/// covers the validity word and name hash only), so flagging a reserved
-/// record is crash-safe: a torn op field can at worst demote a parallel
-/// window to the serial path.
-pub const OP_STEAL_FLAG: u16 = 0x8000;
-
-/// The operation code with the steal flag masked off.
-#[inline]
-pub fn op_code(op: u16) -> u16 {
-    op & !OP_STEAL_FLAG
-}
-
-/// Whether the record's allocation stole from a foreign shard.
-#[inline]
-pub fn op_stole(op: u16) -> bool {
-    op & OP_STEAL_FLAG != 0
-}
-
 /// `commit` values.
 pub const COMMIT_PENDING: u16 = 0;
 /// Data durable; replay this record.
@@ -167,16 +141,6 @@ pub fn write_header(pool: &PmemPool, off: usize, lsn: u64, total_len: usize, op:
     if !name.is_empty() {
         pool.write_bytes(off + HEADER_LEN, name);
     }
-}
-
-/// ORs [`OP_STEAL_FLAG`] into a reserved record's op field (store only —
-/// the commit makes it durable along with the rest of the header
-/// line). Must run before the record is published.
-pub fn mark_steal(pool: &PmemPool, off: usize) {
-    let mut ob = [0u8; 2];
-    pool.read_bytes(off + OFF_OP, &mut ob);
-    let op = u16::from_le_bytes(ob) | OP_STEAL_FLAG;
-    pool.write_bytes(off + OFF_OP, &op.to_le_bytes());
 }
 
 /// The byte range a commit fence must flush for a reserved-but-unflushed

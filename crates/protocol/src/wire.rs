@@ -288,7 +288,8 @@ pub fn encode_error(e: &DsError) -> (u8, String) {
         DsError::BadMode => (7, String::new()),
         DsError::ReservedName => (8, String::new()),
         DsError::ShardMismatch(s) => (9, s.clone()),
-        DsError::ShardStarved => (10, String::new()),
+        // Code 10 was an internal block-pool retry signal that could
+        // never reach a client; it is retired and never reused.
         DsError::Io(s) => (11, s.clone()),
         DsError::Protocol(s) => (12, s.clone()),
         DsError::Busy => (13, String::new()),
@@ -315,7 +316,6 @@ pub fn decode_error(code: u8, detail: &str) -> DsResult<DsError> {
         7 => DsError::BadMode,
         8 => DsError::ReservedName,
         9 => DsError::ShardMismatch(detail.into()),
-        10 => DsError::ShardStarved,
         11 => DsError::Io(detail.into()),
         12 => DsError::Protocol(detail.into()),
         13 => DsError::Busy,
@@ -542,7 +542,6 @@ mod tests {
             DsError::BadMode,
             DsError::ReservedName,
             DsError::ShardMismatch("seed".into()),
-            DsError::ShardStarved,
             DsError::Io("pipe".into()),
             DsError::Protocol("junk".into()),
             DsError::Busy,
@@ -558,6 +557,11 @@ mod tests {
             assert_eq!(id, i as u64);
             assert_eq!(&got.unwrap_err(), want);
         }
+    }
+
+    #[test]
+    fn retired_error_code_is_rejected() {
+        assert!(decode_error(10, "").is_err());
     }
 
     #[test]
