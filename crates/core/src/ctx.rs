@@ -29,7 +29,7 @@ use crate::structures::{
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
 use dstore_dipper::log::LogFull;
-use dstore_dipper::{RecordHandle, OP_NOOP};
+use dstore_dipper::{record, RecordHandle, OP_NOOP};
 use dstore_telemetry::trace::{
     ActiveTrace, SEG_ALLOC, SEG_CC_WAIT, SEG_COMMIT, SEG_INDEX, SEG_LOG_APPEND, SEG_LOG_FLUSH,
     SEG_LOG_STALL, SEG_LOOKUP, SEG_NET_QUEUE, SEG_SSD_READ, SEG_SSD_WRITE,
@@ -559,7 +559,11 @@ impl DsContext {
     /// its blocks, so replay needs no particular order of claims across
     /// ops. The record body is written after the reservation — appenders
     /// publish concurrently. An attempt whose record is never logged (a
-    /// full log, a conflict) releases its claims before it retries.
+    /// full log, a conflict) releases its claims before it retries; a
+    /// record over [`OpLog::max_record_len`] releases them and fails with
+    /// [`DsError::RecordTooLarge`].
+    ///
+    /// [`OpLog::max_record_len`]: dstore_dipper::OpLog::max_record_len
     ///
     /// The op holds the drain lock `read` from before its claims until it
     /// commits, so a CoW trigger, which takes it `write`, swaps the log
@@ -643,6 +647,11 @@ impl DsContext {
                     Err(e) => break 'outcome Outcome::Failed(e),
                 };
                 let (op, params) = encode(&p, inner.cfg.logging);
+                let len = record::encoded_len(name.len(), params.len());
+                if len > inner.log.max_record_len() {
+                    d.release(p.claims());
+                    break 'outcome Outcome::Failed(DsError::RecordTooLarge(len));
+                }
                 at.mark(SEG_ALLOC);
                 // Step ②a: reserve the record slot (short serialized
                 // step: LSN + header + conflict scan).

@@ -42,6 +42,11 @@ pub enum DsError {
     /// rejected instead of buffered. Retry after backoff — acknowledged
     /// operations are never dropped, `Busy` is refused admission.
     Busy,
+    /// The op's log record would be this many bytes, over the largest
+    /// record the log takes: its blocks fall in too many runs of
+    /// consecutive ids (or, in physical mode, the object has too many
+    /// blocks). Nothing was logged and no block stays claimed.
+    RecordTooLarge(usize),
 }
 
 impl fmt::Display for DsError {
@@ -61,6 +66,7 @@ impl fmt::Display for DsError {
             DsError::Io(e) => write!(f, "io error: {e}"),
             DsError::Protocol(e) => write!(f, "protocol error: {e}"),
             DsError::Busy => write!(f, "server busy: shard queue full, retry after backoff"),
+            DsError::RecordTooLarge(n) => write!(f, "log record too large: {n} bytes"),
         }
     }
 }
@@ -131,6 +137,7 @@ mod tests {
             (DsError::Io("disk gone".into()), "io error"),
             (DsError::Protocol("bad magic".into()), "protocol error"),
             (DsError::Busy, "server busy"),
+            (DsError::RecordTooLarge(70_000), "log record too large"),
         ];
         for (err, prefix) in cases {
             let msg = err.to_string();

@@ -4,8 +4,11 @@
 //! parameters within the log record … The input parameters (excluding
 //! data) for all operations are stored in the log record" (§3.4, §4.3).
 //! Each op's parameters are little-endian u64s — fixed fields, then the
-//! ids of the blocks the op claimed — so decoding tolerates the record's
-//! padding (under 8 bytes).
+//! blocks the op claimed as runs of consecutive ids, one word a run — so
+//! decoding tolerates the record's padding (under 8 bytes). Next-fit
+//! claims are mostly one long run, so a record's size does not grow with
+//! its object's; a claim too scattered to fit one record is refused with
+//! [`DsError::RecordTooLarge`] (DESIGN §6c).
 //!
 //! The physical encoding ([`PhysImage`]) is used only in
 //! [`crate::LoggingMode::Physical`]: it carries the metadata post-image,
@@ -36,17 +39,34 @@ pub const OP_PHYS_DELETE: u16 = 17;
 
 // OP 0 is dstore_dipper::OP_NOOP (olock).
 
-/// Encodes `fields` then `blocks`, all little-endian u64s.
+/// Bits of a run word holding the run's length less one; the run's first
+/// block id sits above them.
+const RUN_LEN_BITS: u32 = 16;
+
+/// Encodes `fields`, then `blocks` as runs of consecutive ids, all
+/// little-endian u64s. A run word is `first << RUN_LEN_BITS | (len - 1)`.
 fn encode_u64s(fields: &[u64], blocks: &[u64]) -> Vec<u8> {
     let mut b = Vec::with_capacity(8 * (fields.len() + blocks.len()));
-    for v in fields.iter().chain(blocks) {
+    for v in fields {
         b.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut rest = blocks;
+    while let Some(&first) = rest.first() {
+        assert!(
+            first < 1 << (64 - RUN_LEN_BITS),
+            "block id {first} does not fit a run word"
+        );
+        let len = (1..rest.len().min(1 << RUN_LEN_BITS))
+            .find(|&i| rest[i] != first + i as u64)
+            .unwrap_or(rest.len().min(1 << RUN_LEN_BITS));
+        b.extend_from_slice(&(first << RUN_LEN_BITS | (len as u64 - 1)).to_le_bytes());
+        rest = &rest[len..];
     }
     b
 }
 
-/// Decodes `N` fixed u64 fields and the block ids after them; a trailing
-/// partial word is record padding.
+/// Decodes `N` fixed u64 fields and the block runs after them into ids;
+/// a trailing partial word is record padding.
 fn decode_u64s<const N: usize>(params: &[u8], what: &str) -> DsResult<([u64; N], Vec<u64>)> {
     if params.len() < 8 * N {
         return Err(DsError::Io(format!("short {what}")));
@@ -55,7 +75,12 @@ fn decode_u64s<const N: usize>(params: &[u8], what: &str) -> DsResult<([u64; N],
         .chunks_exact(8)
         .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
     let fields = std::array::from_fn(|_| words.next().unwrap());
-    Ok((fields, words.collect()))
+    let mut blocks = Vec::new();
+    for run in words {
+        let first = run >> RUN_LEN_BITS;
+        blocks.extend(first..=first + (run & ((1 << RUN_LEN_BITS) - 1)));
+    }
+    Ok((fields, blocks))
 }
 
 /// Parameters of [`OP_PUT`] / [`OP_TOUCH`] / [`OP_CREATE`].
@@ -198,6 +223,32 @@ mod tests {
         // A touch names no blocks: the encoding is the size alone.
         assert_eq!(PutParams::encode(5, &[]), 5u64.to_le_bytes());
         assert!(PutParams::decode(&[1, 2]).is_err());
+    }
+
+    #[test]
+    fn claims_are_logged_as_runs() {
+        let words = |blocks: &[u64]| (PutParams::encode(0, blocks).len() - 8) / 8;
+        let roundtrip = |blocks: Vec<u64>| {
+            let enc = PutParams::encode(9, &blocks);
+            assert_eq!(PutParams::decode(&enc).unwrap().blocks, blocks);
+        };
+        // A run is ascending consecutive ids; order within the list is kept.
+        assert_eq!(words(&[7, 8, 9, 40, 3, 4]), 3);
+        assert_eq!(words(&[5, 4]), 2);
+        roundtrip(vec![7, 8, 9, 40, 3, 4]);
+        roundtrip(vec![5, 4, 0, 1]);
+        // One run word holds at most 2^16 blocks.
+        let long: Vec<u64> = (100..100 + (1 << RUN_LEN_BITS) + 1).collect();
+        assert_eq!(words(&long), 2);
+        roundtrip(long);
+        let top = (1 << (64 - RUN_LEN_BITS)) - 1;
+        roundtrip(vec![top]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a run word")]
+    fn block_ids_past_the_run_word_panic() {
+        PutParams::encode(0, &[1 << (64 - RUN_LEN_BITS)]);
     }
 
     #[test]

@@ -122,6 +122,90 @@ fn large_object_spanning_overflow_chain() {
     assert_eq!(ctx.get(b"large").unwrap(), data);
 }
 
+/// The wire protocol's largest value (`dstore_protocol::MAX_VALUE_LEN`,
+/// 32 MiB − 1 KiB: 8 192 blocks) fits one logical record on the default
+/// configuration, and replay rebuilds it from the record's block runs.
+/// A physical record names every block, so physical mode refuses it.
+#[test]
+fn largest_wire_value_survives_recovery() {
+    const MAX_VALUE_LEN: usize = (32 << 20) - 1024;
+    let data: Vec<u8> = (0..MAX_VALUE_LEN).map(|i| (i % 251) as u8).collect();
+    let s = DStore::create(DStoreConfig::default()).unwrap();
+    let ctx = s.context();
+    ctx.put(b"big", &data).unwrap();
+    // An extend by as many blocks names them in one record too.
+    let h = ctx.open(b"grown", OpenMode::Create(0)).unwrap();
+    h.write(&data, 0).unwrap();
+    drop(h);
+    let s = DStore::recover(s.crash()).unwrap();
+    let ctx = s.context();
+    assert_eq!(ctx.get(b"big").unwrap(), data);
+    assert_eq!(ctx.get(b"grown").unwrap(), data);
+    ctx.put(b"big", &data[..4096]).unwrap();
+    ctx.delete(b"grown").unwrap();
+    // One data block plus the superblock page.
+    assert_eq!(s.footprint().ssd_bytes, 2 * 4096);
+
+    let s = DStore::create(DStoreConfig::default().with_logging(LoggingMode::Physical)).unwrap();
+    let ctx = s.context();
+    let before = s.footprint().ssd_bytes;
+    assert!(matches!(
+        ctx.put(b"big", &data),
+        Err(DsError::RecordTooLarge(_))
+    ));
+    assert_eq!(
+        s.footprint().ssd_bytes,
+        before,
+        "the refused put kept claims"
+    );
+    assert!(!ctx.exists(b"big"));
+}
+
+/// A record names its blocks as runs of consecutive ids: an object far
+/// larger than one record's worth of ids fits when its blocks are
+/// contiguous, and a claim scattered over more runs than a record holds
+/// is refused before anything is logged, its claims released.
+#[test]
+fn scattered_claim_too_large_for_a_record_is_refused() {
+    let mut cfg = DStoreConfig::small();
+    cfg.ssd_pages = 8192; // 8 191 data blocks
+    cfg.log_size = 16 << 10; // records up to 16 KiB: about 2 000 runs
+    cfg.pool_shards = 1;
+    cfg.strict_pmem = false;
+    let s = DStore::create(cfg).unwrap();
+    let ctx = s.context();
+    let big = vec![7u8; 3000 * 4096];
+    ctx.put(b"big", &big).unwrap();
+    ctx.delete(b"big").unwrap();
+    // Every other block free: a claim of n blocks is about n runs.
+    let key = |i: u32| format!("o{i}");
+    for i in 0..8190 {
+        ctx.put(key(i).as_bytes(), b"x").unwrap();
+    }
+    for i in (0..8190).step_by(2) {
+        ctx.delete(key(i).as_bytes()).unwrap();
+    }
+    let before = s.footprint().ssd_bytes;
+    assert!(matches!(
+        ctx.put(b"big", &big),
+        Err(DsError::RecordTooLarge(n)) if n > 16 << 10
+    ));
+    assert_eq!(
+        s.footprint().ssd_bytes,
+        before,
+        "the refused put kept claims"
+    );
+    assert!(!ctx.exists(b"big"));
+    // Half as many blocks fit.
+    let half = vec![8u8; 1500 * 4096];
+    ctx.put(b"half", &half).unwrap();
+    let s = DStore::recover(s.crash()).unwrap();
+    let ctx = s.context();
+    assert_eq!(ctx.get(b"half").unwrap(), half);
+    assert_eq!(ctx.get(b"o1").unwrap(), b"x");
+    assert!(!ctx.exists(b"big"));
+}
+
 #[test]
 fn out_of_space_reported_and_recoverable() {
     let mut cfg = DStoreConfig::small();

@@ -228,6 +228,13 @@ impl OpLog {
         self.layout.log_records(i) + self.layout.log_size
     }
 
+    /// The largest record [`OpLog::reserve`] takes, in encoded bytes
+    /// ([`record::encoded_len`]): [`record::MAX_RECORD_LEN`], or one log
+    /// buffer if that is smaller.
+    pub fn max_record_len(&self) -> usize {
+        record::MAX_RECORD_LEN.min(self.layout.log_size)
+    }
+
     /// Reserves a record slot for `op` on `name` — the short serialized
     /// step of an append (the paper's step ①): LSN + tail bump + header
     /// stamp under the reserve lock, plus the conflict scan. Returns a
@@ -236,7 +243,8 @@ impl OpLog {
     /// appenders, or [`LogFull`] when a swap is required first.
     ///
     /// The reservation pins the swap lock (shared), so the record cannot
-    /// be relocated while its body is still being written.
+    /// be relocated while its body is still being written. A record over
+    /// [`OpLog::max_record_len`] panics: callers check first.
     pub fn reserve(
         &self,
         op: u16,
@@ -245,7 +253,7 @@ impl OpLog {
     ) -> Result<Reservation<'_>, LogFull> {
         let total_len = record::encoded_len(name.len(), params_len);
         assert!(
-            total_len <= record::MAX_RECORD_LEN && total_len <= self.layout.log_size,
+            total_len <= self.max_record_len(),
             "record too large: {total_len}"
         );
         let guard = self.swap_lock.read();

@@ -293,6 +293,7 @@ pub fn encode_error(e: &DsError) -> (u8, String) {
         DsError::Io(s) => (11, s.clone()),
         DsError::Protocol(s) => (12, s.clone()),
         DsError::Busy => (13, String::new()),
+        DsError::RecordTooLarge(n) => (14, n.to_string()),
     }
 }
 
@@ -319,6 +320,11 @@ pub fn decode_error(code: u8, detail: &str) -> DsResult<DsError> {
         11 => DsError::Io(detail.into()),
         12 => DsError::Protocol(detail.into()),
         13 => DsError::Busy,
+        14 => DsError::RecordTooLarge(
+            detail
+                .parse()
+                .map_err(|_| perr("malformed RecordTooLarge"))?,
+        ),
         other => return Err(perr(format!("unknown error code {other}"))),
     })
 }
@@ -545,6 +551,7 @@ mod tests {
             DsError::Io("pipe".into()),
             DsError::Protocol("junk".into()),
             DsError::Busy,
+            DsError::RecordTooLarge(70_000),
         ];
         let mut bytes = Vec::new();
         for (i, e) in errors.iter().enumerate() {

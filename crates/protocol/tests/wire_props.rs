@@ -197,6 +197,7 @@ fn error_strategy() -> impl Strategy<Value = DsError> {
         Just(DsError::NotFound),
         Just(DsError::OutOfSpace),
         Just(DsError::Busy),
+        (0usize..1 << 20).prop_map(DsError::RecordTooLarge),
         Just(DsError::ReservedName),
         (0u64..999, 0u64..999)
             .prop_map(|(requested, size)| DsError::OutOfRange { requested, size }),
