@@ -49,6 +49,18 @@ impl DramMemory {
             mapping: Mapping::anonymous(len).expect("anonymous mmap failed"),
         }
     }
+
+    /// [`DramMemory::new`] backed by transparent huge pages where the
+    /// kernel allows, for a region about to be written whole: recovery's
+    /// bulk copy of the checkpoint image then faults 2 MiB at a time, and
+    /// the replay after it reaches index nodes, entries and inline values
+    /// at random without a TLB miss each. A region that grows with its
+    /// objects keeps small pages, which keep its footprint tight.
+    pub fn huge(len: usize) -> Self {
+        let mem = Self::new(len);
+        mem.mapping.advise_huge_pages();
+        mem
+    }
 }
 
 impl Memory for DramMemory {

@@ -166,6 +166,11 @@ impl<M: Memory> Arena<M> {
         MIN_CLASS_SIZE << c
     }
 
+    /// Bytes an allocation of `size` takes: its power-of-two class.
+    pub fn class_bytes(size: usize) -> usize {
+        Self::class_size(Self::class_of(size))
+    }
+
     /// Allocates a zeroed block of at least `size` bytes; returns its
     /// region offset, or `None` when the region is exhausted.
     pub fn try_alloc_block(&self, size: usize) -> Option<u64> {
@@ -416,6 +421,8 @@ mod tests {
             NUM_CLASSES - 1
         );
         assert_eq!(Arena::<DramMemory>::class_size(0), 16);
+        assert_eq!(Arena::<DramMemory>::class_bytes(1), 16);
+        assert_eq!(Arena::<DramMemory>::class_bytes(129), 256);
         assert_eq!(
             Arena::<DramMemory>::class_size(NUM_CLASSES - 1),
             MAX_CLASS_SIZE

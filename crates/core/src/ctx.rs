@@ -16,15 +16,20 @@
 //! observational-equivalence concurrency of §4.3/§4.4. Here step ③ comes
 //! first, so that the record can name the blocks it claimed, and the
 //! blocks an op frees return to the pool only after step ⑨.
+//!
+//! A value of at most [`crate::INLINE_MAX`] bytes skips step ⑧: it
+//! travels in its record (durable when the record commits) and lives in
+//! an arena slot, so such a put makes no block claim, no SSD write and no
+//! device wait, and a get of it reads no page.
 
 use crate::cc::{ReadLatch, WriteLatch};
 use crate::config::LoggingMode;
 use crate::error::{DsError, DsResult};
-use crate::ops::{self, ExtendParams, PhysImage, PutParams};
+use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
 use crate::structures::{
-    Claims, Domain, IndexSync, MetaEntry, PutKind, PutPlan, MAX_NAME_LEN, PAGE_BYTES,
+    Claims, Domain, IndexSync, MetaEntry, PutKind, PutPlan, WritePlan, MAX_NAME_LEN, PAGE_BYTES,
 };
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
@@ -153,15 +158,24 @@ fn note_stall_phase(inner: &StoreInner, at: &mut ActiveTrace) {
     }
 }
 
+/// Where a read finds an object's bytes.
+enum Data {
+    /// Allocation blocks on the SSD.
+    Blocks(Vec<u64>),
+    /// The arena slot at this offset.
+    Inline(u64),
+}
+
 /// A reader's step of §4.4's CC plus its lookup: registers as `name`'s
 /// reader, backing off (counted in `rw_backoffs`, traced as `cc_wait`)
 /// while a writer holds its mark, then reads `name`'s entry. The returned
-/// latch keeps a delete from freeing the entry's blocks until it drops.
+/// latch keeps a writer from changing the object, and a delete from
+/// freeing its blocks or slot, until it drops.
 fn read_entry<'a>(
     inner: &'a StoreInner,
     name: &'a [u8],
     at: &mut ActiveTrace,
-) -> DsResult<(ReadLatch<'a>, ObjectStat, Vec<u64>)> {
+) -> DsResult<(ReadLatch<'a>, ObjectStat, Data)> {
     let latch = loop {
         if let Some(latch) = inner.latches.try_read(name) {
             break latch;
@@ -183,7 +197,11 @@ fn read_entry<'a>(
         blocks: blocks.len() as u64,
         mtime_lsn,
     };
-    Ok((latch, stat, blocks))
+    let data = match d.slot_of(e) {
+        Some((off, _)) => Data::Inline(off),
+        None => Data::Blocks(blocks),
+    };
+    Ok((latch, stat, data))
 }
 
 /// An op's one index lookup: `name`'s metadata entry, if it exists.
@@ -297,43 +315,12 @@ impl DsContext {
         let m = self.mutate_plan(
             key,
             |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
-            |plan, mode| put_record(ops::OP_PUT, size, plan, mode),
+            |plan, mode| put_record(ops::OP_PUT, size, plan, mode, Some(value)),
             &mut bd,
             &mut at,
         )?;
-
-        // Steps ⑥⑦: metadata entry + B-tree, outside the synchronous
-        // region (OE), on the entry the plan read.
-        let t = bd.is_some().then(now_ns);
-        self.install_put(m.entry, key, size, &m.plan, m.lsn);
-        at.mark(SEG_INDEX);
-        let install_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
-
-        // Step ⑧: data to SSD. The pages are *submitted*; the op waits
-        // out its own device deadline below, after releasing the writer
-        // mark.
-        let t = bd.is_some().then(now_ns);
-        let ssd_deadline = self.submit_blocks(&m.plan.blocks, value);
-
-        // The object's mutation is complete (data in the device's
-        // power-loss-protected write cache): release the writer mark
-        // *before* committing the record. A competing writer passes the
-        // conflict scan only once the record commits, so the registration
-        // windows of two writers can never overlap — in the other order
-        // they briefly could.
-        drop(m.latch);
-
-        // This op's own device wait, outside every log lock: a record is
-        // device-durable before its commit, so a commit never holds the
-        // swap lock across an SSD wait.
-        inner.ssd.wait_durable(ssd_deadline);
-        at.mark(SEG_SSD_WRITE);
-        let nvme_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
-
-        // Step ⑨: commit.
-        let t = bd.is_some().then(now_ns);
-        self.commit(key, m.handle, &m.plan.freed, m.drain);
-        let commit_ns = t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
+        let (install_ns, nvme_ns, commit_ns) =
+            self.finish_put(m, key, size, Some(value), &mut at, bd.is_some());
 
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
@@ -360,9 +347,13 @@ impl DsContext {
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "get", false, enqueue_ns);
         let _drain = inner.drain.read();
-        let (_latch, stat, blocks) = read_entry(inner, key, &mut at)?;
+        let (_latch, stat, data) = read_entry(inner, key, &mut at)?;
         at.mark(SEG_LOOKUP);
-        let out = self.read_blocks_into(&blocks, stat.size as usize);
+        let out = match data {
+            // SAFETY: the read latch keeps writers off the slot.
+            Data::Inline(off) => unsafe { inner.domain().slot_bytes(off, stat.size) }.to_vec(),
+            Data::Blocks(blocks) => self.read_blocks_into(&blocks, stat.size as usize),
+        };
         inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         op_end(inner, |tel| tel.op_get.as_ref(), t0, at, SEG_SSD_READ);
         Ok(out)
@@ -391,6 +382,7 @@ impl DsContext {
                         blocks: vec![],
                         pops: 0,
                         pushes: plan.freed.clone(),
+                        inline: vec![],
                     }
                     .encode(),
                 ),
@@ -477,16 +469,15 @@ impl DsContext {
                     // Preallocate: a put without data ("log records for
                     // oopen … only written if they modify any metadata").
                     let inner = &self.inner;
+                    let mut at = ActiveTrace::disabled();
                     let m = self.mutate_plan(
                         name,
                         |d, entry| d.plan_put_entry(entry, name, size, &inner.pool_shard_locks),
-                        |plan, mode| put_record(ops::OP_CREATE, size, plan, mode),
+                        |plan, mode| put_record(ops::OP_CREATE, size, plan, mode, None),
                         &mut None,
-                        &mut ActiveTrace::disabled(),
+                        &mut at,
                     )?;
-                    self.install_put(m.entry, name, size, &m.plan, m.lsn);
-                    drop(m.latch);
-                    self.commit(name, m.handle, &m.plan.freed, m.drain);
+                    self.finish_put(m, name, size, None, &mut at, false);
                     inner.maybe_checkpoint();
                 }
             }
@@ -546,10 +537,10 @@ impl DsContext {
     // ------------------------------------------------------------------
     // the shared mutation prologue: Figure 4 steps ① – ⑤ plus CC
 
-    /// Runs the synchronous region for a mutating op: claims its blocks,
-    /// encodes the record that names them, reserves the record (with
-    /// write-write conflict detection and abort-retry) and takes the
-    /// object's writer latch. On return the caller holds the object
+    /// Runs the synchronous region for a mutating op: claims its blocks
+    /// (or allocates its inline slot), encodes the record that names
+    /// them, reserves the record (with write-write conflict detection and
+    /// abort-retry) and takes the object's writer latch. On return the caller holds the object
     /// exclusively (no in-flight writers, no readers) and must drop the
     /// returned [`WriteLatch`], then [`DsContext::commit`].
     ///
@@ -559,8 +550,9 @@ impl DsContext {
     /// its blocks, so replay needs no particular order of claims across
     /// ops. The record body is written after the reservation — appenders
     /// publish concurrently. An attempt whose record is never logged (a
-    /// full log, a conflict) releases its claims before it retries; a
-    /// record over [`OpLog::max_record_len`] releases them and fails with
+    /// full log, a conflict) gives back its claims and slot
+    /// ([`Domain::unclaim`]) before it retries; a record over
+    /// [`OpLog::max_record_len`] gives them back and fails with
     /// [`DsError::RecordTooLarge`].
     ///
     /// [`OpLog::max_record_len`]: dstore_dipper::OpLog::max_record_len
@@ -649,7 +641,7 @@ impl DsContext {
                 let (op, params) = encode(&p, inner.cfg.logging);
                 let len = record::encoded_len(name.len(), params.len());
                 if len > inner.log.max_record_len() {
-                    d.release(p.claims());
+                    d.unclaim(&p);
                     break 'outcome Outcome::Failed(DsError::RecordTooLarge(len));
                 }
                 at.mark(SEG_ALLOC);
@@ -657,7 +649,7 @@ impl DsContext {
                 // step: LSN + header + conflict scan).
                 match inner.log.reserve(op, name, params.len()) {
                     Err(LogFull) => {
-                        d.release(p.claims());
+                        d.unclaim(&p);
                         Outcome::Full
                     }
                     Ok(res) => {
@@ -675,10 +667,10 @@ impl DsContext {
                             // synchronous region.
                             Outcome::Planned(res, params, (entry, p), read.into_writer())
                         } else {
-                            // Aborted, never published: its claims were
-                            // never logged.
+                            // Aborted, never published: its claims and
+                            // its slot were never logged.
                             res.abort();
-                            d.release(p.claims());
+                            d.unclaim(&p);
                             Outcome::Conflicts(conflicts)
                         }
                     }
@@ -783,6 +775,59 @@ impl DsContext {
         drop(drain);
     }
 
+    /// Steps ⑥–⑨ of an admitted put of `value` on `name` (`None`: a
+    /// create, whose inline slot reads as zeros and whose blocks are left
+    /// unwritten). Returns the install, device and commit nanoseconds
+    /// when `timed` (zeros otherwise).
+    fn finish_put(
+        &self,
+        m: Admitted<'_, PutPlan>,
+        name: &[u8],
+        size: u64,
+        value: Option<&[u8]>,
+        at: &mut ActiveTrace,
+        timed: bool,
+    ) -> (u64, u64, u64) {
+        let inner = &self.inner;
+        let since = |t: Option<u64>| t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
+        // Steps ⑥⑦: the inline value, metadata entry + B-tree, outside
+        // the synchronous region (OE), on the entry the plan read. The
+        // op's readers are drained, so an in-place slot is its own.
+        let t = timed.then(now_ns);
+        if let Some(slot) = &m.plan.slot {
+            inner.domain().fill_slot(slot, value);
+        }
+        self.install_put(m.entry, name, size, &m.plan, m.lsn);
+        at.mark(SEG_INDEX);
+        let install_ns = since(t);
+
+        // Step ⑧: data to SSD. The pages are *submitted*; the op waits
+        // out its own device deadline below, after releasing the writer
+        // mark. An inline value has none: its record carries it.
+        let t = timed.then(now_ns);
+        let ssd_deadline = self.submit_blocks(&m.plan.blocks, value.unwrap_or_default());
+
+        // The object's mutation is complete (data in the device's
+        // power-loss-protected write cache): release the writer mark
+        // *before* committing the record. A competing writer passes the
+        // conflict scan only once the record commits, so the registration
+        // windows of two writers can never overlap — in the other order
+        // they briefly could.
+        drop(m.latch);
+
+        // This op's own device wait, outside every log lock: a record is
+        // device-durable before its commit, so a commit never holds the
+        // swap lock across an SSD wait.
+        inner.ssd.wait_durable(ssd_deadline);
+        at.mark(SEG_SSD_WRITE);
+        let nvme_ns = since(t);
+
+        // Step ⑨: commit.
+        let t = timed.then(now_ns);
+        self.commit(name, m.handle, &m.plan.freed, m.drain);
+        (install_ns, nvme_ns, since(t))
+    }
+
     /// Steps ⑥⑦ of a put or create: installs `plan` on `entry`, the entry
     /// [`DsContext::mutate_plan`] returned. A create whose insert finds
     /// `name` already mapped means that entry went stale between plan and
@@ -877,12 +922,24 @@ pub struct ObjectStat {
 
 /// Builds a put's record `(op, params)` for `plan` in the configured
 /// logging mode: `op` ([`ops::OP_PUT`] or [`ops::OP_CREATE`]) names the
-/// blocks the plan claimed, and a touch logs [`ops::OP_TOUCH`].
-pub(crate) fn put_record(op: u16, size: u64, plan: &PutPlan, mode: LoggingMode) -> (u16, Vec<u8>) {
+/// blocks the plan claimed, and a touch logs [`ops::OP_TOUCH`]. An inline
+/// put carries `value` ([`ops::OP_PUT_INLINE`]); an inline create (`value`
+/// `None`) logs its size alone, and its object reads as zeros.
+pub(crate) fn put_record(
+    op: u16,
+    size: u64,
+    plan: &PutPlan,
+    mode: LoggingMode,
+    value: Option<&[u8]>,
+) -> (u16, Vec<u8>) {
     let touch = plan.kind == PutKind::Touch;
+    let inline = plan.slot.is_some();
     match mode {
         LoggingMode::Logical if touch => (ops::OP_TOUCH, PutParams::encode(size, &[])),
-        LoggingMode::Logical => (op, PutParams::encode(size, &plan.blocks)),
+        LoggingMode::Logical => match value.filter(|_| inline) {
+            Some(v) => (ops::OP_PUT_INLINE, InlineParams::encode(v)),
+            None => (op, PutParams::encode(size, &plan.blocks)),
+        },
         LoggingMode::Physical => (
             ops::OP_PHYS_INSTALL,
             PhysImage {
@@ -890,6 +947,11 @@ pub(crate) fn put_record(op: u16, size: u64, plan: &PutPlan, mode: LoggingMode) 
                 blocks: plan.blocks.clone(),
                 pops: plan.claims().len() as u32,
                 pushes: plan.freed.clone(),
+                inline: match (inline, value) {
+                    (false, _) => vec![],
+                    (true, Some(v)) => v.to_vec(),
+                    (true, None) => vec![0; size as usize],
+                },
             }
             .encode(),
         ),
@@ -920,7 +982,7 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "oread", false);
         let _drain = inner.drain.read();
-        let (_latch, stat, blocks) = read_entry(inner, &self.name, &mut at)?;
+        let (_latch, stat, data) = read_entry(inner, &self.name, &mut at)?;
         let size = stat.size;
         at.mark(SEG_LOOKUP);
         if offset >= size {
@@ -928,9 +990,20 @@ impl ObjectHandle<'_> {
             return Ok(0);
         }
         let d = inner.domain();
+        let n = (buf.len() as u64).min(size - offset) as usize;
+        let blocks = match data {
+            Data::Inline(off) => {
+                // SAFETY: the read latch keeps writers off the slot.
+                let value = unsafe { d.slot_bytes(off, size) };
+                buf[..n].copy_from_slice(&value[offset as usize..][..n]);
+                inner.stats.reads.fetch_add(1, Ordering::Relaxed);
+                op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_LOOKUP);
+                return Ok(n);
+            }
+            Data::Blocks(blocks) => blocks,
+        };
         let bs = d.block_bytes() as usize;
         let page_sz = PAGE_BYTES as usize;
-        let n = (buf.len() as u64).min(size - offset) as usize;
         let mut page = vec![0u8; page_sz];
         let mut done = 0;
         while done < n {
@@ -953,6 +1026,12 @@ impl ObjectHandle<'_> {
 
     /// Partial write at `offset` (the paper's `owrite`), extending the
     /// object if needed. Durable on return.
+    ///
+    /// An object holding blocks extends in place ([`ops::OP_EXTEND`]). An
+    /// inline object (or an empty one whose result fits
+    /// [`crate::INLINE_MAX`]) is read, modified and put whole under the
+    /// writer mark: its record is an inline put if the result fits, a put
+    /// on fresh blocks if not.
     pub fn write(&self, data: &[u8], offset: u64) -> DsResult<usize> {
         if !self.writable {
             return Err(DsError::BadMode);
@@ -962,19 +1041,50 @@ impl ObjectHandle<'_> {
         let len = data.len() as u64;
         let m = self.ctx.mutate_plan(
             &self.name,
-            |d, entry| d.plan_extend_entry(entry, &self.name, offset, len, &inner.pool_shard_locks),
-            |plan, _mode| {
-                (
+            |d, entry| d.plan_write_entry(entry, &self.name, offset, data, &inner.pool_shard_locks),
+            |plan, mode| match plan {
+                WritePlan::Extend(p) => (
                     ops::OP_EXTEND,
-                    ExtendParams::encode(offset, len, plan.claims()),
-                )
+                    ExtendParams::encode(offset, len, p.claims()),
+                ),
+                WritePlan::Rewrite(p, value) => {
+                    put_record(ops::OP_PUT, value.len() as u64, p, mode, Some(value))
+                }
             },
             &mut None,
             &mut at,
         )?;
+        let Admitted {
+            handle,
+            lsn,
+            entry,
+            plan,
+            latch,
+            drain,
+        } = m;
+        let plan = match plan {
+            WritePlan::Extend(p) => p,
+            WritePlan::Rewrite(plan, value) => {
+                let m = Admitted {
+                    handle,
+                    lsn,
+                    entry,
+                    plan,
+                    latch,
+                    drain,
+                };
+                let size = value.len() as u64;
+                self.ctx
+                    .finish_put(m, &self.name, size, Some(&value), &mut at, false);
+                inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+                inner.maybe_checkpoint();
+                op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);
+                return Ok(data.len());
+            }
+        };
         // An extend never touches the tree: no index lock, no descent.
-        let e = m.entry.expect("a successful extend plan read an entry");
-        inner.domain().install_extend_entry(e, &m.plan, m.lsn);
+        let e = entry.expect("a successful extend plan read an entry");
+        inner.domain().install_extend_entry(e, &plan, lsn);
         at.mark(SEG_INDEX);
         // Data: sub-page head/tail via partial writes, whole pages via
         // page writes.
@@ -985,7 +1095,7 @@ impl ObjectHandle<'_> {
         while done < data.len() {
             let pos = offset as usize + done;
             let bi = pos / bs;
-            let page_id = d.block_first_page(m.plan.blocks[bi]) + ((pos % bs) / page_sz) as u64;
+            let page_id = d.block_first_page(plan.blocks[bi]) + ((pos % bs) / page_sz) as u64;
             let in_page = pos % page_sz;
             let take = (data.len() - done).min(page_sz - in_page);
             if in_page == 0 && take == page_sz {
@@ -998,8 +1108,8 @@ impl ObjectHandle<'_> {
             done += take;
         }
         at.mark(SEG_SSD_WRITE);
-        drop(m.latch);
-        self.ctx.commit(&self.name, m.handle, &[], m.drain);
+        drop(latch);
+        self.ctx.commit(&self.name, handle, &[], drain);
         inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);

@@ -15,7 +15,9 @@
 //!   *same code* the frontend runs. The frontend never quiesces.
 //! * **Data plane on SSD**: object bytes go straight to the emulated NVMe
 //!   device, whose capacitor-backed write cache makes completed writes
-//!   durable (§4.5) — DStore has no host write cache at all.
+//!   durable (§4.5) — DStore has no host write cache at all. A value of
+//!   at most [`INLINE_MAX`] bytes is the exception: it travels in its log
+//!   record and lives in the arena beside its metadata entry.
 //!
 //! ## Quickstart
 //!
@@ -64,4 +66,5 @@ pub use error::{DsError, DsResult};
 pub use replay::{ReplaySnapshot, ReplayStats};
 pub use stats::{Footprint, StatsSnapshot, StoreStats, WriteBreakdown};
 pub use store::{CrashImage, DStore, RecoveryReport};
+pub use structures::INLINE_MAX;
 pub use telemetry::HealthSnapshot;

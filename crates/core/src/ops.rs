@@ -3,6 +3,9 @@
 //! DIPPER logs *logical* operations: "We capture each operation and its
 //! parameters within the log record … The input parameters (excluding
 //! data) for all operations are stored in the log record" (§3.4, §4.3).
+//! One exception goes beyond the paper: a value of at most
+//! [`crate::INLINE_MAX`] bytes travels in its [`OP_PUT_INLINE`] record
+//! and lives in the metadata arena, not on the SSD (DESIGN §6a, 6).
 //! Each op's parameters are little-endian u64s — fixed fields, then the
 //! blocks the op claimed as runs of consecutive ids, one word a run — so
 //! decoding tolerates the record's padding (under 8 bytes). Next-fit
@@ -27,11 +30,16 @@ pub const OP_TOUCH: u16 = 2;
 /// `odelete`. No params.
 pub const OP_DELETE: u16 = 3;
 /// `oopen` with create: preallocates an object. Params: [`PutParams`]
-/// naming its blocks.
+/// naming its blocks; a size > 0 with no blocks is an inline object of
+/// that many zero bytes (the arena hands out zeroed slots, so the record
+/// carries none).
 pub const OP_CREATE: u16 = 4;
-/// `owrite` that extends an object. Params: [`ExtendParams`] naming the
-/// extra blocks.
+/// `owrite` that extends an object holding blocks. Params:
+/// [`ExtendParams`] naming the extra blocks.
 pub const OP_EXTEND: u16 = 5;
+/// `oput`, or an `owrite` of an inline object, whose result is an inline
+/// value. Params: [`InlineParams`], the whole value.
+pub const OP_PUT_INLINE: u16 = 6;
 /// Physical-mode install (post-image). Params: [`PhysImage`].
 pub const OP_PHYS_INSTALL: u16 = 16;
 /// Physical-mode delete. Params: [`PhysImage`] with zero blocks.
@@ -106,6 +114,29 @@ impl PutParams {
     }
 }
 
+/// Parameters of [`OP_PUT_INLINE`]: a size word, then the value's bytes.
+pub struct InlineParams;
+
+impl InlineParams {
+    /// Encodes `value` to the record parameter bytes.
+    pub fn encode(value: &[u8]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(8 + value.len());
+        b.extend_from_slice(&(value.len() as u64).to_le_bytes());
+        b.extend_from_slice(value);
+        b
+    }
+
+    /// The value in record parameter bytes (which may carry padding).
+    pub fn decode(params: &[u8]) -> DsResult<&[u8]> {
+        let Some((size, rest)) = params.split_first_chunk::<8>() else {
+            return Err(DsError::Io("short InlineParams".into()));
+        };
+        let size = u64::from_le_bytes(*size);
+        rest.get(..size as usize)
+            .ok_or_else(|| DsError::Io("truncated InlineParams".into()))
+    }
+}
+
 /// Parameters of [`OP_EXTEND`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtendParams {
@@ -150,23 +181,29 @@ pub struct PhysImage {
     pub pops: u32,
     /// Block ids this op freed.
     pub pushes: Vec<u64>,
+    /// The value of an inline object (no blocks, `size` bytes); empty
+    /// otherwise.
+    pub inline: Vec<u8>,
 }
 
 impl PhysImage {
     /// Encodes to record parameter bytes (including [`PHYS_PAD`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(24 + 8 * (self.blocks.len() + self.pushes.len()) + PHYS_PAD);
+        let mut b = Vec::with_capacity(
+            24 + 8 * (self.blocks.len() + self.pushes.len()) + self.inline.len() + PHYS_PAD,
+        );
         b.extend_from_slice(&self.size.to_le_bytes());
         b.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
         b.extend_from_slice(&self.pops.to_le_bytes());
         b.extend_from_slice(&(self.pushes.len() as u32).to_le_bytes());
-        b.extend_from_slice(&[0u8; 4]);
+        b.extend_from_slice(&(self.inline.len() as u32).to_le_bytes());
         for blk in &self.blocks {
             b.extend_from_slice(&blk.to_le_bytes());
         }
         for blk in &self.pushes {
             b.extend_from_slice(&blk.to_le_bytes());
         }
+        b.extend_from_slice(&self.inline);
         b.extend_from_slice(&[0u8; PHYS_PAD]);
         b
     }
@@ -180,7 +217,8 @@ impl PhysImage {
         let nblocks = u32::from_le_bytes(params[8..12].try_into().unwrap()) as usize;
         let pops = u32::from_le_bytes(params[12..16].try_into().unwrap());
         let npushes = u32::from_le_bytes(params[16..20].try_into().unwrap()) as usize;
-        let need = 24 + 8 * (nblocks + npushes);
+        let ninline = u32::from_le_bytes(params[20..24].try_into().unwrap()) as usize;
+        let need = 24 + 8 * (nblocks + npushes) + ninline;
         if params.len() < need {
             return Err(DsError::Io("truncated PhysImage".into()));
         }
@@ -200,6 +238,7 @@ impl PhysImage {
             blocks,
             pops,
             pushes,
+            inline: params[at..at + ninline].to_vec(),
         })
     }
 }
@@ -270,10 +309,34 @@ mod tests {
             blocks: vec![5, 9, 11],
             pops: 3,
             pushes: vec![2, 4],
+            inline: vec![],
         };
         let enc = img.encode();
         assert!(enc.len() >= PHYS_PAD + 24 + 40);
         assert_eq!(PhysImage::decode(&enc).unwrap(), img);
+        let inline = PhysImage {
+            size: 5,
+            blocks: vec![],
+            pops: 0,
+            pushes: vec![7],
+            inline: b"hello".to_vec(),
+        };
+        let enc = inline.encode();
+        assert_eq!(PhysImage::decode(&enc).unwrap(), inline);
+        assert!(PhysImage::decode(&enc[..24 + 8 + 4]).is_err());
+    }
+
+    #[test]
+    fn inline_params_roundtrip() {
+        let enc = InlineParams::encode(b"small value");
+        assert_eq!(enc.len(), 8 + 11);
+        assert_eq!(InlineParams::decode(&enc).unwrap(), b"small value");
+        // Record padding after the value is ignored.
+        let mut padded = enc.clone();
+        padded.extend_from_slice(&[0; 5]);
+        assert_eq!(InlineParams::decode(&padded).unwrap(), b"small value");
+        assert!(InlineParams::decode(&enc[..12]).is_err());
+        assert!(InlineParams::decode(&[1, 2]).is_err());
     }
 
     #[test]
@@ -284,6 +347,7 @@ mod tests {
             blocks: vec![1],
             pops: 1,
             pushes: vec![],
+            inline: vec![],
         }
         .encode()
         .len();
@@ -300,6 +364,7 @@ mod tests {
             blocks: vec![1, 2, 3, 4],
             pops: 4,
             pushes: vec![],
+            inline: vec![],
         };
         let enc = img.encode();
         assert!(PhysImage::decode(&enc[..30]).is_err());

@@ -125,10 +125,7 @@ pub fn replay_window<M: Memory>(
     let mut touched = Vec::new();
     let t0 = now_ns();
     let serialized_ns = if threads <= 1 {
-        let diverged = records
-            .iter()
-            .filter(|r| domain.replay(r, &IndexSync::Exclusive, &mut touched))
-            .count();
+        let diverged = replay_run(&domain, records.iter(), &IndexSync::Exclusive, &mut touched);
         stats
             .divergences
             .fetch_add(diverged as u64, Ordering::Relaxed);
@@ -172,10 +169,8 @@ pub fn replay_window<M: Memory>(
                         let mut touched = Vec::new();
                         for (shard, group) in groups.iter().skip(w).step_by(workers) {
                             let t0 = now_ns();
-                            let diverged = group
-                                .iter()
-                                .filter(|&&i| domain.replay(&records[i], &sync, &mut touched))
-                                .count();
+                            let recs = group.iter().map(|&i| &records[i]);
+                            let diverged = replay_run(&domain, recs, &sync, &mut touched);
                             stats
                                 .divergences
                                 .fetch_add(diverged as u64, Ordering::Relaxed);
@@ -209,10 +204,42 @@ pub fn replay_window<M: Memory>(
     );
 }
 
+/// Replays `records` in order on `domain` and returns how many diverged.
+///
+/// Each record's entry is found ([`Domain::find`]) while the record before
+/// it is still to replay, so the misses on the entry and its slot overlap
+/// that record's work. The early lookup stays right unless the record
+/// before is on the same name: only a record on a name creates, frees or
+/// refills that name's entry and slot. Then the lookup waits its turn.
+fn replay_run<'r, M: Memory>(
+    domain: &Domain<'_, M>,
+    mut records: impl Iterator<Item = &'r RecordView<'r>>,
+    sync: &IndexSync<'_>,
+    touched: &mut Vec<(u64, u64)>,
+) -> usize {
+    let Some(mut rec) = records.next() else {
+        return 0;
+    };
+    let mut entry = domain.find(rec.name, sync);
+    let mut diverged = 0;
+    loop {
+        let next = records.next();
+        let early = next
+            .filter(|n| n.name != rec.name)
+            .map(|n| domain.find(n.name, sync));
+        diverged += domain.replay(rec, entry, sync, touched) as usize;
+        let Some(n) = next else {
+            return diverged;
+        };
+        entry = early.unwrap_or_else(|| domain.find(n.name, sync));
+        rec = n;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{self, PhysImage, PutParams};
+    use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
     use dstore_arena::DramMemory;
     use dstore_dipper::record::{name_hash, COMMIT_COMMITTED};
 
@@ -301,8 +328,49 @@ mod tests {
             blocks: vec![6],
             pops: 1,
             pushes: vec![7],
+            inline: vec![],
         };
         let released = window(&[("a", ops::OP_PHYS_INSTALL, free_release.encode())]);
         assert_eq!(released, 2);
+    }
+
+    /// A record that cannot apply to the entry's representation — a touch
+    /// of an inline entry, an extend of one — is a divergence that leaves
+    /// the entry as it was. Release builds count one each; debug builds
+    /// panic at the first.
+    #[test]
+    fn mismatched_representation_is_a_divergence() {
+        let arena = Arena::create(DramMemory::new(4 << 20));
+        let dir = Domain::format(&arena, 64).dir_ptr();
+        let stats = ReplayStats::default();
+        let replay = |op: u16, params: Vec<u8>, lsn: u64| {
+            let view = RecordView {
+                params: &params,
+                ..rec("a", lsn, op)
+            };
+            replay_window(&arena, dir, &[view], 1, &stats, None);
+            stats.divergences.load(Ordering::Relaxed)
+        };
+        assert_eq!(
+            replay(ops::OP_PUT_INLINE, InlineParams::encode(b"small"), 1),
+            0
+        );
+        let touch = || replay(ops::OP_TOUCH, PutParams::encode(4096, &[]), 2);
+        if cfg!(debug_assertions) {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(touch));
+            assert!(panicked.is_err(), "debug builds panic on a divergence");
+            return;
+        }
+        assert_eq!(touch(), 1);
+        assert_eq!(
+            replay(ops::OP_EXTEND, ExtendParams::encode(0, 9000, &[3, 4, 5]), 3),
+            2
+        );
+        let d = Domain::attach(&arena, dir);
+        let e = d.lookup(b"a").unwrap();
+        assert_eq!(d.read_entry(e).0, 5);
+        // SAFETY: single-threaded test; the slot is live.
+        let (off, len) = d.slot_of(e).unwrap();
+        assert_eq!(unsafe { d.slot_bytes(off, len) }, b"small");
     }
 }

@@ -1055,7 +1055,7 @@ impl DStore {
             layout.shadow_size,
         ))
         .ok_or(DsError::NotFormatted)?;
-        let dram = Arc::new(Arena::create(DramMemory::new(layout.shadow_size)));
+        let dram = Arc::new(Arena::create(DramMemory::huge(layout.shadow_size)));
         pool.bulk_read_charge(shadow.allocated_len());
         shadow.copy_allocated_to(&dram);
         report.metadata_ns = dstore_telemetry::now_ns().saturating_sub(t_meta);

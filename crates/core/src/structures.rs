@@ -5,7 +5,8 @@
 //! shadow-copyable: the [`Directory`] (pointed to by the PMEM root's
 //! app-dir word), the object-index B-tree, the metadata zone of
 //! [`MetaEntry`]s, and the SSD [block pool](PoolHeader) — exactly the
-//! boxes of the paper's Figure 4.
+//! boxes of the paper's Figure 4 — plus the slots that hold values of at
+//! most [`INLINE_MAX`] bytes in place of SSD blocks.
 //!
 //! [`Domain`] binds these structures to one arena (the DRAM system space,
 //! or a PMEM shadow region during checkpoint replay / recovery) and
@@ -16,7 +17,9 @@
 //!   record names every id it claimed. The blocks an op frees are only
 //!   listed; the frontend returns them ([`Domain::release`]) after the
 //!   op's record commits, so no block is reused while the op that frees
-//!   it can still die.
+//!   it can still die. An inline value's slot is allocated here too; a
+//!   plan whose record is never logged gives both back
+//!   ([`Domain::unclaim`]).
 //! * **install** — the metadata-zone and B-tree updates (steps ⑥/⑦).
 //!   These touch only the operation's own object, so by observational
 //!   equivalence they may run outside the synchronous region and in
@@ -26,13 +29,13 @@
 //!
 //! [`Domain::replay`] is what checkpoint replay and recovery execute,
 //! record by record: it claims the ids the record names, releases the
-//! blocks the record freed, and installs. Claims and releases are atomic
-//! adds on the ownership map, so records on different objects replay in
-//! any order.
+//! blocks the record freed, copies an inline value into a slot, and
+//! installs. Claims and releases are atomic adds on the ownership map, so
+//! records on different objects replay in any order.
 
 use crate::error::{DsError, DsResult};
-use crate::ops::{self, ExtendParams, PhysImage, PutParams};
-use dstore_arena::{Arena, ArenaPod, Memory, RelPtr};
+use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
+use dstore_arena::{Arena, ArenaPod, ByteSlice, Memory, RelPtr};
 use dstore_dipper::record::RecordView;
 use dstore_dipper::OP_NOOP;
 use dstore_index::{fnv1a, BTreeHandle, BTreeHeader};
@@ -56,6 +59,28 @@ pub const BLOCK_SIZE: u64 = PAGE_BYTES;
 pub const NDIRECT: usize = 12;
 /// Block slots per [`Overflow`] node.
 pub const OVERFLOW_CAP: usize = 126;
+/// Largest value stored inline: carried in its log record and kept in an
+/// arena slot instead of an SSD block. Its three class-rounded copies
+/// (DRAM and two PMEM shadows) take at most the one page it replaces.
+pub const INLINE_MAX: u64 = PAGE_BYTES / 4;
+/// Inline values may fill the DRAM arena up to this fraction of its
+/// region, `(numerator, denominator)`; past it a small value takes the
+/// block path. The rest leaves a same-size shadow room for layout
+/// differences and keeps metadata allocations from running out.
+const INLINE_FILL: (u64, u64) = (3, 4);
+
+/// Asks the CPU to bring the cache line holding `p` in ahead of its use;
+/// a hint that never faults (a no-op off x86-64).
+#[inline]
+fn prefetch_line(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch only hints; it reads nothing and never faults.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch(p.cast(), std::arch::x86_64::_MM_HINT_T0)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// The application directory: the single arena object the PMEM root
 /// points at.
@@ -89,7 +114,11 @@ pub struct Directory {
 // SAFETY: repr(C) composition of pods; zero-valid.
 unsafe impl ArenaPod for Directory {}
 
-/// Per-object metadata — one entry in the metadata zone.
+/// Per-object metadata — one entry in the metadata zone. It is exactly
+/// 128 B, a power-of-two slab class.
+///
+/// An entry is *inline* iff `nblocks == 0 && size > 0`: its value lives
+/// in the arena slot at offset `direct[0]`, allocated for `size` bytes.
 #[repr(C)]
 #[derive(Debug)]
 pub struct MetaEntry {
@@ -101,13 +130,15 @@ pub struct MetaEntry {
     pub version: u32,
     /// LSN of the last mutating record (logical mtime).
     pub mtime_lsn: u64,
-    /// First [`NDIRECT`] block ids.
+    /// First [`NDIRECT`] block ids; an inline entry's slot offset in
+    /// `direct[0]`.
     pub direct: [u64; NDIRECT],
     /// Chain of additional blocks for large objects.
     pub overflow: RelPtr<Overflow>,
 }
 // SAFETY: repr(C) pods; zero-valid (empty object).
 unsafe impl ArenaPod for MetaEntry {}
+const _: () = assert!(std::mem::size_of::<MetaEntry>() == 128);
 
 /// Overflow node holding further block ids.
 #[repr(C)]
@@ -149,25 +180,46 @@ pub fn blocks_for_geometry(size: u64, block_bytes: u64) -> u64 {
     size.div_ceil(block_bytes)
 }
 
+/// The arena slot holding an inline value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Arena offset of the slot.
+    pub off: u64,
+    /// The value size it holds (its class is the allocation's).
+    pub size: u64,
+    /// Whether the plan allocated it; `false` is the entry's own slot,
+    /// reused in place because the size class agrees.
+    pub fresh: bool,
+}
+
 /// The result of a put/create (or delete) plan: the object's final block
-/// list.
+/// list, or the slot of its inline value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PutPlan {
     /// What kind of mutation this is.
     pub kind: PutKind,
     /// The object's final, complete block list: claimed by this plan
-    /// unless it is a touch.
+    /// unless it is a touch. Empty for an inline value.
     pub blocks: Vec<u64>,
     /// The object's old blocks, which the op frees: the frontend releases
     /// them once the op's record commits.
     pub freed: Vec<u64>,
+    /// Where an inline value goes. The entry's old slot, if the plan does
+    /// not reuse it, is freed at install.
+    pub slot: Option<Slot>,
 }
 
-/// The blocks a plan claimed: the frontend releases them again if the
-/// plan's record is never logged.
+/// The blocks a plan claimed and the slot it allocated: the frontend
+/// gives them back ([`Domain::unclaim`]) if the plan's record is never
+/// logged.
 pub trait Claims {
     /// The claimed block ids.
     fn claims(&self) -> &[u64];
+
+    /// The slot the plan allocated, if any.
+    fn fresh_slot(&self) -> Option<Slot> {
+        None
+    }
 }
 
 impl Claims for PutPlan {
@@ -176,6 +228,10 @@ impl Claims for PutPlan {
             PutKind::Touch => &[],
             _ => &self.blocks,
         }
+    }
+
+    fn fresh_slot(&self) -> Option<Slot> {
+        self.slot.filter(|s| s.fresh)
     }
 }
 
@@ -205,6 +261,32 @@ pub struct ExtendPlan {
 impl Claims for ExtendPlan {
     fn claims(&self) -> &[u64] {
         &self.blocks[self.blocks.len() - self.claimed..]
+    }
+}
+
+/// The result of an `owrite` plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WritePlan {
+    /// An object holding blocks grows in place ([`ops::OP_EXTEND`]).
+    Extend(ExtendPlan),
+    /// An inline or empty object is read, modified and written whole: the
+    /// put that stores the new value, and that value.
+    Rewrite(PutPlan, Vec<u8>),
+}
+
+impl Claims for WritePlan {
+    fn claims(&self) -> &[u64] {
+        match self {
+            WritePlan::Extend(p) => p.claims(),
+            WritePlan::Rewrite(p, _) => p.claims(),
+        }
+    }
+
+    fn fresh_slot(&self) -> Option<Slot> {
+        match self {
+            WritePlan::Extend(_) => None,
+            WritePlan::Rewrite(p, _) => p.fresh_slot(),
+        }
     }
 }
 
@@ -548,6 +630,15 @@ impl<'a, M: Memory> Domain<'a, M> {
         owned_once
     }
 
+    /// Gives back what a plan took when its record is never logged: its
+    /// claimed blocks and the slot it allocated.
+    pub fn unclaim(&self, plan: &impl Claims) {
+        self.release(plan.claims());
+        if let Some(s) = plan.fresh_slot() {
+            self.arena.free_block(s.off, s.size as usize);
+        }
+    }
+
     /// Replays a record's pool effects: `+1` on the owner byte of each id
     /// it claimed and `−1` for each it freed (adds commute), noting every
     /// id with the record's LSN in `touched`.
@@ -616,15 +707,17 @@ impl<'a, M: Memory> Domain<'a, M> {
     unsafe fn entry_blocks(&self, m: &MetaEntry) -> Vec<u64> {
         let n = m.nblocks as usize;
         let mut out = Vec::with_capacity(n);
-        for i in 0..n.min(NDIRECT) {
-            out.push(m.direct[i]);
-        }
-        let mut ov = m.overflow;
+        out.extend_from_slice(&m.direct[..n.min(NDIRECT)]);
+        // Only an entry with more than NDIRECT blocks has a chain, so a
+        // small one is read from its first cache line.
+        let mut ov = if n > NDIRECT {
+            m.overflow
+        } else {
+            RelPtr::null()
+        };
         while !ov.is_null() {
             let node = &*self.arena.resolve(ov);
-            for i in 0..node.count as usize {
-                out.push(node.blocks[i]);
-            }
+            out.extend_from_slice(&node.blocks[..node.count as usize]);
             ov = node.next;
         }
         let lsn = m.mtime_lsn;
@@ -640,14 +733,17 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// Exclusive access to the entry (CC).
     unsafe fn entry_set_blocks(&self, e: RelPtr<MetaEntry>, blocks: &[u64]) {
         let m = &mut *self.arena.resolve(e);
-        // Free the old chain.
-        let mut ov = m.overflow;
-        while !ov.is_null() {
-            let next = (*self.arena.resolve(ov)).next;
-            self.arena.free(ov);
-            ov = next;
+        // Free the old chain (only an entry with more than NDIRECT blocks
+        // has one).
+        if m.nblocks as usize > NDIRECT {
+            let mut ov = m.overflow;
+            while !ov.is_null() {
+                let next = (*self.arena.resolve(ov)).next;
+                self.arena.free(ov);
+                ov = next;
+            }
+            m.overflow = RelPtr::null();
         }
-        m.overflow = RelPtr::null();
         m.nblocks = blocks.len() as u32;
         for (i, b) in blocks.iter().take(NDIRECT).enumerate() {
             m.direct[i] = *b;
@@ -668,14 +764,98 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     // ------------------------------------------------------------------
+    // inline slots
+
+    /// An inline entry's slot as `(offset, size)`; `None` for an entry
+    /// holding blocks or nothing.
+    pub fn slot_of(&self, e: RelPtr<MetaEntry>) -> Option<(u64, u64)> {
+        // SAFETY: entry live; caller excludes concurrent writers (CC).
+        let m = unsafe { &*self.arena.resolve(e) };
+        (m.nblocks == 0 && m.size > 0).then_some((m.direct[0], m.size))
+    }
+
+    /// The first `len` bytes of the slot at `off`.
+    ///
+    /// # Safety
+    ///
+    /// The slot must be live and not written while the slice is used: the
+    /// caller holds the object's read latch, or owns it (writer mark,
+    /// replay worker).
+    pub unsafe fn slot_bytes(&self, off: u64, len: u64) -> &'a [u8] {
+        self.arena.bytes(ByteSlice {
+            ptr: RelPtr::from_offset(off),
+            len: len as u32,
+        })
+    }
+
+    /// Stores an inline value in `slot`: `value`, or `slot.size` zero
+    /// bytes for a create (a fresh slot is already zeroed). The caller
+    /// owns the object (writer mark with its readers drained, or replay).
+    pub fn fill_slot(&self, slot: &Slot, value: Option<&[u8]>) {
+        let len = slot.size as usize;
+        assert!(
+            slot.off as usize + len <= self.arena.memory().len(),
+            "slot out of region bounds"
+        );
+        let dst = self.arena.resolve(RelPtr::<u8>::from_offset(slot.off));
+        // SAFETY: in bounds (checked); the caller owns the slot.
+        unsafe {
+            match value {
+                Some(v) => {
+                    assert_eq!(v.len(), len, "inline value fills its slot");
+                    std::ptr::copy_nonoverlapping(v.as_ptr(), dst, len);
+                }
+                None if !slot.fresh => std::ptr::write_bytes(dst, 0, len),
+                None => {}
+            }
+        }
+    }
+
+    /// The slot for an inline value of `size` bytes on an entry whose
+    /// slot is `old` (`(offset, size)`): `old` itself when the size class
+    /// agrees, else a fresh zeroed one. With `headroom` (the frontend) no
+    /// fresh slot is handed out past [`INLINE_FILL`] of the arena or when
+    /// the arena is full — `None` sends the value to the block path.
+    /// Replay follows its record and allocates unconditionally.
+    fn slot_for(&self, old: Option<(u64, u64)>, size: u64, headroom: bool) -> Option<Slot> {
+        let class = |n: u64| Arena::<M>::class_bytes(n as usize) as u64;
+        if let Some((off, old_size)) = old {
+            if class(old_size) == class(size) {
+                return Some(Slot {
+                    off,
+                    size,
+                    fresh: false,
+                });
+            }
+        }
+        let off = if headroom {
+            let s = self.arena.stats();
+            if s.allocated_bytes + class(size) > s.capacity / INLINE_FILL.1 * INLINE_FILL.0 {
+                return None;
+            }
+            self.arena.try_alloc_block(size as usize)?
+        } else {
+            self.arena.alloc_block(size as usize)
+        };
+        Some(Slot {
+            off,
+            size,
+            fresh: true,
+        })
+    }
+
+    // ------------------------------------------------------------------
     // plan phase (frontend pool claims)
 
     /// Plans an [`ops::OP_PUT`]-family operation on `name`, whose current
     /// metadata entry the caller looked up (under its index sync mode). A
-    /// create or a replace claims the new block list ([`Domain::claim`],
-    /// with the store's shard `locks`); a replace lists the old blocks in
-    /// `freed` for the caller to release once the record commits. The same
-    /// block count is a touch, which claims nothing.
+    /// value of 1 to [`INLINE_MAX`] bytes gets a slot (the entry's own when
+    /// the size class agrees) unless the arena is past its headroom.
+    /// Otherwise a create or a replace claims the new block list
+    /// ([`Domain::claim`], with the store's shard `locks`), and the same
+    /// block count on an entry holding blocks is a touch, which claims
+    /// nothing. A replace lists the old blocks in `freed` for the caller
+    /// to release once the record commits.
     pub fn plan_put_entry(
         &self,
         entry: Option<RelPtr<MetaEntry>>,
@@ -683,27 +863,74 @@ impl<'a, M: Memory> Domain<'a, M> {
         size: u64,
         locks: &[Mutex<()>],
     ) -> DsResult<PutPlan> {
-        let need = blocks_for_geometry(size, self.block_bytes());
-        let (kind, freed) = match entry {
-            Some(e) => {
-                // SAFETY: CC guarantees no concurrent writer on `name`.
-                let (_, _, old) = self.read_entry(e);
-                if old.len() as u64 == need {
-                    return Ok(PutPlan {
-                        kind: PutKind::Touch,
-                        blocks: old,
-                        freed: vec![],
-                    });
-                }
-                (PutKind::Replace, old)
-            }
-            None => (PutKind::Create, vec![]),
+        // CC guarantees no concurrent writer on `name`.
+        let (kind, old, old_slot) = match entry {
+            Some(e) => (PutKind::Replace, self.read_entry(e).2, self.slot_of(e)),
+            None => (PutKind::Create, vec![], None),
         };
+        if (1..=INLINE_MAX).contains(&size) {
+            if let Some(slot) = self.slot_for(old_slot, size, true) {
+                return Ok(PutPlan {
+                    kind,
+                    blocks: vec![],
+                    freed: old,
+                    slot: Some(slot),
+                });
+            }
+        }
+        let need = blocks_for_geometry(size, self.block_bytes());
+        if entry.is_some() && old_slot.is_none() && old.len() as u64 == need {
+            return Ok(PutPlan {
+                kind: PutKind::Touch,
+                blocks: old,
+                freed: vec![],
+                slot: None,
+            });
+        }
         Ok(PutPlan {
             kind,
             blocks: self.claim(name, need, locks)?,
-            freed,
+            freed: old,
+            slot: None,
         })
+    }
+
+    /// Plans an `owrite` of `data` at `offset` (entry and locks as for
+    /// [`Domain::plan_put_entry`]). An object holding blocks extends
+    /// ([`Domain::plan_extend_entry`]). An inline object — or an empty one
+    /// whose result fits [`INLINE_MAX`] — is read, modified and planned as
+    /// a put of the whole new value: inline if it fits, else on blocks.
+    pub fn plan_write_entry(
+        &self,
+        entry: Option<RelPtr<MetaEntry>>,
+        name: &[u8],
+        offset: u64,
+        data: &[u8],
+        locks: &[Mutex<()>],
+    ) -> DsResult<WritePlan> {
+        let e = entry.ok_or(DsError::NotFound)?;
+        // SAFETY: entry live; CC excludes concurrent writers.
+        let (size, nblocks) = unsafe {
+            let m = &*self.arena.resolve(e);
+            (m.size, m.nblocks)
+        };
+        let new_size = size.max(offset + data.len() as u64);
+        let slot = self.slot_of(e);
+        if nblocks > 0 || (slot.is_none() && new_size > INLINE_MAX) {
+            let plan = self.plan_extend_entry(entry, name, offset, data.len() as u64, locks)?;
+            return Ok(WritePlan::Extend(plan));
+        }
+        // Plan first: a result too large for the pool fails here, before
+        // anything is allocated for it.
+        let plan = self.plan_put_entry(entry, name, new_size, locks)?;
+        let mut value = Vec::with_capacity(new_size as usize);
+        if let Some((off, len)) = slot {
+            // SAFETY: the caller's read latch keeps writers out.
+            value.extend_from_slice(unsafe { self.slot_bytes(off, len) });
+        }
+        value.resize(new_size as usize, 0);
+        value[offset as usize..][..data.len()].copy_from_slice(data);
+        Ok(WritePlan::Rewrite(plan, value))
     }
 
     /// Plans an [`ops::OP_EXTEND`]: claims the additional blocks (entry
@@ -730,13 +957,15 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     /// Plans an [`ops::OP_DELETE`]: lists the object's blocks in `freed`
-    /// (released once the record commits) and claims nothing.
+    /// (released once the record commits) and claims nothing. An inline
+    /// value's slot is freed at install.
     pub fn plan_delete_entry(&self, entry: Option<RelPtr<MetaEntry>>) -> DsResult<PutPlan> {
         let e = entry.ok_or(DsError::NotFound)?;
         Ok(PutPlan {
             kind: PutKind::Replace,
             blocks: vec![],
             freed: self.read_entry(e).2,
+            slot: None,
         })
     }
 
@@ -774,7 +1003,9 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// Installs a planned put on `entry`, the metadata entry the plan read
     /// (`None`: a create, which allocates the entry and maps it under
     /// `sync` — the only step that touches shared tree structure). The
-    /// entry itself is object-exclusive and updated outside any lock.
+    /// entry itself is object-exclusive and updated outside any lock. An
+    /// old slot the plan does not reuse is freed here; the slot's value
+    /// is the caller's to store ([`Domain::fill_slot`]).
     /// Returns whether the index agreed with the plan: `false` when a
     /// create's insert displaced an existing mapping.
     pub fn install_put_entry(
@@ -786,21 +1017,34 @@ impl<'a, M: Memory> Domain<'a, M> {
         lsn: u64,
         sync: &IndexSync<'_>,
     ) -> bool {
-        let (old_size, entry, agreed) = match entry {
+        let (old_size, old_slot, entry, agreed) = match entry {
             // SAFETY: CC excludes concurrent writers on this object.
-            Some(e) => (unsafe { (*self.arena.resolve(e)).size }, e, true),
+            Some(e) => (
+                unsafe { (*self.arena.resolve(e)).size },
+                self.slot_of(e),
+                e,
+                true,
+            ),
             None => {
                 let e: RelPtr<MetaEntry> = self.arena.alloc();
                 let displaced = sync.insert(self, name, e.offset());
-                (0, e, displaced.is_none())
+                (0, None, e, displaced.is_none())
             }
         };
+        if let Some((off, len)) = old_slot {
+            if plan.slot.map(|s| s.off) != Some(off) {
+                self.arena.free_block(off, len as usize);
+            }
+        }
         // SAFETY: exclusive entry access via CC.
         unsafe {
             if plan.kind != PutKind::Touch {
                 self.entry_set_blocks(entry, &plan.blocks);
             }
             let m = &mut *self.arena.resolve(entry);
+            if plan.blocks.is_empty() {
+                m.direct[0] = plan.slot.map_or(0, |s| s.off);
+            }
             m.size = size;
             m.version += 1;
             m.mtime_lsn = lsn;
@@ -838,6 +1082,9 @@ impl<'a, M: Memory> Domain<'a, M> {
         sync: &IndexSync<'_>,
     ) -> Option<RelPtr<MetaEntry>> {
         let e = sync.remove(self, name)?;
+        if let Some((off, len)) = self.slot_of(e) {
+            self.arena.free_block(off, len as usize);
+        }
         // SAFETY: exclusive entry access via CC.
         let old = unsafe {
             let old = (*self.arena.resolve(e)).size;
@@ -853,70 +1100,113 @@ impl<'a, M: Memory> Domain<'a, M> {
     // ------------------------------------------------------------------
     // replay (checkpoint + recovery)
 
+    /// `name`'s entry, looked up under `sync`, with its first cache line —
+    /// and an inline entry's slot — requested from memory, so that a
+    /// caller who replays another record first finds them in cache.
+    pub fn find(&self, name: &[u8], sync: &IndexSync<'_>) -> Option<RelPtr<MetaEntry>> {
+        let e = sync.lookup(self, name)?;
+        // The fields an inline entry's replay reads: size to direct[0].
+        self.prefetch_bytes(e.offset(), 32);
+        if let Some((off, len)) = self.slot_of(e) {
+            self.prefetch_bytes(off, len);
+        }
+        Some(e)
+    }
+
+    /// Requests the cache lines of arena bytes `[off, off + len)`.
+    fn prefetch_bytes(&self, off: u64, len: u64) {
+        for line in (off & !63..off + len).step_by(64) {
+            prefetch_line(self.arena.resolve(RelPtr::<u8>::from_offset(line)));
+        }
+    }
+
     /// Applies one committed log record to this domain — the deterministic
     /// state machine of §3.2 ("each logical operation translates to a set
     /// of functions to be performed on each data structure … used by the
-    /// recovery logic to update the shadow copies"). It claims the block
-    /// ids the record names, releases the blocks the record freed (the
-    /// object's old blocks, or a physical record's logged ones) and
-    /// installs the result; `sync` says how the B-tree is shared. Every
-    /// id claimed or released goes to `touched` with the record's LSN, for
-    /// the window's [`Domain::ownership_errors`] check.
+    /// recovery logic to update the shadow copies"). It removes what the
+    /// entry held — releasing its blocks (the object's old blocks, or a
+    /// physical record's logged ones) or freeing its slot — claims the
+    /// block ids the record names or copies its inline value into a slot,
+    /// and installs the result; `sync` says how the B-tree is shared.
+    /// Every id claimed or released goes to `touched` with the record's
+    /// LSN, for the window's [`Domain::ownership_errors`] check.
     ///
-    /// Looks the record's name up once and uses that entry throughout, so
-    /// a record costs one descent (two for a create or a delete, whose
+    /// `entry` is the record's name's entry now, as the caller looked it
+    /// up ([`Domain::find`]); the record uses it throughout, so a record
+    /// costs one descent (two for a create or a delete, whose
     /// insert/remove descend again).
     ///
     /// Returns whether the record *diverged* from the frontend: a touch
     /// or a delete of a missing object, a create whose insert displaced a
-    /// mapping, or a delete whose remove found another entry than its
-    /// lookup. Checked in every build; the caller counts it, and debug
-    /// builds panic.
+    /// mapping, a delete whose remove found another entry than its
+    /// lookup, or a record that cannot apply to the entry's
+    /// representation — a touch of an entry that does not hold the blocks
+    /// its size needs (an inline one, say), or an extend of an inline
+    /// entry; those two leave the entry as it was. Checked in every
+    /// build; the caller counts it, and debug builds panic.
     pub fn replay(
         &self,
         rec: &RecordView<'_>,
+        entry: Option<RelPtr<MetaEntry>>,
         sync: &IndexSync<'_>,
         touched: &mut Vec<(u64, u64)>,
     ) -> bool {
         let (name, lsn) = (rec.name, rec.lsn);
-        let old_blocks = |e: Option<RelPtr<MetaEntry>>| e.map(|e| self.read_entry(e).2);
         let diverged = match rec.op {
             OP_NOOP => false,
-            ops::OP_PUT | ops::OP_TOUCH | ops::OP_CREATE => {
+            ops::OP_TOUCH => {
                 let p = PutParams::decode(rec.params).expect("valid put params");
-                let entry = sync.lookup(self, name);
-                let touch = rec.op == ops::OP_TOUCH;
-                let (kind, freed) = match old_blocks(entry) {
-                    Some(_) if touch => (PutKind::Touch, vec![]),
-                    Some(old) => (PutKind::Replace, old),
-                    None => (PutKind::Create, vec![]),
-                };
-                let plan = PutPlan {
-                    kind,
-                    blocks: p.blocks,
-                    freed,
-                };
-                self.replay_pool(plan.claims(), &plan.freed, lsn, touched);
-                (touch && entry.is_none())
-                    | !self.install_put_entry(entry, name, p.size, &plan, lsn, sync)
+                let need = blocks_for_geometry(p.size, self.block_bytes());
+                let blocks = entry
+                    .filter(|&e| self.slot_of(e).is_none())
+                    .map(|e| self.read_entry(e).2)
+                    .filter(|b| b.len() as u64 == need);
+                match blocks {
+                    Some(blocks) => {
+                        let plan = PutPlan {
+                            kind: PutKind::Touch,
+                            blocks,
+                            freed: vec![],
+                            slot: None,
+                        };
+                        !self.install_put_entry(entry, name, p.size, &plan, lsn, sync)
+                    }
+                    None => true,
+                }
+            }
+            ops::OP_PUT | ops::OP_CREATE => {
+                let p = PutParams::decode(rec.params).expect("valid put params");
+                // A size with no blocks is an inline object of zeros.
+                let slot = (p.blocks.is_empty() && p.size > 0)
+                    .then(|| self.replay_slot(entry, p.size, None));
+                self.replay_replace(entry, name, p.size, p.blocks, slot, lsn, sync, touched)
+            }
+            ops::OP_PUT_INLINE => {
+                let value = InlineParams::decode(rec.params).expect("valid inline params");
+                let size = value.len() as u64;
+                let slot = self.replay_slot(entry, size, Some(value));
+                self.replay_replace(entry, name, size, vec![], Some(slot), lsn, sync, touched)
             }
             ops::OP_EXTEND => {
                 let p = ExtendParams::decode(rec.params).expect("valid extend params");
-                let e = sync.lookup(self, name).expect("an extended object exists");
-                let (size, _, mut blocks) = self.read_entry(e);
-                self.replay_pool(&p.blocks, &[], lsn, touched);
-                blocks.extend_from_slice(&p.blocks);
-                let plan = ExtendPlan {
-                    blocks,
-                    new_size: size.max(p.offset + p.len),
-                    claimed: p.blocks.len(),
-                };
-                self.install_extend_entry(e, &plan, lsn);
-                false
+                let e = entry.expect("an extended object exists");
+                if self.slot_of(e).is_some() {
+                    true
+                } else {
+                    let (size, _, mut blocks) = self.read_entry(e);
+                    self.replay_pool(&p.blocks, &[], lsn, touched);
+                    blocks.extend_from_slice(&p.blocks);
+                    let plan = ExtendPlan {
+                        blocks,
+                        new_size: size.max(p.offset + p.len),
+                        claimed: p.blocks.len(),
+                    };
+                    self.install_extend_entry(e, &plan, lsn);
+                    false
+                }
             }
             ops::OP_DELETE => {
-                let entry = sync.lookup(self, name);
-                let freed = old_blocks(entry).unwrap_or_default();
+                let freed = entry.map(|e| self.read_entry(e).2).unwrap_or_default();
                 self.replay_pool(&[], &freed, lsn, touched);
                 entry.is_none() || self.install_delete_sync(name, sync) != entry
             }
@@ -924,16 +1214,18 @@ impl<'a, M: Memory> Domain<'a, M> {
                 let img = PhysImage::decode(rec.params).expect("valid phys image");
                 let claims = &img.blocks[img.blocks.len() - img.pops as usize..];
                 self.replay_pool(claims, &img.pushes, lsn, touched);
-                let entry = sync.lookup(self, name);
+                let inline = img.blocks.is_empty() && img.size > 0;
                 let kind = match entry {
                     None => PutKind::Create,
-                    Some(_) if img.pops == 0 && img.pushes.is_empty() => PutKind::Touch,
+                    Some(_) if !inline && img.pops == 0 && img.pushes.is_empty() => PutKind::Touch,
                     Some(_) => PutKind::Replace,
                 };
+                let slot = inline.then(|| self.replay_slot(entry, img.size, Some(&img.inline)));
                 let plan = PutPlan {
                     kind,
                     blocks: img.blocks,
                     freed: img.pushes,
+                    slot,
                 };
                 !self.install_put_entry(entry, name, img.size, &plan, lsn, sync)
             }
@@ -950,6 +1242,52 @@ impl<'a, M: Memory> Domain<'a, M> {
             String::from_utf8_lossy(name)
         );
         diverged
+    }
+
+    /// Replay's slot for an inline value of `size` bytes on `entry` — in
+    /// place when the class agrees, else fresh — holding `value` (`None`:
+    /// zeros).
+    fn replay_slot(
+        &self,
+        entry: Option<RelPtr<MetaEntry>>,
+        size: u64,
+        value: Option<&[u8]>,
+    ) -> Slot {
+        let old = entry.and_then(|e| self.slot_of(e));
+        let slot = self
+            .slot_for(old, size, false)
+            .expect("replay allocates unconditionally");
+        self.fill_slot(&slot, value);
+        slot
+    }
+
+    /// Replays a put that replaces whatever `entry` held with `blocks`
+    /// (claimed here) or `slot`: the entry's old blocks are released and
+    /// its old slot freed. Returns whether it diverged.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_replace(
+        &self,
+        entry: Option<RelPtr<MetaEntry>>,
+        name: &[u8],
+        size: u64,
+        blocks: Vec<u64>,
+        slot: Option<Slot>,
+        lsn: u64,
+        sync: &IndexSync<'_>,
+        touched: &mut Vec<(u64, u64)>,
+    ) -> bool {
+        let (kind, freed) = match entry {
+            Some(e) => (PutKind::Replace, self.read_entry(e).2),
+            None => (PutKind::Create, vec![]),
+        };
+        let plan = PutPlan {
+            kind,
+            blocks,
+            freed,
+            slot,
+        };
+        self.replay_pool(plan.claims(), &plan.freed, lsn, touched);
+        !self.install_put_entry(entry, name, size, &plan, lsn, sync)
     }
 }
 
@@ -1018,7 +1356,14 @@ mod tests {
             let mut touched = vec![];
             let diverged = records
                 .iter()
-                .filter(|r| self.replay(&r.view(), &IndexSync::Exclusive, &mut touched))
+                .filter(|r| {
+                    self.replay(
+                        &r.view(),
+                        self.lookup(&r.name),
+                        &IndexSync::Exclusive,
+                        &mut touched,
+                    )
+                })
                 .count();
             diverged + self.ownership_errors(&touched).len()
         }
@@ -1137,6 +1482,7 @@ mod tests {
             kind: PutKind::Create,
             blocks: vec![],
             freed: vec![],
+            slot: None,
         };
         assert!(!d.install_put_entry(None, b"x", 0, &stale_create, 2, &IndexSync::Exclusive));
         assert_eq!(
@@ -1150,8 +1496,8 @@ mod tests {
     fn extend_grows_block_list() {
         let a = arena();
         let d = domain(&a);
-        let p = d.plan_put(b"f", 1000).unwrap();
-        d.install_put(b"f", 1000, &p, 1);
+        let p = d.plan_put(b"f", 2000).unwrap();
+        d.install_put(b"f", 2000, &p, 1);
         let ext = d.plan_extend(b"f", 4096, 5000).unwrap();
         assert_eq!(ext.new_size, 9096);
         assert_eq!(ext.blocks.len(), 3);
@@ -1182,9 +1528,9 @@ mod tests {
         assert_eq!(blocks, p.blocks);
         // Shrink back to 1 block; chain is freed, blocks return to pool.
         let free_before = d.pool_free();
-        let p2 = d.plan_put(b"big", 100).unwrap();
+        let p2 = d.plan_put(b"big", 2000).unwrap();
         assert_eq!(p2.kind, PutKind::Replace);
-        d.install_put(b"big", 100, &p2, 2);
+        d.install_put(b"big", 2000, &p2, 2);
         assert_eq!(d.pool_free(), free_before + 200 - 1);
         let (_, _, blocks) = d.read_entry(d.lookup(b"big").unwrap());
         assert_eq!(blocks.len(), 1);
@@ -1273,12 +1619,35 @@ mod tests {
             });
         }
 
+        /// Puts `size` bytes of `name`'s last byte plus the LSN.
         fn put(&mut self, name: &[u8], size: u64) -> DsResult<()> {
             let plan = self.d.plan_put(name, size)?;
-            self.log(name, put_record(ops::OP_PUT, size, &plan, self.mode));
+            let tag = name.last().unwrap().wrapping_add(self.records.len() as u8);
+            let value = vec![tag; size as usize];
+            self.log(
+                name,
+                put_record(ops::OP_PUT, size, &plan, self.mode, Some(&value)),
+            );
+            if let Some(slot) = &plan.slot {
+                self.d.fill_slot(slot, Some(&value));
+            }
             self.d
                 .install_put(name, size, &plan, self.records.len() as u64);
             Ok(())
+        }
+
+        /// An `oopen` create of `size` zero bytes.
+        fn create(&mut self, name: &[u8], size: u64) {
+            let plan = self.d.plan_put(name, size).unwrap();
+            self.log(
+                name,
+                put_record(ops::OP_CREATE, size, &plan, self.mode, None),
+            );
+            if let Some(slot) = &plan.slot {
+                self.d.fill_slot(slot, None);
+            }
+            self.d
+                .install_put(name, size, &plan, self.records.len() as u64);
         }
 
         fn extend(&mut self, name: &[u8], offset: u64, len: u64) {
@@ -1300,6 +1669,7 @@ mod tests {
                         blocks: vec![],
                         pops: 0,
                         pushes: plan.freed.clone(),
+                        inline: vec![],
                     }
                     .encode(),
                 ),
@@ -1309,10 +1679,22 @@ mod tests {
         }
     }
 
+    /// An entry's inline value, if it has one.
+    fn inline_value(d: &Domain<'_, DramMemory>, e: RelPtr<MetaEntry>) -> Option<Vec<u8>> {
+        // SAFETY: single-threaded test; the slot is live.
+        d.slot_of(e)
+            .map(|(off, len)| unsafe { d.slot_bytes(off, len) }.to_vec())
+    }
+
     /// Observable equivalence of two domains: same objects, sizes, block
-    /// lists, counters and ownership map, shard by shard.
+    /// lists, inline values, counters, ownership map shard by shard, and
+    /// arena bytes in live allocations.
     fn assert_same_state(front: &Domain<'_, DramMemory>, shadow: &Domain<'_, DramMemory>) {
         assert_eq!(front.counters(), shadow.counters());
+        assert_eq!(
+            front.arena().stats().allocated_bytes,
+            shadow.arena().stats().allocated_bytes
+        );
         assert_eq!(front.owner_map(), shadow.owner_map());
         for s in 0..front.pool_shards() {
             assert_eq!(front.pool_free_in(s), shadow.pool_free_in(s), "shard {s}");
@@ -1329,6 +1711,12 @@ mod tests {
             let se = shadow.read_entry(shadow.lookup(n).unwrap());
             assert_eq!(fe.0, se.0, "size of {}", String::from_utf8_lossy(n));
             assert_eq!(fe.2, se.2, "blocks of {}", String::from_utf8_lossy(n));
+            assert_eq!(
+                inline_value(front, front.lookup(n).unwrap()),
+                inline_value(shadow, shadow.lookup(n).unwrap()),
+                "inline value of {}",
+                String::from_utf8_lossy(n)
+            );
         }
     }
 
@@ -1481,7 +1869,12 @@ mod tests {
             let records: Vec<_> = first.iter().chain(second).collect();
             let mut touched = vec![];
             for r in records {
-                assert!(!d.replay(&r.view(), &IndexSync::Exclusive, &mut touched));
+                assert!(!d.replay(
+                    &r.view(),
+                    d.lookup(&r.name),
+                    &IndexSync::Exclusive,
+                    &mut touched
+                ));
             }
             assert!(d.ownership_errors(&touched).is_empty());
             (d.owner_map(), d.pool_free_in(0), d.pool_free_in(1))
@@ -1496,6 +1889,133 @@ mod tests {
                 front.pool_free_in(1)
             )
         );
+    }
+
+    /// A value of at most `INLINE_MAX` bytes takes a slot and no block:
+    /// the slot is reused in place while the size class agrees, replaced
+    /// when it does not, and freed when the object moves to blocks or is
+    /// deleted; arena bytes return to where they started.
+    #[test]
+    fn inline_values_take_slots_not_blocks() {
+        let a = arena();
+        let d = domain(&a);
+        let base = a.stats().allocated_bytes;
+        let put = |size: u64, lsn: u64| {
+            let p = d.plan_put(b"s", size).unwrap();
+            if let Some(slot) = &p.slot {
+                d.fill_slot(slot, Some(&vec![lsn as u8; size as usize]));
+            }
+            d.install_put(b"s", size, &p, lsn);
+            p
+        };
+        let p1 = put(128, 1);
+        let s1 = p1.slot.unwrap();
+        assert!(s1.fresh && p1.blocks.is_empty() && p1.claims().is_empty());
+        assert_eq!(d.pool_used(), 0);
+        let e = d.lookup(b"s").unwrap();
+        assert_eq!(d.slot_of(e), Some((s1.off, 128)));
+        assert_eq!(inline_value(&d, e).unwrap(), vec![1; 128]);
+        assert_eq!(d.read_entry(e).2, Vec::<u64>::new());
+        assert_eq!(a.stats().allocated_bytes, base + 128 + 128);
+        // Same class (65..=128 B): in place.
+        let p2 = put(100, 2);
+        assert_eq!(
+            p2.slot,
+            Some(Slot {
+                off: s1.off,
+                size: 100,
+                fresh: false
+            })
+        );
+        assert_eq!(inline_value(&d, e).unwrap(), vec![2; 100]);
+        // Another class: a fresh slot, the old one freed at install.
+        let p3 = put(INLINE_MAX, 3);
+        assert!(p3.slot.unwrap().fresh);
+        assert_eq!(a.stats().allocated_bytes, base + 128 + 1024);
+        // To blocks: one claim, the slot freed at install.
+        let p4 = put(INLINE_MAX + 1, 4);
+        assert_eq!(
+            (p4.kind, p4.blocks.len(), p4.slot),
+            (PutKind::Replace, 1, None)
+        );
+        assert_eq!(d.slot_of(e), None);
+        assert_eq!(a.stats().allocated_bytes, base + 128);
+        // Back inline: the block is freed (released after the commit).
+        let p5 = put(1, 5);
+        assert_eq!(p5.freed, p4.blocks);
+        assert_eq!(d.pool_used(), 0);
+        assert_eq!(d.counters(), (1, 1));
+        // An empty value is neither inline nor on blocks.
+        let p6 = put(0, 6);
+        assert_eq!(
+            (p6.kind, p6.slot, p6.blocks.len()),
+            (PutKind::Replace, None, 0)
+        );
+        assert_eq!(d.slot_of(e), None);
+        put(7, 7);
+        let del = d.plan_delete(b"s").unwrap();
+        d.install_delete(b"s", &del);
+        assert_eq!(a.stats().allocated_bytes, base);
+        // A plan whose record is never logged gives its slot back.
+        let p = d.plan_put(b"t", 64).unwrap();
+        assert_eq!(p.fresh_slot(), p.slot);
+        d.unclaim(&p);
+        assert_eq!(a.stats().allocated_bytes, base);
+    }
+
+    /// Past three quarters of the arena a small value takes a block.
+    #[test]
+    fn inline_values_stop_at_the_headroom() {
+        let a = Arena::create(DramMemory::new(1 << 20));
+        let d = domain(&a);
+        let limit = a.stats().capacity / 4 * 3;
+        let mut i = 0u32;
+        loop {
+            let name = format!("n{i}");
+            let p = d.plan_put(name.as_bytes(), INLINE_MAX).unwrap();
+            d.install_put(name.as_bytes(), INLINE_MAX, &p, i as u64 + 1);
+            i += 1;
+            if p.slot.is_none() {
+                assert_eq!(p.blocks.len(), 1);
+                break;
+            }
+            assert!(a.stats().allocated_bytes <= limit);
+        }
+        assert!(
+            a.stats().allocated_bytes + 1024 > limit - 4096,
+            "stopped early"
+        );
+    }
+
+    /// Replaying puts that cross `INLINE_MAX` both ways, creates of zeros
+    /// and deletes reproduces sizes, blocks, inline values and arena use,
+    /// in both logging modes.
+    #[test]
+    fn inline_records_replay_equivalently() {
+        for mode in [LoggingMode::Logical, LoggingMode::Physical] {
+            let a1 = arena();
+            let front = domain(&a1);
+            let mut f = Front {
+                d: &front,
+                mode,
+                records: vec![],
+            };
+            for i in 0..120u64 {
+                let name = format!("i{}", i % 9);
+                let size = (i * 397) % (2 * INLINE_MAX + 1);
+                if i % 13 == 5 && front.lookup(name.as_bytes()).is_some() {
+                    f.delete(name.as_bytes());
+                } else if i % 17 == 3 && front.lookup(name.as_bytes()).is_none() {
+                    f.create(name.as_bytes(), size);
+                } else {
+                    f.put(name.as_bytes(), size).unwrap();
+                }
+            }
+            let a2 = arena();
+            let shadow = domain(&a2);
+            assert_eq!(shadow.replay_all(&f.records), 0, "{mode:?}");
+            assert_same_state(&front, &shadow);
+        }
     }
 
     #[test]

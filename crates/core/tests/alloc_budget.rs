@@ -48,7 +48,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const KEYS: usize = 1_000;
-const VALUE: [u8; 128] = [0xA5; 128];
 
 fn key(i: usize) -> Vec<u8> {
     format!("obj-{i:05}").into_bytes()
@@ -68,8 +67,9 @@ fn median_allocs(keys: &[Vec<u8>], mut op: impl FnMut(&[u8])) -> u64 {
     counts[counts.len() / 2]
 }
 
-#[test]
-fn steady_state_ops_stay_under_their_allocation_ceilings() {
+/// Checks the steady-state medians of put, get, exists and delete+put
+/// with `value` against `ceilings`, in that order.
+fn assert_ceilings(value: &[u8], ceilings: [u64; 4]) {
     let store = DStore::create(DStoreConfig::default()).unwrap();
     let ctx = store.context();
     let keys: Vec<Vec<u8>> = (0..KEYS).map(key).collect();
@@ -77,36 +77,56 @@ fn steady_state_ops_stay_under_their_allocation_ceilings() {
     // delete-recreate each once, so the index, the pools and every
     // per-shard table have reached their steady-state capacity.
     for k in &keys {
-        ctx.put(k, &VALUE).unwrap();
+        ctx.put(k, value).unwrap();
     }
     for k in &keys {
-        ctx.put(k, &VALUE).unwrap();
-        assert_eq!(ctx.get(k).unwrap(), VALUE);
+        ctx.put(k, value).unwrap();
+        assert_eq!(ctx.get(k).unwrap(), value);
         ctx.delete(k).unwrap();
-        ctx.put(k, &VALUE).unwrap();
+        ctx.put(k, value).unwrap();
     }
 
-    let put = median_allocs(&keys, |k| ctx.put(k, &VALUE).unwrap());
+    let put = median_allocs(&keys, |k| ctx.put(k, value).unwrap());
     let get = median_allocs(&keys, |k| {
         ctx.get(k).unwrap();
     });
     let exists = median_allocs(&keys, |k| assert!(ctx.exists(k)));
     let delete_put = median_allocs(&keys, |k| {
         ctx.delete(k).unwrap();
-        ctx.put(k, &VALUE).unwrap();
+        ctx.put(k, value).unwrap();
     });
-    println!("allocations per op: put {put}, get {get}, exists {exists}, delete+put {delete_put}");
-
-    // Ceilings: the counts this test read when it was introduced.
-    for (op, got, ceiling) in [
-        ("put", put, 8),
-        ("get", get, 3),
-        ("exists", exists, 0),
-        ("delete+put", delete_put, 12),
-    ] {
+    println!(
+        "{} B values, allocations per op: put {put}, get {get}, exists {exists}, delete+put {delete_put}",
+        value.len()
+    );
+    for ((op, got), ceiling) in [
+        ("put", put),
+        ("get", get),
+        ("exists", exists),
+        ("delete+put", delete_put),
+    ]
+    .into_iter()
+    .zip(ceilings)
+    {
         assert!(
             got <= ceiling,
-            "{op} makes {got} heap allocations, its ceiling is {ceiling}"
+            "{} B values: {op} makes {got} heap allocations, its ceiling is {ceiling}",
+            value.len()
         );
     }
+}
+
+/// 128 B values take the inline path: no block list, no page buffer, and
+/// a get allocates only the value it returns. Ceilings: the counts this
+/// leg read when inline values landed.
+#[test]
+fn steady_state_ops_stay_under_their_allocation_ceilings() {
+    assert_ceilings(&[0xA5; 128], [5, 1, 0, 9]);
+}
+
+/// 4 KiB values take the block path. Ceilings: the counts the 128 B
+/// leg read before inline values, when it still ran on blocks.
+#[test]
+fn block_path_ops_stay_under_their_allocation_ceilings() {
+    assert_ceilings(&[0x5A; 4096], [8, 3, 0, 12]);
 }

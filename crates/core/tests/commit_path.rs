@@ -112,15 +112,17 @@ fn device_wait_is_attributed_to_nvme() {
 /// timed: a put's record body, header gap and commit flag reach PMEM
 /// behind one merged flush and one fence, so fewer than two of each per
 /// put, amortized, whatever the host's speed — also when two writers on
-/// disjoint keys commit side by side.
+/// disjoint keys commit side by side, and when a 128 B value rides in the
+/// record (more lines in the same flush, no extra call).
 #[test]
 fn put_stays_within_the_fence_budget() {
     for writers in [1, 2] {
-        assert_fence_budget(writers);
+        assert_fence_budget(writers, &VALUE);
+        assert_fence_budget(writers, &VALUE[..128]);
     }
 }
 
-fn assert_fence_budget(writers: usize) {
+fn assert_fence_budget(writers: usize, value: &[u8]) {
     const KEYS: usize = 1024;
     const PUTS: usize = 2000;
     let cfg = DStoreConfig {
@@ -136,7 +138,7 @@ fn assert_fence_budget(writers: usize) {
                 s.spawn(move || {
                     let ctx = store.context();
                     for i in range {
-                        ctx.put(format!("w{w}-k{}", i % KEYS).as_bytes(), &VALUE)
+                        ctx.put(format!("w{w}-k{}", i % KEYS).as_bytes(), value)
                             .unwrap();
                     }
                 });
@@ -158,10 +160,13 @@ fn assert_fence_budget(writers: usize) {
     let total = (writers * PUTS) as f64;
     let flushes = (counter("dstore_pmem_flushes_total") - f0) as f64 / total;
     let fences = (counter("dstore_pmem_fences_total") - s0) as f64 / total;
-    println!("fence budget, {writers} writer(s): {flushes:.3} flushes/put, {fences:.3} fences/put");
+    let len = value.len();
+    println!(
+        "fence budget, {writers} writer(s), {len} B: {flushes:.3} flushes/put, {fences:.3} fences/put"
+    );
     assert!(
         flushes < 2.0 && fences < 2.0,
-        "fence budget violated with {writers} writer(s): {flushes:.3} flushes/put, \
-         {fences:.3} fences/put (budget: < 2 of each)"
+        "fence budget violated with {writers} writer(s), {len} B values: {flushes:.3} \
+         flushes/put, {fences:.3} fences/put (budget: < 2 of each)"
     );
 }

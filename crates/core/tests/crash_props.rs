@@ -3,7 +3,7 @@
 //! observationally equivalent to a model that saw exactly the completed
 //! operations — the paper's §3.6 guarantee.
 
-use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode};
+use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode, INLINE_MAX};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -17,7 +17,7 @@ enum Op {
         key: u8,
     },
     /// `owrite` appending `len` bytes to an existing object (filesystem
-    /// API path: OP_EXTEND records).
+    /// API path: OP_EXTEND records, or a rewrite of an inline object).
     Append {
         key: u8,
         len: usize,
@@ -31,11 +31,17 @@ enum Op {
     SwapOnly,
 }
 
+/// Sizes around the inline threshold: inline values, block values, and
+/// puts and appends that cross `INLINE_MAX` either way.
+const NEAR_INLINE: usize = 2 * INLINE_MAX as usize + 1;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (0u8..12, 0usize..9000).prop_map(|(key, len)| Op::Put { key, len }),
+        4 => (0u8..12, 0usize..NEAR_INLINE).prop_map(|(key, len)| Op::Put { key, len }),
         2 => (0u8..12).prop_map(|key| Op::Delete { key }),
         2 => (0u8..12, 1usize..3000).prop_map(|(key, len)| Op::Append { key, len }),
+        2 => (0u8..12, 0usize..NEAR_INLINE).prop_map(|(key, len)| Op::Append { key, len }),
         1 => (0u8..12).prop_map(|key| Op::LeakLock { key }),
         1 => Just(Op::Checkpoint),
         1 => Just(Op::SwapOnly),

@@ -1,6 +1,6 @@
 //! End-to-end API tests for DStore (Table 2 semantics).
 
-use dstore::{CheckpointMode, DStore, DStoreConfig, DsError, LoggingMode, OpenMode};
+use dstore::{CheckpointMode, DStore, DStoreConfig, DsError, LoggingMode, OpenMode, INLINE_MAX};
 
 fn store() -> DStore {
     DStore::create(DStoreConfig::small()).unwrap()
@@ -177,10 +177,13 @@ fn scattered_claim_too_large_for_a_record_is_refused() {
     let big = vec![7u8; 3000 * 4096];
     ctx.put(b"big", &big).unwrap();
     ctx.delete(b"big").unwrap();
-    // Every other block free: a claim of n blocks is about n runs.
+    // Every other block free: a claim of n blocks is about n runs. Each
+    // filler is one byte too large to be stored inline, so it takes a
+    // block.
     let key = |i: u32| format!("o{i}");
+    let filler = vec![b'x'; INLINE_MAX as usize + 1];
     for i in 0..8190 {
-        ctx.put(key(i).as_bytes(), b"x").unwrap();
+        ctx.put(key(i).as_bytes(), &filler).unwrap();
     }
     for i in (0..8190).step_by(2) {
         ctx.delete(key(i).as_bytes()).unwrap();
@@ -202,7 +205,7 @@ fn scattered_claim_too_large_for_a_record_is_refused() {
     let s = DStore::recover(s.crash()).unwrap();
     let ctx = s.context();
     assert_eq!(ctx.get(b"half").unwrap(), half);
-    assert_eq!(ctx.get(b"o1").unwrap(), b"x");
+    assert_eq!(ctx.get(b"o1").unwrap(), filler);
     assert!(!ctx.exists(b"big"));
 }
 
@@ -456,6 +459,39 @@ fn concurrent_readers_and_writers() {
     }
 }
 
+/// Readers copying an inline value out of its slot never see a torn
+/// value while a writer overwrites the slot in place (same size class)
+/// or moves the value to a fresh slot and frees the old one.
+#[test]
+fn concurrent_readers_see_whole_inline_values() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let s = store();
+    s.context().put(b"shared", &[0u8; 1000]).unwrap();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let ctx = s.context();
+                while !stop.load(Ordering::Relaxed) {
+                    let v = ctx.get(b"shared").unwrap();
+                    assert!(
+                        [1000, INLINE_MAX as usize, 300].contains(&v.len()),
+                        "read {} bytes",
+                        v.len()
+                    );
+                    assert!(v.windows(2).all(|w| w[0] == w[1]), "torn read");
+                }
+            });
+        }
+        let ctx = s.context();
+        for i in 1..300u32 {
+            let len = [1000, INLINE_MAX as usize, 300][i as usize % 3];
+            ctx.put(b"shared", &vec![i as u8; len]).unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
 #[test]
 fn stats_count_operations() {
     let s = store();
@@ -491,4 +527,187 @@ fn instrumented_put_reports_breakdown() {
     let bd = ctx.put_instrumented(b"timed", &vec![0u8; 4096]).unwrap();
     assert!(bd.total_ns > 0);
     assert!(bd.accounted_ns() <= bd.total_ns * 2, "components plausible");
+}
+
+/// The checkpoint and logging modes the inline tests run in: DIPPER
+/// logical, DIPPER physical, and CoW.
+const INLINE_MODES: [(CheckpointMode, LoggingMode); 3] = [
+    (CheckpointMode::Dipper, LoggingMode::Logical),
+    (CheckpointMode::Dipper, LoggingMode::Physical),
+    (CheckpointMode::Cow, LoggingMode::Logical),
+];
+
+fn mode_store(ckpt: CheckpointMode, logging: LoggingMode) -> DStore {
+    DStore::create(
+        DStoreConfig::small()
+            .with_checkpoint(ckpt)
+            .with_logging(logging)
+            .with_auto_checkpoint(false),
+    )
+    .unwrap()
+}
+
+/// Crashes and recovers `s`, checking that neither the checkpoints nor
+/// the recovery diverged.
+fn crash_and_recover(s: DStore) -> DStore {
+    assert_eq!(s.replay_stats().divergences, 0, "checkpoint replay");
+    let s = DStore::recover(s.crash()).unwrap();
+    assert_eq!(s.replay_stats().divergences, 0, "recovery replay");
+    s
+}
+
+/// 128 B → 4 KiB → 128 B → delete, each step across a crash: the object
+/// moves between its slot and a block, and the block pool is back at its
+/// baseline whenever the value is inline.
+#[test]
+fn inline_value_moves_to_blocks_and_back_across_crashes() {
+    for (ckpt, logging) in INLINE_MODES {
+        let mut s = mode_store(ckpt, logging);
+        let base = s.footprint().ssd_bytes;
+        let steps: [(Option<Vec<u8>>, u64); 4] = [
+            (Some(vec![1; 128]), 0),
+            (Some(vec![2; 4096]), 1),
+            (Some(vec![3; 128]), 0),
+            (None, 0),
+        ];
+        for (i, (value, blocks)) in steps.into_iter().enumerate() {
+            let ctx = s.context();
+            match &value {
+                Some(v) => ctx.put(b"obj", v).unwrap(),
+                None => ctx.delete(b"obj").unwrap(),
+            }
+            if i == 1 {
+                s.checkpoint_now();
+            }
+            drop(ctx);
+            s = crash_and_recover(s);
+            let ctx = s.context();
+            match &value {
+                Some(v) => {
+                    assert_eq!(
+                        &ctx.get(b"obj").unwrap(),
+                        v,
+                        "{ckpt:?}/{logging:?} step {i}"
+                    );
+                    assert_eq!(ctx.stat(b"obj").unwrap().blocks, blocks);
+                }
+                None => assert_eq!(ctx.get(b"obj"), Err(DsError::NotFound)),
+            }
+            let ssd = base + blocks * 4096;
+            assert_eq!(
+                s.footprint().ssd_bytes,
+                ssd,
+                "{ckpt:?}/{logging:?} step {i}"
+            );
+        }
+    }
+}
+
+/// `owrite`/`oread` at offsets on an inline object: a write whose result
+/// fits `INLINE_MAX` stays inline, one past it moves the object to blocks
+/// with every byte kept, and gaps read as zeros.
+#[test]
+fn owrite_and_oread_on_an_inline_object() {
+    let max = INLINE_MAX as usize;
+    for (ckpt, logging) in INLINE_MODES {
+        let s = mode_store(ckpt, logging);
+        let ctx = s.context();
+        let mut model = vec![7u8; 100];
+        ctx.put(b"f", &model).unwrap();
+        let obj = ctx.open(b"f", OpenMode::Write).unwrap();
+        let write = |model: &mut Vec<u8>, data: &[u8], at: usize| {
+            obj.write(data, at as u64).unwrap();
+            if model.len() < at + data.len() {
+                model.resize(at + data.len(), 0);
+            }
+            model[at..at + data.len()].copy_from_slice(data);
+        };
+        write(&mut model, &[8; 30], 50); // inside
+        write(&mut model, &[9; 40], 90); // grows, same class
+        write(&mut model, &[10; 10], max - 10); // to exactly INLINE_MAX, past a gap
+        assert_eq!(ctx.stat(b"f").unwrap().blocks, 0);
+        let mut buf = [0u8; 64];
+        assert_eq!(obj.read(&mut buf, 40).unwrap(), 64);
+        assert_eq!(&buf[..], &model[40..104]);
+        assert_eq!(obj.read(&mut buf, max as u64 - 4).unwrap(), 4);
+        assert_eq!(&buf[..4], &model[max - 4..]);
+        assert_eq!(obj.read(&mut buf, max as u64).unwrap(), 0);
+        // A result larger than the pool fails before anything is built.
+        assert_eq!(obj.write(b"x", 1 << 40), Err(DsError::OutOfSpace));
+        assert_eq!(ctx.get(b"f").unwrap(), model);
+        write(&mut model, &[11; 20], max - 5); // crosses INLINE_MAX: to blocks
+        assert_eq!(ctx.stat(b"f").unwrap().blocks, 1);
+        assert_eq!(ctx.get(b"f").unwrap(), model);
+        write(&mut model, &[12; 5000], 2000); // an extend of the block object
+        drop(obj);
+        drop(ctx);
+        let s = crash_and_recover(s);
+        let ctx = s.context();
+        assert_eq!(ctx.get(b"f").unwrap(), model, "{ckpt:?}/{logging:?}");
+        assert_eq!(ctx.stat(b"f").unwrap().blocks, 2);
+        let obj = ctx.open(b"f", OpenMode::Read).unwrap();
+        let mut buf = vec![0u8; 100];
+        assert_eq!(obj.read(&mut buf, max as u64 - 50).unwrap(), 100);
+        assert_eq!(buf, model[max - 50..max + 50]);
+    }
+}
+
+/// `open(Create(n))` with `n ≤ INLINE_MAX` makes an inline object of `n`
+/// zeros, also after a crash, and writes to it stay inline.
+#[test]
+fn inline_create_reads_zeros() {
+    for (ckpt, logging) in INLINE_MODES {
+        let s = mode_store(ckpt, logging);
+        let ctx = s.context();
+        let obj = ctx.open(b"z", OpenMode::Create(300)).unwrap();
+        assert_eq!(obj.size().unwrap(), 300);
+        let mut buf = vec![1u8; 300];
+        assert_eq!(obj.read(&mut buf, 0).unwrap(), 300);
+        assert_eq!(buf, vec![0; 300]);
+        assert_eq!(ctx.stat(b"z").unwrap().blocks, 0);
+        obj.write(b"abc", 10).unwrap();
+        drop(obj);
+        ctx.open(b"empty", OpenMode::Create(0)).unwrap();
+        drop(ctx);
+        let s = crash_and_recover(s);
+        let ctx = s.context();
+        let mut want = vec![0; 300];
+        want[10..13].copy_from_slice(b"abc");
+        assert_eq!(ctx.get(b"z").unwrap(), want, "{ckpt:?}/{logging:?}");
+        assert_eq!(ctx.stat(b"z").unwrap().blocks, 0);
+        assert_eq!(ctx.get(b"empty").unwrap(), b"");
+    }
+}
+
+/// Once the DRAM arena passes its inline headroom, a small value is
+/// stored on a block, and it reads back after recovery.
+#[test]
+fn small_value_past_the_arena_headroom_takes_a_block() {
+    let value = vec![0x3C; INLINE_MAX as usize];
+    for (ckpt, logging) in INLINE_MODES {
+        let mut cfg = DStoreConfig::small()
+            .with_checkpoint(ckpt)
+            .with_logging(logging);
+        cfg.ssd_pages = 8192;
+        let s = DStore::create(cfg).unwrap();
+        let ctx = s.context();
+        let key = |i: u32| format!("fill{i}").into_bytes();
+        let mut n = 0;
+        while ctx.stat(&key(n.max(1) - 1)).map_or(0, |st| st.blocks) == 0 {
+            ctx.put(&key(n), &value).unwrap();
+            n += 1;
+            assert!(n < 10_000, "the headroom never sent a value to blocks");
+        }
+        let last = key(n - 1);
+        drop(ctx);
+        s.checkpoint_now();
+        s.wait_checkpoint_idle();
+        let s = crash_and_recover(s);
+        let ctx = s.context();
+        assert_eq!(ctx.stat(&last).unwrap().blocks, 1, "{ckpt:?}/{logging:?}");
+        assert_eq!(ctx.stat(&key(0)).unwrap().blocks, 0);
+        for i in 0..n {
+            assert_eq!(ctx.get(&key(i)).unwrap(), value);
+        }
+    }
 }

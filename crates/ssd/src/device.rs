@@ -17,7 +17,7 @@ use std::path::Path;
 /// Concurrent accesses to distinct pages are safe; concurrent accesses to
 /// the same page must be synchronized by the caller (DStore's concurrency
 /// control guarantees this — at most one writer per object, and readers are
-/// excluded from in-flight writes by the read-count table).
+/// excluded from in-flight writes by the name-latch table).
 pub struct SsdDevice {
     backing: Mapping,
     pages: u64,
