@@ -29,7 +29,8 @@ use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
 use crate::structures::{
-    Claims, Domain, IndexSync, MetaEntry, PutKind, PutPlan, WritePlan, MAX_NAME_LEN, PAGE_BYTES,
+    Claims, Domain, ExtendPlan, IndexSync, MetaEntry, PutKind, PutPlan, WritePlan, MAX_NAME_LEN,
+    PAGE_BYTES,
 };
 use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
@@ -208,13 +209,13 @@ fn read_entry<'a>(
 type Entry = Option<RelPtr<MetaEntry>>;
 
 /// A mutation past its synchronous region ([`DsContext::mutate_plan`]):
-/// its published record, its plan, and what it holds until it commits.
-struct Admitted<'a, P> {
+/// its published record and what it holds until it commits.
+struct Admitted<'a> {
+    name: &'a [u8],
     handle: RecordHandle,
     lsn: u64,
     /// The entry the plan read: the install's target.
     entry: Entry,
-    plan: P,
     /// `name`'s writer mark: dropped after the install, before the commit.
     latch: WriteLatch<'a>,
     /// The drain lock, held `read` until the commit.
@@ -312,7 +313,7 @@ impl DsContext {
         let size = value.len() as u64;
         let (t0, mut at) = op_begin_enqueued(inner, "put", bd.is_some(), enqueue_ns);
 
-        let m = self.mutate_plan(
+        let (m, plan) = self.mutate_plan(
             key,
             |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
             |plan, mode| put_record(ops::OP_PUT, size, plan, mode, Some(value)),
@@ -320,7 +321,7 @@ impl DsContext {
             &mut at,
         )?;
         let (install_ns, nvme_ns, commit_ns) =
-            self.finish_put(m, key, size, Some(value), &mut at, bd.is_some());
+            self.finish_put(m, plan, size, Some(value), &mut at, bd.is_some());
 
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
@@ -370,7 +371,7 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
-        let m = self.mutate_plan(
+        let (m, plan) = self.mutate_plan(
             key,
             |d, entry| d.plan_delete_entry(entry),
             |plan, mode| match mode {
@@ -404,7 +405,7 @@ impl DsContext {
         at.mark(SEG_INDEX);
         // Drop the writer mark before commit (see put_timed).
         drop(m.latch);
-        self.commit(key, m.handle, &m.plan.freed, m.drain);
+        self.commit(key, m.handle, &plan.freed, m.drain);
         inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, |tel| tel.op_delete.as_ref(), t0, at, SEG_COMMIT);
@@ -470,14 +471,14 @@ impl DsContext {
                     // oopen … only written if they modify any metadata").
                     let inner = &self.inner;
                     let mut at = ActiveTrace::disabled();
-                    let m = self.mutate_plan(
+                    let (m, plan) = self.mutate_plan(
                         name,
                         |d, entry| d.plan_put_entry(entry, name, size, &inner.pool_shard_locks),
                         |plan, mode| put_record(ops::OP_CREATE, size, plan, mode, None),
                         &mut None,
                         &mut at,
                     )?;
-                    self.finish_put(m, name, size, None, &mut at, false);
+                    self.finish_put(m, plan, size, None, &mut at, false);
                     inner.maybe_checkpoint();
                 }
             }
@@ -540,9 +541,10 @@ impl DsContext {
     /// Runs the synchronous region for a mutating op: claims its blocks
     /// (or allocates its inline slot), encodes the record that names
     /// them, reserves the record (with write-write conflict detection and
-    /// abort-retry) and takes the object's writer latch. On return the caller holds the object
+    /// abort-retry) and takes the object's writer latch. It returns the
+    /// admitted op and its plan. The caller then holds the object
     /// exclusively (no in-flight writers, no readers) and must drop the
-    /// returned [`WriteLatch`], then [`DsContext::commit`].
+    /// admission's [`WriteLatch`], then [`DsContext::commit`].
     ///
     /// Only the *decisions* are serialized. A claim holds each pool
     /// shard's lock only for that shard's part ([`Domain::claim`]), and
@@ -589,7 +591,7 @@ impl DsContext {
         encode: impl Fn(&P, LoggingMode) -> (u16, Vec<u8>),
         bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
-    ) -> DsResult<Admitted<'a, P>> {
+    ) -> DsResult<(Admitted<'a>, P)> {
         enum Outcome<'l, P> {
             Full,
             Conflicts(Vec<RecordHandle>),
@@ -741,14 +743,15 @@ impl DsContext {
             if let Some(bb) = &inner.blackbox {
                 bb.note_lsn(r.lsn);
             }
-            return Ok(Admitted {
+            let m = Admitted {
+                name,
                 handle: r.handle,
                 lsn: r.lsn,
                 entry,
-                plan,
                 latch,
                 drain,
-            });
+            };
+            return Ok((m, plan));
         }
     }
 
@@ -775,14 +778,14 @@ impl DsContext {
         drop(drain);
     }
 
-    /// Steps ⑥–⑨ of an admitted put of `value` on `name` (`None`: a
+    /// Steps ⑥–⑨ of an admitted put of `value` by `plan` (`None`: a
     /// create, whose inline slot reads as zeros and whose blocks are left
     /// unwritten). Returns the install, device and commit nanoseconds
     /// when `timed` (zeros otherwise).
     fn finish_put(
         &self,
-        m: Admitted<'_, PutPlan>,
-        name: &[u8],
+        m: Admitted<'_>,
+        plan: PutPlan,
         size: u64,
         value: Option<&[u8]>,
         at: &mut ActiveTrace,
@@ -794,10 +797,10 @@ impl DsContext {
         // the synchronous region (OE), on the entry the plan read. The
         // op's readers are drained, so an in-place slot is its own.
         let t = timed.then(now_ns);
-        if let Some(slot) = &m.plan.slot {
+        if let Some(slot) = &plan.slot {
             inner.domain().fill_slot(slot, value);
         }
-        self.install_put(m.entry, name, size, &m.plan, m.lsn);
+        self.install_put(m.entry, m.name, size, &plan, m.lsn);
         at.mark(SEG_INDEX);
         let install_ns = since(t);
 
@@ -805,7 +808,7 @@ impl DsContext {
         // out its own device deadline below, after releasing the writer
         // mark. An inline value has none: its record carries it.
         let t = timed.then(now_ns);
-        let ssd_deadline = self.submit_blocks(&m.plan.blocks, value.unwrap_or_default());
+        let ssd_deadline = self.submit_blocks(&plan.blocks, value.unwrap_or_default());
 
         // The object's mutation is complete (data in the device's
         // power-loss-protected write cache): release the writer mark
@@ -824,7 +827,7 @@ impl DsContext {
 
         // Step ⑨: commit.
         let t = timed.then(now_ns);
-        self.commit(name, m.handle, &m.plan.freed, m.drain);
+        self.commit(m.name, m.handle, &plan.freed, m.drain);
         (install_ns, nvme_ns, since(t))
     }
 
@@ -1027,11 +1030,11 @@ impl ObjectHandle<'_> {
     /// Partial write at `offset` (the paper's `owrite`), extending the
     /// object if needed. Durable on return.
     ///
-    /// An object holding blocks extends in place ([`ops::OP_EXTEND`]). An
-    /// inline object (or an empty one whose result fits
-    /// [`crate::INLINE_MAX`]) is read, modified and put whole under the
-    /// writer mark: its record is an inline put if the result fits, a put
-    /// on fresh blocks if not.
+    /// A result of at most [`crate::INLINE_MAX`] bytes on an object that
+    /// holds no blocks (an inline or empty one) is read, modified and put
+    /// whole under the writer mark. Any other write extends the object in
+    /// place ([`ops::OP_EXTEND`]); an inline object's bytes then move to
+    /// the first block the extend claims.
     pub fn write(&self, data: &[u8], offset: u64) -> DsResult<usize> {
         if !self.writable {
             return Err(DsError::BadMode);
@@ -1039,7 +1042,7 @@ impl ObjectHandle<'_> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "owrite", false);
         let len = data.len() as u64;
-        let m = self.ctx.mutate_plan(
+        let (m, plan) = self.ctx.mutate_plan(
             &self.name,
             |d, entry| d.plan_write_entry(entry, &self.name, offset, data, &inner.pool_shard_locks),
             |plan, mode| match plan {
@@ -1054,43 +1057,52 @@ impl ObjectHandle<'_> {
             &mut None,
             &mut at,
         )?;
-        let Admitted {
-            handle,
-            lsn,
-            entry,
-            plan,
-            latch,
-            drain,
-        } = m;
-        let plan = match plan {
-            WritePlan::Extend(p) => p,
-            WritePlan::Rewrite(plan, value) => {
-                let m = Admitted {
-                    handle,
-                    lsn,
-                    entry,
-                    plan,
-                    latch,
-                    drain,
-                };
+        match plan {
+            WritePlan::Rewrite(p, value) => {
                 let size = value.len() as u64;
                 self.ctx
-                    .finish_put(m, &self.name, size, Some(&value), &mut at, false);
-                inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-                inner.maybe_checkpoint();
-                op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);
-                return Ok(data.len());
+                    .finish_put(m, p, size, Some(&value), &mut at, false);
             }
-        };
+            WritePlan::Extend(p) => self.finish_extend(m, p, data, offset, &mut at),
+        }
+        inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+        inner.maybe_checkpoint();
+        op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);
+        Ok(data.len())
+    }
+
+    /// Steps ⑥–⑨ of an admitted extend that writes `data` at `offset`.
+    fn finish_extend(
+        &self,
+        m: Admitted<'_>,
+        plan: ExtendPlan,
+        data: &[u8],
+        offset: u64,
+        at: &mut ActiveTrace,
+    ) {
+        let inner = &self.ctx.inner;
+        let d = inner.domain();
+        let page_sz = PAGE_BYTES as usize;
         // An extend never touches the tree: no index lock, no descent.
-        let e = entry.expect("a successful extend plan read an entry");
-        inner.domain().install_extend_entry(e, &plan, lsn);
+        let e = m.entry.expect("a successful extend plan read an entry");
+        // An inline object's bytes, zero-padded to a page, for its first
+        // block: the install frees their slot.
+        let head = d.slot_of(e).map(|(off, len)| {
+            let mut page = vec![0u8; page_sz];
+            // SAFETY: the writer mark, its readers drained, owns the slot.
+            page[..len as usize].copy_from_slice(unsafe { d.slot_bytes(off, len) });
+            page
+        });
+        d.install_extend_entry(e, &plan, m.lsn);
         at.mark(SEG_INDEX);
+        if let Some(page) = head {
+            inner
+                .ssd
+                .write_pages(d.block_first_page(plan.blocks[0]), &page);
+        }
         // Data: sub-page head/tail via partial writes, whole pages via
         // page writes.
-        let d = inner.domain();
         let bs = d.block_bytes() as usize;
-        let page_sz = PAGE_BYTES as usize;
         let mut done = 0usize;
         while done < data.len() {
             let pos = offset as usize + done;
@@ -1108,12 +1120,8 @@ impl ObjectHandle<'_> {
             done += take;
         }
         at.mark(SEG_SSD_WRITE);
-        drop(latch);
-        self.ctx.commit(&self.name, handle, &[], drain);
-        inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        inner.maybe_checkpoint();
-        op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);
-        Ok(data.len())
+        drop(m.latch);
+        self.ctx.commit(m.name, m.handle, &[], m.drain);
     }
 }
 

@@ -5,7 +5,7 @@
 //! data) for all operations are stored in the log record" (§3.4, §4.3).
 //! One exception goes beyond the paper: a value of at most
 //! [`crate::INLINE_MAX`] bytes travels in its [`OP_PUT_INLINE`] record
-//! and lives in the metadata arena, not on the SSD (DESIGN §6a, 6).
+//! and lives in the metadata arena, not on the SSD (DESIGN §6a, 10).
 //! Each op's parameters are little-endian u64s — fixed fields, then the
 //! blocks the op claimed as runs of consecutive ids, one word a run — so
 //! decoding tolerates the record's padding (under 8 bytes). Next-fit

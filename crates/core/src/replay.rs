@@ -335,9 +335,10 @@ mod tests {
     }
 
     /// A record that cannot apply to the entry's representation — a touch
-    /// of an inline entry, an extend of one — is a divergence that leaves
-    /// the entry as it was. Release builds count one each; debug builds
-    /// panic at the first.
+    /// of an inline entry, an extend of one that claims fewer blocks than
+    /// its new size needs — is a divergence that leaves the entry as it
+    /// was. Release builds count one each; debug builds panic at the
+    /// first.
     #[test]
     fn mismatched_representation_is_a_divergence() {
         let arena = Arena::create(DramMemory::new(4 << 20));
@@ -363,7 +364,7 @@ mod tests {
         }
         assert_eq!(touch(), 1);
         assert_eq!(
-            replay(ops::OP_EXTEND, ExtendParams::encode(0, 9000, &[3, 4, 5]), 3),
+            replay(ops::OP_EXTEND, ExtendParams::encode(0, 9000, &[3, 4]), 3),
             2
         );
         let d = Domain::attach(&arena, dir);
@@ -372,5 +373,14 @@ mod tests {
         // SAFETY: single-threaded test; the slot is live.
         let (off, len) = d.slot_of(e).unwrap();
         assert_eq!(unsafe { d.slot_bytes(off, len) }, b"small");
+        // An extend that claims every block of its new size applies.
+        assert_eq!(
+            replay(ops::OP_EXTEND, ExtendParams::encode(0, 9000, &[3, 4, 5]), 4),
+            2
+        );
+        let d = Domain::attach(&arena, dir);
+        let e = d.lookup(b"a").unwrap();
+        assert_eq!(d.read_entry(e), (9000, 2, vec![3, 4, 5]));
+        assert_eq!(d.slot_of(e), None);
     }
 }

@@ -267,10 +267,11 @@ impl Claims for ExtendPlan {
 /// The result of an `owrite` plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WritePlan {
-    /// An object holding blocks grows in place ([`ops::OP_EXTEND`]).
+    /// The object grows in place ([`ops::OP_EXTEND`]).
     Extend(ExtendPlan),
-    /// An inline or empty object is read, modified and written whole: the
-    /// put that stores the new value, and that value.
+    /// A result of at most [`INLINE_MAX`] on an object holding no blocks
+    /// is read, modified and written whole: the put that stores the new
+    /// value, and that value.
     Rewrite(PutPlan, Vec<u8>),
 }
 
@@ -896,10 +897,11 @@ impl<'a, M: Memory> Domain<'a, M> {
     }
 
     /// Plans an `owrite` of `data` at `offset` (entry and locks as for
-    /// [`Domain::plan_put_entry`]). An object holding blocks extends
-    /// ([`Domain::plan_extend_entry`]). An inline object — or an empty one
-    /// whose result fits [`INLINE_MAX`] — is read, modified and planned as
-    /// a put of the whole new value: inline if it fits, else on blocks.
+    /// [`Domain::plan_put_entry`]). A result of at most [`INLINE_MAX`] on
+    /// an object holding no blocks (inline or empty) is read, modified and
+    /// planned as a put of the whole new value. Any other write extends
+    /// ([`Domain::plan_extend_entry`]), an inline object too: the extend
+    /// claims all of its blocks.
     pub fn plan_write_entry(
         &self,
         entry: Option<RelPtr<MetaEntry>>,
@@ -915,19 +917,16 @@ impl<'a, M: Memory> Domain<'a, M> {
             (m.size, m.nblocks)
         };
         let new_size = size.max(offset + data.len() as u64);
-        let slot = self.slot_of(e);
-        if nblocks > 0 || (slot.is_none() && new_size > INLINE_MAX) {
+        if nblocks > 0 || new_size > INLINE_MAX {
             let plan = self.plan_extend_entry(entry, name, offset, data.len() as u64, locks)?;
             return Ok(WritePlan::Extend(plan));
         }
-        // Plan first: a result too large for the pool fails here, before
-        // anything is allocated for it.
         let plan = self.plan_put_entry(entry, name, new_size, locks)?;
-        let mut value = Vec::with_capacity(new_size as usize);
-        if let Some((off, len)) = slot {
+        let mut value = match self.slot_of(e) {
             // SAFETY: the caller's read latch keeps writers out.
-            value.extend_from_slice(unsafe { self.slot_bytes(off, len) });
-        }
+            Some((off, len)) => unsafe { self.slot_bytes(off, len) }.to_vec(),
+            None => vec![],
+        };
         value.resize(new_size as usize, 0);
         value[offset as usize..][..data.len()].copy_from_slice(data);
         Ok(WritePlan::Rewrite(plan, value))
@@ -1056,9 +1055,13 @@ impl<'a, M: Memory> Domain<'a, M> {
         agreed
     }
 
-    /// Installs a planned extension on the entry the plan read. Extends
-    /// never touch the tree.
+    /// Installs a planned extension on the entry the plan read. An inline
+    /// entry's slot is freed: its bytes are the caller's to move to the
+    /// first block. Extends never touch the tree.
     pub fn install_extend_entry(&self, e: RelPtr<MetaEntry>, plan: &ExtendPlan, lsn: u64) {
+        if let Some((off, len)) = self.slot_of(e) {
+            self.arena.free_block(off, len as usize);
+        }
         // SAFETY: exclusive entry access via CC.
         let old = unsafe {
             let old = (*self.arena.resolve(e)).size;
@@ -1141,9 +1144,10 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// mapping, a delete whose remove found another entry than its
     /// lookup, or a record that cannot apply to the entry's
     /// representation — a touch of an entry that does not hold the blocks
-    /// its size needs (an inline one, say), or an extend of an inline
-    /// entry; those two leave the entry as it was. Checked in every
-    /// build; the caller counts it, and debug builds panic.
+    /// its size needs (an inline one, say), or an extend whose blocks do
+    /// not add up to its new size; those two leave the entry as it was.
+    /// Checked in every build; the caller counts it, and debug builds
+    /// panic.
     pub fn replay(
         &self,
         rec: &RecordView<'_>,
@@ -1190,15 +1194,17 @@ impl<'a, M: Memory> Domain<'a, M> {
             ops::OP_EXTEND => {
                 let p = ExtendParams::decode(rec.params).expect("valid extend params");
                 let e = entry.expect("an extended object exists");
-                if self.slot_of(e).is_some() {
+                // An inline entry holds no blocks: the record claims all.
+                let (size, _, mut blocks) = self.read_entry(e);
+                let new_size = size.max(p.offset + p.len);
+                blocks.extend_from_slice(&p.blocks);
+                if blocks.len() as u64 != blocks_for_geometry(new_size, self.block_bytes()) {
                     true
                 } else {
-                    let (size, _, mut blocks) = self.read_entry(e);
                     self.replay_pool(&p.blocks, &[], lsn, touched);
-                    blocks.extend_from_slice(&p.blocks);
                     let plan = ExtendPlan {
                         blocks,
-                        new_size: size.max(p.offset + p.len),
+                        new_size,
                         claimed: p.blocks.len(),
                     };
                     self.install_extend_entry(e, &plan, lsn);
@@ -1953,8 +1959,17 @@ mod tests {
         );
         assert_eq!(d.slot_of(e), None);
         put(7, 7);
+        // An extend past INLINE_MAX claims every block of the new size and
+        // frees the slot at install.
+        let x = d.plan_extend(b"s", INLINE_MAX, 1).unwrap();
+        assert_eq!((x.claimed, x.new_size), (1, INLINE_MAX + 1));
+        d.install_extend(b"s", &x, 8);
+        assert_eq!(d.slot_of(e), None);
+        assert_eq!(d.read_entry(e).2, x.blocks);
+        assert_eq!(a.stats().allocated_bytes, base + 128);
         let del = d.plan_delete(b"s").unwrap();
         d.install_delete(b"s", &del);
+        assert_eq!(d.pool_used(), 0);
         assert_eq!(a.stats().allocated_bytes, base);
         // A plan whose record is never logged gives its slot back.
         let p = d.plan_put(b"t", 64).unwrap();
@@ -1987,9 +2002,9 @@ mod tests {
         );
     }
 
-    /// Replaying puts that cross `INLINE_MAX` both ways, creates of zeros
-    /// and deletes reproduces sizes, blocks, inline values and arena use,
-    /// in both logging modes.
+    /// Replaying puts that cross `INLINE_MAX` both ways, extends past it,
+    /// creates of zeros and deletes reproduces sizes, blocks, inline
+    /// values and arena use, in both logging modes.
     #[test]
     fn inline_records_replay_equivalently() {
         for mode in [LoggingMode::Logical, LoggingMode::Physical] {
@@ -2007,6 +2022,8 @@ mod tests {
                     f.delete(name.as_bytes());
                 } else if i % 17 == 3 && front.lookup(name.as_bytes()).is_none() {
                     f.create(name.as_bytes(), size);
+                } else if i % 7 == 2 && front.lookup(name.as_bytes()).is_some() {
+                    f.extend(name.as_bytes(), INLINE_MAX, size % 5000);
                 } else {
                     f.put(name.as_bytes(), size).unwrap();
                 }

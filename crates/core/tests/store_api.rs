@@ -652,6 +652,55 @@ fn owrite_and_oread_on_an_inline_object() {
     }
 }
 
+/// An `owrite` far past `INLINE_MAX` on an inline object is one extend:
+/// its record fits in every logging mode (33 MiB is more blocks than a
+/// physical record may name), and it writes the page of the old bytes and
+/// the page written, not the zeros between.
+#[test]
+fn owrite_grows_an_inline_object_far_past_inline_max() {
+    const AT: u64 = 33 << 20;
+    for (ckpt, logging) in INLINE_MODES {
+        let mut cfg = DStoreConfig::small()
+            .with_checkpoint(ckpt)
+            .with_logging(logging)
+            .with_auto_checkpoint(false);
+        cfg.ssd_pages = 9000;
+        let s = DStore::create(cfg).unwrap();
+        let ctx = s.context();
+        let base = s.footprint().ssd_bytes;
+        ctx.put(b"f", &[5; 100]).unwrap();
+        let obj = ctx.open(b"f", OpenMode::Write).unwrap();
+        let before = s.ssd().stats().snapshot();
+        obj.write(b"x", AT).unwrap();
+        let written = s.ssd().stats().snapshot().write_bytes_since(&before);
+        assert_eq!(written, 2 * 4096, "{ckpt:?}/{logging:?}");
+        drop(obj);
+        drop(ctx);
+        let s = crash_and_recover(s);
+        let ctx = s.context();
+        let st = ctx.stat(b"f").unwrap();
+        assert_eq!((st.size, st.blocks), (AT + 1, (AT + 1).div_ceil(4096)));
+        let obj = ctx.open(b"f", OpenMode::Read).unwrap();
+        let mut page = vec![9u8; 4096];
+        assert_eq!(obj.read(&mut page, 0).unwrap(), 4096);
+        assert_eq!(page[..100], [5; 100]);
+        assert!(page[100..].iter().all(|&b| b == 0));
+        assert_eq!(obj.read(&mut page, AT).unwrap(), 1);
+        assert_eq!(page[0], b'x');
+        drop(obj);
+        let deleted = ctx.delete(b"f");
+        if logging == LoggingMode::Physical {
+            // A physical delete names every block it frees, so its record
+            // has the physical put's limit.
+            assert!(matches!(deleted, Err(DsError::RecordTooLarge(_))));
+            assert_eq!(ctx.stat(b"f").unwrap().size, AT + 1);
+        } else {
+            deleted.unwrap();
+            assert_eq!(s.footprint().ssd_bytes, base, "{ckpt:?}/{logging:?}");
+        }
+    }
+}
+
 /// `open(Create(n))` with `n ≤ INLINE_MAX` makes an inline object of `n`
 /// zeros, also after a crash, and writes to it stay inline.
 #[test]
