@@ -553,36 +553,6 @@ impl DStore {
         }
     }
 
-    /// Fraction of the active log buffer currently in use, in [0, 1].
-    /// This is the signal external checkpoint schedulers (e.g.
-    /// `dstore-shard`'s staggered scheduler) poll to decide when to
-    /// trigger [`DStore::checkpoint_async`].
-    pub fn log_used_fraction(&self) -> f64 {
-        self.inner.log.used_fraction()
-    }
-
-    /// Starts a checkpoint without waiting for it to finish. Returns
-    /// `false` if one is already running (nothing new is scheduled).
-    /// Intended for external schedulers driving stores that were created
-    /// with `auto_checkpoint = false`.
-    pub fn checkpoint_async(&self) -> bool {
-        match self.inner.cfg.checkpoint {
-            CheckpointMode::Dipper => self
-                .inner
-                .ckpt
-                .lock()
-                .as_ref()
-                .map(|c| c.try_begin())
-                .unwrap_or(false),
-            CheckpointMode::Cow => self
-                .inner
-                .cow
-                .as_ref()
-                .map(|c| c.try_begin())
-                .unwrap_or(false),
-        }
-    }
-
     /// Blocks until no checkpoint is running.
     pub fn wait_checkpoint_idle(&self) {
         match self.inner.cfg.checkpoint {

@@ -386,7 +386,7 @@ impl PmemPool {
     /// Copies `[start, end)` (line-aligned) volatile → persistent.
     fn persist_lines(&self, start: usize, end: usize) {
         let Some(p) = &self.persistent else { return };
-        debug_assert!(start.is_multiple_of(CACHE_LINE) && end.is_multiple_of(CACHE_LINE));
+        assert!(start.is_multiple_of(CACHE_LINE) && end.is_multiple_of(CACHE_LINE));
         // SAFETY: both images are pool-sized; range is bounds-checked at
         // flush time.
         unsafe {

@@ -10,20 +10,19 @@
 //!   function of a persisted seed, and every shard carries a shard-map
 //!   superblock naming its index; recovery rejects wrong shard counts,
 //!   mixed seeds, or duplicated images instead of silently misrouting.
-//! * **Staggered checkpoints** ([`scheduler`]): a scheduler thread
-//!   offsets per-shard checkpoint triggers so PMEM/SSD bandwidth spikes
-//!   don't correlate across shards — the multi-shard analogue of the
-//!   paper's tailless-ness.
+//! * **Independent checkpoints**: every shard is a whole DIPPER
+//!   instance and checkpoints itself when its own log crosses
+//!   `swap_threshold` (`auto_checkpoint`). Shards are not coordinated:
+//!   a DIPPER checkpoint runs behind its own shard's frontend without
+//!   quiescing it, so there is no fleet-wide stall to spread out.
 //! * **Parallel recovery**: [`ShardedStore::recover`] recovers all
 //!   shards concurrently (rayon) and merges their
 //!   [`dstore::RecoveryReport`]s into a [`RecoverySummary`].
 
 pub mod router;
-pub mod scheduler;
 pub mod store;
 pub mod superblock;
 
 pub use router::Router;
-pub use scheduler::{Scheduler, SchedulerConfig, SchedulerCounters, SchedulerMode};
 pub use store::{RecoverySummary, ShardedConfig, ShardedCtx, ShardedStore, DEFAULT_ROUTER_SEED};
 pub use superblock::{is_reserved, ShardMap, RESERVED_PREFIX, SHARD_MAP_NAME};

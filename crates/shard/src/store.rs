@@ -8,7 +8,6 @@
 //! quiesce, slow, or even observe another.
 
 use crate::router::Router;
-use crate::scheduler::{Scheduler, SchedulerConfig, SchedulerMode};
 use crate::superblock::{is_reserved, ShardMap};
 use dstore::{
     CrashImage, CrashReport, DStore, DStoreConfig, DsContext, DsError, DsLock, DsResult, Footprint,
@@ -17,7 +16,6 @@ use dstore::{
 use dstore_telemetry::TelemetrySnapshot;
 use rayon::prelude::*;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Default router seed for stores that don't pick one.
@@ -30,23 +28,19 @@ pub struct ShardedConfig {
     pub shards: u32,
     /// Router seed; persisted in every shard's shard map.
     pub router_seed: u64,
-    /// Cross-shard checkpoint scheduling.
-    pub scheduler: SchedulerConfig,
     /// Template for each shard's own config. File-backed paths get a
-    /// `.shard<i>` suffix per shard; with any scheduler mode other than
-    /// [`SchedulerMode::PerShardAuto`], per-shard `auto_checkpoint` is
-    /// forced off so the scheduler is the only trigger.
+    /// `.shard<i>` suffix per shard; every other field, `auto_checkpoint`
+    /// included, applies to each shard as is.
     pub base: DStoreConfig,
 }
 
 impl ShardedConfig {
     /// A sharded config over `shards` copies of `base` with the default
-    /// seed and staggered scheduling.
+    /// seed.
     pub fn new(shards: u32, base: DStoreConfig) -> Self {
         ShardedConfig {
             shards,
             router_seed: DEFAULT_ROUTER_SEED,
-            scheduler: SchedulerConfig::default(),
             base,
         }
     }
@@ -57,17 +51,8 @@ impl ShardedConfig {
         self
     }
 
-    /// Sets the checkpoint scheduler configuration.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     fn shard_cfg(&self, index: u32) -> DStoreConfig {
         let mut cfg = self.base.clone();
-        if self.scheduler.mode != SchedulerMode::PerShardAuto {
-            cfg.auto_checkpoint = false;
-        }
         let suffix = |p: &PathBuf| PathBuf::from(format!("{}.shard{index}", p.display()));
         cfg.pmem_file = self.base.pmem_file.as_ref().map(&suffix);
         cfg.ssd_file = self.base.ssd_file.as_ref().map(&suffix);
@@ -108,9 +93,8 @@ impl RecoverySummary {
 
 /// A hash-partitioned store over N independent [`DStore`] shards.
 pub struct ShardedStore {
-    stores: Arc<Vec<DStore>>,
+    stores: Vec<DStore>,
     router: Router,
-    scheduler: Option<Scheduler>,
     recovery: RecoverySummary,
 }
 
@@ -141,13 +125,9 @@ impl ShardedStore {
             .persist(&store.context())?;
             stores.push(store);
         }
-        let stores = Arc::new(stores);
-        let scheduler =
-            Scheduler::spawn(Arc::clone(&stores), cfg.scheduler, cfg.base.swap_threshold);
         Ok(ShardedStore {
             stores,
             router: Router::new(cfg.router_seed, cfg.shards),
-            scheduler: Some(scheduler),
             recovery: RecoverySummary::default(),
         })
     }
@@ -168,7 +148,7 @@ impl ShardedStore {
         let images: Vec<CrashImage> = (0..cfg.shards)
             .map(|i| CrashImage::open(cfg.shard_cfg(i)))
             .collect::<DsResult<_>>()?;
-        Self::recover(images, cfg.scheduler)
+        Self::recover(images)
     }
 
     /// Recovers every shard **in parallel** and reassembles the store.
@@ -188,7 +168,13 @@ impl ShardedStore {
     /// many-shard fleet on a small host, consider pinning each shard's
     /// [`DStoreConfig::replay_threads`] down so the multiplied worker
     /// count does not oversubscribe the machine.
-    pub fn recover(images: Vec<CrashImage>, scheduler: SchedulerConfig) -> DsResult<Self> {
+    ///
+    /// Once running, every shard checkpoints on its own trigger
+    /// (`auto_checkpoint` at `swap_threshold`). Shards that fill at
+    /// similar rates checkpoint at similar times, so their checkpoint
+    /// apply workers can overlap as well; the same `replay_threads`
+    /// advice holds for them.
+    pub fn recover(images: Vec<CrashImage>) -> DsResult<Self> {
         if images.is_empty() {
             return Err(DsError::ShardMismatch("no shard images".into()));
         }
@@ -234,13 +220,9 @@ impl ShardedStore {
         let stores: Vec<DStore> = slots.into_iter().map(|s| s.unwrap()).collect();
 
         let reports: Vec<RecoveryReport> = stores.iter().map(|s| s.recovery_report()).collect();
-        let swap_threshold = stores[0].config().swap_threshold;
-        let stores = Arc::new(stores);
-        let scheduler = Scheduler::spawn(Arc::clone(&stores), scheduler, swap_threshold);
         Ok(ShardedStore {
             stores,
             router: Router::new(seed, count),
-            scheduler: Some(scheduler),
             recovery: RecoverySummary::from_reports(&reports, wall_ns),
         })
     }
@@ -292,9 +274,8 @@ impl ShardedStore {
     }
 
     /// One merged telemetry snapshot for the whole fleet: every shard's
-    /// series tagged `shard="<i>"`, plus the scheduler's trigger
-    /// counters. Empty (but still stamped) if every shard was created
-    /// with `telemetry = false`.
+    /// series tagged `shard="<i>"`. Empty (but still stamped) if every
+    /// shard was created with `telemetry = false`.
     ///
     /// Fleet-wide aggregates fall out of the snapshot helpers — e.g.
     /// `merged_histogram("dstore_op_latency_ns")` for a global latency
@@ -305,19 +286,6 @@ impl ShardedStore {
             if let Some(snap) = s.telemetry_snapshot() {
                 merged.absorb(snap.with_label("shard", &i.to_string()));
             }
-        }
-        if let Some(sched) = &self.scheduler {
-            let c = sched.counters();
-            merged.push_counter(
-                "dstore_scheduler_triggers_total",
-                Vec::new(),
-                c.triggers.get(),
-            );
-            merged.push_counter(
-                "dstore_scheduler_panic_triggers_total",
-                Vec::new(),
-                c.panic_triggers.get(),
-            );
         }
         merged.sort();
         merged
@@ -423,26 +391,16 @@ impl ShardedStore {
         }
     }
 
-    fn into_stores(mut self) -> Vec<DStore> {
-        // Stop the scheduler first: it holds the only other Arc.
-        if let Some(mut sched) = self.scheduler.take() {
-            sched.stop();
-        }
-        Arc::try_unwrap(std::mem::take(&mut self.stores))
-            .ok()
-            .expect("scheduler stopped; no other store references")
-    }
-
     /// Simulates a power failure on every shard. Returns the crash
     /// images in shard order (though [`ShardedStore::recover`] accepts
     /// any order).
     pub fn crash(self) -> Vec<CrashImage> {
-        self.into_stores().into_iter().map(DStore::crash).collect()
+        self.stores.into_iter().map(DStore::crash).collect()
     }
 
     /// Clean shutdown: checkpoint everything, stop, return the images.
     pub fn close(self) -> Vec<CrashImage> {
-        self.into_stores().into_iter().map(DStore::close).collect()
+        self.stores.into_iter().map(DStore::close).collect()
     }
 }
 

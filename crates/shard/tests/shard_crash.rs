@@ -4,12 +4,10 @@
 //! duplicate indices, reordered images).
 
 use dstore::{DStoreConfig, DsError};
-use dstore_shard::{SchedulerConfig, SchedulerMode, ShardedConfig, ShardedStore, SHARD_MAP_NAME};
-use std::time::{Duration, Instant};
+use dstore_shard::{ShardedConfig, ShardedStore, SHARD_MAP_NAME};
 
 fn cfg(shards: u32) -> ShardedConfig {
     ShardedConfig::new(shards, DStoreConfig::small().with_auto_checkpoint(false))
-        .with_scheduler(SchedulerConfig::new(SchedulerMode::PerShardAuto))
 }
 
 fn fill(store: &ShardedStore, range: std::ops::Range<u32>, tag: u8) {
@@ -39,8 +37,7 @@ fn parallel_recovery_roundtrip() {
     let images = store.crash();
     assert_eq!(images.len(), 4);
 
-    let store =
-        ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap();
+    let store = ShardedStore::recover(images).unwrap();
     let summary = store.recovery_summary();
     assert_eq!(summary.shards, 4);
     assert_eq!(summary.redo_shards, 0, "no checkpoint was interrupted");
@@ -66,8 +63,7 @@ fn mid_checkpoint_crash_on_shard_subset() {
     store.begin_checkpoint_swap_only_on(&[0, 2]);
     let images = store.crash();
 
-    let store =
-        ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap();
+    let store = ShardedStore::recover(images).unwrap();
     let summary = store.recovery_summary();
     assert_eq!(summary.shards, 3);
     assert_eq!(
@@ -80,8 +76,7 @@ fn mid_checkpoint_crash_on_shard_subset() {
     // Idempotency composes per shard: crash the recovered store without
     // further writes and recover again — same contents, no data loss.
     let images = store.crash();
-    let store =
-        ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap();
+    let store = ShardedStore::recover(images).unwrap();
     assert_eq!(store.recovery_summary().redo_shards, 0);
     verify(&store, 0..180, 0x22);
     assert_eq!(store.object_count(), 180);
@@ -92,18 +87,10 @@ fn recover_twice_is_idempotent() {
     let store = ShardedStore::create(cfg(2)).unwrap();
     fill(&store, 0..80, 0x33);
 
-    let store = ShardedStore::recover(
-        store.crash(),
-        SchedulerConfig::new(SchedulerMode::PerShardAuto),
-    )
-    .unwrap();
+    let store = ShardedStore::recover(store.crash()).unwrap();
     let first = store.context().list();
 
-    let store = ShardedStore::recover(
-        store.crash(),
-        SchedulerConfig::new(SchedulerMode::PerShardAuto),
-    )
-    .unwrap();
+    let store = ShardedStore::recover(store.crash()).unwrap();
     assert_eq!(store.context().list(), first);
     verify(&store, 0..80, 0x33);
 
@@ -118,8 +105,7 @@ fn recover_rejects_missing_shard() {
     fill(&store, 0..30, 0x44);
     let mut images = store.crash();
     images.pop();
-    let err = ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto))
-        .unwrap_err();
+    let err = ShardedStore::recover(images).unwrap_err();
     assert!(
         matches!(err, DsError::ShardMismatch(ref m) if m.contains("3 shards")),
         "unexpected error: {err}"
@@ -133,8 +119,7 @@ fn recover_rejects_mixed_router_seeds() {
     let mut images_a = a.crash();
     let mut images_b = b.crash();
     let mixed = vec![images_a.remove(0), images_b.remove(1)];
-    let err = ShardedStore::recover(mixed, SchedulerConfig::new(SchedulerMode::PerShardAuto))
-        .unwrap_err();
+    let err = ShardedStore::recover(mixed).unwrap_err();
     assert!(matches!(err, DsError::ShardMismatch(_)), "got: {err}");
 }
 
@@ -146,8 +131,7 @@ fn recover_rejects_duplicate_shard_index() {
     let mut images_a = a.crash();
     let mut images_b = b.crash();
     let dup = vec![images_a.remove(0), images_b.remove(0)];
-    let err =
-        ShardedStore::recover(dup, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap_err();
+    let err = ShardedStore::recover(dup).unwrap_err();
     assert!(
         matches!(err, DsError::ShardMismatch(ref m) if m.contains("claim shard index")),
         "unexpected error: {err}"
@@ -160,8 +144,7 @@ fn recover_accepts_reordered_images() {
     fill(&store, 0..100, 0x55);
     let mut images = store.crash();
     images.reverse();
-    let store =
-        ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap();
+    let store = ShardedStore::recover(images).unwrap();
     // Routing must land every key on the shard that owns it, or gets
     // would miss — the shard map, not image order, decides placement.
     verify(&store, 0..100, 0x55);
@@ -219,53 +202,48 @@ fn stats_and_footprint_aggregate_across_shards() {
 }
 
 #[test]
-fn staggered_scheduler_drives_checkpoints() {
-    let sharded = ShardedConfig::new(2, DStoreConfig::small().with_auto_checkpoint(false))
-        .with_scheduler(SchedulerConfig::new(SchedulerMode::Staggered));
+fn per_shard_auto_checkpoints_survive_a_crash() {
+    // Every shard is its own checkpoint trigger: with `auto_checkpoint`
+    // on, each shard's log crossing `swap_threshold` starts a background
+    // checkpoint, and a full log forces one. 64 keys rewritten over a
+    // 256 KiB log per shard: each put appends a record while the live
+    // set stays fixed, so a fixed number of puts fills every shard's log
+    // several times over.
+    const KEYS: u64 = 64;
+    const PUTS: u64 = 16_384;
+    let sharded = ShardedConfig::new(2, DStoreConfig::small());
     let store = ShardedStore::create(sharded).unwrap();
     let ctx = store.context();
-
-    // Keep rewriting a bounded key set until the scheduler has pushed
-    // some shard across a full checkpoint: each put appends a log
-    // record, so occupancy climbs while SSD usage stays fixed. With a
-    // 256 KiB log this takes a few thousand small puts at most.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut i = 0u64;
-    let completed = loop {
-        ctx.put(format!("w{}", i % 64).as_bytes(), &[0xAB; 128])
+    for i in 0..PUTS {
+        let tag = (i / KEYS) as u8;
+        ctx.put(format!("w{}", i % KEYS).as_bytes(), &[tag; 128])
             .unwrap();
-        i += 1;
-        let done: u64 = (0..2)
-            .map(|s| {
-                store
-                    .shard(s)
-                    .checkpoint_stats()
-                    .map(|c| c.completed.load(std::sync::atomic::Ordering::Relaxed))
-                    .unwrap_or(0)
-            })
-            .sum();
-        if done > 0 {
-            break done;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "scheduler never triggered a checkpoint after {i} puts"
-        );
-    };
-    assert!(completed > 0);
-    // Nothing written so far may be lost across crash + recovery.
+    }
     drop(ctx);
     store.wait_checkpoint_idle();
-    let store = ShardedStore::recover(
-        store.crash(),
-        SchedulerConfig::new(SchedulerMode::PerShardAuto),
-    )
-    .unwrap();
+    for s in 0..2 {
+        let completed = store.shard(s).checkpoints_completed();
+        assert!(
+            completed >= 1,
+            "shard {s} completed no checkpoint in {PUTS} puts"
+        );
+        // A full log forces a checkpoint whether or not `auto_checkpoint`
+        // is on; at least one must have started at `swap_threshold`.
+        let stalls = store.shard(s).health().log_full_stalls;
+        assert!(
+            completed > stalls,
+            "shard {s}: all {completed} checkpoints were forced by a full log"
+        );
+    }
+
+    // Nothing acknowledged may be lost across crash + recovery.
+    let store = ShardedStore::recover(store.crash()).unwrap();
     let ctx = store.context();
-    for j in 0..i.min(64) {
+    let last = ((PUTS - 1) / KEYS) as u8;
+    for j in 0..KEYS {
         assert_eq!(
             ctx.get(format!("w{j}").as_bytes()).unwrap(),
-            vec![0xAB; 128]
+            vec![last; 128]
         );
     }
 }

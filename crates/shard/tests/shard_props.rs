@@ -6,7 +6,7 @@
 //! losing or misplacing a key.
 
 use dstore::{DStoreConfig, OpenMode};
-use dstore_shard::{SchedulerConfig, SchedulerMode, ShardedConfig, ShardedStore};
+use dstore_shard::{ShardedConfig, ShardedStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -30,10 +30,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn sharded(shards: u32) -> ShardedConfig {
-    // Explicit checkpoints only: the scheduler thread and per-shard
-    // auto-checkpoint would make crash points nondeterministic.
+    // Explicit checkpoints only: per-shard auto-checkpoint would make
+    // crash points nondeterministic.
     ShardedConfig::new(shards, DStoreConfig::small().with_auto_checkpoint(false))
-        .with_scheduler(SchedulerConfig::new(SchedulerMode::PerShardAuto))
 }
 
 fn run_case(ops: &[Op], shards: u32) -> Result<(), TestCaseError> {
@@ -71,19 +70,14 @@ fn run_case(ops: &[Op], shards: u32) -> Result<(), TestCaseError> {
             Op::Checkpoint => store.checkpoint_now(),
             Op::CrashRecover => {
                 let images = store.crash();
-                store = ShardedStore::recover(
-                    images,
-                    SchedulerConfig::new(SchedulerMode::PerShardAuto),
-                )
-                .unwrap();
+                store = ShardedStore::recover(images).unwrap();
                 prop_assert_eq!(store.shard_count(), shards);
             }
         }
     }
     // Final crash + recovery, then full model comparison.
     let images = store.crash();
-    let store =
-        ShardedStore::recover(images, SchedulerConfig::new(SchedulerMode::PerShardAuto)).unwrap();
+    let store = ShardedStore::recover(images).unwrap();
     let ctx = store.context();
     let names = ctx.list();
     prop_assert_eq!(names.len(), model.len());

@@ -1,12 +1,10 @@
-//! Fleet-level telemetry: per-shard labels, merged aggregates, and
-//! scheduler trigger accounting.
+//! Fleet-level telemetry: per-shard labels and merged aggregates.
 
 use dstore::DStoreConfig;
-use dstore_shard::{SchedulerConfig, SchedulerMode, ShardedConfig, ShardedStore};
+use dstore_shard::{ShardedConfig, ShardedStore};
 
 fn cfg(shards: u32) -> ShardedConfig {
     ShardedConfig::new(shards, DStoreConfig::small().with_auto_checkpoint(false))
-        .with_scheduler(SchedulerConfig::new(SchedulerMode::PerShardAuto))
 }
 
 #[test]
@@ -52,42 +50,6 @@ fn merged_snapshot_labels_every_shard() {
             "expected one {phase} per shard"
         );
     }
-    // No scheduler thread in PerShardAuto: triggers stay zero.
-    assert_eq!(snap.counter_total("dstore_scheduler_triggers_total"), 0);
-}
-
-#[test]
-fn staggered_scheduler_counts_its_triggers() {
-    let base = DStoreConfig::small();
-    let sched = SchedulerConfig {
-        mode: SchedulerMode::Staggered,
-        poll_interval: std::time::Duration::from_micros(100),
-        stagger_gap: std::time::Duration::from_micros(200),
-        panic_threshold: 0.92,
-        early_fraction: 0.5,
-    };
-    let store = ShardedStore::create(ShardedConfig::new(2, base).with_scheduler(sched)).unwrap();
-    let ctx = store.context();
-    // Push enough log traffic that the scheduler fires at least once.
-    let value = vec![3u8; 256];
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    let mut i = 0u64;
-    while store
-        .telemetry_snapshot()
-        .counter_total("dstore_scheduler_triggers_total")
-        == 0
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "scheduler never triggered a checkpoint"
-        );
-        ctx.put(format!("k{}", i % 512).as_bytes(), &value).unwrap();
-        i += 1;
-    }
-    store.wait_checkpoint_idle();
-    let snap = store.telemetry_snapshot();
-    assert!(snap.counter_total("dstore_scheduler_triggers_total") >= 1);
-    assert!(store.checkpoints_completed() >= 1);
 }
 
 #[test]

@@ -32,7 +32,7 @@
 
 use dstore::{DStoreConfig, StatsSnapshot};
 use dstore_protocol::DStoreClient;
-use dstore_shard::{SchedulerConfig, SchedulerMode, ShardedConfig, ShardedStore};
+use dstore_shard::{ShardedConfig, ShardedStore};
 use dstore_telemetry::{to_prometheus, HistogramSnapshot, TelemetrySnapshot, SEGMENT_NAMES};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,10 +89,9 @@ fn frame(
 
     println!("── dstore_top ── {} shards ──", store.shard_count());
     println!(
-        "ops/s {:>12.0}    checkpoints {:>6}    scheduler triggers {:>6}",
+        "ops/s {:>12.0}    checkpoints {:>6}",
         stats.rate_since(prev_stats),
         store.checkpoints_completed(),
-        snap.counter_total("dstore_scheduler_triggers_total"),
     );
 
     println!("\n  op        count       p50       p99     p9999   (interval)");
@@ -117,7 +116,7 @@ fn frame(
     let mean = (totals.iter().sum::<u64>() as f64 / SHARDS as f64).max(1.0);
     for i in 0..SHARDS {
         let s = store.shard(i as usize);
-        let fill = s.log_used_fraction();
+        let fill = s.health().log_used_fraction;
         let bar_len = (fill * 10.0).round() as usize;
         println!(
             "  {:>5}   {:<8}  [{:<10}]  {:>6}  {:>5.2}x",
@@ -394,11 +393,7 @@ fn main() {
         ..Default::default()
     };
     let store = Arc::new(
-        ShardedStore::create(
-            ShardedConfig::new(SHARDS, base)
-                .with_scheduler(SchedulerConfig::new(SchedulerMode::Staggered)),
-        )
-        .expect("create sharded store"),
+        ShardedStore::create(ShardedConfig::new(SHARDS, base)).expect("create sharded store"),
     );
 
     // Background mixed load: writers on skewed keys, a reader, and an
