@@ -118,15 +118,16 @@ fn assert_ceilings(value: &[u8], ceilings: [u64; 4]) {
 
 /// 128 B values take the inline path: no block list, no page buffer, and
 /// a get allocates only the value it returns. Ceilings: the counts this
-/// leg read when inline values landed.
+/// leg read once the body hash was computed in place (a publish makes no
+/// allocation).
 #[test]
 fn steady_state_ops_stay_under_their_allocation_ceilings() {
-    assert_ceilings(&[0xA5; 128], [5, 1, 0, 9]);
+    assert_ceilings(&[0xA5; 128], [4, 1, 0, 7]);
 }
 
-/// 4 KiB values take the block path. Ceilings: the counts the 128 B
-/// leg read before inline values, when it still ran on blocks.
+/// 4 KiB values take the block path. Ceilings: the counts this leg read
+/// once the body hash was computed in place.
 #[test]
 fn block_path_ops_stay_under_their_allocation_ceilings() {
-    assert_ceilings(&[0x5A; 4096], [8, 3, 0, 12]);
+    assert_ceilings(&[0x5A; 4096], [6, 3, 0, 10]);
 }

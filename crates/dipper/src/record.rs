@@ -14,7 +14,10 @@
 //! * The `commit` flag is set only after the operation's data is durable
 //!   (§4.5); recovery replays exclusively committed records.
 //! * The `body hash` ([`write_body_hash`]) covers the name + padded params
-//!   and is written at publish. The commit persists the commit flag
+//!   and is written at publish. It is a word-at-a-time multiply hash
+//!   (`body_hash`), not the byte-wise FNV-1a of the name hash: the body
+//!   is a whole number of 8-byte words, and the recovery walk hashes every
+//!   committed record's body. The commit persists the commit flag
 //!   and the record body behind the *same* fence, so a spurious eviction
 //!   can land the flag line on media before the body lines — the walk
 //!   demotes committed records whose body hash mismatches (safe: the
@@ -52,8 +55,8 @@ const OFF_NAME_LEN: usize = 12;
 /// per-record CRCs production logs carry.
 const OFF_CHECK: usize = 14;
 const OFF_HASH: usize = 16;
-/// FNV-1a over the record body (name + padded params), written at publish
-/// — the torn-epoch guard (see module docs).
+/// The word-wise `body_hash` of the record body (name + padded params),
+/// written at publish — the torn-epoch guard (see module docs).
 const OFF_BODY_HASH: usize = 24;
 /// Start of the variable-length section (name then params).
 pub const HEADER_LEN: usize = 32;
@@ -64,16 +67,55 @@ pub const MAX_RECORD_LEN: usize = u16::MAX as usize & !7;
 /// FNV-1a — stable name hash for fast conflict scans.
 #[inline]
 pub fn name_hash(bytes: &[u8]) -> u64 {
-    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a hash `h` over `bytes`, so a body stored as two
-/// pieces hashes like their concatenation.
-#[inline]
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Hash of a record body, given as `head` then `tail` (a view's name
+/// then params): one multiply per little-endian 8-byte word of their
+/// concatenation; the one word that straddles the two is assembled.
+/// Each step `h = (h ^ w) * K; h ^= h >> 29` (odd `K`) is a bijection of
+/// the state for a fixed word and of the word for a fixed state, so
+/// changing any one word of a body always changes its hash. The seed is
+/// nonzero and a nonzero state stays nonzero under a zero word, so an
+/// all-zero body (lines that never reached the media) never hashes to a
+/// zeroed header's 0.
+///
+/// Panics if the body is not a whole number of words; every record body
+/// is (the header is 32 B and records are 8-aligned).
+#[inline]
+fn body_hash(head: &[u8], mut tail: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    #[inline(always)]
+    fn step(h: u64, w: &[u8]) -> u64 {
+        let h = (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+    let len = head.len() + tail.len();
+    assert!(
+        len.is_multiple_of(8),
+        "record body of {len} B is not a whole number of words"
+    );
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let head_words = head.chunks_exact(8);
+    let rest = head_words.remainder();
+    for w in head_words {
+        h = step(h, w);
+    }
+    if !rest.is_empty() {
+        let (fill, after) = tail.split_at(8 - rest.len());
+        let mut w = [0u8; 8];
+        w[..rest.len()].copy_from_slice(rest);
+        w[rest.len()..].copy_from_slice(fill);
+        h = step(h, &w);
+        tail = after;
+    }
+    for w in tail.chunks_exact(8) {
+        h = step(h, w);
     }
     h
 }
@@ -161,22 +203,24 @@ pub fn write_params(pool: &PmemPool, off: usize, name_len: usize, params: &[u8])
     }
 }
 
-/// Reads the record's body (name + padded params) back from the pool.
-fn read_body(pool: &PmemPool, off: usize) -> Vec<u8> {
-    let (_, total_len) = read_word(pool, off);
-    let mut body = vec![0u8; total_len.saturating_sub(HEADER_LEN)];
-    if !body.is_empty() {
-        pool.read_bytes(off + HEADER_LEN, &mut body);
-    }
-    body
-}
-
 /// Computes and stores the record's body hash. Must run after
-/// [`write_params`] (it hashes the body bytes as they sit in the pool,
+/// [`write_params`] (it hashes the body bytes where they sit in the pool,
 /// including the alignment padding, so a post-crash
 /// [`Header::body_matches`] recomputes over exactly the same bytes).
+/// The caller owns the reserved record: nothing else writes its body.
 pub fn write_body_hash(pool: &PmemPool, off: usize) {
-    let h = name_hash(&read_body(pool, off));
+    let (lsn, total_len) = read_word(pool, off);
+    assert!(
+        lsn != 0 && total_len >= HEADER_LEN,
+        "no record at pool offset {off}"
+    );
+    // SAFETY: the record at `off` is the caller's reservation (or a swap's
+    // relocation under the swap lock), so nothing writes its body while
+    // it is hashed; the hash store below lies outside the body.
+    let h = body_hash(
+        unsafe { pool.bytes(off + HEADER_LEN, total_len - HEADER_LEN) },
+        &[],
+    );
     pool.write_u64(off + OFF_BODY_HASH, h);
 }
 
@@ -308,7 +352,7 @@ impl Header {
     /// publish. False means the commit flag reached the media without the
     /// body (a torn epoch); the walk demotes such records to aborted.
     pub fn body_matches(&self, rec: &RecordView<'_>) -> bool {
-        self.body_hash == fnv1a_extend(name_hash(rec.name), rec.params)
+        self.body_hash == body_hash(rec.name, rec.params)
     }
 }
 
@@ -539,6 +583,55 @@ mod tests {
         write_params(p, off, name.len(), params);
         write_body_hash(p, off);
         len
+    }
+
+    /// The body hash of a fixed body, pinned (the value follows from the
+    /// formula in `body_hash`'s doc, computed apart from this code): a
+    /// change to the hash is a change of the record format, and must show
+    /// up here. Every split of the body into name and params agrees.
+    #[test]
+    fn body_hash_golden_value() {
+        let p = PmemPool::anon(1 << 12);
+        let len = write_over_stale(&p, 64, 5, 3, b"golden/key-01", &[0x11; 19]);
+        assert_eq!(len, HEADER_LEN + 32);
+        let h = Header::read(&p, 64);
+        assert_eq!(h.body_hash, 0x77d7_87d3_10d5_f688);
+        let mut body = [0u8; 32];
+        p.read_bytes(64 + HEADER_LEN, &mut body);
+        assert_eq!(body_hash(&body, &[]), h.body_hash);
+        for split in 0..=body.len() {
+            let (name, params) = body.split_at(split);
+            assert_eq!(body_hash(name, params), h.body_hash, "split at {split}");
+        }
+    }
+
+    /// A crash tears a body at cache-line granularity: a record whose last
+    /// 64 B line reverts to the stale bytes it overwrote fails the body
+    /// hash, whatever the record's offset and length.
+    #[test]
+    fn stale_last_line_fails_the_body_hash() {
+        let mut torn = 0;
+        for off in (64..192).step_by(8) {
+            for params_len in (0..300).step_by(7) {
+                let p = PmemPool::anon(1 << 12);
+                let name = b"line/tear";
+                let len = write_over_stale(&p, off, 9, 2, name, &vec![0x5A; params_len]);
+                let end = off + len;
+                let body_start = off + HEADER_LEN;
+                let last_line = dstore_pmem::line_down(end - 1).max(body_start);
+                if last_line >= body_start + name.len() + params_len {
+                    continue; // the last line holds only pad, already stale
+                }
+                p.write_bytes(last_line, &vec![0xC3; end - last_line]);
+                let h = Header::read(&p, off);
+                assert!(h.valid(len));
+                // SAFETY: nothing writes the pool while the view lives.
+                let v = unsafe { h.view(&p, off) };
+                assert!(!h.body_matches(&v), "offset {off}, {params_len} B params");
+                torn += 1;
+            }
+        }
+        assert_eq!(torn, 688, "torn records checked");
     }
 
     proptest! {

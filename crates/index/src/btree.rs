@@ -14,6 +14,14 @@
 //! nothing and a descent compares it without leaving the node. A longer
 //! key lives in its own arena allocation, which the slot points at.
 //!
+//! A descent packs a search key of at most 15 bytes once into the inline
+//! slot form (bytes 0–14 zero-padded, byte 15 `INLINE_TAG | len`) and
+//! compares it with each inline slot as one big-endian `u128`. That is
+//! exactly `<[u8]>::cmp` order: the padded bytes decide first, and where
+//! they tie one key is the other plus trailing zero bytes, so the length
+//! in the tag byte puts the shorter (the proper prefix) first. An
+//! out-of-line slot, or a longer search key, is compared as a slice.
+//!
 //! # Concurrency
 //!
 //! The tree does no synchronization of its own. Every mutation needs
@@ -54,21 +62,43 @@ impl Key {
     /// The slot for `key`, allocating it in `arena` if it is too long to
     /// store inline.
     fn new<M: Memory>(arena: &Arena<M>, key: &[u8]) -> Self {
-        let mut k = [0u8; 16];
-        if key.len() <= INLINE_MAX {
-            k[..key.len()].copy_from_slice(key);
-            k[15] = INLINE_TAG | key.len() as u8;
-        } else {
+        Self::inline(key).unwrap_or_else(|| {
             let s = arena.alloc_bytes(key);
+            let mut k = [0u8; 16];
             k[..8].copy_from_slice(&s.ptr.offset().to_le_bytes());
             k[8..12].copy_from_slice(&s.len.to_le_bytes());
-        }
-        Key(k)
+            Key(k)
+        })
+    }
+
+    /// The inline slot for `key`; `None` if it is longer than
+    /// [`INLINE_MAX`].
+    #[inline]
+    fn inline(key: &[u8]) -> Option<Self> {
+        (key.len() <= INLINE_MAX).then(|| {
+            let mut k = [0u8; 16];
+            k[..key.len()].copy_from_slice(key);
+            k[15] = INLINE_TAG | key.len() as u8;
+            Key(k)
+        })
+    }
+
+    /// Whether the key is stored in the slot itself.
+    #[inline]
+    fn is_inline(&self) -> bool {
+        self.0[15] & INLINE_TAG != 0
+    }
+
+    /// The slot as one big-endian integer: for two inline slots, integer
+    /// order is their keys' byte order (see the module docs).
+    #[inline]
+    fn packed(&self) -> u128 {
+        u128::from_be_bytes(self.0)
     }
 
     /// The arena slice of an out-of-line key; `None` for an inline one.
     fn out_of_line(&self) -> Option<ByteSlice> {
-        (self.0[15] & INLINE_TAG == 0).then(|| ByteSlice {
+        (!self.is_inline()).then(|| ByteSlice {
             ptr: RelPtr::from_offset(u64::from_le_bytes(self.0[..8].try_into().expect("8 bytes"))),
             len: u32::from_le_bytes(self.0[8..12].try_into().expect("4 bytes")),
         })
@@ -84,6 +114,23 @@ impl Key {
 
 // SAFETY: sixteen bytes; all-zero is the empty key.
 unsafe impl ArenaPod for Key {}
+
+/// A search key, packed once per descent: its bytes, and its inline slot
+/// form as an integer when it has one.
+struct Probe<'k> {
+    bytes: &'k [u8],
+    packed: Option<u128>,
+}
+
+impl<'k> Probe<'k> {
+    #[inline]
+    fn new(bytes: &'k [u8]) -> Self {
+        Self {
+            bytes,
+            packed: Key::inline(bytes).map(|k| k.packed()),
+        }
+    }
+}
 
 /// A B-tree node. `#[repr(C)]` and pod so it can live in an arena.
 #[repr(C)]
@@ -195,12 +242,22 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         }
     }
 
-    /// Position of `key` in `node`: `Ok(i)` exact match at `i`, `Err(i)`
+    /// Orders the key in slot `k` against `probe`: one integer compare
+    /// when both are inline, a slice compare otherwise.
+    #[inline]
+    unsafe fn cmp_slot(&self, k: &Key, probe: &Probe<'_>) -> Ordering {
+        match probe.packed {
+            Some(p) if k.is_inline() => k.packed().cmp(&p),
+            _ => self.key_bytes(k).cmp(probe.bytes),
+        }
+    }
+
+    /// Position of `probe` in `node`: `Ok(i)` exact match at `i`, `Err(i)`
     /// the child index to descend into.
-    unsafe fn position(&self, n: &Node, key: &[u8]) -> Result<usize, usize> {
+    unsafe fn position(&self, n: &Node, probe: &Probe<'_>) -> Result<usize, usize> {
         // Nodes hold at most 15 keys; linear scan beats binary search here.
         for i in 0..n.count as usize {
-            match self.key_bytes(&n.keys[i]).cmp(key) {
+            match self.cmp_slot(&n.keys[i], probe) {
                 Ordering::Equal => return Ok(i),
                 Ordering::Greater => return Err(i),
                 Ordering::Less => {}
@@ -214,12 +271,13 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
 
     /// Returns the value stored for `key`.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
+        let probe = Probe::new(key);
         // SAFETY: read-only traversal of live nodes.
         unsafe {
             let mut p = (*self.arena.resolve(self.hdr)).root;
             loop {
                 let n = self.node(p);
-                match self.position(n, key) {
+                match self.position(n, &probe) {
                     Ok(i) => return Some(n.vals[i]),
                     Err(i) => {
                         if n.leaf == 1 {
@@ -258,7 +316,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                 self.split_child(new_root, 0);
                 (*hdr).root = new_root;
             }
-            let prev = self.insert_nonfull((*hdr).root, key, val);
+            let prev = self.insert_nonfull((*hdr).root, &Probe::new(key), val);
             if prev.is_none() {
                 self.len_add(1);
             }
@@ -273,7 +331,10 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         let p = self.node(parent);
         let left = self.node(left_ptr);
         let right = self.node(right_ptr);
-        debug_assert_eq!(left.count as usize, MAX_KEYS);
+        assert_eq!(
+            left.count as usize, MAX_KEYS,
+            "splitting child {ci}, which is not full"
+        );
 
         right.leaf = left.leaf;
         right.count = (T - 1) as u16;
@@ -309,7 +370,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         p.count += 1;
     }
 
-    unsafe fn insert_nonfull(&self, mut p: RelPtr<Node>, key: &[u8], val: u64) -> Option<u64> {
+    unsafe fn insert_nonfull(&self, mut p: RelPtr<Node>, key: &Probe<'_>, val: u64) -> Option<u64> {
         loop {
             let n = self.node(p);
             match self.position(n, key) {
@@ -325,7 +386,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                             n.keys[j + 1] = n.keys[j];
                             n.vals[j + 1] = n.vals[j];
                         }
-                        n.keys[i] = Key::new(self.arena, key);
+                        n.keys[i] = Key::new(self.arena, key.bytes);
                         n.vals[i] = val;
                         n.count += 1;
                         return None;
@@ -351,7 +412,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         unsafe {
             let hdr = self.arena.resolve(self.hdr);
             let root = (*hdr).root;
-            let removed = self.delete(root, key);
+            let removed = self.delete(root, &Probe::new(key));
             // Shrink the root if it became an empty internal node.
             let r = self.node((*hdr).root);
             if r.leaf == 0 && r.count == 0 {
@@ -372,7 +433,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
 
     /// Deletes `key` from the subtree at `p`, returning ownership of the
     /// removed key slot and its value.
-    unsafe fn delete(&self, p: RelPtr<Node>, key: &[u8]) -> Option<(Key, u64)> {
+    unsafe fn delete(&self, p: RelPtr<Node>, key: &Probe<'_>) -> Option<(Key, u64)> {
         let n = self.node(p);
         match self.position(n, key) {
             Ok(i) => {
@@ -412,7 +473,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         &self,
         p: RelPtr<Node>,
         i: usize,
-        key: &[u8],
+        key: &Probe<'_>,
     ) -> Option<(Key, u64)> {
         let n = self.node(p);
         let left = n.children[i];
@@ -552,7 +613,10 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
         let right = self.node(right_ptr);
         let lc = left.count as usize;
         let rc = right.count as usize;
-        debug_assert!(lc + rc < MAX_KEYS);
+        assert!(
+            lc + rc < MAX_KEYS,
+            "merging children of {lc} and {rc} keys overfills a node"
+        );
 
         left.keys[lc] = n.keys[si];
         left.vals[lc] = n.vals[si];
@@ -639,30 +703,30 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
     /// Subtrees outside the range are pruned, so a narrow range on a large
     /// tree touches only O(log n + matches) nodes.
     pub fn for_each_range(&self, lo: &[u8], hi: Option<&[u8]>, mut f: impl FnMut(&[u8], u64)) {
+        let (lo, hi) = (Probe::new(lo), hi.map(Probe::new));
         // SAFETY: read-only traversal.
         unsafe {
             let root = (*self.arena.resolve(self.hdr)).root;
-            self.walk_range(root, lo, hi, &mut f);
+            self.walk_range(root, &lo, hi.as_ref(), &mut f);
         }
     }
 
     unsafe fn walk_range(
         &self,
         p: RelPtr<Node>,
-        lo: &[u8],
-        hi: Option<&[u8]>,
+        lo: &Probe<'_>,
+        hi: Option<&Probe<'_>>,
         f: &mut impl FnMut(&[u8], u64),
     ) {
         let n = self.node(p);
         let c = n.count as usize;
         // First key index ≥ lo.
         let mut start = 0;
-        while start < c && self.key_bytes(&n.keys[start]) < lo {
+        while start < c && self.cmp_slot(&n.keys[start], lo) == Ordering::Less {
             start += 1;
         }
         for i in start..c {
-            let k = self.key_bytes(&n.keys[i]);
-            let in_range = hi.is_none_or(|h| k < h);
+            let in_range = hi.is_none_or(|h| self.cmp_slot(&n.keys[i], h) == Ordering::Less);
             if n.leaf == 0 {
                 // The child left of keys[i] may hold in-range keys even if
                 // keys[i] itself is past hi.
@@ -671,7 +735,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
             if !in_range {
                 return;
             }
-            f(k, n.vals[i]);
+            f(self.key_bytes(&n.keys[i]), n.vals[i]);
         }
         if n.leaf == 0 {
             self.walk_range(n.children[c], lo, hi, f);
@@ -682,7 +746,7 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
     pub fn for_each_prefix(&self, prefix: &[u8], mut f: impl FnMut(&[u8], u64)) {
         let hi = prefix_upper_bound(prefix);
         self.for_each_range(prefix, hi.as_deref(), |k, v| {
-            debug_assert!(k.starts_with(prefix));
+            assert!(k.starts_with(prefix), "prefix scan left its range");
             f(k, v)
         });
     }
@@ -1112,6 +1176,52 @@ mod tests {
             }
             t.check_invariants();
             prop_assert_eq!(t.entries(), model.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// The packed inline compare at its edges: trailing zero bytes
+    /// (`"a" < "a\0" < "a\0\0" < "a\x01"`), a 15-byte key beside the
+    /// 16-byte key that extends it (inline against out-of-line), `0xFF`
+    /// bytes against the tag byte, and the empty key. Every key is found,
+    /// and iteration runs in slice order.
+    #[test]
+    fn packed_compare_edges_match_slice_order() {
+        let fifteen = [b'k'; 15];
+        let sixteen = [b'k'; 16];
+        let keys: Vec<&[u8]> = vec![
+            b"",
+            b"\0",
+            b"a",
+            b"a\0",
+            b"a\0\0",
+            b"a\x01",
+            &fifteen,
+            &sixteen,
+            b"kkkkkkkkkkkkkk\xff",
+            &[0xFF],
+            &[0xFF; 14],
+            &[0xFF; 15],
+            &[0xFF; 16],
+            b"\xff\0",
+        ];
+        assert!(Key::inline(&fifteen).is_some() && Key::inline(&sixteen).is_none());
+        for order in [1usize, 5, 9] {
+            let a = arena();
+            let t = BTreeHandle::create(&a);
+            for i in 0..keys.len() {
+                let k = keys[i * order % keys.len()];
+                assert_eq!(t.insert(k, k.len() as u64), None, "insert {k:?}");
+            }
+            for k in &keys {
+                assert_eq!(t.get(k), Some(k.len() as u64), "get {k:?}");
+            }
+            assert_eq!(t.get(b"a\0\0\0"), None);
+            assert_eq!(t.get(&[b'k'; 14]), None);
+            let mut want: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
+            want.sort();
+            let got: Vec<Vec<u8>> = t.entries().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(got, want);
+            t.check_invariants();
         }
     }
 
