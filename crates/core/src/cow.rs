@@ -9,12 +9,12 @@
 //!
 //! Emulation: the trigger *drains* in-flight operations (the brief
 //! frontend lock cached designs cannot avoid), snapshots the DRAM arena's
-//! page count, and marks the checkpoint active. A background thread and
-//! any *mutating* client that arrives while the checkpoint is active claim
-//! page chunks and copy them DRAM → spare PMEM shadow region; a mutator
-//! may only proceed once the image is complete — the client-visible wait
-//! that produces CoW's write tail-latency spikes (Figures 1, 8, 9).
-//! Readers never wait.
+//! page count, and marks the checkpoint active. The engine's worker thread
+//! runs the trigger and then copies; any *mutating* client that arrives
+//! while the checkpoint is active claims page chunks beside it and copies
+//! them DRAM → spare PMEM shadow region; a mutator may only proceed once
+//! the image is complete — the client-visible wait that produces CoW's
+//! write tail-latency spikes (Figures 1, 8, 9). Readers never wait.
 //!
 //! Compared to per-page lazy faulting this is conservative (mutators wait
 //! for the whole image, not just their page), which keeps the recovered
@@ -24,12 +24,14 @@
 
 use dstore_arena::{Arena, DramMemory, Memory};
 use dstore_dipper::checkpoint::{
-    CheckpointTelemetry, PHASE_APPLY, PHASE_FLUSH, PHASE_IDLE, PHASE_SWAP, PHASE_TRIGGER,
+    CheckpointStats, CheckpointTelemetry, Engine, EngineState, Worker, PHASE_APPLY, PHASE_FLUSH,
+    PHASE_IDLE, PHASE_SWAP, PHASE_TRIGGER,
 };
 use dstore_dipper::{OpLog, PmemLayout, Root};
 use dstore_pmem::PmemPool;
 use dstore_telemetry::now_ns;
-use parking_lot::{Condvar, Mutex, RwLock};
+use dstore_telemetry::trace::ActiveTrace;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -44,9 +46,11 @@ const PAGE: usize = 4096;
 /// paper's Fig 1/8 show DStore-CoW p9999 in the 10–17 ms range).
 const FAULT_NS_PER_PAGE: u64 = 2_500;
 
-/// Shared CoW state.
+/// The CoW checkpoint engine: the drain, the trigger state machine and
+/// the worker thread that triggers and copies.
 pub struct CowCheckpointer {
     inner: Arc<CowInner>,
+    worker: Worker<()>,
 }
 
 struct CowInner {
@@ -55,9 +59,10 @@ struct CowInner {
     root: Arc<Root>,
     log: Arc<OpLog>,
     dram: Arc<Arena<DramMemory>>,
-    /// Held `read` by every operation; held `write` by the trigger — the
-    /// drain that quiesces the frontend while the snapshot is taken.
-    drain: Arc<RwLock<()>>,
+    /// Held `read` by every operation ([`CowCheckpointer::read_guard`],
+    /// [`CowCheckpointer::mutation_guard`]); held `write` by the trigger
+    /// — the drain that quiesces the frontend while the snapshot is taken.
+    drain: RwLock<()>,
     active: AtomicBool,
     /// Pages in this checkpoint's image.
     snapshot_pages: AtomicUsize,
@@ -65,160 +70,133 @@ struct CowInner {
     cursor: AtomicUsize,
     /// Pages copied so far.
     copied: AtomicUsize,
-    busy: Mutex<bool>,
-    cv: Condvar,
-    /// Checkpoints completed.
-    completed: AtomicU64,
-    /// Phase-span sinks (same ring/cell the DIPPER engine would use).
-    telemetry: Mutex<Option<CheckpointTelemetry>>,
+    /// Claimed from the trigger request until the image is committed.
+    state: EngineState,
     /// `now_ns` at which the current apply (page-copy) phase began.
     apply_start: AtomicU64,
-    /// Test-only injection: extra nanoseconds spun inside the flush
-    /// phase of every checkpoint (0 = none).
-    flush_stall_ns: AtomicU64,
 }
 
 impl CowCheckpointer {
-    /// Creates the CoW machinery. `drain` is shared with the store's
-    /// operation paths.
+    /// Creates the CoW machinery and spawns its worker. Phase spans go to
+    /// `telemetry`.
     pub fn new(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
         root: Arc<Root>,
         log: Arc<OpLog>,
         dram: Arc<Arena<DramMemory>>,
-        drain: Arc<RwLock<()>>,
+        telemetry: Option<CheckpointTelemetry>,
     ) -> Self {
-        Self {
-            inner: Arc::new(CowInner {
-                pool,
-                layout,
-                root,
-                log,
-                dram,
-                drain,
-                active: AtomicBool::new(false),
-                snapshot_pages: AtomicUsize::new(0),
-                cursor: AtomicUsize::new(0),
-                copied: AtomicUsize::new(0),
-                busy: Mutex::new(false),
-                cv: Condvar::new(),
-                completed: AtomicU64::new(0),
-                telemetry: Mutex::new(None),
-                apply_start: AtomicU64::new(0),
-                flush_stall_ns: AtomicU64::new(0),
-            }),
+        let inner = Arc::new(CowInner {
+            pool,
+            layout,
+            root,
+            log,
+            dram,
+            drain: RwLock::new(()),
+            active: AtomicBool::new(false),
+            snapshot_pages: AtomicUsize::new(0),
+            cursor: AtomicUsize::new(0),
+            copied: AtomicUsize::new(0),
+            state: EngineState::new(telemetry),
+            apply_start: AtomicU64::new(0),
+        });
+        let w = Arc::clone(&inner);
+        let worker = Worker::spawn("dstore-cow-checkpoint", move |()| {
+            w.trigger();
+            w.assist_until_done();
+        });
+        Self { inner, worker }
+    }
+
+    /// The drain lock `read`, held by an operation that reads the arena,
+    /// so the trigger snapshots no half-done change.
+    pub fn read_guard(&self) -> RwLockReadGuard<'_, ()> {
+        self.inner.drain.read()
+    }
+
+    /// The guard a mutation holds from before its claims until it
+    /// commits: the drain lock `read`, so the trigger swaps the log only
+    /// when no claim or free is in flight. Before returning it waits out
+    /// (and assists) a running image copy, so the mutation never changes
+    /// a page the copy has yet to take.
+    pub fn mutation_guard(&self, at: &mut ActiveTrace) -> RwLockReadGuard<'_, ()> {
+        let drain = self.inner.drain.read();
+        // The phase is published before `active`, so sampling it here
+        // catches the checkpoint this op is about to wait on.
+        if let Some(t) = &self.inner.state.telemetry {
+            t.note_stall(at);
         }
-    }
-
-    /// Installs telemetry sinks; subsequent checkpoints record phase
-    /// spans into them. Intended to be called once at store assembly.
-    pub fn set_telemetry(&self, t: CheckpointTelemetry) {
-        *self.inner.telemetry.lock() = Some(t);
-    }
-
-    /// Test-only injection: spin for `ns` nanoseconds inside the flush
-    /// phase of every subsequent checkpoint (0 disables).
-    #[doc(hidden)]
-    pub fn inject_flush_stall_ns(&self, ns: u64) {
-        self.inner.flush_stall_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// A second handle to the same CoW state (for trigger helper threads).
-    pub(crate) fn clone_handle(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
+        // The paper's "clients must wait until the page is copied": an
+        // active copy is assisted and waited for.
+        if self.inner.active.load(Ordering::Acquire) {
+            self.inner.assist_until_done();
         }
+        drain
+    }
+}
+
+impl Engine for CowCheckpointer {
+    fn state(&self) -> &EngineState {
+        &self.inner.state
     }
 
-    /// Whether a checkpoint is active or queued.
-    pub fn is_busy(&self) -> bool {
-        *self.inner.busy.lock()
-    }
-
-    /// Checkpoints completed.
-    pub fn completed(&self) -> u64 {
-        self.inner.completed.load(Ordering::Relaxed)
-    }
-
-    /// Triggers a checkpoint if none is running. Drains in-flight
-    /// operations (callers must NOT hold the drain read lock), swaps the
-    /// log, snapshots, and spawns the background copier.
-    pub fn try_begin(&self) -> bool {
-        {
-            let mut busy = self.inner.busy.lock();
-            if *busy {
-                return false;
-            }
-            *busy = true;
+    /// Queues a checkpoint for the worker, which drains in-flight
+    /// operations, swaps the log, snapshots the arena and copies it. So a
+    /// caller that holds a guard of this engine must not wait for it.
+    fn try_begin(&self) -> bool {
+        let claimed = self.inner.state.claim();
+        if claimed {
+            self.worker.send(());
         }
-        let tel = self.inner.telemetry.lock().clone();
-        if let Some(t) = &tel {
+        claimed
+    }
+
+    fn shutdown(&self) {
+        self.inner.state.shut();
+        self.worker.stop();
+    }
+}
+
+impl Drop for CowCheckpointer {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl CowInner {
+    /// The trigger, on the worker: drains in-flight operations, swaps the
+    /// log, snapshots the arena's page count and marks the copy active.
+    fn trigger(&self) {
+        let tel = self.state.telemetry.as_ref();
+        if let Some(t) = tel {
             t.phase.set(PHASE_TRIGGER);
         }
         let t0 = now_ns();
         {
             // Quiesce: wait for in-flight ops, block new ones briefly.
-            let _w = self.inner.drain.write();
-            self.inner.log.swap(|| {
-                self.inner.root.begin_checkpoint();
+            let _w = self.drain.write();
+            self.log.swap(|| {
+                self.root.begin_checkpoint();
             });
-            let pages = self.inner.dram.allocated_len().div_ceil(PAGE);
-            self.inner.cursor.store(0, Ordering::SeqCst);
-            self.inner.copied.store(0, Ordering::SeqCst);
-            self.inner.snapshot_pages.store(pages, Ordering::SeqCst);
-            self.inner.active.store(true, Ordering::SeqCst);
-        }
-        if let Some(t) = &tel {
-            t.ring.record("trigger", t0, now_ns(), 0, 0);
-            t.phase.set(PHASE_APPLY);
-        }
-        self.inner.apply_start.store(now_ns(), Ordering::Relaxed);
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name("dstore-cow-copy".into())
-            .spawn(move || {
-                inner.assist_until_done();
-            })
-            .expect("spawn cow copier");
-        true
-    }
-
-    /// Triggers a checkpoint, waiting out any running one first.
-    pub fn begin_blocking(&self) {
-        loop {
-            self.wait_idle();
-            if self.try_begin() {
-                return;
+            let pages = self.dram.allocated_len().div_ceil(PAGE);
+            self.cursor.store(0, Ordering::SeqCst);
+            self.copied.store(0, Ordering::SeqCst);
+            self.snapshot_pages.store(pages, Ordering::SeqCst);
+            // All before `active`: once it is up, mutators may finish the
+            // copy and release the engine before this thread runs again.
+            self.apply_start.store(now_ns(), Ordering::Relaxed);
+            if let Some(t) = tel {
+                t.phase.set(PHASE_APPLY);
             }
+            self.state.started();
+            self.active.store(true, Ordering::SeqCst);
+        }
+        if let Some(t) = tel {
+            t.ring.record("trigger", t0, now_ns(), 0, 0);
         }
     }
 
-    /// Blocks until no checkpoint is running.
-    pub fn wait_idle(&self) {
-        let mut busy = self.inner.busy.lock();
-        while *busy {
-            self.inner.cv.wait(&mut busy);
-        }
-    }
-
-    /// Runs one full checkpoint synchronously.
-    pub fn run_inline(&self) {
-        self.begin_blocking();
-        self.wait_idle();
-    }
-
-    /// Called by every *mutating* operation before it touches the arena:
-    /// if a checkpoint is active, assist with (and wait for) the page
-    /// copy — the paper's "clients must wait until the page is copied".
-    pub fn wait_or_assist(&self) {
-        if self.inner.active.load(Ordering::Acquire) {
-            self.inner.assist_until_done();
-        }
-    }
-}
-
-impl CowInner {
     /// Claims and copies chunks until the image is complete, finalizing
     /// the checkpoint if this thread copies the last chunk.
     fn assist_until_done(&self) {
@@ -261,40 +239,38 @@ impl CowInner {
     }
 
     fn finalize(&self) {
-        let tel = self.telemetry.lock().clone();
+        let tel = self.state.telemetry.as_ref();
         let bytes = (self.snapshot_pages.load(Ordering::Relaxed) * PAGE) as u64;
-        if let Some(t) = &tel {
-            t.ring.record(
-                "apply",
-                self.apply_start.load(Ordering::Relaxed),
-                now_ns(),
-                bytes,
-                0,
-            );
+        let apply_start = self.apply_start.load(Ordering::Relaxed);
+        if let Some(t) = tel {
+            t.ring.record("apply", apply_start, now_ns(), bytes, 0);
             t.phase.set(PHASE_FLUSH);
         }
         let t_flush = now_ns();
-        let stall = self.flush_stall_ns.load(Ordering::Relaxed);
+        let stall = self.state.flush_stall_ns.load(Ordering::Relaxed);
         if stall > 0 {
             dstore_pmem::latency::spin_for_ns(stall);
         }
         self.pool.fence();
-        if let Some(t) = &tel {
+        if let Some(t) = tel {
             t.ring.record("flush", t_flush, now_ns(), bytes, 0);
             t.phase.set(PHASE_SWAP);
         }
         let t_swap = now_ns();
         self.root.commit_checkpoint();
         let _ = self.pool.sync_backing_file();
-        if let Some(t) = &tel {
+        if let Some(t) = tel {
             t.ring.record("swap", t_swap, now_ns(), 0, 0);
             t.phase.set(PHASE_IDLE);
         }
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.state.count(CheckpointStats {
+            completed: 1,
+            records_applied: 0,
+            bytes_copied: bytes,
+            last_apply_ns: now_ns().saturating_sub(apply_start),
+        });
         self.active.store(false, Ordering::Release);
-        let mut busy = self.busy.lock();
-        *busy = false;
-        self.cv.notify_all();
+        self.state.release();
     }
 }
 
@@ -332,7 +308,6 @@ mod tests {
     #[test]
     fn cow_checkpoint_copies_dram_image() {
         let (pool, layout, root, log, dram) = setup();
-        let drain = Arc::new(RwLock::new(()));
         // Put recognizable data in the DRAM arena.
         let off = dram.alloc_block(8192);
         // SAFETY: fresh allocation.
@@ -345,7 +320,7 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             Arc::clone(&dram),
-            drain,
+            None,
         );
         cow.run_inline();
         let st = root.state();
@@ -362,13 +337,15 @@ mod tests {
     #[test]
     fn mutators_wait_for_active_checkpoint() {
         let (pool, layout, root, log, dram) = setup();
-        let drain = Arc::new(RwLock::new(()));
         // Enough pages that the copy takes a visible moment.
         dram.alloc_block(1 << 19);
-        let cow = CowCheckpointer::new(pool, layout, root, log, Arc::clone(&dram), drain);
+        let cow = CowCheckpointer::new(pool, layout, root, log, Arc::clone(&dram), None);
         assert!(cow.try_begin());
+        while cow.is_busy() && !cow.inner.active.load(Ordering::Acquire) {
+            std::thread::yield_now(); // the worker has yet to trigger
+        }
         // A mutator arriving now must wait until the image completes.
-        cow.wait_or_assist();
+        drop(cow.mutation_guard(&mut ActiveTrace::disabled()));
         assert!(!cow.inner.active.load(Ordering::Acquire));
         cow.wait_idle();
         assert_eq!(cow.completed(), 1);
@@ -377,9 +354,8 @@ mod tests {
     #[test]
     fn second_trigger_while_busy_is_rejected() {
         let (pool, layout, root, log, dram) = setup();
-        let drain = Arc::new(RwLock::new(()));
         dram.alloc_block(1 << 18);
-        let cow = CowCheckpointer::new(pool, layout, root, log, dram, drain);
+        let cow = CowCheckpointer::new(pool, layout, root, log, dram, None);
         assert!(cow.try_begin());
         // Either still busy (false) or already done (then it's true).
         let second = cow.try_begin();

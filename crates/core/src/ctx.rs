@@ -24,6 +24,7 @@
 
 use crate::cc::{ReadLatch, WriteLatch};
 use crate::config::LoggingMode;
+use crate::engine::OpGuard;
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
 use crate::stats::WriteBreakdown;
@@ -41,7 +42,6 @@ use dstore_telemetry::trace::{
     SEG_LOG_STALL, SEG_LOOKUP, SEG_NET_QUEUE, SEG_SSD_READ, SEG_SSD_WRITE,
 };
 use dstore_telemetry::{now_ns, LatencyHistogram};
-use parking_lot::RwLockReadGuard;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -143,22 +143,6 @@ fn op_end(
     }
 }
 
-/// Re-stamps the trace's fallback phase at a stall point. An op that
-/// began while the store was idle can still spend its whole life behind
-/// a checkpoint that triggered mid-op (a full log forces one; a CoW
-/// image copy blocks mutators); sampling the `PhaseCell` right where
-/// the op is about to wait — or has just finished waiting — keeps the
-/// attribution honest. Only called off the fast path.
-#[inline]
-fn note_stall_phase(inner: &StoreInner, at: &mut ActiveTrace) {
-    if let Some(tel) = inner.telemetry.as_deref() {
-        let p = tel.ckpt.phase.name();
-        if p != "idle" {
-            at.set_start_phase(p);
-        }
-    }
-}
-
 /// Where a read finds an object's bytes.
 enum Data {
     /// Allocation blocks on the SSD.
@@ -218,8 +202,9 @@ struct Admitted<'a> {
     entry: Entry,
     /// `name`'s writer mark: dropped after the install, before the commit.
     latch: WriteLatch<'a>,
-    /// The drain lock, held `read` until the commit.
-    drain: RwLockReadGuard<'a, ()>,
+    /// The checkpoint engine's mutation guard (the CoW drain `read`,
+    /// nothing under DIPPER), held until the commit.
+    guard: OpGuard<'a>,
 }
 
 /// A per-thread handle for submitting operations (the paper's
@@ -347,7 +332,7 @@ impl DsContext {
         Self::check_name(key)?;
         let inner = &self.inner;
         let (t0, mut at) = op_begin_enqueued(inner, "get", false, enqueue_ns);
-        let _drain = inner.drain.read();
+        let _guard = inner.engine.read_guard();
         let (_latch, stat, data) = read_entry(inner, key, &mut at)?;
         at.mark(SEG_LOOKUP);
         let out = match data {
@@ -405,7 +390,7 @@ impl DsContext {
         at.mark(SEG_INDEX);
         // Drop the writer mark before commit (see put_timed).
         drop(m.latch);
-        self.commit(key, m.handle, &plan.freed, m.drain);
+        self.commit(key, m.handle, &plan.freed, m.guard);
         inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, |tel| tel.op_delete.as_ref(), t0, at, SEG_COMMIT);
@@ -498,12 +483,12 @@ impl DsContext {
         Self::check_name(name)?;
         let inner = &self.inner;
         loop {
-            let _drain = inner.drain.read();
+            let guard = inner.engine.read_guard();
             // A NOOP record touches no pool shard, so the log's own
             // reservation order is all the serialization it needs.
             let conflicts = match inner.log.reserve(OP_NOOP, name, 0) {
                 Err(LogFull) => {
-                    drop(_drain);
+                    drop(guard);
                     inner.handle_log_full();
                     continue;
                 }
@@ -528,7 +513,7 @@ impl DsContext {
                 }
             };
             inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
-            drop(_drain);
+            drop(guard);
             for c in &conflicts {
                 inner.log.wait_committed(*c);
             }
@@ -559,14 +544,15 @@ impl DsContext {
     ///
     /// [`OpLog::max_record_len`]: dstore_dipper::OpLog::max_record_len
     ///
-    /// The op holds the drain lock `read` from before its claims until it
-    /// commits, so a CoW trigger, which takes it `write`, swaps the log
-    /// only when no claim or free is in flight. Before claiming, the op
-    /// waits out (and assists) a running CoW image copy, so it never
-    /// changes a page the copy has yet to take.
+    /// The op holds the checkpoint engine's mutation guard from before its
+    /// claims until it commits. Under DIPPER that guard is empty. Under
+    /// CoW it is the drain lock `read`, so the trigger, which takes it
+    /// `write`, swaps the log only when no claim or free is in flight; and
+    /// taking it waits out (and assists) a running image copy, so the op
+    /// never changes a page the copy has yet to take.
     ///
     /// Trace attribution (`at` is a no-op unless the op is armed):
-    /// lock/drain acquisition, CoW assists, conflict spins and reader
+    /// lock/guard acquisition, CoW assists, conflict spins and reader
     /// drains land in `cc_wait`; the claims and the encode in `alloc`; the
     /// reservation in `log_append`; the out-of-lock record publish in
     /// `log_flush`; blocking log-full checkpoints in `log_stall`. The
@@ -603,13 +589,7 @@ impl DsContext {
         }
         let inner = &self.inner;
         loop {
-            let drain = inner.drain.read();
-            // The phase is published before `active`, so sampling it here
-            // catches the CoW checkpoint this op is about to wait on.
-            if let Some(cow) = &inner.cow {
-                note_stall_phase(inner, at);
-                cow.wait_or_assist();
-            }
+            let guard = inner.engine.mutation_guard(at);
             let _global = (!inner.cfg.oe).then(|| inner.global_lock.lock());
             // One stamp marks the sync-region start for both the write
             // breakdown and the trace (coalesced clock read).
@@ -683,11 +663,13 @@ impl DsContext {
                 Outcome::Full => {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
-                    drop(drain);
+                    drop(guard);
                     inner.handle_log_full();
                     // The forced checkpoint is in flight when the stall
                     // ends — name it even if it finishes before we do.
-                    note_stall_phase(inner, at);
+                    if let Some(tel) = inner.telemetry.as_deref() {
+                        tel.ckpt.note_stall(at);
+                    }
                     at.mark(SEG_LOG_STALL);
                     continue;
                 }
@@ -697,7 +679,7 @@ impl DsContext {
                     // on the conflicting commit flags (§4.4).
                     inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
                     drop(_global);
-                    drop(drain);
+                    drop(guard);
                     for c in &conflicts {
                         inner.log.wait_committed(*c);
                     }
@@ -709,7 +691,7 @@ impl DsContext {
                     // wait is bounded by that op's install, not its flush.
                     inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
                     drop(_global);
-                    drop(drain);
+                    drop(guard);
                     inner.latches.wait_clear(name);
                     at.mark(SEG_CC_WAIT);
                     continue;
@@ -749,7 +731,7 @@ impl DsContext {
                 lsn: r.lsn,
                 entry,
                 latch,
-                drain,
+                guard,
             };
             return Ok((m, plan));
         }
@@ -757,15 +739,9 @@ impl DsContext {
 
     /// Step ⑨ and deferred reclamation: commits `handle`, then returns
     /// the blocks the op `freed` to the pool — a block becomes reusable
-    /// only once the record that frees it is durable — then leaves the
-    /// drain, before any checkpoint trigger.
-    fn commit(
-        &self,
-        name: &[u8],
-        handle: RecordHandle,
-        freed: &[u64],
-        drain: RwLockReadGuard<'_, ()>,
-    ) {
+    /// only once the record that frees it is durable — then drops the
+    /// op's engine guard, before any checkpoint trigger.
+    fn commit(&self, name: &[u8], handle: RecordHandle, freed: &[u64], guard: OpGuard<'_>) {
         let inner = &self.inner;
         #[cfg(test)]
         inner.before_commit.hit(name);
@@ -775,7 +751,7 @@ impl DsContext {
             "{:?} freed blocks it did not own",
             String::from_utf8_lossy(name)
         );
-        drop(drain);
+        drop(guard);
     }
 
     /// Steps ⑥–⑨ of an admitted put of `value` by `plan` (`None`: a
@@ -827,7 +803,7 @@ impl DsContext {
 
         // Step ⑨: commit.
         let t = timed.then(now_ns);
-        self.commit(m.name, m.handle, &plan.freed, m.drain);
+        self.commit(m.name, m.handle, &plan.freed, m.guard);
         (install_ns, nvme_ns, since(t))
     }
 
@@ -984,7 +960,7 @@ impl ObjectHandle<'_> {
     pub fn read(&self, buf: &mut [u8], offset: u64) -> DsResult<usize> {
         let inner = &self.ctx.inner;
         let (t0, mut at) = op_begin(inner, "oread", false);
-        let _drain = inner.drain.read();
+        let _guard = inner.engine.read_guard();
         let (_latch, stat, data) = read_entry(inner, &self.name, &mut at)?;
         let size = stat.size;
         at.mark(SEG_LOOKUP);
@@ -1121,7 +1097,7 @@ impl ObjectHandle<'_> {
         }
         at.mark(SEG_SSD_WRITE);
         drop(m.latch);
-        self.ctx.commit(m.name, m.handle, &[], m.drain);
+        self.ctx.commit(m.name, m.handle, &[], m.guard);
     }
 }
 

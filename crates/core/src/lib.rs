@@ -51,6 +51,7 @@ pub mod cc;
 pub mod config;
 pub mod cow;
 pub mod ctx;
+mod engine;
 pub mod error;
 pub mod ops;
 pub mod replay;

@@ -5,13 +5,16 @@ use crate::cc::NameLatches;
 use crate::config::{CheckpointMode, DStoreConfig};
 use crate::cow::CowCheckpointer;
 use crate::ctx::DsContext;
+use crate::engine::CheckpointEngine;
 use crate::error::{DsError, DsResult};
 use crate::replay::{self, ReplaySnapshot, ReplayStats};
 use crate::stats::{Footprint, StoreStats};
 use crate::structures::{Directory, Domain};
 use crate::telemetry::{HealthSnapshot, StoreTelemetry};
 use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
-use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointStats, RecordWindows};
+use dstore_dipper::checkpoint::{
+    apply_checkpoint, Applier, CheckpointStats, Engine, RecordWindows,
+};
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
 use dstore_pmem::blackbox::{exhume, region_size, BlackBoxRegion};
@@ -141,12 +144,9 @@ pub(crate) struct StoreInner {
     pub global_lock: Mutex<()>,
     /// Read-write CC: per-object read counts and writer marks (§4.4).
     pub latches: NameLatches,
-    /// Held `read` by a get for its read and by a mutation from its
-    /// claims to its commit; held `write` by the CoW trigger, which
-    /// therefore swaps the log only when no mutation is in flight.
-    pub drain: Arc<RwLock<()>>,
-    pub ckpt: Mutex<Option<Checkpointer>>,
-    pub cow: Option<CowCheckpointer>,
+    /// The checkpoint engine. Ops take their guards from it: none under
+    /// DIPPER, the CoW drain under CoW.
+    pub engine: CheckpointEngine,
     pub stats: StoreStats,
     pub recovery: RecoveryReport,
     /// Parallel-replay counters, shared with the checkpoint applier (and
@@ -233,30 +233,11 @@ impl StoreInner {
     }
 
     /// Triggers a checkpoint if the active log crossed the threshold and
-    /// automatic checkpointing is on.
+    /// automatic checkpointing is on. Op-path callers hold no guard of
+    /// the engine here: the commit dropped it.
     pub fn maybe_checkpoint(&self) {
-        if !self.cfg.auto_checkpoint {
-            return;
-        }
-        if self.log.used_fraction() < self.cfg.swap_threshold {
-            return;
-        }
-        match self.cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                if let Some(c) = self.ckpt.lock().as_ref() {
-                    c.try_begin();
-                }
-            }
-            CheckpointMode::Cow => {
-                if let Some(c) = &self.cow {
-                    // The CoW trigger takes the drain write lock; callers
-                    // of maybe_checkpoint on the op path hold the read
-                    // lock, so hand the trigger to a helper thread.
-                    if !c.is_busy() {
-                        let _ = c.try_begin_from_op_path();
-                    }
-                }
-            }
+        if self.cfg.auto_checkpoint && self.log.used_fraction() >= self.cfg.swap_threshold {
+            self.engine.try_begin();
         }
     }
 
@@ -269,18 +250,7 @@ impl StoreInner {
         if let Some(bb) = &self.blackbox {
             bb.record_event("log_full_stall", 0, 0);
         }
-        match self.cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                if let Some(c) = self.ckpt.lock().as_ref() {
-                    c.begin_blocking();
-                }
-            }
-            CheckpointMode::Cow => {
-                if let Some(c) = &self.cow {
-                    c.begin_blocking_from_op_path();
-                }
-            }
-        }
+        self.engine.begin_blocking();
     }
 }
 
@@ -425,7 +395,6 @@ impl DStore {
         telemetry: Option<Arc<StoreTelemetry>>,
         crash_report: Option<CrashReport>,
     ) -> Arc<StoreInner> {
-        let drain = Arc::new(RwLock::new(()));
         let stall_timeout = cfg.stall_timeout;
         // The domain clamps the shard count at format time (tiny pools get
         // fewer shards than configured), so read the on-media value back.
@@ -462,43 +431,31 @@ impl DStore {
             }
             ct
         });
-        let (ckpt, cow) = match cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                let applier = make_applier(
+        let engine = match cfg.checkpoint {
+            CheckpointMode::Dipper => CheckpointEngine::Dipper(Checkpointer::new(
+                Arc::clone(&pool),
+                layout,
+                Arc::clone(&root),
+                Arc::clone(&log),
+                make_applier(
                     &pool,
                     layout,
                     dir,
                     cfg.replay_threads,
                     Arc::clone(&replay),
                     telemetry.as_ref().map(|t| Arc::clone(&t.ckpt.ring)),
-                );
-                let c = Checkpointer::new(
-                    Arc::clone(&pool),
-                    layout,
-                    Arc::clone(&root),
-                    Arc::clone(&log),
-                    applier,
-                );
-                c.set_apply_threads(cfg.replay_threads);
-                if let Some(ct) = &ckpt_telemetry {
-                    c.set_telemetry(ct.clone());
-                }
-                (Some(c), None)
-            }
-            CheckpointMode::Cow => {
-                let c = CowCheckpointer::new(
-                    Arc::clone(&pool),
-                    layout,
-                    Arc::clone(&root),
-                    Arc::clone(&log),
-                    Arc::clone(&dram),
-                    Arc::clone(&drain),
-                );
-                if let Some(ct) = &ckpt_telemetry {
-                    c.set_telemetry(ct.clone());
-                }
-                (None, Some(c))
-            }
+                ),
+                ckpt_telemetry,
+                cfg.replay_threads,
+            )),
+            CheckpointMode::Cow => CheckpointEngine::Cow(CowCheckpointer::new(
+                Arc::clone(&pool),
+                layout,
+                Arc::clone(&root),
+                Arc::clone(&log),
+                Arc::clone(&dram),
+                ckpt_telemetry,
+            )),
         };
         Arc::new(StoreInner {
             cfg,
@@ -513,9 +470,7 @@ impl DStore {
             btree_lock: RwLock::new(()),
             global_lock: Mutex::new(()),
             latches: NameLatches::new(stall_timeout),
-            drain,
-            ckpt: Mutex::new(ckpt),
-            cow,
+            engine,
             stats: StoreStats::new(),
             recovery,
             replay,
@@ -539,34 +494,12 @@ impl DStore {
 
     /// Runs one complete checkpoint synchronously.
     pub fn checkpoint_now(&self) {
-        match self.inner.cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                if let Some(c) = self.inner.ckpt.lock().as_ref() {
-                    c.run_inline();
-                }
-            }
-            CheckpointMode::Cow => {
-                if let Some(c) = &self.inner.cow {
-                    c.run_inline();
-                }
-            }
-        }
+        self.inner.engine.run_inline();
     }
 
     /// Blocks until no checkpoint is running.
     pub fn wait_checkpoint_idle(&self) {
-        match self.inner.cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                if let Some(c) = self.inner.ckpt.lock().as_ref() {
-                    c.wait_idle();
-                }
-            }
-            CheckpointMode::Cow => {
-                if let Some(c) = &self.inner.cow {
-                    c.wait_idle();
-                }
-            }
-        }
+        self.inner.engine.wait_idle();
     }
 
     /// Failure injection: performs only the checkpoint *swap* (log flip +
@@ -589,42 +522,15 @@ impl DStore {
         });
     }
 
-    /// DIPPER checkpoint counters (None in CoW mode).
-    pub fn checkpoint_stats(&self) -> Option<CheckpointStats> {
-        let g = self.inner.ckpt.lock();
-        g.as_ref().map(|c| {
-            let s = c.stats();
-            CheckpointStats {
-                completed: s
-                    .completed
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .into(),
-                records_applied: s
-                    .records_applied
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .into(),
-                bytes_copied: s
-                    .bytes_copied
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .into(),
-                last_apply_ns: s
-                    .last_apply_ns
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .into(),
-            }
-        })
+    /// Checkpoint counters since creation/recovery, in either checkpoint
+    /// mode (a CoW checkpoint applies no records).
+    pub fn checkpoint_stats(&self) -> CheckpointStats {
+        self.inner.engine.stats()
     }
 
-    /// Checkpoints completed since creation/recovery, in either
-    /// checkpoint mode.
+    /// Checkpoints completed since creation/recovery.
     pub fn checkpoints_completed(&self) -> u64 {
-        match self.inner.cfg.checkpoint {
-            CheckpointMode::Dipper => self
-                .checkpoint_stats()
-                .map(|c| c.completed.load(std::sync::atomic::Ordering::Relaxed))
-                .unwrap_or(0),
-            CheckpointMode::Cow => self.inner.cow.as_ref().map(|c| c.completed()).unwrap_or(0),
-        }
+        self.inner.engine.completed()
     }
 
     /// Operation counters.
@@ -761,18 +667,7 @@ impl DStore {
     /// checkpoint-correlated tail latency deterministically. 0 disables.
     #[doc(hidden)]
     pub fn inject_checkpoint_flush_stall(&self, ns: u64) {
-        match self.inner.cfg.checkpoint {
-            CheckpointMode::Dipper => {
-                if let Some(c) = self.inner.ckpt.lock().as_ref() {
-                    c.inject_flush_stall_ns(ns);
-                }
-            }
-            CheckpointMode::Cow => {
-                if let Some(c) = &self.inner.cow {
-                    c.inject_flush_stall_ns(ns);
-                }
-            }
-        }
+        self.inner.engine.inject_flush_stall_ns(ns);
     }
 
     /// The checkpoint phase currently in flight (`"idle"` when none, or
@@ -911,14 +806,11 @@ impl DStore {
     /// use `auto_checkpoint = false` +
     /// [`DStore::begin_checkpoint_swap_only`].
     pub fn crash(self) -> CrashImage {
-        // Dropping the checkpointer joins its worker; a mid-apply
+        // Shutting the engine down joins its worker; a mid-apply
         // checkpoint completes in volatile terms, but the crash below
         // discards everything it did not get to the persistent image +
         // root commit.
-        drop(self.inner.ckpt.lock().take());
-        if let Some(c) = &self.inner.cow {
-            c.wait_idle();
-        }
+        self.inner.engine.shutdown();
         self.inner.pool.simulate_crash();
         self.inner.ssd.simulate_crash();
         CrashImage {
@@ -998,8 +890,6 @@ impl DStore {
                 Arc::clone(&replay_stats),
                 rec_ring.clone(),
             );
-            let stats = dstore_dipper::CheckpointStats::default();
-            let ckpt_tel = telemetry.as_ref().map(|t| t.ckpt.clone());
             apply_checkpoint(
                 &pool,
                 &layout,
@@ -1007,8 +897,8 @@ impl DStore {
                 &applier,
                 // SAFETY: nothing writes the log until `recover` returns.
                 unsafe { RecordWindows::at(&pool, redo) },
-                &stats,
-                ckpt_tel.as_ref(),
+                telemetry.as_ref().map(|t| &t.ckpt),
+                0,
                 cfg.replay_threads,
             );
             report.redo_checkpoint = true;
@@ -1085,10 +975,7 @@ impl DStore {
     /// (which will find an empty active log).
     pub fn close(self) -> CrashImage {
         self.checkpoint_now();
-        drop(self.inner.ckpt.lock().take());
-        if let Some(c) = &self.inner.cow {
-            c.wait_idle();
-        }
+        self.inner.engine.shutdown();
         // The clean marker goes down last on the PMEM side, after the
         // final checkpoint: a crash *during* close still reads as dirty.
         if let Some(bb) = &self.inner.blackbox {
@@ -1102,30 +989,6 @@ impl DStore {
             ssd: Arc::clone(&self.inner.ssd),
             cfg: self.inner.cfg.clone(),
         }
-    }
-}
-
-impl CowCheckpointer {
-    /// Trigger used from the op path, where the caller holds the drain
-    /// *read* lock: hand the (write-locking) trigger to a helper thread.
-    pub(crate) fn try_begin_from_op_path(&self) -> bool {
-        let me = self.clone_handle();
-        std::thread::Builder::new()
-            .name("dstore-cow-trigger".into())
-            .spawn(move || {
-                me.try_begin();
-            })
-            .is_ok()
-    }
-
-    /// Blocking trigger from the op path: the caller must *release* its
-    /// drain read lock before calling (it does: `handle_log_full` runs
-    /// after the append loop dropped all locks).
-    pub(crate) fn begin_blocking_from_op_path(&self) {
-        // Wait for a running checkpoint; then trigger (possibly losing a
-        // race to another thread, which is fine — space was freed).
-        self.wait_idle();
-        self.try_begin();
     }
 }
 
@@ -1203,7 +1066,7 @@ mod tests {
             // A DIPPER checkpoint runs past the parked op; a CoW trigger
             // waits for it to commit.
             wait_until("the checkpoint", || {
-                c.is_finished() || store.inner.cow.as_ref().is_some_and(|c| c.is_busy())
+                c.is_finished() || (ckpt == CheckpointMode::Cow && store.inner.engine.is_busy())
             });
             pause.release(true);
             w1.join().unwrap().unwrap();

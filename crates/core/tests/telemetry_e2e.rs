@@ -54,6 +54,43 @@ fn all_four_checkpoint_phases_in_cow() {
     assert_four_phases(DStoreConfig::small().with_checkpoint(CheckpointMode::Cow));
 }
 
+/// One checkpoint counts once, the same way, in either engine: the
+/// store's count, its stats, its health and its exported counter.
+#[test]
+fn one_checkpoint_counts_once_everywhere_in_both_modes() {
+    for mode in [CheckpointMode::Dipper, CheckpointMode::Cow] {
+        let store = DStore::create(
+            DStoreConfig::small()
+                .with_checkpoint(mode)
+                .with_auto_checkpoint(false),
+        )
+        .unwrap();
+        mixed_load(&store, 50);
+        let counts = |s: &DStore| {
+            let total = s
+                .telemetry_snapshot()
+                .unwrap()
+                .counter_total("dstore_checkpoints_completed_total");
+            let h = s.health().checkpoints_completed;
+            let c = s.checkpoints_completed();
+            [c, s.checkpoint_stats().completed, h, total]
+        };
+        let before = counts(&store);
+        let copied = store.checkpoint_stats().bytes_copied;
+        store.checkpoint_now();
+        store.wait_checkpoint_idle();
+        let after = counts(&store);
+        for (b, a) in before.iter().zip(after) {
+            assert_eq!(a, b + 1, "{mode:?}: {before:?} → {after:?}");
+        }
+        assert!(
+            store.checkpoint_stats().bytes_copied > copied,
+            "{mode:?}: no bytes copied"
+        );
+        assert_eq!(store.checkpoint_phase(), "idle", "{mode:?}");
+    }
+}
+
 #[test]
 fn per_op_histograms_track_every_table2_op() {
     let store = DStore::create(DStoreConfig::small()).unwrap();

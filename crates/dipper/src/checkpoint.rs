@@ -32,10 +32,11 @@ use crate::record::{self, RecordView, COMMIT_COMMITTED};
 use crate::root::Root;
 use dstore_arena::{Arena, PmemRange};
 use dstore_pmem::PmemPool;
+use dstore_telemetry::trace::ActiveTrace;
 use dstore_telemetry::{now_ns, Counter, PhaseCell, SpanRing};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Smallest per-thread unit of the chunked shadow copy / flush. Below
@@ -77,8 +78,8 @@ pub const PHASE_SWAP: usize = 4;
 /// `"trigger"`).
 pub type CheckpointEventSink = Arc<dyn Fn(&'static str, u64, u64) + Send + Sync>;
 
-/// Telemetry sinks for checkpoint observability, installed by the
-/// embedding store via [`Checkpointer::set_telemetry`]. All sinks are
+/// Telemetry sinks for checkpoint observability, handed to a checkpoint
+/// engine's constructor by the embedding store. All sinks are
 /// lock-free to record into, so attaching them does not perturb the
 /// phases they measure.
 #[derive(Clone)]
@@ -95,6 +96,20 @@ pub struct CheckpointTelemetry {
     pub panics: Arc<Counter>,
     /// Optional lifecycle-event sink (see [`CheckpointEventSink`]).
     pub events: Option<CheckpointEventSink>,
+}
+
+impl CheckpointTelemetry {
+    /// Re-stamps `at`'s fallback phase with the checkpoint phase in
+    /// flight, if any. An op that began while the store was idle can
+    /// still spend its life behind a checkpoint that triggered mid-op (a
+    /// full log forces one; a CoW image copy blocks mutators), so an op
+    /// samples the phase where it is about to wait, or has just waited.
+    pub fn note_stall(&self, at: &mut ActiveTrace) {
+        let p = self.phase.name();
+        if p != CHECKPOINT_PHASES[PHASE_IDLE] {
+            at.set_start_phase(p);
+        }
+    }
 }
 
 impl std::fmt::Debug for CheckpointTelemetry {
@@ -194,28 +209,232 @@ impl<'a> RecordWindows<'a> {
     }
 }
 
-/// Checkpoint counters (Figure 7 diagnostics, Table 4 accounting).
-#[derive(Debug, Default)]
+/// Checkpoint counters (Figure 7 diagnostics, Table 4 accounting), the
+/// same in both checkpoint engines: what one checkpoint did, as
+/// [`apply_checkpoint`] returns it, or an engine's running total.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Checkpoints completed.
-    pub completed: AtomicU64,
-    /// Records replayed onto shadows.
-    pub records_applied: AtomicU64,
-    /// Bytes copied between shadow regions.
-    pub bytes_copied: AtomicU64,
-    /// Nanoseconds spent in the last checkpoint's apply phase.
-    pub last_apply_ns: AtomicU64,
+    pub completed: u64,
+    /// Records replayed onto shadows (0 for a CoW checkpoint).
+    pub records_applied: u64,
+    /// Bytes copied into the spare shadow region.
+    pub bytes_copied: u64,
+    /// Nanoseconds the last checkpoint took from its apply phase on.
+    pub last_apply_ns: u64,
 }
 
-enum Job {
-    Run { archived: usize },
-    Shutdown,
+impl CheckpointStats {
+    /// Adds one checkpoint's counts to this total.
+    pub fn add(&mut self, run: CheckpointStats) {
+        self.completed += run.completed;
+        self.records_applied += run.records_applied;
+        self.bytes_copied += run.bytes_copied;
+        self.last_apply_ns = run.last_apply_ns;
+    }
 }
 
-/// Owns the background checkpoint thread and the trigger state machine.
+/// Where a checkpoint engine is.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Run {
+    #[default]
+    Idle,
+    /// Claimed; its trigger (the log swap) is not done yet.
+    Queued,
+    /// Past its trigger.
+    Running,
+    /// Shut down: no checkpoint starts any more.
+    Shut,
+}
+
+/// What both checkpoint engines keep the same way: the run state (at
+/// most one checkpoint at a time, none after shutdown), the counters, the
+/// telemetry sinks and the test-only flush stall.
+#[derive(Default)]
+pub struct EngineState {
+    run: Mutex<Run>,
+    cv: Condvar,
+    stats: Mutex<CheckpointStats>,
+    /// Phase-span sinks.
+    pub telemetry: Option<CheckpointTelemetry>,
+    /// Test-only injection: extra nanoseconds spun inside the flush
+    /// phase of every checkpoint (0 = none).
+    pub flush_stall_ns: AtomicU64,
+}
+
+impl EngineState {
+    /// An idle engine's state, recording phase spans into `telemetry`.
+    pub fn new(telemetry: Option<CheckpointTelemetry>) -> Self {
+        EngineState {
+            telemetry,
+            ..Default::default()
+        }
+    }
+
+    /// Claims the engine for a new checkpoint: false while one is queued
+    /// or running, or after shutdown.
+    pub fn claim(&self) -> bool {
+        let mut r = self.run.lock();
+        let idle = *r == Run::Idle;
+        if idle {
+            *r = Run::Queued;
+        }
+        idle
+    }
+
+    /// Marks the claimed checkpoint past its trigger. Call it before
+    /// anything lets another thread finish the checkpoint: a
+    /// [`EngineState::release`] that came first would be overwritten.
+    pub fn started(&self) {
+        self.set(Run::Running);
+    }
+
+    /// Adds what one checkpoint did to the counters.
+    pub fn count(&self, run: CheckpointStats) {
+        self.stats.lock().add(run);
+    }
+
+    /// Marks the running checkpoint done.
+    pub fn release(&self) {
+        self.set(Run::Idle);
+    }
+
+    /// Waits out a running checkpoint and refuses later ones: the first
+    /// half of every engine's [`Engine::shutdown`].
+    pub fn shut(&self) {
+        *self.wait_while(busy) = Run::Shut;
+    }
+
+    fn set(&self, to: Run) {
+        *self.run.lock() = to;
+        self.cv.notify_all();
+    }
+
+    /// Blocks while `wait(state)` holds; returns the state, still locked.
+    fn wait_while(&self, wait: impl Fn(Run) -> bool) -> MutexGuard<'_, Run> {
+        let mut r = self.run.lock();
+        while wait(*r) {
+            self.cv.wait(&mut r);
+        }
+        r
+    }
+}
+
+fn busy(r: Run) -> bool {
+    matches!(r, Run::Queued | Run::Running)
+}
+
+/// A checkpoint engine. An implementation triggers checkpoints and stops
+/// its worker; the rest is written once, over its [`EngineState`].
+pub trait Engine {
+    /// The state every engine keeps the same way.
+    fn state(&self) -> &EngineState;
+
+    /// Starts a checkpoint unless one is queued or running, or the engine
+    /// has shut down; returns whether it did.
+    fn try_begin(&self) -> bool;
+
+    /// Waits out a running checkpoint, refuses later ones and joins the
+    /// engine's worker. Idempotent.
+    fn shutdown(&self);
+
+    /// Whether a checkpoint is queued or running.
+    fn is_busy(&self) -> bool {
+        busy(*self.state().run.lock())
+    }
+
+    /// Blocks until no checkpoint is queued or running.
+    fn wait_idle(&self) {
+        self.state().wait_while(busy);
+    }
+
+    /// Starts a checkpoint, waiting out a running one first, and returns
+    /// once it is past its trigger, so the log has room again, or once
+    /// the engine has shut down. This is the backpressure path taken when
+    /// the log fills completely (the paper: workloads beyond ~70 % writes
+    /// "lead to backlogging", §5.3).
+    fn begin_blocking(&self) {
+        loop {
+            self.wait_idle();
+            if self.try_begin() {
+                break;
+            }
+            if *self.state().run.lock() == Run::Shut {
+                return;
+            }
+        }
+        self.state().wait_while(|r| r == Run::Queued);
+    }
+
+    /// Runs one full checkpoint and waits for it.
+    fn run_inline(&self) {
+        self.begin_blocking();
+        self.wait_idle();
+    }
+
+    /// The counters now.
+    fn stats(&self) -> CheckpointStats {
+        *self.state().stats.lock()
+    }
+
+    /// Checkpoints completed.
+    fn completed(&self) -> u64 {
+        self.stats().completed
+    }
+
+    /// Test-only injection: spin for `ns` nanoseconds inside the flush
+    /// phase of every later checkpoint (0 disables), so tests manufacture
+    /// a slow checkpoint without a huge working set.
+    fn inject_flush_stall_ns(&self, ns: u64) {
+        self.state().flush_stall_ns.store(ns, Ordering::Relaxed);
+    }
+}
+
+/// A checkpoint engine's long-lived worker thread and the channel that
+/// feeds it jobs.
+pub struct Worker<J> {
+    /// `None` stops the worker.
+    tx: crossbeam::channel::Sender<Option<J>>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl<J: Send + 'static> Worker<J> {
+    /// Spawns thread `name`, which runs `job` on each job sent until the
+    /// worker stops.
+    pub fn spawn(name: &str, mut job: impl FnMut(J) + Send + 'static) -> Self {
+        let (tx, rx) = crossbeam::channel::unbounded::<Option<J>>();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                while let Ok(Some(j)) = rx.recv() {
+                    job(j);
+                }
+            })
+            .expect("spawn checkpoint worker");
+        let thread = Mutex::new(Some(thread));
+        Worker { tx, thread }
+    }
+
+    /// Queues `job`. An engine refuses new checkpoints before its worker
+    /// stops, so a claimed checkpoint always finds the worker running.
+    pub fn send(&self, job: J) {
+        self.tx.send(Some(job)).expect("checkpoint worker stopped");
+    }
+
+    /// Joins the thread once it has run every queued job. Idempotent.
+    pub fn stop(&self) {
+        if let Some(t) = self.thread.lock().take() {
+            let _ = self.tx.send(None);
+            let _ = t.join();
+        }
+    }
+}
+
+/// DIPPER's checkpoint engine: the trigger, on the calling thread, and
+/// the worker thread that runs every apply phase.
 pub struct Checkpointer {
     inner: Arc<CheckpointInner>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    worker: Worker<usize>,
 }
 
 struct CheckpointInner {
@@ -224,220 +443,122 @@ struct CheckpointInner {
     root: Arc<Root>,
     log: Arc<OpLog>,
     applier: Applier,
-    /// True from swap until the apply phase commits.
-    busy: Mutex<bool>,
-    cv: Condvar,
-    stats: CheckpointStats,
-    telemetry: Mutex<Option<CheckpointTelemetry>>,
-    tx: Mutex<Option<crossbeam::channel::Sender<Job>>>,
-    /// Test-only injection: extra nanoseconds spun inside the flush
-    /// phase of every checkpoint (0 = none).
-    flush_stall_ns: AtomicU64,
+    /// Claimed from the swap until the apply phase commits.
+    state: EngineState,
     /// Worker cap for the apply phase's chunked shadow copy and chunked
-    /// flush (1 = serial, the pre-parallel behavior; see
-    /// [`usable_workers`]).
-    apply_threads: AtomicUsize,
+    /// flush (1 = serial; see [`usable_workers`]).
+    apply_threads: usize,
 }
 
 impl Checkpointer {
-    /// Spawns the checkpoint thread.
+    /// Spawns the checkpoint thread. Phase spans go to `telemetry`, and
+    /// the apply phase's chunked copy and flush use up to
+    /// `apply_threads` workers (the knob that also sizes the applier's
+    /// replay workers; clamped to ≥ 1).
     pub fn new(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
         root: Arc<Root>,
         log: Arc<OpLog>,
         applier: Applier,
+        telemetry: Option<CheckpointTelemetry>,
+        apply_threads: usize,
     ) -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let inner = Arc::new(CheckpointInner {
             pool,
             layout,
             root,
             log,
             applier,
-            busy: Mutex::new(false),
-            cv: Condvar::new(),
-            stats: CheckpointStats::default(),
-            telemetry: Mutex::new(None),
-            tx: Mutex::new(Some(tx)),
-            flush_stall_ns: AtomicU64::new(0),
-            apply_threads: AtomicUsize::new(1),
+            state: EngineState::new(telemetry),
+            apply_threads: apply_threads.max(1),
         });
-        let w_inner = Arc::clone(&inner);
-        let worker = std::thread::Builder::new()
-            .name("dipper-checkpoint".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        Job::Run { archived } => {
-                            // A panic here must not strand the store with
-                            // `busy` stuck true (frontends would hang on
-                            // backpressure forever); surface it loudly and
-                            // release the state machine.
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                w_inner.run_apply(archived)
-                            }));
-                            let mut busy = w_inner.busy.lock();
-                            *busy = false;
-                            w_inner.cv.notify_all();
-                            drop(busy);
-                            if let Err(e) = r {
-                                if let Some(t) = w_inner.telemetry.lock().as_ref() {
-                                    t.panics.inc();
-                                    t.phase.set(PHASE_IDLE);
-                                }
-                                eprintln!("dipper checkpoint apply panicked: {e:?}");
-                            }
-                        }
-                        Job::Shutdown => break,
-                    }
+        let w = Arc::clone(&inner);
+        let worker = Worker::spawn("dipper-checkpoint", move |archived| {
+            // A panic here must not strand the store with the engine stuck
+            // claimed (frontends would hang on backpressure forever);
+            // surface it loudly and release the state machine.
+            let r =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_apply(archived)));
+            w.state.release();
+            if let Err(e) = r {
+                if let Some(t) = &w.state.telemetry {
+                    t.panics.inc();
+                    t.phase.set(PHASE_IDLE);
                 }
-            })
-            .expect("spawn checkpoint thread");
-        Self {
-            inner,
-            worker: Some(worker),
-        }
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &CheckpointStats {
-        &self.inner.stats
-    }
-
-    /// Installs telemetry sinks; subsequent checkpoints record phase
-    /// spans into them. Intended to be called once at store assembly.
-    pub fn set_telemetry(&self, t: CheckpointTelemetry) {
-        *self.inner.telemetry.lock() = Some(t);
-    }
-
-    /// Sets the worker cap for the apply phase's chunked shadow copy and
-    /// chunked flush (clamped to ≥ 1; 1 = serial; each call further
-    /// clamps to the CPUs it may run on, see [`usable_workers`]). Intended to
-    /// be called once at store assembly, from the same knob that sizes
-    /// the applier's replay workers.
-    pub fn set_apply_threads(&self, threads: usize) {
-        self.inner
-            .apply_threads
-            .store(threads.max(1), Ordering::Relaxed);
-    }
-
-    /// Test-only injection: spin for `ns` nanoseconds inside the flush
-    /// phase of every subsequent checkpoint (0 disables). Lets tests
-    /// manufacture a slow checkpoint deterministically without a huge
-    /// working set.
-    #[doc(hidden)]
-    pub fn inject_flush_stall_ns(&self, ns: u64) {
-        self.inner.flush_stall_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Whether a checkpoint is currently running.
-    pub fn is_busy(&self) -> bool {
-        *self.inner.busy.lock()
-    }
-
-    /// Starts a checkpoint if none is running; returns whether one was
-    /// started. The swap happens on the calling thread (brief); the apply
-    /// phase runs on the background thread.
-    pub fn try_begin(&self) -> bool {
-        {
-            let mut busy = self.inner.busy.lock();
-            if *busy {
-                return false;
+                eprintln!("dipper checkpoint apply panicked: {e:?}");
             }
-            *busy = true;
+        });
+        Self { inner, worker }
+    }
+}
+
+impl Engine for Checkpointer {
+    fn state(&self) -> &EngineState {
+        &self.inner.state
+    }
+
+    /// The swap happens on the calling thread (brief); the apply phase
+    /// runs on the worker.
+    fn try_begin(&self) -> bool {
+        let inner = &self.inner;
+        if !inner.state.claim() {
+            return false;
         }
         // If the root says a checkpoint is in flight that nobody is
         // running (crash-injection hooks, or recovery handing over a
         // store mid-checkpoint), complete it first — swapping now would
         // recycle the archived log and lose its records.
-        let st = self.inner.root.state();
+        let st = inner.root.state();
         if st.checkpoint_in_progress {
-            self.inner.run_apply(st.archived_log());
+            inner.run_apply(st.archived_log());
         }
-        let tel = self.inner.telemetry.lock().clone();
-        if let Some(t) = &tel {
+        let tel = inner.state.telemetry.as_ref();
+        if let Some(t) = tel {
             t.phase.set(PHASE_TRIGGER);
         }
         let t0 = now_ns();
-        let archived = self.inner.log.swap(|| {
-            self.inner.root.begin_checkpoint();
+        let archived = inner.log.swap(|| {
+            inner.root.begin_checkpoint();
         });
-        if let Some(t) = &tel {
+        if let Some(t) = tel {
             t.ring.record("trigger", t0, now_ns(), 0, 0);
             if let Some(ev) = &t.events {
                 ev("trigger", 0, 0);
             }
         }
-        let tx = self.inner.tx.lock();
-        tx.as_ref()
-            .expect("checkpointer shut down")
-            .send(Job::Run { archived })
-            .expect("checkpoint worker gone");
+        inner.state.started();
+        self.worker.send(archived);
         true
     }
 
-    /// Starts a checkpoint, waiting for any running one to finish first —
-    /// the backpressure path taken when the log fills completely (the
-    /// paper: workloads beyond ~70 % writes "lead to backlogging", §5.3).
-    pub fn begin_blocking(&self) {
-        loop {
-            {
-                let mut busy = self.inner.busy.lock();
-                while *busy {
-                    self.inner.cv.wait(&mut busy);
-                }
-            }
-            if self.try_begin() {
-                return;
-            }
-        }
-    }
-
-    /// Blocks until no checkpoint is running.
-    pub fn wait_idle(&self) {
-        let mut busy = self.inner.busy.lock();
-        while *busy {
-            self.inner.cv.wait(&mut busy);
-        }
-    }
-
-    /// Runs one full checkpoint synchronously (swap + apply on the calling
-    /// thread). Used by tests and shutdown flushes.
-    pub fn run_inline(&self) {
-        self.begin_blocking();
-        self.wait_idle();
+    fn shutdown(&self) {
+        self.inner.state.shut();
+        self.worker.stop();
     }
 }
 
 impl Drop for Checkpointer {
     fn drop(&mut self) {
-        self.wait_idle();
-        if let Some(tx) = self.inner.tx.lock().take() {
-            let _ = tx.send(Job::Shutdown);
-        }
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
+        self.shutdown();
     }
 }
 
 impl CheckpointInner {
     fn run_apply(&self, archived: usize) {
-        let tel = self.telemetry.lock().clone();
-        apply_checkpoint_with_stall(
+        self.state.count(apply_checkpoint(
             &self.pool,
             &self.layout,
             &self.root,
             &self.applier,
-            // `busy` holds from the swap that archived `archived` until
-            // this apply returns, so no swap recycles it meanwhile.
+            // The engine stays claimed from the swap that archived
+            // `archived` until this apply returns, so no swap recycles it
+            // meanwhile.
             RecordWindows::new(Source::Archived(&self.log, archived)),
-            &self.stats,
-            tel.as_ref(),
-            self.flush_stall_ns.load(Ordering::Relaxed),
-            self.apply_threads.load(Ordering::Relaxed),
-        );
+            self.state.telemetry.as_ref(),
+            self.state.flush_stall_ns.load(Ordering::Relaxed),
+            self.apply_threads,
+        ));
     }
 }
 
@@ -470,9 +591,11 @@ fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
 ///
 /// Copies shadow `current` → `spare`, replays `records` onto the spare
 /// via `applier` one window at a time, persists every allocated byte, and
-/// atomically commits the root transition. The bulk copy and the flush
-/// are chunked across up to [`usable_workers`]`(threads)` scoped workers
-/// (1 = serial).
+/// atomically commits the root transition; returns what it did. The bulk
+/// copy and the flush are chunked across up to
+/// [`usable_workers`]`(threads)` scoped workers (1 = serial).
+/// `flush_stall_ns` is a test-only stall spun inside the flush phase (see
+/// [`Engine::inject_flush_stall_ns`]; 0 = none).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_checkpoint(
     pool: &Arc<PmemPool>,
@@ -480,29 +603,10 @@ pub fn apply_checkpoint(
     root: &Root,
     applier: &Applier,
     records: RecordWindows<'_>,
-    stats: &CheckpointStats,
-    telemetry: Option<&CheckpointTelemetry>,
-    threads: usize,
-) {
-    apply_checkpoint_with_stall(
-        pool, layout, root, applier, records, stats, telemetry, 0, threads,
-    );
-}
-
-/// [`apply_checkpoint`] with a test-only flush-phase stall (see
-/// [`Checkpointer::inject_flush_stall_ns`]).
-#[allow(clippy::too_many_arguments)]
-fn apply_checkpoint_with_stall(
-    pool: &Arc<PmemPool>,
-    layout: &PmemLayout,
-    root: &Root,
-    applier: &Applier,
-    records: RecordWindows<'_>,
-    stats: &CheckpointStats,
     telemetry: Option<&CheckpointTelemetry>,
     flush_stall_ns: u64,
     threads: usize,
-) {
+) -> CheckpointStats {
     let t0 = now_ns();
     let enter = |idx: usize| {
         if let Some(t) = telemetry {
@@ -551,14 +655,9 @@ fn apply_checkpoint_with_stall(
             );
         }
     });
-    stats
-        .bytes_copied
-        .fetch_add(copy_len as u64, Ordering::Relaxed);
-
     // 2. Replay committed records with the same code the frontend ran.
     applier(spare, &records);
     let applied = records.handed.get();
-    stats.records_applied.fetch_add(applied, Ordering::Relaxed);
     span("apply", t_apply, copy_len as u64, applied);
 
     // 3. Durability: iterate over all allocated memory and flush it.
@@ -587,11 +686,12 @@ fn apply_checkpoint_with_stall(
     let _ = pool.sync_backing_file();
     span("swap", t_swap, 0, 0);
     enter(PHASE_IDLE);
-
-    stats.completed.fetch_add(1, Ordering::Relaxed);
-    stats
-        .last_apply_ns
-        .store(now_ns().saturating_sub(t0), Ordering::Relaxed);
+    CheckpointStats {
+        completed: 1,
+        records_applied: applied,
+        bytes_copied: copy_len as u64,
+        last_apply_ns: now_ns().saturating_sub(t0),
+    }
 }
 
 #[cfg(test)]
@@ -671,6 +771,8 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             applier,
+            None,
+            1,
         );
         assert!(ckpt.try_begin());
         ckpt.wait_idle();
@@ -684,11 +786,8 @@ mod tests {
         assert!(window_lens.len() >= 3, "{window_lens:?}");
         assert!(window_lens.iter().all(|&n| (1..=APPLY_WINDOW).contains(&n)));
         let stats = ckpt.stats();
-        assert_eq!(
-            stats.records_applied.load(Ordering::Relaxed),
-            committed.len() as u64
-        );
-        assert_eq!(stats.completed.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.records_applied, committed.len() as u64);
+        assert_eq!(stats.completed, 2);
         assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 1);
     }
 

@@ -32,7 +32,7 @@ pub mod root;
 
 pub use checkpoint::{
     usable_workers, Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry,
-    Checkpointer, RecordWindows, APPLY_WINDOW, CHECKPOINT_PHASES,
+    Checkpointer, Engine, RecordWindows, APPLY_WINDOW, CHECKPOINT_PHASES,
 };
 pub use layout::PmemLayout;
 pub use log::{AppendResult, LogFull, OpLog, RecordHandle, Reservation};

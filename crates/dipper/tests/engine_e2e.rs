@@ -6,9 +6,7 @@
 use dstore_arena::{Arena, DramMemory, Memory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{apply_checkpoint, Applier, RecordWindows};
 use dstore_dipper::record::RecordView;
-use dstore_dipper::{
-    recover_scan, CheckpointStats, Checkpointer, DipperConfig, OpLog, PmemLayout, Root,
-};
+use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, Engine, OpLog, PmemLayout, Root};
 use dstore_pmem::PmemPool;
 use std::sync::Arc;
 
@@ -163,6 +161,8 @@ fn checkpoint_applies_log_to_shadow_and_commits_root() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
+        None,
+        1,
     );
     mini.add(b"a", 5);
     mini.add(b"b", 7);
@@ -175,12 +175,7 @@ fn checkpoint_applies_log_to_shadow_and_commits_root() {
     assert_eq!(st.current_shadow, 1, "root flipped to the new image");
     assert_eq!(mini.shadow_read(1, b"a"), 6);
     assert_eq!(mini.shadow_read(1, b"b"), 7);
-    assert_eq!(
-        ckpt.stats()
-            .completed
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(ckpt.stats().completed, 1);
     // Frontend keeps running during/after checkpoints.
     mini.add(b"a", 10);
     assert_eq!(mini.read(b"a"), 16);
@@ -202,7 +197,6 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
     let redo = plan.redo_records.clone().expect("must redo");
     assert_eq!(redo.len(), 2);
     let applier = applier_for(&mini.pool, mini.layout, mini.dir);
-    let stats = CheckpointStats::default();
     apply_checkpoint(
         &mini.pool,
         &mini.layout,
@@ -210,8 +204,8 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
         &applier,
         // SAFETY: nothing writes the log during recovery.
         unsafe { RecordWindows::at(&mini.pool, &redo) },
-        &stats,
         None,
+        0,
         2,
     );
     let st = mini.root.state();
@@ -247,6 +241,8 @@ fn crash_outside_checkpoint_replays_active_log() {
             Arc::clone(&mini.root),
             Arc::clone(&mini.log),
             Arc::clone(&applier),
+            None,
+            1,
         );
         mini.add(b"pre", 100);
         ckpt.run_inline(); // checkpoint covers "pre"
@@ -294,6 +290,8 @@ fn frontend_progresses_during_background_checkpoint() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
+        None,
+        1,
     );
     for round in 0..5 {
         for i in 0..200 {
@@ -347,28 +345,29 @@ fn apply_panic_is_counted_and_releases_the_store() {
             good(idx, records);
         })
     };
-    let ckpt = Checkpointer::new(
-        Arc::clone(&mini.pool),
-        mini.layout,
-        Arc::clone(&mini.root),
-        Arc::clone(&mini.log),
-        applier,
-    );
     let tel = CheckpointTelemetry {
         ring: Arc::new(SpanRing::new(64)),
         phase: Arc::new(PhaseCell::new(CHECKPOINT_PHASES)),
         panics: Arc::new(Counter::default()),
         events: None,
     };
-    ckpt.set_telemetry(tel.clone());
+    let ckpt = Checkpointer::new(
+        Arc::clone(&mini.pool),
+        mini.layout,
+        Arc::clone(&mini.root),
+        Arc::clone(&mini.log),
+        applier,
+        Some(tel.clone()),
+        1,
+    );
 
     mini.add(b"k", 9);
     assert!(ckpt.try_begin());
-    // Must return even though the apply phase panicked: a stuck `busy`
+    // Must return even though the apply phase panicked: a stuck claim
     // would hang every future backpressure wait.
     ckpt.wait_idle();
     assert!(!ckpt.is_busy());
-    // The worker releases `busy` before it books the panic; poll.
+    // The worker releases the engine before it books the panic; poll.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while tel.panics.get() == 0 && std::time::Instant::now() < deadline {
         std::thread::yield_now();

@@ -201,14 +201,14 @@ impl Writer {
     /// Bytes with a u16 length prefix (keys, labels, short strings).
     #[inline]
     pub fn bytes16(&mut self, v: &[u8]) {
-        debug_assert!(v.len() <= u16::MAX as usize);
+        assert!(v.len() <= u16::MAX as usize, "u16 length overflow");
         self.u16(v.len() as u16);
         self.0.extend_from_slice(v);
     }
     /// Bytes with a u32 length prefix (values).
     #[inline]
     pub fn bytes32(&mut self, v: &[u8]) {
-        debug_assert!(v.len() <= u32::MAX as usize);
+        assert!(v.len() <= u32::MAX as usize, "u32 length overflow");
         self.u32(v.len() as u32);
         self.0.extend_from_slice(v);
     }
@@ -469,7 +469,10 @@ pub fn read_traces(r: &mut Reader<'_>) -> CodecResult<Vec<OpTrace>> {
 
 /// Encodes a label set (`str16` keys and values).
 fn write_labels(w: &mut Writer, labels: &Labels) {
-    debug_assert!(labels.len() <= u16::MAX as usize);
+    assert!(
+        labels.len() <= u16::MAX as usize,
+        "u16 label count overflow"
+    );
     w.u16(labels.len() as u16);
     for (k, v) in labels {
         w.str16(k);
@@ -744,5 +747,13 @@ mod tests {
         let mut r = Reader::new(&[1, 2]);
         r.u8().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    /// A length that does not fit its prefix must not wrap into a shorter
+    /// frame, in release builds too.
+    #[test]
+    #[should_panic(expected = "u16 length overflow")]
+    fn bytes16_refuses_a_length_past_its_prefix() {
+        encode(|w| w.bytes16(&vec![0; u16::MAX as usize + 1]));
     }
 }

@@ -83,13 +83,11 @@ fn main() {
             p9999 / 1000
         );
     }
-    if let Some(c) = store.checkpoint_stats() {
-        println!(
-            "background checkpoints: {} completed, {} records applied — zero quiescing",
-            c.completed.into_inner(),
-            c.records_applied.into_inner()
-        );
-    }
+    let c = store.checkpoint_stats();
+    println!(
+        "background checkpoints: {} completed, {} records applied — zero quiescing",
+        c.completed, c.records_applied
+    );
 }
 
 fn session_key(s: u64) -> String {
