@@ -91,16 +91,16 @@ impl<T> RelPtr<T> {
         }
     }
 
-    /// Swizzles to an absolute pointer against `base`.
+    /// Swizzles to an absolute pointer against `base`. Panics on a null
+    /// pointer, in every build.
     ///
     /// # Safety
     ///
     /// `base` must be the base of the region this pointer was allocated in,
-    /// and the pointer must be either null (caller must not dereference) or
-    /// a live allocation of `T`.
+    /// and the pointer must be a live allocation of `T`.
     #[inline]
     pub unsafe fn to_abs(self, base: *mut u8) -> *mut T {
-        debug_assert!(!self.is_null(), "dereferencing null RelPtr");
+        assert!(!self.is_null(), "dereferencing null RelPtr");
         base.add(self.off as usize).cast()
     }
 }
@@ -143,6 +143,14 @@ mod tests {
         assert!(p.is_null());
         assert_eq!(p.offset(), 0);
         assert_eq!(p, RelPtr::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "dereferencing null RelPtr")]
+    fn null_swizzle_panics_in_every_build() {
+        let mut region = vec![0u8; 64];
+        // SAFETY: the null check fires before any address is formed.
+        unsafe { RelPtr::<u64>::null().to_abs(region.as_mut_ptr()) };
     }
 
     #[test]

@@ -76,17 +76,10 @@ pub struct DStoreConfig {
     pub pmem_file: Option<PathBuf>,
     /// Back the SSD with this file.
     pub ssd_file: Option<PathBuf>,
-    /// Always-on telemetry: per-op latency histograms, checkpoint and
-    /// recovery phase spans, and device gauges, exposed through
-    /// [`crate::DStore::telemetry_snapshot`]. Default on — measured
-    /// overhead on the software path is within the <5 % budget. Turn it
-    /// off to remove even the per-op `Instant::now` calls.
-    pub telemetry: bool,
-    /// Per-op flight recorder (requires `telemetry`): every
-    /// `trace.sample_every`-th op carries a full segment breakdown, any
-    /// op slower than `trace.slo_ns` is retained regardless of
-    /// sampling, and the most recent `trace.ring_capacity` retained
-    /// traces are exposed through
+    /// Per-op flight recorder: every `trace.sample_every`-th op carries
+    /// a full segment breakdown, any op slower than `trace.slo_ns` is
+    /// retained regardless of sampling, and the most recent
+    /// `trace.ring_capacity` retained traces are exposed through
     /// [`crate::DStore::telemetry_snapshot`], `tail_attribution`, and
     /// the Perfetto exporter.
     pub trace: TraceConfig,
@@ -108,9 +101,9 @@ pub struct DStoreConfig {
     /// apply path everywhere. Defaults to the host's available
     /// parallelism.
     pub replay_threads: usize,
-    /// Crash-persistent flight recorder (requires `telemetry`): a small
-    /// PMEM region that mirrors retained op traces, a heartbeat record,
-    /// and lifecycle events, exhumed after a crash into
+    /// Crash-persistent flight recorder: a small PMEM region that
+    /// mirrors retained op traces, a heartbeat record, and lifecycle
+    /// events, exhumed after a crash into
     /// [`crate::DStore::crash_report`]. Off by default — disabled it
     /// reserves no PMEM and adds zero work to any path.
     pub blackbox: BlackBoxConfig,
@@ -175,7 +168,6 @@ impl Default for DStoreConfig {
             ssd_latency: SsdLatency::none(),
             pmem_file: None,
             ssd_file: None,
-            telemetry: true,
             trace: TraceConfig::default(),
             stall_timeout: Duration::from_secs(30),
             replay_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -226,11 +218,6 @@ impl DStoreConfig {
     /// Enables/disables automatic checkpoints.
     pub fn with_auto_checkpoint(mut self, auto: bool) -> Self {
         self.auto_checkpoint = auto;
-        self
-    }
-    /// Enables/disables always-on telemetry.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
     /// Sets the per-op flight-recorder configuration.
@@ -322,9 +309,6 @@ impl DStoreConfig {
             ));
         }
         if self.blackbox.enabled {
-            if !self.telemetry {
-                return Err("blackbox requires telemetry to be enabled".into());
-            }
             let max = dstore_pmem::blackbox::MAX_RING_SLOTS;
             if !(1..=max).contains(&self.blackbox.trace_slots) {
                 return Err(format!(
@@ -367,7 +351,6 @@ mod tests {
         let c = DStoreConfig::default();
         assert!(c.oe);
         assert!(c.auto_checkpoint);
-        assert!(c.telemetry);
         assert_eq!(c.checkpoint, CheckpointMode::Dipper);
         assert_eq!(c.logging, LoggingMode::Logical);
         assert!(c.swap_threshold > 0.0 && c.swap_threshold < 1.0);
@@ -428,9 +411,6 @@ mod tests {
 
         let mut c = DStoreConfig::small().with_blackbox(BlackBoxConfig::on());
         assert!(c.validate().is_ok());
-        c.telemetry = false;
-        assert!(c.validate().unwrap_err().contains("telemetry"));
-        c.telemetry = true;
         c.blackbox.trace_slots = 0;
         assert!(c.validate().unwrap_err().contains("blackbox.trace_slots"));
         c.blackbox.trace_slots = 16;

@@ -85,7 +85,7 @@ impl CowCheckpointer {
         root: Arc<Root>,
         log: Arc<OpLog>,
         dram: Arc<Arena<DramMemory>>,
-        telemetry: Option<CheckpointTelemetry>,
+        telemetry: CheckpointTelemetry,
     ) -> Self {
         let inner = Arc::new(CowInner {
             pool,
@@ -124,9 +124,7 @@ impl CowCheckpointer {
         let drain = self.inner.drain.read();
         // The phase is published before `active`, so sampling it here
         // catches the checkpoint this op is about to wait on.
-        if let Some(t) = &self.inner.state.telemetry {
-            t.note_stall(at);
-        }
+        self.inner.state.telemetry.note_stall(at);
         // The paper's "clients must wait until the page is copied": an
         // active copy is assisted and waited for.
         if self.inner.active.load(Ordering::Acquire) {
@@ -168,10 +166,8 @@ impl CowInner {
     /// The trigger, on the worker: drains in-flight operations, swaps the
     /// log, snapshots the arena's page count and marks the copy active.
     fn trigger(&self) {
-        let tel = self.state.telemetry.as_ref();
-        if let Some(t) = tel {
-            t.phase.set(PHASE_TRIGGER);
-        }
+        let tel = &self.state.telemetry;
+        tel.phase.set(PHASE_TRIGGER);
         let t0 = now_ns();
         {
             // Quiesce: wait for in-flight ops, block new ones briefly.
@@ -186,15 +182,11 @@ impl CowInner {
             // All before `active`: once it is up, mutators may finish the
             // copy and release the engine before this thread runs again.
             self.apply_start.store(now_ns(), Ordering::Relaxed);
-            if let Some(t) = tel {
-                t.phase.set(PHASE_APPLY);
-            }
+            tel.phase.set(PHASE_APPLY);
             self.state.started();
             self.active.store(true, Ordering::SeqCst);
         }
-        if let Some(t) = tel {
-            t.ring.record("trigger", t0, now_ns(), 0, 0);
-        }
+        tel.ring.record("trigger", t0, now_ns(), 0, 0);
     }
 
     /// Claims and copies chunks until the image is complete, finalizing
@@ -239,30 +231,24 @@ impl CowInner {
     }
 
     fn finalize(&self) {
-        let tel = self.state.telemetry.as_ref();
+        let tel = &self.state.telemetry;
         let bytes = (self.snapshot_pages.load(Ordering::Relaxed) * PAGE) as u64;
         let apply_start = self.apply_start.load(Ordering::Relaxed);
-        if let Some(t) = tel {
-            t.ring.record("apply", apply_start, now_ns(), bytes, 0);
-            t.phase.set(PHASE_FLUSH);
-        }
+        tel.ring.record("apply", apply_start, now_ns(), bytes, 0);
+        tel.phase.set(PHASE_FLUSH);
         let t_flush = now_ns();
         let stall = self.state.flush_stall_ns.load(Ordering::Relaxed);
         if stall > 0 {
             dstore_pmem::latency::spin_for_ns(stall);
         }
         self.pool.fence();
-        if let Some(t) = tel {
-            t.ring.record("flush", t_flush, now_ns(), bytes, 0);
-            t.phase.set(PHASE_SWAP);
-        }
+        tel.ring.record("flush", t_flush, now_ns(), bytes, 0);
+        tel.phase.set(PHASE_SWAP);
         let t_swap = now_ns();
         self.root.commit_checkpoint();
         let _ = self.pool.sync_backing_file();
-        if let Some(t) = tel {
-            t.ring.record("swap", t_swap, now_ns(), 0, 0);
-            t.phase.set(PHASE_IDLE);
-        }
+        tel.ring.record("swap", t_swap, now_ns(), 0, 0);
+        tel.phase.set(PHASE_IDLE);
         self.state.count(CheckpointStats {
             completed: 1,
             records_applied: 0,
@@ -320,7 +306,7 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             Arc::clone(&dram),
-            None,
+            CheckpointTelemetry::default(),
         );
         cow.run_inline();
         let st = root.state();
@@ -339,7 +325,14 @@ mod tests {
         let (pool, layout, root, log, dram) = setup();
         // Enough pages that the copy takes a visible moment.
         dram.alloc_block(1 << 19);
-        let cow = CowCheckpointer::new(pool, layout, root, log, Arc::clone(&dram), None);
+        let cow = CowCheckpointer::new(
+            pool,
+            layout,
+            root,
+            log,
+            Arc::clone(&dram),
+            CheckpointTelemetry::default(),
+        );
         assert!(cow.try_begin());
         while cow.is_busy() && !cow.inner.active.load(Ordering::Acquire) {
             std::thread::yield_now(); // the worker has yet to trigger
@@ -355,7 +348,14 @@ mod tests {
     fn second_trigger_while_busy_is_rejected() {
         let (pool, layout, root, log, dram) = setup();
         dram.alloc_block(1 << 18);
-        let cow = CowCheckpointer::new(pool, layout, root, log, dram, None);
+        let cow = CowCheckpointer::new(
+            pool,
+            layout,
+            root,
+            log,
+            dram,
+            CheckpointTelemetry::default(),
+        );
         assert!(cow.try_begin());
         // Either still busy (false) or already done (then it's true).
         let second = cow.try_begin();

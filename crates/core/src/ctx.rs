@@ -27,13 +27,11 @@ use crate::config::LoggingMode;
 use crate::engine::OpGuard;
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
-use crate::stats::WriteBreakdown;
 use crate::store::StoreInner;
 use crate::structures::{
     Claims, Domain, ExtendPlan, IndexSync, MetaEntry, PutKind, PutPlan, WritePlan, MAX_NAME_LEN,
     PAGE_BYTES,
 };
-use crate::telemetry::StoreTelemetry;
 use dstore_arena::{DramMemory, RelPtr};
 use dstore_dipper::log::LogFull;
 use dstore_dipper::{record, RecordHandle, OP_NOOP};
@@ -47,31 +45,16 @@ use std::sync::Arc;
 
 /// Starts per-op instrumentation: ONE timestamp shared by the latency
 /// histogram and the trace start, plus the 1-in-N arming decision (a
-/// single relaxed `fetch_add`). With telemetry off the clock is read
-/// only if the caller needs it anyway (`force_clock`, for an explicit
-/// write breakdown).
+/// single relaxed `fetch_add`). An operation that spent time queued
+/// upstream (the `dstore-server` shard queues) passes a nonzero
+/// `enqueue_ns` (in [`now_ns`] time): it backdates the trace to admission
+/// and charges the wait to the `net_queue` segment, so Table-3 tail
+/// attribution covers the network path. The latency histograms still
+/// measure execution only (`t0` → completion); the SLO cut sees the full
+/// residency.
 #[inline]
-fn op_begin(inner: &StoreInner, op: &'static str, force_clock: bool) -> (u64, ActiveTrace) {
-    op_begin_enqueued(inner, op, force_clock, 0)
-}
-
-/// [`op_begin`] for an operation that spent time queued upstream (the
-/// `dstore-server` shard queues): a nonzero `enqueue_ns` (in
-/// [`now_ns`] time) backdates the trace to admission and charges the
-/// wait to the `net_queue` segment, so Table-3 tail attribution covers
-/// the network path. The latency histograms still measure execution
-/// only (`t0` → completion); the SLO cut sees the full residency.
-#[inline]
-fn op_begin_enqueued(
-    inner: &StoreInner,
-    op: &'static str,
-    force_clock: bool,
-    enqueue_ns: u64,
-) -> (u64, ActiveTrace) {
-    let Some(tel) = inner.telemetry.as_deref() else {
-        let t0 = if force_clock { now_ns() } else { 0 };
-        return (t0, ActiveTrace::disabled());
-    };
+fn op_begin(inner: &StoreInner, op: &'static str, enqueue_ns: u64) -> (u64, ActiveTrace) {
+    let tel = &inner.telemetry;
     let t0 = now_ns();
     let at = match &tel.trace {
         Some(tr) => {
@@ -106,18 +89,10 @@ fn op_begin_enqueued(
 /// in the flight recorder, tying tail samples to concurrent checkpoint
 /// activity.
 #[inline]
-fn op_end(
-    inner: &StoreInner,
-    hist: impl FnOnce(&StoreTelemetry) -> &LatencyHistogram,
-    t0: u64,
-    at: ActiveTrace,
-    last_seg: usize,
-) {
-    let Some(tel) = inner.telemetry.as_deref() else {
-        return;
-    };
+fn op_end(inner: &StoreInner, hist: &LatencyHistogram, t0: u64, at: ActiveTrace, last_seg: usize) {
+    let tel = &inner.telemetry;
     let end = now_ns();
-    hist(tel).record(end.saturating_sub(t0));
+    hist.record(end.saturating_sub(t0));
     if let Some(tr) = &tel.trace {
         let start_phase = at.start_phase();
         if let Some(mut t) = at.finish(last_seg, end, tr.sampler.slo_ns()) {
@@ -268,7 +243,7 @@ impl DsContext {
     /// Stores `value` under `key` (the paper's `oput`), creating or
     /// replacing the object. Durable on return.
     pub fn put(&self, key: &[u8], value: &[u8]) -> DsResult<()> {
-        self.put_timed(key, value, None, 0)
+        self.put_enqueued(key, value, 0)
     }
 
     /// [`DsContext::put`] for a request that was queued upstream since
@@ -276,48 +251,20 @@ impl DsContext {
     /// charged to the trace's `net_queue` segment. Semantically
     /// identical to [`DsContext::put`]; `0` disables the backdating.
     pub fn put_enqueued(&self, key: &[u8], value: &[u8], enqueue_ns: u64) -> DsResult<()> {
-        self.put_timed(key, value, None, enqueue_ns)
-    }
-
-    /// [`DsContext::put`] with a Table 3 write-path breakdown.
-    pub fn put_instrumented(&self, key: &[u8], value: &[u8]) -> DsResult<WriteBreakdown> {
-        let mut bd = WriteBreakdown::default();
-        self.put_timed(key, value, Some(&mut bd), 0)?;
-        Ok(bd)
-    }
-
-    fn put_timed(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        mut bd: Option<&mut WriteBreakdown>,
-        enqueue_ns: u64,
-    ) -> DsResult<()> {
         Self::check_name(key)?;
         let inner = &self.inner;
         let size = value.len() as u64;
-        let (t0, mut at) = op_begin_enqueued(inner, "put", bd.is_some(), enqueue_ns);
-
+        let (t0, mut at) = op_begin(inner, "put", enqueue_ns);
         let (m, plan) = self.mutate_plan(
             key,
             |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
             |plan, mode| put_record(ops::OP_PUT, size, plan, mode, Some(value)),
-            &mut bd,
             &mut at,
         )?;
-        let (install_ns, nvme_ns, commit_ns) =
-            self.finish_put(m, plan, size, Some(value), &mut at, bd.is_some());
-
+        self.finish_put(m, plan, size, Some(value), &mut at);
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
-        if let Some(bd) = bd {
-            bd.nvme_ns = nvme_ns;
-            bd.btree_ns += install_ns / 2;
-            bd.metadata_ns += install_ns - install_ns / 2;
-            bd.log_flush_ns += commit_ns;
-            bd.total_ns = now_ns().saturating_sub(t0);
-        }
-        op_end(inner, |tel| tel.op_put.as_ref(), t0, at, SEG_COMMIT);
+        op_end(inner, &inner.telemetry.op_put, t0, at, SEG_COMMIT);
         Ok(())
     }
 
@@ -331,7 +278,7 @@ impl DsContext {
     pub fn get_enqueued(&self, key: &[u8], enqueue_ns: u64) -> DsResult<Vec<u8>> {
         Self::check_name(key)?;
         let inner = &self.inner;
-        let (t0, mut at) = op_begin_enqueued(inner, "get", false, enqueue_ns);
+        let (t0, mut at) = op_begin(inner, "get", enqueue_ns);
         let _guard = inner.engine.read_guard();
         let (_latch, stat, data) = read_entry(inner, key, &mut at)?;
         at.mark(SEG_LOOKUP);
@@ -341,7 +288,7 @@ impl DsContext {
             Data::Blocks(blocks) => self.read_blocks_into(&blocks, stat.size as usize),
         };
         inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        op_end(inner, |tel| tel.op_get.as_ref(), t0, at, SEG_SSD_READ);
+        op_end(inner, &inner.telemetry.op_get, t0, at, SEG_SSD_READ);
         Ok(out)
     }
 
@@ -355,7 +302,7 @@ impl DsContext {
     pub fn delete_enqueued(&self, key: &[u8], enqueue_ns: u64) -> DsResult<()> {
         Self::check_name(key)?;
         let inner = &self.inner;
-        let (t0, mut at) = op_begin_enqueued(inner, "delete", false, enqueue_ns);
+        let (t0, mut at) = op_begin(inner, "delete", enqueue_ns);
         let (m, plan) = self.mutate_plan(
             key,
             |d, entry| d.plan_delete_entry(entry),
@@ -373,7 +320,6 @@ impl DsContext {
                     .encode(),
                 ),
             },
-            &mut None,
             &mut at,
         )?;
         let removed = {
@@ -388,12 +334,12 @@ impl DsContext {
             m.entry
         );
         at.mark(SEG_INDEX);
-        // Drop the writer mark before commit (see put_timed).
+        // Drop the writer mark before commit (see finish_put).
         drop(m.latch);
         self.commit(key, m.handle, &plan.freed, m.guard);
         inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
-        op_end(inner, |tel| tel.op_delete.as_ref(), t0, at, SEG_COMMIT);
+        op_end(inner, &inner.telemetry.op_delete, t0, at, SEG_COMMIT);
         Ok(())
     }
 
@@ -460,10 +406,9 @@ impl DsContext {
                         name,
                         |d, entry| d.plan_put_entry(entry, name, size, &inner.pool_shard_locks),
                         |plan, mode| put_record(ops::OP_CREATE, size, plan, mode, None),
-                        &mut None,
                         &mut at,
                     )?;
-                    self.finish_put(m, plan, size, None, &mut at, false);
+                    self.finish_put(m, plan, size, None, &mut at);
                     inner.maybe_checkpoint();
                 }
             }
@@ -575,7 +520,6 @@ impl DsContext {
         name: &'a [u8],
         plan: impl Fn(&Domain<'_, DramMemory>, Entry) -> DsResult<P>,
         encode: impl Fn(&P, LoggingMode) -> (u16, Vec<u8>),
-        bd: &mut Option<&mut WriteBreakdown>,
         at: &mut ActiveTrace,
     ) -> DsResult<(Admitted<'a>, P)> {
         enum Outcome<'l, P> {
@@ -591,14 +535,7 @@ impl DsContext {
         loop {
             let guard = inner.engine.mutation_guard(at);
             let _global = (!inner.cfg.oe).then(|| inner.global_lock.lock());
-            // One stamp marks the sync-region start for both the write
-            // breakdown and the trace (coalesced clock read).
-            let t_log = if bd.is_some() || at.armed() {
-                now_ns()
-            } else {
-                0
-            };
-            at.mark_at(SEG_CC_WAIT, t_log);
+            at.mark(SEG_CC_WAIT);
             let outcome: Outcome<'_, (Entry, P)> = 'outcome: {
                 let d = inner.domain();
                 // The plan reads `name`'s entry outside the B-tree lock,
@@ -667,9 +604,7 @@ impl DsContext {
                     inner.handle_log_full();
                     // The forced checkpoint is in flight when the stall
                     // ends — name it even if it finishes before we do.
-                    if let Some(tel) = inner.telemetry.as_deref() {
-                        tel.ckpt.note_stall(at);
-                    }
+                    inner.telemetry.ckpt.note_stall(at);
                     at.mark(SEG_LOG_STALL);
                     continue;
                 }
@@ -707,14 +642,6 @@ impl DsContext {
                     (r, p, write)
                 }
             };
-            if let Some(bd) = bd.as_deref_mut() {
-                // The synchronous region ≈ log write + flush + pool
-                // allocation; attribute it to the log-flush and metadata
-                // columns.
-                let ns = now_ns().saturating_sub(t_log);
-                bd.log_flush_ns += ns / 2;
-                bd.metadata_ns += ns - ns / 2;
-            }
             // Read-write CC: drain current readers (new ones back off
             // because the mark is up).
             latch.drain_readers();
@@ -756,8 +683,7 @@ impl DsContext {
 
     /// Steps ⑥–⑨ of an admitted put of `value` by `plan` (`None`: a
     /// create, whose inline slot reads as zeros and whose blocks are left
-    /// unwritten). Returns the install, device and commit nanoseconds
-    /// when `timed` (zeros otherwise).
+    /// unwritten).
     fn finish_put(
         &self,
         m: Admitted<'_>,
@@ -765,25 +691,20 @@ impl DsContext {
         size: u64,
         value: Option<&[u8]>,
         at: &mut ActiveTrace,
-        timed: bool,
-    ) -> (u64, u64, u64) {
+    ) {
         let inner = &self.inner;
-        let since = |t: Option<u64>| t.map(|t| now_ns().saturating_sub(t)).unwrap_or(0);
         // Steps ⑥⑦: the inline value, metadata entry + B-tree, outside
         // the synchronous region (OE), on the entry the plan read. The
         // op's readers are drained, so an in-place slot is its own.
-        let t = timed.then(now_ns);
         if let Some(slot) = &plan.slot {
             inner.domain().fill_slot(slot, value);
         }
         self.install_put(m.entry, m.name, size, &plan, m.lsn);
         at.mark(SEG_INDEX);
-        let install_ns = since(t);
 
         // Step ⑧: data to SSD. The pages are *submitted*; the op waits
         // out its own device deadline below, after releasing the writer
         // mark. An inline value has none: its record carries it.
-        let t = timed.then(now_ns);
         let ssd_deadline = self.submit_blocks(&plan.blocks, value.unwrap_or_default());
 
         // The object's mutation is complete (data in the device's
@@ -799,12 +720,9 @@ impl DsContext {
         // swap lock across an SSD wait.
         inner.ssd.wait_durable(ssd_deadline);
         at.mark(SEG_SSD_WRITE);
-        let nvme_ns = since(t);
 
         // Step ⑨: commit.
-        let t = timed.then(now_ns);
         self.commit(m.name, m.handle, &plan.freed, m.guard);
-        (install_ns, nvme_ns, since(t))
     }
 
     /// Steps ⑥⑦ of a put or create: installs `plan` on `entry`, the entry
@@ -959,13 +877,13 @@ impl ObjectHandle<'_> {
     /// read (clamped at the object end).
     pub fn read(&self, buf: &mut [u8], offset: u64) -> DsResult<usize> {
         let inner = &self.ctx.inner;
-        let (t0, mut at) = op_begin(inner, "oread", false);
+        let (t0, mut at) = op_begin(inner, "oread", 0);
         let _guard = inner.engine.read_guard();
         let (_latch, stat, data) = read_entry(inner, &self.name, &mut at)?;
         let size = stat.size;
         at.mark(SEG_LOOKUP);
         if offset >= size {
-            op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_LOOKUP);
+            op_end(inner, &inner.telemetry.op_oread, t0, at, SEG_LOOKUP);
             return Ok(0);
         }
         let d = inner.domain();
@@ -976,7 +894,7 @@ impl ObjectHandle<'_> {
                 let value = unsafe { d.slot_bytes(off, size) };
                 buf[..n].copy_from_slice(&value[offset as usize..][..n]);
                 inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-                op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_LOOKUP);
+                op_end(inner, &inner.telemetry.op_oread, t0, at, SEG_LOOKUP);
                 return Ok(n);
             }
             Data::Blocks(blocks) => blocks,
@@ -999,7 +917,7 @@ impl ObjectHandle<'_> {
             done += take;
         }
         inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-        op_end(inner, |tel| tel.op_oread.as_ref(), t0, at, SEG_SSD_READ);
+        op_end(inner, &inner.telemetry.op_oread, t0, at, SEG_SSD_READ);
         Ok(n)
     }
 
@@ -1016,7 +934,7 @@ impl ObjectHandle<'_> {
             return Err(DsError::BadMode);
         }
         let inner = &self.ctx.inner;
-        let (t0, mut at) = op_begin(inner, "owrite", false);
+        let (t0, mut at) = op_begin(inner, "owrite", 0);
         let len = data.len() as u64;
         let (m, plan) = self.ctx.mutate_plan(
             &self.name,
@@ -1030,20 +948,18 @@ impl ObjectHandle<'_> {
                     put_record(ops::OP_PUT, value.len() as u64, p, mode, Some(value))
                 }
             },
-            &mut None,
             &mut at,
         )?;
         match plan {
             WritePlan::Rewrite(p, value) => {
                 let size = value.len() as u64;
-                self.ctx
-                    .finish_put(m, p, size, Some(&value), &mut at, false);
+                self.ctx.finish_put(m, p, size, Some(&value), &mut at);
             }
             WritePlan::Extend(p) => self.finish_extend(m, p, data, offset, &mut at),
         }
         inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
-        op_end(inner, |tel| tel.op_owrite.as_ref(), t0, at, SEG_COMMIT);
+        op_end(inner, &inner.telemetry.op_owrite, t0, at, SEG_COMMIT);
         Ok(data.len())
     }
 

@@ -1,5 +1,5 @@
-//! Store-level statistics: operation counters, the Table 3 write-path
-//! breakdown, and the Figure 10 storage footprint.
+//! Store-level statistics: operation counters and the Figure 10 storage
+//! footprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -115,49 +115,6 @@ impl StatsSnapshot {
     }
 }
 
-/// Per-write time breakdown — the rows of the paper's Table 3.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WriteBreakdown {
-    /// Time in the NVMe data write.
-    pub nvme_ns: u64,
-    /// Time updating the B-tree.
-    pub btree_ns: u64,
-    /// Time allocating blocks and updating the metadata entry.
-    pub metadata_ns: u64,
-    /// Time writing + flushing + committing the log record.
-    pub log_flush_ns: u64,
-    /// End-to-end request time.
-    pub total_ns: u64,
-}
-
-impl WriteBreakdown {
-    /// Component sum (excludes untracked glue).
-    pub fn accounted_ns(&self) -> u64 {
-        self.nvme_ns + self.btree_ns + self.metadata_ns + self.log_flush_ns
-    }
-
-    /// Accumulates another breakdown (for averaging).
-    pub fn add(&mut self, other: &WriteBreakdown) {
-        self.nvme_ns += other.nvme_ns;
-        self.btree_ns += other.btree_ns;
-        self.metadata_ns += other.metadata_ns;
-        self.log_flush_ns += other.log_flush_ns;
-        self.total_ns += other.total_ns;
-    }
-
-    /// Divides all components by `n` (averaging).
-    pub fn scaled(&self, n: u64) -> WriteBreakdown {
-        let n = n.max(1);
-        WriteBreakdown {
-            nvme_ns: self.nvme_ns / n,
-            btree_ns: self.btree_ns / n,
-            metadata_ns: self.metadata_ns / n,
-            log_flush_ns: self.log_flush_ns / n,
-            total_ns: self.total_ns / n,
-        }
-    }
-}
-
 /// Storage consumed across the three tiers (Figure 10). "We define space
 /// amplification as the ratio of size of application data to the size of
 /// space utilized by the storage system across DRAM, PMEM, and SSD."
@@ -200,23 +157,6 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_math() {
-        let mut acc = WriteBreakdown::default();
-        let one = WriteBreakdown {
-            nvme_ns: 8900,
-            btree_ns: 300,
-            metadata_ns: 290,
-            log_flush_ns: 615,
-            total_ns: 10106,
-        };
-        acc.add(&one);
-        acc.add(&one);
-        let avg = acc.scaled(2);
-        assert_eq!(avg, one);
-        assert_eq!(one.accounted_ns(), 8900 + 300 + 290 + 615);
-    }
 
     #[test]
     fn footprint_amplification() {

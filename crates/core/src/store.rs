@@ -152,8 +152,9 @@ pub(crate) struct StoreInner {
     /// Parallel-replay counters, shared with the checkpoint applier (and
     /// pre-populated by recovery's replay on a recovered store).
     pub replay: Arc<ReplayStats>,
-    /// Always-on telemetry (None when `cfg.telemetry` is off).
-    pub telemetry: Option<Arc<StoreTelemetry>>,
+    /// Per-op histograms, checkpoint and recovery spans, gauges and the
+    /// flight recorder.
+    pub telemetry: Arc<StoreTelemetry>,
     /// Crash-persistent flight recorder (None when `cfg.blackbox` is
     /// off — every hook then collapses to a skipped branch).
     pub blackbox: Option<Arc<BlackBoxRecorder>>,
@@ -272,7 +273,7 @@ fn make_applier(
     dir: RelPtr<Directory>,
     threads: usize,
     stats: Arc<ReplayStats>,
-    ring: Option<Arc<SpanRing>>,
+    ring: Arc<SpanRing>,
 ) -> Applier {
     let pool = Arc::clone(pool);
     Arc::new(move |shadow_idx: usize, windows: &RecordWindows<'_>| {
@@ -283,7 +284,7 @@ fn make_applier(
         ))
         .expect("shadow region holds a valid arena");
         windows.for_each(|records| {
-            replay::replay_window(&arena, dir, records, threads, &stats, ring.as_deref())
+            replay::replay_window(&arena, dir, records, threads, &stats, Some(&ring))
         });
     })
 }
@@ -354,9 +355,7 @@ impl DStore {
         shadow0.persist_allocated();
         root.set_app_dir(dir.offset());
 
-        let telemetry = cfg
-            .telemetry
-            .then(|| Arc::new(StoreTelemetry::new(&cfg.trace)));
+        let telemetry = Arc::new(StoreTelemetry::new(&cfg.trace));
         let store = Self {
             inner: Self::assemble(
                 cfg,
@@ -392,7 +391,7 @@ impl DStore {
         dir: RelPtr<Directory>,
         recovery: RecoveryReport,
         replay: Arc<ReplayStats>,
-        telemetry: Option<Arc<StoreTelemetry>>,
+        telemetry: Arc<StoreTelemetry>,
         crash_report: Option<CrashReport>,
     ) -> Arc<StoreInner> {
         let stall_timeout = cfg.stall_timeout;
@@ -404,33 +403,27 @@ impl DStore {
         // lifecycle-event sink can be threaded into their telemetry.
         // The region is (re)formatted here — recovery exhumed the dead
         // incarnation's contents *before* calling assemble.
-        let blackbox = match (&telemetry, cfg.blackbox.enabled && layout.blackbox_size > 0) {
-            (Some(t), true) => {
-                let region = BlackBoxRegion::format(
-                    Arc::clone(&pool),
-                    layout.blackbox,
-                    cfg.blackbox.trace_slots,
-                    cfg.blackbox.event_slots,
-                );
-                Some(Arc::new(BlackBoxRecorder::new(
-                    region,
-                    Arc::clone(&t.ckpt.phase),
-                    Arc::clone(&log),
-                    Arc::clone(&dram),
-                    dir,
-                    cfg.blackbox.heartbeat_every,
-                )))
-            }
-            _ => None,
-        };
-        let ckpt_telemetry = telemetry.as_ref().map(|t| {
-            let mut ct = t.ckpt.clone();
-            if let Some(bb) = &blackbox {
-                let bb = Arc::clone(bb);
-                ct.events = Some(Arc::new(move |name, a, b| bb.record_event(name, a, b)));
-            }
-            ct
+        let blackbox = (cfg.blackbox.enabled && layout.blackbox_size > 0).then(|| {
+            let region = BlackBoxRegion::format(
+                Arc::clone(&pool),
+                layout.blackbox,
+                cfg.blackbox.trace_slots,
+                cfg.blackbox.event_slots,
+            );
+            Arc::new(BlackBoxRecorder::new(
+                region,
+                Arc::clone(&telemetry.ckpt.phase),
+                Arc::clone(&log),
+                Arc::clone(&dram),
+                dir,
+                cfg.blackbox.heartbeat_every,
+            ))
         });
+        let mut ckpt_telemetry = telemetry.ckpt.clone();
+        if let Some(bb) = &blackbox {
+            let bb = Arc::clone(bb);
+            ckpt_telemetry.events = Some(Arc::new(move |name, a, b| bb.record_event(name, a, b)));
+        }
         let engine = match cfg.checkpoint {
             CheckpointMode::Dipper => CheckpointEngine::Dipper(Checkpointer::new(
                 Arc::clone(&pool),
@@ -443,7 +436,7 @@ impl DStore {
                     dir,
                     cfg.replay_threads,
                     Arc::clone(&replay),
-                    telemetry.as_ref().map(|t| Arc::clone(&t.ckpt.ring)),
+                    Arc::clone(&telemetry.ckpt.ring),
                 ),
                 ckpt_telemetry,
                 cfg.replay_threads,
@@ -549,13 +542,12 @@ impl DStore {
 
     /// Full telemetry snapshot: per-op latency histograms, checkpoint and
     /// recovery phase spans, gauges (log fill, arena high-water, SSD
-    /// blocks in use), operation/device counters. `None` when the store
-    /// was created with `telemetry = false`.
+    /// blocks in use), operation/device counters. Always `Some`.
     ///
     /// Render the result with `dstore_telemetry::to_prometheus` or
     /// `dstore_telemetry::to_json`.
     pub fn telemetry_snapshot(&self) -> Option<dstore_telemetry::TelemetrySnapshot> {
-        let tel = self.inner.telemetry.as_ref()?;
+        let tel = &self.inner.telemetry;
         // Refresh the gauges the registry cannot compute itself.
         tel.log_used.set(self.inner.log.used_fraction());
         let arena = self.inner.dram.stats();
@@ -649,11 +641,10 @@ impl DStore {
     /// Tail-latency attribution over the retained traces in the flight
     /// recorder: per-segment time split between ops above and below the
     /// given percentile of retained-trace duration (a live Table 3 for
-    /// the tail). `None` when telemetry or tracing is disabled, or when
-    /// no trace has been retained yet.
+    /// the tail). `None` when tracing is disabled, or when no trace has
+    /// been retained yet.
     pub fn tail_attribution(&self, percentile: f64) -> Option<dstore_telemetry::TailAttribution> {
-        let tel = self.inner.telemetry.as_ref()?;
-        let traces = tel.trace.as_ref()?.ring.snapshot();
+        let traces = self.inner.telemetry.trace.as_ref()?.ring.snapshot();
         if traces.is_empty() {
             return None;
         }
@@ -670,23 +661,17 @@ impl DStore {
         self.inner.engine.inject_flush_stall_ns(ns);
     }
 
-    /// The checkpoint phase currently in flight (`"idle"` when none, or
-    /// when telemetry is disabled).
+    /// The checkpoint phase currently in flight (`"idle"` when none).
     pub fn checkpoint_phase(&self) -> &'static str {
-        self.inner
-            .telemetry
-            .as_ref()
-            .map(|t| t.ckpt.phase.name())
-            .unwrap_or("idle")
+        self.inner.engine.phase()
     }
 
     /// Coarse health summary — checkpoint panics, phase in flight, log
-    /// fill, and stall counters. Panic/span accounting requires
-    /// `telemetry = true` (the default); the rest is always live.
+    /// fill, and stall counters.
     pub fn health(&self) -> HealthSnapshot {
-        let tel = self.inner.telemetry.as_ref();
+        let tel = &self.inner.telemetry;
         HealthSnapshot {
-            checkpoint_panics: tel.map(|t| t.ckpt.panics.get()).unwrap_or(0),
+            checkpoint_panics: tel.ckpt.panics.get(),
             checkpoint_phase: self.checkpoint_phase(),
             checkpoints_completed: self.checkpoints_completed(),
             log_used_fraction: self.inner.log.used_fraction(),
@@ -695,13 +680,9 @@ impl DStore {
                 .stats
                 .log_full_stalls
                 .load(std::sync::atomic::Ordering::Relaxed),
-            spans_dropped: tel
-                .map(|t| {
-                    t.ckpt.ring.dropped()
-                        + t.recovery_ring.dropped()
-                        + t.trace.as_ref().map(|tr| tr.ring.dropped()).unwrap_or(0)
-                })
-                .unwrap_or(0),
+            spans_dropped: tel.ckpt.ring.dropped()
+                + tel.recovery_ring.dropped()
+                + tel.trace.as_ref().map_or(0, |tr| tr.ring.dropped()),
         }
     }
 
@@ -842,14 +823,11 @@ impl DStore {
         }
 
         let dir: RelPtr<Directory> = RelPtr::from_offset(root.app_dir());
-        let telemetry = cfg
-            .telemetry
-            .then(|| Arc::new(StoreTelemetry::new(&cfg.trace)));
+        let telemetry = Arc::new(StoreTelemetry::new(&cfg.trace));
         let rec_span = |name: &'static str, start: u64, a: u64, b: u64| {
-            if let Some(t) = &telemetry {
-                t.recovery_ring
-                    .record(name, start, dstore_telemetry::now_ns(), a, b);
-            }
+            telemetry
+                .recovery_ring
+                .record(name, start, dstore_telemetry::now_ns(), a, b);
         };
         let mut report = RecoveryReport::default();
         // Step 0: read the log once, and abort what was in flight at the
@@ -876,7 +854,7 @@ impl DStore {
             None
         };
         let replay_stats = Arc::new(ReplayStats::default());
-        let rec_ring = telemetry.as_ref().map(|t| Arc::clone(&t.recovery_ring));
+        let rec_ring = &telemetry.recovery_ring;
 
         let t_meta = dstore_telemetry::now_ns();
         // Step 1: redo the interrupted checkpoint on the old shadow image.
@@ -888,7 +866,7 @@ impl DStore {
                 dir,
                 cfg.replay_threads,
                 Arc::clone(&replay_stats),
-                rec_ring.clone(),
+                Arc::clone(rec_ring),
             );
             apply_checkpoint(
                 &pool,
@@ -897,7 +875,7 @@ impl DStore {
                 &applier,
                 // SAFETY: nothing writes the log until `recover` returns.
                 unsafe { RecordWindows::at(&pool, redo) },
-                telemetry.as_ref().map(|t| &t.ckpt),
+                &telemetry.ckpt,
                 0,
                 cfg.replay_threads,
             );
@@ -937,7 +915,7 @@ impl DStore {
                 .collect::<Vec<_>>(),
             cfg.replay_threads,
             &replay_stats,
-            rec_ring.as_deref(),
+            Some(rec_ring),
         );
         report.replayed_records = plan.replay_records.len();
         report.replay_ns = dstore_telemetry::now_ns().saturating_sub(t_replay);

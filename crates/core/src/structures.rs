@@ -1146,8 +1146,8 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// representation — a touch of an entry that does not hold the blocks
     /// its size needs (an inline one, say), or an extend whose blocks do
     /// not add up to its new size; those two leave the entry as it was.
-    /// Checked in every build; the caller counts it, and debug builds
-    /// panic.
+    /// Checked in every build: it is named on stderr, and the caller
+    /// counts it.
     pub fn replay(
         &self,
         rec: &RecordView<'_>,
@@ -1242,11 +1242,12 @@ impl<'a, M: Memory> Domain<'a, M> {
             }
             other => panic!("unknown op code {other} in log"),
         };
-        debug_assert!(
-            !diverged,
-            "replay of LSN {lsn} on {:?} diverged from the frontend",
-            String::from_utf8_lossy(name)
-        );
+        if diverged {
+            eprintln!(
+                "replay divergence: LSN {lsn} on {:?} diverged from the frontend",
+                String::from_utf8_lossy(name)
+            );
+        }
         diverged
     }
 

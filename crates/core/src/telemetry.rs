@@ -2,9 +2,9 @@
 //! handles a [`crate::DStore`] records into, plus the [`HealthSnapshot`]
 //! summary.
 //!
-//! Created when [`crate::DStoreConfig::telemetry`] is on (the default)
-//! and shared with the checkpoint engines (DIPPER's worker and the CoW
-//! copier record phase spans into the same ring). Everything recorded on
+//! Every store has one, shared with its checkpoint engine (DIPPER's
+//! worker and the CoW copier record phase spans into the same ring).
+//! Everything recorded on
 //! an op path is a relaxed atomic — the registry lock is touched only at
 //! registration (store assembly) and snapshot time.
 
@@ -95,9 +95,7 @@ impl StoreTelemetry {
 }
 
 /// A coarse liveness/health summary — the first thing to look at when a
-/// store misbehaves. Available from [`crate::DStore::health`] whether or
-/// not full telemetry is enabled (panic and span accounting need
-/// `telemetry = true`, the default).
+/// store misbehaves, from [`crate::DStore::health`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthSnapshot {
     /// Checkpoint apply-phase panics caught on the worker thread. Any

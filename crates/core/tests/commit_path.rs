@@ -1,12 +1,15 @@
 //! The put commit path with device latency on: every put waits out its
 //! own SSD deadline before it commits, so (a) no put is acknowledged
 //! before its device write has landed, and (b) the device wait is
-//! attributed to the NVMe row of the Table 3 breakdown. It also holds
+//! attributed to the put trace's `ssd_write` segment, the NVMe row of
+//! Table 3. It also holds
 //! the ordering budget: fewer than two PMEM flushes and two fences per
 //! put, with one writer and with two.
 
 use dstore::{DStore, DStoreConfig};
 use dstore_ssd::SsdLatency;
+use dstore_telemetry::trace::SEG_SSD_WRITE;
+use dstore_telemetry::TraceConfig;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,24 +81,38 @@ fn put_is_acknowledged_after_device_time_two_writers() {
 
 #[test]
 fn device_wait_is_attributed_to_nvme() {
-    let store = DStore::create(DStoreConfig::bench()).unwrap();
+    const PUTS: usize = 256;
+    // Every op traced, into a ring that ends holding the measured puts.
+    let cfg = DStoreConfig::bench().with_trace(TraceConfig {
+        enabled: true,
+        sample_every: 1,
+        slo_ns: 0,
+        ring_capacity: PUTS,
+    });
+    let store = DStore::create(cfg).unwrap();
     let device = store.ssd().latency().write_cost_ns(VALUE.len());
     let ctx = store.context();
     for i in 0..64 {
         ctx.put(format!("k{i}").as_bytes(), &VALUE).unwrap();
     }
+    for i in 0..PUTS {
+        ctx.put(format!("k{}", i % 64).as_bytes(), &VALUE).unwrap();
+    }
+    let traces = store
+        .telemetry_snapshot()
+        .unwrap()
+        .all_traces("dstore_op_traces");
+    assert_eq!(traces.len(), PUTS);
     let (mut nvme_ns, mut total_ns) = (0, 0);
-    for i in 0..256 {
-        let bd = ctx
-            .put_instrumented(format!("k{}", i % 64).as_bytes(), &VALUE)
-            .unwrap();
+    for t in &traces {
+        assert!(t.op == "put" && t.sampled, "{t:?}");
+        let ssd_write = t.seg_ns[SEG_SSD_WRITE];
         assert!(
-            bd.nvme_ns >= device,
-            "NVMe row {} ns does not cover the {device} ns device wait",
-            bd.nvme_ns
+            ssd_write >= device,
+            "ssd_write {ssd_write} ns does not cover the {device} ns device wait"
         );
-        nvme_ns += bd.nvme_ns;
-        total_ns += bd.total_ns;
+        nvme_ns += ssd_write;
+        total_ns += t.duration_ns();
     }
     // Table 3's shape — the device dominates a 4 KB put — is a property
     // of optimized code: an unoptimized build's software path alone

@@ -520,15 +520,6 @@ fn footprint_tracks_data() {
     assert!(f1.amplification() > 1.0);
 }
 
-#[test]
-fn instrumented_put_reports_breakdown() {
-    let s = store();
-    let ctx = s.context();
-    let bd = ctx.put_instrumented(b"timed", &vec![0u8; 4096]).unwrap();
-    assert!(bd.total_ns > 0);
-    assert!(bd.accounted_ns() <= bd.total_ns * 2, "components plausible");
-}
-
 /// The checkpoint and logging modes the inline tests run in: DIPPER
 /// logical, DIPPER physical, and CoW.
 const INLINE_MODES: [(CheckpointMode, LoggingMode); 3] = [

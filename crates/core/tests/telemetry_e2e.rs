@@ -157,19 +157,6 @@ fn recovery_records_phase_spans() {
 }
 
 #[test]
-fn telemetry_off_disables_snapshots_but_not_health() {
-    let store = DStore::create(DStoreConfig::small().with_telemetry(false)).unwrap();
-    mixed_load(&store, 10);
-    store.checkpoint_now();
-    assert!(store.telemetry_snapshot().is_none());
-    assert_eq!(store.checkpoint_phase(), "idle");
-    let h = store.health();
-    assert_eq!(h.checkpoint_panics, 0);
-    assert!(h.checkpoints_completed >= 1);
-    assert!(h.log_used_fraction >= 0.0);
-}
-
-#[test]
 fn health_reflects_live_store() {
     let store = DStore::create(DStoreConfig::small()).unwrap();
     mixed_load(&store, 20);

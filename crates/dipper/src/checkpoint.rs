@@ -81,7 +81,7 @@ pub type CheckpointEventSink = Arc<dyn Fn(&'static str, u64, u64) + Send + Sync>
 /// Telemetry sinks for checkpoint observability, handed to a checkpoint
 /// engine's constructor by the embedding store. All sinks are
 /// lock-free to record into, so attaching them does not perturb the
-/// phases they measure.
+/// phases they measure. [`Default`] makes a set registered nowhere.
 #[derive(Clone)]
 pub struct CheckpointTelemetry {
     /// Completed phase spans (trigger/apply/flush/swap), with payload
@@ -96,6 +96,17 @@ pub struct CheckpointTelemetry {
     pub panics: Arc<Counter>,
     /// Optional lifecycle-event sink (see [`CheckpointEventSink`]).
     pub events: Option<CheckpointEventSink>,
+}
+
+impl Default for CheckpointTelemetry {
+    fn default() -> Self {
+        CheckpointTelemetry {
+            ring: Arc::new(SpanRing::new(64)),
+            phase: Arc::new(PhaseCell::new(CHECKPOINT_PHASES)),
+            panics: Arc::new(Counter::default()),
+            events: None,
+        }
+    }
 }
 
 impl CheckpointTelemetry {
@@ -250,13 +261,12 @@ enum Run {
 /// What both checkpoint engines keep the same way: the run state (at
 /// most one checkpoint at a time, none after shutdown), the counters, the
 /// telemetry sinks and the test-only flush stall.
-#[derive(Default)]
 pub struct EngineState {
     run: Mutex<Run>,
     cv: Condvar,
     stats: Mutex<CheckpointStats>,
     /// Phase-span sinks.
-    pub telemetry: Option<CheckpointTelemetry>,
+    pub telemetry: CheckpointTelemetry,
     /// Test-only injection: extra nanoseconds spun inside the flush
     /// phase of every checkpoint (0 = none).
     pub flush_stall_ns: AtomicU64,
@@ -264,10 +274,13 @@ pub struct EngineState {
 
 impl EngineState {
     /// An idle engine's state, recording phase spans into `telemetry`.
-    pub fn new(telemetry: Option<CheckpointTelemetry>) -> Self {
+    pub fn new(telemetry: CheckpointTelemetry) -> Self {
         EngineState {
+            run: Mutex::default(),
+            cv: Condvar::new(),
+            stats: Mutex::default(),
             telemetry,
-            ..Default::default()
+            flush_stall_ns: AtomicU64::new(0),
         }
     }
 
@@ -382,6 +395,11 @@ pub trait Engine {
         self.stats().completed
     }
 
+    /// The checkpoint phase in flight ([`CHECKPOINT_PHASES`]).
+    fn phase(&self) -> &'static str {
+        self.state().telemetry.phase.name()
+    }
+
     /// Test-only injection: spin for `ns` nanoseconds inside the flush
     /// phase of every later checkpoint (0 disables), so tests manufacture
     /// a slow checkpoint without a huge working set.
@@ -461,7 +479,7 @@ impl Checkpointer {
         root: Arc<Root>,
         log: Arc<OpLog>,
         applier: Applier,
-        telemetry: Option<CheckpointTelemetry>,
+        telemetry: CheckpointTelemetry,
         apply_threads: usize,
     ) -> Self {
         let inner = Arc::new(CheckpointInner {
@@ -482,10 +500,8 @@ impl Checkpointer {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_apply(archived)));
             w.state.release();
             if let Err(e) = r {
-                if let Some(t) = &w.state.telemetry {
-                    t.panics.inc();
-                    t.phase.set(PHASE_IDLE);
-                }
+                w.state.telemetry.panics.inc();
+                w.state.telemetry.phase.set(PHASE_IDLE);
                 eprintln!("dipper checkpoint apply panicked: {e:?}");
             }
         });
@@ -513,19 +529,15 @@ impl Engine for Checkpointer {
         if st.checkpoint_in_progress {
             inner.run_apply(st.archived_log());
         }
-        let tel = inner.state.telemetry.as_ref();
-        if let Some(t) = tel {
-            t.phase.set(PHASE_TRIGGER);
-        }
+        let tel = &inner.state.telemetry;
+        tel.phase.set(PHASE_TRIGGER);
         let t0 = now_ns();
         let archived = inner.log.swap(|| {
             inner.root.begin_checkpoint();
         });
-        if let Some(t) = tel {
-            t.ring.record("trigger", t0, now_ns(), 0, 0);
-            if let Some(ev) = &t.events {
-                ev("trigger", 0, 0);
-            }
+        tel.ring.record("trigger", t0, now_ns(), 0, 0);
+        if let Some(ev) = &tel.events {
+            ev("trigger", 0, 0);
         }
         inner.state.started();
         self.worker.send(archived);
@@ -555,7 +567,7 @@ impl CheckpointInner {
             // `archived` until this apply returns, so no swap recycles it
             // meanwhile.
             RecordWindows::new(Source::Archived(&self.log, archived)),
-            self.state.telemetry.as_ref(),
+            &self.state.telemetry,
             self.state.flush_stall_ns.load(Ordering::Relaxed),
             self.apply_threads,
         ));
@@ -603,22 +615,16 @@ pub fn apply_checkpoint(
     root: &Root,
     applier: &Applier,
     records: RecordWindows<'_>,
-    telemetry: Option<&CheckpointTelemetry>,
+    telemetry: &CheckpointTelemetry,
     flush_stall_ns: u64,
     threads: usize,
 ) -> CheckpointStats {
     let t0 = now_ns();
-    let enter = |idx: usize| {
-        if let Some(t) = telemetry {
-            t.phase.set(idx);
-        }
-    };
+    let enter = |idx: usize| telemetry.phase.set(idx);
     let span = |name: &'static str, start: u64, a: u64, b: u64| {
-        if let Some(t) = telemetry {
-            t.ring.record(name, start, now_ns(), a, b);
-            if let Some(ev) = &t.events {
-                ev(name, a, b);
-            }
+        telemetry.ring.record(name, start, now_ns(), a, b);
+        if let Some(ev) = &telemetry.events {
+            ev(name, a, b);
         }
     };
     let state = root.state();
@@ -771,7 +777,7 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             applier,
-            None,
+            CheckpointTelemetry::default(),
             1,
         );
         assert!(ckpt.try_begin());

@@ -4,7 +4,7 @@
 //! crashes — exercising the full §3 machinery without DStore on top.
 
 use dstore_arena::{Arena, DramMemory, Memory, PmemRange, RelPtr};
-use dstore_dipper::checkpoint::{apply_checkpoint, Applier, RecordWindows};
+use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointTelemetry, RecordWindows};
 use dstore_dipper::record::RecordView;
 use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, Engine, OpLog, PmemLayout, Root};
 use dstore_pmem::PmemPool;
@@ -161,7 +161,7 @@ fn checkpoint_applies_log_to_shadow_and_commits_root() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        None,
+        CheckpointTelemetry::default(),
         1,
     );
     mini.add(b"a", 5);
@@ -204,7 +204,7 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
         &applier,
         // SAFETY: nothing writes the log during recovery.
         unsafe { RecordWindows::at(&mini.pool, &redo) },
-        None,
+        &CheckpointTelemetry::default(),
         0,
         2,
     );
@@ -241,7 +241,7 @@ fn crash_outside_checkpoint_replays_active_log() {
             Arc::clone(&mini.root),
             Arc::clone(&mini.log),
             Arc::clone(&applier),
-            None,
+            CheckpointTelemetry::default(),
             1,
         );
         mini.add(b"pre", 100);
@@ -290,7 +290,7 @@ fn frontend_progresses_during_background_checkpoint() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        None,
+        CheckpointTelemetry::default(),
         1,
     );
     for round in 0..5 {
@@ -328,8 +328,6 @@ fn frontend_progresses_during_background_checkpoint() {
 
 #[test]
 fn apply_panic_is_counted_and_releases_the_store() {
-    use dstore_dipper::checkpoint::{CheckpointTelemetry, CHECKPOINT_PHASES};
-    use dstore_telemetry::{Counter, PhaseCell, SpanRing};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let mini = mini_create(&small_cfg());
@@ -345,19 +343,14 @@ fn apply_panic_is_counted_and_releases_the_store() {
             good(idx, records);
         })
     };
-    let tel = CheckpointTelemetry {
-        ring: Arc::new(SpanRing::new(64)),
-        phase: Arc::new(PhaseCell::new(CHECKPOINT_PHASES)),
-        panics: Arc::new(Counter::default()),
-        events: None,
-    };
+    let tel = CheckpointTelemetry::default();
     let ckpt = Checkpointer::new(
         Arc::clone(&mini.pool),
         mini.layout,
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        Some(tel.clone()),
+        tel.clone(),
         1,
     );
 

@@ -274,8 +274,7 @@ impl ShardedStore {
     }
 
     /// One merged telemetry snapshot for the whole fleet: every shard's
-    /// series tagged `shard="<i>"`. Empty (but still stamped) if every
-    /// shard was created with `telemetry = false`.
+    /// series tagged `shard="<i>"`.
     ///
     /// Fleet-wide aggregates fall out of the snapshot helpers — e.g.
     /// `merged_histogram("dstore_op_latency_ns")` for a global latency

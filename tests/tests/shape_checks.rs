@@ -8,9 +8,14 @@
 use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode};
 use dstore_pmem::LatencyModel;
 use dstore_ssd::SsdLatency;
+use dstore_telemetry::trace::{
+    SegmentBreakdown, SEG_ALLOC, SEG_COMMIT, SEG_INDEX, SEG_LOG_APPEND, SEG_LOG_FLUSH,
+    SEG_SSD_WRITE,
+};
+use dstore_telemetry::TraceConfig;
 use std::time::{Duration, Instant};
 
-fn bench_store(checkpoint: CheckpointMode, logging: LoggingMode) -> DStore {
+fn bench_cfg(checkpoint: CheckpointMode, logging: LoggingMode) -> DStoreConfig {
     let mut cfg = DStoreConfig::bench()
         .with_checkpoint(checkpoint)
         .with_logging(logging);
@@ -18,7 +23,45 @@ fn bench_store(checkpoint: CheckpointMode, logging: LoggingMode) -> DStore {
     cfg.ssd_pages = 32 * 1024;
     cfg.pmem_latency = LatencyModel::optane();
     cfg.ssd_latency = SsdLatency::p4800x();
+    cfg
+}
+
+fn bench_store(checkpoint: CheckpointMode, logging: LoggingMode) -> DStore {
+    DStore::create(bench_cfg(checkpoint, logging)).unwrap()
+}
+
+/// A Table 3 store: every op traced, into a ring of `n` traces.
+fn traced_store(n: usize) -> DStore {
+    let cfg = bench_cfg(CheckpointMode::Dipper, LoggingMode::Logical).with_trace(TraceConfig {
+        enabled: true,
+        sample_every: 1,
+        slo_ns: 0,
+        ring_capacity: n,
+    });
     DStore::create(cfg).unwrap()
+}
+
+/// Per-segment means of the last `n` ops, the ring of a
+/// [`traced_store`] of `n` traces.
+fn breakdown(store: &DStore, n: usize) -> SegmentBreakdown {
+    // At the 100th percentile every trace is in the body.
+    let bd = store.tail_attribution(100.0).unwrap().body;
+    assert_eq!(bd.ops, n as u64);
+    bd
+}
+
+/// Control-plane time of a put: every segment but the device write.
+fn control_ns(bd: &SegmentBreakdown) -> u64 {
+    [
+        SEG_ALLOC,
+        SEG_INDEX,
+        SEG_LOG_APPEND,
+        SEG_LOG_FLUSH,
+        SEG_COMMIT,
+    ]
+    .iter()
+    .map(|&s| bd.mean_seg_ns(s))
+    .sum()
 }
 
 /// Drives `n` same-size 4 KB updates, returning (mean_ns, max_ns).
@@ -45,22 +88,18 @@ fn drive_updates(store: &DStore, n: usize) -> (u64, u64) {
 #[test]
 #[ignore = "timing-sensitive; run with --ignored on a quiet machine"]
 fn software_overhead_is_small_fraction() {
-    let store = bench_store(CheckpointMode::Dipper, LoggingMode::Logical);
+    let n = 500;
+    let store = traced_store(n);
     let ctx = store.context();
     let value = vec![0u8; 4096];
     for i in 0..256 {
         ctx.put(format!("k{i}").as_bytes(), &value).unwrap();
     }
-    let mut acc = dstore::WriteBreakdown::default();
-    let n = 500;
     for i in 0..n {
-        let bd = ctx
-            .put_instrumented(format!("k{}", i % 256).as_bytes(), &value)
-            .unwrap();
-        acc.add(&bd);
+        ctx.put(format!("k{}", i % 256).as_bytes(), &value).unwrap();
     }
-    let avg = acc.scaled(n);
-    let nvme_frac = avg.nvme_ns as f64 / avg.total_ns as f64;
+    let bd = breakdown(&store, n);
+    let nvme_frac = bd.mean_seg_ns(SEG_SSD_WRITE) as f64 / bd.mean_ns() as f64;
     assert!(
         nvme_frac > 0.7,
         "NVMe write should dominate the 4 KB put: {nvme_frac:.2} of total"
@@ -122,7 +161,8 @@ fn dipper_never_quiesces_under_checkpoints() {
 #[test]
 #[ignore = "timing-sensitive; run with --ignored on a quiet machine"]
 fn control_plane_cost_is_size_agnostic() {
-    let store = bench_store(CheckpointMode::Dipper, LoggingMode::Logical);
+    let n = 300;
+    let store = traced_store(n);
     let ctx = store.context();
     let mut avgs = vec![];
     for size in [4096usize, 16384] {
@@ -130,20 +170,15 @@ fn control_plane_cost_is_size_agnostic() {
         for i in 0..128 {
             ctx.put(format!("s{size}k{i}").as_bytes(), &value).unwrap();
         }
-        let mut acc = dstore::WriteBreakdown::default();
-        let n = 300;
         for i in 0..n {
-            let bd = ctx
-                .put_instrumented(format!("s{size}k{}", i % 128).as_bytes(), &value)
+            ctx.put(format!("s{size}k{}", i % 128).as_bytes(), &value)
                 .unwrap();
-            acc.add(&bd);
         }
-        avgs.push(acc.scaled(n));
+        avgs.push(breakdown(&store, n));
     }
-    let ctrl4 = avgs[0].metadata_ns + avgs[0].log_flush_ns + avgs[0].btree_ns;
-    let ctrl16 = avgs[1].metadata_ns + avgs[1].log_flush_ns + avgs[1].btree_ns;
-    let nvme4 = avgs[0].nvme_ns;
-    let nvme16 = avgs[1].nvme_ns;
+    let (ctrl4, ctrl16) = (control_ns(&avgs[0]), control_ns(&avgs[1]));
+    let nvme4 = avgs[0].mean_seg_ns(SEG_SSD_WRITE);
+    let nvme16 = avgs[1].mean_seg_ns(SEG_SSD_WRITE);
     assert!(
         nvme16 as f64 > nvme4 as f64 * 2.0,
         "data cost must grow with size: {nvme4} → {nvme16}"
