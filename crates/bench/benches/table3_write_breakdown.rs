@@ -43,7 +43,6 @@ const ROWS: [(&str, &[usize]); 3] = [
 fn measure(size: usize, iters: usize) -> SegmentBreakdown {
     // A ring of exactly `iters` traces ends holding the measured puts.
     let cfg = DStoreConfig::bench().with_trace(TraceConfig {
-        enabled: true,
         sample_every: 1,
         slo_ns: 0,
         ring_capacity: iters,

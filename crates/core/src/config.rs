@@ -76,19 +76,20 @@ pub struct DStoreConfig {
     pub pmem_file: Option<PathBuf>,
     /// Back the SSD with this file.
     pub ssd_file: Option<PathBuf>,
-    /// Per-op flight recorder: every `trace.sample_every`-th op carries
-    /// a full segment breakdown, any op slower than `trace.slo_ns` is
-    /// retained regardless of sampling, and the most recent
-    /// `trace.ring_capacity` retained traces are exposed through
+    /// Per-op flight recorder, always on: every `trace.sample_every`-th
+    /// op carries a full segment breakdown, any op slower than
+    /// `trace.slo_ns` is retained regardless of sampling, and the most
+    /// recent `trace.ring_capacity` retained traces are exposed through
     /// [`crate::DStore::telemetry_snapshot`], `tail_attribution`, and
     /// the Perfetto exporter.
     pub trace: TraceConfig,
-    /// Deadlock-detector budget for the store's three internal spin
-    /// waits (reader drain, writer drain, log-record commit). A wait
-    /// exceeding this panics with a diagnostic instead of hanging the
-    /// process. Raise it for heavily oversubscribed hosts (e.g. many
-    /// shards sharing few cores); lower it in tests that want stalls
-    /// surfaced quickly.
+    /// Deadlock-detector budget for the store's internal waits: the
+    /// three spin waits (reader drain, writer drain, log-record commit)
+    /// and the checkpoint engine's waits for a checkpoint to start or
+    /// finish. A wait exceeding this panics with a diagnostic instead of
+    /// hanging the process. Raise it for heavily oversubscribed hosts
+    /// (e.g. many shards sharing few cores); lower it in tests that want
+    /// stalls surfaced quickly.
     pub stall_timeout: Duration,
     /// Cap on the worker threads for OE-parallel checkpoint apply and
     /// recovery replay: the shadow bulk copy/flush is chunked across up
@@ -278,10 +279,10 @@ impl DStoreConfig {
                 self.swap_threshold
             ));
         }
-        if self.trace.enabled && self.trace.ring_capacity == 0 {
-            return Err("trace.ring_capacity must be at least 1 when tracing is enabled".into());
+        if self.trace.ring_capacity == 0 {
+            return Err("trace.ring_capacity must be at least 1".into());
         }
-        if self.trace.enabled && self.trace.ring_capacity > 1 << 20 {
+        if self.trace.ring_capacity > 1 << 20 {
             return Err(format!(
                 "trace.ring_capacity = {} would pin >150 MB of flight-recorder slots; \
                  keep it within 2^20",
@@ -405,9 +406,6 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("trace.ring_capacity"));
         c.trace.ring_capacity = (1 << 20) + 1;
         assert!(c.validate().unwrap_err().contains("trace.ring_capacity"));
-        // A disabled recorder is never validated against.
-        c.trace.enabled = false;
-        assert!(c.validate().is_ok());
 
         let mut c = DStoreConfig::small().with_blackbox(BlackBoxConfig::on());
         assert!(c.validate().is_ok());
@@ -445,7 +443,6 @@ mod tests {
         assert_eq!(c.pool_shards, 4);
         assert_eq!(c.replay_threads, 2);
         assert!(c.strict_pmem);
-        assert!(c.trace.enabled);
         assert_eq!(c.trace.sample_every, 16);
         assert_eq!(c.trace.slo_ns, 250_000);
     }

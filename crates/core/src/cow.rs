@@ -24,8 +24,8 @@
 
 use dstore_arena::{Arena, DramMemory, Memory};
 use dstore_dipper::checkpoint::{
-    CheckpointStats, CheckpointTelemetry, Engine, EngineState, Worker, PHASE_APPLY, PHASE_FLUSH,
-    PHASE_IDLE, PHASE_SWAP, PHASE_TRIGGER,
+    CheckpointStats, Engine, EngineState, Worker, PHASE_APPLY, PHASE_FLUSH, PHASE_IDLE, PHASE_SWAP,
+    PHASE_TRIGGER,
 };
 use dstore_dipper::{OpLog, PmemLayout, Root};
 use dstore_pmem::PmemPool;
@@ -77,15 +77,15 @@ struct CowInner {
 }
 
 impl CowCheckpointer {
-    /// Creates the CoW machinery and spawns its worker. Phase spans go to
-    /// `telemetry`.
+    /// Creates the CoW machinery over `state` (its telemetry sinks and
+    /// stall timeout) and spawns its worker.
     pub fn new(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
         root: Arc<Root>,
         log: Arc<OpLog>,
         dram: Arc<Arena<DramMemory>>,
-        telemetry: CheckpointTelemetry,
+        state: EngineState,
     ) -> Self {
         let inner = Arc::new(CowInner {
             pool,
@@ -98,7 +98,7 @@ impl CowCheckpointer {
             snapshot_pages: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
             copied: AtomicUsize::new(0),
-            state: EngineState::new(telemetry),
+            state,
             apply_start: AtomicU64::new(0),
         });
         let w = Arc::clone(&inner);
@@ -263,7 +263,9 @@ impl CowInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dstore_dipper::checkpoint::CheckpointTelemetry;
     use dstore_dipper::DipperConfig;
+    use std::time::Duration;
 
     type Setup = (
         Arc<PmemPool>,
@@ -306,7 +308,7 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             Arc::clone(&dram),
-            CheckpointTelemetry::default(),
+            EngineState::new(CheckpointTelemetry::default(), Duration::from_secs(30)),
         );
         cow.run_inline();
         let st = root.state();
@@ -331,7 +333,7 @@ mod tests {
             root,
             log,
             Arc::clone(&dram),
-            CheckpointTelemetry::default(),
+            EngineState::new(CheckpointTelemetry::default(), Duration::from_secs(30)),
         );
         assert!(cow.try_begin());
         while cow.is_busy() && !cow.inner.active.load(Ordering::Acquire) {
@@ -354,7 +356,7 @@ mod tests {
             root,
             log,
             dram,
-            CheckpointTelemetry::default(),
+            EngineState::new(CheckpointTelemetry::default(), Duration::from_secs(30)),
         );
         assert!(cow.try_begin());
         // Either still busy (false) or already done (then it's true).

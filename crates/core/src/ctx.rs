@@ -40,7 +40,6 @@ use dstore_telemetry::trace::{
     SEG_LOG_STALL, SEG_LOOKUP, SEG_NET_QUEUE, SEG_SSD_READ, SEG_SSD_WRITE,
 };
 use dstore_telemetry::{now_ns, LatencyHistogram};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Starts per-op instrumentation: ONE timestamp shared by the latency
@@ -56,28 +55,22 @@ use std::sync::Arc;
 fn op_begin(inner: &StoreInner, op: &'static str, enqueue_ns: u64) -> (u64, ActiveTrace) {
     let tel = &inner.telemetry;
     let t0 = now_ns();
-    let at = match &tel.trace {
-        Some(tr) => {
-            let start = if enqueue_ns != 0 {
-                enqueue_ns.min(t0)
-            } else {
-                t0
-            };
-            let mut at = ActiveTrace::start(op, tr.sampler.arm(), start);
-            if enqueue_ns != 0 {
-                // charge_at, not mark_at: both timestamps are already
-                // in hand, so even an *unarmed* op records its queue
-                // wait — an SLO-retained outlier then shows net_queue
-                // vs. unattributed instead of a blank breakdown.
-                at.charge_at(SEG_NET_QUEUE, t0);
-            }
-            // One relaxed load: lets a retained trace attribute itself
-            // to a checkpoint that ends mid-op (see op_end).
-            at.set_start_phase(tel.ckpt.phase.name());
-            at
-        }
-        None => ActiveTrace::disabled(),
+    let start = if enqueue_ns != 0 {
+        enqueue_ns.min(t0)
+    } else {
+        t0
     };
+    let mut at = ActiveTrace::start(op, tel.trace.sampler.arm(), start);
+    if enqueue_ns != 0 {
+        // charge_at, not mark_at: both timestamps are already in hand, so
+        // even an *unarmed* op records its queue wait — an SLO-retained
+        // outlier then shows net_queue vs. unattributed instead of a
+        // blank breakdown.
+        at.charge_at(SEG_NET_QUEUE, t0);
+    }
+    // One relaxed load: lets a retained trace attribute itself to a
+    // checkpoint that ends mid-op (see op_end).
+    at.set_start_phase(tel.ckpt.phase.name());
     (t0, at)
 }
 
@@ -93,27 +86,25 @@ fn op_end(inner: &StoreInner, hist: &LatencyHistogram, t0: u64, at: ActiveTrace,
     let tel = &inner.telemetry;
     let end = now_ns();
     hist.record(end.saturating_sub(t0));
-    if let Some(tr) = &tel.trace {
-        let start_phase = at.start_phase();
-        if let Some(mut t) = at.finish(last_seg, end, tr.sampler.slo_ns()) {
-            // Attribute the op to the checkpoint phase in flight at
-            // completion; if the checkpoint ended mid-op (an op stalled
-            // behind a CoW image copy resumes only once the copier goes
-            // idle), the phase at op start still names the culprit.
-            let phase = tel.ckpt.phase.name();
-            t.phase = if phase == "idle" && !start_phase.is_empty() {
-                start_phase
-            } else {
-                phase
-            };
-            t.log_used_milli = (inner.log.used_fraction().clamp(0.0, 1.0) * 1000.0).round() as u32;
-            tr.ring.record(&t);
-            // Mirror every retained trace into the crash-persistent
-            // black box — the ring only sees samples + SLO outliers, so
-            // this fence stays off the common op path.
-            if let Some(bb) = &inner.blackbox {
-                bb.record_trace(&t);
-            }
+    let start_phase = at.start_phase();
+    if let Some(mut t) = at.finish(last_seg, end, tel.trace.sampler.slo_ns()) {
+        // Attribute the op to the checkpoint phase in flight at
+        // completion; if the checkpoint ended mid-op (an op stalled behind
+        // a CoW image copy resumes only once the copier goes idle), the
+        // phase at op start still names the culprit.
+        let phase = tel.ckpt.phase.name();
+        t.phase = if phase == "idle" && !start_phase.is_empty() {
+            start_phase
+        } else {
+            phase
+        };
+        t.log_used_milli = (inner.log.used_fraction().clamp(0.0, 1.0) * 1000.0).round() as u32;
+        tel.trace.ring.record(&t);
+        // Mirror every retained trace into the crash-persistent black box
+        // — the ring only sees samples + SLO outliers, so this fence
+        // stays off the common op path.
+        if let Some(bb) = &inner.blackbox {
+            bb.record_trace(&t);
         }
     }
 }
@@ -140,7 +131,7 @@ fn read_entry<'a>(
         if let Some(latch) = inner.latches.try_read(name) {
             break latch;
         }
-        inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
+        inner.telemetry.rw_backoffs.inc();
         inner.latches.wait_clear(name);
         at.mark(SEG_CC_WAIT);
     };
@@ -262,7 +253,6 @@ impl DsContext {
             &mut at,
         )?;
         self.finish_put(m, plan, size, Some(value), &mut at);
-        inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, &inner.telemetry.op_put, t0, at, SEG_COMMIT);
         Ok(())
@@ -287,7 +277,6 @@ impl DsContext {
             Data::Inline(off) => unsafe { inner.domain().slot_bytes(off, stat.size) }.to_vec(),
             Data::Blocks(blocks) => self.read_blocks_into(&blocks, stat.size as usize),
         };
-        inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         op_end(inner, &inner.telemetry.op_get, t0, at, SEG_SSD_READ);
         Ok(out)
     }
@@ -337,7 +326,6 @@ impl DsContext {
         // Drop the writer mark before commit (see finish_put).
         drop(m.latch);
         self.commit(key, m.handle, &plan.freed, m.guard);
-        inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, &inner.telemetry.op_delete, t0, at, SEG_COMMIT);
         Ok(())
@@ -457,7 +445,7 @@ impl DsContext {
                     conflicts
                 }
             };
-            inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.ww_conflicts.inc();
             drop(guard);
             for c in &conflicts {
                 inner.log.wait_committed(*c);
@@ -612,7 +600,7 @@ impl DsContext {
                     // Another in-flight op owns this object: our record
                     // was aborted (it must have no replay effects); spin
                     // on the conflicting commit flags (§4.4).
-                    inner.stats.ww_conflicts.fetch_add(1, Ordering::Relaxed);
+                    inner.telemetry.ww_conflicts.inc();
                     drop(_global);
                     drop(guard);
                     for c in &conflicts {
@@ -624,7 +612,7 @@ impl DsContext {
                 Outcome::WriterBusy => {
                     // The writer drops its mark before it commits, so this
                     // wait is bounded by that op's install, not its flush.
-                    inner.stats.rw_backoffs.fetch_add(1, Ordering::Relaxed);
+                    inner.telemetry.rw_backoffs.inc();
                     drop(_global);
                     drop(guard);
                     inner.latches.wait_clear(name);
@@ -893,7 +881,6 @@ impl ObjectHandle<'_> {
                 // SAFETY: the read latch keeps writers off the slot.
                 let value = unsafe { d.slot_bytes(off, size) };
                 buf[..n].copy_from_slice(&value[offset as usize..][..n]);
-                inner.stats.reads.fetch_add(1, Ordering::Relaxed);
                 op_end(inner, &inner.telemetry.op_oread, t0, at, SEG_LOOKUP);
                 return Ok(n);
             }
@@ -916,7 +903,6 @@ impl ObjectHandle<'_> {
             buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
             done += take;
         }
-        inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         op_end(inner, &inner.telemetry.op_oread, t0, at, SEG_SSD_READ);
         Ok(n)
     }
@@ -957,7 +943,6 @@ impl ObjectHandle<'_> {
             }
             WritePlan::Extend(p) => self.finish_extend(m, p, data, offset, &mut at),
         }
-        inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         inner.maybe_checkpoint();
         op_end(inner, &inner.telemetry.op_owrite, t0, at, SEG_COMMIT);
         Ok(data.len())
@@ -1047,7 +1032,6 @@ impl Drop for DsLock<'_> {
 mod tests {
     use crate::cc::tests::wait_until;
     use crate::{DStore, DStoreConfig, OpenMode};
-    use std::sync::atomic::Ordering;
 
     const K: &[u8] = b"k";
 
@@ -1056,7 +1040,7 @@ mod tests {
     fn reader_backs_off_from_a_writer_mark(read: fn(&DStore) -> bool) {
         let store = DStore::create(DStoreConfig::small()).unwrap();
         store.context().put(K, b"value").unwrap();
-        let backoffs = || store.inner.stats.rw_backoffs.load(Ordering::Relaxed);
+        let backoffs = || store.inner.telemetry.rw_backoffs.get();
         let before = backoffs();
         let mark = store.inner.latches.try_read(K).unwrap().into_writer();
         std::thread::scope(|s| {

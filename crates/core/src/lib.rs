@@ -65,7 +65,7 @@ pub use config::{BlackBoxConfig, CheckpointMode, DStoreConfig, LoggingMode};
 pub use ctx::{DsContext, DsLock, ObjectHandle, ObjectStat, OpenMode};
 pub use error::{DsError, DsResult};
 pub use replay::{ReplaySnapshot, ReplayStats};
-pub use stats::{Footprint, StatsSnapshot, StoreStats};
+pub use stats::Footprint;
 pub use store::{CrashImage, DStore, RecoveryReport};
 pub use structures::INLINE_MAX;
 pub use telemetry::HealthSnapshot;

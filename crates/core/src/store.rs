@@ -8,12 +8,12 @@ use crate::ctx::DsContext;
 use crate::engine::CheckpointEngine;
 use crate::error::{DsError, DsResult};
 use crate::replay::{self, ReplaySnapshot, ReplayStats};
-use crate::stats::{Footprint, StoreStats};
+use crate::stats::Footprint;
 use crate::structures::{Directory, Domain};
 use crate::telemetry::{HealthSnapshot, StoreTelemetry};
 use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{
-    apply_checkpoint, Applier, CheckpointStats, Engine, RecordWindows,
+    apply_checkpoint, Applier, CheckpointStats, Engine, EngineState, RecordWindows,
 };
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
@@ -147,7 +147,6 @@ pub(crate) struct StoreInner {
     /// The checkpoint engine. Ops take their guards from it: none under
     /// DIPPER, the CoW drain under CoW.
     pub engine: CheckpointEngine,
-    pub stats: StoreStats,
     pub recovery: RecoveryReport,
     /// Parallel-replay counters, shared with the checkpoint applier (and
     /// pre-populated by recovery's replay on a recovered store).
@@ -245,9 +244,7 @@ impl StoreInner {
     /// Handles a full log: force a checkpoint (blocking if one is already
     /// running) so the append can retry — the backpressure path.
     pub fn handle_log_full(&self) {
-        self.stats
-            .log_full_stalls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.telemetry.log_full_stalls.inc();
         if let Some(bb) = &self.blackbox {
             bb.record_event("log_full_stall", 0, 0);
         }
@@ -424,6 +421,7 @@ impl DStore {
             let bb = Arc::clone(bb);
             ckpt_telemetry.events = Some(Arc::new(move |name, a, b| bb.record_event(name, a, b)));
         }
+        let state = EngineState::new(ckpt_telemetry, cfg.stall_timeout);
         let engine = match cfg.checkpoint {
             CheckpointMode::Dipper => CheckpointEngine::Dipper(Checkpointer::new(
                 Arc::clone(&pool),
@@ -438,7 +436,7 @@ impl DStore {
                     Arc::clone(&replay),
                     Arc::clone(&telemetry.ckpt.ring),
                 ),
-                ckpt_telemetry,
+                state,
                 cfg.replay_threads,
             )),
             CheckpointMode::Cow => CheckpointEngine::Cow(CowCheckpointer::new(
@@ -447,7 +445,7 @@ impl DStore {
                 Arc::clone(&root),
                 Arc::clone(&log),
                 Arc::clone(&dram),
-                ckpt_telemetry,
+                state,
             )),
         };
         Arc::new(StoreInner {
@@ -464,7 +462,6 @@ impl DStore {
             global_lock: Mutex::new(()),
             latches: NameLatches::new(stall_timeout),
             engine,
-            stats: StoreStats::new(),
             recovery,
             replay,
             telemetry,
@@ -526,11 +523,6 @@ impl DStore {
         self.inner.engine.completed()
     }
 
-    /// Operation counters.
-    pub fn stats(&self) -> &StoreStats {
-        &self.inner.stats
-    }
-
     /// Parallel-replay counters: windows, shard groups, parallel windows,
     /// records, divergences, and the serialized nanoseconds the
     /// admission-rate bound is computed from. Covers the
@@ -543,6 +535,7 @@ impl DStore {
     /// Full telemetry snapshot: per-op latency histograms, checkpoint and
     /// recovery phase spans, gauges (log fill, arena high-water, SSD
     /// blocks in use), operation/device counters. Always `Some`.
+    /// `dstore_ops_total{op}` is each op's latency-histogram count.
     ///
     /// Render the result with `dstore_telemetry::to_prometheus` or
     /// `dstore_telemetry::to_json`.
@@ -556,19 +549,7 @@ impl DStore {
             .set(self.inner.domain().pool_used() as f64);
         tel.ckpt_phase_gauge.set(tel.ckpt.phase.index() as f64);
 
-        let mut snap = tel.registry.snapshot();
-        // Operation and backpressure counters (kept in StoreStats, which
-        // predates the registry; exported under stable metric names).
-        let s = self.inner.stats.snapshot();
-        let op = |name: &str| vec![("op".to_string(), name.to_string())];
-        snap.push_counter("dstore_ops_total", op("put"), s.puts);
-        snap.push_counter("dstore_ops_total", op("get"), s.gets);
-        snap.push_counter("dstore_ops_total", op("delete"), s.deletes);
-        snap.push_counter("dstore_ops_total", op("owrite"), s.writes);
-        snap.push_counter("dstore_ops_total", op("oread"), s.reads);
-        snap.push_counter("dstore_ww_conflicts_total", vec![], s.ww_conflicts);
-        snap.push_counter("dstore_rw_backoffs_total", vec![], s.rw_backoffs);
-        snap.push_counter("dstore_log_full_stalls_total", vec![], s.log_full_stalls);
+        let mut snap = tel.snapshot();
         // Log commits: one fence each, so the two counters are equal.
         let l = self.inner.log.stats();
         snap.push_counter(
@@ -641,10 +622,9 @@ impl DStore {
     /// Tail-latency attribution over the retained traces in the flight
     /// recorder: per-segment time split between ops above and below the
     /// given percentile of retained-trace duration (a live Table 3 for
-    /// the tail). `None` when tracing is disabled, or when no trace has
-    /// been retained yet.
+    /// the tail). `None` when no trace has been retained yet.
     pub fn tail_attribution(&self, percentile: f64) -> Option<dstore_telemetry::TailAttribution> {
-        let traces = self.inner.telemetry.trace.as_ref()?.ring.snapshot();
+        let traces = self.inner.telemetry.trace.ring.snapshot();
         if traces.is_empty() {
             return None;
         }
@@ -675,14 +655,10 @@ impl DStore {
             checkpoint_phase: self.checkpoint_phase(),
             checkpoints_completed: self.checkpoints_completed(),
             log_used_fraction: self.inner.log.used_fraction(),
-            log_full_stalls: self
-                .inner
-                .stats
-                .log_full_stalls
-                .load(std::sync::atomic::Ordering::Relaxed),
+            log_full_stalls: tel.log_full_stalls.get(),
             spans_dropped: tel.ckpt.ring.dropped()
                 + tel.recovery_ring.dropped()
-                + tel.trace.as_ref().map_or(0, |tr| tr.ring.dropped()),
+                + tel.trace.ring.dropped(),
         }
     }
 

@@ -10,8 +10,8 @@
 
 use dstore_dipper::checkpoint::{CheckpointTelemetry, CHECKPOINT_PHASES};
 use dstore_telemetry::{
-    Gauge, LatencyHistogram, MetricsRegistry, PhaseCell, SpanRing, TraceConfig, TraceRing,
-    TraceSampler,
+    Counter, Gauge, LatencyHistogram, MetricsRegistry, PhaseCell, SpanRing, TelemetrySnapshot,
+    TraceConfig, TraceRing, TraceSampler,
 };
 use std::sync::Arc;
 
@@ -44,6 +44,12 @@ pub(crate) struct StoreTelemetry {
     pub op_owrite: Arc<LatencyHistogram>,
     /// Latency of `ObjectHandle::read` (`oread`), ns.
     pub op_oread: Arc<LatencyHistogram>,
+    /// Operations that had to retry due to a write-write conflict.
+    pub ww_conflicts: Arc<Counter>,
+    /// Reader back-offs due to an in-flight writer.
+    pub rw_backoffs: Arc<Counter>,
+    /// Appends that hit a full log and waited for a checkpoint.
+    pub log_full_stalls: Arc<Counter>,
     /// Checkpoint phase sinks, shared with the checkpoint engine.
     pub ckpt: CheckpointTelemetry,
     /// Gauge mirroring `ckpt.phase` for exporters (index into
@@ -57,9 +63,8 @@ pub(crate) struct StoreTelemetry {
     pub arena_high_water: Arc<Gauge>,
     /// SSD allocation blocks in use, refreshed at snapshot time.
     pub ssd_blocks_used: Arc<Gauge>,
-    /// Per-op flight recorder, present when
-    /// [`crate::DStoreConfig::trace`] is enabled.
-    pub trace: Option<TraceTelemetry>,
+    /// Per-op flight recorder, sized by [`crate::DStoreConfig::trace`].
+    pub trace: TraceTelemetry,
 }
 
 impl StoreTelemetry {
@@ -72,10 +77,10 @@ impl StoreTelemetry {
             panics: registry.counter("dstore_checkpoint_panics_total", &[]),
             events: None,
         };
-        let trace = trace_cfg.enabled.then(|| TraceTelemetry {
+        let trace = TraceTelemetry {
             ring: registry.trace_ring("dstore_op_traces", &[], trace_cfg.ring_capacity),
             sampler: TraceSampler::new(trace_cfg.sample_every, trace_cfg.slo_ns),
-        });
+        };
         Self {
             trace,
             op_put: hist("put"),
@@ -83,6 +88,9 @@ impl StoreTelemetry {
             op_delete: hist("delete"),
             op_owrite: hist("owrite"),
             op_oread: hist("oread"),
+            ww_conflicts: registry.counter("dstore_ww_conflicts_total", &[]),
+            rw_backoffs: registry.counter("dstore_rw_backoffs_total", &[]),
+            log_full_stalls: registry.counter("dstore_log_full_stalls_total", &[]),
             ckpt,
             ckpt_phase_gauge: registry.gauge("dstore_checkpoint_phase", &[]),
             recovery_ring: registry.span_ring("dstore_recovery_spans", &[], RECOVERY_RING_CAPACITY),
@@ -91,6 +99,23 @@ impl StoreTelemetry {
             ssd_blocks_used: registry.gauge("dstore_ssd_blocks_used", &[]),
             registry,
         }
+    }
+
+    /// Snapshots the registry, plus `dstore_ops_total{op}`: each op's
+    /// latency histogram counts every completed op once, so the count
+    /// is read from that histogram's snapshot, not kept a second time.
+    pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
+        let mut snap = self.registry.snapshot();
+        let ops: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|s| s.name == "dstore_op_latency_ns")
+            .map(|s| (s.labels.clone(), s.hist.count))
+            .collect();
+        for (labels, count) in ops {
+            snap.push_counter("dstore_ops_total", labels, count);
+        }
+        snap
     }
 }
 

@@ -84,7 +84,6 @@ fn device_wait_is_attributed_to_nvme() {
     const PUTS: usize = 256;
     // Every op traced, into a ring that ends holding the measured puts.
     let cfg = DStoreConfig::bench().with_trace(TraceConfig {
-        enabled: true,
         sample_every: 1,
         slo_ns: 0,
         ring_capacity: PUTS,

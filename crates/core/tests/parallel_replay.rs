@@ -401,7 +401,7 @@ fn run_multi_window_case(threads: usize) {
     if parallel {
         assert_eq!(s.parallel_windows, s.windows, "{s:?}");
     }
-    assert_eq!(store.stats().snapshot().log_full_stalls, 0);
+    assert_eq!(store.health().log_full_stalls, 0);
 
     let recovered = DStore::recover(store.crash()).unwrap();
     let r = recovered.recovery_report();

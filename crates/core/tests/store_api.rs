@@ -500,11 +500,12 @@ fn stats_count_operations() {
     ctx.put(b"b", b"2").unwrap();
     ctx.get(b"a").unwrap();
     ctx.delete(b"b").unwrap();
-    use std::sync::atomic::Ordering;
-    assert_eq!(s.stats().puts.load(Ordering::Relaxed), 2);
-    assert_eq!(s.stats().gets.load(Ordering::Relaxed), 1);
-    assert_eq!(s.stats().deletes.load(Ordering::Relaxed), 1);
-    assert_eq!(s.stats().total_ops(), 4);
+    // A failed op is not a completed one.
+    assert_eq!(ctx.get(b"b"), Err(DsError::NotFound));
+    let snap = s.telemetry_snapshot().unwrap();
+    let ops = |op| snap.counter_with("dstore_ops_total", "op", op);
+    assert_eq!([ops("put"), ops("get"), ops("delete")], [2, 1, 1]);
+    assert_eq!(snap.counter_total("dstore_ops_total"), 4);
 }
 
 #[test]

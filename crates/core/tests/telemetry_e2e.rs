@@ -194,3 +194,84 @@ fn exporters_render_a_live_store_snapshot() {
     assert!(json.contains("\"dstore_checkpoint_spans\""));
     assert!(json.contains("\"phase\":\"apply\""));
 }
+
+/// Store-side series the benchmark harness reads
+/// (`benchmark/src/{layers,server,embedded}.rs`), by kind. A rename here
+/// without one there leaves a harness metric reading 0.
+const HARNESS_COUNTERS: [&str; 15] = [
+    "dstore_ops_total",
+    "dstore_pmem_flushes_total",
+    "dstore_pmem_fences_total",
+    "dstore_pmem_flush_bytes_total",
+    "dstore_pmem_bulk_write_bytes_total",
+    "dstore_checkpoints_completed_total",
+    "dstore_ssd_write_bytes_total",
+    "dstore_ssd_read_bytes_total",
+    "dstore_arena_alloc_stall_ns_total",
+    "dstore_log_commit_batches_total",
+    "dstore_log_commits_combined_total",
+    "dstore_log_full_stalls_total",
+    "dstore_log_torn_commits_total",
+    "dstore_ww_conflicts_total",
+    "dstore_rw_backoffs_total",
+];
+const HARNESS_GAUGES: [&str; 2] = ["dstore_arena_high_water_bytes", "dstore_ssd_blocks_used"];
+/// Names the harness reads that no crate emits: its metrics over them
+/// are constant 0 until the harness drops them.
+const HARNESS_READS_UNEMITTED: [&str; 4] = [
+    "dstore_pmem_elided_lines_total",
+    "dstore_index_restarts_total",
+    "dstore_index_latch_waits_total",
+    "dstore_replay_serial_fallbacks_total",
+];
+
+/// Every series the harness reads is in a live snapshot under the name
+/// it reads, and `dstore_ops_total{op}` is that op's histogram count —
+/// an `oread` past the end of its object included.
+#[test]
+fn harness_series_names_are_emitted_and_op_counts_match_histograms() {
+    let store = DStore::create(DStoreConfig::small()).unwrap();
+    let ctx = store.context();
+    ctx.put(b"a", b"0123").unwrap();
+    ctx.get(b"a").unwrap();
+    {
+        let h = ctx.open(b"a", dstore::OpenMode::Write).unwrap();
+        h.write(b"xy", 1).unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(h.read(&mut buf, 0).unwrap(), 4);
+        assert_eq!(h.read(&mut buf, 4).unwrap(), 0, "read at EOF");
+    }
+    ctx.delete(b"a").unwrap();
+    store.checkpoint_now();
+    store.wait_checkpoint_idle();
+
+    let snap = store.telemetry_snapshot().unwrap();
+    let counter = |name: &str| snap.counters.iter().any(|s| s.name == name);
+    let gauge = |name: &str| snap.gauges.iter().any(|s| s.name == name);
+    for name in HARNESS_COUNTERS {
+        assert!(counter(name), "counter {name} missing");
+    }
+    for name in HARNESS_GAUGES {
+        assert!(gauge(name), "gauge {name} missing");
+    }
+    assert!(!snap.all_spans("dstore_checkpoint_spans").is_empty());
+    assert!(snap.traces.iter().any(|s| s.name == "dstore_op_traces"));
+    for name in HARNESS_READS_UNEMITTED {
+        assert!(!counter(name), "{name} is emitted now: list it above");
+    }
+
+    let ops = ["put", "get", "delete", "owrite", "oread"];
+    for op in ops {
+        let hist = snap
+            .histograms
+            .iter()
+            .find(|s| {
+                s.name == "dstore_op_latency_ns" && s.labels.contains(&("op".into(), op.into()))
+            })
+            .unwrap_or_else(|| panic!("no histogram for {op}"));
+        let count = snap.counter_with("dstore_ops_total", "op", op);
+        assert_eq!(count, hist.hist.count, "{op}");
+        assert_eq!(count, if op == "oread" { 2 } else { 1 }, "{op}");
+    }
+    assert_eq!(snap.counter_total("dstore_ops_total"), 6);
+}

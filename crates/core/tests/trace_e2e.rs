@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 fn traced(cfg: DStoreConfig, sample_every: u64, slo_ns: u64) -> DStoreConfig {
     cfg.with_trace(TraceConfig {
-        enabled: true,
         sample_every,
         slo_ns,
         ring_capacity: 8192,
@@ -198,21 +197,7 @@ fn stalled_flush_attributes_outliers_in_cow() {
 
 #[test]
 fn tail_attribution_is_none_without_traces() {
-    // Tracing disabled entirely.
-    let cfg = DStoreConfig::small().with_trace(TraceConfig {
-        enabled: false,
-        ..TraceConfig::default()
-    });
-    let store = DStore::create(cfg).unwrap();
-    store.context().put(b"k", b"v").unwrap();
-    assert!(store.tail_attribution(99.0).is_none());
-    assert!(store
-        .telemetry_snapshot()
-        .unwrap()
-        .all_traces("dstore_op_traces")
-        .is_empty());
-
-    // Tracing on but nothing retained yet.
+    // Nothing sampled and nothing over the SLO: no trace retained yet.
     let store = DStore::create(traced(DStoreConfig::small(), 0, u64::MAX)).unwrap();
     store.context().put(b"k", b"v").unwrap();
     assert!(store.tail_attribution(99.0).is_none());

@@ -38,6 +38,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Smallest per-thread unit of the chunked shadow copy / flush. Below
 /// this, thread spawn overhead dominates and the work stays serial.
@@ -246,7 +247,7 @@ impl CheckpointStats {
 }
 
 /// Where a checkpoint engine is.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Run {
     #[default]
     Idle,
@@ -264,6 +265,8 @@ enum Run {
 pub struct EngineState {
     run: Mutex<Run>,
     cv: Condvar,
+    /// How long a wait on `run` may take before it panics.
+    stall_timeout: Duration,
     stats: Mutex<CheckpointStats>,
     /// Phase-span sinks.
     pub telemetry: CheckpointTelemetry,
@@ -274,10 +277,13 @@ pub struct EngineState {
 
 impl EngineState {
     /// An idle engine's state, recording phase spans into `telemetry`.
-    pub fn new(telemetry: CheckpointTelemetry) -> Self {
+    /// A wait for a checkpoint to start or finish that takes longer than
+    /// `stall_timeout` panics instead of hanging.
+    pub fn new(telemetry: CheckpointTelemetry, stall_timeout: Duration) -> Self {
         EngineState {
             run: Mutex::default(),
             cv: Condvar::new(),
+            stall_timeout,
             stats: Mutex::default(),
             telemetry,
             flush_stall_ns: AtomicU64::new(0),
@@ -324,10 +330,20 @@ impl EngineState {
     }
 
     /// Blocks while `wait(state)` holds; returns the state, still locked.
+    /// Panics, naming the state and the phase, once the wait outlasts
+    /// the stall timeout.
     fn wait_while(&self, wait: impl Fn(Run) -> bool) -> MutexGuard<'_, Run> {
+        let deadline = Instant::now() + self.stall_timeout;
         let mut r = self.run.lock();
         while wait(*r) {
-            self.cv.wait(&mut r);
+            if self.cv.wait_until(&mut r, deadline).timed_out() && wait(*r) {
+                panic!(
+                    "checkpoint engine stuck {:?} in phase {:?} for {:?}",
+                    *r,
+                    self.telemetry.phase.name(),
+                    self.stall_timeout
+                );
+            }
         }
         r
     }
@@ -469,17 +485,17 @@ struct CheckpointInner {
 }
 
 impl Checkpointer {
-    /// Spawns the checkpoint thread. Phase spans go to `telemetry`, and
-    /// the apply phase's chunked copy and flush use up to
-    /// `apply_threads` workers (the knob that also sizes the applier's
-    /// replay workers; clamped to ≥ 1).
+    /// Spawns the checkpoint thread over `state` (its telemetry sinks
+    /// and stall timeout). The apply phase's chunked copy and flush use
+    /// up to `apply_threads` workers (the knob that also sizes the
+    /// applier's replay workers; clamped to ≥ 1).
     pub fn new(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
         root: Arc<Root>,
         log: Arc<OpLog>,
         applier: Applier,
-        telemetry: CheckpointTelemetry,
+        state: EngineState,
         apply_threads: usize,
     ) -> Self {
         let inner = Arc::new(CheckpointInner {
@@ -488,7 +504,7 @@ impl Checkpointer {
             root,
             log,
             applier,
-            state: EngineState::new(telemetry),
+            state,
             apply_threads: apply_threads.max(1),
         });
         let w = Arc::clone(&inner);
@@ -777,7 +793,7 @@ mod tests {
             Arc::clone(&root),
             Arc::clone(&log),
             applier,
-            CheckpointTelemetry::default(),
+            EngineState::new(CheckpointTelemetry::default(), Duration::from_secs(30)),
             1,
         );
         assert!(ckpt.try_begin());
@@ -795,6 +811,17 @@ mod tests {
         assert_eq!(stats.records_applied, committed.len() as u64);
         assert_eq!(stats.completed, 2);
         assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 1);
+    }
+
+    /// A wait on a checkpoint that never finishes panics, naming where it
+    /// is stuck, instead of hanging.
+    #[test]
+    #[should_panic(expected = "checkpoint engine stuck Running in phase \"idle\"")]
+    fn a_stuck_checkpoint_panics_its_waiter() {
+        let state = EngineState::new(CheckpointTelemetry::default(), Duration::from_millis(20));
+        assert!(state.claim());
+        state.started();
+        state.shut();
     }
 
     /// `run_chunked` must cover `[0, len)` exactly once, serial or not.

@@ -4,11 +4,17 @@
 //! crashes — exercising the full §3 machinery without DStore on top.
 
 use dstore_arena::{Arena, DramMemory, Memory, PmemRange, RelPtr};
-use dstore_dipper::checkpoint::{apply_checkpoint, Applier, CheckpointTelemetry, RecordWindows};
+use dstore_dipper::checkpoint::{
+    apply_checkpoint, Applier, CheckpointTelemetry, EngineState, RecordWindows,
+};
 use dstore_dipper::record::RecordView;
 use dstore_dipper::{recover_scan, Checkpointer, DipperConfig, Engine, OpLog, PmemLayout, Root};
 use dstore_pmem::PmemPool;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Bound on every wait on a test's checkpoint engine.
+const STALL: Duration = Duration::from_secs(30);
 
 /// The mini-app's arena-resident state: a fixed-slot counter table keyed
 /// by name hash. Deterministic replay: op=1 params=[delta u64] adds to the
@@ -161,7 +167,7 @@ fn checkpoint_applies_log_to_shadow_and_commits_root() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        CheckpointTelemetry::default(),
+        EngineState::new(CheckpointTelemetry::default(), STALL),
         1,
     );
     mini.add(b"a", 5);
@@ -241,7 +247,7 @@ fn crash_outside_checkpoint_replays_active_log() {
             Arc::clone(&mini.root),
             Arc::clone(&mini.log),
             Arc::clone(&applier),
-            CheckpointTelemetry::default(),
+            EngineState::new(CheckpointTelemetry::default(), STALL),
             1,
         );
         mini.add(b"pre", 100);
@@ -290,7 +296,7 @@ fn frontend_progresses_during_background_checkpoint() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        CheckpointTelemetry::default(),
+        EngineState::new(CheckpointTelemetry::default(), STALL),
         1,
     );
     for round in 0..5 {
@@ -350,7 +356,7 @@ fn apply_panic_is_counted_and_releases_the_store() {
         Arc::clone(&mini.root),
         Arc::clone(&mini.log),
         applier,
-        tel.clone(),
+        EngineState::new(tel.clone(), STALL),
         1,
     );
 
@@ -361,7 +367,7 @@ fn apply_panic_is_counted_and_releases_the_store() {
     ckpt.wait_idle();
     assert!(!ckpt.is_busy());
     // The worker releases the engine before it books the panic; poll.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while tel.panics.get() == 0 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }

@@ -18,7 +18,7 @@
 //! one-context-per-thread pattern over the network.
 
 use crate::wire::{encode_request, FrameDecoder, Request, Response};
-use dstore::{DsError, DsResult, HealthSnapshot, ObjectStat, StatsSnapshot};
+use dstore::{DsError, DsResult, HealthSnapshot, ObjectStat};
 use dstore_telemetry::TelemetrySnapshot;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -71,11 +71,20 @@ impl DStoreClient {
     /// request ID. Nothing reaches the socket until [`Self::flush`] (or
     /// a sync convenience method) runs — that batching is what makes a
     /// pipelined burst one `write`.
+    ///
+    /// A key longer than the frame's u16 length field is not encoded:
+    /// the request's [`Self::wait`] returns [`DsError::NameTooLong`], as
+    /// the store would for any key over its name limit.
     pub fn submit(&mut self, req: &Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.outstanding.insert(id);
-        encode_request(id, req, &mut self.wbuf);
+        match req.key() {
+            Some(key) if key.len() > u16::MAX as usize => {
+                self.parked.insert(id, Err(DsError::NameTooLong(key.len())));
+            }
+            _ => encode_request(id, req, &mut self.wbuf),
+        }
         id
     }
 
@@ -185,14 +194,6 @@ impl DStoreClient {
         match self.call(&Request::Exists { key: key.to_vec() })? {
             Response::Bool(b) => Ok(b),
             other => Err(type_mismatch("exists", &other)),
-        }
-    }
-
-    /// Fleet-merged operation counters.
-    pub fn stats(&mut self) -> DsResult<StatsSnapshot> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(type_mismatch("stats", &other)),
         }
     }
 

@@ -2,8 +2,10 @@
 //!
 //! A dependency-light, length-prefixed binary protocol covering the full
 //! Table-2 point-op API (`put`/`get`/`update`/`delete`/`stat`/`exists`)
-//! plus the observability RPCs (`stats`, `health`, `telemetry_snapshot`),
-//! and [`DStoreClient`], a synchronous, pipelining-capable client.
+//! plus the observability RPCs (`health`, `telemetry_snapshot`,
+//! `crash_report`), and [`DStoreClient`], a synchronous,
+//! pipelining-capable client. Operation counts travel in the telemetry
+//! snapshot (`dstore_ops_total{op}`).
 //!
 //! ## Frame layout
 //!

@@ -1,5 +1,5 @@
 //! Binary codecs for the store-side observability payloads:
-//! [`ObjectStat`], [`StatsSnapshot`], [`HealthSnapshot`], and the
+//! [`ObjectStat`], [`HealthSnapshot`], and the
 //! [`CrashReport`] shell.
 //!
 //! Everything the telemetry layer defines — the [`TelemetrySnapshot`]
@@ -15,7 +15,7 @@
 //!
 //! [`TelemetrySnapshot`]: dstore_telemetry::TelemetrySnapshot
 
-use dstore::{CrashReport, DsError, DsResult, HealthSnapshot, ObjectStat, StatsSnapshot};
+use dstore::{CrashReport, DsError, DsResult, HealthSnapshot, ObjectStat};
 use dstore_telemetry::codec::{
     intern, read_event, read_heartbeat, read_list, read_traces, write_event, write_heartbeat,
     write_list, write_trace, Reader, Writer,
@@ -37,36 +37,6 @@ pub(crate) fn read_object_stat(r: &mut Reader<'_>) -> DsResult<ObjectStat> {
         version: r.u32()?,
         blocks: r.u64()?,
         mtime_lsn: r.u64()?,
-    })
-}
-
-pub(crate) fn write_stats(w: &mut Writer, s: &StatsSnapshot) {
-    for v in [
-        s.elapsed_ns,
-        s.puts,
-        s.gets,
-        s.deletes,
-        s.writes,
-        s.reads,
-        s.ww_conflicts,
-        s.rw_backoffs,
-        s.log_full_stalls,
-    ] {
-        w.u64(v);
-    }
-}
-
-pub(crate) fn read_stats(r: &mut Reader<'_>) -> DsResult<StatsSnapshot> {
-    Ok(StatsSnapshot {
-        elapsed_ns: r.u64()?,
-        puts: r.u64()?,
-        gets: r.u64()?,
-        deletes: r.u64()?,
-        writes: r.u64()?,
-        reads: r.u64()?,
-        ww_conflicts: r.u64()?,
-        rw_backoffs: r.u64()?,
-        log_full_stalls: r.u64()?,
     })
 }
 

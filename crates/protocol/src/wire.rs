@@ -8,7 +8,7 @@
 //! [`DsError::Protocol`] — never a panic.
 
 use crate::snapshot;
-use dstore::{DsError, DsResult, ObjectStat, StatsSnapshot};
+use dstore::{DsError, DsResult, ObjectStat};
 use dstore_telemetry::codec::{read_telemetry, write_telemetry, Reader, Writer};
 
 /// First payload byte of every frame; a cheap stream-desync detector.
@@ -72,8 +72,6 @@ pub enum Request {
         /// Object name.
         key: Vec<u8>,
     },
-    /// Fleet-merged operation counters.
-    Stats,
     /// Fleet-merged health summary.
     Health,
     /// The full merged telemetry snapshot (histograms, gauges, spans,
@@ -91,7 +89,8 @@ const REQ_UPDATE: u8 = 3;
 const REQ_DELETE: u8 = 4;
 const REQ_STAT: u8 = 5;
 const REQ_EXISTS: u8 = 6;
-const REQ_STATS: u8 = 7;
+// 7 was the retired `stats` RPC; it stays unused, so an old client's
+// `stats` frame is an unknown opcode rather than another request.
 const REQ_HEALTH: u8 = 8;
 const REQ_TELEMETRY: u8 = 9;
 const REQ_CRASH_REPORT: u8 = 10;
@@ -119,7 +118,6 @@ impl Request {
             Request::Delete { .. } => "delete",
             Request::Stat { .. } => "stat",
             Request::Exists { .. } => "exists",
-            Request::Stats => "stats",
             Request::Health => "health",
             Request::TelemetrySnapshot => "telemetry_snapshot",
             Request::CrashReport => "crash_report",
@@ -134,7 +132,6 @@ impl Request {
             Request::Delete { .. } => REQ_DELETE,
             Request::Stat { .. } => REQ_STAT,
             Request::Exists { .. } => REQ_EXISTS,
-            Request::Stats => REQ_STATS,
             Request::Health => REQ_HEALTH,
             Request::TelemetrySnapshot => REQ_TELEMETRY,
             Request::CrashReport => REQ_CRASH_REPORT,
@@ -151,10 +148,7 @@ impl Request {
             | Request::Delete { key }
             | Request::Stat { key }
             | Request::Exists { key } => w.bytes16(key),
-            Request::Stats
-            | Request::Health
-            | Request::TelemetrySnapshot
-            | Request::CrashReport => {}
+            Request::Health | Request::TelemetrySnapshot | Request::CrashReport => {}
         }
     }
 
@@ -181,7 +175,6 @@ impl Request {
             REQ_EXISTS => Request::Exists {
                 key: r.bytes16()?.to_vec(),
             },
-            REQ_STATS => Request::Stats,
             REQ_HEALTH => Request::Health,
             REQ_TELEMETRY => Request::TelemetrySnapshot,
             REQ_CRASH_REPORT => Request::CrashReport,
@@ -205,8 +198,6 @@ pub enum Response {
     Bool(bool),
     /// `stat` result.
     Stat(ObjectStat),
-    /// `stats` result, fleet-merged.
-    Stats(StatsSnapshot),
     /// `health` result, fleet-merged.
     Health(dstore::HealthSnapshot),
     /// `telemetry_snapshot` result.
@@ -220,7 +211,7 @@ const RESP_OK: u8 = 0;
 const RESP_VALUE: u8 = 1;
 const RESP_BOOL: u8 = 2;
 const RESP_STAT: u8 = 3;
-const RESP_STATS: u8 = 4;
+// 4 was the retired `stats` result; it stays unused.
 const RESP_HEALTH: u8 = 5;
 const RESP_TELEMETRY: u8 = 6;
 const RESP_CRASH_REPORTS: u8 = 7;
@@ -233,7 +224,6 @@ impl Response {
             Response::Value(_) => RESP_VALUE,
             Response::Bool(_) => RESP_BOOL,
             Response::Stat(_) => RESP_STAT,
-            Response::Stats(_) => RESP_STATS,
             Response::Health(_) => RESP_HEALTH,
             Response::Telemetry(_) => RESP_TELEMETRY,
             Response::CrashReports(_) => RESP_CRASH_REPORTS,
@@ -246,7 +236,6 @@ impl Response {
             Response::Value(v) => w.bytes32(v),
             Response::Bool(b) => w.u8(*b as u8),
             Response::Stat(s) => snapshot::write_object_stat(w, s),
-            Response::Stats(s) => snapshot::write_stats(w, s),
             Response::Health(h) => snapshot::write_health(w, h),
             Response::Telemetry(t) => write_telemetry(w, t),
             Response::CrashReports(reports) => snapshot::write_crash_reports(w, reports),
@@ -263,7 +252,6 @@ impl Response {
                 other => return Err(perr(format!("bool field holds {other}"))),
             }),
             RESP_STAT => Response::Stat(snapshot::read_object_stat(r)?),
-            RESP_STATS => Response::Stats(snapshot::read_stats(r)?),
             RESP_HEALTH => Response::Health(snapshot::read_health(r)?),
             RESP_TELEMETRY => Response::Telemetry(read_telemetry(r)?),
             RESP_CRASH_REPORTS => Response::CrashReports(snapshot::read_crash_reports(r)?),
@@ -493,7 +481,6 @@ mod tests {
             Request::Delete { key: vec![] },
             Request::Stat { key: b"s".to_vec() },
             Request::Exists { key: b"e".to_vec() },
-            Request::Stats,
             Request::Health,
             Request::TelemetrySnapshot,
             Request::CrashReport,

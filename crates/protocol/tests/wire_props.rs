@@ -6,7 +6,7 @@
 //! panics, never loops, and never hands back a frame it did not fully
 //! validate.
 
-use dstore::{DsError, HealthSnapshot, ObjectStat, StatsSnapshot};
+use dstore::{DsError, HealthSnapshot, ObjectStat};
 use dstore_protocol::wire::{
     encode_error_response, encode_request, encode_response, FrameDecoder, Request, Response,
     MAX_FRAME,
@@ -32,7 +32,6 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         1 => key_strategy().prop_map(|key| Request::Delete { key }),
         1 => key_strategy().prop_map(|key| Request::Stat { key }),
         1 => key_strategy().prop_map(|key| Request::Exists { key }),
-        1 => Just(Request::Stats),
         1 => Just(Request::Health),
         1 => Just(Request::TelemetrySnapshot),
         1 => Just(Request::CrashReport),
@@ -81,19 +80,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 version: (blocks % 1000) as u32,
                 blocks,
                 mtime_lsn: lsn,
-            })
-        }),
-        1 => (any::<u64>(), any::<u64>()).prop_map(|(a, b)| {
-            Response::Stats(StatsSnapshot {
-                elapsed_ns: a,
-                puts: b,
-                gets: a ^ b,
-                deletes: a.wrapping_add(b),
-                writes: a >> 1,
-                reads: b >> 1,
-                ww_conflicts: a & 0xff,
-                rw_backoffs: b & 0xff,
-                log_full_stalls: (a ^ b) & 0xff,
             })
         }),
         1 => (any::<u64>(), 0u64..1000).prop_map(|(n, fill)| {

@@ -143,11 +143,14 @@ fn main() {
     // graceful-stop signal; kill -9 is the crash case).
     let mut sink = Vec::new();
     let _ = std::io::stdin().read_to_end(&mut sink);
-    let stats = server.store().stats();
+    let snap = server.store().telemetry_snapshot();
     close_store(server);
+    let served = |op| snap.counter_with("dstore_ops_total", "op", op);
     eprintln!(
         "shutdown: {} puts, {} gets, {} deletes served",
-        stats.puts, stats.gets, stats.deletes
+        served("put"),
+        served("get"),
+        served("delete")
     );
 }
 

@@ -13,9 +13,9 @@
 //!   handle; the executor *is* that thread, regardless of how many
 //!   network connections multiplex onto it.
 //!
-//! Observability RPCs (`stats`/`health`/`telemetry_snapshot`) run on a
-//! separate control executor so a burst of snapshot polls cannot add
-//! tail latency to the data path.
+//! Observability RPCs (`health`/`telemetry_snapshot`/`crash_report`)
+//! run on a separate control executor so a burst of snapshot polls
+//! cannot add tail latency to the data path.
 //!
 //! Every executor, shard or control, runs one loop ([`run_executor`]):
 //! it takes everything queued in one pop, answers the jobs in order into
@@ -136,11 +136,9 @@ fn execute_data(ctx: &DsContext, req: &Request, enqueue_ns: u64) -> Result<Respo
         Request::Delete { key } => ctx.delete_enqueued(key, enqueue_ns).map(|_| Response::Ok),
         Request::Stat { key } => ctx.stat(key).map(Response::Stat),
         Request::Exists { key } => Ok(Response::Bool(ctx.exists(key))),
-        Request::Stats | Request::Health | Request::TelemetrySnapshot | Request::CrashReport => {
-            Err(DsError::Protocol(
-                "control RPC routed to a data executor".into(),
-            ))
-        }
+        Request::Health | Request::TelemetrySnapshot | Request::CrashReport => Err(
+            DsError::Protocol("control RPC routed to a data executor".into()),
+        ),
     }
 }
 
@@ -150,7 +148,6 @@ fn execute_control(
     req: &Request,
 ) -> Result<Response, DsError> {
     match req {
-        Request::Stats => Ok(Response::Stats(store.stats())),
         Request::Health => Ok(Response::Health(store.health())),
         Request::TelemetrySnapshot => {
             let mut snap = store.telemetry_snapshot();

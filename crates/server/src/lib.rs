@@ -101,7 +101,7 @@ pub struct ServerConfig {
     /// Capacity of each per-shard executor queue; the knob that turns
     /// overload into `Busy` responses instead of latency.
     pub queue_depth: usize,
-    /// Capacity of the control (stats/health/telemetry) queue.
+    /// Capacity of the control (health/telemetry/crash-report) queue.
     pub control_queue_depth: usize,
     /// Hard cap on concurrent connections.
     pub max_connections: usize,

@@ -24,14 +24,13 @@ use dstore_telemetry::{Counter, Gauge, LatencyHistogram, MetricsRegistry, Teleme
 use std::sync::Arc;
 
 /// Request kinds, in wire order — index with [`op_index`].
-const OP_NAMES: [&str; 10] = [
+const OP_NAMES: [&str; 9] = [
     "put",
     "get",
     "update",
     "delete",
     "stat",
     "exists",
-    "stats",
     "health",
     "telemetry_snapshot",
     "crash_report",
@@ -45,10 +44,9 @@ fn op_index(req: &Request) -> usize {
         Request::Delete { .. } => 3,
         Request::Stat { .. } => 4,
         Request::Exists { .. } => 5,
-        Request::Stats => 6,
-        Request::Health => 7,
-        Request::TelemetrySnapshot => 8,
-        Request::CrashReport => 9,
+        Request::Health => 6,
+        Request::TelemetrySnapshot => 7,
+        Request::CrashReport => 8,
     }
 }
 

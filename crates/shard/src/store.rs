@@ -11,7 +11,7 @@ use crate::router::Router;
 use crate::superblock::{is_reserved, ShardMap};
 use dstore::{
     CrashImage, CrashReport, DStore, DStoreConfig, DsContext, DsError, DsLock, DsResult, Footprint,
-    ObjectHandle, ObjectStat, OpenMode, RecoveryReport, StatsSnapshot,
+    ObjectHandle, ObjectStat, OpenMode, RecoveryReport,
 };
 use dstore_telemetry::TelemetrySnapshot;
 use rayon::prelude::*;
@@ -248,15 +248,6 @@ impl ShardedStore {
             ctxs: self.stores.iter().map(|s| s.context()).collect(),
             router: self.router,
         }
-    }
-
-    /// Operation counters summed across shards.
-    pub fn stats(&self) -> StatsSnapshot {
-        let mut acc = StatsSnapshot::default();
-        for s in self.stores.iter() {
-            acc.merge(&s.stats().snapshot());
-        }
-        acc
     }
 
     /// Storage footprint summed across shards.

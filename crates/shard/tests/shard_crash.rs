@@ -190,11 +190,12 @@ fn stats_and_footprint_aggregate_across_shards() {
     }
     ctx.delete(b"s0").unwrap();
 
-    let stats = store.stats();
+    let snap = store.telemetry_snapshot();
+    let ops = |op| snap.counter_with("dstore_ops_total", "op", op);
     // Creating the store does one shard-map put per shard.
-    assert_eq!(stats.puts, 60 + 3);
-    assert_eq!(stats.gets, 60);
-    assert_eq!(stats.deletes, 1);
+    assert_eq!(ops("put"), 60 + 3);
+    assert_eq!(ops("get"), 60);
+    assert_eq!(ops("delete"), 1);
 
     let fp = store.footprint();
     assert!(fp.pmem_bytes > 0, "DIPPER logs hold the recent puts");

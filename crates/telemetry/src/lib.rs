@@ -12,7 +12,8 @@
 //! * [`SpanRing`] — a fixed-capacity, lock-free ring of phase spans
 //!   (checkpoint trigger→apply→flush→swap, recovery scan→redo→copy→
 //!   replay) with monotonic timestamps; old spans are dropped, never
-//!   torn;
+//!   torn. It and [`TraceRing`] encode their records onto one private
+//!   seqlock ring;
 //! * [`PhaseCell`] — a one-word "what phase is in flight right now"
 //!   indicator;
 //! * [`TraceRing`] / [`OpTrace`] — the per-operation flight recorder:
@@ -39,6 +40,7 @@ pub mod codec;
 pub mod export;
 pub mod histogram;
 pub mod registry;
+mod ring;
 pub mod snapshot;
 pub mod span;
 pub mod trace;

@@ -195,6 +195,16 @@ impl TelemetrySnapshot {
             .sum()
     }
 
+    /// Sum of the counter series with this name that carry the label
+    /// `key="value"` (e.g. one op of `dstore_ops_total`, or one shard).
+    pub fn counter_with(&self, name: &str, key: &str, value: &str) -> u64 {
+        self.counters
+            .iter()
+            .filter(|s| s.name == name && s.labels.iter().any(|(k, v)| k == key && v == value))
+            .map(|s| s.value)
+            .sum()
+    }
+
     /// The first gauge series with this name, if any.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|s| s.name == name).map(|s| s.value)
@@ -251,6 +261,9 @@ mod tests {
         let mut merged = a;
         merged.absorb(b);
         assert_eq!(merged.counter_total("ops"), 42);
+        assert_eq!(merged.counter_with("ops", "shard", "1"), 32);
+        assert_eq!(merged.counter_with("ops", "op", "put"), 42);
+        assert_eq!(merged.counter_with("ops", "op", "get"), 0);
         assert_eq!(merged.counters.len(), 2);
         assert!(merged.counters[0]
             .labels

@@ -9,9 +9,11 @@
 //! skips that slot. When the ring wraps, the oldest spans are silently
 //! replaced; a writer that laps into a slot whose (descheduled) writer
 //! is still mid-publish drops its span instead of waiting, counted in
-//! [`SpanRing::dropped`].
+//! [`SpanRing::dropped`]. The seqlock itself is the crate's one `ring`; this
+//! module only encodes a span as its words and decodes it back.
 
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::ring::{static_str, str_words, SeqRing};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One recorded phase span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,141 +39,59 @@ impl Span {
     }
 }
 
-/// Payload words per slot: name ptr, name len, start, end, a, b, seq.
+/// Words per span: name ptr, name len, start, end, a, b, seq.
 const WORDS: usize = 7;
-
-struct Slot {
-    /// Seqlock word: odd while a writer owns the slot, even when stable.
-    version: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            version: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-}
 
 /// The ring. All methods are callable from any thread; `record` is
 /// lock-free (one fetch_add + one CAS attempt).
-pub struct SpanRing {
-    slots: Vec<Slot>,
-    /// Next global sequence number (== spans ever recorded).
-    head: AtomicUsize,
-    /// Spans dropped because their slot's previous writer was still
-    /// publishing (ring lapped a stalled writer).
-    dropped: AtomicU64,
-}
+#[derive(Debug)]
+pub struct SpanRing(SeqRing<WORDS>);
 
 impl SpanRing {
     /// A ring holding the most recent `capacity` spans (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        SpanRing {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
+        SpanRing(SeqRing::new(capacity))
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.0.capacity()
     }
 
     /// Spans ever recorded (including since-overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed) as u64
+        self.0.recorded()
     }
 
     /// Spans dropped due to lapping a stalled writer.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.dropped()
     }
 
     /// Records a completed span. Returns its global sequence number.
     pub fn record(&self, name: &'static str, start_ns: u64, end_ns: u64, a: u64, b: u64) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed) as u64;
-        let slot = &self.slots[(seq as usize) % self.slots.len()];
-        // Claim: flip the version odd. Failure means the ring lapped a
-        // writer still inside this slot — drop rather than block.
-        let v = slot.version.load(Ordering::Relaxed);
-        if !v.is_multiple_of(2)
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return seq;
-        }
-        let w = &slot.words;
-        w[0].store(name.as_ptr() as u64, Ordering::Relaxed);
-        w[1].store(name.len() as u64, Ordering::Relaxed);
-        w[2].store(start_ns, Ordering::Relaxed);
-        w[3].store(end_ns, Ordering::Relaxed);
-        w[4].store(a, Ordering::Relaxed);
-        w[5].store(b, Ordering::Relaxed);
-        w[6].store(seq, Ordering::Relaxed);
-        slot.version.store(v + 2, Ordering::Release);
-        seq
+        self.0.record(|seq| {
+            let [ptr, len] = str_words(name);
+            [ptr, len, start_ns, end_ns, a, b, seq]
+        })
     }
 
     /// The current contents, oldest first. Slots being concurrently
     /// rewritten are skipped — a snapshot never contains a torn span.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out: Vec<Span> = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 % 2 != 0 {
-                continue; // never written, or mid-publish
-            }
-            let w = &slot.words;
-            let read = [
-                w[0].load(Ordering::Relaxed),
-                w[1].load(Ordering::Relaxed),
-                w[2].load(Ordering::Relaxed),
-                w[3].load(Ordering::Relaxed),
-                w[4].load(Ordering::Relaxed),
-                w[5].load(Ordering::Relaxed),
-                w[6].load(Ordering::Relaxed),
-            ];
-            fence(Ordering::Acquire);
-            if slot.version.load(Ordering::Relaxed) != v1 {
-                continue; // overwritten while reading
-            }
-            // SAFETY: the seqlock validated a complete publish, and
-            // writers only ever store (ptr, len) of a &'static str.
-            let name = unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                    read[0] as *const u8,
-                    read[1] as usize,
-                ))
-            };
-            out.push(Span {
-                name,
-                start_ns: read[2],
-                end_ns: read[3],
-                a: read[4],
-                b: read[5],
-                seq: read[6],
-            });
-        }
-        out.sort_by_key(|s| s.seq);
-        out
-    }
-}
-
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
+        self.0
+            .snapshot()
+            .into_iter()
+            .map(|[ptr, len, start_ns, end_ns, a, b, seq]| Span {
+                // SAFETY: the words came from `str_words` in `record`.
+                name: unsafe { static_str(ptr, len) },
+                start_ns,
+                end_ns,
+                a,
+                b,
+                seq,
+            })
+            .collect()
     }
 }
 

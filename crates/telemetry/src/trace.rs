@@ -5,7 +5,7 @@
 //! [`OpTrace`] per traced operation — wall-clock start/end plus a
 //! fixed-segment time breakdown (log append, allocation, index update,
 //! SSD data write, commit, …) — into a lock-free [`TraceRing`] with the
-//! same seqlock discipline as [`crate::SpanRing`]: recording never
+//! same seqlock ring as [`crate::SpanRing`]: recording never
 //! blocks, and a snapshot never observes a torn trace.
 //!
 //! Two retention rules work together (see [`TraceSampler`]):
@@ -26,7 +26,8 @@
 //! paper's Table 3 write breakdown, computed from production traffic.
 
 use crate::now_ns;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::ring::{static_str, str_words, SeqRing};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed trace segments, in pipeline order. Indices are stable public
 /// API: exporters and dashboards may hard-code them.
@@ -129,7 +130,7 @@ impl OpTrace {
 /// An in-flight trace being built on an op path's stack.
 ///
 /// Created per op with [`ActiveTrace::start`] (or
-/// [`ActiveTrace::disabled`] when tracing is off). The op path calls
+/// [`ActiveTrace::disabled`] for an untraced op). The op path calls
 /// [`ActiveTrace::mark`] at segment boundaries: each mark charges the
 /// time since the previous boundary to the given segment, *reading the
 /// clock only when the trace is armed* — an unarmed op pays one branch
@@ -312,11 +313,10 @@ impl TraceSampler {
     }
 }
 
-/// Tracing configuration, embedded in a store's config.
+/// Tracing configuration, embedded in a store's config. The flight
+/// recorder is always on; these set how much it retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch for the flight recorder.
-    pub enabled: bool,
     /// Arm full segment detail on every N-th op (0 = outliers only).
     pub sample_every: u64,
     /// Retain any op slower than this, regardless of sampling
@@ -329,7 +329,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            enabled: true,
             sample_every: 1024,
             slo_ns: 1_000_000,
             ring_capacity: 4096,
@@ -337,152 +336,84 @@ impl Default for TraceConfig {
     }
 }
 
-/// Payload words per slot: start, end, NUM_SEGMENTS segment times,
-/// op ptr, op len, phase ptr, phase len, packed flags, seq.
+/// Words per trace: start, end, NUM_SEGMENTS segment times, op ptr,
+/// op len, phase ptr, phase len, packed flags, seq.
 const WORDS: usize = 2 + NUM_SEGMENTS + 2 + 2 + 1 + 1;
-
-struct Slot {
-    /// Seqlock word: odd while a writer owns the slot, even when stable.
-    version: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            version: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-}
+/// Index of the first word after the segment times.
+const BASE: usize = 2 + NUM_SEGMENTS;
 
 /// The flight recorder: a fixed-capacity, lock-free ring of the most
-/// recent retained [`OpTrace`]s. Identical seqlock discipline to
+/// recent retained [`OpTrace`]s, on the same seqlock as
 /// [`crate::SpanRing`]: writers claim slots with a CAS and publish with
 /// a per-slot version, readers skip slots mid-publish, and a writer
 /// lapping a stalled writer drops its trace rather than blocking.
-pub struct TraceRing {
-    slots: Vec<Slot>,
-    /// Next global sequence number (== traces ever recorded).
-    head: AtomicUsize,
-    /// Traces dropped because their slot's previous writer was still
-    /// publishing (ring lapped a stalled writer).
-    dropped: AtomicU64,
-}
+#[derive(Debug)]
+pub struct TraceRing(SeqRing<WORDS>);
 
 impl TraceRing {
     /// A ring holding the most recent `capacity` traces (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TraceRing {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
+        TraceRing(SeqRing::new(capacity))
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.0.capacity()
     }
 
     /// Traces ever recorded (including since-overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed) as u64
+        self.0.recorded()
     }
 
     /// Traces dropped due to lapping a stalled writer.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.dropped()
     }
 
     /// Records a retained trace (`t.seq` is assigned here). Returns its
     /// global sequence number.
     pub fn record(&self, t: &OpTrace) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed) as u64;
-        let slot = &self.slots[(seq as usize) % self.slots.len()];
-        let v = slot.version.load(Ordering::Relaxed);
-        if !v.is_multiple_of(2)
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return seq;
-        }
-        let w = &slot.words;
-        w[0].store(t.start_ns, Ordering::Relaxed);
-        w[1].store(t.end_ns, Ordering::Relaxed);
-        for (i, &ns) in t.seg_ns.iter().enumerate() {
-            w[2 + i].store(ns, Ordering::Relaxed);
-        }
-        let base = 2 + NUM_SEGMENTS;
-        w[base].store(t.op.as_ptr() as u64, Ordering::Relaxed);
-        w[base + 1].store(t.op.len() as u64, Ordering::Relaxed);
-        w[base + 2].store(t.phase.as_ptr() as u64, Ordering::Relaxed);
-        w[base + 3].store(t.phase.len() as u64, Ordering::Relaxed);
-        let packed =
-            (u64::from(t.log_used_milli) << 32) | (u64::from(t.sampled) << 1) | u64::from(t.slo);
-        w[base + 4].store(packed, Ordering::Relaxed);
-        w[base + 5].store(seq, Ordering::Relaxed);
-        slot.version.store(v + 2, Ordering::Release);
-        seq
+        self.0.record(|seq| {
+            let mut w = [0u64; WORDS];
+            w[0] = t.start_ns;
+            w[1] = t.end_ns;
+            w[2..BASE].copy_from_slice(&t.seg_ns);
+            w[BASE..BASE + 2].copy_from_slice(&str_words(t.op));
+            w[BASE + 2..BASE + 4].copy_from_slice(&str_words(t.phase));
+            w[BASE + 4] = (u64::from(t.log_used_milli) << 32)
+                | (u64::from(t.sampled) << 1)
+                | u64::from(t.slo);
+            w[BASE + 5] = seq;
+            w
+        })
     }
 
     /// The current contents, oldest first. Slots being concurrently
     /// rewritten are skipped — a snapshot never contains a torn trace.
     pub fn snapshot(&self) -> Vec<OpTrace> {
-        let mut out: Vec<OpTrace> = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 % 2 != 0 {
-                continue; // never written, or mid-publish
-            }
-            let mut read = [0u64; WORDS];
-            for (i, r) in read.iter_mut().enumerate() {
-                *r = slot.words[i].load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.version.load(Ordering::Relaxed) != v1 {
-                continue; // overwritten while reading
-            }
-            // SAFETY: the seqlock validated a complete publish, and
-            // writers only ever store (ptr, len) of &'static strs.
-            let static_str = |ptr: u64, len: u64| unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                    ptr as *const u8,
-                    len as usize,
-                ))
-            };
-            let base = 2 + NUM_SEGMENTS;
-            let mut seg_ns = [0u64; NUM_SEGMENTS];
-            seg_ns.copy_from_slice(&read[2..2 + NUM_SEGMENTS]);
-            let packed = read[base + 4];
-            out.push(OpTrace {
-                op: static_str(read[base], read[base + 1]),
-                start_ns: read[0],
-                end_ns: read[1],
-                seg_ns,
-                phase: static_str(read[base + 2], read[base + 3]),
-                log_used_milli: (packed >> 32) as u32,
-                sampled: packed & 0b10 != 0,
-                slo: packed & 0b01 != 0,
-                seq: read[base + 5],
-            });
-        }
-        out.sort_by_key(|t| t.seq);
-        out
-    }
-}
-
-impl std::fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
+        self.0
+            .snapshot()
+            .into_iter()
+            .map(|w| {
+                let mut seg_ns = [0u64; NUM_SEGMENTS];
+                seg_ns.copy_from_slice(&w[2..BASE]);
+                let packed = w[BASE + 4];
+                // SAFETY (both names): the words came from `str_words`
+                // in `record`.
+                OpTrace {
+                    op: unsafe { static_str(w[BASE], w[BASE + 1]) },
+                    start_ns: w[0],
+                    end_ns: w[1],
+                    seg_ns,
+                    phase: unsafe { static_str(w[BASE + 2], w[BASE + 3]) },
+                    log_used_milli: (packed >> 32) as u32,
+                    sampled: packed & 0b10 != 0,
+                    slo: packed & 0b01 != 0,
+                    seq: w[BASE + 5],
+                }
+            })
+            .collect()
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! `--server <addr>` attaches to a running `dstore_server` instead of
 //! spinning up an in-process store: every frame below is rendered from
-//! the `stats`/`health`/`telemetry_snapshot` RPCs over the wire, and
+//! the `health`/`telemetry_snapshot` RPCs over the wire, and
 //! the dashboard gains the server-side view — per-RPC residency
 //! percentiles, shard-queue depths, and per-RPC error/busy counters.
 //! Combines with `--once` and `--prometheus`.
@@ -30,10 +30,12 @@
 //! with `--json`. See `trace_dump --post-mortem` for the offline
 //! (image-only, no server) variant.
 
-use dstore::{DStoreConfig, StatsSnapshot};
+use dstore::DStoreConfig;
 use dstore_protocol::DStoreClient;
 use dstore_shard::{ShardedConfig, ShardedStore};
-use dstore_telemetry::{to_prometheus, HistogramSnapshot, TelemetrySnapshot, SEGMENT_NAMES};
+use dstore_telemetry::{
+    rate_between, to_prometheus, HistogramSnapshot, TelemetrySnapshot, SEGMENT_NAMES,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,14 +63,10 @@ fn op_hist(snap: &TelemetrySnapshot, op: &str) -> HistogramSnapshot {
     named_op_hist(snap, "dstore_op_latency_ns", op)
 }
 
-/// This shard's total op count, from the labeled counter series.
-fn shard_ops(snap: &TelemetrySnapshot, shard: u32) -> u64 {
-    let tag = ("shard".to_string(), shard.to_string());
-    snap.counters
-        .iter()
-        .filter(|s| s.name == "dstore_ops_total" && s.labels.contains(&tag))
-        .map(|s| s.value)
-        .sum()
+/// Fleet ops/s between two snapshots, from `dstore_ops_total`.
+fn ops_rate(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot) -> f64 {
+    let ops = |s: &TelemetrySnapshot| s.counter_total("dstore_ops_total");
+    rate_between(ops(snap), ops(prev), snap.taken_ns, prev.taken_ns)
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -79,18 +77,13 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn frame(
-    store: &ShardedStore,
-    prev_stats: &StatsSnapshot,
-    prev_snap: &TelemetrySnapshot,
-) -> (StatsSnapshot, TelemetrySnapshot) {
-    let stats = store.stats();
+fn frame(store: &ShardedStore, prev_snap: &TelemetrySnapshot) -> TelemetrySnapshot {
     let snap = store.telemetry_snapshot();
 
     println!("── dstore_top ── {} shards ──", store.shard_count());
     println!(
         "ops/s {:>12.0}    checkpoints {:>6}",
-        stats.rate_since(prev_stats),
+        ops_rate(&snap, prev_snap),
         store.checkpoints_completed(),
     );
 
@@ -112,7 +105,9 @@ fn frame(
     }
 
     println!("\n  shard   phase     log-fill     ops     skew");
-    let totals: Vec<u64> = (0..SHARDS).map(|i| shard_ops(&snap, i)).collect();
+    let totals: Vec<u64> = (0..SHARDS)
+        .map(|i| snap.counter_with("dstore_ops_total", "shard", &i.to_string()))
+        .collect();
     let mean = (totals.iter().sum::<u64>() as f64 / SHARDS as f64).max(1.0);
     for i in 0..SHARDS {
         let s = store.shard(i as usize);
@@ -135,7 +130,7 @@ fn frame(
         println!("\n  !! checkpoint panics: {panics}");
     }
     println!();
-    (stats, snap)
+    snap
 }
 
 /// Flight-recorder outliers: the most recent SLO-busting ops across
@@ -209,14 +204,13 @@ fn print_ordering(snap: &TelemetrySnapshot, prev: &TelemetrySnapshot) {
 }
 
 /// RPCs carried by the wire protocol, in `dstore_server`'s label order.
-const SERVER_OPS: [&str; 10] = [
+const SERVER_OPS: [&str; 9] = [
     "put",
     "get",
     "update",
     "delete",
     "stat",
     "exists",
-    "stats",
     "health",
     "telemetry_snapshot",
     "crash_report",
@@ -245,23 +239,21 @@ fn print_replay(snap: &TelemetrySnapshot) {
 }
 
 /// One frame of the *remote* dashboard: everything here crossed the
-/// socket via the stats/health/telemetry RPCs — nothing is read from
+/// socket via the health/telemetry RPCs — nothing is read from
 /// process-local state, so the same view works against any reachable
 /// `dstore_server`.
 fn remote_frame(
     c: &mut DStoreClient,
     addr: &str,
-    prev_stats: &StatsSnapshot,
     prev_snap: &TelemetrySnapshot,
-) -> (StatsSnapshot, TelemetrySnapshot) {
-    let stats = c.stats().expect("stats rpc");
+) -> TelemetrySnapshot {
     let health = c.health().expect("health rpc");
     let snap = c.telemetry_snapshot().expect("telemetry rpc");
 
     println!("── dstore_top ── remote {addr} ──");
     println!(
         "ops/s {:>12.0}    admitted {:>10}    busy rejections {:>6}",
-        stats.rate_since(prev_stats),
+        ops_rate(&snap, prev_snap),
         snap.counter_total("dstore_server_requests_admitted"),
         snap.counter_total("dstore_server_busy_rejections"),
     );
@@ -360,7 +352,7 @@ fn remote_frame(
         println!("\n  !! checkpoint panics: {}", health.checkpoint_panics);
     }
     println!();
-    (stats, snap)
+    snap
 }
 
 fn main() {
@@ -425,7 +417,6 @@ fn main() {
 
     let frames = if once { 2 } else { usize::MAX };
     let interval = Duration::from_millis(if once { 300 } else { 1000 });
-    let mut prev_stats = store.stats();
     let mut prev_snap = store.telemetry_snapshot();
     for n in 0..frames {
         std::thread::sleep(interval);
@@ -436,7 +427,7 @@ fn main() {
             println!("{}", to_prometheus(&store.telemetry_snapshot()));
             break;
         }
-        (prev_stats, prev_snap) = frame(&store, &prev_stats, &prev_snap);
+        prev_snap = frame(&store, &prev_snap);
         if once && n + 1 == frames {
             break;
         }
@@ -504,14 +495,13 @@ fn remote_main(addr: &str, once: bool, prometheus: bool) {
 
     let frames = if once { 2 } else { usize::MAX };
     let interval = Duration::from_millis(if once { 300 } else { 1000 });
-    let mut prev_stats = c.stats().expect("stats rpc");
     let mut prev_snap = c.telemetry_snapshot().expect("telemetry rpc");
     for n in 0..frames {
         std::thread::sleep(interval);
         if !once {
             print!("\x1b[2J\x1b[H");
         }
-        (prev_stats, prev_snap) = remote_frame(&mut c, addr, &prev_stats, &prev_snap);
+        prev_snap = remote_frame(&mut c, addr, &prev_snap);
         if once && n + 1 == frames {
             break;
         }

@@ -197,33 +197,25 @@ fn main() {
 
     // Operation counters.
     println!("operations:");
-    for (label, name) in [
-        ("puts", "op"),
-        ("deletes", "op"),
-        ("ww conflicts retried", "dstore_ww_conflicts_total"),
-        ("reader backoffs", "dstore_rw_backoffs_total"),
-        ("log-full stalls", "dstore_log_full_stalls_total"),
+    for (label, v) in [
+        ("puts", snap.counter_with("dstore_ops_total", "op", "put")),
+        (
+            "deletes",
+            snap.counter_with("dstore_ops_total", "op", "delete"),
+        ),
+        (
+            "ww conflicts retried",
+            snap.counter_total("dstore_ww_conflicts_total"),
+        ),
+        (
+            "reader backoffs",
+            snap.counter_total("dstore_rw_backoffs_total"),
+        ),
+        (
+            "log-full stalls",
+            snap.counter_total("dstore_log_full_stalls_total"),
+        ),
     ] {
-        let v = match label {
-            "puts" => snap
-                .counters
-                .iter()
-                .filter(|s| {
-                    s.name == "dstore_ops_total" && s.labels.contains(&("op".into(), "put".into()))
-                })
-                .map(|s| s.value)
-                .sum(),
-            "deletes" => snap
-                .counters
-                .iter()
-                .filter(|s| {
-                    s.name == "dstore_ops_total"
-                        && s.labels.contains(&("op".into(), "delete".into()))
-                })
-                .map(|s| s.value)
-                .sum(),
-            _ => snap.counter_total(name),
-        };
         println!("  {label:<25} {v:>12}");
     }
 }

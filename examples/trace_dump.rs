@@ -173,7 +173,6 @@ fn main() {
         ..DStoreConfig::small()
     }
     .with_trace(TraceConfig {
-        enabled: true,
         sample_every: 64,
         slo_ns: 2_000_000,
         ring_capacity: 8192,

@@ -33,7 +33,6 @@ fn bench_store(checkpoint: CheckpointMode, logging: LoggingMode) -> DStore {
 /// A Table 3 store: every op traced, into a ring of `n` traces.
 fn traced_store(n: usize) -> DStore {
     let cfg = bench_cfg(CheckpointMode::Dipper, LoggingMode::Logical).with_trace(TraceConfig {
-        enabled: true,
         sample_every: 1,
         slo_ns: 0,
         ring_capacity: n,
