@@ -734,10 +734,12 @@ impl DsContext {
     // data plane
 
     /// Submits `data` across allocation `blocks` without the device wait:
-    /// one device command per contiguous run, the chunk zero-padded to
-    /// whole pages. Pages beyond the data (pure preallocation) are left
-    /// untouched. Returns the latest completion deadline (0 when `data`
-    /// is empty) for the caller to wait out before it commits.
+    /// per contiguous run, one device command for the run's whole pages,
+    /// handed over straight from `data`, and one for a partial tail page,
+    /// zero-padded in a page on the stack. Pages beyond the data (pure
+    /// preallocation) are left untouched. Returns the latest completion
+    /// deadline (0 when `data` is empty) for the caller to wait out
+    /// before it commits.
     fn submit_blocks(&self, blocks: &[u64], data: &[u8]) -> u64 {
         let ssd = &self.inner.ssd;
         let d = self.inner.domain();
@@ -753,38 +755,51 @@ impl DsContext {
             while j < blocks.len() && blocks[j] == blocks[j - 1] + 1 {
                 j += 1;
             }
-            let start_byte = i * bs;
-            let data_end = data.len().min(j * bs);
-            let pages = (data_end - start_byte).div_ceil(page);
-            let mut chunk = vec![0u8; pages * page];
-            chunk[..data_end - start_byte].copy_from_slice(&data[start_byte..data_end]);
+            let run = &data[i * bs..data.len().min(j * bs)];
+            let (whole, tail) = run.split_at(run.len() / page * page);
             let first_page = d.block_first_page(blocks[i]);
-            deadline = deadline.max(ssd.submit_write_pages(first_page, &chunk));
+            if !whole.is_empty() {
+                deadline = deadline.max(ssd.submit_write_pages(first_page, whole));
+            }
+            if !tail.is_empty() {
+                let mut pad = [0u8; PAGE_BYTES as usize];
+                pad[..tail.len()].copy_from_slice(tail);
+                let tail_page = first_page + (whole.len() / page) as u64;
+                deadline = deadline.max(ssd.submit_write_pages(tail_page, &pad));
+            }
             i = j;
         }
         deadline
     }
 
     /// Reads `size` bytes from allocation `blocks` into a fresh vector.
-    /// The vector is never zero-initialized — bytes land in one reused
-    /// block-sized scratch buffer and are appended from there, so a get
-    /// pays one bounded scratch allocation instead of zeroing (and
-    /// per-block reallocating) the whole value.
+    /// Whole pages are read straight into the vector's spare capacity, so
+    /// it is never zero-initialized; only a partial tail page goes
+    /// through a page on the stack. One device command per block, and a
+    /// second for a block of several pages that ends in a partial one.
     fn read_blocks_into(&self, blocks: &[u64], size: usize) -> Vec<u8> {
         let ssd = &self.inner.ssd;
         let d = self.inner.domain();
         let bs = d.block_bytes() as usize;
         let page = PAGE_BYTES as usize;
         let mut out = Vec::with_capacity(size);
-        let mut buf = vec![0u8; bs.div_ceil(page) * page];
         for &b in blocks {
             if out.len() >= size {
                 break;
             }
             let n = (size - out.len()).min(bs);
-            let pages = n.div_ceil(page);
-            ssd.read_pages(d.block_first_page(b), &mut buf[..pages * page]);
-            out.extend_from_slice(&buf[..n]);
+            let whole = n / page * page;
+            let first_page = d.block_first_page(b);
+            if whole > 0 {
+                ssd.read_pages_uninit(first_page, &mut out.spare_capacity_mut()[..whole]);
+                // SAFETY: the read initialized these `whole` bytes.
+                unsafe { out.set_len(out.len() + whole) };
+            }
+            if whole < n {
+                let mut tail = [0u8; PAGE_BYTES as usize];
+                ssd.read_pages(first_page + (whole / page) as u64, &mut tail);
+                out.extend_from_slice(&tail[..n - whole]);
+            }
         }
         out
     }

@@ -9,6 +9,19 @@
 //! shard (`fnv1a(name) % pool_shards`) only to keep each object's records
 //! in LSN order on one worker; groups replay concurrently.
 //!
+//! Each run of records — the whole window on the serial path, one group
+//! on a parallel worker — replays in batches of `REPLAY_BATCH` (16)
+//! consecutive records, in two passes per batch: first every name of the
+//! batch is looked up in one level-synchronous B-tree descent, and each
+//! hit's entry line and inline slot are requested from memory
+//! ([`Domain::find_many`]); then the records apply in log order. The
+//! misses of a whole batch overlap, and log order, with the locality it
+//! carries, is kept. An early lookup stays right unless an earlier record
+//! of the same batch is on the same name; such a record is looked up
+//! again at its turn. Records on other names commute with it, and a
+//! lookup's result is an entry, not a tree position, so the splits and
+//! merges they cause cannot invalidate it.
+//!
 //! After each window, every block id the window claimed or released must
 //! be owned at most once; any other owner count is a divergence, counted
 //! in [`ReplayStats::divergences`] and named (id and LSN) on stderr in
@@ -204,35 +217,61 @@ pub fn replay_window<M: Memory>(
     );
 }
 
+/// Records [`replay_run`] looks up and fetches together before it applies
+/// them. A sweep of 8, 16, 32 and 64 on the one-CPU recovery measured
+/// 16 and 32 best, 8 slower and 64 no better (EXPERIMENTS.md, "Batched
+/// replay").
+pub(crate) const REPLAY_BATCH: usize = 16;
+
+/// A name's length and last eight bytes as one word: equal names have
+/// equal tags, so comparing tags first spares most name comparisons.
+fn name_tag(name: &[u8]) -> u64 {
+    let mut last = [0u8; 8];
+    let n = name.len().min(8);
+    last[8 - n..].copy_from_slice(&name[name.len() - n..]);
+    u64::from_le_bytes(last) ^ ((name.len() as u64) << 56)
+}
+
 /// Replays `records` in order on `domain` and returns how many diverged.
 ///
-/// Each record's entry is found ([`Domain::find`]) while the record before
-/// it is still to replay, so the misses on the entry and its slot overlap
-/// that record's work. The early lookup stays right unless the record
-/// before is on the same name: only a record on a name creates, frees or
-/// refills that name's entry and slot. Then the lookup waits its turn.
+/// The records go in batches of [`REPLAY_BATCH`] consecutive records, and
+/// each batch in two passes. The first looks up every name of the batch
+/// in one level-synchronous descent and starts the misses on each entry
+/// and its slot ([`Domain::find_many`]), so the misses of the whole batch
+/// overlap. The second applies the records in log order. A record's early
+/// lookup stays right unless an earlier record of the same batch is on
+/// the same name: only a record on a name creates, frees or refills that
+/// name's entry and slot. Such a record is looked up again at its turn.
 fn replay_run<'r, M: Memory>(
     domain: &Domain<'_, M>,
     mut records: impl Iterator<Item = &'r RecordView<'r>>,
     sync: &IndexSync<'_>,
     touched: &mut Vec<(u64, u64)>,
 ) -> usize {
-    let Some(mut rec) = records.next() else {
-        return 0;
-    };
-    let mut entry = domain.find(rec.name, sync);
+    let mut batch: Vec<&RecordView<'_>> = Vec::with_capacity(REPLAY_BATCH);
+    let mut names = Vec::with_capacity(REPLAY_BATCH);
+    let mut tags = [0u64; REPLAY_BATCH];
+    let mut entries = [None; REPLAY_BATCH];
     let mut diverged = 0;
     loop {
-        let next = records.next();
-        let early = next
-            .filter(|n| n.name != rec.name)
-            .map(|n| domain.find(n.name, sync));
-        diverged += domain.replay(rec, entry, sync, touched) as usize;
-        let Some(n) = next else {
+        batch.clear();
+        batch.extend(records.by_ref().take(REPLAY_BATCH));
+        if batch.is_empty() {
             return diverged;
-        };
-        entry = early.unwrap_or_else(|| domain.find(n.name, sync));
-        rec = n;
+        }
+        names.clear();
+        names.extend(batch.iter().map(|r| r.name));
+        let entries = &mut entries[..batch.len()];
+        domain.find_many(&names, sync, entries);
+        for (tag, name) in tags.iter_mut().zip(&names) {
+            *tag = name_tag(name);
+        }
+        for (i, rec) in batch.iter().enumerate() {
+            if (0..i).any(|j| tags[j] == tags[i] && names[j] == rec.name) {
+                domain.find_many(&[rec.name], sync, &mut entries[i..=i]);
+            }
+            diverged += domain.replay(rec, entries[i], sync, touched) as usize;
+        }
     }
 }
 

@@ -69,19 +69,6 @@ pub const INLINE_MAX: u64 = PAGE_BYTES / 4;
 /// differences and keeps metadata allocations from running out.
 const INLINE_FILL: (u64, u64) = (3, 4);
 
-/// Asks the CPU to bring the cache line holding `p` in ahead of its use;
-/// a hint that never faults (a no-op off x86-64).
-#[inline]
-fn prefetch_line(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch only hints; it reads nothing and never faults.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p.cast(), std::arch::x86_64::_MM_HINT_T0)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// The application directory: the single arena object the PMEM root
 /// points at.
 #[repr(C)]
@@ -332,6 +319,27 @@ impl IndexSync<'_> {
             }
         };
         off.map(RelPtr::from_offset)
+    }
+
+    /// Looks up every name of `names` in `d`'s B-tree under this sync
+    /// mode, writing name `i`'s metadata entry to `out[i]`, in one
+    /// level-synchronous descent ([`BTreeHandle::get_many`]). `Shared`
+    /// takes the read lock once for the whole list.
+    #[inline]
+    fn lookup_many<M: Memory>(
+        &self,
+        d: &Domain<'_, M>,
+        names: &[&[u8]],
+        out: &mut [Option<RelPtr<MetaEntry>>],
+    ) {
+        let found = |i: usize, off: Option<u64>| out[i] = off.map(RelPtr::from_offset);
+        match self {
+            IndexSync::Exclusive => d.btree().get_many(names, found),
+            IndexSync::Shared { lock, .. } => {
+                let _g = lock.read();
+                d.btree().get_many(names, found)
+            }
+        }
     }
 
     /// Inserts `name → off` into `d`'s B-tree under this sync mode and
@@ -1103,23 +1111,36 @@ impl<'a, M: Memory> Domain<'a, M> {
     // ------------------------------------------------------------------
     // replay (checkpoint + recovery)
 
-    /// `name`'s entry, looked up under `sync`, with its first cache line —
-    /// and an inline entry's slot — requested from memory, so that a
-    /// caller who replays another record first finds them in cache.
-    pub fn find(&self, name: &[u8], sync: &IndexSync<'_>) -> Option<RelPtr<MetaEntry>> {
-        let e = sync.lookup(self, name)?;
+    /// The entries of `names`, looked up under `sync` in one descent,
+    /// with their cache misses started: each hit's first line, then an
+    /// inline entry's slot, are requested from memory, so that by the
+    /// time replay reaches name `i` they are in cache. `out[i]` is name
+    /// `i`'s entry as the tree maps it now.
+    ///
+    /// Replay looks up a batch of records' names here before it applies
+    /// any of them. A record's result stays right while the records
+    /// before it in the batch are on other names: only a record on a name
+    /// creates, frees or refills that name's entry and slot, and a result
+    /// is an entry, not a tree position, so the splits and merges other
+    /// names cause cannot move it. A record with an earlier record in the
+    /// batch on its own name is looked up again (a batch of one) at its
+    /// turn.
+    pub fn find_many(
+        &self,
+        names: &[&[u8]],
+        sync: &IndexSync<'_>,
+        out: &mut [Option<RelPtr<MetaEntry>>],
+    ) {
+        assert_eq!(names.len(), out.len(), "one entry per name");
+        sync.lookup_many(self, names, out);
         // The fields an inline entry's replay reads: size to direct[0].
-        self.prefetch_bytes(e.offset(), 32);
-        if let Some((off, len)) = self.slot_of(e) {
-            self.prefetch_bytes(off, len);
+        for e in out.iter().flatten() {
+            self.arena.prefetch(e.offset(), 32);
         }
-        Some(e)
-    }
-
-    /// Requests the cache lines of arena bytes `[off, off + len)`.
-    fn prefetch_bytes(&self, off: u64, len: u64) {
-        for line in (off & !63..off + len).step_by(64) {
-            prefetch_line(self.arena.resolve(RelPtr::<u8>::from_offset(line)));
+        for &e in out.iter().flatten() {
+            if let Some((off, len)) = self.slot_of(e) {
+                self.arena.prefetch(off, len);
+            }
         }
     }
 
@@ -1135,7 +1156,7 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// LSN, for the window's [`Domain::ownership_errors`] check.
     ///
     /// `entry` is the record's name's entry now, as the caller looked it
-    /// up ([`Domain::find`]); the record uses it throughout, so a record
+    /// up ([`Domain::find_many`]); the record uses it throughout, so a record
     /// costs one descent (two for a create or a delete, whose
     /// insert/remove descend again).
     ///
@@ -1896,6 +1917,62 @@ mod tests {
                 front.pool_free_in(1)
             )
         );
+    }
+
+    /// Batched replay (`replay::replay_window` looks up a whole batch's
+    /// names before it applies any) leaves the state one-at-a-time replay
+    /// leaves, in both logging modes, on the serial path and on the
+    /// parallel one: with same-name runs inside one batch (create, delete,
+    /// create; inline, blocks, inline), a same-name run across a batch
+    /// boundary, and a window shorter than one batch.
+    #[test]
+    fn batched_replay_matches_one_at_a_time() {
+        use crate::replay::{replay_window, ReplayStats, REPLAY_BATCH};
+        for mode in [LoggingMode::Logical, LoggingMode::Physical] {
+            let a0 = arena();
+            let front = domain(&a0);
+            let mut f = Front {
+                d: &front,
+                mode,
+                records: vec![],
+            };
+            f.put(b"a", 100).unwrap();
+            f.create(b"x", BLOCK_SIZE + 1);
+            f.put(b"b", 5000).unwrap();
+            f.delete(b"x");
+            f.create(b"x", 300);
+            f.put(b"y", 200).unwrap();
+            f.put(b"y", 3 * BLOCK_SIZE).unwrap();
+            f.put(b"y", 64).unwrap();
+            while f.records.len() < REPLAY_BATCH - 2 {
+                let name = format!("f{}", f.records.len());
+                f.put(name.as_bytes(), 700).unwrap();
+            }
+            for size in [10, 5000, 20, 9000, 0] {
+                f.put(b"z", size).unwrap();
+            }
+            f.delete(b"a");
+            f.put(b"a", 2 * BLOCK_SIZE).unwrap();
+            f.delete(b"y");
+            assert!(f.records.len() > REPLAY_BATCH + 4);
+
+            for (len, threads) in [(f.records.len(), 1), (f.records.len(), 2), (5, 1)] {
+                let window = &f.records[..len];
+                let a1 = arena();
+                let one_at_a_time = domain(&a1);
+                assert_eq!(one_at_a_time.replay_all(window), 0, "{mode:?}");
+                let a2 = arena();
+                let batched = domain(&a2);
+                let views: Vec<_> = window.iter().map(OwnedRecord::view).collect();
+                let stats = ReplayStats::default();
+                replay_window(&a2, batched.dir_ptr(), &views, threads, &stats, None);
+                assert_eq!(stats.snapshot().divergences, 0, "{mode:?}, {len} records");
+                assert_same_state(&one_at_a_time, &batched);
+                if len == f.records.len() {
+                    assert_same_state(&front, &batched);
+                }
+            }
+        }
     }
 
     /// A value of at most `INLINE_MAX` bytes takes a slot and no block:

@@ -126,8 +126,9 @@ fn steady_state_ops_stay_under_their_allocation_ceilings() {
 }
 
 /// 4 KiB values take the block path. Ceilings: the counts this leg read
-/// once the body hash was computed in place.
+/// once a put handed its whole pages to the device without a padded copy
+/// and a get read them straight into the value it returns.
 #[test]
 fn block_path_ops_stay_under_their_allocation_ceilings() {
-    assert_ceilings(&[0x5A; 4096], [6, 3, 0, 10]);
+    assert_ceilings(&[0x5A; 4096], [5, 2, 0, 9]);
 }

@@ -41,6 +41,9 @@ const MAX_KEYS: usize = 2 * T - 1;
 /// Maximum children per node.
 const MAX_CHILDREN: usize = 2 * T;
 
+/// Descents [`BTreeHandle::get_many`] runs side by side.
+const GET_MANY_LANES: usize = 32;
+
 /// Longest key stored inside its slot.
 const INLINE_MAX: usize = 15;
 /// Set in a slot's last byte when the key is stored inline; the low bits
@@ -284,6 +287,46 @@ impl<'a, M: Memory> BTreeHandle<'a, M> {
                             return None;
                         }
                         p = n.children[i];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Looks up every key of `keys` and hands key `i`'s value to
+    /// `found(i, value)`: [`BTreeHandle::get`] for many keys, with their
+    /// cache misses overlapped. The descents go down together, one level
+    /// at a time: at each level every probe scans its node and requests
+    /// its child's lines before any probe reads a child, so while one
+    /// probe scans, the others' nodes are on their way. A longer list is
+    /// looked up `GET_MANY_LANES` (32) keys at a time.
+    pub fn get_many(&self, keys: &[&[u8]], mut found: impl FnMut(usize, Option<u64>)) {
+        for (chunk, keys) in keys.chunks(GET_MANY_LANES).enumerate() {
+            let base = chunk * GET_MANY_LANES;
+            let probes: [Probe<'_>; GET_MANY_LANES] =
+                std::array::from_fn(|i| Probe::new(keys.get(i).copied().unwrap_or_default()));
+            // SAFETY: read-only traversal of live nodes.
+            unsafe {
+                let mut at = [(*self.arena.resolve(self.hdr)).root; GET_MANY_LANES];
+                let mut descending = keys.len();
+                while descending > 0 {
+                    for (i, probe) in probes[..keys.len()].iter().enumerate() {
+                        if at[i].is_null() {
+                            continue;
+                        }
+                        let n = self.node(at[i]);
+                        match self.position(n, probe) {
+                            Err(c) if n.leaf == 0 => {
+                                at[i] = n.children[c];
+                                self.arena
+                                    .prefetch(at[i].offset(), std::mem::size_of::<Node>() as u64);
+                                continue;
+                            }
+                            Ok(v) => found(base + i, Some(n.vals[v])),
+                            Err(_) => found(base + i, None),
+                        }
+                        at[i] = RelPtr::null();
+                        descending -= 1;
                     }
                 }
             }
@@ -914,6 +957,36 @@ mod tests {
         for i in 0..n {
             assert_eq!(t.get(format!("key{i:06}").as_bytes()), Some(i));
         }
+    }
+
+    /// `get_many` answers what `get` answers, key by key: hits and misses,
+    /// inline and out-of-line keys, duplicates, the empty key, and more
+    /// keys than one run of lanes.
+    #[test]
+    fn get_many_matches_get() {
+        let a = arena();
+        let t = BTreeHandle::create(&a);
+        let key = |i: u64| {
+            if i.is_multiple_of(3) {
+                format!("a-much-longer-out-of-line-key-{i:06}").into_bytes()
+            } else {
+                format!("k{i:05}").into_bytes()
+            }
+        };
+        for i in (0..2_000).step_by(2) {
+            t.insert(&key(i), i);
+        }
+        t.insert(b"", 7);
+        let mut keys: Vec<Vec<u8>> = (0..100).map(|i| key(i * 37 % 2_003)).collect();
+        keys.push(key(74));
+        keys.push(b"".to_vec());
+        keys.push(b"zzz-past-every-key".to_vec());
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let mut got = vec![Some(u64::MAX); refs.len()];
+        t.get_many(&refs, |i, v| got[i] = v);
+        let want: Vec<_> = refs.iter().map(|k| t.get(k)).collect();
+        assert_eq!(got, want);
+        assert!(want.iter().any(Option::is_none) && want.iter().any(Option::is_some));
     }
 
     #[test]

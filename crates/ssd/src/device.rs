@@ -188,6 +188,16 @@ impl SsdDevice {
 
     /// Reads `buf.len()` bytes starting at `page` (must be whole pages).
     pub fn read_pages(&self, page: PageNo, buf: &mut [u8]) {
+        // SAFETY: `read_pages_uninit` only writes initialized bytes, so
+        // `buf` stays initialized.
+        self.read_pages_uninit(page, unsafe {
+            &mut *(buf as *mut [u8] as *mut [std::mem::MaybeUninit<u8>])
+        });
+    }
+
+    /// [`SsdDevice::read_pages`] into memory that need not be initialized
+    /// (a vector's spare capacity, say): every byte of `buf` is written.
+    pub fn read_pages_uninit(&self, page: PageNo, buf: &mut [std::mem::MaybeUninit<u8>]) {
         assert!(
             buf.len().is_multiple_of(PAGE_SIZE) && !buf.is_empty(),
             "ssd reads are whole pages (got {} bytes)",
@@ -201,7 +211,7 @@ impl SsdDevice {
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.backing.as_ptr().add(page as usize * PAGE_SIZE),
-                buf.as_mut_ptr(),
+                buf.as_mut_ptr().cast::<u8>(),
                 buf.len(),
             );
         }
