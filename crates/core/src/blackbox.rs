@@ -3,22 +3,22 @@
 //! [`CrashReport`] synthesized from a dead incarnation's region during
 //! recovery.
 //!
-//! The recorder is deliberately cheap on the paths that matter:
+//! Every store records; nothing about it is configurable. It is cheap
+//! on the paths that matter:
 //!
 //! * `BlackBoxRecorder::note_lsn` — one plain load/branch/store max-LSN
-//!   update (no lock-prefixed RMW) and one relaxed counter per
-//!   mutation; a heartbeat (a few volatile stores + one fence) every
-//!   `heartbeat_every`-th mutation (power-of-two mask test).
-//! * `BlackBoxRecorder::record_trace` — runs only for *retained*
-//!   traces (the 1-in-`sample_every` + SLO outliers the DRAM ring
-//!   keeps), ~150 bytes encoded into a small `Vec` and one fence.
+//!   update (no lock-prefixed RMW) per mutation, and a heartbeat (a few
+//!   volatile stores + one fence) when the LSN is a multiple of
+//!   [`HEARTBEAT_EVERY`]. LSNs are dense per log and each is noted by
+//!   one thread, so that is one heartbeat per [`HEARTBEAT_EVERY`]
+//!   mutations with no shared counter; an LSN that a swap relocation or
+//!   an aborted record takes skips its beat.
+//! * `BlackBoxRecorder::record_trace` — runs for SLO outliers and for
+//!   sampled traces whose sampler count is a multiple of
+//!   [`dstore_telemetry::trace::MIRROR_EVERY`]: ~150 bytes encoded into a
+//!   small `Vec` and one fence.
 //! * Lifecycle events ride the checkpoint worker and stall paths, which
 //!   are off the op fast path by construction.
-//!
-//! When [`crate::BlackBoxConfig::enabled`] is false none of this
-//! exists: the `Option<Arc<BlackBoxRecorder>>` in `StoreInner` is
-//! `None`, the layout reserves no region, and every hook collapses to a
-//! skipped branch.
 
 use crate::structures::{Directory, Domain};
 use dstore_arena::{Arena, DramMemory, RelPtr};
@@ -29,10 +29,16 @@ use dstore_telemetry::codec::{
     Reader, Writer,
 };
 use dstore_telemetry::{
-    now_ns, BlackBoxEvent, BlackBoxHeartbeat, OpTrace, PhaseCell, TailAttribution,
+    now_ns, BlackBoxEvent, BlackBoxHeartbeat, Counter, OpTrace, PhaseCell, TailAttribution,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A heartbeat is published when a noted LSN is a multiple of this, so
+/// the last-heartbeat LSN a post-mortem sees trails the durable log tail
+/// by about this many records plus in-flight ops (twice this when a
+/// skipped multiple loses one beat).
+pub const HEARTBEAT_EVERY: u64 = 1024;
 
 /// Writer half: mirrors observability state into the PMEM region.
 pub(crate) struct BlackBoxRecorder {
@@ -41,12 +47,8 @@ pub(crate) struct BlackBoxRecorder {
     log: Arc<OpLog>,
     dram: Arc<Arena<DramMemory>>,
     dir: RelPtr<Directory>,
-    /// `heartbeat_every` rounded up to a power of two, minus one — so
-    /// the every-Nth check on the mutation path is a mask, not a
-    /// division.
-    hb_mask: u64,
     max_lsn: AtomicU64,
-    mutations: AtomicU64,
+    records: Arc<Counter>,
 }
 
 impl BlackBoxRecorder {
@@ -56,7 +58,7 @@ impl BlackBoxRecorder {
         log: Arc<OpLog>,
         dram: Arc<Arena<DramMemory>>,
         dir: RelPtr<Directory>,
-        heartbeat_every: u64,
+        records: Arc<Counter>,
     ) -> Self {
         Self {
             region,
@@ -64,17 +66,13 @@ impl BlackBoxRecorder {
             log,
             dram,
             dir,
-            hb_mask: heartbeat_every.max(1).next_power_of_two() - 1,
             max_lsn: AtomicU64::new(0),
-            mutations: AtomicU64::new(0),
+            records,
         }
     }
 
-    /// Notes an admitted (reserved **and published**) LSN. Every
-    /// `heartbeat_every`-th call (rounded up to a power of two)
-    /// publishes a heartbeat, so the last-heartbeat LSN a post-mortem
-    /// sees trails the durable log tail by at most one window plus
-    /// in-flight ops.
+    /// Notes an admitted (reserved **and published**) LSN, and publishes
+    /// a heartbeat when it is a multiple of [`HEARTBEAT_EVERY`].
     ///
     /// The max is load-compare-store, not `fetch_max`: racing threads
     /// can leave a value an in-flight window below the true max, which
@@ -84,8 +82,7 @@ impl BlackBoxRecorder {
         if lsn > self.max_lsn.load(Ordering::Relaxed) {
             self.max_lsn.store(lsn, Ordering::Relaxed);
         }
-        let n = self.mutations.fetch_add(1, Ordering::Relaxed) + 1;
-        if n & self.hb_mask == 0 {
+        if lsn.is_multiple_of(HEARTBEAT_EVERY) {
             self.publish_heartbeat();
         }
     }
@@ -114,13 +111,15 @@ impl BlackBoxRecorder {
         let mut w = Writer::default();
         write_heartbeat(&mut w, &self.current_heartbeat());
         self.region.publish_heartbeat(&w.0);
+        self.records.inc();
     }
 
-    /// Mirrors a retained op trace into the persistent ring.
+    /// Mirrors an op trace into the persistent ring.
     pub(crate) fn record_trace(&self, t: &OpTrace) {
         let mut w = Writer::default();
         write_trace(&mut w, t);
         self.region.push_trace(&w.0);
+        self.records.inc();
     }
 
     /// Records a lifecycle event (checkpoint phase, stall, recovery
@@ -135,6 +134,7 @@ impl BlackBoxRecorder {
         let mut w = Writer::default();
         write_event(&mut w, &ev);
         self.region.push_event(&w.0);
+        self.records.inc();
     }
 
     /// Orderly-shutdown epilogue: a final event, a final heartbeat, and

@@ -31,6 +31,13 @@ pub enum LoggingMode {
 }
 
 /// Configuration for creating or recovering a [`crate::DStore`].
+///
+/// The crash-persistent black box ([`crate::DStore::crash_report`]) has
+/// no settings: every store reserves its region and records into it,
+/// with ring sizes, heartbeat and mirror stride fixed by constants
+/// ([`crate::HEARTBEAT_EVERY`], [`dstore_telemetry::trace::MIRROR_EVERY`],
+/// [`dstore_pmem::blackbox::TRACE_SLOTS`],
+/// [`dstore_pmem::blackbox::EVENT_SLOTS`]).
 #[derive(Debug, Clone)]
 pub struct DStoreConfig {
     /// Capacity of each of the two PMEM log buffers.
@@ -81,7 +88,9 @@ pub struct DStoreConfig {
     /// `trace.slo_ns` is retained regardless of sampling, and the most
     /// recent `trace.ring_capacity` retained traces are exposed through
     /// [`crate::DStore::telemetry_snapshot`], `tail_attribution`, and
-    /// the Perfetto exporter.
+    /// the Perfetto exporter. The black box mirrors every outlier and
+    /// the sampled traces whose sampler count is a multiple of
+    /// [`dstore_telemetry::trace::MIRROR_EVERY`].
     pub trace: TraceConfig,
     /// Deadlock-detector budget for the store's internal waits: the
     /// three spin waits (reader drain, writer drain, log-record commit)
@@ -102,53 +111,6 @@ pub struct DStoreConfig {
     /// apply path everywhere. Defaults to the host's available
     /// parallelism.
     pub replay_threads: usize,
-    /// Crash-persistent flight recorder: a small PMEM region that
-    /// mirrors retained op traces, a heartbeat record, and lifecycle
-    /// events, exhumed after a crash into
-    /// [`crate::DStore::crash_report`]. Off by default — disabled it
-    /// reserves no PMEM and adds zero work to any path.
-    pub blackbox: BlackBoxConfig,
-}
-
-/// Configuration of the crash-persistent black box
-/// ([`DStoreConfig::blackbox`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlackBoxConfig {
-    /// Master switch. When off, no PMEM is reserved and the hot paths
-    /// carry only a skipped `Option` check.
-    pub enabled: bool,
-    /// Persistent trace-ring slots (256 bytes each): how many retained
-    /// op traces of the dying incarnation a post-mortem can recover.
-    pub trace_slots: usize,
-    /// Persistent lifecycle-event slots (128 bytes each).
-    pub event_slots: usize,
-    /// Publish a heartbeat every this many admitted log records
-    /// (rounded up to a power of two, so the every-Nth check is a mask
-    /// instead of a division). Lower values tighten the post-mortem
-    /// "final commit window" at the cost of one extra fence per that
-    /// many ops.
-    pub heartbeat_every: u64,
-}
-
-impl Default for BlackBoxConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            trace_slots: 256,
-            event_slots: 128,
-            heartbeat_every: 1024,
-        }
-    }
-}
-
-impl BlackBoxConfig {
-    /// An enabled recorder with the default ring sizes.
-    pub fn on() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
 }
 
 impl Default for DStoreConfig {
@@ -172,7 +134,6 @@ impl Default for DStoreConfig {
             trace: TraceConfig::default(),
             stall_timeout: Duration::from_secs(30),
             replay_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            blackbox: BlackBoxConfig::default(),
         }
     }
 }
@@ -242,11 +203,6 @@ impl DStoreConfig {
         self.replay_threads = threads;
         self
     }
-    /// Sets the crash-persistent flight-recorder configuration.
-    pub fn with_blackbox(mut self, blackbox: BlackBoxConfig) -> Self {
-        self.blackbox = blackbox;
-        self
-    }
 
     /// Validates the configuration, returning a description of the first
     /// problem. Called by [`crate::DStore::create`] so misconfigurations
@@ -308,24 +264,6 @@ impl DStoreConfig {
                 "replay_threads = {} must be within [1, 256]",
                 self.replay_threads
             ));
-        }
-        if self.blackbox.enabled {
-            let max = dstore_pmem::blackbox::MAX_RING_SLOTS;
-            if !(1..=max).contains(&self.blackbox.trace_slots) {
-                return Err(format!(
-                    "blackbox.trace_slots = {} must be within [1, {max}]",
-                    self.blackbox.trace_slots
-                ));
-            }
-            if !(1..=max).contains(&self.blackbox.event_slots) {
-                return Err(format!(
-                    "blackbox.event_slots = {} must be within [1, {max}]",
-                    self.blackbox.event_slots
-                ));
-            }
-            if self.blackbox.heartbeat_every == 0 {
-                return Err("blackbox.heartbeat_every must be at least 1".into());
-            }
         }
         // The shadow arena must hold the block pool's ownership map (one
         // byte per block) plus headroom for per-object metadata; a map
@@ -406,20 +344,6 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("trace.ring_capacity"));
         c.trace.ring_capacity = (1 << 20) + 1;
         assert!(c.validate().unwrap_err().contains("trace.ring_capacity"));
-
-        let mut c = DStoreConfig::small().with_blackbox(BlackBoxConfig::on());
-        assert!(c.validate().is_ok());
-        c.blackbox.trace_slots = 0;
-        assert!(c.validate().unwrap_err().contains("blackbox.trace_slots"));
-        c.blackbox.trace_slots = 16;
-        c.blackbox.event_slots = usize::MAX;
-        assert!(c.validate().unwrap_err().contains("blackbox.event_slots"));
-        c.blackbox.event_slots = 16;
-        c.blackbox.heartbeat_every = 0;
-        assert!(c.validate().unwrap_err().contains("heartbeat_every"));
-        // Disabled black box skips its own validation entirely.
-        c.blackbox.enabled = false;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

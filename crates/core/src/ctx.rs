@@ -87,6 +87,7 @@ fn op_end(inner: &StoreInner, hist: &LatencyHistogram, t0: u64, at: ActiveTrace,
     let end = now_ns();
     hist.record(end.saturating_sub(t0));
     let start_phase = at.start_phase();
+    let mirror = at.mirror();
     if let Some(mut t) = at.finish(last_seg, end, tel.trace.sampler.slo_ns()) {
         // Attribute the op to the checkpoint phase in flight at
         // completion; if the checkpoint ended mid-op (an op stalled behind
@@ -99,12 +100,12 @@ fn op_end(inner: &StoreInner, hist: &LatencyHistogram, t0: u64, at: ActiveTrace,
             phase
         };
         t.log_used_milli = (inner.log.used_fraction().clamp(0.0, 1.0) * 1000.0).round() as u32;
-        tel.trace.ring.record(&t);
-        // Mirror every retained trace into the crash-persistent black box
-        // — the ring only sees samples + SLO outliers, so this fence
-        // stays off the common op path.
-        if let Some(bb) = &inner.blackbox {
-            bb.record_trace(&t);
+        t.seq = tel.trace.ring.record(&t);
+        // Mirror outliers and one sampler count in MIRROR_EVERY into the
+        // crash-persistent black box: its fence stays off all but a
+        // bounded share of ops even when every op is sampled.
+        if mirror || t.slo {
+            inner.blackbox.record_trace(&t);
         }
     }
 }
@@ -635,11 +636,9 @@ impl DsContext {
             latch.drain_readers();
             at.mark(SEG_CC_WAIT);
             // The record is published: let the black box note the
-            // admitted LSN — one relaxed fetch_max, plus a heartbeat every
-            // `heartbeat_every`-th mutation.
-            if let Some(bb) = &inner.blackbox {
-                bb.note_lsn(r.lsn);
-            }
+            // admitted LSN — a relaxed max, plus a heartbeat on every
+            // HEARTBEAT_EVERY-th LSN.
+            inner.blackbox.note_lsn(r.lsn);
             let m = Admitted {
                 name,
                 handle: r.handle,

@@ -60,8 +60,8 @@ pub mod store;
 pub mod structures;
 pub mod telemetry;
 
-pub use blackbox::CrashReport;
-pub use config::{BlackBoxConfig, CheckpointMode, DStoreConfig, LoggingMode};
+pub use blackbox::{CrashReport, HEARTBEAT_EVERY};
+pub use config::{CheckpointMode, DStoreConfig, LoggingMode};
 pub use ctx::{DsContext, DsLock, ObjectHandle, ObjectStat, OpenMode};
 pub use error::{DsError, DsResult};
 pub use replay::{ReplaySnapshot, ReplayStats};

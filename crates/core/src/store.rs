@@ -13,11 +13,12 @@ use crate::structures::{Directory, Domain};
 use crate::telemetry::{HealthSnapshot, StoreTelemetry};
 use dstore_arena::{Arena, DramMemory, PmemRange, RelPtr};
 use dstore_dipper::checkpoint::{
-    apply_checkpoint, Applier, CheckpointStats, Engine, EngineState, RecordWindows,
+    apply_checkpoint, Applier, CheckpointStats, CheckpointTelemetry, Engine, EngineState,
+    RecordWindows,
 };
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
-use dstore_pmem::blackbox::{exhume, region_size, BlackBoxRegion};
+use dstore_pmem::blackbox::{exhume, BlackBoxRegion, EVENT_SLOTS, TRACE_SLOTS};
 use dstore_pmem::{PersistenceMode, PmemPool, PoolBuilder};
 use dstore_ssd::SsdDevice;
 use dstore_telemetry::SpanRing;
@@ -154,11 +155,10 @@ pub(crate) struct StoreInner {
     /// Per-op histograms, checkpoint and recovery spans, gauges and the
     /// flight recorder.
     pub telemetry: Arc<StoreTelemetry>,
-    /// Crash-persistent flight recorder (None when `cfg.blackbox` is
-    /// off — every hook then collapses to a skipped branch).
-    pub blackbox: Option<Arc<BlackBoxRecorder>>,
+    /// Crash-persistent flight recorder.
+    pub blackbox: Arc<BlackBoxRecorder>,
     /// Post-mortem of the previous incarnation, exhumed during recovery
-    /// (None on a fresh store or when the black box is disabled).
+    /// (None on a fresh store, or when the region held no report).
     pub crash_report: Option<CrashReport>,
     /// Where a mutation waits between its publish and its commit when a
     /// test has armed it.
@@ -245,9 +245,7 @@ impl StoreInner {
     /// running) so the append can retry — the backpressure path.
     pub fn handle_log_full(&self) {
         self.telemetry.log_full_stalls.inc();
-        if let Some(bb) = &self.blackbox {
-            bb.record_event("log_full_stall", 0, 0);
-        }
+        self.blackbox.record_event("log_full_stall", 0, 0);
         self.engine.begin_blocking();
     }
 }
@@ -291,11 +289,6 @@ fn dipper_cfg(cfg: &DStoreConfig) -> DipperConfig {
         log_size: cfg.log_size,
         shadow_size: cfg.shadow_size,
         swap_threshold: cfg.swap_threshold,
-        blackbox_size: if cfg.blackbox.enabled {
-            region_size(cfg.blackbox.trace_slots, cfg.blackbox.event_slots)
-        } else {
-            0
-        },
     }
 }
 
@@ -369,10 +362,8 @@ impl DStore {
                 None,
             ),
         };
-        if let Some(bb) = &store.inner.blackbox {
-            bb.record_event("startup", 0, 0);
-            bb.publish_heartbeat();
-        }
+        store.inner.blackbox.record_event("startup", 0, 0);
+        store.inner.blackbox.publish_heartbeat();
         Ok(store)
     }
 
@@ -400,27 +391,19 @@ impl DStore {
         // lifecycle-event sink can be threaded into their telemetry.
         // The region is (re)formatted here — recovery exhumed the dead
         // incarnation's contents *before* calling assemble.
-        let blackbox = (cfg.blackbox.enabled && layout.blackbox_size > 0).then(|| {
-            let region = BlackBoxRegion::format(
-                Arc::clone(&pool),
-                layout.blackbox,
-                cfg.blackbox.trace_slots,
-                cfg.blackbox.event_slots,
-            );
-            Arc::new(BlackBoxRecorder::new(
-                region,
-                Arc::clone(&telemetry.ckpt.phase),
-                Arc::clone(&log),
-                Arc::clone(&dram),
-                dir,
-                cfg.blackbox.heartbeat_every,
-            ))
-        });
-        let mut ckpt_telemetry = telemetry.ckpt.clone();
-        if let Some(bb) = &blackbox {
-            let bb = Arc::clone(bb);
-            ckpt_telemetry.events = Some(Arc::new(move |name, a, b| bb.record_event(name, a, b)));
-        }
+        let blackbox = Arc::new(BlackBoxRecorder::new(
+            BlackBoxRegion::format(Arc::clone(&pool), layout.blackbox, TRACE_SLOTS, EVENT_SLOTS),
+            Arc::clone(&telemetry.ckpt.phase),
+            Arc::clone(&log),
+            Arc::clone(&dram),
+            dir,
+            Arc::clone(&telemetry.blackbox_records),
+        ));
+        let bb = Arc::clone(&blackbox);
+        let ckpt_telemetry = CheckpointTelemetry {
+            events: Arc::new(move |name, a, b| bb.record_event(name, a, b)),
+            ..telemetry.ckpt.clone()
+        };
         let state = EngineState::new(ckpt_telemetry, cfg.stall_timeout);
         let engine = match cfg.checkpoint {
             CheckpointMode::Dipper => CheckpointEngine::Dipper(Checkpointer::new(
@@ -669,35 +652,26 @@ impl DStore {
 
     /// Post-mortem of the previous incarnation, exhumed from the
     /// crash-persistent black box during [`DStore::recover`]. `None` on
-    /// a fresh store, when `cfg.blackbox` is disabled, or when the
-    /// previous incarnation ran without a black box (the region then
-    /// fails its magic check and degrades to no report, never an error).
+    /// a fresh store, or when the region does not carry its magic (it
+    /// then degrades to no report, never an error).
     pub fn crash_report(&self) -> Option<&CrashReport> {
         self.inner.crash_report.as_ref()
     }
 
     /// The live black-box heartbeat: the record the flight recorder
-    /// would persist right now, built from the same gauges. `None` when
-    /// the black box is disabled.
-    pub fn blackbox_heartbeat(&self) -> Option<dstore_telemetry::BlackBoxHeartbeat> {
-        self.inner
-            .blackbox
-            .as_ref()
-            .map(|bb| bb.current_heartbeat())
+    /// would persist right now, built from the same gauges.
+    pub fn blackbox_heartbeat(&self) -> dstore_telemetry::BlackBoxHeartbeat {
+        self.inner.blackbox.current_heartbeat()
     }
 
     /// Reads the black box of a crashed (or cleanly closed) store
     /// *without* recovering it: scans the durable logs read-only for the
     /// LSN fence, exhumes the region, and synthesizes the report. The
     /// image is untouched — [`DStore::recover`] afterwards sees exactly
-    /// the same state. `Ok(None)` when the black box is disabled in the
-    /// image's config or nothing decodable survived.
+    /// the same state. `Ok(None)` when the region does not carry its
+    /// magic.
     pub fn post_mortem(image: &CrashImage) -> DsResult<Option<CrashReport>> {
-        let cfg = &image.cfg;
-        let layout = PmemLayout::new(&dipper_cfg(cfg));
-        if !cfg.blackbox.enabled || layout.blackbox_size == 0 {
-            return Ok(None);
-        }
+        let layout = PmemLayout::new(&dipper_cfg(&image.cfg));
         let root = Root::attach(
             Arc::clone(&image.pool),
             layout.log_size as u64,
@@ -823,12 +797,8 @@ impl DStore {
         // dead process published, so it serves as the log-tail fence the
         // report's heartbeat is cross-checked against.
         let next_lsn = plan.next_lsn;
-        let crash_report = if cfg.blackbox.enabled && layout.blackbox_size > 0 {
-            exhume(&pool, layout.blackbox, layout.blackbox_size)
-                .map(|ex| CrashReport::synthesize(&ex, next_lsn, plan.replay_records.len() as u64))
-        } else {
-            None
-        };
+        let crash_report = exhume(&pool, layout.blackbox, layout.blackbox_size)
+            .map(|ex| CrashReport::synthesize(&ex, next_lsn, plan.replay_records.len() as u64));
         let replay_stats = Arc::new(ReplayStats::default());
         let rec_ring = &telemetry.recovery_ring;
 
@@ -917,10 +887,11 @@ impl DStore {
                 crash_report,
             ),
         };
-        if let Some(bb) = &store.inner.blackbox {
-            bb.record_event("recovered", replayed, next_lsn);
-            bb.publish_heartbeat();
-        }
+        store
+            .inner
+            .blackbox
+            .record_event("recovered", replayed, next_lsn);
+        store.inner.blackbox.publish_heartbeat();
         Ok(store)
     }
 
@@ -932,9 +903,7 @@ impl DStore {
         self.inner.engine.shutdown();
         // The clean marker goes down last on the PMEM side, after the
         // final checkpoint: a crash *during* close still reads as dirty.
-        if let Some(bb) = &self.inner.blackbox {
-            bb.mark_clean();
-        }
+        self.inner.blackbox.mark_clean();
         let _ = self.inner.pool.sync_backing_file();
         let _ = self.inner.ssd.sync_backing_file();
         self.inner.pool.simulate_crash(); // a clean image: everything persisted

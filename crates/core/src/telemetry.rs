@@ -50,6 +50,10 @@ pub(crate) struct StoreTelemetry {
     pub rw_backoffs: Arc<Counter>,
     /// Appends that hit a full log and waited for a checkpoint.
     pub log_full_stalls: Arc<Counter>,
+    /// Records the black box published (heartbeats, events, traces), one
+    /// PMEM fence each: the share of `dstore_pmem_fences_total` that is
+    /// not the op or checkpoint path's.
+    pub blackbox_records: Arc<Counter>,
     /// Checkpoint phase sinks, shared with the checkpoint engine.
     pub ckpt: CheckpointTelemetry,
     /// Gauge mirroring `ckpt.phase` for exporters (index into
@@ -75,7 +79,7 @@ impl StoreTelemetry {
             ring: registry.span_ring("dstore_checkpoint_spans", &[], CKPT_RING_CAPACITY),
             phase: Arc::new(PhaseCell::new(CHECKPOINT_PHASES)),
             panics: registry.counter("dstore_checkpoint_panics_total", &[]),
-            events: None,
+            events: Arc::new(|_, _, _| {}),
         };
         let trace = TraceTelemetry {
             ring: registry.trace_ring("dstore_op_traces", &[], trace_cfg.ring_capacity),
@@ -91,6 +95,7 @@ impl StoreTelemetry {
             ww_conflicts: registry.counter("dstore_ww_conflicts_total", &[]),
             rw_backoffs: registry.counter("dstore_rw_backoffs_total", &[]),
             log_full_stalls: registry.counter("dstore_log_full_stalls_total", &[]),
+            blackbox_records: registry.counter("dstore_blackbox_records_total", &[]),
             ckpt,
             ckpt_phase_gauge: registry.gauge("dstore_checkpoint_phase", &[]),
             recovery_ring: registry.span_ring("dstore_recovery_spans", &[], RECOVERY_RING_CAPACITY),

@@ -4,14 +4,14 @@
 //! leave the image recoverable, and a corrupted region degrades to a
 //! partial (or absent) report instead of a panic.
 
-use dstore::{BlackBoxConfig, CrashImage, DStore, DStoreConfig};
+use dstore::{CrashImage, DStore, DStoreConfig, HEARTBEAT_EVERY};
+use dstore_pmem::blackbox::{region_size, EVENT_SLOTS, TRACE_SLOTS};
 
 fn bb_cfg() -> DStoreConfig {
-    let mut cfg = DStoreConfig::small().with_blackbox(BlackBoxConfig::on());
-    // Retain every trace + a tight heartbeat so even a short run leaves
-    // traces and heartbeats in the region.
+    let mut cfg = DStoreConfig::small();
+    // Sample every op, so one op in MIRROR_EVERY is mirrored and even a
+    // short run leaves traces in the region.
     cfg.trace.sample_every = 1;
-    cfg.blackbox.heartbeat_every = 8;
     cfg
 }
 
@@ -26,9 +26,16 @@ fn load(store: &DStore, n: usize) {
 #[test]
 fn dirty_death_yields_consistent_report() {
     let store = DStore::create(bb_cfg()).unwrap();
-    // Not a multiple of heartbeat_every: the ops after the final
-    // heartbeat are the death window.
-    load(&store, 203);
+    // A fresh store has nothing to report.
+    assert!(store.crash_report().is_none());
+    // Past two heartbeat LSNs and not a multiple of HEARTBEAT_EVERY: the
+    // ops after the final heartbeat are the death window.
+    load(&store, 2 * HEARTBEAT_EVERY as usize + 203);
+    store.wait_checkpoint_idle();
+    let published = store
+        .telemetry_snapshot()
+        .unwrap()
+        .counter_total("dstore_blackbox_records_total");
     let image = store.crash();
     let store = DStore::recover(image).unwrap();
 
@@ -37,7 +44,9 @@ fn dirty_death_yields_consistent_report() {
 
     // The heartbeat trails the durable tail but never leads it: every
     // LSN the black box saw is strictly below the recovered fence.
-    let hb = report.heartbeat.expect("203 ops at heartbeat_every=8");
+    let hb = report
+        .heartbeat
+        .expect("a heartbeat every HEARTBEAT_EVERY LSNs");
     assert!(hb.last_lsn > 0);
     assert!(
         hb.last_lsn < report.log_tail_lsn,
@@ -54,12 +63,22 @@ fn dirty_death_yields_consistent_report() {
     // Retained traces were mirrored; at least one ended at or after the
     // final heartbeat (an op in flight in the death window).
     assert!(!report.traces.is_empty());
+    // A mirrored trace keeps the sequence number the flight recorder's
+    // ring gave it.
+    assert!(
+        report.traces.windows(2).all(|w| w[0].seq < w[1].seq),
+        "{:?}",
+        report.traces.iter().map(|t| t.seq).collect::<Vec<_>>()
+    );
     assert!(
         !report.death_window_traces().is_empty(),
         "the ops past the final heartbeat must leave a trace in the \
          death window"
     );
     assert!(report.tail_attribution(0.99).is_some());
+    // Every exhumed record was counted when it was published.
+    let exhumed = report.traces.len() + report.events.len() + 1;
+    assert!(published >= exhumed as u64, "{published} < {exhumed}");
 
     // Renderings agree on the death verdict.
     assert!(report.render().contains("DIRTY"));
@@ -157,42 +176,22 @@ fn corrupted_region_degrades_without_panicking() {
 }
 
 #[test]
-fn disabled_blackbox_reports_nothing_and_costs_no_pmem() {
-    let cfg = DStoreConfig::small();
-    assert!(!cfg.blackbox.enabled);
-    let store = DStore::create(cfg).unwrap();
-    load(&store, 20);
-    let store = DStore::recover(store.crash()).unwrap();
-    assert!(store.crash_report().is_none());
-
-    // post_mortem on a disabled image is a clean None, not an error.
-    let image = store.crash();
-    assert!(DStore::post_mortem(&image).unwrap().is_none());
-}
-
-#[test]
-fn enabling_blackbox_on_an_old_image_degrades_to_no_report() {
-    // A store that ran without the black box leaves zeroes where the
-    // region would live. Recovering with the region enabled must treat
-    // the failed magic check as "no report", not an error. (The pool
-    // file is sized without the region, so this only works in-memory
-    // where the recovering pool is rebuilt from the same devices —
-    // exercised here through reconfigure on a same-size pool.)
+fn a_region_without_its_magic_degrades_to_no_report() {
+    // A region whose header never reached PMEM reads as zeroes.
+    // Recovery must treat the failed magic check as "no report", not an
+    // error, and so must an offline post-mortem.
     let store = DStore::create(bb_cfg()).unwrap();
     load(&store, 50);
     let image = store.crash();
-    // Zero the region *header*: simulates a prior incarnation that
-    // never wrote it. The 4 KB-aligned region sits at the pool tail.
-    let cfg = bb_cfg();
-    let rsz =
-        (dstore_pmem::blackbox::region_size(cfg.blackbox.trace_slots, cfg.blackbox.event_slots)
-            + 4095)
-            & !4095;
+    // Zero the region *header*. The 4 KB-aligned region sits at the
+    // pool tail.
+    let rsz = (region_size(TRACE_SLOTS, EVENT_SLOTS) + 4095) & !4095;
     let pool = image.pool();
     let base = pool.len() - rsz;
     let zeros = [0u8; 4096];
     pool.write_bytes(base, &zeros);
     pool.persist(base, 4096);
+    assert!(DStore::post_mortem(&image).unwrap().is_none());
     let store = DStore::recover(image).unwrap();
     // Header magic is gone → exhumation yields None.
     assert!(store.crash_report().is_none());

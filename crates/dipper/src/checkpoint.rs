@@ -73,10 +73,11 @@ pub const PHASE_SWAP: usize = 4;
 
 /// Callback fired as each checkpoint phase completes:
 /// `(phase_name, a, b)` with the same payload words the span ring gets
-/// (`a` = bytes processed, `b` = records applied). The black box uses
-/// this to persist lifecycle events; keep implementations cheap — they
-/// run on the checkpoint worker (and the triggering thread for
-/// `"trigger"`).
+/// (`a` = bytes processed, `b` = records applied), and once as
+/// `("stall_timeout", run state, waited ms)` before a stuck wait panics.
+/// The black box uses this to persist lifecycle events; keep
+/// implementations cheap — they run on the checkpoint worker (and the
+/// triggering thread for `"trigger"`).
 pub type CheckpointEventSink = Arc<dyn Fn(&'static str, u64, u64) + Send + Sync>;
 
 /// Telemetry sinks for checkpoint observability, handed to a checkpoint
@@ -95,8 +96,8 @@ pub struct CheckpointTelemetry {
     /// still consistent (the root never committed) but the log is no
     /// longer draining; surfaced through the store's health snapshot.
     pub panics: Arc<Counter>,
-    /// Optional lifecycle-event sink (see [`CheckpointEventSink`]).
-    pub events: Option<CheckpointEventSink>,
+    /// Lifecycle-event sink (see [`CheckpointEventSink`]).
+    pub events: CheckpointEventSink,
 }
 
 impl Default for CheckpointTelemetry {
@@ -105,7 +106,7 @@ impl Default for CheckpointTelemetry {
             ring: Arc::new(SpanRing::new(64)),
             phase: Arc::new(PhaseCell::new(CHECKPOINT_PHASES)),
             panics: Arc::new(Counter::default()),
-            events: None,
+            events: Arc::new(|_, _, _| {}),
         }
     }
 }
@@ -130,7 +131,7 @@ impl std::fmt::Debug for CheckpointTelemetry {
             .field("ring", &self.ring)
             .field("phase", &self.phase)
             .field("panics", &self.panics)
-            .field("events", &self.events.as_ref().map(|_| "…"))
+            .field("events", &"…")
             .finish()
     }
 }
@@ -246,7 +247,8 @@ impl CheckpointStats {
     }
 }
 
-/// Where a checkpoint engine is.
+/// Where a checkpoint engine is. A `stall_timeout` event carries it as
+/// its declaration index (`Idle` = 0 … `Shut` = 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Run {
     #[default]
@@ -337,6 +339,11 @@ impl EngineState {
         let mut r = self.run.lock();
         while wait(*r) {
             if self.cv.wait_until(&mut r, deadline).timed_out() && wait(*r) {
+                (self.telemetry.events)(
+                    "stall_timeout",
+                    *r as u64,
+                    self.stall_timeout.as_millis() as u64,
+                );
                 panic!(
                     "checkpoint engine stuck {:?} in phase {:?} for {:?}",
                     *r,
@@ -552,9 +559,7 @@ impl Engine for Checkpointer {
             inner.root.begin_checkpoint();
         });
         tel.ring.record("trigger", t0, now_ns(), 0, 0);
-        if let Some(ev) = &tel.events {
-            ev("trigger", 0, 0);
-        }
+        (tel.events)("trigger", 0, 0);
         inner.state.started();
         self.worker.send(archived);
         true
@@ -639,9 +644,7 @@ pub fn apply_checkpoint(
     let enter = |idx: usize| telemetry.phase.set(idx);
     let span = |name: &'static str, start: u64, a: u64, b: u64| {
         telemetry.ring.record(name, start, now_ns(), a, b);
-        if let Some(ev) = &telemetry.events {
-            ev(name, a, b);
-        }
+        (telemetry.events)(name, a, b);
     };
     let state = root.state();
     let cur = state.current_shadow;
@@ -814,14 +817,27 @@ mod tests {
     }
 
     /// A wait on a checkpoint that never finishes panics, naming where it
-    /// is stuck, instead of hanging.
+    /// is stuck, instead of hanging, and first leaves a `stall_timeout`
+    /// event carrying the run state and the waited ms.
     #[test]
     #[should_panic(expected = "checkpoint engine stuck Running in phase \"idle\"")]
     fn a_stuck_checkpoint_panics_its_waiter() {
-        let state = EngineState::new(CheckpointTelemetry::default(), Duration::from_millis(20));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let tel = CheckpointTelemetry {
+            events: Arc::new(move |name, a, b| sink.lock().unwrap().push((name, a, b))),
+            ..CheckpointTelemetry::default()
+        };
+        let state = EngineState::new(tel, Duration::from_millis(20));
         assert!(state.claim());
         state.started();
-        state.shut();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.shut()))
+            .expect_err("a stuck wait panics");
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [("stall_timeout", Run::Running as u64, 20)]
+        );
+        std::panic::resume_unwind(panic);
     }
 
     /// `run_chunked` must cover `[0, len)` exactly once, serial or not.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌──────────┬──────────┬──────────┬──────────┬──────────┬─────────────┐
-//! │ root 4K  │ log 0    │ log 1    │ shadow A │ shadow B │ black box?  │
+//! │ root 4K  │ log 0    │ log 1    │ shadow A │ shadow B │ black box   │
 //! └──────────┴──────────┴──────────┴──────────┴──────────┴─────────────┘
 //! ```
 //!
@@ -14,6 +14,7 @@
 //! is current, whether a checkpoint is in flight), not raw pointers.
 
 use crate::DipperConfig;
+use dstore_pmem::blackbox::{region_size, EVENT_SLOTS, TRACE_SLOTS};
 
 /// Space reserved for the root object.
 pub const ROOT_SIZE: usize = 4096;
@@ -33,11 +34,11 @@ pub struct PmemLayout {
     pub shadow: [usize; 2],
     /// Capacity of each shadow region.
     pub shadow_size: usize,
-    /// Offset of the crash-persistent black-box region (meaningful only
-    /// when `blackbox_size > 0`). Placed last so enabling or resizing it
-    /// never shifts any other component.
+    /// Offset of the crash-persistent black-box region. Placed last so
+    /// resizing it never shifts any other component.
     pub blackbox: usize,
-    /// Bytes reserved for the black-box region (0 = disabled).
+    /// Bytes reserved for the black-box region: one region of
+    /// [`TRACE_SLOTS`] trace and [`EVENT_SLOTS`] event slots.
     pub blackbox_size: usize,
     /// Total pool bytes required.
     pub total: usize,
@@ -54,11 +55,7 @@ impl PmemLayout {
         let shadow_a = align(log1 + LOG_HEADER_SIZE + log_size);
         let shadow_b = shadow_a + shadow_size;
         let blackbox = shadow_b + shadow_size;
-        let blackbox_size = if cfg.blackbox_size > 0 {
-            align(cfg.blackbox_size)
-        } else {
-            0
-        };
+        let blackbox_size = align(region_size(TRACE_SLOTS, EVENT_SLOTS));
         Self {
             root: 0,
             log: [log0, log1],
@@ -94,8 +91,8 @@ mod tests {
         assert!(l.log[1] >= l.log[0] + LOG_HEADER_SIZE + l.log_size);
         assert!(l.shadow[0] >= l.log[1] + LOG_HEADER_SIZE + l.log_size);
         assert_eq!(l.shadow[1], l.shadow[0] + l.shadow_size);
-        assert_eq!(l.blackbox_size, 0);
-        assert_eq!(l.total, l.shadow[1] + l.shadow_size);
+        assert_eq!(l.blackbox, l.shadow[1] + l.shadow_size);
+        assert_eq!(l.total, l.blackbox + l.blackbox_size);
         assert_eq!(l.log_records(0), l.log[0] + LOG_HEADER_SIZE);
     }
 
@@ -106,18 +103,20 @@ mod tests {
             shadow_size: 8 << 20,
             ..Default::default()
         };
-        let off = PmemLayout::new(&cfg);
-        let on = PmemLayout::new(&DipperConfig {
-            blackbox_size: 100_000,
+        let l = PmemLayout::new(&cfg);
+        // A larger shadow moves only the region: it stays last.
+        let big = PmemLayout::new(&DipperConfig {
+            shadow_size: 16 << 20,
             ..cfg
         });
-        assert_eq!(on.log, off.log);
-        assert_eq!(on.shadow, off.shadow);
-        assert_eq!(on.blackbox, off.total);
-        assert_eq!(on.blackbox % 4096, 0);
-        assert_eq!(on.blackbox_size % 4096, 0);
-        assert!(on.blackbox_size >= 100_000);
-        assert_eq!(on.total, on.blackbox + on.blackbox_size);
+        assert_eq!(big.log, l.log);
+        assert_eq!(big.shadow[0], l.shadow[0]);
+        assert_eq!(big.blackbox, big.shadow[1] + big.shadow_size);
+        assert_eq!(big.blackbox_size, l.blackbox_size);
+        assert_eq!(l.blackbox % 4096, 0);
+        assert_eq!(l.blackbox_size % 4096, 0);
+        assert!(l.blackbox_size >= region_size(TRACE_SLOTS, EVENT_SLOTS));
+        assert_eq!(l.total, l.blackbox + l.blackbox_size);
     }
 
     #[test]

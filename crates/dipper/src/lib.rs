@@ -52,9 +52,6 @@ pub struct DipperConfig {
     /// fraction ("checkpoints are triggered once the free space in the log
     /// falls below a pre-defined threshold", §3.5).
     pub swap_threshold: f64,
-    /// Bytes reserved after the shadow regions for the crash-persistent
-    /// black box (flight recorder). 0 disables the region entirely.
-    pub blackbox_size: usize,
 }
 
 impl Default for DipperConfig {
@@ -63,7 +60,6 @@ impl Default for DipperConfig {
             log_size: 4 << 20,
             shadow_size: 64 << 20,
             swap_threshold: 0.75,
-            blackbox_size: 0,
         }
     }
 }

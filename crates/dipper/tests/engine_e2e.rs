@@ -153,7 +153,6 @@ fn small_cfg() -> DipperConfig {
         log_size: 1 << 16,
         shadow_size: 128 * 1024,
         swap_threshold: 0.5,
-        ..Default::default()
     }
 }
 
@@ -287,7 +286,6 @@ fn frontend_progresses_during_background_checkpoint() {
         log_size: 1 << 18,
         shadow_size: 1 << 20,
         swap_threshold: 0.5,
-        ..Default::default()
     });
     let applier = applier_for(&mini.pool, mini.layout, mini.dir);
     let ckpt = Checkpointer::new(

@@ -66,6 +66,12 @@ const H_TRACE_CAP: usize = 16;
 const H_EVENT_CAP: usize = 24;
 const H_CLEAN: usize = 32;
 
+/// Trace-ring slots of a store's region: how many mirrored op traces of
+/// the dying incarnation a post-mortem can recover.
+pub const TRACE_SLOTS: usize = 256;
+/// Lifecycle-event slots of a store's region.
+pub const EVENT_SLOTS: usize = 128;
+
 /// Bytes a black-box region with the given ring capacities occupies.
 pub fn region_size(trace_cap: usize, event_cap: usize) -> usize {
     BB_HEADER_BYTES

@@ -217,7 +217,8 @@ impl DStoreClient {
     /// Per-shard post-mortems of the previous incarnation, exhumed from
     /// each shard's crash-persistent black box when the server
     /// recovered. One entry per shard, index order; `None` entries are
-    /// shards with nothing to report (fresh store or black box off).
+    /// shards with nothing to report (fresh store, or a region without
+    /// its magic).
     pub fn crash_report(&mut self) -> DsResult<Vec<Option<dstore::CrashReport>>> {
         match self.call(&Request::CrashReport)? {
             Response::CrashReports(reports) => Ok(reports),

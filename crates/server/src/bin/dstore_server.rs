@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dstore_server [--addr HOST:PORT] [--shards N] [--queue-depth N]
-//!               [--config small|bench] [--blackbox]
+//!               [--config small|bench]
 //!               [--data-dir PATH] [--reopen] [--smoke]
 //! ```
 //!
@@ -13,22 +13,29 @@
 //! closes. `kill -9` is the crash case: acknowledged writes are in the
 //! PMEM image and recovery (`--reopen`) replays them.
 //!
-//! `--blackbox` turns on the crash-persistent flight recorder (and
-//! dense trace sampling to feed it); after a crash, reopen with the
-//! *same* flag so layouts agree, then pull the post-mortem with
-//! `dstore_top --post-mortem` or offline with `trace_dump
-//! --post-mortem`.
+//! Every shard keeps a crash-persistent black box, and the server samples
+//! one op in [`SAMPLE_EVERY`] to feed it. After a crash, reopen with the
+//! same `--config` and `--shards` so layouts agree, then pull the
+//! post-mortem with `dstore_top --post-mortem` or offline with
+//! `trace_dump --post-mortem`.
 
-use dstore::{BlackBoxConfig, DStoreConfig};
+use dstore::DStoreConfig;
 use dstore_server::{Server, ServerConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use std::io::Read;
 use std::sync::Arc;
 
+/// Trace sampling stride of every shard: one op in 64 carries a segment
+/// breakdown, and each sampled trace is mirrored into the black box. With
+/// a heartbeat every `dstore::HEARTBEAT_EVERY` LSNs, the death window
+/// after a shard's last heartbeat holds about 8 mirrored traces on
+/// average under a write load.
+const SAMPLE_EVERY: u64 = 64;
+
 fn usage() -> ! {
     eprintln!(
         "usage: dstore_server [--addr HOST:PORT] [--shards N] [--queue-depth N]\n\
-         \x20                    [--config small|bench] [--blackbox]\n\
+         \x20                    [--config small|bench]\n\
          \x20                    [--data-dir PATH] [--reopen] [--smoke]"
     );
     std::process::exit(2);
@@ -39,7 +46,6 @@ struct Args {
     shards: u32,
     queue_depth: usize,
     config: String,
-    blackbox: bool,
     data_dir: Option<std::path::PathBuf>,
     reopen: bool,
     smoke: bool,
@@ -51,7 +57,6 @@ fn parse_args() -> Args {
         shards: 4,
         queue_depth: 256,
         config: "small".into(),
-        blackbox: false,
         data_dir: None,
         reopen: false,
         smoke: false,
@@ -64,7 +69,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--queue-depth" => args.queue_depth = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--config" => args.config = val(&mut it),
-            "--blackbox" => args.blackbox = true,
             "--data-dir" => args.data_dir = Some(val(&mut it).into()),
             "--reopen" => args.reopen = true,
             "--smoke" => args.smoke = true,
@@ -82,16 +86,7 @@ fn main() {
         "bench" => DStoreConfig::bench(),
         _ => usage(),
     };
-    if args.blackbox {
-        // Dense sampling so the black box retains enough traces around
-        // the moment of death to attribute the tail; a heartbeat every
-        // 64 mutations keeps the last-known LSN close to the log tail.
-        base.blackbox = BlackBoxConfig {
-            heartbeat_every: 64,
-            ..BlackBoxConfig::on()
-        };
-        base.trace.sample_every = 16;
-    }
+    base.trace.sample_every = SAMPLE_EVERY;
     if let Some(dir) = &args.data_dir {
         std::fs::create_dir_all(dir).expect("create --data-dir");
         base.pmem_file = Some(dir.join("pmem.pool"));

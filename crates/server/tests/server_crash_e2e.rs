@@ -6,7 +6,7 @@
 //! persisted before the response was encoded, so no crash window
 //! exists between acknowledgement and durability.
 
-use dstore::{BlackBoxConfig, DStoreConfig, DsError};
+use dstore::{DStoreConfig, DsError, HEARTBEAT_EVERY};
 use dstore_protocol::{DStoreClient, Request, Response};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use std::collections::HashMap;
@@ -16,11 +16,7 @@ use std::time::Duration;
 
 const SHARDS: u32 = 4;
 
-fn spawn_server(
-    data_dir: &std::path::Path,
-    reopen: bool,
-    blackbox: bool,
-) -> (Child, std::net::SocketAddr) {
+fn spawn_server(data_dir: &std::path::Path, reopen: bool) -> (Child, std::net::SocketAddr) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dstore_server"));
     cmd.arg("--addr")
         .arg("127.0.0.1:0")
@@ -33,9 +29,6 @@ fn spawn_server(
         .stderr(Stdio::null());
     if reopen {
         cmd.arg("--reopen");
-    }
-    if blackbox {
-        cmd.arg("--blackbox");
     }
     let mut child = cmd.spawn().expect("spawn dstore_server");
     let stdout = child.stdout.take().expect("child stdout");
@@ -54,16 +47,9 @@ fn spawn_server(
 
 /// The sharded config the binary builds from the same flags — used to
 /// reopen the image in-process after the crash. Must mirror the
-/// binary's `--blackbox` settings exactly or the PMEM layouts disagree.
-fn store_cfg(data_dir: &std::path::Path, blackbox: bool) -> ShardedConfig {
+/// binary's `--config small` exactly or the PMEM layouts disagree.
+fn store_cfg(data_dir: &std::path::Path) -> ShardedConfig {
     let mut base = DStoreConfig::small();
-    if blackbox {
-        base.blackbox = BlackBoxConfig {
-            heartbeat_every: 64,
-            ..BlackBoxConfig::on()
-        };
-        base.trace.sample_every = 16;
-    }
     base.pmem_file = Some(data_dir.join("pmem.pool"));
     base.ssd_file = Some(data_dir.join("ssd.dev"));
     ShardedConfig::new(SHARDS, base)
@@ -106,7 +92,7 @@ fn pump_writes(addr: std::net::SocketAddr, client_id: usize) -> HashMap<Vec<u8>,
 #[test]
 fn kill_nine_mid_load_loses_no_acknowledged_write() {
     let dir = tempfile::tempdir().unwrap();
-    let (mut child, addr) = spawn_server(dir.path(), false, true);
+    let (mut child, addr) = spawn_server(dir.path(), false);
 
     // Concurrent clients hammer pipelined batches…
     let writers: Vec<_> = (0..3)
@@ -130,7 +116,7 @@ fn kill_nine_mid_load_loses_no_acknowledged_write() {
 
     // Recovery replays the op-log; every acknowledged write must be
     // there with exactly the acknowledged contents.
-    let store = ShardedStore::reopen(store_cfg(dir.path(), true)).expect("recover after SIGKILL");
+    let store = ShardedStore::reopen(store_cfg(dir.path())).expect("recover after SIGKILL");
     let ctx = store.context();
     for (key, value) in &acked {
         match ctx.get(key) {
@@ -155,14 +141,13 @@ fn kill_nine_mid_load_loses_no_acknowledged_write() {
     assert_eq!(reports.len(), SHARDS as usize);
     // `log_tail_lsn` is recovery's *fence*, which sits a fixed headroom
     // (log_size / 24-byte record header) above the last persisted LSN;
-    // the real commit window — heartbeat_every records, everything the
-    // server queues had admitted but not yet heartbeat-counted at the
-    // kill, and the slack of the recorder's racy relaxed max-LSN —
-    // rides on top of that. 1024 bounds it loosely but still pins the
+    // the real commit window rides on top of that: up to two
+    // HEARTBEAT_EVERY windows (an LSN a swap relocation takes skips its
+    // beat), plus the ops in flight at the kill. That still pins the
     // heartbeat to the same neighbourhood as the tail (the fence alone
     // is ~10.9k LSNs on the 256 KiB log).
     let headroom = (256u64 << 10) / 24 + 1;
-    let window = 1024;
+    let window = 2 * HEARTBEAT_EVERY;
     let mut death_traces = 0usize;
     let mut heartbeats = 0usize;
     for (shard, report) in reports.iter().enumerate() {
@@ -198,7 +183,7 @@ fn kill_nine_mid_load_loses_no_acknowledged_write() {
 #[test]
 fn graceful_stop_then_reopen_serves_the_same_data() {
     let dir = tempfile::tempdir().unwrap();
-    let (mut child, addr) = spawn_server(dir.path(), false, true);
+    let (mut child, addr) = spawn_server(dir.path(), false);
 
     let mut c = DStoreClient::connect(addr).unwrap();
     for i in 0..64 {
@@ -213,7 +198,7 @@ fn graceful_stop_then_reopen_serves_the_same_data() {
     assert!(status.success(), "graceful exit failed: {status:?}");
 
     // A second server process reopens the same image and serves it.
-    let (mut child2, addr2) = spawn_server(dir.path(), true, true);
+    let (mut child2, addr2) = spawn_server(dir.path(), true);
     let mut c2 = DStoreClient::connect(addr2).unwrap();
     for i in 0..64 {
         assert_eq!(

@@ -333,7 +333,7 @@ impl ShardedStore {
     /// Per-shard post-mortems of the previous incarnation, exhumed from
     /// each shard's crash-persistent black box during recovery. Index
     /// order; `None` entries are shards with nothing to report (fresh
-    /// store, black box disabled, or nothing decodable survived).
+    /// store, or a region without its magic).
     pub fn crash_reports(&self) -> Vec<Option<CrashReport>> {
         self.stores
             .iter()

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod blackbox;
 pub mod clock;
 pub mod codec;
 pub mod export;
@@ -45,8 +44,8 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use blackbox::{BlackBoxEvent, BlackBoxHeartbeat};
 pub use clock::{now_ns, rate_between, rate_per_sec};
+pub use codec::{BlackBoxEvent, BlackBoxHeartbeat};
 pub use export::{to_json, to_perfetto, to_prometheus};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use registry::{Counter, Gauge, MetricsRegistry};

@@ -48,6 +48,14 @@ pub const SEGMENT_NAMES: [&str; 11] = [
 /// Number of fixed segments.
 pub const NUM_SEGMENTS: usize = SEGMENT_NAMES.len();
 
+/// Sampler-count stride of the traces a store mirrors into its
+/// crash-persistent black box: a sampled trace is mirrored only when its
+/// op's [`TraceSampler::arm`] count is a multiple of this (SLO outliers
+/// always are). At the default 1-in-1 024 sampling that is every sampled
+/// trace; with every op sampled it is one op in 64, so the mirror's
+/// fence stays off all but 1/64 of the ops.
+pub const MIRROR_EVERY: u64 = 64;
+
 /// PMEM op-log ordering: lock acquisition + slot reservation (LSN +
 /// header stamp + conflict scan) — the serialized part of Fig. 4 ②.
 pub const SEG_LOG_APPEND: usize = 0;
@@ -143,6 +151,7 @@ pub struct ActiveTrace {
     start_ns: u64,
     last_ns: u64,
     armed: bool,
+    mirror: bool,
     start_phase: &'static str,
     seg_ns: [u64; NUM_SEGMENTS],
 }
@@ -156,6 +165,7 @@ impl ActiveTrace {
             start_ns: 0,
             last_ns: 0,
             armed: false,
+            mirror: false,
             start_phase: "",
             seg_ns: [0; NUM_SEGMENTS],
         }
@@ -164,15 +174,18 @@ impl ActiveTrace {
     /// Starts a trace for `op` at `start_ns` (a timestamp the caller
     /// already read for its latency histogram — the coalescing that
     /// keeps the unarmed path at zero extra clock reads). `armed` comes
-    /// from [`TraceSampler::arm`].
-    pub fn start(op: &'static str, armed: bool, start_ns: u64) -> Self {
+    /// from [`TraceSampler::arm`]: `Some(count)` arms the op, and a count
+    /// that is a multiple of [`MIRROR_EVERY`] also marks it for the
+    /// black box.
+    pub fn start(op: &'static str, armed: Option<u64>, start_ns: u64) -> Self {
         ActiveTrace {
             op,
             // now_ns() can legitimately return 0 on its very first
             // call; nudge so 0 stays reserved for "disabled".
             start_ns: start_ns.max(1),
             last_ns: start_ns.max(1),
-            armed,
+            armed: armed.is_some(),
+            mirror: armed.is_some_and(|n| n.is_multiple_of(MIRROR_EVERY)),
             start_phase: "",
             seg_ns: [0; NUM_SEGMENTS],
         }
@@ -199,6 +212,13 @@ impl ActiveTrace {
     #[inline]
     pub fn armed(&self) -> bool {
         self.armed
+    }
+
+    /// Whether this op's trace, if retained, is also mirrored into the
+    /// black box (see [`MIRROR_EVERY`]).
+    #[inline]
+    pub fn mirror(&self) -> bool {
+        self.mirror
     }
 
     /// Charges the time since the previous boundary to `seg`. One
@@ -295,15 +315,16 @@ impl TraceSampler {
         }
     }
 
-    /// Whether the next op carries full segment detail. One relaxed
+    /// Whether the next op carries full segment detail: `Some` of its
+    /// sampler count (ops seen before it) when armed. One relaxed
     /// `fetch_add` — the only cost tracing adds to an unarmed op.
     #[inline]
-    pub fn arm(&self) -> bool {
-        self.sample_every > 0
-            && self
-                .counter
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(self.sample_every)
+    pub fn arm(&self) -> Option<u64> {
+        if self.sample_every == 0 {
+            return None;
+        }
+        let n = self.counter.fetch_add(1, Ordering::Relaxed);
+        n.is_multiple_of(self.sample_every).then_some(n)
     }
 
     /// The SLO retention threshold in nanoseconds.
@@ -636,19 +657,37 @@ mod tests {
     #[test]
     fn sampler_arms_one_in_n() {
         let s = TraceSampler::new(4, 0);
-        let armed: Vec<bool> = (0..8).map(|_| s.arm()).collect();
+        let armed: Vec<bool> = (0..8).map(|_| s.arm().is_some()).collect();
         assert_eq!(
             armed,
             [true, false, false, false, true, false, false, false]
         );
         // 0 = never arm.
         let never = TraceSampler::new(0, 1000);
-        assert!((0..10).all(|_| !never.arm()));
+        assert!((0..10).all(|_| never.arm().is_none()));
+    }
+
+    #[test]
+    fn mirror_follows_the_sampler_count() {
+        let trace = |s: &TraceSampler| ActiveTrace::start("put", s.arm(), 1);
+        // Every op sampled: one in MIRROR_EVERY is mirrored.
+        let every = TraceSampler::new(1, 0);
+        let mirrored: Vec<usize> = (0..3 * MIRROR_EVERY as usize)
+            .filter(|_| trace(&every).mirror())
+            .collect();
+        assert_eq!(mirrored.len(), 3);
+        // The default stride: every sampled op is mirrored, no other.
+        let default = TraceSampler::new(TraceConfig::default().sample_every, 0);
+        for _ in 0..3 * 1024 {
+            let at = trace(&default);
+            assert_eq!(at.mirror(), at.armed());
+        }
+        assert!(!ActiveTrace::start("get", None, 1).mirror());
     }
 
     #[test]
     fn active_trace_charges_segments_and_retains() {
-        let mut at = ActiveTrace::start("put", true, 1000);
+        let mut at = ActiveTrace::start("put", Some(0), 1000);
         at.mark_at(SEG_LOG_APPEND, 1400);
         at.mark_at(SEG_ALLOC, 1500);
         at.mark_at(SEG_LOG_APPEND, 1900); // accumulates across retries
@@ -664,10 +703,10 @@ mod tests {
     #[test]
     fn unarmed_op_is_retained_only_over_slo() {
         // Fast unarmed op: dropped.
-        let at = ActiveTrace::start("get", false, 1000);
+        let at = ActiveTrace::start("get", None, 1000);
         assert!(at.finish(SEG_LOOKUP, 1500, 1_000_000).is_none());
         // Slow unarmed op: retained with no segment detail.
-        let at = ActiveTrace::start("get", false, 1000);
+        let at = ActiveTrace::start("get", None, 1000);
         let t = at.finish(SEG_LOOKUP, 2_001_000, 1_000_000).unwrap();
         assert!(t.slo);
         assert!(!t.sampled);
@@ -681,7 +720,7 @@ mod tests {
 
     #[test]
     fn skip_to_discards_retry_gaps() {
-        let mut at = ActiveTrace::start("put", true, 1000);
+        let mut at = ActiveTrace::start("put", Some(0), 1000);
         at.mark_at(SEG_LOG_APPEND, 1200);
         at.skip_to(5000); // e.g. descheduled between retries
         let t = at.finish(SEG_COMMIT, 5100, 0).unwrap();
@@ -736,7 +775,7 @@ mod tests {
     fn charge_at_survives_unarmed_slo_retention() {
         // The server path: admission at t=1000, execution begins at
         // t=401_000 — the queue wait is known regardless of arming.
-        let mut at = ActiveTrace::start("put", false, 1000);
+        let mut at = ActiveTrace::start("put", None, 1000);
         at.charge_at(SEG_NET_QUEUE, 401_000);
         let t = at.finish(SEG_COMMIT, 2_001_000, 1_000_000).unwrap();
         assert!(t.slo && !t.sampled);

@@ -475,7 +475,9 @@ fn remote_post_mortem(addr: &str, json: bool) {
                     println!("  {line}");
                 }
             }
-            None => println!("\nshard {shard}: no report (fresh store or black box off)"),
+            None => {
+                println!("\nshard {shard}: no report (fresh store, or a region without its magic)")
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! cargo run --release --example inspect -- --json | python3 -m json.tool
 //! ```
 
-use dstore::{BlackBoxConfig, DStore, DStoreConfig};
+use dstore::{DStore, DStoreConfig};
 use dstore_telemetry::to_json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +22,6 @@ fn main() {
     let cfg = DStoreConfig {
         log_size: 256 << 10,
         ssd_pages: 16 * 1024,
-        blackbox: BlackBoxConfig::on(),
         ..Default::default()
     };
     let store = DStore::create(cfg).expect("create");
@@ -182,18 +181,17 @@ fn main() {
     // The crash-persistent black box: the heartbeat that would go down
     // with the ship if the process died right now. A post-mortem after
     // a crash starts from exactly this record.
-    if let Some(hb) = store.blackbox_heartbeat() {
-        println!("black box (live heartbeat):");
-        println!("  last admitted LSN         {:>12}", hb.last_lsn);
-        println!("  checkpoint phase          {:>12}", hb.checkpoint_phase);
-        println!(
-            "  log fill                  {:>11.1}%",
-            hb.log_used_milli as f64 / 10.0
-        );
-        println!("  arena high water          {:>12}", hb.arena_high_water);
-        println!("  SSD blocks used           {:>12}", hb.ssd_blocks_used);
-        println!();
-    }
+    let hb = store.blackbox_heartbeat();
+    println!("black box (live heartbeat):");
+    println!("  last admitted LSN         {:>12}", hb.last_lsn);
+    println!("  checkpoint phase          {:>12}", hb.checkpoint_phase);
+    println!(
+        "  log fill                  {:>11.1}%",
+        hb.log_used_milli as f64 / 10.0
+    );
+    println!("  arena high water          {:>12}", hb.arena_high_water);
+    println!("  SSD blocks used           {:>12}", hb.ssd_blocks_used);
+    println!();
 
     // Operation counters.
     println!("operations:");

@@ -25,15 +25,14 @@
 //! the CI smoke for the exporter path.
 //!
 //! `--post-mortem` skips the live demo entirely: it opens the
-//! file-backed image a `dstore_server --blackbox` left behind (without
-//! recovering it — the image stays exactly as the crash left it) and
-//! prints each shard's exhumed crash report, human-readable or as a
-//! JSON array with `--json`. The config flags must match the dead
-//! server's (`--shards`, and the store config is assumed to be the
-//! binary's `--config small --blackbox` defaults) or the PMEM layouts
-//! disagree.
+//! file-backed image a `dstore_server` left behind (without recovering
+//! it — the image stays exactly as the crash left it) and prints each
+//! shard's exhumed crash report, human-readable or as a JSON array with
+//! `--json`. The config flags must match the dead server's (`--shards`,
+//! and the store config is assumed to be the binary's `--config small`
+//! default) or the PMEM layouts disagree.
 
-use dstore::{BlackBoxConfig, DStore, DStoreConfig};
+use dstore::{DStore, DStoreConfig};
 use dstore_shard::{ShardedConfig, ShardedStore};
 use dstore_telemetry::{to_perfetto, TraceConfig, SEGMENT_NAMES};
 use std::sync::Arc;
@@ -94,17 +93,12 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 /// `--post-mortem`: exhume the black boxes of a dead (or cleanly
-/// stopped) `dstore_server --blackbox` image, offline. Read-only: the
+/// stopped) `dstore_server` image, offline. Read-only: the
 /// log is scanned for its tail but never replayed, so running this
 /// before the real recovery changes nothing.
 fn post_mortem(data_dir: &str, shards: u32, json: bool) {
-    // Mirror `dstore_server --config small --blackbox` exactly.
+    // Mirror `dstore_server --config small`'s PMEM layout.
     let mut base = DStoreConfig::small();
-    base.blackbox = BlackBoxConfig {
-        heartbeat_every: 64,
-        ..BlackBoxConfig::on()
-    };
-    base.trace.sample_every = 16;
     let dir = std::path::Path::new(data_dir);
     base.pmem_file = Some(dir.join("pmem.pool"));
     base.ssd_file = Some(dir.join("ssd.dev"));

@@ -216,7 +216,6 @@ fn file_backed_store_reopens_from_disk() {
                 log_size: cfg.log_size,
                 shadow_size: cfg.shadow_size,
                 swap_threshold: cfg.swap_threshold,
-                blackbox_size: 0,
             })
             .total,
         )
