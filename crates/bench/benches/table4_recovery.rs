@@ -12,7 +12,7 @@
 
 use dstore_baselines::KvSystem;
 use dstore_bench::*;
-use dstore_dipper::usable_workers;
+use dstore_dipper::{on_one_cpu, usable_workers};
 use dstore_workload::Workload;
 use std::time::Instant;
 
@@ -77,31 +77,30 @@ fn main() {
         }
         drop(ctx);
         // Serial vs OE-parallel active-log replay over the same durable
-        // image: recover with 1 replay thread (redo + replay), then
-        // crash the recovered store (its durable state is unchanged, so
-        // the replay window is identical — recovery is idempotent) and
-        // recover again with 4 threads. The replay column is the
+        // image: recover on a thread confined to one CPU (redo + replay),
+        // then crash the recovered store (its durable state is unchanged,
+        // so the replay window is identical — recovery is idempotent) and
+        // recover again on every CPU. The replay column is the
         // apples-to-apples A/B; the redo only exists in the first leg.
-        // Rows name the workers recovery used: `replay_threads` capped
-        // at the CPUs this thread may run on.
-        let base = store.config().clone();
+        // Rows name the workers recovery used: the CPUs the recovering
+        // thread may run on.
         let mut img = store.crash(); // …and the checkpoint never completes.
-        let mut first = true;
-        for threads in [1usize, 4] {
-            let img_t =
-                dstore::CrashImage::reconfigure(img, base.clone().with_replay_threads(threads));
-            let t = Instant::now();
-            let recovered = dstore::DStore::recover(img_t).expect("recover");
-            let wall = t.elapsed();
+        for one_cpu in [true, false] {
+            let leg = || {
+                let t = Instant::now();
+                let recovered = dstore::DStore::recover(img).expect("recover");
+                (recovered, t.elapsed(), usable_workers())
+            };
+            let (recovered, wall, workers) = if one_cpu { on_one_cpu(leg) } else { leg() };
             let r = recovered.recovery_report();
-            if first {
+            if one_cpu {
                 assert!(r.redo_checkpoint);
             }
             let rate = r.replayed_records as f64 * 1e9 / r.replay_ns.max(1) as f64;
             println!(
                 "{:<14} {:<10} {:>10} {:>10} {:>10} {:>10}   ({} replayed, {:.0} rec/s)",
-                format!("DStore w={}", usable_workers(threads)),
-                if first { "crash" } else { "re-crash" },
+                format!("DStore w={workers}"),
+                if one_cpu { "crash" } else { "re-crash" },
                 ms(r.scan_ns),
                 ms(r.metadata_ns),
                 ms(r.replay_ns),
@@ -110,7 +109,6 @@ fn main() {
                 rate,
             );
             assert_eq!(recovered.object_count(), objects as u64);
-            first = false;
             img = recovered.crash();
         }
     }

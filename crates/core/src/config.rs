@@ -37,7 +37,10 @@ pub enum LoggingMode {
 /// with ring sizes, heartbeat and mirror stride fixed by constants
 /// ([`crate::HEARTBEAT_EVERY`], [`dstore_telemetry::trace::MIRROR_EVERY`],
 /// [`dstore_pmem::blackbox::TRACE_SLOTS`],
-/// [`dstore_pmem::blackbox::EVENT_SLOTS`]).
+/// [`dstore_pmem::blackbox::EVENT_SLOTS`]). Nor do the checkpoint-apply
+/// and recovery-replay workers: each window and chunked copy/flush uses
+/// [`dstore_dipper::usable_workers`], the CPUs the replaying thread may
+/// run on.
 #[derive(Debug, Clone)]
 pub struct DStoreConfig {
     /// Capacity of each of the two PMEM log buffers.
@@ -100,17 +103,6 @@ pub struct DStoreConfig {
     /// (e.g. many shards sharing few cores); lower it in tests that want
     /// stalls surfaced quickly.
     pub stall_timeout: Duration,
-    /// Cap on the worker threads for OE-parallel checkpoint apply and
-    /// recovery replay: the shadow bulk copy/flush is chunked across up
-    /// to this many threads, and committed records are replayed grouped
-    /// by their name's pool shard, one group set per worker (per-object
-    /// LSN order preserved). Each window and each copy/flush
-    /// uses `min(replay_threads, CPUs the calling thread may run on)`,
-    /// counted when it runs, so a checkpointer or recovery confined to
-    /// one CPU takes the serial path. `1` reproduces the fully serial
-    /// apply path everywhere. Defaults to the host's available
-    /// parallelism.
-    pub replay_threads: usize,
 }
 
 impl Default for DStoreConfig {
@@ -133,7 +125,6 @@ impl Default for DStoreConfig {
             ssd_file: None,
             trace: TraceConfig::default(),
             stall_timeout: Duration::from_secs(30),
-            replay_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -197,12 +188,6 @@ impl DStoreConfig {
         self.pool_shards = shards;
         self
     }
-    /// Sets the checkpoint-apply / recovery-replay worker count
-    /// (`1` = serial).
-    pub fn with_replay_threads(mut self, threads: usize) -> Self {
-        self.replay_threads = threads;
-        self
-    }
 
     /// Validates the configuration, returning a description of the first
     /// problem. Called by [`crate::DStore::create`] so misconfigurations
@@ -259,12 +244,6 @@ impl DStoreConfig {
                 crate::structures::MAX_POOL_SHARDS
             ));
         }
-        if !(1..=256).contains(&self.replay_threads) {
-            return Err(format!(
-                "replay_threads = {} must be within [1, 256]",
-                self.replay_threads
-            ));
-        }
         // The shadow arena must hold the block pool's ownership map (one
         // byte per block) plus headroom for per-object metadata; a map
         // that alone exceeds the region would panic at format time.
@@ -294,7 +273,6 @@ mod tests {
         assert_eq!(c.logging, LoggingMode::Logical);
         assert!(c.swap_threshold > 0.0 && c.swap_threshold < 1.0);
         assert_eq!(c.pool_shards, 8);
-        assert!(c.replay_threads >= 1);
     }
 
     #[test]
@@ -334,12 +312,6 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("pool_shards"));
 
         let mut c = DStoreConfig::small();
-        c.replay_threads = 0;
-        assert!(c.validate().unwrap_err().contains("replay_threads"));
-        c.replay_threads = 257;
-        assert!(c.validate().unwrap_err().contains("replay_threads"));
-
-        let mut c = DStoreConfig::small();
         c.trace.ring_capacity = 0;
         assert!(c.validate().unwrap_err().contains("trace.ring_capacity"));
         c.trace.ring_capacity = (1 << 20) + 1;
@@ -354,7 +326,6 @@ mod tests {
             .with_oe(false)
             .with_auto_checkpoint(false)
             .with_pool_shards(4)
-            .with_replay_threads(2)
             .with_trace(TraceConfig {
                 sample_every: 16,
                 slo_ns: 250_000,
@@ -365,7 +336,6 @@ mod tests {
         assert!(!c.oe);
         assert!(!c.auto_checkpoint);
         assert_eq!(c.pool_shards, 4);
-        assert_eq!(c.replay_threads, 2);
         assert!(c.strict_pmem);
         assert_eq!(c.trace.sample_every, 16);
         assert_eq!(c.trace.slo_ns, 250_000);

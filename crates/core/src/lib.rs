@@ -64,7 +64,6 @@ pub use blackbox::{CrashReport, HEARTBEAT_EVERY};
 pub use config::{CheckpointMode, DStoreConfig, LoggingMode};
 pub use ctx::{DsContext, DsLock, ObjectHandle, ObjectStat, OpenMode};
 pub use error::{DsError, DsResult};
-pub use replay::{ReplaySnapshot, ReplayStats};
 pub use stats::Footprint;
 pub use store::{CrashImage, DStore, RecoveryReport};
 pub use structures::INLINE_MAX;

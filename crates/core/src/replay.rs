@@ -38,76 +38,62 @@ use crate::structures::{Directory, Domain, IndexSync};
 use dstore_arena::{Arena, Memory, RelPtr};
 use dstore_dipper::record::RecordView;
 use dstore_dipper::usable_workers;
-use dstore_telemetry::{now_ns, SpanRing};
+use dstore_telemetry::{now_ns, Counter, MetricsRegistry, SpanRing};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Counters of the parallel replay engine, shared by the checkpoint
-/// applier and recovery. Exported through the store's telemetry snapshot
-/// (`dstore_replay_*_total`).
-#[derive(Debug, Default)]
+/// applier and recovery. Each is a registry counter of the store's
+/// telemetry, read through its snapshot as `dstore_replay_*_total`;
+/// [`Default`] makes a set registered nowhere.
+#[derive(Debug, Default, Clone)]
 pub struct ReplayStats {
     /// Replay windows processed: every window of at most
     /// [`dstore_dipper::APPLY_WINDOW`] records a checkpoint apply or redo
     /// hands the applier (none when it has no committed records), plus
     /// one for recovery's active-log replay, empty or not. A checkpoint
     /// of N records counts ⌈N / `APPLY_WINDOW`⌉.
-    pub windows: AtomicU64,
+    pub windows: Arc<Counter>,
     /// Shard groups replayed (serial windows count as one group).
-    pub groups: AtomicU64,
+    pub groups: Arc<Counter>,
     /// Non-empty windows that took the parallel path. A non-empty window
-    /// not counted here ran serial because only one worker was usable
-    /// (`replay_threads = 1`, or the replaying thread may run on a single
-    /// CPU).
-    pub parallel_windows: AtomicU64,
+    /// not counted here ran serial because the replaying thread may run
+    /// on a single CPU.
+    pub parallel_windows: Arc<Counter>,
     /// Records replayed.
-    pub records: AtomicU64,
+    pub records: Arc<Counter>,
     /// Serialized (non-overlappable) nanoseconds: the whole loop for
     /// serial windows; grouping, the B-tree write-lock *hold* time and
     /// the ownership check for parallel ones.
     /// `records / serialized_ns` is the admission-rate bound of one
     /// replay pipeline.
-    pub serialized_ns: AtomicU64,
+    pub serialized_ns: Arc<Counter>,
     /// Records whose replay diverged from the frontend (see
     /// [`Domain::replay`]) plus block ids a window left owned other than
     /// 0 or 1 times. Anything but 0 is a bug.
-    pub divergences: AtomicU64,
-}
-
-/// Plain-value copy of [`ReplayStats`] at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplaySnapshot {
-    /// See [`ReplayStats::windows`].
-    pub windows: u64,
-    /// See [`ReplayStats::groups`].
-    pub groups: u64,
-    /// See [`ReplayStats::parallel_windows`].
-    pub parallel_windows: u64,
-    /// See [`ReplayStats::records`].
-    pub records: u64,
-    /// See [`ReplayStats::serialized_ns`].
-    pub serialized_ns: u64,
-    /// See [`ReplayStats::divergences`].
-    pub divergences: u64,
+    pub divergences: Arc<Counter>,
 }
 
 impl ReplayStats {
-    /// Reads every counter (relaxed — diagnostics, not synchronization).
-    pub fn snapshot(&self) -> ReplaySnapshot {
-        ReplaySnapshot {
-            windows: self.windows.load(Ordering::Relaxed),
-            groups: self.groups.load(Ordering::Relaxed),
-            parallel_windows: self.parallel_windows.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            serialized_ns: self.serialized_ns.load(Ordering::Relaxed),
-            divergences: self.divergences.load(Ordering::Relaxed),
+    /// The six counters, registered in `registry` under their
+    /// `dstore_replay_*_total` names.
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        let c = |name: &str| registry.counter(name, &[]);
+        ReplayStats {
+            windows: c("dstore_replay_windows_total"),
+            groups: c("dstore_replay_groups_total"),
+            parallel_windows: c("dstore_replay_parallel_windows_total"),
+            records: c("dstore_replay_records_total"),
+            serialized_ns: c("dstore_replay_serialized_ns_total"),
+            divergences: c("dstore_replay_divergence_total"),
         }
     }
 }
 
 /// Replays one window of committed records onto the structures in
-/// `arena`, using [`usable_workers`]`(threads)` workers — `threads`
-/// capped by the CPUs the calling thread may run on, counted now.
+/// `arena`, using [`usable_workers`] workers: the CPUs the calling thread
+/// may run on, counted now.
 ///
 /// One usable worker replays the whole window in log order on the
 /// calling thread, with the exclusive index descent (the window owns its
@@ -115,38 +101,31 @@ impl ReplayStats {
 /// concurrently. Either way the window ends with the ownership check.
 ///
 /// Per-group spans (`replay_group`, payload `a` = shard, `b` = records;
-/// `replay_serial` for the one-worker path) land in `ring` when given —
-/// the checkpoint ring for applies, the recovery ring for recovery.
+/// `replay_serial` for the one-worker path) land in `ring` — the
+/// checkpoint ring for applies, the recovery ring for recovery.
 pub fn replay_window<M: Memory>(
     arena: &Arena<M>,
     dir: RelPtr<Directory>,
     records: &[RecordView<'_>],
-    threads: usize,
     stats: &ReplayStats,
-    ring: Option<&SpanRing>,
+    ring: &SpanRing,
 ) {
-    stats.windows.fetch_add(1, Ordering::Relaxed);
-    stats
-        .records
-        .fetch_add(records.len() as u64, Ordering::Relaxed);
+    stats.windows.inc();
+    stats.records.add(records.len() as u64);
     if records.is_empty() {
         return;
     }
 
-    let threads = usable_workers(threads);
+    let threads = usable_workers();
     let domain = Domain::attach(arena, dir);
     let mut touched = Vec::new();
     let t0 = now_ns();
     let serialized_ns = if threads <= 1 {
         let diverged = replay_run(&domain, records.iter(), &IndexSync::Exclusive, &mut touched);
-        stats
-            .divergences
-            .fetch_add(diverged as u64, Ordering::Relaxed);
-        stats.groups.fetch_add(1, Ordering::Relaxed);
+        stats.divergences.add(diverged as u64);
+        stats.groups.inc();
         let end = now_ns();
-        if let Some(ring) = ring {
-            ring.record("replay_serial", t0, end, 0, records.len() as u64);
-        }
+        ring.record("replay_serial", t0, end, 0, records.len() as u64);
         end.saturating_sub(t0)
     } else {
         // Group record indices by pool shard; order within a group is
@@ -161,10 +140,8 @@ pub fn replay_window<M: Memory>(
             .filter(|(_, g)| !g.is_empty())
             .collect();
         let workers = threads.min(groups.len()).max(1);
-        stats.parallel_windows.fetch_add(1, Ordering::Relaxed);
-        stats
-            .groups
-            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+        stats.parallel_windows.inc();
+        stats.groups.add(groups.len() as u64);
         let group_ns = now_ns().saturating_sub(t0);
 
         let btree_lock = RwLock::new(());
@@ -184,13 +161,9 @@ pub fn replay_window<M: Memory>(
                             let t0 = now_ns();
                             let recs = group.iter().map(|&i| &records[i]);
                             let diverged = replay_run(&domain, recs, &sync, &mut touched);
-                            stats
-                                .divergences
-                                .fetch_add(diverged as u64, Ordering::Relaxed);
-                            if let Some(ring) = ring {
-                                let (shard, n) = (*shard as u64, group.len() as u64);
-                                ring.record("replay_group", t0, now_ns(), shard, n);
-                            }
+                            stats.divergences.add(diverged as u64);
+                            let (shard, n) = (*shard as u64, group.len() as u64);
+                            ring.record("replay_group", t0, now_ns(), shard, n);
                         }
                         touched
                     })
@@ -208,13 +181,10 @@ pub fn replay_window<M: Memory>(
     for (id, owners, lsn) in &errors {
         eprintln!("replay divergence: block {id} has {owners} owners after LSN {lsn}");
     }
+    stats.divergences.add(errors.len() as u64);
     stats
-        .divergences
-        .fetch_add(errors.len() as u64, Ordering::Relaxed);
-    stats.serialized_ns.fetch_add(
-        serialized_ns + now_ns().saturating_sub(t_check),
-        Ordering::Relaxed,
-    );
+        .serialized_ns
+        .add(serialized_ns + now_ns().saturating_sub(t_check));
 }
 
 /// Records [`replay_run`] looks up and fetches together before it applies
@@ -280,6 +250,7 @@ mod tests {
     use super::*;
     use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
     use dstore_arena::DramMemory;
+    use dstore_dipper::on_one_cpu;
     use dstore_dipper::record::{name_hash, COMMIT_COMMITTED};
 
     fn rec(name: &str, lsn: u64, op: u16) -> RecordView<'_> {
@@ -354,8 +325,8 @@ mod tests {
                     ..rec(name, i as u64 + 1, *op)
                 })
                 .collect();
-            replay_window(&arena, dir, &views, 2, &stats, None);
-            stats.divergences.load(Ordering::Relaxed)
+            replay_window(&arena, dir, &views, &stats, &SpanRing::new(8));
+            stats.divergences.get()
         };
         let double_claim = window(&[
             ("a", ops::OP_PUT, PutParams::encode(4096, &[5])),
@@ -387,8 +358,9 @@ mod tests {
                 params: &params,
                 ..rec("a", lsn, op)
             };
-            replay_window(&arena, dir, &[view], 1, &stats, None);
-            stats.divergences.load(Ordering::Relaxed)
+            // One record per window, on the serial path.
+            on_one_cpu(|| replay_window(&arena, dir, &[view], &stats, &SpanRing::new(8)));
+            stats.divergences.get()
         };
         assert_eq!(
             replay(ops::OP_PUT_INLINE, InlineParams::encode(b"small"), 1),

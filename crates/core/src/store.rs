@@ -7,7 +7,7 @@ use crate::cow::CowCheckpointer;
 use crate::ctx::DsContext;
 use crate::engine::CheckpointEngine;
 use crate::error::{DsError, DsResult};
-use crate::replay::{self, ReplaySnapshot, ReplayStats};
+use crate::replay::{self, ReplayStats};
 use crate::stats::Footprint;
 use crate::structures::{Directory, Domain};
 use crate::telemetry::{HealthSnapshot, StoreTelemetry};
@@ -149,9 +149,6 @@ pub(crate) struct StoreInner {
     /// DIPPER, the CoW drain under CoW.
     pub engine: CheckpointEngine,
     pub recovery: RecoveryReport,
-    /// Parallel-replay counters, shared with the checkpoint applier (and
-    /// pre-populated by recovery's replay on a recovered store).
-    pub replay: Arc<ReplayStats>,
     /// Per-op histograms, checkpoint and recovery spans, gauges and the
     /// flight recorder.
     pub telemetry: Arc<StoreTelemetry>,
@@ -258,7 +255,7 @@ pub struct DStore {
 
 /// Builds the DIPPER applier: replays committed records onto the given
 /// shadow region using the same [`Domain`] code the frontend runs,
-/// OE-parallel across pool shards when `threads > 1` (see
+/// OE-parallel across pool shards when more than one CPU is usable (see
 /// [`crate::replay`]), one [`RecordWindows`] window at a time over one
 /// attach of the shadow arena. Per-group spans land in `ring` (the
 /// checkpoint ring for live applies, the recovery ring for a redo).
@@ -266,8 +263,7 @@ fn make_applier(
     pool: &Arc<PmemPool>,
     layout: PmemLayout,
     dir: RelPtr<Directory>,
-    threads: usize,
-    stats: Arc<ReplayStats>,
+    stats: ReplayStats,
     ring: Arc<SpanRing>,
 ) -> Applier {
     let pool = Arc::clone(pool);
@@ -278,9 +274,7 @@ fn make_applier(
             layout.shadow_size,
         ))
         .expect("shadow region holds a valid arena");
-        windows.for_each(|records| {
-            replay::replay_window(&arena, dir, records, threads, &stats, Some(&ring))
-        });
+        windows.for_each(|records| replay::replay_window(&arena, dir, records, &stats, &ring));
     })
 }
 
@@ -288,7 +282,6 @@ fn dipper_cfg(cfg: &DStoreConfig) -> DipperConfig {
     DipperConfig {
         log_size: cfg.log_size,
         shadow_size: cfg.shadow_size,
-        swap_threshold: cfg.swap_threshold,
     }
 }
 
@@ -357,7 +350,6 @@ impl DStore {
                 dram,
                 dir,
                 RecoveryReport::default(),
-                Arc::new(ReplayStats::default()),
                 telemetry,
                 None,
             ),
@@ -378,7 +370,6 @@ impl DStore {
         dram: Arc<Arena<DramMemory>>,
         dir: RelPtr<Directory>,
         recovery: RecoveryReport,
-        replay: Arc<ReplayStats>,
         telemetry: Arc<StoreTelemetry>,
         crash_report: Option<CrashReport>,
     ) -> Arc<StoreInner> {
@@ -415,12 +406,10 @@ impl DStore {
                     &pool,
                     layout,
                     dir,
-                    cfg.replay_threads,
-                    Arc::clone(&replay),
+                    telemetry.replay.clone(),
                     Arc::clone(&telemetry.ckpt.ring),
                 ),
                 state,
-                cfg.replay_threads,
             )),
             CheckpointMode::Cow => CheckpointEngine::Cow(CowCheckpointer::new(
                 Arc::clone(&pool),
@@ -446,7 +435,6 @@ impl DStore {
             latches: NameLatches::new(stall_timeout),
             engine,
             recovery,
-            replay,
             telemetry,
             blackbox,
             crash_report,
@@ -506,15 +494,6 @@ impl DStore {
         self.inner.engine.completed()
     }
 
-    /// Parallel-replay counters: windows, shard groups, parallel windows,
-    /// records, divergences, and the serialized nanoseconds the
-    /// admission-rate bound is computed from. Covers the
-    /// checkpoint applier of this store plus — on a recovered store —
-    /// recovery's redo and active-log replay.
-    pub fn replay_stats(&self) -> ReplaySnapshot {
-        self.inner.replay.snapshot()
-    }
-
     /// Full telemetry snapshot: per-op latency histograms, checkpoint and
     /// recovery phase spans, gauges (log fill, arena high-water, SSD
     /// blocks in use), operation/device counters. Always `Some`.
@@ -550,18 +529,6 @@ impl DStore {
             vec![],
             self.checkpoints_completed(),
         );
-        // OE-parallel replay (checkpoint apply + recovery).
-        let r = self.replay_stats();
-        snap.push_counter("dstore_replay_windows_total", vec![], r.windows);
-        snap.push_counter("dstore_replay_groups_total", vec![], r.groups);
-        snap.push_counter(
-            "dstore_replay_parallel_windows_total",
-            vec![],
-            r.parallel_windows,
-        );
-        snap.push_counter("dstore_replay_records_total", vec![], r.records);
-        snap.push_counter("dstore_replay_serialized_ns_total", vec![], r.serialized_ns);
-        snap.push_counter("dstore_replay_divergence_total", vec![], r.divergences);
         // Device traffic.
         let p = self.inner.pool.stats().snapshot();
         snap.push_counter("dstore_pmem_flush_bytes_total", vec![], p.flush_bytes);
@@ -799,7 +766,6 @@ impl DStore {
         let next_lsn = plan.next_lsn;
         let crash_report = exhume(&pool, layout.blackbox, layout.blackbox_size)
             .map(|ex| CrashReport::synthesize(&ex, next_lsn, plan.replay_records.len() as u64));
-        let replay_stats = Arc::new(ReplayStats::default());
         let rec_ring = &telemetry.recovery_ring;
 
         let t_meta = dstore_telemetry::now_ns();
@@ -810,8 +776,7 @@ impl DStore {
                 &pool,
                 layout,
                 dir,
-                cfg.replay_threads,
-                Arc::clone(&replay_stats),
+                telemetry.replay.clone(),
                 Arc::clone(rec_ring),
             );
             apply_checkpoint(
@@ -823,7 +788,6 @@ impl DStore {
                 unsafe { RecordWindows::at(&pool, redo) },
                 &telemetry.ckpt,
                 0,
-                cfg.replay_threads,
             );
             report.redo_checkpoint = true;
             report.redo_records = redo.len();
@@ -847,8 +811,8 @@ impl DStore {
 
         // Step 3: replay committed active-log records as new requests,
         // through the same OE-parallel engine the checkpoint applier
-        // uses (`replay_threads = 1` restores the serial path), as one
-        // window of views at the offsets the scan validated.
+        // uses (serial on one usable CPU), as one window of views at the
+        // offsets the scan validated.
         let t_replay = dstore_telemetry::now_ns();
         replay::replay_window(
             &dram,
@@ -859,9 +823,8 @@ impl DStore {
                 // SAFETY: nothing writes the log until `recover` returns.
                 .map(|&off| unsafe { record::Header::read(&pool, off).view(&pool, off) })
                 .collect::<Vec<_>>(),
-            cfg.replay_threads,
-            &replay_stats,
-            Some(rec_ring),
+            &telemetry.replay,
+            rec_ring,
         );
         report.replayed_records = plan.replay_records.len();
         report.replay_ns = dstore_telemetry::now_ns().saturating_sub(t_replay);
@@ -882,7 +845,6 @@ impl DStore {
                 dram,
                 dir,
                 report,
-                replay_stats,
                 telemetry,
                 crash_report,
             ),
@@ -934,6 +896,12 @@ mod tests {
                 .with_auto_checkpoint(false),
         )
         .unwrap()
+    }
+
+    /// Replay divergences, read from the telemetry snapshot.
+    fn divergences(store: &DStore) -> u64 {
+        let snap = store.telemetry_snapshot().unwrap();
+        snap.counter_total("dstore_replay_divergence_total")
     }
 
     /// The `n`-th name starting with `tag` whose pool shard is `s`.
@@ -996,10 +964,10 @@ mod tests {
             c.join().unwrap();
         });
         assert_eq!(store.checkpoints_completed(), 1);
-        assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
+        assert_eq!(divergences(&store), 0, "checkpoint replay");
         drop(ctx);
         let r = DStore::recover(store.crash()).unwrap();
-        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        assert_eq!(divergences(&r), 0, "recovery replay");
         let ctx = r.context();
         assert_eq!(ctx.get(&a).unwrap(), va);
         assert_eq!(ctx.get(&b).unwrap(), vb);
@@ -1040,7 +1008,7 @@ mod tests {
         );
         drop(ctx);
         let r = DStore::recover(store.crash()).unwrap();
-        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        assert_eq!(divergences(&r), 0, "recovery replay");
         let ctx = r.context();
         assert_eq!(ctx.get(&a), Err(DsError::NotFound));
         assert_eq!(ctx.get(&b).unwrap(), vb);
@@ -1083,7 +1051,7 @@ mod tests {
         );
         drop(ctx);
         let r = DStore::recover(store.crash()).unwrap();
-        assert_eq!(r.replay_stats().divergences, 0, "recovery replay");
+        assert_eq!(divergences(&r), 0, "recovery replay");
         let ctx = r.context();
         assert_eq!(ctx.get(&a).unwrap(), old);
         assert_eq!(ctx.get(&b).unwrap(), vb);

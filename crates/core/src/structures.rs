@@ -307,20 +307,6 @@ pub enum IndexSync<'l> {
 }
 
 impl IndexSync<'_> {
-    /// Looks up `name`'s metadata entry in `d`'s B-tree under this sync
-    /// mode.
-    #[inline]
-    pub fn lookup<M: Memory>(&self, d: &Domain<'_, M>, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
-        let off = match self {
-            IndexSync::Exclusive => d.btree().get(name),
-            IndexSync::Shared { lock, .. } => {
-                let _g = lock.read();
-                d.btree().get(name)
-            }
-        };
-        off.map(RelPtr::from_offset)
-    }
-
     /// Looks up every name of `names` in `d`'s B-tree under this sync
     /// mode, writing name `i`'s metadata entry to `out[i]`, in one
     /// level-synchronous descent ([`BTreeHandle::get_many`]). `Shared`
@@ -498,7 +484,7 @@ impl<'a, M: Memory> Domain<'a, M> {
     /// `name`'s metadata entry, for a caller with exclusive access to
     /// the B-tree ([`IndexSync::Exclusive`]).
     pub fn lookup(&self, name: &[u8]) -> Option<RelPtr<MetaEntry>> {
-        IndexSync::Exclusive.lookup(self, name)
+        self.btree().get(name).map(RelPtr::from_offset)
     }
 
     /// Directory counters `(live_objects, data_bytes)`.
@@ -1921,13 +1907,15 @@ mod tests {
 
     /// Batched replay (`replay::replay_window` looks up a whole batch's
     /// names before it applies any) leaves the state one-at-a-time replay
-    /// leaves, in both logging modes, on the serial path and on the
-    /// parallel one: with same-name runs inside one batch (create, delete,
-    /// create; inline, blocks, inline), a same-name run across a batch
-    /// boundary, and a window shorter than one batch.
+    /// leaves, in both logging modes, on the serial path (on one CPU) and
+    /// on every usable CPU: with same-name runs inside one batch (create,
+    /// delete, create; inline, blocks, inline), a same-name run across a
+    /// batch boundary, and a window shorter than one batch.
     #[test]
     fn batched_replay_matches_one_at_a_time() {
         use crate::replay::{replay_window, ReplayStats, REPLAY_BATCH};
+        use dstore_dipper::on_one_cpu;
+        use dstore_telemetry::SpanRing;
         for mode in [LoggingMode::Logical, LoggingMode::Physical] {
             let a0 = arena();
             let front = domain(&a0);
@@ -1956,7 +1944,7 @@ mod tests {
             f.delete(b"y");
             assert!(f.records.len() > REPLAY_BATCH + 4);
 
-            for (len, threads) in [(f.records.len(), 1), (f.records.len(), 2), (5, 1)] {
+            for (len, serial) in [(f.records.len(), true), (f.records.len(), false), (5, true)] {
                 let window = &f.records[..len];
                 let a1 = arena();
                 let one_at_a_time = domain(&a1);
@@ -1965,8 +1953,14 @@ mod tests {
                 let batched = domain(&a2);
                 let views: Vec<_> = window.iter().map(OwnedRecord::view).collect();
                 let stats = ReplayStats::default();
-                replay_window(&a2, batched.dir_ptr(), &views, threads, &stats, None);
-                assert_eq!(stats.snapshot().divergences, 0, "{mode:?}, {len} records");
+                let dir = batched.dir_ptr();
+                let replay = || replay_window(&a2, dir, &views, &stats, &SpanRing::new(8));
+                if serial {
+                    on_one_cpu(replay);
+                } else {
+                    replay();
+                }
+                assert_eq!(stats.divergences.get(), 0, "{mode:?}, {len} records");
                 assert_same_state(&one_at_a_time, &batched);
                 if len == f.records.len() {
                     assert_same_state(&front, &batched);

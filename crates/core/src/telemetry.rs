@@ -8,6 +8,7 @@
 //! an op path is a relaxed atomic — the registry lock is touched only at
 //! registration (store assembly) and snapshot time.
 
+use crate::replay::ReplayStats;
 use dstore_dipper::checkpoint::{CheckpointTelemetry, CHECKPOINT_PHASES};
 use dstore_telemetry::{
     Counter, Gauge, LatencyHistogram, MetricsRegistry, PhaseCell, SpanRing, TelemetrySnapshot,
@@ -54,6 +55,9 @@ pub(crate) struct StoreTelemetry {
     /// PMEM fence each: the share of `dstore_pmem_fences_total` that is
     /// not the op or checkpoint path's.
     pub blackbox_records: Arc<Counter>,
+    /// Parallel-replay counters (`dstore_replay_*_total`), shared by the
+    /// checkpoint applier and recovery.
+    pub replay: ReplayStats,
     /// Checkpoint phase sinks, shared with the checkpoint engine.
     pub ckpt: CheckpointTelemetry,
     /// Gauge mirroring `ckpt.phase` for exporters (index into
@@ -96,6 +100,7 @@ impl StoreTelemetry {
             rw_backoffs: registry.counter("dstore_rw_backoffs_total", &[]),
             log_full_stalls: registry.counter("dstore_log_full_stalls_total", &[]),
             blackbox_records: registry.counter("dstore_blackbox_records_total", &[]),
+            replay: ReplayStats::register(&registry),
             ckpt,
             ckpt_phase_gauge: registry.gauge("dstore_checkpoint_phase", &[]),
             recovery_ring: registry.span_ring("dstore_recovery_spans", &[], RECOVERY_RING_CAPACITY),

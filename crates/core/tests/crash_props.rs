@@ -7,6 +7,12 @@ use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode, INLINE_MAX};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// Replay divergences, read from the telemetry snapshot by name.
+fn divergences(s: &DStore) -> u64 {
+    let snap = s.telemetry_snapshot().unwrap();
+    snap.counter_total("dstore_replay_divergence_total")
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Put {
@@ -116,9 +122,9 @@ fn run_case(
         }
     }
     drop(ctx);
-    prop_assert_eq!(s.replay_stats().divergences, 0, "checkpoint replay");
+    prop_assert_eq!(divergences(&s), 0, "checkpoint replay");
     let s2 = DStore::recover(s.crash()).unwrap();
-    prop_assert_eq!(s2.replay_stats().divergences, 0, "recovery replay");
+    prop_assert_eq!(divergences(&s2), 0, "recovery replay");
     let ctx = s2.context();
     let names = ctx.list();
     prop_assert_eq!(names.len(), model.len());

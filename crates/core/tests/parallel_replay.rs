@@ -6,35 +6,49 @@
 //!
 //! The equivalence argument is two-layered: ops are issued from a single
 //! thread, so the in-memory model *is* the serial order; and every crash
-//! image is additionally recovered twice — once with `replay_threads = 4`
-//! and once (via [`CrashImage::reconfigure`]) with `replay_threads = 1`,
-//! the byte-identical durable state making the two recoveries a direct
-//! parallel-vs-serial A/B.
+//! image is additionally recovered twice — once on every CPU this thread
+//! may run on and once on a thread confined to one CPU
+//! ([`on_one_cpu`]), the byte-identical durable state making the two
+//! recoveries a direct parallel-vs-serial A/B. The engine's workers
+//! follow the usable CPUs, so a run under `taskset -c 0` drives the
+//! serial path everywhere.
 
-use dstore::{CheckpointMode, CrashImage, DStore, DStoreConfig, LoggingMode};
-use dstore_dipper::usable_workers;
+use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode};
+use dstore_dipper::{on_one_cpu, usable_workers};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Worker count for the parallel legs. The engine caps it at the usable
-/// CPUs, so a run under `taskset -c 0` drives the serial path.
-fn test_threads() -> usize {
-    4
-}
-
 /// Whether the engine has more than one worker to give the parallel
-/// legs on this thread (`test_threads()` capped by the usable CPUs, the
-/// same clamp the engine applies). Prints why when it has not.
+/// legs on this thread. Prints why when it has not.
 fn parallel_usable() -> bool {
-    let usable = usable_workers(test_threads()) > 1;
+    let usable = usable_workers() > 1;
     if !usable {
-        eprintln!(
-            "parallel-path checks skipped: replay_threads = {} and {} usable CPU(s) leave one worker",
-            test_threads(),
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        );
+        eprintln!("parallel-path checks skipped: one usable CPU leaves one worker");
     }
     usable
+}
+
+/// The replay engine's counters, read from the telemetry snapshot by
+/// name (`dstore_replay_*_total`).
+#[derive(Debug)]
+struct Replay {
+    windows: u64,
+    groups: u64,
+    parallel_windows: u64,
+    records: u64,
+    divergences: u64,
+}
+
+fn replay(store: &DStore) -> Replay {
+    let snap = store.telemetry_snapshot().unwrap();
+    let c = |name: &str| snap.counter_total(&format!("dstore_replay_{name}_total"));
+    Replay {
+        windows: c("windows"),
+        groups: c("groups"),
+        parallel_windows: c("parallel_windows"),
+        records: c("records"),
+        divergences: c("divergence"),
+    }
 }
 
 /// Checks which path a recovery's windows took: with more than one
@@ -43,7 +57,7 @@ fn parallel_usable() -> bool {
 fn assert_recovery_path(store: &DStore, parallel: bool) -> Result<(), TestCaseError> {
     let r = store.recovery_report();
     let nonempty = (r.redo_records > 0) as u64 + (r.replayed_records > 0) as u64;
-    let s = store.replay_stats();
+    let s = replay(store);
     if parallel {
         prop_assert_eq!(s.parallel_windows, nonempty, "{:?}", s);
     } else {
@@ -67,9 +81,9 @@ fn script_strategy() -> impl Strategy<Value = Script> {
     prop::collection::vec((0u8..12, 0u16..3000), 5..60)
 }
 
-/// Runs a script with periodic checkpoints, crashes, recovers with 4
-/// replay threads, then re-crashes and recovers the same durable state
-/// with 1 thread — both recoveries must reproduce the model exactly.
+/// Runs a script with periodic checkpoints, crashes, recovers on every
+/// usable CPU, then re-crashes and recovers the same durable state on one
+/// CPU — both recoveries must reproduce the model exactly.
 fn run_crash_case(
     script: &Script,
     ckpt: CheckpointMode,
@@ -79,9 +93,8 @@ fn run_crash_case(
     let cfg = DStoreConfig::small()
         .with_checkpoint(ckpt)
         .with_logging(logging)
-        .with_auto_checkpoint(false)
-        .with_replay_threads(test_threads());
-    let store = DStore::create(cfg.clone()).unwrap();
+        .with_auto_checkpoint(false);
+    let store = DStore::create(cfg).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     {
         let ctx = store.context();
@@ -111,9 +124,9 @@ fn run_crash_case(
         store.wait_checkpoint_idle();
     }
 
-    prop_assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
+    prop_assert_eq!(replay(&store).divergences, 0, "checkpoint replay");
     let parallel = DStore::recover(store.crash()).unwrap();
-    prop_assert_eq!(parallel.replay_stats().divergences, 0, "parallel recovery");
+    prop_assert_eq!(replay(&parallel).divergences, 0, "parallel recovery");
     assert_recovery_path(&parallel, parallel_usable())?;
     {
         let ctx = parallel.context();
@@ -124,12 +137,9 @@ fn run_crash_case(
     }
 
     // Same durable image, serial replay: must agree byte for byte.
-    let serial = DStore::recover(CrashImage::reconfigure(
-        parallel.crash(),
-        cfg.with_replay_threads(1),
-    ))
-    .unwrap();
-    prop_assert_eq!(serial.replay_stats().divergences, 0, "serial recovery");
+    let img = parallel.crash();
+    let serial = on_one_cpu(|| DStore::recover(img)).unwrap();
+    prop_assert_eq!(replay(&serial).divergences, 0, "serial recovery");
     assert_recovery_path(&serial, false)?;
     let ctx = serial.context();
     for (k, v) in &model {
@@ -166,9 +176,7 @@ proptest! {
 /// (several shards per window).
 #[test]
 fn parallel_path_engages_without_steals() {
-    let cfg = DStoreConfig::small()
-        .with_auto_checkpoint(false)
-        .with_replay_threads(test_threads());
+    let cfg = DStoreConfig::small().with_auto_checkpoint(false);
     let store = DStore::create(cfg).unwrap();
     let ctx = store.context();
     for i in 0..64u32 {
@@ -177,7 +185,7 @@ fn parallel_path_engages_without_steals() {
     }
     drop(ctx);
     store.checkpoint_now();
-    let s = store.replay_stats();
+    let s = replay(&store);
     assert!(s.windows >= 1, "{s:?}");
     if parallel_usable() {
         assert!(
@@ -199,8 +207,7 @@ fn forced_steals_replay_in_parallel() {
     let cfg = DStoreConfig::small()
         .with_logging(LoggingMode::Physical)
         .with_pool_shards(64)
-        .with_auto_checkpoint(false)
-        .with_replay_threads(test_threads());
+        .with_auto_checkpoint(false);
     let block = cfg.pages_per_block * 4096;
     let store = DStore::create(cfg.clone()).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -214,7 +221,7 @@ fn forced_steals_replay_in_parallel() {
         model.insert(k, v);
     }
     store.checkpoint_now();
-    let s = store.replay_stats();
+    let s = replay(&store);
     assert!(s.windows >= 1, "{s:?}");
     if parallel_usable() {
         assert_eq!(s.parallel_windows, s.windows, "{s:?}");
@@ -229,9 +236,9 @@ fn forced_steals_replay_in_parallel() {
         model.insert(k, v);
     }
     drop(ctx);
-    assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
+    assert_eq!(replay(&store).divergences, 0, "checkpoint replay");
     let recovered = DStore::recover(store.crash()).unwrap();
-    let rs = recovered.replay_stats();
+    let rs = replay(&recovered);
     assert_eq!(rs.divergences, 0, "recovery replay: {rs:?}");
     if parallel_usable() {
         assert_eq!(rs.parallel_windows, rs.windows, "{rs:?}");
@@ -246,12 +253,7 @@ fn forced_steals_replay_in_parallel() {
 /// stable metric names.
 #[test]
 fn replay_counters_exported() {
-    let store = DStore::create(
-        DStoreConfig::small()
-            .with_auto_checkpoint(false)
-            .with_replay_threads(test_threads().min(2)),
-    )
-    .unwrap();
+    let store = DStore::create(DStoreConfig::small().with_auto_checkpoint(false)).unwrap();
     let ctx = store.context();
     for i in 0..8u32 {
         ctx.put(format!("m{i}").as_bytes(), b"v").unwrap();
@@ -272,84 +274,61 @@ fn replay_counters_exported() {
     }
 }
 
-extern "C" {
-    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
-    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
-}
-
-/// Restricts the calling thread (and the threads it starts afterwards)
-/// to the first CPU it may currently run on.
-fn pin_to_one_cpu() {
-    let mut mask = [0u64; 16];
-    let size = std::mem::size_of_val(&mask);
-    // SAFETY: the mask buffer is valid for `size` bytes; pid 0 is the
-    // calling thread.
-    assert_eq!(unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) }, 0);
-    let cpu = (0..16 * 64)
-        .find(|c| mask[c / 64] >> (c % 64) & 1 == 1)
-        .expect("some allowed CPU");
-    let mut one = [0u64; 16];
-    one[cpu / 64] = 1 << (cpu % 64);
-    // SAFETY: as above; the mask is only read.
-    assert_eq!(unsafe { sched_setaffinity(0, size, one.as_ptr()) }, 0);
-}
-
-/// `replay_threads` is a cap, not a count: a recovery confined to one
-/// CPU takes the serial path even with `replay_threads = 4` — one group
-/// per window, no parallel windows — and still reproduces the model.
+/// Workers follow the usable CPUs: a store created and recovered on a
+/// thread confined to one CPU takes the serial path — one group per
+/// window, no parallel windows — and still reproduces the model.
 #[test]
 fn single_cpu_recovery_takes_serial_path() {
-    pin_to_one_cpu();
-    assert_eq!(usable_workers(4), 1);
-    let cfg = DStoreConfig::small()
-        .with_auto_checkpoint(false)
-        .with_replay_threads(4);
-    let store = DStore::create(cfg).unwrap();
-    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    let ctx = store.context();
-    let mut put = |i: u32, round: u32| {
-        let k = format!("obj{i}").into_bytes();
-        let v = tagged(i as usize, round, 300);
-        ctx.put(&k, &v).unwrap();
-        model.insert(k, v);
-    };
-    // Three non-empty windows over many shards: a completed checkpoint,
-    // an interrupted one recovery must redo, and the active-log tail.
-    for i in 0..64 {
-        put(i, 0);
-    }
-    store.checkpoint_now();
-    for i in 0..48 {
-        put(i, 1);
-    }
-    store.begin_checkpoint_swap_only();
-    for i in 16..64 {
-        put(i, 2);
-    }
-    drop(ctx);
-    let s = store.replay_stats();
-    assert_eq!(
-        (s.windows, s.groups, s.parallel_windows),
-        (1, 1, 0),
-        "{s:?}"
-    );
+    on_one_cpu(|| {
+        assert_eq!(usable_workers(), 1);
+        let cfg = DStoreConfig::small().with_auto_checkpoint(false);
+        let store = DStore::create(cfg).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let ctx = store.context();
+        let mut put = |i: u32, round: u32| {
+            let k = format!("obj{i}").into_bytes();
+            let v = tagged(i as usize, round, 300);
+            ctx.put(&k, &v).unwrap();
+            model.insert(k, v);
+        };
+        // Three non-empty windows over many shards: a completed checkpoint,
+        // an interrupted one recovery must redo, and the active-log tail.
+        for i in 0..64 {
+            put(i, 0);
+        }
+        store.checkpoint_now();
+        for i in 0..48 {
+            put(i, 1);
+        }
+        store.begin_checkpoint_swap_only();
+        for i in 16..64 {
+            put(i, 2);
+        }
+        drop(ctx);
+        let s = replay(&store);
+        assert_eq!(
+            (s.windows, s.groups, s.parallel_windows),
+            (1, 1, 0),
+            "{s:?}"
+        );
 
-    let recovered = DStore::recover(store.crash()).unwrap();
-    let r = recovered.recovery_report();
-    assert_eq!((r.redo_records, r.replayed_records), (48, 48), "{r:?}");
-    let rs = recovered.replay_stats();
-    assert_eq!(rs.windows, 2, "{rs:?}");
-    assert_eq!(
-        rs.groups, rs.windows,
-        "serial windows are one group each: {rs:?}"
-    );
-    assert_eq!(rs.parallel_windows, 0, "{rs:?}");
-    assert_eq!(rs.divergences, 0, "{rs:?}");
-    let ctx = recovered.context();
-    for (k, v) in &model {
-        assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
-    }
-    assert_eq!(recovered.object_count() as usize, model.len());
+        let recovered = DStore::recover(store.crash()).unwrap();
+        let r = recovered.recovery_report();
+        assert_eq!((r.redo_records, r.replayed_records), (48, 48), "{r:?}");
+        let rs = replay(&recovered);
+        assert_eq!(rs.windows, 2, "{rs:?}");
+        assert_eq!(
+            rs.groups, rs.windows,
+            "serial windows are one group each: {rs:?}"
+        );
+        assert_eq!(rs.parallel_windows, 0, "{rs:?}");
+        assert_eq!(rs.divergences, 0, "{rs:?}");
+        let ctx = recovered.context();
+        for (k, v) in &model {
+            assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
+        }
+        assert_eq!(recovered.object_count() as usize, model.len());
+    })
 }
 
 /// Records per wave in [`run_multi_window_case`]: enough that one
@@ -360,14 +339,11 @@ const MULTI_WINDOW_RECORDS: u32 = 3 * dstore_dipper::APPLY_WINDOW as u32 + 100;
 /// longer than three apply windows: the first checkpointed live, the
 /// second left for recovery to redo. Both applies cross window
 /// boundaries with the same names on both sides of each, so a window
-/// replayed out of order or skipped shows up in the read-back. With more
-/// than one usable worker, every window of both applies takes the
-/// parallel path.
-fn run_multi_window_case(threads: usize) {
-    let parallel = usable_workers(threads) > 1;
-    let mut cfg = DStoreConfig::small()
-        .with_auto_checkpoint(false)
-        .with_replay_threads(threads);
+/// replayed out of order or skipped shows up in the read-back. When
+/// `parallel`, every window of both applies takes the parallel path;
+/// otherwise none does.
+fn run_multi_window_case(parallel: bool) {
+    let mut cfg = DStoreConfig::small().with_auto_checkpoint(false);
     cfg.log_size = 2 << 20;
     let store = DStore::create(cfg).unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -391,32 +367,30 @@ fn run_multi_window_case(threads: usize) {
         }
     }
     drop(ctx);
-    let s = store.replay_stats();
+    let s = replay(&store);
     assert_eq!(s.records, MULTI_WINDOW_RECORDS as u64, "{s:?}");
     assert!(
         s.windows >= 4,
         "one checkpoint must span several windows: {s:?}"
     );
     assert_eq!(s.divergences, 0, "{s:?}");
-    if parallel {
-        assert_eq!(s.parallel_windows, s.windows, "{s:?}");
-    }
+    let expected = if parallel { s.windows } else { 0 };
+    assert_eq!(s.parallel_windows, expected, "{s:?}");
     assert_eq!(store.health().log_full_stalls, 0);
 
     let recovered = DStore::recover(store.crash()).unwrap();
     let r = recovered.recovery_report();
     assert_eq!(r.redo_records, MULTI_WINDOW_RECORDS as usize, "{r:?}");
-    let rs = recovered.replay_stats();
+    let rs = replay(&recovered);
     assert!(
         rs.windows >= 5,
         "redo windows + the active-log replay: {rs:?}"
     );
     assert_eq!(rs.divergences, 0, "{rs:?}");
-    if parallel {
-        // The active-log replay counts a window even when it is empty.
-        let empty = (r.replayed_records == 0) as u64;
-        assert_eq!(rs.parallel_windows, rs.windows - empty, "{rs:?}");
-    }
+    // The active-log replay counts a window even when it is empty.
+    let empty = (r.replayed_records == 0) as u64;
+    let expected = if parallel { rs.windows - empty } else { 0 };
+    assert_eq!(rs.parallel_windows, expected, "{rs:?}");
     let ctx = recovered.context();
     for (k, v) in &model {
         assert_eq!(&ctx.get(k).unwrap(), v, "{}", String::from_utf8_lossy(k));
@@ -426,12 +400,13 @@ fn run_multi_window_case(threads: usize) {
 
 #[test]
 fn multi_window_apply_pinned_to_one_cpu() {
-    pin_to_one_cpu();
-    assert_eq!(usable_workers(4), 1);
-    run_multi_window_case(4);
+    on_one_cpu(|| {
+        assert_eq!(usable_workers(), 1);
+        run_multi_window_case(false);
+    });
 }
 
 #[test]
-fn multi_window_apply_with_two_workers() {
-    run_multi_window_case(2);
+fn multi_window_apply_on_every_cpu() {
+    run_multi_window_case(parallel_usable());
 }

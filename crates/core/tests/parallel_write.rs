@@ -10,6 +10,12 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Replay divergences, read from the telemetry snapshot by name.
+fn divergences(s: &DStore) -> u64 {
+    let snap = s.telemetry_snapshot().unwrap();
+    snap.counter_total("dstore_replay_divergence_total")
+}
+
 const WRITERS: usize = 4;
 const READERS: usize = 2;
 const ROUNDS: u32 = 150;
@@ -103,9 +109,9 @@ fn stress(cfg: DStoreConfig) {
     let store = Arc::into_inner(store).unwrap();
     store.wait_checkpoint_idle();
     // Release builds count what debug builds panic on.
-    assert_eq!(store.replay_stats().divergences, 0, "checkpoint replay");
+    assert_eq!(divergences(&store), 0, "checkpoint replay");
     let recovered = DStore::recover(store.crash()).unwrap();
-    assert_eq!(recovered.replay_stats().divergences, 0, "recovery replay");
+    assert_eq!(divergences(&recovered), 0, "recovery replay");
     verify(&recovered.context());
 }
 
@@ -237,7 +243,7 @@ fn run_concurrent_case(
     // interleaving of the per-thread sequences.
     let store = Arc::into_inner(store).unwrap();
     let recovered = DStore::recover(store.crash()).unwrap();
-    prop_assert_eq!(recovered.replay_stats().divergences, 0);
+    prop_assert_eq!(divergences(&recovered), 0);
     let ctx = recovered.context();
 
     // Private keys: exactly the owning thread's final state.

@@ -44,17 +44,49 @@ use std::time::{Duration, Instant};
 /// this, thread spawn overhead dominates and the work stays serial.
 const CHUNK_MIN: usize = 1 << 20;
 
-/// Workers a replay window or chunked copy/flush should use right now:
-/// `min(threads, CPUs the calling thread may run on)`, at least 1.
+/// Workers a replay window or chunked copy/flush uses: the CPUs the
+/// calling thread may run on right now, at least 1.
 ///
 /// Read at call time through [`std::thread::available_parallelism`],
 /// which honours the thread's `sched_getaffinity` mask and the cgroup
 /// CPU quota — so a checkpointer or recovery confined to one CPU takes
-/// the serial path instead of time-slicing workers on a single core.
-/// `threads` (the store's `replay_threads`) is therefore a cap.
-pub fn usable_workers(threads: usize) -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    threads.min(cpus).max(1)
+/// the serial path instead of time-slicing workers on a single core. To
+/// run fewer workers, confine the process (`taskset`) or the thread
+/// ([`on_one_cpu`]).
+pub fn usable_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// Runs `f` on a new thread confined to the first CPU the caller may run
+/// on, and returns its result. Everything `f` starts inherits the mask,
+/// so a store it creates or recovers replays serially
+/// ([`usable_workers`] reads 1): the one-CPU leg of a serial-vs-parallel
+/// A/B. The caller's own affinity is left as it was.
+pub fn on_one_cpu<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut mask = [0u64; 16];
+            let size = std::mem::size_of_val(&mask);
+            // SAFETY: the mask buffer is valid for `size` bytes; pid 0 is
+            // the calling thread.
+            assert_eq!(unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) }, 0);
+            let cpu = (0..16 * 64)
+                .find(|c| mask[c / 64] >> (c % 64) & 1 == 1)
+                .expect("some allowed CPU");
+            let mut one = [0u64; 16];
+            one[cpu / 64] = 1 << (cpu % 64);
+            // SAFETY: as above; the mask is only read.
+            assert_eq!(unsafe { sched_setaffinity(0, size, one.as_ptr()) }, 0);
+            f()
+        })
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e))
+    })
 }
 
 /// Phase-name table for the checkpoint [`PhaseCell`]; index 0 is idle.
@@ -486,16 +518,12 @@ struct CheckpointInner {
     applier: Applier,
     /// Claimed from the swap until the apply phase commits.
     state: EngineState,
-    /// Worker cap for the apply phase's chunked shadow copy and chunked
-    /// flush (1 = serial; see [`usable_workers`]).
-    apply_threads: usize,
 }
 
 impl Checkpointer {
     /// Spawns the checkpoint thread over `state` (its telemetry sinks
     /// and stall timeout). The apply phase's chunked copy and flush use
-    /// up to `apply_threads` workers (the knob that also sizes the
-    /// applier's replay workers; clamped to ≥ 1).
+    /// [`usable_workers`] workers of that thread.
     pub fn new(
         pool: Arc<PmemPool>,
         layout: PmemLayout,
@@ -503,7 +531,6 @@ impl Checkpointer {
         log: Arc<OpLog>,
         applier: Applier,
         state: EngineState,
-        apply_threads: usize,
     ) -> Self {
         let inner = Arc::new(CheckpointInner {
             pool,
@@ -512,7 +539,6 @@ impl Checkpointer {
             log,
             applier,
             state,
-            apply_threads: apply_threads.max(1),
         });
         let w = Arc::clone(&inner);
         let worker = Worker::spawn("dipper-checkpoint", move |archived| {
@@ -590,17 +616,16 @@ impl CheckpointInner {
             RecordWindows::new(Source::Archived(&self.log, archived)),
             &self.state.telemetry,
             self.state.flush_stall_ns.load(Ordering::Relaxed),
-            self.apply_threads,
         ));
     }
 }
 
-/// Splits `[0, len)` into up-to-[`usable_workers`]`(threads)` page-aligned
-/// chunks and runs `work(offset, chunk_len)` on scoped threads, one chunk
-/// per thread. Falls back to one inline call when the range is too small
-/// to be worth splitting (see [`CHUNK_MIN`]) or only one worker is usable.
-fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
-    let threads = usable_workers(threads);
+/// Splits `[0, len)` into up-to-[`usable_workers`] page-aligned chunks
+/// and runs `work(offset, chunk_len)` on scoped threads, one chunk per
+/// thread. Falls back to one inline call when the range is too small to
+/// be worth splitting (see [`CHUNK_MIN`]) or only one worker is usable.
+fn run_chunked(len: usize, work: impl Fn(usize, usize) + Sync) {
+    let threads = usable_workers();
     let chunk = len.div_ceil(threads).max(CHUNK_MIN);
     // Page-align chunk boundaries so no two threads share a cache line.
     let chunk = chunk.div_ceil(4096) * 4096;
@@ -625,11 +650,10 @@ fn run_chunked(len: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
 /// Copies shadow `current` → `spare`, replays `records` onto the spare
 /// via `applier` one window at a time, persists every allocated byte, and
 /// atomically commits the root transition; returns what it did. The bulk
-/// copy and the flush are chunked across up to
-/// [`usable_workers`]`(threads)` scoped workers (1 = serial).
-/// `flush_stall_ns` is a test-only stall spun inside the flush phase (see
-/// [`Engine::inject_flush_stall_ns`]; 0 = none).
-#[allow(clippy::too_many_arguments)]
+/// copy and the flush are chunked across up to [`usable_workers`] scoped
+/// workers (1 = serial). `flush_stall_ns` is a test-only stall spun
+/// inside the flush phase (see [`Engine::inject_flush_stall_ns`]; 0 =
+/// none).
 pub fn apply_checkpoint(
     pool: &Arc<PmemPool>,
     layout: &PmemLayout,
@@ -638,7 +662,6 @@ pub fn apply_checkpoint(
     records: RecordWindows<'_>,
     telemetry: &CheckpointTelemetry,
     flush_stall_ns: u64,
-    threads: usize,
 ) -> CheckpointStats {
     let t0 = now_ns();
     let enter = |idx: usize| telemetry.phase.set(idx);
@@ -669,7 +692,7 @@ pub fn apply_checkpoint(
     // `Send`, and every `(off, n)` chunk is in-bounds and disjoint.
     let src_base = pool.base() as usize + layout.shadow[cur];
     let dst_base = pool.base() as usize + layout.shadow[spare];
-    run_chunked(copy_len, threads, |off, n| {
+    run_chunked(copy_len, |off, n| {
         pool.bulk_read_charge(n); // reading the source region
                                   // SAFETY: both regions are `shadow_size` bytes and disjoint.
         unsafe {
@@ -697,7 +720,7 @@ pub fn apply_checkpoint(
     // pending set, so a single trailing fence suffices — same contract
     // `persist_allocated` relies on).
     let flush_len = dst.allocated_len();
-    run_chunked(flush_len, threads, |off, n| {
+    run_chunked(flush_len, |off, n| {
         pool.bulk_persist(layout.shadow[spare] + off, n);
     });
     pool.fence();
@@ -734,7 +757,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size: 1 << 20,
             shadow_size: 64 * 1024,
-            ..Default::default()
         };
         let layout = PmemLayout::new(&cfg);
         let pool = Arc::new(PmemPool::strict(layout.total));
@@ -797,7 +819,6 @@ mod tests {
             Arc::clone(&log),
             applier,
             EngineState::new(CheckpointTelemetry::default(), Duration::from_secs(30)),
-            1,
         );
         assert!(ckpt.try_begin());
         ckpt.wait_idle();
@@ -840,22 +861,26 @@ mod tests {
         std::panic::resume_unwind(panic);
     }
 
-    /// `run_chunked` must cover `[0, len)` exactly once, serial or not.
+    /// `run_chunked` must cover `[0, len)` exactly once, serial (on one
+    /// CPU) or not.
     #[test]
     fn chunking_covers_range_exactly() {
-        for (len, threads) in [(0usize, 4), (100, 1), (CHUNK_MIN - 1, 4), (7 << 20, 4)] {
+        let chunks = |len: usize| {
             let covered = std::sync::Mutex::new(vec![]);
-            run_chunked(len, threads, |off, n| {
-                covered.lock().unwrap().push((off, n))
-            });
+            run_chunked(len, |off, n| covered.lock().unwrap().push((off, n)));
             let mut chunks = covered.into_inner().unwrap();
             chunks.sort_unstable();
-            let total: usize = chunks.iter().map(|&(_, n)| n).sum();
-            assert_eq!(total, len);
-            let mut next = 0;
-            for (off, n) in chunks {
-                assert_eq!(off, next, "chunks must be contiguous and disjoint");
-                next = off + n;
+            chunks
+        };
+        for len in [0usize, 100, CHUNK_MIN - 1, 7 << 20] {
+            for chunks in [chunks(len), on_one_cpu(|| chunks(len))] {
+                let total: usize = chunks.iter().map(|&(_, n)| n).sum();
+                assert_eq!(total, len);
+                let mut next = 0;
+                for (off, n) in chunks {
+                    assert_eq!(off, next, "chunks must be contiguous and disjoint");
+                    next = off + n;
+                }
             }
         }
     }

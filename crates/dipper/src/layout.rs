@@ -83,7 +83,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size: 1 << 20,
             shadow_size: 8 << 20,
-            ..Default::default()
         };
         let l = PmemLayout::new(&cfg);
         assert_eq!(l.root, 0);
@@ -101,7 +100,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size: 1 << 20,
             shadow_size: 8 << 20,
-            ..Default::default()
         };
         let l = PmemLayout::new(&cfg);
         // A larger shadow moves only the region: it stays last.
@@ -132,7 +130,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size: 1,
             shadow_size: 1,
-            ..Default::default()
         };
         let l = PmemLayout::new(&cfg);
         assert!(l.log_size >= 4096);

@@ -31,7 +31,7 @@ pub mod recovery;
 pub mod root;
 
 pub use checkpoint::{
-    usable_workers, Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry,
+    on_one_cpu, usable_workers, Applier, CheckpointEventSink, CheckpointStats, CheckpointTelemetry,
     Checkpointer, Engine, RecordWindows, APPLY_WINDOW, CHECKPOINT_PHASES,
 };
 pub use layout::PmemLayout;
@@ -48,10 +48,6 @@ pub struct DipperConfig {
     pub log_size: usize,
     /// Capacity of each of the two shadow regions, in bytes.
     pub shadow_size: usize,
-    /// Trigger a checkpoint when the active log is fuller than this
-    /// fraction ("checkpoints are triggered once the free space in the log
-    /// falls below a pre-defined threshold", §3.5).
-    pub swap_threshold: f64,
 }
 
 impl Default for DipperConfig {
@@ -59,7 +55,6 @@ impl Default for DipperConfig {
         Self {
             log_size: 4 << 20,
             shadow_size: 64 << 20,
-            swap_threshold: 0.75,
         }
     }
 }

@@ -92,8 +92,6 @@ pub struct LogStats {
     pub swaps: AtomicU64,
     /// Records relocated by swaps.
     pub relocated: AtomicU64,
-    /// Conflict handles returned by appends.
-    pub conflicts_detected: AtomicU64,
     /// Records committed. Exported as `dstore_log_commits_combined_total`
     /// beside [`LogStats::commit_batches`], whose ratio to it is the mean
     /// number of commits per fence.
@@ -284,9 +282,6 @@ impl OpLog {
         // buffer incarnation.
         let conflicts = self.scan_conflicts(active, off, name);
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .conflicts_detected
-            .fetch_add(conflicts.len() as u64, Ordering::Relaxed);
         Ok(Reservation {
             log: self,
             off,
@@ -757,7 +752,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size,
             shadow_size: 64 * 1024,
-            ..Default::default()
         };
         let layout = PmemLayout::new(&cfg);
         let pool = Arc::new(PmemPool::strict(layout.total));

@@ -138,7 +138,6 @@ mod tests {
         let cfg = DipperConfig {
             log_size: 1 << 16,
             shadow_size: 64 * 1024,
-            ..Default::default()
         };
         let layout = PmemLayout::new(&cfg);
         let pool = Arc::new(PmemPool::strict(layout.total));

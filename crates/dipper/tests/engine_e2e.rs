@@ -152,7 +152,6 @@ fn small_cfg() -> DipperConfig {
     DipperConfig {
         log_size: 1 << 16,
         shadow_size: 128 * 1024,
-        swap_threshold: 0.5,
     }
 }
 
@@ -167,7 +166,6 @@ fn checkpoint_applies_log_to_shadow_and_commits_root() {
         Arc::clone(&mini.log),
         applier,
         EngineState::new(CheckpointTelemetry::default(), STALL),
-        1,
     );
     mini.add(b"a", 5);
     mini.add(b"b", 7);
@@ -211,7 +209,6 @@ fn crash_mid_checkpoint_redo_produces_same_image() {
         unsafe { RecordWindows::at(&mini.pool, &redo) },
         &CheckpointTelemetry::default(),
         0,
-        2,
     );
     let st = mini.root.state();
     assert!(!st.checkpoint_in_progress);
@@ -247,7 +244,6 @@ fn crash_outside_checkpoint_replays_active_log() {
             Arc::clone(&mini.log),
             Arc::clone(&applier),
             EngineState::new(CheckpointTelemetry::default(), STALL),
-            1,
         );
         mini.add(b"pre", 100);
         ckpt.run_inline(); // checkpoint covers "pre"
@@ -285,7 +281,6 @@ fn frontend_progresses_during_background_checkpoint() {
     let mini = mini_create(&DipperConfig {
         log_size: 1 << 18,
         shadow_size: 1 << 20,
-        swap_threshold: 0.5,
     });
     let applier = applier_for(&mini.pool, mini.layout, mini.dir);
     let ckpt = Checkpointer::new(
@@ -295,7 +290,6 @@ fn frontend_progresses_during_background_checkpoint() {
         Arc::clone(&mini.log),
         applier,
         EngineState::new(CheckpointTelemetry::default(), STALL),
-        1,
     );
     for round in 0..5 {
         for i in 0..200 {
@@ -355,7 +349,6 @@ fn apply_panic_is_counted_and_releases_the_store() {
         Arc::clone(&mini.log),
         applier,
         EngineState::new(tel.clone(), STALL),
-        1,
     );
 
     mini.add(b"k", 9);

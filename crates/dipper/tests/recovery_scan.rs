@@ -18,7 +18,6 @@ fn setup() -> (Arc<PmemPool>, PmemLayout, Root, OpLog) {
     let cfg = DipperConfig {
         log_size: 1 << 16,
         shadow_size: 64 << 10,
-        ..Default::default()
     };
     let layout = PmemLayout::new(&cfg);
     let pool = Arc::new(PmemPool::strict(layout.total));

@@ -161,19 +161,16 @@ impl ShardedStore {
     ///
     /// This composes two levels of parallelism: rayon fans the shards
     /// out here, and *within* each shard recovery replays its log
-    /// OE-parallel across up to `replay_threads` workers (DESIGN.md §6d).
-    /// Each replay caps its workers at the CPUs its own thread may run
-    /// on, but that cap is per shard: N shards recovering (or
+    /// OE-parallel across one worker per CPU its thread may run on
+    /// (DESIGN.md §6d). That count is per shard: N shards recovering (or
     /// checkpointing) at once still multiply their workers. For a
-    /// many-shard fleet on a small host, consider pinning each shard's
-    /// [`DStoreConfig::replay_threads`] down so the multiplied worker
-    /// count does not oversubscribe the machine.
+    /// many-shard fleet on a small host, confining the process to fewer
+    /// CPUs (`taskset`) lowers every shard's worker count with them.
     ///
     /// Once running, every shard checkpoints on its own trigger
     /// (`auto_checkpoint` at `swap_threshold`). Shards that fill at
     /// similar rates checkpoint at similar times, so their checkpoint
-    /// apply workers can overlap as well; the same `replay_threads`
-    /// advice holds for them.
+    /// apply workers can overlap as well; the same advice holds for them.
     pub fn recover(images: Vec<CrashImage>) -> DsResult<Self> {
         if images.is_empty() {
             return Err(DsError::ShardMismatch("no shard images".into()));

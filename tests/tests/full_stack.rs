@@ -215,7 +215,6 @@ fn file_backed_store_reopens_from_disk() {
             dstore_dipper::PmemLayout::new(&dstore_dipper::DipperConfig {
                 log_size: cfg.log_size,
                 shadow_size: cfg.shadow_size,
-                swap_threshold: cfg.swap_threshold,
             })
             .total,
         )
