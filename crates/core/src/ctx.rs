@@ -21,10 +21,17 @@
 //! travels in its record (durable when the record commits) and lives in
 //! an arena slot, so such a put makes no block claim, no SSD write and no
 //! device wait, and a get of it reads no page.
+//!
+//! A put splits at its device wait. [`Epoch::put_begin`] runs steps ①–⑧
+//! and leaves the op in its context's [`Epoch`] ([`DsContext::epoch`]);
+//! [`Epoch::finish`] waits once, for the epoch's latest device deadline,
+//! and commits every record of the epoch behind one fence
+//! ([`dstore_dipper::OpLog::commit_many`]). [`DsContext::put`] is an
+//! epoch of one, and every other mutation commits through the same step.
 
 use crate::cc::{ReadLatch, WriteLatch};
 use crate::config::LoggingMode;
-use crate::engine::OpGuard;
+use crate::engine::{CheckpointEngine, OpGuard};
 use crate::error::{DsError, DsResult};
 use crate::ops::{self, ExtendParams, InlineParams, PhysImage, PutParams};
 use crate::store::StoreInner;
@@ -161,17 +168,174 @@ type Entry = Option<RelPtr<MetaEntry>>;
 
 /// A mutation past its synchronous region ([`DsContext::mutate_plan`]):
 /// its published record and what it holds until it commits.
-struct Admitted<'a> {
-    name: &'a [u8],
+struct Admitted<'a, 'n> {
+    name: &'n [u8],
     handle: RecordHandle,
     lsn: u64,
     /// The entry the plan read: the install's target.
     entry: Entry,
     /// `name`'s writer mark: dropped after the install, before the commit.
-    latch: WriteLatch<'a>,
+    latch: WriteLatch<'n>,
     /// The checkpoint engine's mutation guard (the CoW drain `read`,
     /// nothing under DIPPER), held until the commit.
     guard: OpGuard<'a>,
+}
+
+/// A mutation past its install, awaiting step ⑨: its record is
+/// published and its writer mark dropped ([`Admitted::into_pending`]).
+/// Every mutation commits through [`DsContext::commit`]; a put may first
+/// wait in an epoch.
+struct Pending<'a> {
+    handle: RecordHandle,
+    /// Its pages' device deadline (0: nothing submitted).
+    deadline: u64,
+    /// Blocks the op frees: returned to the pool after its commit.
+    freed: Vec<u64>,
+    /// The checkpoint engine's mutation guard, held until the commit.
+    guard: OpGuard<'a>,
+    /// [`record::name_hash`] of the key, for [`Epoch::names`] (set by
+    /// [`Epoch::put_begin`]; left 0 outside any epoch).
+    name_hash: u64,
+    /// The op's start and trace, closed once it commits.
+    t0: u64,
+    at: ActiveTrace,
+    #[cfg(test)]
+    name: Vec<u8>,
+}
+
+impl<'a> Admitted<'a, '_> {
+    /// Ends the op's mutation: drops its writer mark, *before* its commit.
+    /// A competing writer passes the conflict scan only once the record
+    /// commits, so the registration windows of two writers can never
+    /// overlap; in the other order they briefly could.
+    fn into_pending(self, deadline: u64, freed: Vec<u64>, t0: u64, at: ActiveTrace) -> Pending<'a> {
+        drop(self.latch);
+        Pending {
+            handle: self.handle,
+            deadline,
+            freed,
+            guard: self.guard,
+            name_hash: 0,
+            t0,
+            at,
+            #[cfg(test)]
+            name: self.name.to_vec(),
+        }
+    }
+}
+
+/// A durability epoch of one context ([`DsContext::epoch`]): the puts it
+/// has begun ([`Epoch::put_begin`]) and not yet finished
+/// ([`Epoch::finish`]). Their records are pending and their device
+/// writes in flight; none is durable, and none may be acknowledged,
+/// before the epoch finishes. Keep one across batches: finishing empties
+/// it and keeps its buffer. Dropping an epoch finishes it, except on a
+/// panicking thread, whose puts are abandoned uncommitted as if it had
+/// died in a crash.
+///
+/// While the epoch holds a put, its context must not run another
+/// mutation of that put's name ([`Epoch::names`]): that mutation's
+/// conflict scan would wait on the epoch's own record. Nor should it run
+/// any other mutation (a delete, an `owrite`, an `olock`) that could wait
+/// on another context's records: finish first. Reads are fine. For the
+/// same reason a context keeps one epoch open at a time.
+pub struct Epoch<'a> {
+    ctx: &'a DsContext,
+    puts: Vec<Pending<'a>>,
+}
+
+impl<'a> Epoch<'a> {
+    /// Begins a put of `value` under `key`: plans it, installs it and
+    /// submits its pages, like [`DsContext::put_enqueued`] up to its
+    /// device wait, and returns its record handle and that wait's
+    /// deadline (0: nothing submitted). The put is neither durable nor
+    /// committed until the epoch finishes.
+    ///
+    /// The epoch finishes first when it already holds a put of `key`,
+    /// and before any wait the put meets: a write-write conflict, a
+    /// writer mark, a full log (a swap must not relocate the epoch's own
+    /// records into the buffer it is trying to empty), or a full pool
+    /// (the epoch's deferred frees may make room). So an epoch never
+    /// waits on another op while it holds records. Under CoW an epoch
+    /// holds no put across calls: the put's guard is the drain lock
+    /// `read`, and a second `read` queued behind a waiting trigger would
+    /// deadlock, so this put finishes before the call returns.
+    pub fn put_begin(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        enqueue_ns: u64,
+    ) -> DsResult<(RecordHandle, u64)> {
+        let ctx = self.ctx;
+        DsContext::check_name(key)?;
+        let name_hash = record::name_hash(key);
+        if self.holds(name_hash) {
+            self.finish();
+        }
+        let (t0, mut at) = op_begin(&ctx.inner, "put", enqueue_ns);
+        let (m, plan) = loop {
+            match ctx.plan_put(key, value, &mut at, &mut || self.finish()) {
+                Err(DsError::OutOfSpace | DsError::OutOfMetadataSpace) if !self.is_empty() => {
+                    self.finish()
+                }
+                planned => break planned?,
+            }
+        };
+        let mut put = ctx.submit_put(m, plan, value.len() as u64, Some(value), t0, at);
+        put.name_hash = name_hash;
+        let begun = (put.handle, put.deadline);
+        self.puts.push(put);
+        if !matches!(ctx.inner.engine, CheckpointEngine::Dipper(_)) {
+            self.finish();
+        }
+        Ok(begun)
+    }
+
+    /// Ends the epoch: waits once, for its latest device deadline, commits
+    /// all its records behind one fence, returns the blocks they freed,
+    /// and runs one checkpoint trigger. Every put of the epoch is durable
+    /// on return, and the epoch is empty. An empty epoch costs nothing.
+    pub fn finish(&mut self) {
+        if self.puts.is_empty() {
+            return;
+        }
+        let ctx = self.ctx;
+        ctx.commit_puts(&mut self.puts);
+        ctx.end_ops(&ctx.inner.telemetry.op_put, self.puts.drain(..));
+    }
+
+    /// The context the epoch belongs to.
+    pub fn context(&self) -> &'a DsContext {
+        self.ctx
+    }
+
+    /// Puts begun and not yet finished.
+    pub fn len(&self) -> usize {
+        self.puts.len()
+    }
+
+    /// Whether the epoch holds no put.
+    pub fn is_empty(&self) -> bool {
+        self.puts.is_empty()
+    }
+
+    /// Whether the epoch may hold a put of `key` (a hash match: a
+    /// collision only finishes an epoch early).
+    pub fn names(&self, key: &[u8]) -> bool {
+        self.holds(record::name_hash(key))
+    }
+
+    fn holds(&self, name_hash: u64) -> bool {
+        self.puts.iter().any(|p| p.name_hash == name_hash)
+    }
+}
+
+impl Drop for Epoch<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.finish();
+        }
+    }
 }
 
 /// A per-thread handle for submitting operations (the paper's
@@ -244,19 +408,21 @@ impl DsContext {
     /// identical to [`DsContext::put`]; `0` disables the backdating.
     pub fn put_enqueued(&self, key: &[u8], value: &[u8], enqueue_ns: u64) -> DsResult<()> {
         Self::check_name(key)?;
-        let inner = &self.inner;
+        let (t0, mut at) = op_begin(&self.inner, "put", enqueue_ns);
+        let (m, plan) = self.plan_put(key, value, &mut at, &mut || {})?;
         let size = value.len() as u64;
-        let (t0, mut at) = op_begin(inner, "put", enqueue_ns);
-        let (m, plan) = self.mutate_plan(
-            key,
-            |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
-            |plan, mode| put_record(ops::OP_PUT, size, plan, mode, Some(value)),
-            &mut at,
-        )?;
-        self.finish_put(m, plan, size, Some(value), &mut at);
-        inner.maybe_checkpoint();
-        op_end(inner, &inner.telemetry.op_put, t0, at, SEG_COMMIT);
+        let mut put = self.submit_put(m, plan, size, Some(value), t0, at);
+        self.commit_puts(std::slice::from_mut(&mut put));
+        self.end_ops(&self.inner.telemetry.op_put, std::iter::once(put));
         Ok(())
+    }
+
+    /// A new, empty durability epoch on this context.
+    pub fn epoch(&self) -> Epoch<'_> {
+        Epoch {
+            ctx: self,
+            puts: Vec::new(),
+        }
     }
 
     /// Fetches the object stored under `key` (the paper's `oget`).
@@ -311,6 +477,7 @@ impl DsContext {
                 ),
             },
             &mut at,
+            &mut || {},
         )?;
         let removed = {
             let _bt = inner.btree_lock.write();
@@ -324,11 +491,9 @@ impl DsContext {
             m.entry
         );
         at.mark(SEG_INDEX);
-        // Drop the writer mark before commit (see finish_put).
-        drop(m.latch);
-        self.commit(key, m.handle, &plan.freed, m.guard);
-        inner.maybe_checkpoint();
-        op_end(inner, &inner.telemetry.op_delete, t0, at, SEG_COMMIT);
+        let mut rec = m.into_pending(0, plan.freed, t0, at);
+        self.commit(std::slice::from_mut(&mut rec));
+        self.end_ops(&inner.telemetry.op_delete, std::iter::once(rec));
         Ok(())
     }
 
@@ -396,6 +561,7 @@ impl DsContext {
                         |d, entry| d.plan_put_entry(entry, name, size, &inner.pool_shard_locks),
                         |plan, mode| put_record(ops::OP_CREATE, size, plan, mode, None),
                         &mut at,
+                        &mut || {},
                     )?;
                     self.finish_put(m, plan, size, None, &mut at);
                     inner.maybe_checkpoint();
@@ -492,6 +658,10 @@ impl DsContext {
     /// `log_flush`; blocking log-full checkpoints in `log_stall`. The
     /// uninstrumented path performs zero clock reads here.
     ///
+    /// `before_wait` runs before every wait an attempt ends in (a full
+    /// log, a conflict, a writer mark), once its guards are dropped:
+    /// [`Epoch::put_begin`] finishes its epoch there.
+    ///
     /// The index is descended once per attempt, under the B-tree read
     /// lock, and the entry found is handed to the plan, so the logged
     /// record and the executed plan cannot disagree about whether (and
@@ -504,13 +674,14 @@ impl DsContext {
     /// latch into `name`'s writer mark before leaving the synchronous
     /// region and drops the mark only after its install. So nothing
     /// creates, replaces or deletes the entry in between.
-    fn mutate_plan<'a, P: Claims>(
+    fn mutate_plan<'a: 'n, 'n, P: Claims>(
         &'a self,
-        name: &'a [u8],
+        name: &'n [u8],
         plan: impl Fn(&Domain<'_, DramMemory>, Entry) -> DsResult<P>,
         encode: impl Fn(&P, LoggingMode) -> (u16, Vec<u8>),
         at: &mut ActiveTrace,
-    ) -> DsResult<(Admitted<'a>, P)> {
+        before_wait: &mut dyn FnMut(),
+    ) -> DsResult<(Admitted<'a, 'n>, P)> {
         enum Outcome<'l, P> {
             Full,
             Conflicts(Vec<RecordHandle>),
@@ -590,6 +761,7 @@ impl DsContext {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
                     drop(guard);
+                    before_wait();
                     inner.handle_log_full();
                     // The forced checkpoint is in flight when the stall
                     // ends — name it even if it finishes before we do.
@@ -604,6 +776,7 @@ impl DsContext {
                     inner.telemetry.ww_conflicts.inc();
                     drop(_global);
                     drop(guard);
+                    before_wait();
                     for c in &conflicts {
                         inner.log.wait_committed(*c);
                     }
@@ -616,6 +789,7 @@ impl DsContext {
                     inner.telemetry.rw_backoffs.inc();
                     drop(_global);
                     drop(guard);
+                    before_wait();
                     inner.latches.wait_clear(name);
                     at.mark(SEG_CC_WAIT);
                     continue;
@@ -651,34 +825,64 @@ impl DsContext {
         }
     }
 
-    /// Step ⑨ and deferred reclamation: commits `handle`, then returns
-    /// the blocks the op `freed` to the pool — a block becomes reusable
-    /// only once the record that frees it is durable — then drops the
-    /// op's engine guard, before any checkpoint trigger.
-    fn commit(&self, name: &[u8], handle: RecordHandle, freed: &[u64], guard: OpGuard<'_>) {
+    /// Step ⑨ and deferred reclamation, the one commit of every
+    /// mutation: commits `recs` with one [`OpLog::commit_many`] (one
+    /// fence), then returns the blocks each op freed to the pool (a block
+    /// becomes reusable only once the record that frees it is durable),
+    /// then drops each op's engine guard, before any checkpoint trigger.
+    /// A record whose pages were submitted must be device-durable first
+    /// ([`DsContext::commit_puts`]).
+    ///
+    /// [`OpLog::commit_many`]: dstore_dipper::OpLog::commit_many
+    fn commit(&self, recs: &mut [Pending<'_>]) {
         let inner = &self.inner;
         #[cfg(test)]
-        inner.before_commit.hit(name);
-        inner.log.commit(handle);
-        assert!(
-            inner.domain().release(freed),
-            "{:?} freed blocks it did not own",
-            String::from_utf8_lossy(name)
-        );
-        drop(guard);
+        for p in recs.iter() {
+            inner.before_commit.hit(&p.name);
+        }
+        inner.log.commit_many(recs.iter().map(|p| p.handle));
+        for p in recs.iter_mut() {
+            assert!(
+                inner.domain().release(&p.freed),
+                "a mutation freed blocks it did not own"
+            );
+            p.guard = None;
+        }
     }
 
-    /// Steps ⑥–⑨ of an admitted put of `value` by `plan` (`None`: a
+    /// Steps ①–⑤ of a put of `value` under `key`: [`DsContext::mutate_plan`]
+    /// with the put's plan and record.
+    fn plan_put<'a: 'n, 'n>(
+        &'a self,
+        key: &'n [u8],
+        value: &[u8],
+        at: &mut ActiveTrace,
+        before_wait: &mut dyn FnMut(),
+    ) -> DsResult<(Admitted<'a, 'n>, PutPlan)> {
+        let inner = &self.inner;
+        let size = value.len() as u64;
+        self.mutate_plan(
+            key,
+            |d, entry| d.plan_put_entry(entry, key, size, &inner.pool_shard_locks),
+            |plan, mode| put_record(ops::OP_PUT, size, plan, mode, Some(value)),
+            at,
+            before_wait,
+        )
+    }
+
+    /// Steps ⑥–⑧ of an admitted put of `value` by `plan` (`None`: a
     /// create, whose inline slot reads as zeros and whose blocks are left
-    /// unwritten).
-    fn finish_put(
+    /// unwritten) of `size` bytes, up to its device wait. `t0` and `at`
+    /// are the op's start and trace.
+    fn submit_put<'a>(
         &self,
-        m: Admitted<'_>,
+        m: Admitted<'a, '_>,
         plan: PutPlan,
         size: u64,
         value: Option<&[u8]>,
-        at: &mut ActiveTrace,
-    ) {
+        t0: u64,
+        mut at: ActiveTrace,
+    ) -> Pending<'a> {
         let inner = &self.inner;
         // Steps ⑥⑦: the inline value, metadata entry + B-tree, outside
         // the synchronous region (OE), on the entry the plan read. The
@@ -689,27 +893,52 @@ impl DsContext {
         self.install_put(m.entry, m.name, size, &plan, m.lsn);
         at.mark(SEG_INDEX);
 
-        // Step ⑧: data to SSD. The pages are *submitted*; the op waits
-        // out its own device deadline below, after releasing the writer
-        // mark. An inline value has none: its record carries it.
-        let ssd_deadline = self.submit_blocks(&plan.blocks, value.unwrap_or_default());
+        // Step ⑧: data to SSD. The pages are *submitted*; the epoch waits
+        // out their device deadline before it commits. An inline value
+        // has none: its record carries it.
+        let deadline = self.submit_blocks(&plan.blocks, value.unwrap_or_default());
+        // The object's mutation is complete (data in the device's write
+        // cache).
+        m.into_pending(deadline, plan.freed, t0, at)
+    }
 
-        // The object's mutation is complete (data in the device's
-        // power-loss-protected write cache): release the writer mark
-        // *before* committing the record. A competing writer passes the
-        // conflict scan only once the record commits, so the registration
-        // windows of two writers can never overlap — in the other order
-        // they briefly could.
-        drop(m.latch);
+    /// Step ⑨ for a set of submitted puts: one device wait, for their
+    /// latest deadline, outside every log lock (a record is device-durable
+    /// before its commit, so a commit never holds the swap lock across an
+    /// SSD wait), then [`DsContext::commit`].
+    fn commit_puts(&self, puts: &mut [Pending<'_>]) {
+        let deadline = puts.iter().map(|p| p.deadline).max().unwrap_or(0);
+        self.inner.ssd.wait_durable(deadline);
+        for p in puts.iter_mut() {
+            p.at.mark(SEG_SSD_WRITE);
+        }
+        self.commit(puts);
+    }
 
-        // This op's own device wait, outside every log lock: a record is
-        // device-durable before its commit, so a commit never holds the
-        // swap lock across an SSD wait.
-        inner.ssd.wait_durable(ssd_deadline);
-        at.mark(SEG_SSD_WRITE);
+    /// Closes committed ops: one checkpoint trigger, then each op's
+    /// `hist` sample and trace.
+    fn end_ops<'a>(&self, hist: &LatencyHistogram, recs: impl Iterator<Item = Pending<'a>>) {
+        let inner = &self.inner;
+        inner.maybe_checkpoint();
+        for p in recs {
+            op_end(inner, hist, p.t0, p.at, SEG_COMMIT);
+        }
+    }
 
-        // Step ⑨: commit.
-        self.commit(m.name, m.handle, &plan.freed, m.guard);
+    /// Steps ⑥–⑨ of an admitted put (or create) outside any epoch, traced
+    /// on the caller's `at`.
+    fn finish_put(
+        &self,
+        m: Admitted<'_, '_>,
+        plan: PutPlan,
+        size: u64,
+        value: Option<&[u8]>,
+        at: &mut ActiveTrace,
+    ) {
+        let trace = std::mem::replace(at, ActiveTrace::disabled());
+        let mut put = self.submit_put(m, plan, size, value, 0, trace);
+        self.commit_puts(std::slice::from_mut(&mut put));
+        *at = put.at;
     }
 
     /// Steps ⑥⑦ of a put or create: installs `plan` on `entry`, the entry
@@ -949,6 +1178,7 @@ impl ObjectHandle<'_> {
                 }
             },
             &mut at,
+            &mut || {},
         )?;
         match plan {
             WritePlan::Rewrite(p, value) => {
@@ -965,7 +1195,7 @@ impl ObjectHandle<'_> {
     /// Steps ⑥–⑨ of an admitted extend that writes `data` at `offset`.
     fn finish_extend(
         &self,
-        m: Admitted<'_>,
+        m: Admitted<'_, '_>,
         plan: ExtendPlan,
         data: &[u8],
         offset: u64,
@@ -1011,8 +1241,8 @@ impl ObjectHandle<'_> {
             done += take;
         }
         at.mark(SEG_SSD_WRITE);
-        drop(m.latch);
-        self.ctx.commit(m.name, m.handle, &[], m.guard);
+        let mut rec = m.into_pending(0, Vec::new(), 0, ActiveTrace::disabled());
+        self.ctx.commit(std::slice::from_mut(&mut rec));
     }
 }
 

@@ -62,7 +62,7 @@ pub mod telemetry;
 
 pub use blackbox::{CrashReport, HEARTBEAT_EVERY};
 pub use config::{CheckpointMode, DStoreConfig, LoggingMode};
-pub use ctx::{DsContext, DsLock, ObjectHandle, ObjectStat, OpenMode};
+pub use ctx::{DsContext, DsLock, Epoch, ObjectHandle, ObjectStat, OpenMode};
 pub use error::{DsError, DsResult};
 pub use stats::Footprint;
 pub use store::{CrashImage, DStore, RecoveryReport};

@@ -105,9 +105,8 @@ impl CrashImage {
                 .dax_file(pmem_file)
                 .build()?,
         );
-        let ssd = Arc::new(
-            SsdDevice::file_backed(ssd_file, cfg.ssd_pages)?.with_latency(cfg.ssd_latency.clone()),
-        );
+        let ssd = SsdDevice::file_backed(ssd_file, cfg.ssd_pages)?;
+        let ssd = Arc::new(ssd_for(&cfg, ssd));
         Ok(CrashImage { pool, ssd, cfg })
     }
 
@@ -278,6 +277,18 @@ fn make_applier(
     })
 }
 
+/// `ssd` with `cfg`'s latency model. A strict-persistence store's
+/// device is crash-faithful too: a crash loses the writes still in
+/// flight, as it loses the unflushed PMEM lines.
+fn ssd_for(cfg: &DStoreConfig, ssd: SsdDevice) -> SsdDevice {
+    let ssd = ssd.with_latency(cfg.ssd_latency.clone());
+    if cfg.strict_pmem {
+        ssd.crash_faithful()
+    } else {
+        ssd
+    }
+}
+
 fn dipper_cfg(cfg: &DStoreConfig) -> DipperConfig {
     DipperConfig {
         log_size: cfg.log_size,
@@ -301,12 +312,11 @@ impl DStore {
             pb = pb.dax_file(f);
         }
         let pool = Arc::new(pb.build()?);
-        let ssd = Arc::new(match &cfg.ssd_file {
-            Some(f) => {
-                SsdDevice::file_backed(f, cfg.ssd_pages)?.with_latency(cfg.ssd_latency.clone())
-            }
-            None => SsdDevice::anon(cfg.ssd_pages).with_latency(cfg.ssd_latency.clone()),
-        });
+        let ssd = match &cfg.ssd_file {
+            Some(f) => SsdDevice::file_backed(f, cfg.ssd_pages)?,
+            None => SsdDevice::anon(cfg.ssd_pages),
+        };
+        let ssd = Arc::new(ssd_for(&cfg, ssd));
         // Superblock: "The first block is reserved for the superblock,
         // which contains relevant recovery information" (§4.2).
         let mut sb = vec![0u8; dstore_ssd::PAGE_SIZE];
@@ -512,7 +522,8 @@ impl DStore {
         tel.ckpt_phase_gauge.set(tel.ckpt.phase.index() as f64);
 
         let mut snap = tel.snapshot();
-        // Log commits: one fence each, so the two counters are equal.
+        // Log commits: one fence per commit call and the records it
+        // committed, so their ratio is the mean durability epoch.
         let l = self.inner.log.stats();
         snap.push_counter(
             "dstore_log_commit_batches_total",
@@ -697,20 +708,24 @@ impl DStore {
         self.inner.domain().counters().0
     }
 
-    /// Simulates a power failure: stops checkpoint machinery, discards
+    /// Simulates a power failure: loses every SSD write still in flight
+    /// (on a crash-faithful device), stops checkpoint machinery, discards
     /// every unflushed PMEM cache line, and returns the devices for
     /// [`DStore::recover`]. In-flight client operations must have
     /// finished (drop contexts first); to crash *inside* a checkpoint,
     /// use `auto_checkpoint = false` +
     /// [`DStore::begin_checkpoint_swap_only`].
     pub fn crash(self) -> CrashImage {
+        // The device crashes at the call, before the engine's join can
+        // let an in-flight write's deadline pass; checkpoints write no
+        // SSD page.
+        self.inner.ssd.simulate_crash();
         // Shutting the engine down joins its worker; a mid-apply
         // checkpoint completes in volatile terms, but the crash below
         // discards everything it did not get to the persistent image +
         // root commit.
         self.inner.engine.shutdown();
         self.inner.pool.simulate_crash();
-        self.inner.ssd.simulate_crash();
         CrashImage {
             pool: Arc::clone(&self.inner.pool),
             ssd: Arc::clone(&self.inner.ssd),

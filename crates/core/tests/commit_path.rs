@@ -5,8 +5,13 @@
 //! Table 3. It also holds
 //! the ordering budget: fewer than two PMEM flushes and two fences per
 //! put, with one writer and with two.
+//!
+//! A durability epoch (`Epoch::put_begin` … `finish`) waits once, for its latest
+//! deadline, and commits behind one fence: sixteen puts cost one flush
+//! and one fence, and a crash right after `finish` on a crash-faithful
+//! device loses none of them.
 
-use dstore::{DStore, DStoreConfig};
+use dstore::{DStore, DStoreConfig, LoggingMode};
 use dstore_ssd::SsdLatency;
 use dstore_telemetry::trace::SEG_SSD_WRITE;
 use dstore_telemetry::TraceConfig;
@@ -195,4 +200,135 @@ fn assert_fence_budget(writers: usize, value: &[u8], sample_every: u64) {
         "fence budget violated with {writers} writer(s), {len} B values, 1 in {sample_every} \
          sampled: {flushes:.3} flushes/put, {fences:.3} fences/put (budget: < 2 of each)"
     );
+}
+
+/// Sixteen puts begun into one epoch and finished together cost one
+/// flush and one fence beyond the black box's own (one of each per
+/// record it mirrors), for block values and for inline ones.
+#[test]
+fn an_epoch_of_sixteen_puts_costs_one_flush_and_one_fence() {
+    const PUTS: usize = 16;
+    let cfg = DStoreConfig {
+        log_size: 64 << 20,
+        ..Default::default()
+    };
+    let store = DStore::create(cfg).unwrap();
+    let ctx = store.context();
+    let counter = |name: &str| store.telemetry_snapshot().unwrap().counter_total(name);
+    let key = |i: usize| format!("k{i}").into_bytes();
+    for i in 0..PUTS {
+        ctx.put(&key(i), &VALUE).unwrap();
+    }
+    for value in [&VALUE[..], &VALUE[..128]] {
+        let flushes = counter("dstore_pmem_flushes_total");
+        let fences = counter("dstore_pmem_fences_total");
+        let mirrored = counter("dstore_blackbox_records_total");
+        let batches = counter("dstore_log_commit_batches_total");
+        let mut epoch = ctx.epoch();
+        for i in 0..PUTS {
+            epoch.put_begin(&key(i), value, 0).unwrap();
+        }
+        assert_eq!(epoch.len(), PUTS);
+        epoch.finish();
+        assert!(epoch.is_empty());
+        let mirrored = counter("dstore_blackbox_records_total") - mirrored;
+        let len = value.len();
+        assert_eq!(
+            counter("dstore_pmem_flushes_total") - flushes - mirrored,
+            1,
+            "{len} B values: flushes beyond the black box's {mirrored}"
+        );
+        assert_eq!(
+            counter("dstore_pmem_fences_total") - fences - mirrored,
+            1,
+            "{len} B values: fences beyond the black box's {mirrored}"
+        );
+        assert_eq!(counter("dstore_log_commit_batches_total") - batches, 1);
+        for i in 0..PUTS {
+            assert_eq!(ctx.get(&key(i)).unwrap(), value);
+        }
+    }
+}
+
+/// An epoch's one wait must cover its *latest* deadline. Puts of growing
+/// size (so later deadlines fall later) are begun into one epoch on a
+/// strict store whose device is crash-faithful, the store crashes right
+/// after `finish`, and every value must read back: a write still in
+/// flight at the crash would have rolled its pages back.
+fn epoch_survives_a_crash_right_after_finish(logging: LoggingMode) {
+    const PUTS: usize = 16;
+    let mut cfg = DStoreConfig::small()
+        .with_logging(logging)
+        .with_auto_checkpoint(false);
+    // 2 ms a command plus 50 ns a byte: 2.2 ms for one page, 5.3 ms for
+    // sixteen.
+    cfg.ssd_latency = SsdLatency {
+        write_base_ns: 2_000_000,
+        write_ns_per_byte: 50.0,
+        ..SsdLatency::none()
+    };
+    let store = DStore::create(cfg).unwrap();
+    let ctx = store.context();
+    let key = |i: usize| format!("k{i}").into_bytes();
+    let value = |i: usize| vec![i as u8 + 1; (i + 1) * 4096 - 7];
+    let mut epoch = ctx.epoch();
+    let deadlines: Vec<u64> = (0..PUTS)
+        .map(|i| epoch.put_begin(&key(i), &value(i), 0).unwrap().1)
+        .collect();
+    assert!(
+        deadlines.windows(2).all(|w| w[0] < w[1]),
+        "deadlines do not grow: {deadlines:?}"
+    );
+    epoch.finish();
+    drop(epoch);
+    drop(ctx);
+    let recovered = DStore::recover(store.crash()).unwrap();
+    let ctx = recovered.context();
+    for i in 0..PUTS {
+        assert_eq!(ctx.get(&key(i)).unwrap(), value(i), "{logging:?}: k{i}");
+    }
+}
+
+#[test]
+fn epoch_survives_a_crash_right_after_finish_logical() {
+    epoch_survives_a_crash_right_after_finish(LoggingMode::Logical);
+}
+
+#[test]
+fn epoch_survives_a_crash_right_after_finish_physical() {
+    epoch_survives_a_crash_right_after_finish(LoggingMode::Physical);
+}
+
+/// Dropping an epoch that holds puts finishes it: its puts are committed
+/// and durable, so another context's write of the same key passes its
+/// conflict scan instead of waiting on a record nothing would commit.
+#[test]
+fn a_dropped_epoch_commits_its_puts() {
+    let store = Arc::new(DStore::create(DStoreConfig::small()).unwrap());
+    let ctx = store.context();
+    ctx.put(b"k", b"first").unwrap();
+    let mut epoch = ctx.epoch();
+    epoch.put_begin(b"k", &VALUE, 0).unwrap();
+    epoch.put_begin(b"other", &VALUE, 0).unwrap();
+    drop(epoch);
+    assert_eq!(ctx.get(b"k").unwrap(), VALUE);
+    let (done, finished) = std::sync::mpsc::channel();
+    let writer = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || {
+            store.context().put(b"k", b"second").unwrap();
+            done.send(()).unwrap();
+        })
+    };
+    assert!(
+        finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+        "a second context's put waited on the dropped epoch's record"
+    );
+    writer.join().unwrap();
+    drop(ctx);
+    let store = Arc::into_inner(store).expect("the writer's handle was dropped");
+    let recovered = DStore::recover(store.crash()).unwrap();
+    let ctx = recovered.context();
+    assert_eq!(ctx.get(b"k").unwrap(), b"second");
+    assert_eq!(ctx.get(b"other").unwrap(), VALUE);
 }

@@ -4,6 +4,7 @@
 //! operations — the paper's §3.6 guarantee.
 
 use dstore::{CheckpointMode, DStore, DStoreConfig, LoggingMode, INLINE_MAX};
+use dstore_ssd::SsdLatency;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -60,11 +61,18 @@ fn run_case(
     logging: LoggingMode,
     oe: bool,
 ) -> Result<(), TestCaseError> {
-    let cfg = DStoreConfig::small()
+    let mut cfg = DStoreConfig::small()
         .with_checkpoint(ckpt)
         .with_logging(logging)
         .with_oe(oe)
         .with_auto_checkpoint(false);
+    // A strict store's device is crash-faithful: a write still in flight
+    // at the crash is lost. A millisecond a write command keeps the last
+    // ops' writes in flight at the crash unless each op waited its own.
+    cfg.ssd_latency = SsdLatency {
+        write_base_ns: 1_000_000,
+        ..SsdLatency::none()
+    };
     let s = DStore::create(cfg).unwrap();
     let ctx = s.context();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();

@@ -29,9 +29,10 @@
 //!
 //! Durability is deferred out of the reservation critical section and
 //! out of the publish entirely — neither flushes nor fences. A commit is
-//! one ordering point: it stores the record's commit flag, then persists
-//! the record together with the **header gap** (all headers between the
-//! durable-header frontier and the reserved tail) in one
+//! one ordering point: it stores the commit flags of a set of records
+//! (one thread's durability epoch; often a set of one), then persists
+//! those records together with the **header gap** (all headers between
+//! the durable-header frontier and the reserved tail) in one
 //! [`PmemPool::persist_many`], behind **one** fence. No flush is skipped:
 //! racing committers may both flush an overlapping gap. The durable image
 //! therefore stays walkable up to every committed record, and recovery
@@ -93,10 +94,11 @@ pub struct LogStats {
     /// Records relocated by swaps.
     pub relocated: AtomicU64,
     /// Records committed. Exported as `dstore_log_commits_combined_total`
-    /// beside [`LogStats::commit_batches`], whose ratio to it is the mean
-    /// number of commits per fence.
+    /// beside [`LogStats::commit_batches`]; their ratio is the mean number
+    /// of records per commit fence (the mean durability epoch).
     pub commits_combined: AtomicU64,
-    /// Commit fences issued: one per [`OpLog::commit`].
+    /// Commit fences issued: one per non-empty [`OpLog::commit_many`]
+    /// (an [`OpLog::commit`] is one of size one).
     pub commit_batches: AtomicU64,
     /// Committed records demoted by the walk because their body hash
     /// mismatched — a commit flag that reached the media (spurious
@@ -392,26 +394,41 @@ impl OpLog {
         (ranges, target)
     }
 
-    /// Marks the record committed and persists it, flag and body, behind
-    /// the header-gap flush (see `OpLog::header_gap`), in one
-    /// [`PmemPool::persist_many`] — one fence. Called once per record,
-    /// after the operation's data is durable (§4.5) — a caller with a
-    /// device write in flight waits it out *before* calling, so no commit
-    /// ever waits on a device. Returns once the record is durable.
+    /// Commits one record: [`OpLog::commit_many`] of `h` alone.
     pub fn commit(&self, h: RecordHandle) {
+        self.commit_many([h]);
+    }
+
+    /// Marks every record of `hs` committed and persists them, flags and
+    /// bodies, behind the header-gap flush (see `OpLog::header_gap`), in
+    /// one [`PmemPool::persist_many`] — one fence for the whole set.
+    /// Called once per record, after the data of every op in the set is
+    /// durable (§4.5) — a caller with a device write in flight waits it
+    /// out *before* calling, so no commit ever waits on a device. Returns
+    /// once every record is durable. An empty set does nothing.
+    pub fn commit_many(&self, hs: impl IntoIterator<Item = RecordHandle>) {
         let _g = self.swap_lock.read();
-        let off = match self.resolve(h) {
-            Ok(off) => off,
-            Err(()) => unreachable!("only the owner commits, and it commits once"),
-        };
-        let total_len = record::read_word(&self.pool, off).1;
-        record::write_commit(&self.pool, off, COMMIT_COMMITTED);
+        // Every record of `hs` was reserved before this call, so the gap
+        // already reaches past each of their headers.
         let (mut ranges, hdr_target) = self.header_gap();
-        ranges.push((off, total_len));
+        let gap = ranges.len();
+        for h in hs {
+            let off = match self.resolve(h) {
+                Ok(off) => off,
+                Err(()) => unreachable!("only the owner commits, and it commits once"),
+            };
+            let total_len = record::read_word(&self.pool, off).1;
+            record::write_commit(&self.pool, off, COMMIT_COMMITTED);
+            ranges.push((off, total_len));
+        }
+        let n = (ranges.len() - gap) as u64;
+        if n == 0 {
+            return;
+        }
         self.pool.persist_many(&ranges);
         self.hdr_durable.fetch_max(hdr_target, Ordering::AcqRel);
         self.stats.commit_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.commits_combined.fetch_add(1, Ordering::Relaxed);
+        self.stats.commits_combined.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Whether two handles refer to the same (still-pending) record,
@@ -1135,6 +1152,39 @@ mod tests {
         assert_eq!(stats.commits_combined.load(Ordering::Relaxed), commits);
         assert_eq!(stats.commit_batches.load(Ordering::Relaxed), commits);
         assert_eq!(stats.torn_commits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn commit_many_is_one_fence_for_the_set() {
+        const RECORDS: usize = 16;
+        let (p, _l, log) = setup(1 << 16);
+        let handles: Vec<_> = (0..RECORDS)
+            .map(|i| {
+                let r = log.try_append(1, format!("o{i}").as_bytes(), &[i as u8; 150]);
+                r.unwrap().handle
+            })
+            .collect();
+        let left = log.try_append(1, b"left", &[9; 10]).unwrap();
+        let fences = p.stats().snapshot().fences;
+        log.commit_many(handles.iter().copied());
+        assert_eq!(p.stats().snapshot().fences - fences, 1);
+        log.commit_many([]);
+        assert_eq!(p.stats().snapshot().fences - fences, 1, "empty set");
+        p.simulate_crash();
+        let recs = log.walk(0);
+        assert_eq!(recs.len(), RECORDS + 1);
+        for (i, r) in recs[..RECORDS].iter().enumerate() {
+            assert_eq!(r.commit, COMMIT_COMMITTED, "record {i}");
+            assert!(r.params[..150].iter().all(|&b| b == i as u8));
+        }
+        assert_eq!(recs[RECORDS].commit, COMMIT_PENDING);
+        assert!(!log.is_committed(left.handle));
+        let stats = log.stats();
+        assert_eq!(stats.commit_batches.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.commits_combined.load(Ordering::Relaxed),
+            RECORDS as u64
+        );
     }
 
     #[test]

@@ -37,6 +37,16 @@ pub fn spin_for_ns(ns: u64) {
 /// hosts with fewer cores than client threads. Synchronous charges
 /// ([`LatencyModel`], `charge_write`) keep spinning — there the op
 /// itself occupies the issuing context.
+///
+/// Keeping the CPU schedulable has a price: each `yield_now` may hand
+/// the CPU to any other runnable thread for as long as the scheduler
+/// lets it run. On a 2-vCPU host, an 8.85 µs wait on a CPU it shares
+/// with a `SCHED_IDLE` spinner read p50 9.0 µs but p99 3.5 ms (4 000
+/// waits, three sets); beside a CPU-bound `SCHED_OTHER` thread its mean
+/// was 3.8–4.1 ms, because each yield can give away a whole time slice.
+/// So a thread that runs many ops back to back waits once for all of
+/// them (the store's durability epoch, `Epoch::finish`), not once
+/// per op.
 pub fn yield_wait_ns(ns: u64) {
     if ns == 0 {
         return;

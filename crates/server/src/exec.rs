@@ -4,7 +4,7 @@
 //! Decoded requests are routed by the store's own [`Router`] (same
 //! seed, same placement as in-process callers) into one
 //! [`BoundedQueue`] per shard; a single executor thread per shard owns
-//! that shard's [`DsContext`] and drains its queue. One-thread-per-shard
+//! that shard's [`DsContext`](dstore::DsContext) and drains its queue. One-thread-per-shard
 //! gives two properties for free:
 //!
 //! * **per-shard atomicity** — `update` (exists + put) needs no lock:
@@ -18,19 +18,23 @@
 //! cannot add tail latency to the data path.
 //!
 //! Every executor, shard or control, runs one loop ([`run_executor`]):
-//! it takes everything queued in one pop, answers the jobs in order into
-//! their connections' buffers, and then wakes the I/O loop once for the
-//! whole batch. Under load a burst of N requests therefore costs one
-//! eventfd round trip and one `write` per connection instead of N; at
-//! queue depth 1 the batch is one job and the path is the same as an
-//! unbatched one. Executing on the I/O thread instead would save the
-//! hop entirely but serialise the modelled SSD waits the executors
-//! overlap, which halves throughput (DESIGN.md §7).
+//! it takes everything queued in one pop, runs the jobs in order,
+//! answers them into their connections' buffers, and then wakes the I/O
+//! loop once for the whole batch. Under load a burst of N requests
+//! therefore costs one eventfd round trip and one `write` per connection
+//! instead of N; at queue depth 1 the batch is one job and the path is
+//! the same as an unbatched one.
+//!
+//! A shard executor's batch is also one durability epoch
+//! ([`run_shard_batch`]): it begins every put of the batch, waits once
+//! for their device writes and commits them behind one fence, and only
+//! then answers. No other thread waits on the epoch: its jobs were
+//! serialised on this thread, and their answers leave together anyway.
 
 use crate::epoll::{wake_for, EpollSink};
 use crate::queue::BoundedQueue;
 use crate::telemetry::ServerMetrics;
-use dstore::{DsContext, DsError};
+use dstore::{DsError, Epoch};
 use dstore_protocol::wire::{encode_error_response, encode_response};
 use dstore_protocol::{Request, Response};
 use dstore_shard::{is_reserved, Router, ShardedStore};
@@ -118,10 +122,17 @@ impl Admission {
     }
 }
 
-fn execute_data(ctx: &DsContext, req: &Request, enqueue_ns: u64) -> Result<Response, DsError> {
+/// Runs one data job on `epoch`'s context, adding a put (or an update
+/// that finds its key) to `epoch` instead of committing it.
+fn execute_data(
+    epoch: &mut Epoch<'_>,
+    req: &Request,
+    enqueue_ns: u64,
+) -> Result<Response, DsError> {
+    let ctx = epoch.context();
     match req {
-        Request::Put { key, value } => ctx
-            .put_enqueued(key, value, enqueue_ns)
+        Request::Put { key, value } => epoch
+            .put_begin(key, value, enqueue_ns)
             .map(|_| Response::Ok),
         Request::Get { key } => ctx.get_enqueued(key, enqueue_ns).map(Response::Value),
         Request::Update { key, value } => {
@@ -130,7 +141,8 @@ fn execute_data(ctx: &DsContext, req: &Request, enqueue_ns: u64) -> Result<Respo
             if !ctx.exists(key) {
                 return Err(DsError::NotFound);
             }
-            ctx.put_enqueued(key, value, enqueue_ns)
+            epoch
+                .put_begin(key, value, enqueue_ns)
                 .map(|_| Response::Ok)
         }
         Request::Delete { key } => ctx.delete_enqueued(key, enqueue_ns).map(|_| Response::Ok),
@@ -176,24 +188,31 @@ fn respond(metrics: &ServerMetrics, job: &Job, result: Result<Response, DsError>
     metrics.responses_sent.inc();
 }
 
-/// One executor's life: take every queued job under one lock, run them
-/// in order, buffer each response on its connection, then wake the I/O
-/// loop once for all the connections the batch answered — always before
-/// the next pop can park, so no response waits on a later request.
-/// Returns once the queue is closed and drained. `gauge` indexes the
-/// queue-depth gauge, which records each batch's length.
+/// The results of one popped batch, one per job, in order.
+type Results = Vec<Result<Response, DsError>>;
+
+/// One executor's life: take every queued job under one lock, run the
+/// batch (`run` pushes one result per job), buffer each response on its
+/// connection, then wake the I/O loop once for all the connections the
+/// batch answered — always before the next pop can park, so no response
+/// waits on a later request. Returns once the queue is closed and
+/// drained. `gauge` indexes the queue-depth gauge and batch-length
+/// histogram, which record each batch's length. Every buffer is reused
+/// across batches.
 fn run_executor(
     queue: &BoundedQueue<Job>,
     gauge: usize,
     metrics: &ServerMetrics,
-    mut execute: impl FnMut(&Job) -> Result<Response, DsError>,
+    mut run: impl FnMut(&VecDeque<Job>, &mut Results),
 ) {
     let mut batch = VecDeque::new();
+    let mut results = Vec::new();
     let mut answered: Vec<Arc<EpollSink>> = Vec::new();
     while queue.pop_batch(&mut batch) {
-        metrics.set_queue_depth(gauge, batch.len());
-        for job in batch.drain(..) {
-            let result = execute(&job);
+        metrics.record_pop(gauge, batch.len());
+        run(&batch, &mut results);
+        assert_eq!(results.len(), batch.len(), "one result per job");
+        for (job, result) in batch.drain(..).zip(results.drain(..)) {
             respond(metrics, &job, result);
             if !answered.iter().any(|s| Arc::ptr_eq(s, &job.sink)) {
                 answered.push(job.sink);
@@ -202,6 +221,38 @@ fn run_executor(
         wake_for(&answered);
         answered.clear();
     }
+}
+
+/// Runs one shard batch as durability epochs of `epoch`: every put (and
+/// every update that finds its key) is begun into `epoch`, the other jobs
+/// run as they come, and the epoch finishes before the batch's answers
+/// are encoded, so no put is answered before it commits. The epoch
+/// finishes early before a job that names a key it holds (that job would
+/// otherwise read an uncommitted value or, as a mutation, wait on the
+/// executor's own record) and before a delete, the one mutation outside
+/// the epoch, so the epoch never waits while it holds records.
+fn run_shard_batch(
+    epoch: &mut Epoch<'_>,
+    batch: &VecDeque<Job>,
+    results: &mut Results,
+    metrics: &ServerMetrics,
+    shard: usize,
+) {
+    let finish = |epoch: &mut Epoch<'_>| {
+        if !epoch.is_empty() {
+            metrics.record_epoch(shard, epoch.len());
+            epoch.finish();
+        }
+    };
+    for job in batch {
+        let cut = matches!(job.req, Request::Delete { .. })
+            || job.req.key().is_some_and(|k| epoch.names(k));
+        if cut {
+            finish(epoch);
+        }
+        results.push(execute_data(epoch, &job.req, job.enqueue_ns));
+    }
+    finish(epoch);
 }
 
 /// Spawns one executor per shard queue — each owns its shard's
@@ -218,19 +269,36 @@ pub(crate) fn spawn_executors(
         .iter()
         .enumerate()
         .map(|(i, queue)| {
-            let ctx = store.shard(i).context();
-            spawn_executor(format!("ds-exec-{i}"), queue, i, metrics, move |job| {
-                execute_data(&ctx, &job.req, job.enqueue_ns)
-            })
+            let store = Arc::clone(store);
+            spawn_executor(
+                format!("ds-exec-{i}"),
+                queue,
+                move |queue, metrics| {
+                    let ctx = store.shard(i).context();
+                    let mut epoch = ctx.epoch();
+                    run_executor(queue, i, metrics, |batch, results| {
+                        run_shard_batch(&mut epoch, batch, results, metrics, i)
+                    });
+                },
+                metrics,
+            )
         })
         .collect();
-    let (store, ctl_metrics) = (Arc::clone(store), Arc::clone(metrics));
+    let store = Arc::clone(store);
+    let gauge = shard_queues.len();
     handles.push(spawn_executor(
         "ds-exec-ctl".into(),
         control_queue,
-        shard_queues.len(),
+        move |queue, metrics| {
+            run_executor(queue, gauge, metrics, |batch, results| {
+                results.extend(
+                    batch
+                        .iter()
+                        .map(|job| execute_control(&store, metrics, &job.req)),
+                )
+            })
+        },
         metrics,
-        move |job| execute_control(&store, &ctl_metrics, &job.req),
     ));
     handles
 }
@@ -238,14 +306,77 @@ pub(crate) fn spawn_executors(
 fn spawn_executor(
     name: String,
     queue: &Arc<BoundedQueue<Job>>,
-    gauge: usize,
+    body: impl FnOnce(&BoundedQueue<Job>, &ServerMetrics) + Send + 'static,
     metrics: &Arc<ServerMetrics>,
-    execute: impl FnMut(&Job) -> Result<Response, DsError> + Send + 'static,
 ) -> JoinHandle<()> {
     let queue = Arc::clone(queue);
     let metrics = Arc::clone(metrics);
     std::thread::Builder::new()
         .name(name)
-        .spawn(move || run_executor(&queue, gauge, &metrics, execute))
+        .spawn(move || body(&queue, &metrics))
         .expect("spawn executor")
+}
+
+#[cfg(test)]
+mod tests {
+    use dstore::{CheckpointMode, DStore, DStoreConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Under CoW a put's guard is the drain lock `read`; an epoch that
+    /// held one across calls could deadlock behind a queued trigger. Puts
+    /// begun in epochs beside a thread that forces checkpoints, with a
+    /// read between, must all complete and read back.
+    #[test]
+    fn cow_epochs_across_forced_checkpoints_do_not_hang() {
+        let mut cfg = DStoreConfig::small().with_checkpoint(CheckpointMode::Cow);
+        cfg.stall_timeout = Duration::from_secs(3);
+        let store = DStore::create(cfg).unwrap();
+        let (done, finished) = mpsc::channel();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let checkpoints = s.spawn(|| {
+                let mut n = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    store.checkpoint_now();
+                    n += 1;
+                }
+                n
+            });
+            let store = &store;
+            s.spawn(move || {
+                let ctx = store.context();
+                let mut epoch = ctx.epoch();
+                for round in 0..200u32 {
+                    for k in 0..4u32 {
+                        let key = format!("k{}", (round + k) % 6);
+                        let value = [round as u8; 2000];
+                        epoch.put_begin(key.as_bytes(), &value, 0).unwrap();
+                        assert!(epoch.is_empty(), "a CoW epoch held a put across calls");
+                    }
+                    ctx.get(b"k0").unwrap();
+                    epoch.finish();
+                }
+                done.send(()).unwrap();
+            });
+            let ok = finished.recv_timeout(Duration::from_secs(60));
+            stop.store(true, Ordering::Relaxed);
+            assert!(ok.is_ok(), "the epochs hung beside the checkpoints");
+            assert!(checkpoints.join().unwrap() > 0);
+        });
+        let ctx = store.context();
+        for k in 0..6u32 {
+            let last = (196..200u32)
+                .flat_map(|r| (0..4u32).map(move |j| (r, j)))
+                .filter(|(r, j)| (r + j) % 6 == k)
+                .map(|(r, _)| r)
+                .max()
+                .unwrap();
+            assert_eq!(
+                ctx.get(format!("k{k}").as_bytes()).unwrap(),
+                [last as u8; 2000]
+            );
+        }
+    }
 }

@@ -12,7 +12,10 @@
 //!                  (decode frames)            │ full? ─▶ Busy frame
 //!                                             ▼
 //!                                   one executor thread per shard
-//!                                   (owns that shard's DsContext)
+//!                                   (owns that shard's DsContext;
+//!                                    each batch is one durability
+//!                                    epoch: one device wait, one
+//!                                    commit fence, then the answers)
 //!                                             │
 //!                  epoll loop ◀── connection sink (completion order,
 //!                                 one wake per executor batch)

@@ -11,6 +11,10 @@
 //! * `dstore_server_queue_depth{shard}` — per-shard executor queue
 //!   depth gauges: the depth after each push, and the length of each
 //!   batch an executor pops;
+//! * `dstore_server_batch_len{shard,of}` — every pop's job count
+//!   (`of="jobs"`, the control queue included) and every shard
+//!   durability epoch's put count (`of="puts"`), so batch sizes are read
+//!   as a distribution, not a point sample;
 //! * counters for connections, requests, responses, `Busy` rejections,
 //!   and protocol errors.
 //!
@@ -56,6 +60,10 @@ pub struct ServerMetrics {
     registry: MetricsRegistry,
     op_latency: Vec<Arc<LatencyHistogram>>,
     queue_depth: Vec<Arc<Gauge>>,
+    /// Per queue (the gauges' indexing): jobs per pop.
+    pop_len: Vec<Arc<LatencyHistogram>>,
+    /// Per shard: puts per durability epoch.
+    epoch_len: Vec<Arc<LatencyHistogram>>,
     /// Error responses per request kind
     /// (`dstore_server_errors_total{kind}`). Application errors
     /// included — a `NotFound` probe counts, so the rate is the thing
@@ -91,6 +99,16 @@ impl ServerMetrics {
             .map(|i| registry.gauge("dstore_server_queue_depth", &[("shard", &i.to_string())]))
             .collect();
         queue_depth.push(registry.gauge("dstore_server_queue_depth", &[("shard", "control")]));
+        let batch_len = |shard: &str, of: &str| {
+            registry.histogram("dstore_server_batch_len", &[("shard", shard), ("of", of)])
+        };
+        let mut pop_len: Vec<_> = (0..shards)
+            .map(|i| batch_len(&i.to_string(), "jobs"))
+            .collect();
+        pop_len.push(batch_len("control", "jobs"));
+        let epoch_len = (0..shards)
+            .map(|i| batch_len(&i.to_string(), "puts"))
+            .collect();
         let errors_total = OP_NAMES
             .iter()
             .map(|op| registry.counter("dstore_server_errors_total", &[("kind", op)]))
@@ -98,6 +116,8 @@ impl ServerMetrics {
         ServerMetrics {
             op_latency,
             queue_depth,
+            pop_len,
+            epoch_len,
             errors_total,
             busy_total: registry.counter("dstore_server_busy_total", &[]),
             connections_opened: registry.counter("dstore_server_connections_opened", &[]),
@@ -128,6 +148,18 @@ impl ServerMetrics {
     /// `shard == shards`).
     pub fn set_queue_depth(&self, shard: usize, depth: usize) {
         self.queue_depth[shard].set(depth as f64);
+    }
+
+    /// Records a pop of `jobs` jobs from queue `shard`: its batch-length
+    /// sample and the depth gauge.
+    pub fn record_pop(&self, shard: usize, jobs: usize) {
+        self.set_queue_depth(shard, jobs);
+        self.pop_len[shard].record(jobs as u64);
+    }
+
+    /// Records a durability epoch of `puts` puts on `shard`.
+    pub fn record_epoch(&self, shard: usize, puts: usize) {
+        self.epoch_len[shard].record(puts as u64);
     }
 
     /// Snapshot of the server layer, labelled to keep it separable from

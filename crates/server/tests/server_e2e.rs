@@ -182,6 +182,36 @@ fn observability_rpcs_over_the_wire() {
         let n = snap.counter_with("dstore_ops_total", "op", op);
         assert!(n >= 50, "dstore_ops_total{{op={op}}} = {n}");
     }
+    // Batch sizes: every shard queue has both series; the control queue
+    // pops jobs but runs no epoch.
+    let batch_len = |shard: &str, of: &str| {
+        let found: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|s| {
+                s.name == "dstore_server_batch_len"
+                    && s.labels.iter().any(|(k, v)| k == "shard" && v == shard)
+                    && s.labels.iter().any(|(k, v)| k == "of" && v == of)
+            })
+            .map(|s| s.hist.clone())
+            .collect();
+        assert!(found.len() <= 1, "{shard}/{of}: {} series", found.len());
+        found.into_iter().next()
+    };
+    let (mut jobs, mut puts) = (0, 0);
+    for shard in ["0", "1"] {
+        let pops = batch_len(shard, "jobs").expect("a pop series per shard");
+        let epochs = batch_len(shard, "puts").expect("an epoch series per shard");
+        assert!(pops.count >= 1 && epochs.count >= 1, "shard {shard} ran");
+        // One client waiting on each answer: every epoch is one put.
+        assert_eq!(epochs.max, 1, "shard {shard}");
+        jobs += pops.sum;
+        puts += epochs.sum;
+    }
+    assert_eq!((jobs, puts), (100, 50), "jobs popped and puts committed");
+    let control = batch_len("control", "jobs").expect("a pop series for the control queue");
+    assert!(control.count >= 2, "health and this snapshot were popped");
+    assert!(batch_len("control", "puts").is_none());
     server.shutdown();
 }
 

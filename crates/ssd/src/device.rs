@@ -4,15 +4,31 @@ use crate::latency::SsdLatency;
 use crate::stats::SsdStats;
 use crate::{PageNo, PAGE_SIZE};
 use dstore_pmem::mapping::Mapping;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+
+/// A crash-faithful device's table holds at least this many entries
+/// before a submit drops the ones whose writes have completed.
+const PRUNE_AT: usize = 256;
+
+/// A page whose write is still in flight: when the latest write to it
+/// completes, and what the page held before the oldest one began.
+struct InFlight {
+    deadline: u64,
+    pre_image: Box<[u8]>,
+}
 
 /// An emulated NVMe SSD exposing 4 KB pages.
 ///
 /// Durability contract (matches the paper's §4.5): a completed write has
 /// reached the device's capacitor-backed write cache and **survives power
 /// failure**. There is consequently no flush/sync operation on the data
-/// path; [`SsdDevice::simulate_crash`] keeps all completed writes.
+/// path; [`SsdDevice::simulate_crash`] keeps all completed writes. A
+/// write submitted with [`SsdDevice::submit_write_pages`] completes at
+/// its deadline: on a [crash-faithful](SsdDevice::crash_faithful) device
+/// a crash before then rolls its pages back to what they held before it.
 ///
 /// Concurrent accesses to distinct pages are safe; concurrent accesses to
 /// the same page must be synchronized by the caller (DStore's concurrency
@@ -23,6 +39,9 @@ pub struct SsdDevice {
     pages: u64,
     latency: SsdLatency,
     stats: SsdStats,
+    /// Crash-faithful devices only: every page with a submitted write
+    /// still in flight, for [`SsdDevice::simulate_crash`] to roll back.
+    in_flight: Option<Mutex<HashMap<PageNo, InFlight>>>,
 }
 
 impl SsdDevice {
@@ -35,6 +54,7 @@ impl SsdDevice {
             pages,
             latency: SsdLatency::none(),
             stats: SsdStats::new(),
+            in_flight: None,
         }
     }
 
@@ -46,12 +66,23 @@ impl SsdDevice {
             pages,
             latency: SsdLatency::none(),
             stats: SsdStats::new(),
+            in_flight: None,
         })
     }
 
     /// Installs a latency model (builder style).
     pub fn with_latency(mut self, latency: SsdLatency) -> Self {
         self.latency = latency;
+        self
+    }
+
+    /// Makes the device crash-faithful (builder style): it keeps each
+    /// in-flight submitted write's pre-image until the write's deadline,
+    /// so [`SsdDevice::simulate_crash`] loses every write that had not
+    /// completed. Strict-persistence stores use it; a device without it
+    /// keeps no table and treats a submitted write as durable at once.
+    pub fn crash_faithful(mut self) -> Self {
+        self.in_flight = Some(Mutex::new(HashMap::new()));
         self
     }
 
@@ -103,6 +134,7 @@ impl SsdDevice {
         self.check(page, count);
         self.stats.record_write(data.len() as u64);
         self.latency.charge_write(data.len());
+        self.settle(page, count);
         // SAFETY: bounds checked; raw copy, no references formed; callers
         // synchronize same-page access per the type contract.
         unsafe {
@@ -122,7 +154,10 @@ impl SsdDevice {
     /// once the submitter has nothing left to overlap with it. Models
     /// the same per-command device time as
     /// [`SsdDevice::write_pages`] (the paper's wide-open 28-queue-slot
-    /// P4800X calibration), just without blocking the submitter.
+    /// P4800X calibration), just without blocking the submitter. A
+    /// crash-faithful device first saves the pages' pre-images, unless a
+    /// write to the page is already in flight (the crash then rolls both
+    /// back) or the write costs no device time.
     pub fn submit_write_pages(&self, page: PageNo, data: &[u8]) -> u64 {
         assert!(
             data.len().is_multiple_of(PAGE_SIZE) && !data.is_empty(),
@@ -132,6 +167,29 @@ impl SsdDevice {
         let count = data.len() / PAGE_SIZE;
         self.check(page, count);
         self.stats.record_write(data.len() as u64);
+        let now = dstore_telemetry::now_ns();
+        let deadline = now + self.latency.write_cost_ns(data.len());
+        if let Some(table) = self.in_flight.as_ref().filter(|_| deadline > now) {
+            let mut table = table.lock();
+            if table.len() >= PRUNE_AT {
+                table.retain(|_, w| w.deadline > now);
+            }
+            for p in page..page + count as u64 {
+                match table.get_mut(&p) {
+                    Some(w) if w.deadline > now => w.deadline = w.deadline.max(deadline),
+                    _ => {
+                        let pre_image = self.page_bytes(p).into();
+                        table.insert(
+                            p,
+                            InFlight {
+                                deadline,
+                                pre_image,
+                            },
+                        );
+                    }
+                }
+            }
+        }
         // SAFETY: bounds checked; raw copy, no references formed; callers
         // synchronize same-page access per the type contract.
         unsafe {
@@ -141,7 +199,32 @@ impl SsdDevice {
                 data.len(),
             );
         }
-        dstore_telemetry::now_ns() + self.latency.write_cost_ns(data.len())
+        deadline
+    }
+
+    /// The current bytes of `page` (bounds checked by the caller).
+    fn page_bytes(&self, page: PageNo) -> &[u8] {
+        // SAFETY: in bounds; callers synchronize same-page access per the
+        // type contract, so no write to `page` races this read.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.backing.as_ptr().add(page as usize * PAGE_SIZE),
+                PAGE_SIZE,
+            )
+        }
+    }
+
+    /// A synchronous write to `count` pages from `page` is durable on
+    /// return: a crash no longer rolls those pages back.
+    fn settle(&self, page: PageNo, count: usize) {
+        if let Some(table) = &self.in_flight {
+            let mut table = table.lock();
+            if !table.is_empty() {
+                for p in page..page + count as u64 {
+                    table.remove(&p);
+                }
+            }
+        }
     }
 
     /// Blocks until `deadline_ns` (a [`SsdDevice::submit_write_pages`]
@@ -174,6 +257,7 @@ impl SsdDevice {
         self.check(page, 1);
         self.stats.record_write(PAGE_SIZE as u64);
         self.latency.charge_write(PAGE_SIZE);
+        self.settle(page, 1);
         // SAFETY: bounds checked above.
         unsafe {
             std::ptr::copy_nonoverlapping(
@@ -237,9 +321,32 @@ impl SsdDevice {
         }
     }
 
-    /// Power failure. Completed writes survive (capacitor-backed cache);
-    /// nothing to do. Present so crash tests treat all devices uniformly.
-    pub fn simulate_crash(&self) {}
+    /// Power failure now. Completed writes survive (capacitor-backed
+    /// cache). A crash-faithful device rolls every page whose submitted
+    /// write had not reached its deadline back to its pre-image; returns
+    /// how many pages it rolled back (always 0 on other devices).
+    pub fn simulate_crash(&self) -> usize {
+        let Some(table) = &self.in_flight else {
+            return 0;
+        };
+        let now = dstore_telemetry::now_ns();
+        let mut lost = 0;
+        for (page, w) in table.lock().drain() {
+            if w.deadline > now {
+                // SAFETY: the page was bounds checked when its write was
+                // submitted; a crash has no concurrent writers.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        w.pre_image.as_ptr(),
+                        self.backing.as_ptr().add(page as usize * PAGE_SIZE),
+                        PAGE_SIZE,
+                    );
+                }
+                lost += 1;
+            }
+        }
+        lost
+    }
 
     /// Synchronizes a file-backed device to its file (for real restarts).
     pub fn sync_backing_file(&self) -> io::Result<()> {
@@ -343,6 +450,91 @@ mod tests {
         d.read_pages(3, &mut buf);
         assert!(buf.iter().all(|&b| b == 0x5C));
         assert_eq!(d.stats().snapshot().write_bytes, PAGE_SIZE as u64);
+    }
+
+    /// A device whose writes take `ms` milliseconds, so a crash right
+    /// after a submit lands well inside the write.
+    fn slow_faithful(pages: u64, ms: u64) -> SsdDevice {
+        SsdDevice::anon(pages)
+            .with_latency(SsdLatency {
+                write_base_ns: ms * 1_000_000,
+                ..SsdLatency::none()
+            })
+            .crash_faithful()
+    }
+
+    fn read_page(d: &SsdDevice, page: PageNo) -> Vec<u8> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        d.read_pages(page, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn crash_rolls_back_an_in_flight_write_only() {
+        let d = slow_faithful(8, 200);
+        d.write_pages(1, &page_of(0x11));
+        d.write_pages(2, &page_of(0x22));
+        let settled = d.submit_write_pages(1, &page_of(0xA1));
+        d.wait_durable(settled);
+        let mut two = page_of(0xB2);
+        two.extend(page_of(0xB3));
+        d.submit_write_pages(2, &two);
+        // Visible before the crash, like a write cache.
+        assert_eq!(read_page(&d, 3), page_of(0xB3));
+        assert_eq!(d.simulate_crash(), 2, "pages 2 and 3 were in flight");
+        assert_eq!(read_page(&d, 1), page_of(0xA1), "completed write kept");
+        assert_eq!(read_page(&d, 2), page_of(0x22), "in-flight write lost");
+        assert_eq!(read_page(&d, 3), page_of(0), "in-flight write lost");
+        assert_eq!(d.simulate_crash(), 0, "the table empties at a crash");
+    }
+
+    #[test]
+    fn two_in_flight_writes_to_a_page_roll_back_to_the_first_pre_image() {
+        let d = slow_faithful(4, 200);
+        d.write_pages(0, &page_of(1));
+        d.submit_write_pages(0, &page_of(2));
+        d.submit_write_pages(0, &page_of(3));
+        assert_eq!(d.simulate_crash(), 1);
+        assert_eq!(read_page(&d, 0), page_of(1));
+    }
+
+    #[test]
+    fn a_synchronous_write_settles_an_in_flight_page() {
+        let d = slow_faithful(4, 200);
+        d.submit_write_pages(0, &page_of(2));
+        d.write_partial(0, 0, b"sync");
+        assert_eq!(d.simulate_crash(), 0);
+        assert_eq!(&read_page(&d, 0)[..5], b"sync\x02");
+    }
+
+    #[test]
+    fn free_writes_and_plain_devices_keep_no_table() {
+        let free = SsdDevice::anon(4).crash_faithful();
+        free.submit_write_pages(0, &page_of(7));
+        let plain = SsdDevice::anon(4).with_latency(SsdLatency {
+            write_base_ns: 200_000_000,
+            ..SsdLatency::none()
+        });
+        plain.submit_write_pages(0, &page_of(7));
+        for d in [&free, &plain] {
+            assert_eq!(d.simulate_crash(), 0);
+            assert_eq!(read_page(d, 0), page_of(7));
+        }
+    }
+
+    #[test]
+    fn completed_writes_leave_the_table() {
+        let d = slow_faithful(2 * PRUNE_AT as u64, 0).with_latency(SsdLatency {
+            write_base_ns: 1,
+            ..SsdLatency::none()
+        });
+        for p in 0..2 * PRUNE_AT as u64 {
+            let deadline = d.submit_write_pages(p, &page_of(p as u8));
+            d.wait_durable(deadline + 1);
+        }
+        let left = d.in_flight.as_ref().unwrap().lock().len();
+        assert!(left <= PRUNE_AT, "{left} completed writes kept");
+        assert_eq!(d.simulate_crash(), 0);
     }
 
     #[test]
