@@ -15,8 +15,10 @@
 use crate::memory::Memory;
 use crate::relptr::{ByteSlice, RelPtr};
 use crate::ArenaPod;
+use dstore_telemetry::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Smallest allocation class: 16 B.
 pub const MIN_CLASS_SIZE: usize = 16;
@@ -62,11 +64,6 @@ pub struct ArenaStats {
     pub high_water: u64,
     /// Total region capacity.
     pub capacity: u64,
-    /// Allocations that contended on a size-class lock (the allocator's
-    /// only blocking point; volatile — resets on attach).
-    pub alloc_stalls: u64,
-    /// Total nanoseconds spent waiting on contended size-class locks.
-    pub alloc_stall_ns: u64,
 }
 
 /// A slab allocator over a [`Memory`] region.
@@ -79,11 +76,12 @@ pub struct ArenaStats {
 pub struct Arena<M: Memory> {
     mem: M,
     class_locks: [Mutex<()>; NUM_CLASSES],
-    /// Allocations that found their size-class lock contended. Volatile
-    /// (like the locks themselves): stall accounting restarts on attach.
-    alloc_stalls: AtomicU64,
+    /// Allocations that found their size-class lock contended (the
+    /// allocator's only blocking point). Volatile, like the locks
+    /// themselves: stall accounting restarts on create and attach.
+    alloc_stalls: Arc<Counter>,
     /// Nanoseconds spent waiting on contended size-class locks.
-    alloc_stall_ns: AtomicU64,
+    alloc_stall_ns: Arc<Counter>,
 }
 
 impl<M: Memory> Arena<M> {
@@ -97,8 +95,8 @@ impl<M: Memory> Arena<M> {
         let arena = Self {
             mem,
             class_locks: Default::default(),
-            alloc_stalls: AtomicU64::new(0),
-            alloc_stall_ns: AtomicU64::new(0),
+            alloc_stalls: Default::default(),
+            alloc_stall_ns: Default::default(),
         };
         // SAFETY: region is at least HEADER_SIZE bytes and exclusively ours.
         unsafe {
@@ -122,8 +120,8 @@ impl<M: Memory> Arena<M> {
         let arena = Self {
             mem,
             class_locks: Default::default(),
-            alloc_stalls: AtomicU64::new(0),
-            alloc_stall_ns: AtomicU64::new(0),
+            alloc_stalls: Default::default(),
+            alloc_stall_ns: Default::default(),
         };
         // SAFETY: header is within bounds.
         let h = unsafe { arena.header_ref() };
@@ -188,9 +186,8 @@ impl<M: Memory> Arena<M> {
                 None => {
                     let t0 = std::time::Instant::now();
                     let g = self.class_locks[class].lock();
-                    self.alloc_stalls.fetch_add(1, Ordering::Relaxed);
-                    self.alloc_stall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    self.alloc_stalls.inc();
+                    self.alloc_stall_ns.add(t0.elapsed().as_nanos() as u64);
                     g
                 }
             };
@@ -378,9 +375,15 @@ impl<M: Memory> Arena<M> {
             live_blocks: h.live_blocks.load(Ordering::Relaxed),
             high_water: h.bump.load(Ordering::Relaxed),
             capacity: self.mem.len() as u64,
-            alloc_stalls: self.alloc_stalls.load(Ordering::Relaxed),
-            alloc_stall_ns: self.alloc_stall_ns.load(Ordering::Relaxed),
         }
+    }
+
+    /// Registers the allocation-stall counters in `registry` as
+    /// `dstore_arena_alloc_stalls_total` and
+    /// `dstore_arena_alloc_stall_ns_total`.
+    pub fn register(&self, registry: &MetricsRegistry) {
+        registry.register_counter("dstore_arena_alloc_stalls_total", &self.alloc_stalls);
+        registry.register_counter("dstore_arena_alloc_stall_ns_total", &self.alloc_stall_ns);
     }
 
     /// Copies this arena's allocated prefix (header + every slab ever

@@ -19,9 +19,8 @@ use dstore_baselines::{
     lsm::LsmConfig, pagecache::PageCacheConfig, uncached::UncachedConfig, KvSystem, LsmStore,
     PageCacheBTree, UncachedStore,
 };
-use dstore_pmem::stats::PmemSnapshot;
 use dstore_pmem::{LatencyModel, PmemPool, PoolBuilder};
-use dstore_ssd::{SsdDevice, SsdLatency, SsdSnapshot};
+use dstore_ssd::{SsdDevice, SsdLatency};
 use dstore_workload::{
     run_closed_loop, LatencyHistogram, RunOptions, RunReport, Workload, WorkloadKind, YcsbOp,
 };
@@ -322,22 +321,22 @@ pub fn percentile_header(title: &str) {
     );
 }
 
-/// Snapshot pair for bandwidth deltas.
+/// The devices whose traffic counters a `Timeline` samples.
 pub struct DeviceProbe {
     pub pmem: Arc<PmemPool>,
     pub ssd: Arc<SsdDevice>,
 }
 
 impl DeviceProbe {
-    /// Current counters as a tuple for `Timeline`.
+    /// Current counters as a tuple for `Timeline`: ops, SSD write bytes,
+    /// SSD read bytes, PMEM write bytes (flushed plus bulk).
     pub fn counters(&self, ops: &AtomicU64) -> (u64, u64, u64, u64) {
-        let s: SsdSnapshot = self.ssd.stats().snapshot();
-        let p: PmemSnapshot = self.pmem.stats().snapshot();
+        let (s, p) = (self.ssd.stats(), self.pmem.stats());
         (
             ops.load(Ordering::Relaxed),
-            s.write_bytes,
-            s.read_bytes,
-            p.flush_bytes + p.bulk_write_bytes,
+            s.write_bytes.get(),
+            s.read_bytes.get(),
+            p.flush_bytes.get() + p.bulk_write_bytes.get(),
         )
     }
 }
@@ -367,6 +366,24 @@ mod tests {
         assert_eq!(kv.get(b"k"), None);
         let (dram, pmem, ssd) = kv.footprint();
         assert!(dram > 0 && pmem > 0 && ssd > 0);
+    }
+
+    #[test]
+    fn device_probe_sees_a_put_on_both_devices() {
+        let kv = DStoreKv::new(
+            build_dstore(CheckpointMode::Dipper, LoggingMode::Logical, true, true, 64),
+            "DStore",
+        );
+        let probe = DeviceProbe {
+            pmem: Arc::clone(kv.store().pmem()),
+            ssd: Arc::clone(kv.store().ssd()),
+        };
+        let ops = AtomicU64::new(0);
+        let (_, ssd_before, _, pmem_before) = probe.counters(&ops);
+        kv.put(b"k", &[7u8; 4096]);
+        let (_, ssd_after, _, pmem_after) = probe.counters(&ops);
+        assert!(ssd_after > ssd_before, "SSD write bytes");
+        assert!(pmem_after > pmem_before, "PMEM write bytes");
     }
 
     #[test]

@@ -178,11 +178,6 @@ impl DStoreConfig {
         self.trace = trace;
         self
     }
-    /// Sets the deadlock-detector budget for internal spin waits.
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = timeout;
-        self
-    }
     /// Sets the number of block-pool shards.
     pub fn with_pool_shards(mut self, shards: usize) -> Self {
         self.pool_shards = shards;

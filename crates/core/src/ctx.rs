@@ -589,7 +589,7 @@ impl DsContext {
             let conflicts = match inner.log.reserve(OP_NOOP, name, 0) {
                 Err(LogFull) => {
                     drop(guard);
-                    inner.handle_log_full();
+                    inner.handle_log_full(record::encoded_len(name.len(), 0))?;
                     continue;
                 }
                 Ok(res) => {
@@ -683,7 +683,8 @@ impl DsContext {
         before_wait: &mut dyn FnMut(),
     ) -> DsResult<(Admitted<'a, 'n>, P)> {
         enum Outcome<'l, P> {
-            Full,
+            /// The log has no room for the record of this many bytes.
+            Full(usize),
             Conflicts(Vec<RecordHandle>),
             /// An in-flight writer is mid-install on this name, so the
             /// plan's entry read is not safe yet.
@@ -729,7 +730,7 @@ impl DsContext {
                 match inner.log.reserve(op, name, params.len()) {
                     Err(LogFull) => {
                         d.unclaim(&p);
-                        Outcome::Full
+                        Outcome::Full(len)
                     }
                     Ok(res) => {
                         at.mark(SEG_LOG_APPEND);
@@ -757,12 +758,12 @@ impl DsContext {
                 // Step ⑤: unlock (scope end).
             };
             let (r, (entry, plan), latch) = match outcome {
-                Outcome::Full => {
+                Outcome::Full(len) => {
                     at.mark(SEG_LOG_APPEND);
                     drop(_global);
                     drop(guard);
                     before_wait();
-                    inner.handle_log_full();
+                    inner.handle_log_full(len)?;
                     // The forced checkpoint is in flight when the stall
                     // ends — name it even if it finishes before we do.
                     inner.telemetry.ckpt.note_stall(at);

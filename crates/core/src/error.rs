@@ -47,6 +47,11 @@ pub enum DsError {
     /// consecutive ids (or, in physical mode, the object has too many
     /// blocks). Nothing was logged and no block stays claimed.
     RecordTooLarge(usize),
+    /// The log is full of records still pending (say, `olock`s one
+    /// context holds), so a checkpoint's swap would relocate them without
+    /// making room, and none committed within `stall_timeout`. Nothing
+    /// was logged and no block stays claimed.
+    LogFull,
 }
 
 impl fmt::Display for DsError {
@@ -67,6 +72,7 @@ impl fmt::Display for DsError {
             DsError::Protocol(e) => write!(f, "protocol error: {e}"),
             DsError::Busy => write!(f, "server busy: shard queue full, retry after backoff"),
             DsError::RecordTooLarge(n) => write!(f, "log record too large: {n} bytes"),
+            DsError::LogFull => write!(f, "log full of pending records"),
         }
     }
 }

@@ -19,11 +19,10 @@ use dstore_dipper::checkpoint::{
 use dstore_dipper::layout::{LOG_HEADER_SIZE, ROOT_SIZE};
 use dstore_dipper::{record, recover_scan, Checkpointer, DipperConfig, OpLog, PmemLayout, Root};
 use dstore_pmem::blackbox::{exhume, BlackBoxRegion, EVENT_SLOTS, TRACE_SLOTS};
-use dstore_pmem::{PersistenceMode, PmemPool, PoolBuilder};
+use dstore_pmem::{Backoff, PersistenceMode, PmemPool, PoolBuilder};
 use dstore_ssd::SsdDevice;
 use dstore_telemetry::SpanRing;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// SSD superblock magic ("DSTORESB").
@@ -237,12 +236,29 @@ impl StoreInner {
         }
     }
 
-    /// Handles a full log: force a checkpoint (blocking if one is already
-    /// running) so the append can retry — the backpressure path.
-    pub fn handle_log_full(&self) {
+    /// Handles a full log for a record of `len` encoded bytes: force a
+    /// checkpoint (blocking if one is already running) so the append can
+    /// retry — the backpressure path.
+    ///
+    /// The checkpoint's swap relocates every record still pending into
+    /// the new buffer. When those leave less than `len` bytes free, a
+    /// swap makes no room, and forcing one after another would spin
+    /// forever; so the op first waits, at most `stall_timeout`, for
+    /// enough of them to commit, and fails with [`DsError::LogFull`] if
+    /// they do not (say, one context holds `olock`s that fill the log).
+    pub fn handle_log_full(&self, len: usize) -> DsResult<()> {
         self.telemetry.log_full_stalls.inc();
         self.blackbox.record_event("log_full_stall", 0, 0);
+        let t = std::time::Instant::now();
+        let mut backoff = Backoff::new();
+        while self.log.room_after_swap() < len {
+            if t.elapsed() > self.cfg.stall_timeout {
+                return Err(DsError::LogFull);
+            }
+            backoff.snooze();
+        }
         self.engine.begin_blocking();
+        Ok(())
     }
 }
 
@@ -400,6 +416,13 @@ impl DStore {
             dir,
             Arc::clone(&telemetry.blackbox_records),
         ));
+        // Every layer's counters, under the names their layers gave them.
+        // The pool and the device outlive this incarnation, so theirs
+        // keep counting across a crash; the log and the arena are new.
+        pool.stats().register(&telemetry.registry);
+        ssd.stats().register(&telemetry.registry);
+        log.stats().register(&telemetry.registry);
+        dram.register(&telemetry.registry);
         let bb = Arc::clone(&blackbox);
         let ckpt_telemetry = CheckpointTelemetry {
             events: Arc::new(move |name, a, b| bb.record_event(name, a, b)),
@@ -506,8 +529,9 @@ impl DStore {
 
     /// Full telemetry snapshot: per-op latency histograms, checkpoint and
     /// recovery phase spans, gauges (log fill, arena high-water, SSD
-    /// blocks in use), operation/device counters. Always `Some`.
-    /// `dstore_ops_total{op}` is each op's latency-histogram count.
+    /// blocks in use), and the counters every layer registered when the
+    /// store was assembled (PMEM and SSD traffic, log commits, arena
+    /// stalls, ops). Always `Some`.
     ///
     /// Render the result with `dstore_telemetry::to_prometheus` or
     /// `dstore_telemetry::to_json`.
@@ -515,69 +539,12 @@ impl DStore {
         let tel = &self.inner.telemetry;
         // Refresh the gauges the registry cannot compute itself.
         tel.log_used.set(self.inner.log.used_fraction());
-        let arena = self.inner.dram.stats();
-        tel.arena_high_water.set(arena.high_water as f64);
+        tel.arena_high_water
+            .set(self.inner.dram.stats().high_water as f64);
         tel.ssd_blocks_used
             .set(self.inner.domain().pool_used() as f64);
         tel.ckpt_phase_gauge.set(tel.ckpt.phase.index() as f64);
-
-        let mut snap = tel.snapshot();
-        // Log commits: one fence per commit call and the records it
-        // committed, so their ratio is the mean durability epoch.
-        let l = self.inner.log.stats();
-        snap.push_counter(
-            "dstore_log_commit_batches_total",
-            vec![],
-            l.commit_batches.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "dstore_log_commits_combined_total",
-            vec![],
-            l.commits_combined.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "dstore_checkpoints_completed_total",
-            vec![],
-            self.checkpoints_completed(),
-        );
-        // Device traffic.
-        let p = self.inner.pool.stats().snapshot();
-        snap.push_counter("dstore_pmem_flush_bytes_total", vec![], p.flush_bytes);
-        // Ordering accounting (minimally-ordered durability): flush/fence
-        // call counts plus the lines `persist_many` merged away.
-        snap.push_counter("dstore_pmem_flushes_total", vec![], p.flush_ops);
-        snap.push_counter("dstore_pmem_fences_total", vec![], p.fences);
-        snap.push_counter("dstore_pmem_dedup_lines_total", vec![], p.dedup_lines);
-        snap.push_counter(
-            "dstore_log_torn_commits_total",
-            vec![],
-            l.torn_commits.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "dstore_pmem_bulk_write_bytes_total",
-            vec![],
-            p.bulk_write_bytes,
-        );
-        snap.push_counter(
-            "dstore_pmem_bulk_read_bytes_total",
-            vec![],
-            p.bulk_read_bytes,
-        );
-        let d = self.inner.ssd.stats().snapshot();
-        snap.push_counter("dstore_ssd_write_bytes_total", vec![], d.write_bytes);
-        snap.push_counter("dstore_ssd_read_bytes_total", vec![], d.read_bytes);
-        // Allocator contention (feeds the alloc segment's cc story).
-        snap.push_counter(
-            "dstore_arena_alloc_stalls_total",
-            vec![],
-            arena.alloc_stalls,
-        );
-        snap.push_counter(
-            "dstore_arena_alloc_stall_ns_total",
-            vec![],
-            arena.alloc_stall_ns,
-        );
-        Some(snap)
+        Some(tel.snapshot(self.checkpoints_completed()))
     }
 
     /// Tail-latency attribution over the retained traces in the flight

@@ -111,11 +111,18 @@ impl StoreTelemetry {
         }
     }
 
-    /// Snapshots the registry, plus `dstore_ops_total{op}`: each op's
-    /// latency histogram counts every completed op once, so the count
-    /// is read from that histogram's snapshot, not kept a second time.
-    pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
+    /// Snapshots the registry, plus two counters read, not kept a second
+    /// time: `dstore_ops_total{op}`, each op's latency-histogram count
+    /// (the histogram counts every completed op once), and
+    /// `dstore_checkpoints_completed_total`, the engine's
+    /// `checkpoints_completed`.
+    pub(crate) fn snapshot(&self, checkpoints_completed: u64) -> TelemetrySnapshot {
         let mut snap = self.registry.snapshot();
+        snap.push_counter(
+            "dstore_checkpoints_completed_total",
+            vec![],
+            checkpoints_completed,
+        );
         let ops: Vec<_> = snap
             .histograms
             .iter()

@@ -339,6 +339,46 @@ fn olock_reacquire_after_drop() {
     drop(l2);
 }
 
+/// One context's `olock`s fill a 16 KiB log. A swap would relocate
+/// every one of them without making room, so the next `lock` and `put`
+/// fail with `LogFull` after `stall_timeout`, and work again once the
+/// locks are released. Each engine runs on its own thread under a
+/// deadline, so a livelock fails the test instead of hanging it.
+#[test]
+fn olocks_that_fill_the_log_fail_with_log_full() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    for ckpt in [CheckpointMode::Dipper, CheckpointMode::Cow] {
+        let mut cfg = DStoreConfig::small().with_checkpoint(ckpt);
+        cfg.log_size = 16 << 10;
+        cfg.stall_timeout = Duration::from_millis(500);
+        let (tx, rx) = mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            let s = DStore::create(cfg).unwrap();
+            let ctx = s.context();
+            let mut locks = Vec::new();
+            let full = loop {
+                match ctx.lock(format!("lock/{}", locks.len()).as_bytes()) {
+                    Ok(l) if locks.len() < 10_000 => locks.push(l),
+                    other => break other.map(|_| ()),
+                }
+            };
+            let put = ctx.put(b"k", b"v");
+            let held = locks.len();
+            drop(locks);
+            let after = ctx.put(b"k", b"v");
+            tx.send((full, put, held, after)).unwrap();
+        });
+        let (full, put, held, after) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{ckpt:?}: a full log of olocks hangs"));
+        holder.join().unwrap();
+        assert_eq!(full, Err(DsError::LogFull), "{ckpt:?} after {held} locks");
+        assert_eq!(put, Err(DsError::LogFull), "{ckpt:?}");
+        assert_eq!(after, Ok(()), "{ckpt:?}: unlocked, the log drains");
+    }
+}
+
 #[test]
 fn all_four_mode_combinations_work() {
     for ckpt in [CheckpointMode::Dipper, CheckpointMode::Cow] {
@@ -668,9 +708,9 @@ fn owrite_grows_an_inline_object_far_past_inline_max() {
         let base = s.footprint().ssd_bytes;
         ctx.put(b"f", &[5; 100]).unwrap();
         let obj = ctx.open(b"f", OpenMode::Write).unwrap();
-        let before = s.ssd().stats().snapshot();
+        let before = s.ssd().stats().write_bytes.get();
         obj.write(b"x", AT).unwrap();
-        let written = s.ssd().stats().snapshot().write_bytes_since(&before);
+        let written = s.ssd().stats().write_bytes.get() - before;
         assert_eq!(written, 2 * 4096, "{ckpt:?}/{logging:?}");
         drop(obj);
         drop(ctx);

@@ -156,6 +156,30 @@ fn recovery_records_phase_spans() {
     assert!(replay.b >= 1, "the tail put must be replayed");
 }
 
+/// Each layer's counters keep their own lifetime across `crash` →
+/// `recover`: the pool and the device survive the crash, so theirs keep
+/// counting; the log is attached anew, so its commit count restarts.
+#[test]
+fn device_counters_survive_recovery_and_log_counters_restart() {
+    let store = DStore::create(DStoreConfig::small()).unwrap();
+    mixed_load(&store, 20);
+    store.context().put(b"block", &[7u8; 4096]).unwrap();
+    let before = store.telemetry_snapshot().unwrap();
+    let image = store.crash();
+
+    let store = DStore::recover(image).unwrap();
+    let after = store.telemetry_snapshot().unwrap();
+    for name in ["dstore_pmem_fences_total", "dstore_ssd_write_bytes_total"] {
+        let (b, a) = (before.counter_total(name), after.counter_total(name));
+        assert!(b > 0 && a >= b, "{name}: {b} before the crash, {a} after");
+    }
+    assert!(before.counter_total("dstore_log_commit_batches_total") > 0);
+    assert_eq!(after.counter_total("dstore_log_commit_batches_total"), 0);
+    store.context().put(b"new", b"commit").unwrap();
+    let snap = store.telemetry_snapshot().unwrap();
+    assert_eq!(snap.counter_total("dstore_log_commit_batches_total"), 1);
+}
+
 #[test]
 fn health_reflects_live_store() {
     let store = DStore::create(DStoreConfig::small()).unwrap();

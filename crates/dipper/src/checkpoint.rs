@@ -834,7 +834,7 @@ mod tests {
         let stats = ckpt.stats();
         assert_eq!(stats.records_applied, committed.len() as u64);
         assert_eq!(stats.completed, 2);
-        assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 1);
+        assert_eq!(log.stats().torn_commits.get(), 1);
     }
 
     /// A wait on a checkpoint that never finishes panics, naming where it

@@ -41,6 +41,7 @@
 use crate::layout::PmemLayout;
 use crate::record::{self, RecordView, COMMIT_COMMITTED, COMMIT_PENDING};
 use dstore_pmem::{Backoff, PmemPool};
+use dstore_telemetry::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -84,26 +85,37 @@ struct ReserveState {
     next_lsn: u64,
 }
 
-/// Counters for diagnostics and benchmarks.
+/// The log's counters, each a registry [`Counter`] owned by one
+/// [`OpLog`]: a recovered store attaches a new log, so they restart with
+/// the incarnation. [`LogStats::register`] exports them.
 #[derive(Debug, Default)]
 pub struct LogStats {
-    /// Records appended.
-    pub appends: AtomicU64,
-    /// Log swaps performed.
-    pub swaps: AtomicU64,
-    /// Records relocated by swaps.
-    pub relocated: AtomicU64,
-    /// Records committed. Exported as `dstore_log_commits_combined_total`
-    /// beside [`LogStats::commit_batches`]; their ratio is the mean number
-    /// of records per commit fence (the mean durability epoch).
-    pub commits_combined: AtomicU64,
-    /// Commit fences issued: one per non-empty [`OpLog::commit_many`]
-    /// (an [`OpLog::commit`] is one of size one).
-    pub commit_batches: AtomicU64,
+    /// Records relocated by swaps (`dstore_log_relocated_total`).
+    pub relocated: Arc<Counter>,
+    /// Records committed (`dstore_log_commits_combined_total`). Its ratio
+    /// to [`LogStats::commit_batches`] is the mean number of records per
+    /// commit fence (the mean durability epoch).
+    pub commits_combined: Arc<Counter>,
+    /// Commit fences issued (`dstore_log_commit_batches_total`): one per
+    /// non-empty [`OpLog::commit_many`] (an [`OpLog::commit`] is one of
+    /// size one).
+    pub commit_batches: Arc<Counter>,
     /// Committed records demoted by the walk because their body hash
     /// mismatched — a commit flag that reached the media (spurious
-    /// eviction) before its record body's commit fence.
-    pub torn_commits: AtomicU64,
+    /// eviction) before its record body's commit fence
+    /// (`dstore_log_torn_commits_total`).
+    pub torn_commits: Arc<Counter>,
+}
+
+impl LogStats {
+    /// Registers every counter in `registry` under its
+    /// `dstore_log_*_total` name.
+    pub fn register(&self, registry: &MetricsRegistry) {
+        registry.register_counter("dstore_log_relocated_total", &self.relocated);
+        registry.register_counter("dstore_log_commits_combined_total", &self.commits_combined);
+        registry.register_counter("dstore_log_commit_batches_total", &self.commit_batches);
+        registry.register_counter("dstore_log_torn_commits_total", &self.torn_commits);
+    }
 }
 
 /// The double-buffered PMEM operation log.
@@ -283,7 +295,6 @@ impl OpLog {
         // committed below", and committed flags are sticky within a
         // buffer incarnation.
         let conflicts = self.scan_conflicts(active, off, name);
-        self.stats.appends.fetch_add(1, Ordering::Relaxed);
         Ok(Reservation {
             log: self,
             off,
@@ -394,6 +405,29 @@ impl OpLog {
         (ranges, target)
     }
 
+    /// Bytes a swap now would leave free in the new active buffer: the
+    /// buffer less the records still pending, which a swap relocates.
+    /// Walks the active buffer from its first possibly-pending record.
+    pub fn room_after_swap(&self) -> usize {
+        let _g = self.swap_lock.read();
+        let active = self.reserve.lock().active;
+        let end = self.hdr_written.load(Ordering::Acquire);
+        let mut off = self.hints[active].load(Ordering::Acquire);
+        let mut pending = 0;
+        while off < end {
+            let (_, len) = record::read_word(&self.pool, off);
+            assert!(
+                len >= record::HEADER_LEN,
+                "pending walk hit a hole at pool offset {off} (len {len})"
+            );
+            if record::read_commit(&self.pool, off) == COMMIT_PENDING {
+                pending += len;
+            }
+            off += len;
+        }
+        self.layout.log_size - pending
+    }
+
     /// Commits one record: [`OpLog::commit_many`] of `h` alone.
     pub fn commit(&self, h: RecordHandle) {
         self.commit_many([h]);
@@ -427,8 +461,8 @@ impl OpLog {
         }
         self.pool.persist_many(&ranges);
         self.hdr_durable.fetch_max(hdr_target, Ordering::AcqRel);
-        self.stats.commit_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.commits_combined.fetch_add(n, Ordering::Relaxed);
+        self.stats.commit_batches.inc();
+        self.stats.commits_combined.add(n);
     }
 
     /// Whether two handles refer to the same (still-pending) record,
@@ -538,9 +572,7 @@ impl OpLog {
             }
             off += len;
         }
-        self.stats
-            .relocated
-            .fetch_add(moves.len() as u64, Ordering::Relaxed);
+        self.stats.relocated.add(moves.len() as u64);
 
         // The atomic transition: active log flips + checkpoint-in-progress
         // sets, in one persisted 8-byte root store.
@@ -556,7 +588,6 @@ impl OpLog {
         st.tail = new_tail;
         self.hints[new].store(self.layout.log_records(new), Ordering::Release);
         self.epoch.store(old_epoch + 1, Ordering::Release);
-        self.stats.swaps.fetch_add(1, Ordering::Relaxed);
         old
     }
 
@@ -603,7 +634,7 @@ impl OpLog {
                 // commit fence completes.
                 record::set_commit(&self.pool, off, record::COMMIT_ABORTED);
                 rec.commit = record::COMMIT_ABORTED;
-                self.stats.torn_commits.fetch_add(1, Ordering::Relaxed);
+                self.stats.torn_commits.inc();
             }
             visit(rec);
             off += hdr.len; // checksum-validated header: len is trustworthy
@@ -853,7 +884,7 @@ mod tests {
         let archived = log.swap(|| {});
         assert_eq!(archived, 0);
         assert_eq!(log.active(), 1);
-        assert_eq!(log.stats().relocated.load(Ordering::Relaxed), 1);
+        assert_eq!(log.stats().relocated.get(), 1);
 
         // Archived buffer: committed record replayable, moved record not.
         let committed = log.committed_records(0);
@@ -1103,8 +1134,8 @@ mod tests {
             );
         }
         // No commit waits on another: each is its own batch of one.
-        let batches = log.stats().commit_batches.load(Ordering::Relaxed);
-        let combined = log.stats().commits_combined.load(Ordering::Relaxed);
+        let batches = log.stats().commit_batches.get();
+        let combined = log.stats().commits_combined.get();
         assert_eq!(combined, 200);
         assert_eq!(batches, 200);
     }
@@ -1149,9 +1180,9 @@ mod tests {
         // One fence per commit.
         let stats = log.stats();
         let commits = (THREADS * COMMITS) as u64;
-        assert_eq!(stats.commits_combined.load(Ordering::Relaxed), commits);
-        assert_eq!(stats.commit_batches.load(Ordering::Relaxed), commits);
-        assert_eq!(stats.torn_commits.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.commits_combined.get(), commits);
+        assert_eq!(stats.commit_batches.get(), commits);
+        assert_eq!(stats.torn_commits.get(), 0);
     }
 
     #[test]
@@ -1165,11 +1196,11 @@ mod tests {
             })
             .collect();
         let left = log.try_append(1, b"left", &[9; 10]).unwrap();
-        let fences = p.stats().snapshot().fences;
+        let fences = p.stats().fences.get();
         log.commit_many(handles.iter().copied());
-        assert_eq!(p.stats().snapshot().fences - fences, 1);
+        assert_eq!(p.stats().fences.get() - fences, 1);
         log.commit_many([]);
-        assert_eq!(p.stats().snapshot().fences - fences, 1, "empty set");
+        assert_eq!(p.stats().fences.get() - fences, 1, "empty set");
         p.simulate_crash();
         let recs = log.walk(0);
         assert_eq!(recs.len(), RECORDS + 1);
@@ -1180,11 +1211,8 @@ mod tests {
         assert_eq!(recs[RECORDS].commit, COMMIT_PENDING);
         assert!(!log.is_committed(left.handle));
         let stats = log.stats();
-        assert_eq!(stats.commit_batches.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            stats.commits_combined.load(Ordering::Relaxed),
-            RECORDS as u64
-        );
+        assert_eq!(stats.commit_batches.get(), 1);
+        assert_eq!(stats.commits_combined.get(), RECORDS as u64);
     }
 
     #[test]
@@ -1225,7 +1253,7 @@ mod tests {
             record::COMMIT_ABORTED,
             "committed flag over a torn body must be demoted"
         );
-        assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 1);
+        assert_eq!(log.stats().torn_commits.get(), 1);
         assert!(log.committed_records(0).is_empty());
     }
 
@@ -1250,7 +1278,7 @@ mod tests {
             })
             .collect();
         let mut backoff = Backoff::new();
-        while log.stats().commits_combined.load(Ordering::Relaxed) < 100 {
+        while log.stats().commits_combined.get() < 100 {
             backoff.snooze();
         }
         assert_eq!(log.swap(|| {}), 0);

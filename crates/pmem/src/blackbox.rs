@@ -430,11 +430,11 @@ mod tests {
     fn publish_is_one_fence() {
         let (pool, _) = strict_pool(4, 4);
         let bb = BlackBoxRegion::format(Arc::clone(&pool), 0, 4, 4);
-        let before = pool.stats().snapshot().fences;
+        let before = pool.stats().fences.get();
         bb.push_trace(&[7u8; 200]);
-        assert_eq!(pool.stats().snapshot().fences - before, 1);
-        let before = pool.stats().snapshot().fences;
+        assert_eq!(pool.stats().fences.get() - before, 1);
+        let before = pool.stats().fences.get();
         bb.publish_heartbeat(b"hb");
-        assert_eq!(pool.stats().snapshot().fences - before, 1);
+        assert_eq!(pool.stats().fences.get() - before, 1);
     }
 }

@@ -27,8 +27,10 @@
 //!
 //! The [`latency::LatencyModel`] injects calibrated device costs (per-line
 //! flush latency, fence cost, read/write bandwidth) so that benchmark
-//! *shapes* match the paper's Optane numbers, and [`stats::PmemStats`]
-//! provides the bandwidth counters behind Figure 7's PMEM bandwidth plot.
+//! *shapes* match the paper's Optane numbers. The pool owns its traffic
+//! counters ([`stats::PmemStats`]): registry counters behind Figure 7's
+//! PMEM bandwidth plot and the flush/fence budget, which a store exports
+//! as `dstore_pmem_*_total` and which outlive a simulated crash.
 
 #![warn(missing_docs)]
 

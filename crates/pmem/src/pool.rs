@@ -61,7 +61,6 @@ pub struct PoolBuilder {
     mode: PersistenceMode,
     latency: LatencyModel,
     file: Option<PathBuf>,
-    seed: u64,
 }
 
 impl PoolBuilder {
@@ -73,7 +72,6 @@ impl PoolBuilder {
             mode: PersistenceMode::Fast,
             latency: LatencyModel::none(),
             file: None,
-            seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 
@@ -93,12 +91,6 @@ impl PoolBuilder {
     /// mode the single image is file-backed.
     pub fn dax_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.file = Some(path.into());
-        self
-    }
-
-    /// Seed for the spurious-eviction RNG (strict mode).
-    pub fn eviction_seed(mut self, seed: u64) -> Self {
-        self.seed = seed.max(1);
         self
     }
 
@@ -131,9 +123,9 @@ impl PoolBuilder {
             persistent,
             mode: self.mode,
             latency: self.latency,
-            stats: PmemStats::new(),
+            stats: PmemStats::default(),
             pending: Mutex::new(Vec::new()),
-            rng: AtomicU64::new(self.seed.max(1)),
+            rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
         })
     }
 }
@@ -153,8 +145,12 @@ pub struct PmemPool {
     latency: LatencyModel,
     stats: PmemStats,
     /// Flushed-but-unfenced line ranges (strict mode). Shared across
-    /// threads: a fence by any thread drains all pending flushes, a benign
-    /// over-approximation of per-thread `sfence` semantics.
+    /// threads: a fence by any thread drains all pending flushes. That is
+    /// weaker than `sfence`, which orders only its own core's flushes, and
+    /// not benign: it hides a flush on one thread that only another
+    /// thread's fence covers, such as the checkpoint's flush phase, whose
+    /// chunk workers `bulk_persist` and whose coordinator fences once
+    /// after the join.
     pending: Mutex<Vec<PendingRange>>,
     /// xorshift64 state for spurious evictions.
     rng: AtomicU64,
@@ -303,7 +299,8 @@ impl PmemPool {
         let start = line_down(off);
         let end = line_up(off + len);
         let lines = (end - start) / CACHE_LINE;
-        self.stats.record_flush((end - start) as u64);
+        self.stats.flush_bytes.add((end - start) as u64);
+        self.stats.flush_ops.inc();
         self.latency.charge_flush(lines);
         if self.mode == PersistenceMode::Strict {
             self.pending.lock().push(PendingRange { start, end });
@@ -312,7 +309,7 @@ impl PmemPool {
 
     /// `sfence`: commits all pending flushed lines to the persistent image.
     pub fn fence(&self) {
-        self.stats.record_fence();
+        self.stats.fences.inc();
         self.latency.charge_fence();
         if self.mode != PersistenceMode::Strict {
             return;
@@ -369,7 +366,8 @@ impl PmemPool {
         let merged_lines: usize = merged.iter().map(|&(s, e)| (e - s) / CACHE_LINE).sum();
         if raw_lines > merged_lines {
             self.stats
-                .record_dedup_lines((raw_lines - merged_lines) as u64);
+                .dedup_lines
+                .add((raw_lines - merged_lines) as u64);
         }
         if self.mode == PersistenceMode::Strict {
             self.pending.lock().extend(
@@ -378,7 +376,10 @@ impl PmemPool {
                     .map(|&(start, end)| PendingRange { start, end }),
             );
         }
-        self.stats.record_flush((merged_lines * CACHE_LINE) as u64);
+        self.stats
+            .flush_bytes
+            .add((merged_lines * CACHE_LINE) as u64);
+        self.stats.flush_ops.inc();
         self.latency.charge_flush(merged_lines);
         self.fence();
     }
@@ -406,10 +407,7 @@ impl PmemPool {
         }
         self.check_range(off, len);
         let start = line_down(off);
-        let end = line_up(off + len);
-        self.stats
-            .record_evictions(((end - start) / CACHE_LINE) as u64);
-        self.persist_lines(start, end);
+        self.persist_lines(start, line_up(off + len));
     }
 
     /// Spuriously evicts `count` random cache lines anywhere in the pool.
@@ -422,7 +420,6 @@ impl PmemPool {
             let r = self.next_rand() as usize % lines;
             self.persist_lines(r * CACHE_LINE, (r + 1) * CACHE_LINE);
         }
-        self.stats.record_evictions(count as u64);
     }
 
     /// Spuriously evicts `count` random cache lines within `[off, off+len)`
@@ -441,7 +438,6 @@ impl PmemPool {
             let s = start + r * CACHE_LINE;
             self.persist_lines(s, s + CACHE_LINE);
         }
-        self.stats.record_evictions(count as u64);
     }
 
     #[inline]
@@ -457,14 +453,17 @@ impl PmemPool {
 
     /// Bulk sequential persist of `[off, off+len)` at device write
     /// bandwidth. Models the checkpoint's page-copy/flush loop; unlike
-    /// [`PmemPool::flush`] it does not go through the pending set — the
-    /// checkpoint always fences afterwards anyway and the ranges are large.
+    /// [`PmemPool::flush`] it does not go through the pending set: the
+    /// lines are durable on return. So the simulator cannot see a bulk
+    /// persist whose only fence runs on another thread, as in the
+    /// checkpoint's chunked flush phase; on hardware the root commit
+    /// that follows could reach media before a worker's lines.
     pub fn bulk_persist(&self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
         self.check_range(off, len);
-        self.stats.record_bulk_write(len as u64);
+        self.stats.bulk_write_bytes.add(len as u64);
         self.latency.charge_write_bw(len);
         if self.mode == PersistenceMode::Strict {
             self.persist_lines(line_down(off), line_up(off + len));
@@ -474,7 +473,7 @@ impl PmemPool {
     /// Charges read bandwidth for a bulk read of `len` bytes (recovery
     /// copies PMEM → DRAM).
     pub fn bulk_read_charge(&self, len: usize) {
-        self.stats.record_bulk_read(len as u64);
+        self.stats.bulk_read_bytes.add(len as u64);
         self.latency.charge_read_bw(len);
     }
 
@@ -522,6 +521,24 @@ unsafe impl Sync for PmemPool {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pool's counters now.
+    struct Counts {
+        flush_ops: u64,
+        flush_bytes: u64,
+        fences: u64,
+        dedup_lines: u64,
+    }
+
+    fn counts(p: &PmemPool) -> Counts {
+        let s = p.stats();
+        Counts {
+            flush_ops: s.flush_ops.get(),
+            flush_bytes: s.flush_bytes.get(),
+            fences: s.fences.get(),
+            dedup_lines: s.dedup_lines.get(),
+        }
+    }
 
     #[test]
     fn fast_mode_roundtrip() {
@@ -580,9 +597,9 @@ mod tests {
         p.write_bytes(0, b"aa");
         p.write_bytes(512, b"bb");
         p.write_bytes(1024, b"cc");
-        let before = p.stats().snapshot().fences;
+        let before = counts(&p).fences;
         p.persist_many(&[(0, 2), (512, 2), (1024, 2)]);
-        let after = p.stats().snapshot().fences;
+        let after = counts(&p).fences;
         assert_eq!(after - before, 1, "one fence covers the whole batch");
         p.simulate_crash();
         let mut b = [0u8; 2];
@@ -713,7 +730,7 @@ mod tests {
         let p = PmemPool::strict(4096);
         p.write_bytes(0, &[1u8; 200]);
         p.persist(0, 200);
-        let s = p.stats().snapshot();
+        let s = counts(&p);
         assert_eq!(s.flush_bytes, 256, "200B spans 4 lines = 256B");
         assert_eq!(s.fences, 1);
     }
@@ -722,10 +739,10 @@ mod tests {
     fn persist_many_merges_overlapping_ranges() {
         let p = PmemPool::strict(4096);
         p.write_bytes(0, &[1u8; 128]);
-        let before = p.stats().snapshot();
+        let before = counts(&p);
         // Three ranges covering the same two lines: 4 raw lines, 2 merged.
         p.persist_many(&[(0, 128), (0, 64), (64, 64)]);
-        let s = p.stats().snapshot();
+        let s = counts(&p);
         assert_eq!(s.flush_ops - before.flush_ops, 1, "one combined flush");
         assert_eq!(s.flush_bytes - before.flush_bytes, 128, "merged, not 256");
         assert_eq!(s.dedup_lines - before.dedup_lines, 2);
@@ -741,9 +758,9 @@ mod tests {
         let p = PmemPool::strict(4096);
         p.write_bytes(0, &[1u8; 64]);
         p.flush(0, 64);
-        let before = p.stats().snapshot();
+        let before = counts(&p);
         p.flush(0, 64);
-        let s = p.stats().snapshot();
+        let s = counts(&p);
         assert_eq!(s.flush_ops - before.flush_ops, 1);
         p.fence();
         p.simulate_crash();
@@ -775,9 +792,9 @@ mod tests {
         p.write_bytes(0, &[3u8; 64]);
         p.persist(0, 64);
         p.simulate_crash();
-        let before = p.stats().snapshot();
+        let before = counts(&p);
         p.persist(0, 64); // post-crash: the line is flushed again
-        let s = p.stats().snapshot();
+        let s = counts(&p);
         assert_eq!(s.flush_ops - before.flush_ops, 1);
         assert_eq!(s.flush_bytes - before.flush_bytes, 64);
     }
@@ -789,10 +806,10 @@ mod tests {
         let p = PmemPool::strict(4096);
         p.write_bytes(1024, &[9u8; 64]);
         p.persist(1024, 64);
-        let before = p.stats().snapshot();
+        let before = counts(&p);
         p.persist(1024, 64);
         p.persist_many(&[(1024, 64), (2048, 64)]);
-        let s = p.stats().snapshot();
+        let s = counts(&p);
         assert_eq!(s.flush_ops - before.flush_ops, 2);
         assert_eq!(s.flush_bytes - before.flush_bytes, 64 + 128);
         assert_eq!(s.fences - before.fences, 2);

@@ -109,21 +109,6 @@ impl Request {
         }
     }
 
-    /// Metric label for this request kind.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Put { .. } => "put",
-            Request::Get { .. } => "get",
-            Request::Update { .. } => "update",
-            Request::Delete { .. } => "delete",
-            Request::Stat { .. } => "stat",
-            Request::Exists { .. } => "exists",
-            Request::Health => "health",
-            Request::TelemetrySnapshot => "telemetry_snapshot",
-            Request::CrashReport => "crash_report",
-        }
-    }
-
     fn kind(&self) -> u8 {
         match self {
             Request::Put { .. } => REQ_PUT,
@@ -282,6 +267,7 @@ pub fn encode_error(e: &DsError) -> (u8, String) {
         DsError::Protocol(s) => (12, s.clone()),
         DsError::Busy => (13, String::new()),
         DsError::RecordTooLarge(n) => (14, n.to_string()),
+        DsError::LogFull => (15, String::new()),
     }
 }
 
@@ -313,6 +299,7 @@ pub fn decode_error(code: u8, detail: &str) -> DsResult<DsError> {
                 .parse()
                 .map_err(|_| perr("malformed RecordTooLarge"))?,
         ),
+        15 => DsError::LogFull,
         other => return Err(perr(format!("unknown error code {other}"))),
     })
 }
@@ -539,6 +526,7 @@ mod tests {
             DsError::Protocol("junk".into()),
             DsError::Busy,
             DsError::RecordTooLarge(70_000),
+            DsError::LogFull,
         ];
         let mut bytes = Vec::new();
         for (i, e) in errors.iter().enumerate() {

@@ -183,6 +183,7 @@ fn error_strategy() -> impl Strategy<Value = DsError> {
         Just(DsError::NotFound),
         Just(DsError::OutOfSpace),
         Just(DsError::Busy),
+        Just(DsError::LogFull),
         (0usize..1 << 20).prop_map(DsError::RecordTooLarge),
         Just(DsError::ReservedName),
         (0u64..999, 0u64..999)

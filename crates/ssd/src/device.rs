@@ -53,7 +53,7 @@ impl SsdDevice {
             backing,
             pages,
             latency: SsdLatency::none(),
-            stats: SsdStats::new(),
+            stats: SsdStats::default(),
             in_flight: None,
         }
     }
@@ -65,7 +65,7 @@ impl SsdDevice {
             backing,
             pages,
             latency: SsdLatency::none(),
-            stats: SsdStats::new(),
+            stats: SsdStats::default(),
             in_flight: None,
         })
     }
@@ -90,12 +90,6 @@ impl SsdDevice {
     #[inline]
     pub fn pages(&self) -> u64 {
         self.pages
-    }
-
-    /// Device capacity in bytes.
-    #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.pages * PAGE_SIZE as u64
     }
 
     /// Traffic counters.
@@ -289,7 +283,7 @@ impl SsdDevice {
         );
         let count = buf.len() / PAGE_SIZE;
         self.check(page, count);
-        self.stats.record_read(buf.len() as u64);
+        self.stats.read_bytes.add(buf.len() as u64);
         self.latency.charge_read(buf.len());
         // SAFETY: bounds checked.
         unsafe {
@@ -307,7 +301,7 @@ impl SsdDevice {
         let total = offset + buf.len();
         let count = total.div_ceil(PAGE_SIZE);
         self.check(page, count);
-        self.stats.record_read((count * PAGE_SIZE) as u64);
+        self.stats.read_bytes.add((count * PAGE_SIZE) as u64);
         self.latency.charge_read(count * PAGE_SIZE);
         // SAFETY: bounds checked.
         unsafe {
@@ -386,9 +380,9 @@ mod tests {
         let mut buf = vec![0u8; 3 * PAGE_SIZE];
         d.read_pages(5, &mut buf);
         assert_eq!(buf, data);
-        let s = d.stats().snapshot();
-        assert_eq!(s.write_ops, 1, "one command for a contiguous run");
-        assert_eq!(s.write_bytes, 3 * PAGE_SIZE as u64);
+        let s = d.stats();
+        assert_eq!(s.write_ops.get(), 1, "one command for a contiguous run");
+        assert_eq!(s.write_bytes.get(), 3 * PAGE_SIZE as u64);
     }
 
     #[test]
@@ -407,7 +401,7 @@ mod tests {
     fn partial_write_charged_as_full_page() {
         let d = SsdDevice::anon(4);
         d.write_partial(0, 0, b"x");
-        assert_eq!(d.stats().snapshot().write_bytes, PAGE_SIZE as u64);
+        assert_eq!(d.stats().write_bytes.get(), PAGE_SIZE as u64);
     }
 
     #[test]
@@ -449,7 +443,7 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         d.read_pages(3, &mut buf);
         assert!(buf.iter().all(|&b| b == 0x5C));
-        assert_eq!(d.stats().snapshot().write_bytes, PAGE_SIZE as u64);
+        assert_eq!(d.stats().write_bytes.get(), PAGE_SIZE as u64);
     }
 
     /// A device whose writes take `ms` milliseconds, so a crash right

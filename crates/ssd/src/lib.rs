@@ -10,8 +10,9 @@
 //! return (crash simulation never loses completed writes), and a calibrated
 //! [`SsdLatency`] model charges the device time that dominates the paper's
 //! write path (Table 3: ~8.9 µs for a 4 KB write, ~40 µs for 16 KB — 88–96 %
-//! of total request time). Traffic counters back Figure 7's SSD bandwidth
-//! timeline.
+//! of total request time). The device owns its traffic counters
+//! ([`SsdStats`], exported as `dstore_ssd_*_total`), which back Figure 7's
+//! SSD bandwidth timeline.
 
 #![warn(missing_docs)]
 
@@ -21,7 +22,7 @@ pub mod stats;
 
 pub use device::SsdDevice;
 pub use latency::SsdLatency;
-pub use stats::{SsdSnapshot, SsdStats};
+pub use stats::SsdStats;
 
 /// SSD hardware page size in bytes. The paper uses 4 KB operations "to
 /// conform with the SSD hardware block size" (§5.1).

@@ -1,134 +1,67 @@
 //! SSD traffic counters (Figure 7's SSD bandwidth timeline).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use dstore_telemetry::{Counter, MetricsRegistry};
+use std::sync::Arc;
 
-/// Cumulative traffic counters for one emulated SSD.
+/// Cumulative traffic counters of one emulated SSD, owned by its
+/// [`crate::SsdDevice`]. Each is a registry [`Counter`] that lives as
+/// long as the device, so it keeps counting across a simulated crash and
+/// the recovery that reuses the device. [`SsdStats::register`] exports
+/// them.
 #[derive(Debug, Default)]
 pub struct SsdStats {
     /// Bytes written to the device.
-    pub write_bytes: AtomicU64,
+    pub write_bytes: Arc<Counter>,
     /// Write commands issued.
-    pub write_ops: AtomicU64,
+    pub write_ops: Arc<Counter>,
     /// Bytes read from the device.
-    pub read_bytes: AtomicU64,
-    /// Read commands issued.
-    pub read_ops: AtomicU64,
-}
-
-/// A point-in-time copy of [`SsdStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SsdSnapshot {
-    /// When the snapshot was taken, in process-monotonic nanoseconds
-    /// ([`dstore_telemetry::now_ns`]).
-    pub elapsed_ns: u64,
-    /// Bytes written to the device.
-    pub write_bytes: u64,
-    /// Write commands issued.
-    pub write_ops: u64,
-    /// Bytes read from the device.
-    pub read_bytes: u64,
-    /// Read commands issued.
-    pub read_ops: u64,
+    pub read_bytes: Arc<Counter>,
 }
 
 impl SsdStats {
-    /// New zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
+    /// Registers every counter in `registry` under its
+    /// `dstore_ssd_*_total` name.
+    pub fn register(&self, registry: &MetricsRegistry) {
+        registry.register_counter("dstore_ssd_write_bytes_total", &self.write_bytes);
+        registry.register_counter("dstore_ssd_write_ops_total", &self.write_ops);
+        registry.register_counter("dstore_ssd_read_bytes_total", &self.read_bytes);
     }
 
     #[inline]
     pub(crate) fn record_write(&self, bytes: u64) {
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_read(&self, bytes: u64) {
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot for timeline sampling.
-    pub fn snapshot(&self) -> SsdSnapshot {
-        SsdSnapshot {
-            elapsed_ns: dstore_telemetry::now_ns(),
-            write_bytes: self.write_bytes.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            read_bytes: self.read_bytes.load(Ordering::Relaxed),
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl SsdSnapshot {
-    /// Bytes written between `earlier` and `self`.
-    pub fn write_bytes_since(&self, earlier: &SsdSnapshot) -> u64 {
-        self.write_bytes.saturating_sub(earlier.write_bytes)
-    }
-
-    /// Bytes read between `earlier` and `self`.
-    pub fn read_bytes_since(&self, earlier: &SsdSnapshot) -> u64 {
-        self.read_bytes.saturating_sub(earlier.read_bytes)
-    }
-
-    /// Write bandwidth in bytes/second over the interval since
-    /// `earlier` (0.0 on a same-tick or out-of-order pair of snapshots).
-    pub fn write_rate_since(&self, earlier: &SsdSnapshot) -> f64 {
-        dstore_telemetry::rate_between(
-            self.write_bytes,
-            earlier.write_bytes,
-            self.elapsed_ns,
-            earlier.elapsed_ns,
-        )
-    }
-
-    /// Read bandwidth in bytes/second over the interval since `earlier`.
-    pub fn read_rate_since(&self, earlier: &SsdSnapshot) -> f64 {
-        dstore_telemetry::rate_between(
-            self.read_bytes,
-            earlier.read_bytes,
-            self.elapsed_ns,
-            earlier.elapsed_ns,
-        )
+        self.write_bytes.add(bytes);
+        self.write_ops.inc();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{SsdDevice, PAGE_SIZE};
+    use dstore_telemetry::MetricsRegistry;
 
     #[test]
     fn counters_accumulate_and_diff() {
-        let s = SsdStats::new();
-        s.record_write(4096);
-        let a = s.snapshot();
-        s.record_write(4096);
-        s.record_read(8192);
-        let b = s.snapshot();
-        assert_eq!(a.write_bytes, 4096);
-        assert_eq!(b.write_ops, 2);
-        assert_eq!(b.write_bytes_since(&a), 4096);
-        assert_eq!(b.read_bytes_since(&a), 8192);
-        assert_eq!(a.write_bytes_since(&b), 0);
-    }
-
-    #[test]
-    fn rates_saturate_on_same_tick_and_out_of_order_snapshots() {
-        let s = SsdStats::new();
-        s.record_write(4096);
-        s.record_read(4096);
-        let a = s.snapshot();
-        // Same clock tick: zero interval must not divide to infinity.
-        let mut b = a;
-        b.write_bytes += 4096;
-        b.elapsed_ns = a.elapsed_ns;
-        assert_eq!(b.write_rate_since(&a), 0.0);
-        // Out of order (merged fleet snapshots can compare a later anchor
-        // as "earlier"): saturate to zero, never go negative.
-        let mut later = a;
-        later.elapsed_ns += 1_000_000;
-        assert_eq!(a.write_rate_since(&later), 0.0);
-        assert_eq!(a.read_rate_since(&later), 0.0);
+        let d = SsdDevice::anon(4);
+        let s = d.stats();
+        d.write_pages(0, &[1u8; PAGE_SIZE]);
+        let written = s.write_bytes.get();
+        d.write_pages(1, &[2u8; 2 * PAGE_SIZE]);
+        let mut buf = [0u8; PAGE_SIZE];
+        d.read_pages(0, &mut buf);
+        assert_eq!(written, PAGE_SIZE as u64);
+        assert_eq!(s.write_ops.get(), 2);
+        assert_eq!(s.write_bytes.get() - written, 2 * PAGE_SIZE as u64);
+        let registry = MetricsRegistry::new();
+        s.register(&registry);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_total("dstore_ssd_write_bytes_total"),
+            3 * PAGE_SIZE as u64
+        );
+        assert_eq!(snap.counter_total("dstore_ssd_write_ops_total"), 2);
+        assert_eq!(
+            snap.counter_total("dstore_ssd_read_bytes_total"),
+            PAGE_SIZE as u64
+        );
     }
 }

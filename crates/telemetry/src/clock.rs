@@ -91,7 +91,7 @@ mod tsc {
 }
 
 /// `units` spread over `dt_ns` as units/second — the one formula every
-/// snapshot `rate_since` shares. 0.0 on an empty interval (differencing
+/// rate between two snapshots shares. 0.0 on an empty interval (differencing
 /// two snapshots taken in the same nanosecond is a caller bug, not a
 /// division by zero).
 #[inline]
@@ -108,8 +108,9 @@ pub fn rate_per_sec(units: u64, dt_ns: u64) -> f64 {
 /// same clock tick yields 0.0 (not ∞/NaN), and differencing snapshots
 /// merged out of order — `then` actually newer than `now`, which
 /// happens when shard snapshots taken on different threads are compared
-/// — yields 0.0 (not a negative rate). Every `rate_since` in the tree
-/// funnels through here so the edge cases are fixed in one place.
+/// — yields 0.0 (not a negative rate). Every rate between two snapshots
+/// (`dstore_top`'s ops/s) funnels through here so the edge cases are
+/// fixed in one place.
 #[inline]
 pub fn rate_between(
     now_units: u64,

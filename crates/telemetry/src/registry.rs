@@ -93,6 +93,16 @@ impl MetricsRegistry {
         Arc::clone(self.counters.write().entry(k).or_default())
     }
 
+    /// Registers `counter`, a handle its owner already counts into, under
+    /// `name` (no labels), replacing whatever was registered there. How a
+    /// layer that outlives the registry, such as a device, exports its
+    /// counters.
+    pub fn register_counter(&self, name: &str, counter: &Arc<Counter>) {
+        self.counters
+            .write()
+            .insert(key(name, &[]), Arc::clone(counter));
+    }
+
     /// Registers (or fetches) a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let k = key(name, labels);
@@ -183,6 +193,17 @@ mod tests {
         assert_eq!(a.get(), 3);
         let snap = r.snapshot();
         assert_eq!(snap.counter_total("ops"), 3);
+    }
+
+    #[test]
+    fn registered_handle_is_the_series() {
+        let r = MetricsRegistry::new();
+        let owned = Arc::new(Counter::default());
+        owned.add(5);
+        r.register_counter("dev_bytes_total", &owned);
+        owned.add(2);
+        assert_eq!(r.snapshot().counter_total("dev_bytes_total"), 7);
+        assert_eq!(r.counter("dev_bytes_total", &[]).get(), 7, "same handle");
     }
 
     #[test]

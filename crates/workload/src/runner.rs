@@ -34,18 +34,6 @@ pub struct RunOptions {
     pub seed: u64,
 }
 
-impl RunOptions {
-    /// Full-subscription defaults.
-    pub fn full_subscription(workload: Workload, duration: Duration) -> Self {
-        Self {
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            duration,
-            workload,
-            seed: 0xD57A_11AD,
-        }
-    }
-}
-
 /// Results of a closed-loop run.
 pub struct RunReport {
     /// Read-op latencies.

@@ -18,7 +18,6 @@ pub struct ScrambledZipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl ScrambledZipfian {
@@ -41,7 +40,6 @@ impl ScrambledZipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -90,11 +88,6 @@ impl ScrambledZipfian {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h % self.n
-    }
-
-    /// Unused but exposed for diagnostics: the ratio ζ(2,θ)/ζ(n,θ).
-    pub fn head_mass(&self) -> f64 {
-        self.zeta2theta / self.zetan
     }
 }
 
